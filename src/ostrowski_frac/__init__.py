@@ -9,9 +9,11 @@ from .fracint import (  # noqa: F401
     FracParams,
     QuadConfig,
     adaptive_gauss,
+    adaptive_gauss_many,
     gamma,
     mexp_integral,
     rl_lower,
+    rl_many,
     rl_upper,
 )
 from .convexity import (  # noqa: F401
@@ -30,6 +32,7 @@ from .verify import (  # noqa: F401
     lemma_identity_residual,
     ostrowski_lhs,
     ostrowski_signed,
+    ostrowski_signed_many,
     verify_classical,
     verify_theorem,
 )

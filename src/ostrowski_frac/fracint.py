@@ -7,7 +7,14 @@ leaves a bounded integrand:
     J_{a+}^mu f(x) = (1/Gamma(mu+1)) * int_0^{(x-a)^mu} f(x - s^(1/mu)) ds
 
 Quadrature is fixed-order Gauss-Legendre on dyadically subdivided panels;
-refinement stops when two successive levels agree within tolerance.
+a panel is bisected until its two halves agree with it within tolerance.
+Refinement is breadth-first over a batch of integrals: each level bisects
+every active panel of every integral in the batch with one integrand call,
+so the fractional integrals of many instances that share (f, mu) cost one
+numpy call per level rather than one per panel.  Each integral's panels are
+accepted by the test a depth-first recursion would apply and summed in that
+recursion's tree order, so a batched result equals, bit for bit, the one
+integrating it alone gives.
 """
 
 from __future__ import annotations
@@ -84,31 +91,55 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panel_sum(g, lo: float, hi: float, panels: int, nodes: int) -> float:
-    ref, w = _leggauss(nodes)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = mid[:, None] + half[:, None] * ref[None, :]
-    vals = np.asarray(g(pts.ravel()), dtype=float).reshape(panels, nodes)
-    return float(np.sum(vals * w[None, :] * half[:, None]))
+def _panel_sums(g, lo, hi, k, ref, w):
+    """Gauss-Legendre sum on each panel [lo[i], hi[i]] of integral k[i], all
+    panels in one call of g."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    pts = mid[:, None] + half[:, None] * ref
+    vals = np.asarray(g(pts.ravel(), np.repeat(k, ref.size)), dtype=float)
+    return np.sum(vals.reshape(pts.shape) * w * half[:, None], axis=1)
 
 
-def adaptive_gauss(g, lo: float, hi: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """Integrate g on [lo, hi] with fixed-order Gauss-Legendre panels refined
-    by dyadic bisection wherever parent and child estimates disagree.
+def _interleave(left, right):
+    out = np.empty(2 * left.size)
+    out[0::2] = left
+    out[1::2] = right
+    return out
 
+
+def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+    """Integrate a batch of integrals, the k-th over [los[k], his[k]], with
+    fixed-order Gauss-Legendre panels refined by dyadic bisection wherever
+    parent and child estimates disagree.
+
+    Refinement is breadth-first: each level bisects every active panel of
+    every integral and evaluates all the halves in one call g(s, k), where s
+    is a 1-d array of points and k gives, for each point, the index of the
+    integral it belongs to; g returns values elementwise.  Each integral's
+    acceptance test is that of a depth-first recursion over its own panels,
+    and accepted values are added bottom-up in that recursion's tree order,
+    so every result is bit for bit what integrating it alone would give.
     Local bisection grades the panels into endpoints where the integrand has
     only algebraic smoothness, which uniform refinement handles poorly.
-    g must accept a 1-d numpy array and return values elementwise.
+
+    Raises ConvergenceError for the lowest-index integral that fails, naming
+    its leftmost failing panel: the error integrating one by one would give.
+    Empty intervals integrate to 0 without calling g.
     """
-    if hi < lo:
+    los = np.asarray(los, dtype=float)
+    his = np.asarray(his, dtype=float)
+    if np.any(his < los):
         raise DomainError("integration bounds reversed")
-    if hi == lo:
-        return 0.0
-    n = cfg.base_nodes
-    whole = _panel_sum(g, lo, hi, 1, n)
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
+    out = np.zeros(los.shape)
+    live = np.flatnonzero(his != los)
+    if not live.size:
+        return out
+    ref, w = _leggauss(cfg.base_nodes)
+    lo, hi = los[live], his[live]
+    whole = _panel_sums(g, lo, hi, live, ref, w)
+    # fmax, not maximum: a nan estimate keeps the absolute tolerance.
+    tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(whole))
     total = hi - lo
     # Per-panel acceptance floor; keeps algebraic corner panels from chasing
     # an ever-halving target they cannot meet.
@@ -118,59 +149,94 @@ def adaptive_gauss(g, lo: float, hi: float, cfg: QuadConfig = DEFAULT_QUAD) -> f
     # disagreements are accepted rather than reported as failure.
     cap_accept = 10.0 * cfg.abs_tol
 
-    def refine(a: float, b: float, est: float, depth: int) -> float:
+    # Active panels, ordered by integral and then left to right: a, b, the
+    # estimate on [a, b] and j, the integral's position in `live`.
+    a, b, est, j = lo, hi, whole, np.arange(live.size)
+    levels = []  # per depth: (left + right of each panel, panel was split)
+    for depth in range(cfg.max_subdivisions + 1):
         mid = 0.5 * (a + b)
-        left = _panel_sum(g, a, mid, 1, n)
-        right = _panel_sum(g, mid, b, 1, n)
-        err = abs(left + right - est)
-        if err <= max(tol * (b - a) / total, floor):
-            return left + right
-        if depth >= cfg.max_subdivisions:
-            if err <= cap_accept:
-                return left + right
-            raise ConvergenceError(
-                f"quadrature on [{a}, {b}] not converged at depth "
-                f"{cfg.max_subdivisions} (disagreement {err:.3g})"
-            )
-        return refine(a, mid, left, depth + 1) + refine(mid, b, right, depth + 1)
+        halves = _panel_sums(
+            g, _interleave(a, mid), _interleave(mid, b), live[np.repeat(j, 2)], ref, w
+        )
+        left, right = halves[0::2], halves[1::2]
+        both = left + right
+        err = np.abs(both - est)
+        split = ~(err <= np.maximum(tol[j] * (b - a) / total[j], floor))
+        if depth == cfg.max_subdivisions:
+            failed = np.flatnonzero(split & ~(err <= cap_accept))
+            if failed.size:
+                i = failed[0]
+                raise ConvergenceError(
+                    f"quadrature on [{float(a[i])}, {float(b[i])}] not converged "
+                    f"at depth {cfg.max_subdivisions} (disagreement {float(err[i]):.3g})"
+                )
+            split[:] = False
+        levels.append((both, split))
+        if not split.any():
+            break
+        a, b = _interleave(a[split], mid[split]), _interleave(mid[split], b[split])
+        est = _interleave(left[split], right[split])
+        j = np.repeat(j[split], 2)
 
-    return refine(lo, hi, whole, 0)
+    # A split panel's value is its left half's plus its right half's, as in
+    # the recursion; the halves are the next level's consecutive pairs.
+    vals = levels[-1][0]
+    for both, split in reversed(levels[:-1]):
+        both[split] = vals[0::2] + vals[1::2]
+        vals = both
+    out[live] = vals
+    return out
+
+
+def adaptive_gauss(g, lo: float, hi: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+    """Integrate g on [lo, hi]; a batch of one for `adaptive_gauss_many`.
+
+    g must accept a 1-d numpy array and return values elementwise.
+    """
+    return float(adaptive_gauss_many(lambda s, k: g(s), [lo], [hi], cfg)[0])
 
 
 def _as_callable(f):
     return getattr(f, "f", f)
 
 
-def rl_lower(f, a: float, x: float, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """Left-sided fractional integral (1/Gamma(mu)) int_a^x (x-t)^(mu-1) f(t) dt."""
+def rl_many(f, anchors, ends, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> list[float]:
+    """Fractional integrals (1/Gamma(mu)) int |t-c|^(mu-1) f(t) dt between
+    each anchor c = anchors[k] and ends[k], refined as one batch.
+
+    The kernel is singular at the anchor: ends[k] < c gives the left-sided
+    integral anchored at its upper limit, ends[k] > c the right-sided one
+    anchored at its lower limit, and ends[k] == c gives 0.
+    """
     fn = _as_callable(f)
     if not mu > 0:
         raise DomainError("mu > 0 required")
-    if not x > a:
+    anchor = np.asarray(anchors, dtype=float)
+    sign = np.sign(np.asarray(ends, dtype=float) - anchor)
+    # Scalar pow, as everywhere else the limits are computed: numpy's
+    # vectorised pow may round differently in the last bit.
+    uppers = [abs(e - c) ** mu for c, e in zip(anchors, ends)]
+    inv = 1.0 / mu  # one scalar exponent per batch keeps numpy's fast paths
+
+    def g(s, k):
+        return fn(anchor[k] + sign[k] * s**inv)
+
+    vals = adaptive_gauss_many(g, np.zeros(len(uppers)), uppers, cfg)
+    return (vals / gamma(mu + 1.0)).tolist()
+
+
+def rl_lower(f, a: float, x: float, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+    """Left-sided fractional integral (1/Gamma(mu)) int_a^x (x-t)^(mu-1) f(t) dt."""
+    if mu > 0 and not x > a:
         raise DomainError("x > a required")
-    upper = (x - a) ** mu
-    inv = 1.0 / mu
-
-    def g(s):
-        return fn(x - s**inv)
-
-    return adaptive_gauss(g, 0.0, upper, cfg) / gamma(mu + 1.0)
+    return rl_many(f, [x], [a], mu, cfg)[0]
 
 
 def rl_upper(f, x: float, b: float, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """Right-sided fractional integral (1/Gamma(mu)) int_x^b (t-x)^(mu-1) f(t) dt."""
-    fn = _as_callable(f)
-    if not mu > 0:
-        raise DomainError("mu > 0 required")
-    if not b > x:
+    if mu > 0 and not b > x:
         raise DomainError("b > x required")
-    upper = (b - x) ** mu
-    inv = 1.0 / mu
-
-    def g(s):
-        return fn(x + s**inv)
-
-    return adaptive_gauss(g, 0.0, upper, cfg) / gamma(mu + 1.0)
+    return rl_many(f, [x], [b], mu, cfg)[0]
 
 
 @lru_cache(maxsize=16384)

@@ -18,8 +18,16 @@ from typing import Optional
 from . import __version__
 from .bounds import BoundParams
 from .corpus import FunctionSpec, audit, builtin_corpus, spec_from_family
-from .fracint import DomainError, FracParams, QuadConfig
-from .verify import THEOREM_IDS, Verdict, ostrowski_lhs, verify_theorem
+from .fracint import ConvergenceError, DomainError, FracParams, QuadConfig
+from .verify import (
+    THEOREM_IDS,
+    HypothesisError,
+    Verdict,
+    _check_hypotheses,
+    ostrowski_signed,
+    ostrowski_signed_many,
+    verify_theorem,
+)
 
 
 class ConfigError(ValueError):
@@ -211,8 +219,6 @@ def _grid_for(theorem: str, cfg: SweepConfig):
 
 
 def _applicable(theorem: str, f: FunctionSpec, bp: BoundParams) -> bool:
-    from .verify import HypothesisError, _check_hypotheses
-
     try:
         _check_hypotheses(theorem, f, bp)
     except HypothesisError:
@@ -220,39 +226,83 @@ def _applicable(theorem: str, f: FunctionSpec, bp: BoundParams) -> bool:
     return True
 
 
+def _instances(f: FunctionSpec, cfg: SweepConfig):
+    """(theorem, bp) of every verdict the sweep emits for f, in sweep order."""
+    a, b = f.domain
+    for theorem in cfg.theorems:
+        for frac_x in cfg.x_fracs:
+            x = a + frac_x * (b - a)
+            for mu, alpha, m, q, u in _grid_for(theorem, cfg):
+                frac = FracParams(a, b, x, mu)
+                try:
+                    bp = BoundParams(
+                        frac=frac,
+                        M=f.M,
+                        alpha=alpha,
+                        m=m,
+                        q=q,
+                        u=u,
+                        v=None if u is None else 1.0 - u,
+                    )
+                except DomainError:
+                    continue
+                if _applicable(theorem, f, bp):
+                    yield theorem, bp
+
+
+def _lhs_by_key(f: FunctionSpec, fracs: list[FracParams], quad: QuadConfig) -> dict:
+    """|signed LHS| per distinct (x, mu), one quadrature batch per mu.
+
+    A batch that fails is redone one instance at a time, so that each
+    instance maps to its own value or its own ConvergenceError.
+    """
+    batches: dict[float, dict[float, FracParams]] = {}
+    for frac in fracs:
+        batches.setdefault(frac.mu, {}).setdefault(frac.x, frac)
+    lhs = {}
+    for mu, by_x in batches.items():
+        group = list(by_x.values())
+        try:
+            values = ostrowski_signed_many(f, group, quad)
+        except ConvergenceError:
+            values = []
+            for frac in group:
+                try:
+                    values.append(ostrowski_signed(f, frac, quad))
+                except ConvergenceError as exc:
+                    values.append(exc)
+        for frac, value in zip(group, values):
+            lhs[frac.x, mu] = value if isinstance(value, ConvergenceError) else abs(value)
+    return lhs
+
+
 def run_sweep(cfg: SweepConfig) -> dict:
-    """Execute the sweep; returns the report as a plain dict."""
+    """Execute the sweep; returns the report as a plain dict.
+
+    Per function, the applicable instances are listed first, their LHS
+    values computed in one batch per mu, and the verdicts emitted in sweep
+    order.  Errors surface in sweep order too: a DomainError while listing
+    is raised after the verdicts before it, a failed LHS at its first use.
+    """
     specs = resolve_corpus(cfg)
     verdicts: list[Verdict] = []
-    lhs_cache: dict[tuple[str, float, float], float] = {}
 
     for f in specs:
-        a, b = f.domain
-        for theorem in cfg.theorems:
-            for frac_x in cfg.x_fracs:
-                x = a + frac_x * (b - a)
-                for mu, alpha, m, q, u in _grid_for(theorem, cfg):
-                    frac = FracParams(a, b, x, mu)
-                    try:
-                        bp = BoundParams(
-                            frac=frac,
-                            M=f.M,
-                            alpha=alpha,
-                            m=m,
-                            q=q,
-                            u=u,
-                            v=None if u is None else 1.0 - u,
-                        )
-                    except DomainError:
-                        continue
-                    if not _applicable(theorem, f, bp):
-                        continue
-                    key = (f.id, x, mu)
-                    if key not in lhs_cache:
-                        lhs_cache[key] = ostrowski_lhs(f, frac, cfg.quad)
-                    verdicts.append(
-                        verify_theorem(theorem, f, bp, cfg.quad, lhs=lhs_cache[key])
-                    )
+        todo: list[tuple[str, BoundParams]] = []
+        stop: Optional[DomainError] = None
+        try:
+            for item in _instances(f, cfg):
+                todo.append(item)
+        except DomainError as exc:
+            stop = exc
+        lhs = _lhs_by_key(f, [bp.frac for _, bp in todo], cfg.quad)
+        for theorem, bp in todo:
+            value = lhs[bp.frac.x, bp.frac.mu]
+            if isinstance(value, ConvergenceError):
+                raise value
+            verdicts.append(verify_theorem(theorem, f, bp, cfg.quad, lhs=value))
+        if stop is not None:
+            raise stop
 
     summary: dict[str, dict] = {}
     for v in verdicts:

@@ -13,7 +13,9 @@ one the residual check confirms to quadrature accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from . import bounds as bnd
 from .bounds import BoundParams
@@ -25,9 +27,9 @@ from .fracint import (
     FracParams,
     QuadConfig,
     adaptive_gauss,
+    adaptive_gauss_many,
     gamma,
-    rl_lower,
-    rl_upper,
+    rl_many,
 )
 
 
@@ -46,24 +48,47 @@ class Verdict:
     tol_margin: float
 
 
-def ostrowski_signed(f: FunctionSpec, frac: FracParams, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def ostrowski_signed_many(
+    f: FunctionSpec, fracs: Sequence[FracParams], cfg: QuadConfig = DEFAULT_QUAD
+) -> list[float]:
     """Signed deviation of the geometry-weighted point value from the pair of
-    fractional integrals anchored at x.
+    fractional integrals anchored at x, for instances of one f that share mu.
 
+    All the instances' fractional integrals are refined as one batch; each
+    value equals what `ostrowski_signed` gives for its instance alone.
     Empty-interval fractional integrals (x = a or x = b) are 0 by continuous
     extension, which keeps the identity exact at the endpoints.
     """
-    a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
+    if not fracs:
+        return []
+    mu = fracs[0].mu
     lo, hi = f.domain
-    if a < lo - 1e-12 or b > hi + 1e-12:
-        raise DomainError(f"[{a}, {b}] outside domain of {f.id!r}")
-    # int_a^x (t-a)^(mu-1) f(t) dt / Gamma(mu): right-sided kernel anchored at a.
-    left = rl_upper(f, a, x, mu, cfg) if x > a else 0.0
-    right = rl_lower(f, x, b, mu, cfg) if x < b else 0.0
-    fx = float(f.f(x))
-    return ((x - a) ** mu + (b - x) ** mu) / (b - a) * fx - gamma(mu + 1.0) / (
-        b - a
-    ) * (left + right)
+    anchors, ends = [], []
+    for frac in fracs:
+        if frac.mu != mu:
+            raise DomainError("instances of one batch must share mu")
+        if frac.a < lo - 1e-12 or frac.b > hi + 1e-12:
+            raise DomainError(f"[{frac.a}, {frac.b}] outside domain of {f.id!r}")
+        # int_a^x (t-a)^(mu-1) f(t) dt and int_x^b (b-t)^(mu-1) f(t) dt,
+        # over Gamma(mu): kernels anchored at a and at b.
+        anchors += (frac.a, frac.b)
+        ends += (frac.x, frac.x)
+    sides = rl_many(f, anchors, ends, mu, cfg)
+    scale = gamma(mu + 1.0)
+    out = []
+    for frac, left, right in zip(fracs, sides[0::2], sides[1::2]):
+        a, b, x = frac.a, frac.b, frac.x
+        fx = float(f.f(x))
+        out.append(
+            ((x - a) ** mu + (b - x) ** mu) / (b - a) * fx
+            - scale / (b - a) * (left + right)
+        )
+    return out
+
+
+def ostrowski_signed(f: FunctionSpec, frac: FracParams, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+    """`ostrowski_signed_many` for one instance."""
+    return ostrowski_signed_many(f, [frac], cfg)[0]
 
 
 def ostrowski_lhs(f: FunctionSpec, frac: FracParams, cfg: QuadConfig = DEFAULT_QUAD) -> float:
@@ -76,8 +101,10 @@ def lemma_identity_residual(
     """|signed LHS - weighted f' moment integrals|; a quadrature consistency oracle."""
     a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
     lhs = ostrowski_signed(f, frac, cfg)
-    i_a = adaptive_gauss(lambda t: t**mu * f.fprime(t * x + (1.0 - t) * a), 0.0, 1.0, cfg)
-    i_b = adaptive_gauss(lambda t: t**mu * f.fprime(t * x + (1.0 - t) * b), 0.0, 1.0, cfg)
+    ends = np.array([a, b])
+    i_a, i_b = adaptive_gauss_many(
+        lambda t, k: t**mu * f.fprime(t * x + (1.0 - t) * ends[k]), [0.0, 0.0], [1.0, 1.0], cfg
+    ).tolist()
     rhs = ((x - a) ** (mu + 1.0) * i_a - (b - x) ** (mu + 1.0) * i_b) / (b - a)
     return abs(lhs - rhs)
 

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from ostrowski_frac import report as report_mod
 from ostrowski_frac.cli import main
+from ostrowski_frac.fracint import ConvergenceError, DomainError, FracParams
 from ostrowski_frac.report import (
     ConfigError,
     SweepConfig,
@@ -12,6 +15,19 @@ from ostrowski_frac.report import (
     resolve_corpus,
     run_sweep,
 )
+from ostrowski_frac.verify import ostrowski_lhs
+
+# x = a and x = b leave one fractional integral empty; const1 carries no
+# claims, so no theorem applies to it.
+BATCH_SWEEP = """\
+functions = linear,const1,powdecay,expdecay
+theorems = t22,set,mu1,t26
+x_fracs = 0.0,0.35,1.0,0.8
+mu = 0.25,1.0,2.5
+alpha = 0.5,1.0
+m = 0.5
+q = 1.0
+"""
 
 SMALL_SWEEP = """\
 # fast grid for tests
@@ -216,3 +232,89 @@ class TestRenderReport:
         cfg = parse_config(SMALL_SWEEP)
         report = run_sweep(cfg)
         assert report["config_fingerprint"] == cfg.fingerprint()
+
+
+class TestBatchedSweep:
+    """The sweep integrates one batch per (function, mu); what it reports and
+    raises must be what one instance at a time gives."""
+
+    def test_lhs_equals_one_instance_at_a_time(self, corpus):
+        cfg = parse_config(BATCH_SWEEP)
+        verdicts = run_sweep(cfg)["verdicts"]
+        assert {v["x"] for v in verdicts if v["function"] == "linear"} >= {0.0, 3.0}
+        assert {v["mu"] for v in verdicts} == {0.25, 1.0, 2.5}
+        for v in verdicts:
+            frac = FracParams(v["a"], v["b"], v["x"], v["mu"])
+            assert v["lhs"] == ostrowski_lhs(corpus[v["function"]], frac, cfg.quad)
+
+    def test_function_without_applicable_theorem_is_never_integrated(
+        self, corpus, monkeypatch
+    ):
+        def boom(u):
+            raise RuntimeError("integrand evaluated")
+
+        def with_boom(base):
+            spec = dataclasses.replace(corpus[base], id="boom", f=boom, fprime=boom)
+            monkeypatch.setattr(report_mod, "resolve_corpus", lambda cfg: [spec])
+
+        cfg = parse_config(BATCH_SWEEP)
+        with_boom("const1")  # no claims: nothing applies
+        assert run_sweep(cfg)["verdicts"] == []
+        with_boom("linear")  # claims hold: the sweep must integrate it
+        with pytest.raises(RuntimeError, match="integrand evaluated"):
+            run_sweep(cfg)
+
+    # Depth-1 failures, first in sweep order but in no batch's first place.
+    # On linear only mu = 2.5 and mu = 1.5 fail, at every x: listing them
+    # out of order defeats any sorted batch order.  On a steep exp_decay at
+    # 1e-15 tolerance, mu = 1 fails only at x = b and mu = 0.5 already at
+    # x = 0.1, so the mu = 1 batch, computed first, fails at a later
+    # instance than the mu = 0.5 one.
+    FAILING = {
+        "by-mu": "functions = linear\nx_fracs = 0.75,0.25\nmu = 0.5,2.5,1.5\n",
+        "by-x": (
+            "functions = steep\nx_fracs = 0.5,0.1,1.0\nmu = 1.0,0.5\n"
+            "abs_tol = 1e-15\nrel_tol = 1e-15\naudit = false\n"
+            "function.steep = exp_decay M=0.5 lam=80 lo=1.0 hi=2.0\n"
+        ),
+    }
+    T22_DEPTH_1 = "theorems = t22\nalpha = 1.0\nm = 0.5\nq = 1.0\nmax_subdivisions = 1\n"
+
+    @staticmethod
+    def _first_failure(cfg):
+        """One instance at a time, in sweep order (every t22 instance of
+        these configs applies)."""
+        (f,) = resolve_corpus(cfg)
+        a, b = f.domain
+        for frac_x in cfg.x_fracs:
+            for mu in cfg.mus:
+                try:
+                    ostrowski_lhs(f, FracParams(a, b, a + frac_x * (b - a), mu), cfg.quad)
+                except ConvergenceError as exc:
+                    return str(exc)
+        raise AssertionError("no instance fails")
+
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_first_failing_instance_in_sweep_order_is_raised(self, case, tmp_path, capsys):
+        text = self.T22_DEPTH_1 + self.FAILING[case]
+        cfg = parse_config(text)
+        want = self._first_failure(cfg)
+        with pytest.raises(ConvergenceError) as got:
+            run_sweep(cfg)
+        assert str(got.value) == want
+        path = tmp_path / "failing.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_earlier_convergence_error_wins_over_later_domain_error(self):
+        # mu = -1 is rejected while listing, after the failing (0.75, 2.5).
+        cfg = parse_config(
+            self.T22_DEPTH_1 + "functions = linear\nx_fracs = 0.75\nmu = 2.5,-1\n"
+        )
+        want = self._first_failure(dataclasses.replace(cfg, mus=(2.5,)))
+        with pytest.raises(ConvergenceError) as got:
+            run_sweep(cfg)
+        assert str(got.value) == want
+        with pytest.raises(DomainError, match="mu > 0"):
+            run_sweep(dataclasses.replace(cfg, mus=(0.5, -1.0)))

@@ -9,9 +9,11 @@ from ostrowski_frac.fracint import (
     FracParams,
     QuadConfig,
     adaptive_gauss,
+    adaptive_gauss_many,
     gamma,
     mexp_integral,
     rl_lower,
+    rl_many,
     rl_upper,
 )
 
@@ -74,11 +76,203 @@ class TestAdaptiveGauss:
     def test_reversed_bounds(self):
         with pytest.raises(DomainError):
             adaptive_gauss(np.exp, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            adaptive_gauss_many(lambda s, k: np.exp(s), [0.0, 1.0], [1.0, 0.0])
 
     def test_convergence_error(self):
         cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=2)
         with pytest.raises(ConvergenceError):
             adaptive_gauss(lambda s: np.abs(s - 1 / 3) ** 0.05, 0.0, 1.0, cfg)
+
+
+def recursive_gauss(g, lo, hi, cfg=QuadConfig()):
+    """The depth-first refiner the batched one replaced, frozen as an oracle:
+    one numpy call per panel, acceptance tested parent by parent."""
+    if hi < lo:
+        raise DomainError("integration bounds reversed")
+    if hi == lo:
+        return 0.0
+    ref, w = np.polynomial.legendre.leggauss(cfg.base_nodes)
+
+    def panel(a, b):
+        edges = np.linspace(a, b, 2)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        pts = mid[:, None] + half[:, None] * ref[None, :]
+        vals = np.asarray(g(pts.ravel()), dtype=float).reshape(1, cfg.base_nodes)
+        return float(np.sum(vals * w[None, :] * half[:, None]))
+
+    whole = panel(lo, hi)
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
+    total = hi - lo
+    floor = 0.01 * cfg.abs_tol
+    cap_accept = 10.0 * cfg.abs_tol
+
+    def refine(a, b, est, depth):
+        mid = 0.5 * (a + b)
+        left = panel(a, mid)
+        right = panel(mid, b)
+        err = abs(left + right - est)
+        if err <= max(tol * (b - a) / total, floor):
+            return left + right
+        if depth >= cfg.max_subdivisions:
+            if err <= cap_accept:
+                return left + right
+            raise ConvergenceError(
+                f"quadrature on [{a}, {b}] not converged at depth "
+                f"{cfg.max_subdivisions} (disagreement {err:.3g})"
+            )
+        return refine(a, mid, left, depth + 1) + refine(mid, b, right, depth + 1)
+
+    return refine(lo, hi, whole, 0)
+
+
+def batch_of(gs):
+    """One g(s, k) that evaluates gs[k] on the points of integral k."""
+
+    def g(s, k):
+        out = np.empty_like(s)
+        for i, gi in enumerate(gs):
+            sel = k == i
+            if sel.any():
+                out[sel] = gi(s[sel])
+        return out
+
+    return g
+
+
+def assert_bitwise(gs, los, his, cfg=QuadConfig()):
+    want = [recursive_gauss(g, lo, hi, cfg) for g, lo, hi in zip(gs, los, his)]
+    for g, lo, hi, v in zip(gs, los, his, want):
+        assert adaptive_gauss(g, lo, hi, cfg) == v
+    assert adaptive_gauss_many(batch_of(gs), los, his, cfg).tolist() == want
+
+
+def rl_integrand(f, x, mu, sign):
+    inv = 1.0 / mu
+    return lambda s: f(x + sign * s**inv)
+
+
+# Integrals whose panel trees differ: refinement depths, leftmost failing
+# panels and accepted-at-cap panels all come out of the same tree walk.
+CORNER_CFGS = [
+    QuadConfig(),
+    QuadConfig(abs_tol=1e-13, rel_tol=1e-13),
+    QuadConfig(base_nodes=5, max_subdivisions=40),
+]
+
+
+class TestBatchedRefinerMatchesRecursion:
+    """The breadth-first refiner against the recursion it replaced: equal
+    to the last bit, not approximately."""
+
+    @pytest.mark.parametrize("cfg", CORNER_CFGS)
+    def test_polynomials(self, cfg):
+        gs = [lambda s: s**3 - 2 * s, lambda s: 7.0 * s**20 + s, lambda s: 1.0 + 0.0 * s]
+        assert_bitwise(gs, [0.0, -1.0, 0.5], [2.0, 1.5, 3.25], cfg)
+
+    @pytest.mark.parametrize("cfg", CORNER_CFGS)
+    def test_algebraic_corners(self, cfg):
+        # t^0.1 grades the panels dozens of levels into 0 (and into 1 for
+        # its mirror), the regime small-mu fractional integrals produce.
+        gs = [
+            lambda t: t**0.1,
+            lambda t: (1.0 - t) ** 0.1,
+            lambda t: np.abs(t - 0.3) ** 0.1,
+            lambda t: t**0.1 * np.exp(-t),
+        ]
+        assert_bitwise(gs, [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 2.0], cfg)
+
+    @pytest.mark.parametrize("mu", [0.1, 0.25, 0.5, 1.0, 2.5])
+    def test_corpus_rl_integrands(self, corpus, mu):
+        gs, his = [], []
+        for spec in corpus.values():
+            a, b = spec.domain
+            for frac in (0.05, 0.5, 0.95):
+                x = a + frac * (b - a)
+                gs += [rl_integrand(spec.f, a, mu, 1.0), rl_integrand(spec.f, b, mu, -1.0)]
+                his += [(x - a) ** mu, (b - x) ** mu]
+        assert_bitwise(gs, [0.0] * len(gs), his)
+
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 2.5])
+    def test_rl_entry_points(self, corpus, mu):
+        spec = corpus["powdecay"]
+        a, b = spec.domain
+        x = 1.37
+        scale = gamma(mu + 1.0)
+        lower = recursive_gauss(rl_integrand(spec.f, x, mu, -1.0), 0.0, (x - a) ** mu) / scale
+        upper = recursive_gauss(rl_integrand(spec.f, x, mu, 1.0), 0.0, (b - x) ** mu) / scale
+        assert rl_lower(spec, a, x, mu) == lower
+        assert rl_upper(spec, x, b, mu) == upper
+        assert rl_many(spec, [x, x, a], [a, b, a], mu) == [lower, upper, 0.0]
+
+    def test_empty_and_nonempty_mixed(self):
+        calls = []
+
+        def g(s, k):
+            calls.append(set(k.tolist()))
+            return np.sqrt(s) + k
+
+        gs = [lambda s, i=i: np.sqrt(s) + i for i in range(5)]
+        los = [0.0, 0.5, 0.0, 2.0, 1.0]
+        his = [0.0, 1.5, 1.0, 2.0, 1.0]
+        want = [recursive_gauss(gi, lo, hi) for gi, lo, hi in zip(gs, los, his)]
+        got = adaptive_gauss_many(g, los, his)
+        assert got.tolist() == want
+        assert want[0] == want[3] == want[4] == 0.0
+        # Empty intervals are never evaluated.
+        assert set().union(*calls) == {1, 2}
+
+    def test_all_empty_makes_no_call(self):
+        def g(s, k):
+            raise AssertionError("integrand called on an empty batch")
+
+        assert adaptive_gauss_many(g, [1.0, 2.0], [1.0, 2.0]).tolist() == [0.0, 0.0]
+        assert adaptive_gauss_many(g, [], []).tolist() == []
+
+    def test_one_call_per_level(self):
+        calls = []
+
+        def g(s, k):
+            calls.append(s.size)
+            return s**0.1
+
+        adaptive_gauss_many(g, [0.0] * 8, [1.0] * 8)
+        points, widths = [], set()
+
+        def panel(s):
+            points.append(s.size)
+            widths.add(round(math.log2(np.ptp(s))))
+            return s**0.1
+
+        recursive_gauss(panel, 0.0, 1.0)
+        # One call for the whole-interval estimates, then one per bisection
+        # level (each level has its own panel width), covering exactly the
+        # points the recursion evaluates one panel at a time.
+        assert len(calls) == len(widths) > 20
+        assert sum(calls) == 8 * sum(points)
+
+    @pytest.mark.parametrize(
+        "order",
+        [[0, 1, 2], [0, 2, 1], [2, 1, 0], [1, 0, 2]],
+    )
+    def test_convergence_error_names_first_failing_integral(self, order):
+        cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)
+        pool = [
+            lambda s: s**2,  # converges
+            lambda s: np.abs(s - 1 / 3) ** 0.05,  # fails near 1/3
+            lambda s: np.abs(s - 0.8) ** 0.05 + np.abs(s - 0.6) ** 0.05,  # fails twice
+        ]
+        gs = [pool[i] for i in order]
+        his = [1.0] * len(gs)
+        first = next(i for i in order if i != 0)
+        with pytest.raises(ConvergenceError) as want:
+            recursive_gauss(pool[first], 0.0, 1.0, cfg)
+        with pytest.raises(ConvergenceError) as single:
+            adaptive_gauss(pool[first], 0.0, 1.0, cfg)
+        with pytest.raises(ConvergenceError) as batch:
+            adaptive_gauss_many(batch_of(gs), [0.0] * len(gs), his, cfg)
+        assert str(single.value) == str(batch.value) == str(want.value)
 
 
 class TestRlLower:
