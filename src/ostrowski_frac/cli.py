@@ -2,8 +2,9 @@
 
 Subcommands: frac-int, check-convexity, verify, sweep, corpus-audit.
 Exit codes: 0 all checks hold, 1 at least one violation or counterexample,
-2 usage or domain error.  Numbers print with 17 significant digits so
-reports round-trip.
+2 usage or domain error, or a requested sweep theorem that no corpus
+function meets the hypotheses of.  Numbers print with 17 significant
+digits so reports round-trip.
 """
 
 from __future__ import annotations
@@ -140,6 +141,17 @@ def _cmd_sweep(args) -> int:
             f"worst margin {_g(s['worst_margin'])}",
             file=sys.stderr,
         )
+    # A requested theorem with no verdict was checked nowhere: that must not
+    # pass vacuously.
+    unmet = [t for t in dict.fromkeys(cfg.theorems) if t not in report["summary"]]
+    for theorem in unmet:
+        print(
+            f"error: {theorem}: no corpus function met its hypotheses "
+            "at the requested parameters",
+            file=sys.stderr,
+        )
+    if unmet:
+        return 2
     return 0 if all_hold(report) else 1
 
 

@@ -12,6 +12,7 @@ for every (alpha, m, q) used by the default sweep.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -246,8 +247,12 @@ def spec_from_family(family: str, id: str, **params) -> FunctionSpec:
         raise DomainError(f"bad parameters for family {family!r}: {exc}") from None
 
 
+@functools.cache
 def builtin_corpus() -> tuple[FunctionSpec, ...]:
-    """The validated builtin registry; raises CorpusError if any audit fails."""
+    """The validated builtin registry; raises CorpusError if any audit fails.
+
+    Audited once per process: the specs are frozen, so callers share them.
+    """
     specs = (
         affine_spec("linear", slope=1.0, intercept=0.0, lo=0.0, hi=3.0),
         affine_spec("affine08", slope=0.8, intercept=0.1, lo=1.0, hi=2.0),

@@ -24,9 +24,9 @@ from .verify import (
     HypothesisError,
     Verdict,
     _check_hypotheses,
+    _verdict,
     ostrowski_signed,
     ostrowski_signed_many,
-    verify_theorem,
 )
 
 
@@ -218,17 +218,15 @@ def _grid_for(theorem: str, cfg: SweepConfig):
                         yield mu, alpha, m, q, u
 
 
-def _applicable(theorem: str, f: FunctionSpec, bp: BoundParams) -> bool:
-    try:
-        _check_hypotheses(theorem, f, bp)
-    except HypothesisError:
-        return False
-    return True
-
-
 def _instances(f: FunctionSpec, cfg: SweepConfig):
-    """(theorem, bp) of every verdict the sweep emits for f, in sweep order."""
+    """(theorem, bp) of every verdict the sweep emits for f, in sweep order.
+
+    Whether a point passes `_check_hypotheses` is looked up per
+    (theorem, mu, alpha, m, q, u): the check reads f, b and those
+    parameters but never x, so one check per point serves every x.
+    """
     a, b = f.domain
+    applies: dict[tuple, bool] = {}
     for theorem in cfg.theorems:
         for frac_x in cfg.x_fracs:
             x = a + frac_x * (b - a)
@@ -246,7 +244,14 @@ def _instances(f: FunctionSpec, cfg: SweepConfig):
                     )
                 except DomainError:
                     continue
-                if _applicable(theorem, f, bp):
+                key = (theorem, mu, alpha, m, q, u)
+                if key not in applies:
+                    try:
+                        _check_hypotheses(theorem, f, bp)
+                        applies[key] = True
+                    except HypothesisError:
+                        applies[key] = False
+                if applies[key]:
                     yield theorem, bp
 
 
@@ -300,7 +305,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
             value = lhs[bp.frac.x, bp.frac.mu]
             if isinstance(value, ConvergenceError):
                 raise value
-            verdicts.append(verify_theorem(theorem, f, bp, cfg.quad, lhs=value))
+            verdicts.append(_verdict(theorem, f, bp, cfg.quad, value))
         if stop is not None:
             raise stop
 
@@ -349,8 +354,23 @@ def _fmt(v) -> str:
 
 
 def render_report(report: dict, out_format: str) -> str:
+    """The report as text.  JSON is `json.dumps(report, indent=2) + "\\n"`
+    byte for byte.
+
+    With `indent` set, json falls back to its pure-Python encoder, so only
+    the head is rendered that way; the verdicts, the report's last key, go
+    through the C encoder with the separator carrying the newline and the
+    record indent.  Verdict records are flat (str, float, bool, None) and
+    json escapes newlines inside strings, so `},\\n      {` occurs only
+    between records, where the item brackets are spliced in.
+    """
     if out_format == "json":
-        return json.dumps(report, indent=2) + "\n"
+        head = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
+        body = json.dumps(report["verdicts"], separators=(",\n      ", ": "))
+        if body != "[]":
+            records = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            body = "[\n    {\n      " + records + "\n    }\n  ]"
+        return head[:-2] + ',\n  "verdicts": ' + body + "\n}\n"
     buf = io.StringIO()
     buf.write(",".join(_CSV_FIELDS) + "\n")
     for v in report["verdicts"]:

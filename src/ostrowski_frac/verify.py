@@ -198,6 +198,17 @@ def verify_theorem(
     """One inequality instance.  `lhs` may be supplied by sweep drivers that
     cache it across theorems sharing (f, x, mu)."""
     _check_hypotheses(theorem_id, f, bp)
+    return _verdict(theorem_id, f, bp, cfg, lhs)
+
+
+def _verdict(
+    theorem_id: str,
+    f: FunctionSpec,
+    bp: BoundParams,
+    cfg: QuadConfig,
+    lhs: Optional[float],
+) -> Verdict:
+    """The verdict of an instance whose hypotheses the caller has checked."""
     if lhs is None:
         lhs = ostrowski_lhs(f, bp.frac, cfg)
     rhs = _RHS[theorem_id](bp)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from ostrowski_frac import report as report_mod
+from ostrowski_frac.bounds import BoundParams
 from ostrowski_frac.cli import main
 from ostrowski_frac.fracint import ConvergenceError, DomainError, FracParams
 from ostrowski_frac.report import (
@@ -15,7 +16,7 @@ from ostrowski_frac.report import (
     resolve_corpus,
     run_sweep,
 )
-from ostrowski_frac.verify import ostrowski_lhs
+from ostrowski_frac.verify import HypothesisError, _check_hypotheses, ostrowski_lhs
 
 # x = a and x = b leave one fractional integral empty; const1 carries no
 # claims, so no theorem applies to it.
@@ -166,6 +167,35 @@ class TestSweepCommand:
         assert rc == 2
         assert "failed audit" in capsys.readouterr().err
 
+    def test_theorem_met_nowhere_exits_2(self, tmp_path, capsys):
+        # no corpus function claims (alpha, m) = (0.3, 0.4): an empty sweep
+        # must not pass, and the report is still written as it is
+        cfg = tmp_path / "unmet.cfg"
+        cfg.write_text("theorems = t22,t26\nalpha = 0.3\nm = 0.4\n")
+        out = tmp_path / "report.json"
+        rc = main(["sweep", "--config", str(cfg), "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        for theorem in ("t22", "t26"):
+            assert (
+                f"error: {theorem}: no corpus function met its hypotheses" in err
+            )
+        report = json.loads(out.read_text())
+        assert report["summary"] == {} and report["verdicts"] == []
+
+    def test_one_theorem_met_nowhere_exits_2(self, tmp_path, capsys):
+        # t24 needs q > 1; with q = 1 only t22 has verdicts
+        cfg = tmp_path / "partly.cfg"
+        cfg.write_text(
+            "functions = powdecay\ntheorems = t22,t24\nx_fracs = 0.5\n"
+            "mu = 1.0\nalpha = 0.5\nm = 0.5\nq = 1.0\n"
+        )
+        rc = main(["sweep", "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: t24:" in captured.err and "error: t22:" not in captured.err
+        assert json.loads(captured.out)["summary"].keys() == {"t22"}
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a config\n")
@@ -232,6 +262,33 @@ class TestRenderReport:
         cfg = parse_config(SMALL_SWEEP)
         report = run_sweep(cfg)
         assert report["config_fingerprint"] == cfg.fingerprint()
+
+    @staticmethod
+    def _oracle(report):
+        return json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("text", [SMALL_SWEEP, BATCH_SWEEP])
+    def test_json_equals_indented_dump(self, text):
+        report = run_sweep(parse_config(text))
+        assert render_report(report, "json") == self._oracle(report)
+
+    def test_json_without_verdicts(self):
+        report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
+                  "summary": {}, "verdicts": []}
+        assert render_report(report, "json") == self._oracle(report)
+
+    def test_json_awkward_strings_and_floats(self):
+        base = run_sweep(parse_config(SMALL_SWEEP))
+        record = base["verdicts"][0]
+        ids = ['q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫"]
+        specials = [float("nan"), float("inf"), float("-inf"), -0.0]
+        verdicts = []
+        for i, fid in enumerate(ids):
+            verdicts.append({**record, "function": fid,
+                             "lhs": specials[i % 4], "margin": specials[(i + 1) % 4],
+                             "u": None, "v": None})
+        report = {**base, "verdicts": verdicts}
+        assert render_report(report, "json") == self._oracle(report)
 
 
 class TestBatchedSweep:
@@ -318,3 +375,75 @@ class TestBatchedSweep:
         assert str(got.value) == want
         with pytest.raises(DomainError, match="mu > 0"):
             run_sweep(dataclasses.replace(cfg, mus=(0.5, -1.0)))
+
+
+class TestHypothesesCheckedOncePerPoint:
+    """The sweep checks hypotheses once per (function, theorem, mu, alpha,
+    m, q, u); what it emits must be what one check per instance gives."""
+
+    CONFIGS = {
+        "batch": BATCH_SWEEP,
+        "mixed-alpha-m": (
+            "theorems = t22,t24,t26,mm\nx_fracs = 0.25,0.75\nmu = 0.5,2.5\n"
+            "alpha = 0.3,0.5\nm = 0.4,0.5\nq = 1.0,2.0\n"
+        ),
+        "mu1": "theorems = mu1,t22,set\nx_fracs = 0.5,1.0\nmu = 0.5,1.0\nm = 0.5\nq = 1.0\n",
+        "two-u": (
+            "theorems = mm,remark_q1\nx_fracs = 0.0,0.5\nmu = 1.5\n"
+            "alpha = 0.5,1.0\nm = 0.25\nq = 1.0,3.0\nu = 0.25,0.5\n"
+        ),
+    }
+
+    @staticmethod
+    def _reference(cfg):
+        """One `_check_hypotheses` per instance, in sweep order: the emitted
+        instances, and the distinct points checked."""
+        out, checked = [], set()
+        for f in resolve_corpus(cfg):
+            a, b = f.domain
+            for theorem in cfg.theorems:
+                for frac_x in cfg.x_fracs:
+                    x = a + frac_x * (b - a)
+                    for mu, alpha, m, q, u in report_mod._grid_for(theorem, cfg):
+                        frac = FracParams(a, b, x, mu)
+                        try:
+                            bp = BoundParams(frac, f.M, alpha, m, q, u,
+                                             None if u is None else 1.0 - u)
+                        except DomainError:
+                            continue
+                        checked.add((f.id, theorem, mu, alpha, m, q, u))
+                        try:
+                            _check_hypotheses(theorem, f, bp)
+                        except HypothesisError:
+                            continue
+                        out.append((theorem, f.id, x, mu, alpha, m, q, u))
+        return out, checked
+
+    @pytest.mark.parametrize("case", sorted(CONFIGS))
+    def test_same_instances_as_one_check_per_instance(self, case, corpus):
+        cfg = parse_config(self.CONFIGS[case])
+        verdicts = run_sweep(cfg)["verdicts"]
+        keys = ("theorem", "function", "x", "mu", "alpha", "m", "q", "u")
+        got = [tuple(v[k] for k in keys) for v in verdicts]
+        assert got and got == self._reference(cfg)[0]
+        for v in verdicts:
+            bp = BoundParams(
+                FracParams(v["a"], v["b"], v["x"], v["mu"]),
+                v["M"], v["alpha"], v["m"], v["q"], v["u"], v["v"],
+            )
+            _check_hypotheses(v["theorem"], corpus[v["function"]], bp)
+
+    @pytest.mark.parametrize("case", sorted(CONFIGS))
+    def test_one_check_per_point(self, case, monkeypatch):
+        cfg = parse_config(self.CONFIGS[case])
+        seen = []
+
+        def counting(theorem, f, bp):
+            seen.append((f.id, theorem, bp.frac.mu, bp.alpha, bp.m, bp.q, bp.u))
+            return _check_hypotheses(theorem, f, bp)
+
+        monkeypatch.setattr(report_mod, "_check_hypotheses", counting)
+        for f in resolve_corpus(cfg):
+            list(report_mod._instances(f, cfg))
+        assert len(seen) == len(set(seen))
+        assert set(seen) == self._reference(cfg)[1]
