@@ -6,6 +6,13 @@ finite (x, y, t) grid and returns the lexicographically first violating triple
 if one exists.  The three geometric kinds share a single code path through an
 effective (alpha, m) pair, so the specializations alpha=1 and m=1 are exact by
 construction.
+
+The grid is sparse: x, y and t are broadcast axes, so g(x), g(y) and t^alpha
+are evaluated once per grid value and the two-axis powers once per (x, t) or
+(y, t) pair; only the combination points, g at them and the two sides of the
+inequality are full (x, y, t) arrays.  Every operation is elementwise, so
+each element sees the same operands as on a dense grid and the results,
+counterexample and errors included, are identical.
 """
 
 from __future__ import annotations
@@ -146,7 +153,7 @@ def check_membership(
 
     xs = np.linspace(lo, hi, grid.points_per_axis)
     ts = np.linspace(0.0, 1.0, grid.t_steps)
-    X, Y, T = np.meshgrid(xs, xs, ts, indexing="ij")
+    X, Y, T = np.meshgrid(xs, xs, ts, indexing="ij", sparse=True)
 
     if kind.geometric:
         with np.errstate(divide="ignore"):

@@ -221,17 +221,27 @@ def _grid_for(theorem: str, cfg: SweepConfig):
 def _instances(f: FunctionSpec, cfg: SweepConfig):
     """(theorem, bp) of every verdict the sweep emits for f, in sweep order.
 
-    Whether a point passes `_check_hypotheses` is looked up per
-    (theorem, mu, alpha, m, q, u): the check reads f, b and those
-    parameters but never x, so one check per point serves every x.
+    Whether a point applies is looked up per (theorem, mu, alpha, m, q, u):
+    `_check_hypotheses` reads f, b and those parameters but never x, and
+    `BoundParams` validates them but never its `frac`, so one check per
+    point serves every x, and a point whose `BoundParams` is rejected is
+    not built again.  One `FracParams` is shared per (x-fraction, mu) and
+    still built before the lookup, so an invalid (x, mu) raises at its
+    first use in sweep order.
     """
     a, b = f.domain
     applies: dict[tuple, bool] = {}
+    fracs: dict[tuple[int, float], FracParams] = {}
     for theorem in cfg.theorems:
-        for frac_x in cfg.x_fracs:
+        for i, frac_x in enumerate(cfg.x_fracs):
             x = a + frac_x * (b - a)
             for mu, alpha, m, q, u in _grid_for(theorem, cfg):
-                frac = FracParams(a, b, x, mu)
+                frac = fracs.get((i, mu))
+                if frac is None:
+                    frac = fracs[i, mu] = FracParams(a, b, x, mu)
+                key = (theorem, mu, alpha, m, q, u)
+                if applies.get(key) is False:
+                    continue
                 try:
                     bp = BoundParams(
                         frac=frac,
@@ -243,8 +253,8 @@ def _instances(f: FunctionSpec, cfg: SweepConfig):
                         v=None if u is None else 1.0 - u,
                     )
                 except DomainError:
+                    applies[key] = False
                     continue
-                key = (theorem, mu, alpha, m, q, u)
                 if key not in applies:
                     try:
                         _check_hypotheses(theorem, f, bp)

@@ -392,40 +392,77 @@ class TestHypothesesCheckedOncePerPoint:
             "theorems = mm,remark_q1\nx_fracs = 0.0,0.5\nmu = 1.5\n"
             "alpha = 0.5,1.0\nm = 0.25\nq = 1.0,3.0\nu = 0.25,0.5\n"
         ),
+        # u = 1 makes v = 0: BoundParams rejects the point at every x.
+        "u-one": (
+            "theorems = mm,remark_q1,t26\nx_fracs = 0.25,0.5,0.75\nmu = 1.5\n"
+            "alpha = 0.5\nm = 0.25\nq = 1.0,2.0\nu = 1.0,0.5\n"
+        ),
+        # x = a + 1.5 (b - a) is rejected by FracParams after the x = 0.5 verdicts.
+        "x-outside": "theorems = t22,t26\nx_fracs = 0.5,1.5\nmu = 0.5,1.0\nq = 1.0\n",
+        # mm rejects u = 1 at every point; x = 1.5 must still raise there,
+        # before any t26 verdict.
+        "x-outside-rejected": "theorems = mm,t26\nx_fracs = 0.5,1.5\nmu = 1.0\nu = 1.0\n",
     }
+    RAISES = dict.fromkeys(("x-outside", "x-outside-rejected"), "x in [a, b] required")
 
     @staticmethod
     def _reference(cfg):
         """One `_check_hypotheses` per instance, in sweep order: the emitted
-        instances, and the distinct points checked."""
+        instances, the distinct points checked, and the message of the
+        DomainError that stops the sweep (None if it runs through)."""
         out, checked = [], set()
-        for f in resolve_corpus(cfg):
-            a, b = f.domain
-            for theorem in cfg.theorems:
-                for frac_x in cfg.x_fracs:
-                    x = a + frac_x * (b - a)
-                    for mu, alpha, m, q, u in report_mod._grid_for(theorem, cfg):
-                        frac = FracParams(a, b, x, mu)
-                        try:
-                            bp = BoundParams(frac, f.M, alpha, m, q, u,
-                                             None if u is None else 1.0 - u)
-                        except DomainError:
-                            continue
-                        checked.add((f.id, theorem, mu, alpha, m, q, u))
-                        try:
-                            _check_hypotheses(theorem, f, bp)
-                        except HypothesisError:
-                            continue
-                        out.append((theorem, f.id, x, mu, alpha, m, q, u))
-        return out, checked
+        try:
+            for f in resolve_corpus(cfg):
+                a, b = f.domain
+                for theorem in cfg.theorems:
+                    for frac_x in cfg.x_fracs:
+                        x = a + frac_x * (b - a)
+                        for mu, alpha, m, q, u in report_mod._grid_for(theorem, cfg):
+                            frac = FracParams(a, b, x, mu)
+                            try:
+                                bp = BoundParams(frac, f.M, alpha, m, q, u,
+                                                 None if u is None else 1.0 - u)
+                            except DomainError:
+                                continue
+                            checked.add((f.id, theorem, mu, alpha, m, q, u))
+                            try:
+                                _check_hypotheses(theorem, f, bp)
+                            except HypothesisError:
+                                continue
+                            out.append((theorem, f.id, x, mu, alpha, m, q, u))
+        except DomainError as exc:
+            return out, checked, str(exc)
+        return out, checked, None
+
+    @staticmethod
+    def _listed(cfg):
+        """`_instances` over the corpus up to the first DomainError."""
+        out = []
+        try:
+            for f in resolve_corpus(cfg):
+                for theorem, bp in report_mod._instances(f, cfg):
+                    out.append((theorem, f.id, bp.frac.x, bp.frac.mu,
+                                bp.alpha, bp.m, bp.q, bp.u))
+        except DomainError as exc:
+            return out, str(exc)
+        return out, None
 
     @pytest.mark.parametrize("case", sorted(CONFIGS))
     def test_same_instances_as_one_check_per_instance(self, case, corpus):
         cfg = parse_config(self.CONFIGS[case])
+        want, _, error = self._reference(cfg)
+        assert error == self.RAISES.get(case)
+        assert want or case == "x-outside-rejected"
+        assert self._listed(cfg) == (want, error)
+        if error is not None:
+            with pytest.raises(DomainError) as got:
+                run_sweep(cfg)
+            assert str(got.value) == error
+            return
         verdicts = run_sweep(cfg)["verdicts"]
         keys = ("theorem", "function", "x", "mu", "alpha", "m", "q", "u")
         got = [tuple(v[k] for k in keys) for v in verdicts]
-        assert got and got == self._reference(cfg)[0]
+        assert got and got == want
         for v in verdicts:
             bp = BoundParams(
                 FracParams(v["a"], v["b"], v["x"], v["mu"]),
@@ -443,7 +480,33 @@ class TestHypothesesCheckedOncePerPoint:
             return _check_hypotheses(theorem, f, bp)
 
         monkeypatch.setattr(report_mod, "_check_hypotheses", counting)
-        for f in resolve_corpus(cfg):
-            list(report_mod._instances(f, cfg))
+        self._listed(cfg)
         assert len(seen) == len(set(seen))
         assert set(seen) == self._reference(cfg)[1]
+
+    @pytest.mark.parametrize("text", [BATCH_SWEEP, ""], ids=["batch", "default"])
+    def test_one_frac_params_per_x_and_mu(self, text):
+        cfg = parse_config(text)
+        for f in resolve_corpus(cfg):
+            items = list(report_mod._instances(f, cfg))
+            pairs = {(bp.frac.x, bp.frac.mu) for _, bp in items}
+            assert len({id(bp.frac) for _, bp in items}) == len(pairs)
+
+    def test_rejected_bound_params_built_once_per_point(self, monkeypatch):
+        cfg = parse_config(self.CONFIGS["u-one"])
+        rejected = sum(
+            1 for t in cfg.theorems for *_, u in report_mod._grid_for(t, cfg) if u == 1.0
+        )
+        assert rejected and len(cfg.x_fracs) > 1
+        built = []
+
+        class Counting(BoundParams):
+            def __post_init__(self):
+                built.append(self.u)
+                super().__post_init__()
+
+        monkeypatch.setattr(report_mod, "BoundParams", Counting)
+        for f in resolve_corpus(cfg):
+            built.clear()
+            list(report_mod._instances(f, cfg))
+            assert built.count(1.0) == rejected

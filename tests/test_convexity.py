@@ -14,6 +14,7 @@ from ostrowski_frac.convexity import (
     m_convex,
     m_geom_convex,
 )
+from ostrowski_frac.corpus import builtin_corpus
 from ostrowski_frac.fracint import DomainError
 
 GRID = GridSpec(points_per_axis=21, t_steps=21)
@@ -131,6 +132,142 @@ class TestMembership:
             check_membership(np.exp, (2.0, 2.0), convex(), GRID)
         with pytest.raises(DomainError):
             check_membership(np.exp, (-1.0, 2.0), convex(), GRID)
+
+
+def _dense_check_membership(g, domain, kind, grid, g_domain=None):
+    """Reference for `check_membership`: the same computation on three dense
+    (x, y, t) arrays.  Kept frozen as an independent oracle."""
+    lo, hi = domain
+    if lo < 0:
+        raise DomainError("domain must satisfy lo >= 0")
+    if not lo < hi:
+        raise DomainError("empty domain")
+    alpha, m = kind.effective()
+
+    xs = np.linspace(lo, hi, grid.points_per_axis)
+    ts = np.linspace(0.0, 1.0, grid.t_steps)
+    X, Y, T = np.meshgrid(xs, xs, ts, indexing="ij")
+
+    if kind.geometric:
+        with np.errstate(divide="ignore"):
+            pts = X**T * Y ** (m * (1.0 - T))
+        gx = np.asarray(g(X), dtype=float)
+        gy = np.asarray(g(Y), dtype=float)
+        if np.any(gx <= 0.0) or np.any(gy <= 0.0):
+            raise DomainError("geometric kinds require g > 0 on the grid")
+        gpts = np.asarray(g(pts), dtype=float)
+        if np.any(gpts <= 0.0):
+            raise DomainError("g non-positive at a combination point")
+        lhs = gpts
+        ta = T**alpha
+        rhs = gx**ta * gy ** (m * (1.0 - ta))
+    else:
+        pts = T * X + m * (1.0 - T) * Y
+        lhs = np.asarray(g(pts), dtype=float)
+        ta = T**alpha
+        rhs = ta * np.asarray(g(X), dtype=float) + m * (1.0 - ta) * np.asarray(
+            g(Y), dtype=float
+        )
+
+    if g_domain is not None:
+        dlo, dhi = g_domain
+        if pts.min() < dlo - 1e-12 or pts.max() > dhi + 1e-12:
+            raise DomainError(
+                f"combination points leave g's domain: needed "
+                f"[{pts.min():.6g}, {pts.max():.6g}], have [{dlo:.6g}, {dhi:.6g}]"
+            )
+
+    tol = grid.slack * np.maximum(1.0, np.abs(rhs))
+    viol = lhs > rhs + tol
+    if not viol.any():
+        return None
+    i, j, k = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    return Counterexample(
+        x=float(xs[i]),
+        y=float(xs[j]),
+        t=float(ts[k]),
+        lhs=float(lhs[i, j, k]),
+        rhs=float(rhs[i, j, k]),
+    )
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+ORACLE_PARAMS = (0.25, 0.5, 0.75, 1.0)
+ORACLE_KINDS = (
+    [convex(), geom_convex()]
+    + [m_convex(m) for m in ORACLE_PARAMS]
+    + [m_geom_convex(m) for m in ORACLE_PARAMS]
+    + [alpha_m_convex(a, m) for a in ORACLE_PARAMS for m in ORACLE_PARAMS]
+    + [alpha_m_geom_convex(a, m) for a in ORACLE_PARAMS for m in ORACLE_PARAMS]
+)
+# A dense 41^3 check costs ~10x a 21^3 one, so the fine grid takes one kind
+# of each family, with alpha and m away from 1, instead of all 42.
+ORACLE_GRIDS = (
+    (GridSpec(21, 21), ORACLE_KINDS),
+    (GridSpec(5, 7), ORACLE_KINDS),
+    (
+        GridSpec(41, 41),
+        [
+            convex(),
+            geom_convex(),
+            m_convex(0.5),
+            m_geom_convex(0.25),
+            alpha_m_convex(0.25, 0.75),
+            alpha_m_geom_convex(0.75, 0.5),
+        ],
+    ),
+)
+
+
+def _builtin_cases():
+    for spec in builtin_corpus():
+        for q in (1.0, 1.5, 2.0, 3.0):
+            def gq(u, spec=spec, q=q):
+                return np.abs(np.asarray(spec.fprime(u), dtype=float)) ** q
+
+            yield f"{spec.id}-q{q:g}", gq, spec.domain, spec.domain
+
+
+ORACLE_CASES = list(_builtin_cases()) + [
+    ("sqrt", np.sqrt, (0.0, 4.0), None),  # violates convexity; g(0) = 0
+    ("sqrt-positive", np.sqrt, (0.5, 4.0), (0.0, 4.0)),
+    ("one-plus-cos3u", lambda u: 1.0 + np.cos(3.0 * u), (0.1, 3.0), None),
+    ("u-minus-1", lambda u: np.asarray(u, dtype=float) - 1.0, (0.0, 2.0), None),
+    ("square-excursion", lambda u: np.asarray(u, dtype=float) ** 2, (1.0, 2.0), (1.0, 2.0)),
+    ("exp", np.exp, (0.1, 3.0), (0.0, 3.0)),
+    ("reciprocal", lambda u: 1.0 / u, (0.5, 2.0), (0.25, 2.0)),
+]
+
+
+class TestSparseGridMatchesDenseOracle:
+    """The sparse grid evaluates each operand once per grid value; the
+    verdict, counterexample and DomainError must equal the dense grid's."""
+
+    @pytest.mark.parametrize("grid, kinds", ORACLE_GRIDS, ids=["21x21", "5x7", "41x41"])
+    @pytest.mark.parametrize(
+        "name, g, domain, g_domain", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES]
+    )
+    def test_equal_to_dense(self, name, g, domain, g_domain, grid, kinds):
+        for kind in kinds:
+            want = _outcome(_dense_check_membership, g, domain, kind, grid, g_domain)
+            got = _outcome(check_membership, g, domain, kind, grid, g_domain)
+            assert got == want, (name, kind.describe())
+
+    def test_cases_cover_pass_fail_and_both_errors(self):
+        seen = set()
+        for name, g, domain, g_domain in ORACLE_CASES:
+            for kind in ORACLE_KINDS:
+                out = _outcome(check_membership, g, domain, kind, GRID, g_domain)
+                seen.add(out if isinstance(out, str) else type(out).__name__)
+        assert {"NoneType", "Counterexample"} <= seen
+        assert "DomainError: geometric kinds require g > 0 on the grid" in seen
+        assert any(s.startswith("DomainError: combination points leave") for s in seen)
 
 
 class TestGmLemma:

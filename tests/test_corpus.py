@@ -47,6 +47,14 @@ class TestBuiltinCorpus:
                     is None
                 ), (spec.id, kind.describe(), q)
 
+    @pytest.mark.parametrize(
+        "grid", [GridSpec(41, 41), GridSpec(33, 57)], ids=["41x41", "33x57"]
+    )
+    def test_audits_clean_beyond_the_shipped_grid(self, corpus, grid):
+        # 41 nests the shipped 21-point axes; 33 x 57 shares only their quarter points
+        for spec in corpus.values():
+            assert audit(spec, grid) == [], spec.id
+
     def test_expdecay_has_no_geometric_claim(self, corpus):
         spec = corpus["expdecay"]
         for q in CLAIM_QS:
