@@ -76,18 +76,6 @@ def bound_t22(bp: BoundParams) -> float:
     return geometry_factor(bp.frac) * k_alpha(bp.M, bp.m, bp.alpha, bp.frac.mu)
 
 
-def bound_t22_alpha1(bp: BoundParams) -> float:
-    """The alpha = 1 corollary's k(1) expression, written out separately."""
-    if bp.alpha != 1.0:
-        raise DomainError("corollary requires alpha = 1")
-    M, m, mu = bp.M, bp.m, bp.frac.mu
-    if M == 1.0:
-        k1 = 1.0 / (mu + 1.0)
-    else:
-        k1 = M**m * mexp_integral(M ** (1.0 - m), mu)
-    return geometry_factor(bp.frac) * k1
-
-
 def _mean_factor(M: float, exponent: float) -> float:
     """(M^e - 1) / (e ln M) with the c -> 1 limit guarded to 1."""
     t = exponent * math.log(M)
@@ -115,22 +103,6 @@ def bound_t24(bp: BoundParams) -> float:
     )
 
 
-def bound_t24_alpha1(bp: BoundParams) -> float:
-    if bp.alpha != 1.0:
-        raise DomainError("corollary requires alpha = 1")
-    if bp.q <= 1.0 or bp.M >= 1.0 or not 0.0 < bp.m < 1.0:
-        raise DomainError("q > 1, M < 1, m in (0, 1) required")
-    mu = bp.frac.mu
-    p = bp.p
-    mid = _mean_factor(bp.M, bp.q * (1.0 - bp.m))
-    return (
-        bp.M**bp.m
-        * (1.0 / (p * mu + 1.0)) ** (1.0 / p)
-        * mid ** (1.0 / bp.q)
-        * geometry_factor(bp.frac)
-    )
-
-
 def bound_t26(bp: BoundParams) -> float:
     """Power-mean-route bound; reduces to bound_t22 at q = 1 for M < 1."""
     if bp.M >= 1.0:
@@ -139,21 +111,6 @@ def bound_t26(bp: BoundParams) -> float:
         raise DomainError("m in (0, 1) required")
     mu = bp.frac.mu
     c = bp.M ** (bp.q * bp.alpha * (1.0 - bp.m))
-    return (
-        bp.M**bp.m
-        * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q)
-        * mexp_integral(c, mu) ** (1.0 / bp.q)
-        * geometry_factor(bp.frac)
-    )
-
-
-def bound_t26_alpha1(bp: BoundParams) -> float:
-    if bp.alpha != 1.0:
-        raise DomainError("corollary requires alpha = 1")
-    if bp.M >= 1.0 or not 0.0 < bp.m < 1.0:
-        raise DomainError("M < 1, m in (0, 1) required")
-    mu = bp.frac.mu
-    c = bp.M ** (bp.q * (1.0 - bp.m))
     return (
         bp.M**bp.m
         * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q)
@@ -242,7 +199,8 @@ def bound_mm(bp: BoundParams) -> float:
 
 
 def bound_remark_q1(bp: BoundParams) -> float:
-    """The q = 1 remark; identical to bound_mm with q = 1 substituted."""
+    """The q = 1 remark as printed: bound_mm at q = 1, but its factors multiply
+    in another order, so the two can differ in the last bit; kept for that."""
     if bp.q != 1.0:
         raise DomainError("q = 1 required")
     if bp.M >= 1.0:

@@ -25,7 +25,7 @@ from .convexity import (
     m_convex,
     m_geom_convex,
 )
-from .corpus import audit, builtin_corpus
+from .corpus import audit, builtin_corpus, corpus_by_id
 from .fracint import ConvergenceError, DomainError, FracParams, rl_lower, rl_upper
 from .report import (
     ConfigError,
@@ -53,7 +53,7 @@ _KIND_BUILDERS = {
 
 
 def _corpus_lookup(fid: str):
-    by_id = {s.id: s for s in builtin_corpus()}
+    by_id = corpus_by_id()
     if fid not in by_id:
         raise DomainError(f"unknown function id {fid!r}; known: {sorted(by_id)}")
     return by_id[fid]
@@ -93,13 +93,11 @@ def _cmd_check_convexity(args) -> int:
 
 def _cmd_verify(args) -> int:
     f = _corpus_lookup(args.f)
+    a = f.domain[0] if args.a is None else args.a
+    b = f.domain[1] if args.b is None else args.b
     if args.theorem == "classical":
-        a = f.domain[0] if args.a is None else args.a
-        b = f.domain[1] if args.b is None else args.b
         v = verify_classical(f, a, b, args.x)
     else:
-        a = f.domain[0] if args.a is None else args.a
-        b = f.domain[1] if args.b is None else args.b
         frac = FracParams(a, b, args.x, args.mu)
         bp = BoundParams(
             frac=frac,

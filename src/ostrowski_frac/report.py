@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
 from .bounds import BoundParams
-from .corpus import FunctionSpec, audit, builtin_corpus, spec_from_family
+from .corpus import FunctionSpec, audit, corpus_by_id, spec_from_family
 from .fracint import ConvergenceError, DomainError, FracParams, QuadConfig
 from .verify import (
     THEOREM_IDS,
+    THEOREMS,
     HypothesisError,
     Verdict,
     _check_hypotheses,
@@ -172,7 +174,7 @@ def parse_config(text: str) -> SweepConfig:
 
 
 def resolve_corpus(cfg: SweepConfig) -> list[FunctionSpec]:
-    by_id = {s.id: s for s in builtin_corpus()}
+    by_id = corpus_by_id()
     for family, fid, params in cfg.extra_functions:
         spec = spec_from_family(family, fid, **dict(params))
         if cfg.audit_extra:
@@ -191,31 +193,11 @@ def resolve_corpus(cfg: SweepConfig) -> list[FunctionSpec]:
 
 
 def _grid_for(theorem: str, cfg: SweepConfig):
-    """Deterministic (mu, alpha, m, q, u) tuples applicable to one theorem.
-
-    The sweep enumerates only combinations inside each theorem's stated
-    parameter box; requesting a point outside it is a caller error, not a
-    skip, so the filtering happens here, once, by construction.
-    """
-    mus = (1.0,) if theorem == "mu1" else cfg.mus
-    alphas = tuple(a for a in cfg.alphas if a < 1.0) if theorem == "t24" else cfg.alphas
-    qs = (1.0,) if theorem == "remark_q1" else (
-        tuple(q for q in cfg.qs if q > 1.0) if theorem == "t24" else cfg.qs
-    )
-    if theorem in ("set",):
-        alphas = (1.0,)
-        ms_ = (1.0,)
-    else:
-        ms_ = cfg.ms
-    us = cfg.us if theorem in ("mm", "remark_q1") else (None,)
-    if theorem == "t22":
-        qs = (1.0,)
-    for mu in mus:
-        for alpha in alphas:
-            for m in ms_:
-                for q in qs:
-                    for u in us:
-                        yield mu, alpha, m, q, u
+    """Deterministic (mu, alpha, m, q, u) tuples applicable to one theorem:
+    the product of the configured values its record admits."""
+    record = THEOREMS[theorem]
+    axes = (("mu", cfg.mus), ("alpha", cfg.alphas), ("m", cfg.ms), ("q", cfg.qs), ("u", cfg.us))
+    return itertools.product(*(record.admitted(name, values) for name, values in axes))
 
 
 def _instances(f: FunctionSpec, cfg: SweepConfig):
@@ -333,6 +315,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
         "version": __version__,
         "summary": summary,
         "verdicts": [
+            # params repeats "theorem" with the same value, so the key stays first.
             {
                 "theorem": v.theorem_id,
                 "lhs": v.lhs,
@@ -340,7 +323,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
                 "margin": v.margin,
                 "holds": v.holds,
                 "tol_margin": v.tol_margin,
-                **{k: val for k, val in v.params.items() if k != "theorem"},
+                **v.params,
             }
             for v in verdicts
         ],

@@ -12,8 +12,9 @@ one the residual check confirms to quadrature accuracy.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -109,66 +110,81 @@ def lemma_identity_residual(
     return abs(lhs - rhs)
 
 
-THEOREM_IDS = ("t22", "t24", "t26", "set", "mu1", "mm", "remark_q1")
+@dataclass(frozen=True)
+class Theorem:
+    """One theorem as stated: its right-hand side, the claim it needs on
+    |f'|^q, and its parameter box.  The corollaries are records whose box
+    pins a parameter of their parent."""
+
+    rhs: Callable[[BoundParams], float]
+    geom_convex: bool = False  # claim: geometric-convex, not (alpha, m)-geometric
+    M_below_1: bool = True  # M < 1, and m < 1 too for an (alpha, m)-geometric claim
+    open_box: bool = False  # q > 1 and alpha < 1
+    young: bool = False  # the Young split u, v = 1 - u
+    pins: tuple[tuple[str, float], ...] = ()  # (parameter, the value it is fixed at)
+
+    @property
+    def box(self) -> tuple[tuple[str, str, float], ...]:
+        """(parameter, relation, bound) constraints: the open box, then the pins."""
+        open_box = (("q", ">", 1.0), ("alpha", "<", 1.0)) if self.open_box else ()
+        return open_box + tuple((name, "=", value) for name, value in self.pins)
+
+    def admitted(self, name: str, values: tuple) -> tuple:
+        """The values of one parameter (mu, alpha, m, q or u) that the theorem
+        is stated for: a pin replaces them, the open box filters them."""
+        if name == "u" and not self.young:
+            return (None,)
+        for param, rel, bound in self.box:
+            if param == name:
+                values = (bound,) if rel == "=" else tuple(
+                    v for v in values if _RELATIONS[rel](v, bound))
+        return values
 
 
-def _require(cond: bool, failures: list[str], msg: str) -> None:
-    if not cond:
-        failures.append(msg)
+_RELATIONS = {">": operator.gt, "<": operator.lt, "=": operator.eq}
+
+# Each RHS is looked up in `bounds` at call time, so a wrapped `bounds`
+# function (a profiler, a tracer) sees every call.
+THEOREMS = {
+    "t22": Theorem(lambda bp: bnd.bound_t22(bp), M_below_1=False, pins=(("q", 1.0),)),
+    "t24": Theorem(lambda bp: bnd.bound_t24(bp), open_box=True),
+    "t26": Theorem(lambda bp: bnd.bound_t26(bp)),
+    "set": Theorem(lambda bp: bnd.bound_set(bp.M, bp.frac), geom_convex=True,
+                   pins=(("alpha", 1.0), ("m", 1.0))),
+    "mu1": Theorem(lambda bp: bnd.bound_mu1(bp), pins=(("mu", 1.0),)),
+    "mm": Theorem(lambda bp: bnd.bound_mm(bp), young=True),
+    "remark_q1": Theorem(lambda bp: bnd.bound_remark_q1(bp), young=True, pins=(("q", 1.0),)),
+}
+THEOREM_IDS = tuple(THEOREMS)
 
 
 def _check_hypotheses(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> None:
-    failures: list[str] = []
-    _require(abs(f.M - bp.M) <= 1e-15, failures, f"f.M={f.M:g} differs from bp.M={bp.M:g}")
-    _require(f.decreasing_abs_deriv, failures, "|f'| not declared decreasing")
-    _require(bp.frac.b >= 1.0, failures, "b >= 1 required")
-
-    if theorem_id == "t22":
-        _require(
-            f.has_claim(alpha_m_geom_convex(bp.alpha, bp.m), 1.0),
-            failures,
-            f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q=1",
-        )
-    elif theorem_id in ("t24", "t26", "mu1", "mm", "remark_q1"):
-        _require(bp.M < 1.0, failures, "M < 1 required")
-        _require(bp.m < 1.0, failures, "m < 1 required")
-        _require(
-            f.has_claim(alpha_m_geom_convex(bp.alpha, bp.m), bp.q),
-            failures,
-            f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q={bp.q:g}",
-        )
-        if theorem_id == "t24":
-            _require(bp.q > 1.0, failures, "q > 1 required")
-            _require(bp.alpha < 1.0, failures, "alpha < 1 required")
-        if theorem_id == "mu1":
-            _require(bp.frac.mu == 1.0, failures, "mu = 1 required")
-        if theorem_id in ("mm", "remark_q1"):
-            _require(bp.u is not None, failures, "u, v required")
-            if theorem_id == "remark_q1":
-                _require(bp.q == 1.0, failures, "q = 1 required")
-    elif theorem_id == "set":
-        _require(bp.M < 1.0, failures, "M < 1 required")
-        _require(
-            f.has_claim(geom_convex(), bp.q),
-            failures,
-            f"no geometric-convex claim at q={bp.q:g}",
-        )
-    else:
+    theorem = THEOREMS.get(theorem_id)
+    if theorem is None:
         raise HypothesisError(f"unknown theorem id {theorem_id!r}")
-
+    checks = [
+        (abs(f.M - bp.M) <= 1e-15, f"f.M={f.M:g} differs from bp.M={bp.M:g}"),
+        (f.decreasing_abs_deriv, "|f'| not declared decreasing"),
+        (bp.frac.b >= 1.0, "b >= 1 required"),
+    ]
+    if theorem.geom_convex:
+        kind, claim = geom_convex(), "geometric-convex"
+    else:
+        kind = alpha_m_geom_convex(bp.alpha, bp.m)
+        claim = f"(alpha={bp.alpha:g}, m={bp.m:g})-geometric"
+    if theorem.M_below_1:
+        checks.append((bp.M < 1.0, "M < 1 required"))
+        if not theorem.geom_convex:
+            checks.append((bp.m < 1.0, "m < 1 required"))
+    checks.append((f.has_claim(kind, bp.q), f"no {claim} claim at q={bp.q:g}"))
+    if theorem.young:
+        checks.append((bp.u is not None, "u, v required"))
+    params = {"mu": bp.frac.mu, "alpha": bp.alpha, "m": bp.m, "q": bp.q}
+    checks += [(_RELATIONS[rel](params[name], bound), f"{name} {rel} {bound:g} required")
+               for name, rel, bound in theorem.box]
+    failures = [msg for ok, msg in checks if not ok]
     if failures:
         raise HypothesisError(f"{theorem_id} on {f.id!r}: " + "; ".join(failures))
-
-
-_RHS = {
-    "t22": lambda bp: bnd.bound_t22(bp),
-    "t24": lambda bp: bnd.bound_t24(bp),
-    "t26": lambda bp: bnd.bound_t26(bp),
-    "set": lambda bp: bnd.bound_set(bp.M, bp.frac),
-    "mu1": lambda bp: bnd.bound_mu1(bp),
-    "mm": lambda bp: bnd.bound_mm(bp),
-    "remark_q1": lambda bp: bnd.bound_remark_q1(bp),
-}
 
 
 def _snapshot(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> dict:
@@ -211,7 +227,7 @@ def _verdict(
     """The verdict of an instance whose hypotheses the caller has checked."""
     if lhs is None:
         lhs = ostrowski_lhs(f, bp.frac, cfg)
-    rhs = _RHS[theorem_id](bp)
+    rhs = THEOREMS[theorem_id].rhs(bp)
     tol_margin = 100.0 * cfg.abs_tol
     margin = rhs - lhs
     return Verdict(

@@ -16,15 +16,12 @@ from ostrowski_frac.bounds import (
     bound_mm,
     bound_mu1_audit,
     bound_t22,
-    bound_t22_alpha1,
-    bound_t24_alpha1,
+    bound_t24,
     bound_t26,
-    bound_t26_alpha1,
-    geometry_factor,
 )
 from ostrowski_frac.cli import main
 from ostrowski_frac.convexity import check_gm_lemma, check_power_lemma
-from ostrowski_frac.fracint import FracParams, gamma, rl_lower, rl_upper
+from ostrowski_frac.fracint import FracParams, gamma, mexp_integral, rl_lower, rl_upper
 from ostrowski_frac.report import SweepConfig, run_sweep
 from ostrowski_frac.verify import lemma_identity_residual, verify_classical
 
@@ -170,24 +167,36 @@ def test_criterion_06_specialization_equalities(report_line):
         frac = FracParams(a, b, x, mu)
 
         # power-mean route at q = 1 collapses onto the main bound
-        p1 = BoundParams(frac, M=M, alpha=rng.uniform(0.05, 1.0), m=m, q=1.0)
+        alpha = rng.uniform(0.05, 1.0)
+        p1 = BoundParams(frac, M=M, alpha=alpha, m=m, q=1.0)
         worst = max(worst, _rel(bound_t26(p1), bound_t22(p1)))
 
-        # each alpha = 1 corollary against its parent evaluated at alpha = 1
+        # each alpha = 1 corollary, written out, against its parent at alpha = 1
         p2 = BoundParams(frac, M=M, alpha=1.0, m=m, q=q)
-        worst = max(worst, _rel(bound_t22_alpha1(p2), bound_t22(p2)))
-        worst = max(worst, _rel(bound_t26_alpha1(p2), bound_t26(p2)))
+        geometry = ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
+        t22_alpha1 = geometry * M**m * mexp_integral(M ** (1.0 - m), mu)
+        worst = max(worst, _rel(t22_alpha1, bound_t22(p2)))
+        t26_alpha1 = (
+            M**m
+            * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / q)
+            * mexp_integral(M ** (q * (1.0 - m)), mu) ** (1.0 / q)
+            * geometry
+        )
+        worst = max(worst, _rel(t26_alpha1, bound_t26(p2)))
+        # bound_t24 needs alpha < 1: the written-out Hoelder form, exponent
+        # q alpha (1 - m), against it at the drawn alpha
         if q > 1.0 + 1e-9:
             pp = q / (q - 1.0)
-            e = q * (1.0 - m)
+            e = q * alpha * (1.0 - m)
             mid = (M**e - 1.0) / (e * math.log(M))
-            parent = (
+            hoelder = (
                 M**m
                 * (1.0 / (pp * mu + 1.0)) ** (1.0 / pp)
                 * mid ** (1.0 / q)
-                * geometry_factor(frac)
+                * geometry
             )
-            worst = max(worst, _rel(bound_t24_alpha1(p2), parent))
+            p3 = BoundParams(frac, M=M, alpha=alpha, m=m, q=q)
+            worst = max(worst, _rel(hoelder, bound_t24(p3)))
         count += 1
     ok = worst <= 1e-14
     report_line(6, ok, f"specialization equalities worst rel diff={worst:.3g} (<=1e-14)")

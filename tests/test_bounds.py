@@ -12,11 +12,8 @@ from ostrowski_frac.bounds import (
     bound_remark_q1,
     bound_set,
     bound_t22,
-    bound_t22_alpha1,
     bound_t24,
-    bound_t24_alpha1,
     bound_t26,
-    bound_t26_alpha1,
     geometry_factor,
     k_alpha,
 )
@@ -107,24 +104,20 @@ class TestMainBound:
         assert bound_t22(params) == pytest.approx(0.43972994582116864, rel=1e-9)
 
     def test_alpha1_corollary_matches_parent(self):
+        # the alpha = 1 corollary's k(1), written out, against the parent
         rng = np.random.default_rng(11)
         for _ in range(1000):
             a, x, b = np.sort(rng.uniform(0.0, 4.0, size=3))
             if b - a < 1e-3 or not a < x < b:
                 continue
-            params = BoundParams(
-                FracParams(a, b, x, rng.uniform(0.2, 3.0)),
-                M=rng.uniform(0.05, 1.0),
-                alpha=1.0,
-                m=rng.uniform(0.05, 1.0),
-            )
-            lhs = bound_t22_alpha1(params)
+            mu = rng.uniform(0.2, 3.0)
+            M = rng.uniform(0.05, 1.0)
+            m = rng.uniform(0.05, 1.0)
+            params = BoundParams(FracParams(a, b, x, mu), M=M, alpha=1.0, m=m)
+            geometry = ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
+            lhs = geometry * M**m * mexp_integral(M ** (1.0 - m), mu)
             rhs = bound_t22(params)
             assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
-
-    def test_alpha1_corollary_rejects_other_alpha(self):
-        with pytest.raises(DomainError):
-            bound_t22_alpha1(bp(M=0.5, alpha=0.5))
 
 
 class TestHoelderBound:
@@ -152,16 +145,24 @@ class TestHoelderBound:
         assert near == pytest.approx(at_limit, rel=1e-7)
 
     def test_alpha1_corollary_matches_parent_limit(self):
-        # the alpha = 1 corollary equals the parent formula with alpha
-        # replaced by 1 in the exponent
-        params = bp(M=0.4, alpha=1.0, m=0.5, q=2.0)
-        want = (
-            0.4**0.5
-            * (1.0 / 2.0) ** 0.5
-            * ((0.4 ** (2.0 * 0.5) - 1.0) / (2.0 * 0.5 * math.log(0.4))) ** 0.5
-            * geometry_factor(params.frac)
-        )
-        assert bound_t24_alpha1(params) == pytest.approx(want, rel=1e-13)
+        # the Hoelder form with exponent q alpha (1 - m), written out, against
+        # the parent inside the open box; its alpha = 1 corollary is the
+        # parent's limit as alpha -> 1
+        def written_out(params):
+            e = params.q * params.alpha * (1.0 - params.m)
+            return (
+                0.4**0.5
+                * (1.0 / 2.0) ** 0.5
+                * ((0.4**e - 1.0) / (e * math.log(0.4))) ** 0.5
+                * geometry_factor(params.frac)
+            )
+
+        for alpha in (0.05, 0.5, 0.9):
+            params = bp(M=0.4, alpha=alpha, m=0.5, q=2.0)
+            assert bound_t24(params) == pytest.approx(written_out(params), rel=1e-13)
+        corollary = written_out(bp(M=0.4, alpha=1.0, m=0.5, q=2.0))
+        near = bound_t24(bp(M=0.4, alpha=1.0 - 1e-12, m=0.5, q=2.0))
+        assert near == pytest.approx(corollary, rel=1e-10)
 
 
 class TestPowerMeanBound:
@@ -187,19 +188,23 @@ class TestPowerMeanBound:
             assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
 
     def test_alpha1_corollary_matches_parent(self):
+        # the alpha = 1 power-mean form, written out, against the parent
         rng = np.random.default_rng(29)
         for _ in range(1000):
             a, x, b = np.sort(rng.uniform(0.0, 4.0, size=3))
             if b - a < 1e-3 or not a < x < b:
                 continue
-            params = BoundParams(
-                FracParams(a, b, x, rng.uniform(0.2, 3.0)),
-                M=rng.uniform(0.05, 0.999),
-                alpha=1.0,
-                m=rng.uniform(0.05, 0.999),
-                q=rng.uniform(1.0, 4.0),
+            mu = rng.uniform(0.2, 3.0)
+            M = rng.uniform(0.05, 0.999)
+            m = rng.uniform(0.05, 0.999)
+            q = rng.uniform(1.0, 4.0)
+            params = BoundParams(FracParams(a, b, x, mu), M=M, alpha=1.0, m=m, q=q)
+            lhs = (
+                M**m
+                * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / q)
+                * mexp_integral(M ** (q * (1.0 - m)), mu) ** (1.0 / q)
+                * ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
             )
-            lhs = bound_t26_alpha1(params)
             rhs = bound_t26(params)
             assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
 

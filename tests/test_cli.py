@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -111,6 +113,42 @@ class TestVerifyCommand:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    REMARK = ["verify", "--theorem", "remark_q1", "--f", "powdecay", "--x", "1.4",
+              "--mu", "0.5", "--alpha", "0.5", "--m", "0.5", "--q", "1", "--u", "0.5"]
+
+    def test_in_box_remark_passes(self, capsys):
+        assert main(self.REMARK) == 0
+        assert capsys.readouterr().out.startswith("remark_q1: pass")
+
+    def test_pinned_parameter_outside_box_exits_2(self, capsys):
+        argv = [*self.REMARK]
+        argv[argv.index("remark_q1")] = "t22"
+        argv[argv.index("--q") + 1] = "2"
+        assert main(argv) == 2
+        assert "q = 1 required" in capsys.readouterr().err
+
+
+class TestDefaultSweepListing:
+    """The shipped default sweep: which verdicts it lists, in which order,
+    and that each holds.  The digest is over the (theorem, function, x, mu,
+    alpha, m, q, u, holds) JSON lines, which leaves out the float bits of lhs
+    and rhs that numpy's vectorized exp/pow may round differently by host."""
+
+    COUNTS = {"t26": 5184, "mm": 5184, "t24": 2916, "t22": 1728,
+              "mu1": 1296, "remark_q1": 1296, "set": 288}
+    TUPLES_SHA256 = "6238511069f18af2c957e3776f587bc1d1f60c27f3508a736829edb70a7d174b"
+
+    def test_listing_counts_and_digest(self):
+        verdicts = run_sweep(SweepConfig())["verdicts"]
+        assert len(verdicts) == 17892
+        assert all(v["holds"] for v in verdicts)
+        assert collections.Counter(v["theorem"] for v in verdicts) == self.COUNTS
+        keys = ("theorem", "function", "x", "mu", "alpha", "m", "q", "u", "holds")
+        h = hashlib.sha256()
+        for v in verdicts:
+            h.update(json.dumps([v[k] for k in keys]).encode() + b"\n")
+        assert h.hexdigest() == self.TUPLES_SHA256
 
 
 class TestSweepCommand:

@@ -1,12 +1,19 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from ostrowski_frac.bounds import BoundParams
+from ostrowski_frac.convexity import alpha_m_geom_convex, geom_convex
 from ostrowski_frac.corpus import FunctionSpec, affine_spec
 from ostrowski_frac.fracint import DomainError, FracParams
+from ostrowski_frac.report import _grid_for, parse_config
 from ostrowski_frac.verify import (
     THEOREM_IDS,
+    THEOREMS,
     HypothesisError,
+    _check_hypotheses,
     lemma_identity_residual,
     ostrowski_lhs,
     ostrowski_signed,
@@ -14,6 +21,7 @@ from ostrowski_frac.verify import (
     verify_theorem,
 )
 
+import test_cli
 from conftest import simpson
 
 
@@ -123,6 +131,155 @@ class TestHypothesisChecking:
             verify_theorem("mu1", f, bp)
 
 
+def _old_require(cond, failures, msg):
+    if not cond:
+        failures.append(msg)
+
+
+def _old_check_hypotheses(theorem_id, f, bp):
+    """The per-id if/elif chain that the theorem registry replaced, frozen
+    as an oracle."""
+    failures = []
+    _old_require(abs(f.M - bp.M) <= 1e-15, failures, f"f.M={f.M:g} differs from bp.M={bp.M:g}")
+    _old_require(f.decreasing_abs_deriv, failures, "|f'| not declared decreasing")
+    _old_require(bp.frac.b >= 1.0, failures, "b >= 1 required")
+
+    if theorem_id == "t22":
+        _old_require(
+            f.has_claim(alpha_m_geom_convex(bp.alpha, bp.m), 1.0),
+            failures,
+            f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q=1",
+        )
+    elif theorem_id in ("t24", "t26", "mu1", "mm", "remark_q1"):
+        _old_require(bp.M < 1.0, failures, "M < 1 required")
+        _old_require(bp.m < 1.0, failures, "m < 1 required")
+        _old_require(
+            f.has_claim(alpha_m_geom_convex(bp.alpha, bp.m), bp.q),
+            failures,
+            f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q={bp.q:g}",
+        )
+        if theorem_id == "t24":
+            _old_require(bp.q > 1.0, failures, "q > 1 required")
+            _old_require(bp.alpha < 1.0, failures, "alpha < 1 required")
+        if theorem_id == "mu1":
+            _old_require(bp.frac.mu == 1.0, failures, "mu = 1 required")
+        if theorem_id in ("mm", "remark_q1"):
+            _old_require(bp.u is not None, failures, "u, v required")
+            if theorem_id == "remark_q1":
+                _old_require(bp.q == 1.0, failures, "q = 1 required")
+    elif theorem_id == "set":
+        _old_require(bp.M < 1.0, failures, "M < 1 required")
+        _old_require(
+            f.has_claim(geom_convex(), bp.q),
+            failures,
+            f"no geometric-convex claim at q={bp.q:g}",
+        )
+    else:
+        raise HypothesisError(f"unknown theorem id {theorem_id!r}")
+
+    if failures:
+        raise HypothesisError(f"{theorem_id} on {f.id!r}: " + "; ".join(failures))
+
+
+def _old_grid_for(theorem, cfg):
+    """The per-id parameter grid that the theorem registry replaced, frozen
+    as an oracle."""
+    mus = (1.0,) if theorem == "mu1" else cfg.mus
+    alphas = tuple(a for a in cfg.alphas if a < 1.0) if theorem == "t24" else cfg.alphas
+    qs = (1.0,) if theorem == "remark_q1" else (
+        tuple(q for q in cfg.qs if q > 1.0) if theorem == "t24" else cfg.qs
+    )
+    if theorem in ("set",):
+        alphas = (1.0,)
+        ms_ = (1.0,)
+    else:
+        ms_ = cfg.ms
+    us = cfg.us if theorem in ("mm", "remark_q1") else (None,)
+    if theorem == "t22":
+        qs = (1.0,)
+    for mu in mus:
+        for alpha in alphas:
+            for m in ms_:
+                for q in qs:
+                    for u in us:
+                        yield mu, alpha, m, q, u
+
+
+def _outcome(check, theorem_id, f, bp):
+    """None if the hypotheses hold, else the HypothesisError message."""
+    try:
+        check(theorem_id, f, bp)
+    except HypothesisError as exc:
+        return str(exc)
+    return None
+
+
+class TestTheoremRegistry:
+    """The registry states each theorem once; verify and the sweep grid read
+    it.  Frozen copies of the per-id code it replaced are the oracles."""
+
+    GRID_CONFIGS = {
+        "default": "",
+        **{f"sweep-{k}": v for k, v in test_cli.TestHypothesesCheckedOncePerPoint.CONFIGS.items()},
+        "alpha-q-one-mixed": (
+            "alpha = 1.0,0.3,0.75\nm = 0.5,1.0\nq = 2.0,1.0,1.5\nmu = 1.0,0.4\nu = 0.5,0.2\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GRID_CONFIGS))
+    def test_grid_equals_per_id_grid(self, case):
+        cfg = parse_config(self.GRID_CONFIGS[case])
+        for theorem in THEOREM_IDS:
+            assert list(_grid_for(theorem, cfg)) == list(_old_grid_for(theorem, cfg))
+
+    @staticmethod
+    def _out_of_box_pins(theorem_id, bp):
+        """The pins an instance breaks that the per-id chain never checked."""
+        if theorem_id == "t22":
+            return ["q = 1 required"] if bp.q != 1.0 else []
+        if theorem_id == "set":
+            return [f"{name} = 1 required" for name, value in (("alpha", bp.alpha), ("m", bp.m))
+                    if value != 1.0]
+        return []
+
+    def test_hypotheses_equal_per_id_chain(self, corpus):
+        undeclared = dataclasses.replace(
+            corpus["powdecay"], id="undeclared", decreasing_abs_deriv=False
+        )
+        functions = [*corpus.values(), undeclared]
+        same = newly_rejected = parent_passed = 0
+        for theorem_id, f, mu, alpha, m, q, u, M, b in itertools.product(
+            THEOREM_IDS + ("t99",), functions, (0.5, 1.0), (0.5, 1.0), (0.5, 1.0),
+            (1.0, 2.0, 2.5), (None, 0.5), (None, 0.5, 1.0), (2.0, 0.9),
+        ):
+            bp = BoundParams(
+                FracParams(0.5, b, 0.7, mu),
+                M=f.M if M is None else M,
+                alpha=alpha,
+                m=m,
+                q=q,
+                u=u,
+                v=None if u is None else 1.0 - u,
+            )
+            want = _outcome(_old_check_hypotheses, theorem_id, f, bp)
+            got = _outcome(_check_hypotheses, theorem_id, f, bp)
+            pins = self._out_of_box_pins(theorem_id, bp)
+            if not pins:
+                assert got == want, (theorem_id, f.id, bp)
+                same += 1
+                continue
+            # Outside the box the per-id chain let some of these through.
+            assert got is not None, (theorem_id, f.id, bp)
+            for pin in pins:
+                assert pin in got, (theorem_id, f.id, bp, got)
+            newly_rejected += 1
+            parent_passed += want is None
+        assert same + newly_rejected == 8 * len(functions) * 288
+        # t22 at q != 1 (2 of 3 q) and set off alpha = m = 1 (3 of 4 pairs)
+        assert newly_rejected == len(functions) * (192 + 216)
+        assert same and newly_rejected and parent_passed
+
+
 class TestVerdicts:
     def test_t22_holds_on_powdecay(self, corpus):
         f = corpus["powdecay"]
@@ -136,17 +293,16 @@ class TestVerdicts:
     @pytest.mark.parametrize("theorem", THEOREM_IDS)
     def test_every_theorem_yields_a_holding_verdict(self, corpus, theorem):
         f = corpus["powdecay"]
-        mu = 1.0 if theorem == "mu1" else 0.5
-        q = 1.0 if theorem in ("t22", "remark_q1") else 2.0
-        u = 0.5 if theorem in ("mm", "remark_q1") else None
+        record = THEOREMS[theorem]
+        # a point inside every open box, with the record's pins substituted
+        point = {"mu": 0.5, "alpha": 0.5, "m": 0.5, "q": 2.0, **dict(record.pins)}
+        u = 0.5 if record.young else None
         bp = BoundParams(
-            FracParams(1.0, 2.0, 1.4, mu),
+            FracParams(1.0, 2.0, 1.4, point.pop("mu")),
             M=0.5,
-            alpha=0.5 if theorem != "set" else 1.0,
-            m=0.5 if theorem != "set" else 1.0,
-            q=q,
             u=u,
             v=None if u is None else 1.0 - u,
+            **point,
         )
         v = verify_theorem(theorem, f, bp)
         assert v.holds, (theorem, v.lhs, v.rhs)
