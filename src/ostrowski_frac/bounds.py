@@ -1,8 +1,9 @@
 """Right-hand sides of every inequality, evaluated exactly as printed.
 
-All the "ln M" denominators get a relative guard: when |exponent * ln M| is
-below LN_GUARD the factor is replaced by its limit, since sweeps approach
-M -> 1 and m -> 1 where the written forms cancel catastrophically.
+Each printed (M^e - 1) / (e ln M) factor is evaluated as expm1(t) / t with
+t = e ln M (`_exprel`), which does not cancel as M -> 1 or m -> 1 and is
+exactly 1 where t underflows to 0.  The kernel integral is
+`fracint.mexp_integral`'s positive series, exact at c = 1.
 
 The bracket multiplying the geometry factor in the main fractional bound is
 taken to be exactly the kernel integral k(alpha); see README for why.
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .fracint import LN_GUARD, DomainError, FracParams, mexp_integral
+from .fracint import DomainError, FracParams, mexp_integral
 
 
 @dataclass(frozen=True)
@@ -59,15 +60,13 @@ def geometry_factor(frac: FracParams) -> float:
 
 
 def k_alpha(M: float, m: float, alpha: float, mu: float) -> float:
-    """The kernel factor: 1/(mu+1) at M = 1, else M^m * int_0^1 t^mu M^(t alpha (1-m)) dt."""
+    """The kernel factor M^m * int_0^1 t^mu M^(t alpha (1-m)) dt; 1/(mu+1) at M = 1."""
     if not 0.0 < M <= 1.0:
         raise DomainError("M in (0, 1] required")
     if not (0.0 < m <= 1.0 and 0.0 < alpha <= 1.0):
         raise DomainError("alpha, m in (0, 1] required")
     if not mu > 0:
         raise DomainError("mu > 0 required")
-    if M == 1.0:
-        return 1.0 / (mu + 1.0)
     return M**m * mexp_integral(M ** (alpha * (1.0 - m)), mu)
 
 
@@ -76,12 +75,9 @@ def bound_t22(bp: BoundParams) -> float:
     return geometry_factor(bp.frac) * k_alpha(bp.M, bp.m, bp.alpha, bp.frac.mu)
 
 
-def _mean_factor(M: float, exponent: float) -> float:
-    """(M^e - 1) / (e ln M) with the c -> 1 limit guarded to 1."""
-    t = exponent * math.log(M)
-    if abs(t) < LN_GUARD:
-        return 1.0
-    return (M**exponent - 1.0) / t
+def _exprel(t: float) -> float:
+    """(e^t - 1) / t, exactly 1 at t = 0."""
+    return math.expm1(t) / t if t else 1.0
 
 
 def bound_t24(bp: BoundParams) -> float:
@@ -94,7 +90,7 @@ def bound_t24(bp: BoundParams) -> float:
         raise DomainError("alpha, m in (0, 1) required")
     mu = bp.frac.mu
     p = bp.p
-    mid = _mean_factor(bp.M, bp.q * bp.alpha * (1.0 - bp.m))
+    mid = _exprel(bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M))
     return (
         bp.M**bp.m
         * (1.0 / (p * mu + 1.0)) ** (1.0 / p)
@@ -135,8 +131,8 @@ def bound_mu1(bp: BoundParams) -> float:
 
     Caution: the printed bracket (c-1)/ln c * (1 - 1/ln c) does NOT equal the
     kernel integral int_0^1 t c^t dt = c/ln c - (c-1)/(ln c)^2; it exceeds it
-    by 1/|ln c| (and diverges as c -> 1, where the guard falls back to the
-    integral's limit 1/2).  Use bound_mu1_audit to see both values.
+    by 1/|ln c|, so it diverges as c -> 1.  Use bound_mu1_audit to see both
+    values.
     """
     if bp.frac.mu != 1.0:
         raise DomainError("mu = 1 required")
@@ -146,13 +142,9 @@ def bound_mu1(bp: BoundParams) -> float:
         raise DomainError("m in (0, 1) required")
     a, b, x = bp.frac.a, bp.frac.b, bp.frac.x
     lc = bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M)
-    if abs(lc) < LN_GUARD:
-        bracket = 0.5
-    else:
-        c = math.exp(lc)
-        bracket = (c - 1.0) / lc * (1.0 - 1.0 / lc)
-    if bracket < 0.0:
-        raise DomainError(f"printed bracket is negative: {bracket!r}")
+    if lc == 0.0:
+        raise DomainError("the printed bracket diverges at c = 1")
+    bracket = _exprel(lc) * (1.0 - 1.0 / lc)
     return (
         bp.M**bp.m
         * 2.0 ** (1.0 / bp.q)
@@ -170,16 +162,11 @@ def bound_mu1_audit(bp: BoundParams) -> Mu1Audit:
 
 
 def _young_inner(bp: BoundParams, exponent: float) -> float:
-    """u^2/(mu+u) + v^2 (M^(e/v) - 1) / (e ln M), guarded at e ln M -> 0."""
+    """u^2/(mu+u) + v^2 (M^(e/v) - 1) / (e ln M)."""
     if bp.u is None:
         raise DomainError("u, v required")
-    mu = bp.frac.mu
     lc = exponent * math.log(bp.M)
-    if abs(lc) < LN_GUARD:
-        second = bp.v  # limit of v^2 (c^(1/v) - 1)/ln c as c -> 1
-    else:
-        second = bp.v**2 * (bp.M ** (exponent / bp.v) - 1.0) / lc
-    return bp.u**2 / (mu + bp.u) + second
+    return bp.u**2 / (bp.frac.mu + bp.u) + bp.v * _exprel(lc / bp.v)
 
 
 def bound_mm(bp: BoundParams) -> float:
@@ -196,19 +183,6 @@ def bound_mm(bp: BoundParams) -> float:
         * inner ** (1.0 / bp.q)
         * geometry_factor(bp.frac)
     )
-
-
-def bound_remark_q1(bp: BoundParams) -> float:
-    """The q = 1 remark as printed: bound_mm at q = 1, but its factors multiply
-    in another order, so the two can differ in the last bit; kept for that."""
-    if bp.q != 1.0:
-        raise DomainError("q = 1 required")
-    if bp.M >= 1.0:
-        raise DomainError("M < 1 required")
-    if not 0.0 < bp.m < 1.0:
-        raise DomainError("m in (0, 1) required")
-    inner = _young_inner(bp, bp.alpha * (1.0 - bp.m))
-    return bp.M**bp.m * geometry_factor(bp.frac) * inner
 
 
 def bound_classical(M: float, a: float, b: float, x: float) -> float:

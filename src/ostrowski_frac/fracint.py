@@ -20,6 +20,7 @@ integrating it alone gives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -74,9 +75,6 @@ class QuadConfig:
 
 
 DEFAULT_QUAD = QuadConfig()
-
-# Below this, ln(c) is treated as zero and limit values are returned.
-LN_GUARD = 1e-8
 
 
 def gamma(z: float) -> float:
@@ -241,25 +239,28 @@ def rl_upper(f, x: float, b: float, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -
 
 @lru_cache(maxsize=16384)
 def mexp_integral(c: float, mu: float) -> float:
-    """int_0^1 t^mu c^t dt for 0 < c <= 1, mu > 0.
+    """int_0^1 t^mu c^t dt for float_info.min <= c <= 1, mu > 0.
 
-    Uses the exact repeated-integration-by-parts antiderivative when mu is an
-    integer, quadrature otherwise.  Near c = 1 the closed forms cancel
-    catastrophically, so the limit 1/(mu+1) is returned instead.
+    With lam = -ln c this is the lower incomplete gamma function
+    gamma(mu+1, lam) / lam^(mu+1), summed as its positive series
+    (Abramowitz & Stegun 6.5.29)
+
+        e^(-lam) * sum_n lam^n / ((mu+1)(mu+2)...(mu+n+1)),
+
+    which has no cancellation and is exactly 1/(mu+1) at c = 1.  While the
+    terms grow each is at least 1/(n+1) of the sum, so the stopping test
+    only passes in their decreasing tail.  Below float_info.min the sum
+    (about e^lam) would overflow.
     """
-    if not (0.0 < c <= 1.0):
-        raise DomainError("c in (0, 1] required")
+    if not (sys.float_info.min <= c <= 1.0):
+        raise DomainError("c in [float_info.min, 1] required")
     if not mu > 0:
         raise DomainError("mu > 0 required")
-    ln_c = math.log(c)
-    if abs(ln_c) < LN_GUARD:
-        return 1.0 / (mu + 1.0)
-    # The parts recurrence amplifies roundoff by roughly (n/|ln c|)^n, so it
-    # is only used where that stays small.
-    if float(mu).is_integer() and mu <= 2.0 * abs(ln_c):
-        # I_n = c/L - (n/L) I_{n-1}, I_0 = (c-1)/L, L = ln c
-        val = (c - 1.0) / ln_c
-        for n in range(1, int(mu) + 1):
-            val = c / ln_c - (n / ln_c) * val
-        return val
-    return adaptive_gauss(lambda t: t**mu * c**t, 0.0, 1.0)
+    lam = -math.log(c)
+    term = total = 1.0 / (mu + 1.0)
+    n = 1
+    while term > 1e-17 * total:
+        term *= lam / (mu + n + 1.0)
+        total += term
+        n += 1
+    return math.exp(-lam) * total

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -153,7 +153,7 @@ THEOREMS = {
                    pins=(("alpha", 1.0), ("m", 1.0))),
     "mu1": Theorem(lambda bp: bnd.bound_mu1(bp), pins=(("mu", 1.0),)),
     "mm": Theorem(lambda bp: bnd.bound_mm(bp), young=True),
-    "remark_q1": Theorem(lambda bp: bnd.bound_remark_q1(bp), young=True, pins=(("q", 1.0),)),
+    "remark_q1": Theorem(lambda bp: bnd.bound_mm(bp), young=True, pins=(("q", 1.0),)),
 }
 THEOREM_IDS = tuple(THEOREMS)
 
@@ -179,6 +179,8 @@ def _check_hypotheses(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> None
     checks.append((f.has_claim(kind, bp.q), f"no {claim} claim at q={bp.q:g}"))
     if theorem.young:
         checks.append((bp.u is not None, "u, v required"))
+    else:
+        checks.append((bp.u is None, "u, v not used"))
     params = {"mu": bp.frac.mu, "alpha": bp.alpha, "m": bp.m, "q": bp.q}
     checks += [(_RELATIONS[rel](params[name], bound), f"{name} {rel} {bound:g} required")
                for name, rel, bound in theorem.box]
@@ -205,28 +207,18 @@ def _snapshot(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> dict:
 
 
 def verify_theorem(
-    theorem_id: str,
-    f: FunctionSpec,
-    bp: BoundParams,
-    cfg: QuadConfig = DEFAULT_QUAD,
-    lhs: Optional[float] = None,
+    theorem_id: str, f: FunctionSpec, bp: BoundParams, cfg: QuadConfig = DEFAULT_QUAD
 ) -> Verdict:
-    """One inequality instance.  `lhs` may be supplied by sweep drivers that
-    cache it across theorems sharing (f, x, mu)."""
+    """One inequality instance."""
     _check_hypotheses(theorem_id, f, bp)
-    return _verdict(theorem_id, f, bp, cfg, lhs)
+    return _verdict(theorem_id, f, bp, cfg, ostrowski_lhs(f, bp.frac, cfg))
 
 
 def _verdict(
-    theorem_id: str,
-    f: FunctionSpec,
-    bp: BoundParams,
-    cfg: QuadConfig,
-    lhs: Optional[float],
+    theorem_id: str, f: FunctionSpec, bp: BoundParams, cfg: QuadConfig, lhs: float
 ) -> Verdict:
-    """The verdict of an instance whose hypotheses the caller has checked."""
-    if lhs is None:
-        lhs = ostrowski_lhs(f, bp.frac, cfg)
+    """The verdict of an instance whose hypotheses the caller has checked,
+    given its LHS."""
     rhs = THEOREMS[theorem_id].rhs(bp)
     tol_margin = 100.0 * cfg.abs_tol
     margin = rhs - lhs

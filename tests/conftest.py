@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 from ostrowski_frac.corpus import builtin_corpus
+from ostrowski_frac.report import SweepConfig, run_sweep
 
 
 @pytest.fixture(scope="session")
 def corpus():
     return {s.id: s for s in builtin_corpus()}
+
+
+@pytest.fixture(scope="session")
+def default_sweep():
+    """The report of the shipped default sweep, run once per session."""
+    return run_sweep(SweepConfig())
 
 
 def simpson(g, lo, hi, panels=10_000):

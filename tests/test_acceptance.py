@@ -25,6 +25,7 @@ from ostrowski_frac.fracint import FracParams, gamma, mexp_integral, rl_lower, r
 from ostrowski_frac.report import SweepConfig, run_sweep
 from ostrowski_frac.verify import lemma_identity_residual, verify_classical
 
+import mp_oracle
 from conftest import simpson
 
 
@@ -183,20 +184,15 @@ def test_criterion_06_specialization_equalities(report_line):
             * geometry
         )
         worst = max(worst, _rel(t26_alpha1, bound_t26(p2)))
-        # bound_t24 needs alpha < 1: the written-out Hoelder form, exponent
-        # q alpha (1 - m), against it at the drawn alpha
+        # bound_t24 needs alpha < 1: the Hoelder form, exponent q alpha (1 - m),
+        # written out in mpmath at 40 digits (in floats its (M^e - 1) cancels),
+        # against it at the drawn alpha
         if q > 1.0 + 1e-9:
-            pp = q / (q - 1.0)
-            e = q * alpha * (1.0 - m)
-            mid = (M**e - 1.0) / (e * math.log(M))
-            hoelder = (
-                M**m
-                * (1.0 / (pp * mu + 1.0)) ** (1.0 / pp)
-                * mid ** (1.0 / q)
-                * geometry
-            )
             p3 = BoundParams(frac, M=M, alpha=alpha, m=m, q=q)
-            worst = max(worst, _rel(hoelder, bound_t24(p3)))
+            record = {"theorem": "t24", "a": a, "b": b, "x": x, "mu": mu, "alpha": alpha,
+                      "m": m, "M": M, "q": q, "u": None, "v": None}
+            hoelder = mp_oracle.rhs(record)
+            worst = max(worst, float(_rel(bound_t24(p3), hoelder)))
         count += 1
     ok = worst <= 1e-14
     report_line(6, ok, f"specialization equalities worst rel diff={worst:.3g} (<=1e-14)")

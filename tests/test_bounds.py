@@ -9,7 +9,6 @@ from ostrowski_frac.bounds import (
     bound_mm,
     bound_mu1,
     bound_mu1_audit,
-    bound_remark_q1,
     bound_set,
     bound_t22,
     bound_t24,
@@ -18,6 +17,9 @@ from ostrowski_frac.bounds import (
     k_alpha,
 )
 from ostrowski_frac.fracint import DomainError, FracParams, mexp_integral
+from ostrowski_frac.verify import THEOREMS
+
+import mp_oracle
 
 
 def bp(a=0.0, b=1.0, x=0.5, mu=0.5, **kw):
@@ -136,8 +138,8 @@ class TestHoelderBound:
             bound_t24(bp(M=0.5, alpha=0.5, m=1.0, q=2.0))
 
     def test_guard_near_m_one(self):
-        # m -> 1 sends the mean factor's exponent to 0; the guard keeps the
-        # value finite and continuous
+        # m -> 1 sends the mean factor's exponent to 0; its expm1 form stays
+        # finite and continuous
         near = bound_t24(bp(M=0.5, alpha=0.5, m=1.0 - 1e-9, q=2.0))
         at_limit = 0.5 ** (1.0 - 1e-9) * (1.0 / 2.0) ** 0.5 * geometry_factor(
             FracParams(0.0, 1.0, 0.5, 0.5)
@@ -163,6 +165,11 @@ class TestHoelderBound:
         corollary = written_out(bp(M=0.4, alpha=1.0, m=0.5, q=2.0))
         near = bound_t24(bp(M=0.4, alpha=1.0 - 1e-12, m=0.5, q=2.0))
         assert near == pytest.approx(corollary, rel=1e-10)
+
+    def test_underflowing_exponent_is_finite(self):
+        # q alpha (1 - m) ln M underflows to 0; the mean factor is then 1
+        value = bound_t24(bp(M=0.5, alpha=5e-324, m=0.5, q=2.0))
+        assert math.isfinite(value) and value > 0.0
 
 
 class TestPowerMeanBound:
@@ -244,14 +251,21 @@ class TestMu1Bound:
             audit.printed - audit.recomputed, rel=1e-15
         )
 
-    def test_guard_matches_recomputed_limit(self):
-        # under the guard the bracket collapses to the integral's limit 1/2,
-        # so printed and recomputed forms agree there
-        params = BoundParams(
-            FracParams(0.0, 2.0, 1.0, 1.0), M=1.0 - 1e-12, m=0.5, q=2.0
-        )
-        audit = bound_mu1_audit(params)
-        assert abs(audit.difference) <= 1e-9 * audit.recomputed
+    def test_printed_form_near_c_one(self):
+        # the printed bracket is evaluated up to c -> 1, where it exceeds the
+        # kernel integral by 1/|ln c| and so diverges; at a = 0, b = 2, x = 1
+        # and q = 1 the bound is M^m times the bracket
+        for M in (1.0 - 1e-4, 1.0 - 1e-8, 1.0 - 1e-12):
+            params = BoundParams(FracParams(0.0, 2.0, 1.0, 1.0), M=M, m=0.5)
+            lc = 1.0 * 1.0 * (1.0 - 0.5) * math.log(M)
+            bracket = bound_mu1(params) / M**0.5
+            kernel = mexp_integral(math.exp(lc), 1.0)
+            assert bracket - kernel == pytest.approx(-1.0 / lc, rel=1e-9)
+
+    def test_bracket_at_c_one_rejected(self):
+        # alpha underflows the exponent to 0: c = 1, where the bracket is infinite
+        with pytest.raises(DomainError, match="diverges"):
+            bound_mu1(BoundParams(FracParams(0.0, 2.0, 1.0, 1.0), M=0.5, alpha=5e-324, m=0.5))
 
 
 class TestYoungBounds:
@@ -287,13 +301,11 @@ class TestYoungBounds:
         assert math.isfinite(bound_mm(params))
 
     def test_remark_q1(self):
-        params = bp(M=0.5, m=0.5, q=1.0, u=0.5, v=0.5)
-        # at q = 1 the remark and the general Young bound coincide
-        assert bound_remark_q1(params) == pytest.approx(
-            bound_mm(params), rel=1e-14
-        )
-        with pytest.raises(DomainError):
-            bound_remark_q1(bp(M=0.5, m=0.5, q=2.0, u=0.5, v=0.5))
+        # the q = 1 remark is the general Young bound pinned at q = 1
+        for M, alpha, m, u in ((0.5, 1.0, 0.5, 0.5), (0.3, 0.4, 0.75, 0.2)):
+            params = bp(M=M, alpha=alpha, m=m, q=1.0, u=u, v=1.0 - u)
+            assert THEOREMS["remark_q1"].rhs(params) == bound_mm(params)
+        assert THEOREMS["remark_q1"].pins == (("q", 1.0),)
 
     def test_missing_split_rejected(self):
         with pytest.raises(DomainError):
@@ -328,3 +340,14 @@ class TestReflectionSymmetry:
             p2 = BoundParams(FracParams(a, b, a + b - x, mu), **kw)
             for fn in (bound_t22, bound_t24, bound_t26, bound_mm):
                 assert fn(p1) == pytest.approx(fn(p2), rel=1e-12)
+
+
+class TestRhsOracle:
+    def test_default_sweep_within_1e15_of_40_digits(self, default_sweep):
+        # every printed RHS of the default sweep against mpmath at 40 digits
+        worst = {}
+        for v in default_sweep["verdicts"]:
+            err = mp_oracle.rel_err(v["rhs"], mp_oracle.rhs(v))
+            worst[v["theorem"]] = max(worst.get(v["theorem"], 0.0), err)
+        assert set(worst) == set(THEOREMS)
+        assert max(worst.values()) <= 1e-15, worst

@@ -128,6 +128,15 @@ class TestVerifyCommand:
         assert main(argv) == 2
         assert "q = 1 required" in capsys.readouterr().err
 
+    def test_split_for_theorem_without_it_exits_2(self, capsys):
+        # t26's RHS has no Young split, so a u it would ignore is refused
+        argv = ["verify", "--theorem", "t26", "--f", "powdecay", "--x", "1.4",
+                "--mu", "0.5", "--alpha", "0.5", "--m", "0.5", "--q", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("t26: pass")
+        assert main([*argv, "--u", "0.5"]) == 2
+        assert "u, v not used" in capsys.readouterr().err
+
 
 class TestDefaultSweepListing:
     """The shipped default sweep: which verdicts it lists, in which order,
@@ -139,8 +148,8 @@ class TestDefaultSweepListing:
               "mu1": 1296, "remark_q1": 1296, "set": 288}
     TUPLES_SHA256 = "6238511069f18af2c957e3776f587bc1d1f60c27f3508a736829edb70a7d174b"
 
-    def test_listing_counts_and_digest(self):
-        verdicts = run_sweep(SweepConfig())["verdicts"]
+    def test_listing_counts_and_digest(self, default_sweep):
+        verdicts = default_sweep["verdicts"]
         assert len(verdicts) == 17892
         assert all(v["holds"] for v in verdicts)
         assert collections.Counter(v["theorem"] for v in verdicts) == self.COUNTS

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ostrowski_frac.fracint import (
     rl_upper,
 )
 
+import mp_oracle
 from conftest import simpson
 
 SQRT_PI = 1.7724538509055160
@@ -392,8 +394,24 @@ class TestMexpIntegral:
         assert errs[-1] < 1e-9
         assert all(e2 <= e1 + 1e-15 for e1, e2 in zip(errs, errs[1:]))
 
+    def test_series_against_gammainc(self):
+        # the series against gammainc(mu+1, 0, lam) / lam^(mu+1) at 40 digits,
+        # c log-uniform; below 1e-6 the running product's rounding grows with
+        # the ~lam terms it takes
+        rng = np.random.default_rng(13)
+        for lo, hi, bound in ((1e-6, 1.0, 4e-15), (sys.float_info.min, 1e-6, 1e-13)):
+            worst = 0.0
+            for _ in range(300):
+                c = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                mu = rng.uniform(0.1, 7.3)
+                worst = max(worst, mp_oracle.rel_err(mexp_integral(c, mu), mp_oracle.mexp(c, mu)))
+            assert worst <= bound, (lo, hi, worst)
+        for mu in (0.1, 1.0, 7.3):  # the largest lam the series accepts
+            c = sys.float_info.min
+            assert mp_oracle.rel_err(mexp_integral(c, mu), mp_oracle.mexp(c, mu)) <= 1e-13
+
     def test_domain_errors(self):
-        for c in (0.0, -0.5, 1.5):
+        for c in (0.0, -0.5, 1.5, 5e-324, math.nan):
             with pytest.raises(DomainError):
                 mexp_integral(c, 1.0)
         with pytest.raises(DomainError):

@@ -233,14 +233,18 @@ class TestTheoremRegistry:
             assert list(_grid_for(theorem, cfg)) == list(_old_grid_for(theorem, cfg))
 
     @staticmethod
-    def _out_of_box_pins(theorem_id, bp):
-        """The pins an instance breaks that the per-id chain never checked."""
-        if theorem_id == "t22":
-            return ["q = 1 required"] if bp.q != 1.0 else []
+    def _newly_broken(theorem_id, bp):
+        """The rules an instance breaks that the per-id chain never checked:
+        the pins, and a u, v given to a theorem without the Young split."""
+        broken = []
+        if theorem_id in THEOREMS and not THEOREMS[theorem_id].young and bp.u is not None:
+            broken.append("u, v not used")
+        if theorem_id == "t22" and bp.q != 1.0:
+            broken.append("q = 1 required")
         if theorem_id == "set":
-            return [f"{name} = 1 required" for name, value in (("alpha", bp.alpha), ("m", bp.m))
-                    if value != 1.0]
-        return []
+            broken += [f"{name} = 1 required" for name, value in (("alpha", bp.alpha), ("m", bp.m))
+                       if value != 1.0]
+        return broken
 
     def test_hypotheses_equal_per_id_chain(self, corpus):
         undeclared = dataclasses.replace(
@@ -263,20 +267,22 @@ class TestTheoremRegistry:
             )
             want = _outcome(_old_check_hypotheses, theorem_id, f, bp)
             got = _outcome(_check_hypotheses, theorem_id, f, bp)
-            pins = self._out_of_box_pins(theorem_id, bp)
-            if not pins:
+            broken = self._newly_broken(theorem_id, bp)
+            if not broken:
                 assert got == want, (theorem_id, f.id, bp)
                 same += 1
                 continue
-            # Outside the box the per-id chain let some of these through.
+            # The per-id chain let some of these through.
             assert got is not None, (theorem_id, f.id, bp)
-            for pin in pins:
-                assert pin in got, (theorem_id, f.id, bp, got)
+            for rule in broken:
+                assert rule in got, (theorem_id, f.id, bp, got)
             newly_rejected += 1
             parent_passed += want is None
         assert same + newly_rejected == 8 * len(functions) * 288
-        # t22 at q != 1 (2 of 3 q) and set off alpha = m = 1 (3 of 4 pairs)
-        assert newly_rejected == len(functions) * (192 + 216)
+        # Of each theorem's 288 cases: t22 at q != 1 (2 of 3 q) or with u
+        # (1 of 2), set off alpha = m = 1 (3 of 4 pairs) or with u, and t24,
+        # t26 and mu1 with u.
+        assert newly_rejected == len(functions) * (240 + 252 + 3 * 144)
         assert same and newly_rejected and parent_passed
 
 
@@ -315,14 +321,6 @@ class TestVerdicts:
             )
             v = verify_theorem("t22", f, bp)
             assert v.holds
-
-    def test_lhs_override_respected(self, corpus):
-        f = corpus["powdecay"]
-        bp = BoundParams(
-            FracParams(1.0, 2.0, 1.4, 0.5), M=0.5, alpha=0.5, m=0.5, q=1.0
-        )
-        v = verify_theorem("t22", f, bp, lhs=1e6)
-        assert not v.holds and v.lhs == 1e6
 
 
 class TestClassical:
