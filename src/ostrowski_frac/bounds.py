@@ -7,6 +7,11 @@ exactly 1 where t underflows to 0.  The kernel integral is
 
 The bracket multiplying the geometry factor in the main fractional bound is
 taken to be exactly the kernel integral k(alpha); see README for why.
+
+`bound_t22`, `bound_t24`, `bound_t26` and `bound_mm` are each a point factor
+(`factor_*`), which reads mu but never x, times `geometry_factor`.  The
+factors multiply left to right as the printed products do, so the split
+changes no bit and a sweep may evaluate each factor once per point.
 """
 
 from __future__ import annotations
@@ -70,9 +75,14 @@ def k_alpha(M: float, m: float, alpha: float, mu: float) -> float:
     return M**m * mexp_integral(M ** (alpha * (1.0 - m)), mu)
 
 
+def factor_t22(bp: BoundParams) -> float:
+    """`bound_t22` over the geometry factor: the kernel factor."""
+    return k_alpha(bp.M, bp.m, bp.alpha, bp.frac.mu)
+
+
 def bound_t22(bp: BoundParams) -> float:
-    """Main fractional bound: geometry factor times the kernel factor."""
-    return geometry_factor(bp.frac) * k_alpha(bp.M, bp.m, bp.alpha, bp.frac.mu)
+    """Main fractional bound: the kernel factor times the geometry factor."""
+    return factor_t22(bp) * geometry_factor(bp.frac)
 
 
 def _exprel(t: float) -> float:
@@ -80,8 +90,9 @@ def _exprel(t: float) -> float:
     return math.expm1(t) / t if t else 1.0
 
 
-def bound_t24(bp: BoundParams) -> float:
-    """Hoelder-route bound (requires the open parameter box and q > 1)."""
+def factor_t24(bp: BoundParams) -> float:
+    """`bound_t24` over the geometry factor (requires the open parameter box
+    and q > 1)."""
     if bp.q <= 1.0:
         raise DomainError("q > 1 required")
     if bp.M >= 1.0:
@@ -91,16 +102,16 @@ def bound_t24(bp: BoundParams) -> float:
     mu = bp.frac.mu
     p = bp.p
     mid = _exprel(bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M))
-    return (
-        bp.M**bp.m
-        * (1.0 / (p * mu + 1.0)) ** (1.0 / p)
-        * mid ** (1.0 / bp.q)
-        * geometry_factor(bp.frac)
-    )
+    return bp.M**bp.m * (1.0 / (p * mu + 1.0)) ** (1.0 / p) * mid ** (1.0 / bp.q)
 
 
-def bound_t26(bp: BoundParams) -> float:
-    """Power-mean-route bound; reduces to bound_t22 at q = 1 for M < 1."""
+def bound_t24(bp: BoundParams) -> float:
+    """Hoelder-route bound: its point factor times the geometry factor."""
+    return factor_t24(bp) * geometry_factor(bp.frac)
+
+
+def factor_t26(bp: BoundParams) -> float:
+    """`bound_t26` over the geometry factor."""
     if bp.M >= 1.0:
         raise DomainError("M < 1 required")
     if not 0.0 < bp.m < 1.0:
@@ -111,8 +122,12 @@ def bound_t26(bp: BoundParams) -> float:
         bp.M**bp.m
         * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q)
         * mexp_integral(c, mu) ** (1.0 / bp.q)
-        * geometry_factor(bp.frac)
     )
+
+
+def bound_t26(bp: BoundParams) -> float:
+    """Power-mean-route bound; reduces to bound_t22 at q = 1 for M < 1."""
+    return factor_t26(bp) * geometry_factor(bp.frac)
 
 
 def bound_set(M: float, frac: FracParams) -> float:
@@ -169,20 +184,20 @@ def _young_inner(bp: BoundParams, exponent: float) -> float:
     return bp.u**2 / (bp.frac.mu + bp.u) + bp.v * _exprel(lc / bp.v)
 
 
-def bound_mm(bp: BoundParams) -> float:
-    """Young-split relaxation of the power-mean bound; always >= bound_t26."""
+def factor_mm(bp: BoundParams) -> float:
+    """`bound_mm` over the geometry factor."""
     if bp.M >= 1.0:
         raise DomainError("M < 1 required")
     if not 0.0 < bp.m < 1.0:
         raise DomainError("m in (0, 1) required")
     mu = bp.frac.mu
     inner = _young_inner(bp, bp.q * bp.alpha * (1.0 - bp.m))
-    return (
-        bp.M**bp.m
-        * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q)
-        * inner ** (1.0 / bp.q)
-        * geometry_factor(bp.frac)
-    )
+    return bp.M**bp.m * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q) * inner ** (1.0 / bp.q)
+
+
+def bound_mm(bp: BoundParams) -> float:
+    """Young-split relaxation of the power-mean bound; always >= bound_t26."""
+    return factor_mm(bp) * geometry_factor(bp.frac)
 
 
 def bound_classical(M: float, a: float, b: float, x: float) -> float:

@@ -14,19 +14,18 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
-from .bounds import BoundParams
+from .bounds import BoundParams, geometry_factor
 from .corpus import FunctionSpec, audit, corpus_by_id, spec_from_family
 from .fracint import ConvergenceError, DomainError, FracParams, QuadConfig
 from .verify import (
     THEOREM_IDS,
     THEOREMS,
     HypothesisError,
-    Verdict,
     _check_hypotheses,
-    _verdict,
+    _judge,
     ostrowski_signed,
     ostrowski_signed_many,
 )
@@ -106,6 +105,18 @@ def _parse_floats(value: str) -> tuple[float, ...]:
         raise ConfigError(f"bad numeric list {value!r}: {exc}") from None
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _parse_bool(key: str, value: str) -> bool:
+    try:
+        return _BOOLEANS[value.lower()]
+    except KeyError:
+        raise ConfigError(
+            f"{key} must be one of {', '.join(_BOOLEANS)} (any case), got {value!r}"
+        ) from None
+
+
 def parse_config(text: str) -> SweepConfig:
     """Flat key-value format, one `key = value` per line; # starts a comment."""
     kv: dict[str, str] = {}
@@ -165,7 +176,7 @@ def parse_config(text: str) -> SweepConfig:
         out_format=kv.pop("format", "json"),
         seed=int(kv.pop("seed", 0)),
         output=kv.pop("output", None),
-        audit_extra=kv.pop("audit", "true").lower() in ("1", "true", "yes"),
+        audit_extra=_parse_bool("audit", kv.pop("audit", "true")),
         extra_functions=tuple(extra),
     )
     if kv:
@@ -200,51 +211,90 @@ def _grid_for(theorem: str, cfg: SweepConfig):
     return itertools.product(*(record.admitted(name, values) for name, values in axes))
 
 
-def _instances(f: FunctionSpec, cfg: SweepConfig):
-    """(theorem, bp) of every verdict the sweep emits for f, in sweep order.
+def _grid_runs(theorem: str, cfg: SweepConfig) -> list[tuple[float, list[tuple]]]:
+    """`_grid_for` split into runs of consecutive points that share mu, its
+    slowest axis: (mu, [(alpha, m, q, u), ...]) in grid order."""
+    return [
+        (mu, [point[1:] for point in points])
+        for mu, points in itertools.groupby(_grid_for(theorem, cfg), key=lambda p: p[0])
+    ]
 
-    Whether a point applies is looked up per (theorem, mu, alpha, m, q, u):
-    `_check_hypotheses` reads f, b and those parameters but never x, and
-    `BoundParams` validates them but never its `frac`, so one check per
-    point serves every x, and a point whose `BoundParams` is rejected is
-    not built again.  One `FracParams` is shared per (x-fraction, mu) and
-    still built before the lookup, so an invalid (x, mu) raises at its
-    first use in sweep order.
+
+class _Run(NamedTuple):
+    """One run of a theorem's grid on one function: the points that apply,
+    each with its `BoundParams` and its point factor (None where the theorem
+    has none), and the DomainError of a point factor, which stops the sweep
+    right after the points before it."""
+
+    points: list[tuple[BoundParams, Optional[float]]]
+    error: Optional[DomainError]
+
+
+def _run_on(theorem: str, f: FunctionSpec, frac: FracParams, rest: list[tuple], seen: dict) -> _Run:
+    """Check one run's points on f.  Per point: one `BoundParams`, one
+    `_check_hypotheses` and one point factor.  No hypothesis or factor reads
+    x, so the outcome serves every x; `frac` carries the run's mu (and the
+    first x).  `seen` holds the outcome of every point already checked."""
+    factor = THEOREMS[theorem].factor
+    points = []
+    for alpha, m, q, u in rest:
+        key = (frac.mu, alpha, m, q, u)
+        if key not in seen:
+            seen[key] = None
+            try:
+                bp = BoundParams(frac, f.M, alpha, m, q, u, None if u is None else 1.0 - u)
+            except DomainError:
+                continue
+            try:
+                _check_hypotheses(theorem, f, bp)
+            except HypothesisError:
+                continue
+            try:
+                seen[key] = (bp, None if factor is None else factor(bp))
+            except DomainError as exc:
+                return _Run(points, exc)
+        if seen[key] is not None:
+            points.append(seen[key])
+    return _Run(points, None)
+
+
+def _listing(f: FunctionSpec, cfg: SweepConfig, grids: dict):
+    """What the sweep emits for f: per theorem, the (frac, run) slots in
+    sweep order, and the DomainError that stops the sweep on f (None if it
+    runs through).
+
+    One `FracParams` is built per (x index, mu), at its first use in sweep
+    order (theorem, x, then the grid), so an invalid x or mu stops the sweep
+    there: the slots before it are emitted, then it is raised.  The points
+    are checked once per theorem, at the first x, for the runs that x
+    reaches.  A slot whose run has no point is left out.
     """
     a, b = f.domain
-    applies: dict[tuple, bool] = {}
     fracs: dict[tuple[int, float], FracParams] = {}
+    blocks = []
     for theorem in cfg.theorems:
+        runs, slots, stop, seen = None, [], None, {}
         for i, frac_x in enumerate(cfg.x_fracs):
             x = a + frac_x * (b - a)
-            for mu, alpha, m, q, u in _grid_for(theorem, cfg):
-                frac = fracs.get((i, mu))
-                if frac is None:
-                    frac = fracs[i, mu] = FracParams(a, b, x, mu)
-                key = (theorem, mu, alpha, m, q, u)
-                if applies.get(key) is False:
-                    continue
-                try:
-                    bp = BoundParams(
-                        frac=frac,
-                        M=f.M,
-                        alpha=alpha,
-                        m=m,
-                        q=q,
-                        u=u,
-                        v=None if u is None else 1.0 - u,
-                    )
-                except DomainError:
-                    applies[key] = False
-                    continue
-                if key not in applies:
-                    try:
-                        _check_hypotheses(theorem, f, bp)
-                        applies[key] = True
-                    except HypothesisError:
-                        applies[key] = False
-                if applies[key]:
-                    yield theorem, bp
+            row = []
+            try:
+                for mu, _ in grids[theorem]:
+                    frac = fracs.get((i, mu))
+                    if frac is None:
+                        frac = fracs[i, mu] = FracParams(a, b, x, mu)
+                    row.append(frac)
+            except DomainError as exc:
+                stop = exc
+            if runs is None:
+                runs = [_run_on(theorem, f, frac, rest, seen)
+                        for frac, (_, rest) in zip(row, grids[theorem])]
+            slots += [(frac, run) for frac, run in zip(row, runs) if run.points or run.error]
+            if stop is not None:
+                break
+        blocks.append((theorem, slots))
+        if stop is not None:
+            return blocks, stop
+    return blocks, None
 
 
 def _lhs_by_key(f: FunctionSpec, fracs: list[FracParams], quad: QuadConfig) -> dict:
@@ -276,57 +326,84 @@ def _lhs_by_key(f: FunctionSpec, fracs: list[FracParams], quad: QuadConfig) -> d
 def run_sweep(cfg: SweepConfig) -> dict:
     """Execute the sweep; returns the report as a plain dict.
 
-    Per function, the applicable instances are listed first, their LHS
-    values computed in one batch per mu, and the verdicts emitted in sweep
-    order.  Errors surface in sweep order too: a DomainError while listing
-    is raised after the verdicts before it, a failed LHS at its first use.
+    Per function, the applicable points are listed first (`_listing`),
+    their LHS values computed in one batch per mu, and the verdict records
+    built in sweep order.  A theorem with a point factor gets each RHS as
+    that factor times the geometry factor of its (x, mu), computed once per
+    (x, mu); the others evaluate their RHS per verdict.  Errors surface in
+    sweep order too: a DomainError while listing is raised after the
+    verdicts before it, a failed LHS or point factor at its first use.
     """
     specs = resolve_corpus(cfg)
-    verdicts: list[Verdict] = []
+    grids = {theorem: _grid_runs(theorem, cfg) for theorem in cfg.theorems}
+    records: list[dict] = []
+    summary: dict[str, dict] = {}
 
     for f in specs:
-        todo: list[tuple[str, BoundParams]] = []
-        stop: Optional[DomainError] = None
-        try:
-            for item in _instances(f, cfg):
-                todo.append(item)
-        except DomainError as exc:
-            stop = exc
-        lhs = _lhs_by_key(f, [bp.frac for _, bp in todo], cfg.quad)
-        for theorem, bp in todo:
-            value = lhs[bp.frac.x, bp.frac.mu]
-            if isinstance(value, ConvergenceError):
-                raise value
-            verdicts.append(_verdict(theorem, f, bp, cfg.quad, value))
+        blocks, stop = _listing(f, cfg, grids)
+        lhs_of = _lhs_by_key(f, [frac for _, slots in blocks for frac, _ in slots], cfg.quad)
+        geometry: dict[tuple[float, float], float] = {}
+        for theorem, slots in blocks:
+            stated = THEOREMS[theorem]
+            worst = summary[theorem]["worst_margin"] if theorem in summary else None
+            held = failed = 0
+            for frac, run in slots:
+                x, mu = frac.x, frac.mu
+                lhs = lhs_of[x, mu]
+                if isinstance(lhs, ConvergenceError):
+                    raise lhs
+                if not run.points:  # the run's first point factor failed
+                    raise run.error
+                if stated.factor is None:
+                    rhss = [stated.rhs(BoundParams(frac, bp.M, bp.alpha, bp.m, bp.q, bp.u, bp.v))
+                            for bp, _ in run.points]
+                else:
+                    g = geometry.get((x, mu))
+                    if g is None:
+                        g = geometry[x, mu] = geometry_factor(frac)
+                    rhss = [factor * g for _, factor in run.points]
+                for (bp, _), rhs in zip(run.points, rhss):
+                    margin, holds, tol_margin = _judge(lhs, rhs, cfg.quad)
+                    if holds:
+                        held += 1
+                    else:
+                        failed += 1
+                    if worst is None or margin < worst:
+                        worst = margin
+                    records.append({
+                        "theorem": theorem,
+                        "lhs": lhs,
+                        "rhs": rhs,
+                        "margin": margin,
+                        "holds": holds,
+                        "tol_margin": tol_margin,
+                        "function": f.id,
+                        "a": frac.a,
+                        "b": frac.b,
+                        "x": x,
+                        "mu": mu,
+                        "alpha": bp.alpha,
+                        "m": bp.m,
+                        "M": bp.M,
+                        "q": bp.q,
+                        "u": bp.u,
+                        "v": bp.v,
+                    })
+                if run.error is not None:
+                    raise run.error
+            if held or failed:
+                s = summary.setdefault(theorem, {"pass": 0, "fail": 0, "worst_margin": None})
+                s["pass"] += held
+                s["fail"] += failed
+                s["worst_margin"] = worst
         if stop is not None:
             raise stop
-
-    summary: dict[str, dict] = {}
-    for v in verdicts:
-        s = summary.setdefault(
-            v.theorem_id, {"pass": 0, "fail": 0, "worst_margin": None}
-        )
-        s["pass" if v.holds else "fail"] += 1
-        if s["worst_margin"] is None or v.margin < s["worst_margin"]:
-            s["worst_margin"] = v.margin
 
     return {
         "config_fingerprint": cfg.fingerprint(),
         "version": __version__,
         "summary": summary,
-        "verdicts": [
-            # params repeats "theorem" with the same value, so the key stays first.
-            {
-                "theorem": v.theorem_id,
-                "lhs": v.lhs,
-                "rhs": v.rhs,
-                "margin": v.margin,
-                "holds": v.holds,
-                "tol_margin": v.tol_margin,
-                **v.params,
-            }
-            for v in verdicts
-        ],
+        "verdicts": records,
     }
 
 

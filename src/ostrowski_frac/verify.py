@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -117,6 +117,9 @@ class Theorem:
     pins a parameter of their parent."""
 
     rhs: Callable[[BoundParams], float]
+    # rhs(bp) == factor(bp) * geometry_factor(bp.frac) bit for bit, with a
+    # factor that never reads x; None where the RHS groups otherwise.
+    factor: Optional[Callable[[BoundParams], float]] = None
     geom_convex: bool = False  # claim: geometric-convex, not (alpha, m)-geometric
     M_below_1: bool = True  # M < 1, and m < 1 too for an (alpha, m)-geometric claim
     open_box: bool = False  # q > 1 and alpha < 1
@@ -146,14 +149,17 @@ _RELATIONS = {">": operator.gt, "<": operator.lt, "=": operator.eq}
 # Each RHS is looked up in `bounds` at call time, so a wrapped `bounds`
 # function (a profiler, a tracer) sees every call.
 THEOREMS = {
-    "t22": Theorem(lambda bp: bnd.bound_t22(bp), M_below_1=False, pins=(("q", 1.0),)),
-    "t24": Theorem(lambda bp: bnd.bound_t24(bp), open_box=True),
-    "t26": Theorem(lambda bp: bnd.bound_t26(bp)),
+    "t22": Theorem(lambda bp: bnd.bound_t22(bp), lambda bp: bnd.factor_t22(bp),
+                   M_below_1=False, pins=(("q", 1.0),)),
+    "t24": Theorem(lambda bp: bnd.bound_t24(bp), lambda bp: bnd.factor_t24(bp),
+                   open_box=True),
+    "t26": Theorem(lambda bp: bnd.bound_t26(bp), lambda bp: bnd.factor_t26(bp)),
     "set": Theorem(lambda bp: bnd.bound_set(bp.M, bp.frac), geom_convex=True,
                    pins=(("alpha", 1.0), ("m", 1.0))),
     "mu1": Theorem(lambda bp: bnd.bound_mu1(bp), pins=(("mu", 1.0),)),
-    "mm": Theorem(lambda bp: bnd.bound_mm(bp), young=True),
-    "remark_q1": Theorem(lambda bp: bnd.bound_mm(bp), young=True, pins=(("q", 1.0),)),
+    "mm": Theorem(lambda bp: bnd.bound_mm(bp), lambda bp: bnd.factor_mm(bp), young=True),
+    "remark_q1": Theorem(lambda bp: bnd.bound_mm(bp), lambda bp: bnd.factor_mm(bp),
+                         young=True, pins=(("q", 1.0),)),
 }
 THEOREM_IDS = tuple(THEOREMS)
 
@@ -189,21 +195,12 @@ def _check_hypotheses(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> None
         raise HypothesisError(f"{theorem_id} on {f.id!r}: " + "; ".join(failures))
 
 
-def _snapshot(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> dict:
-    return {
-        "theorem": theorem_id,
-        "function": f.id,
-        "a": bp.frac.a,
-        "b": bp.frac.b,
-        "x": bp.frac.x,
-        "mu": bp.frac.mu,
-        "alpha": bp.alpha,
-        "m": bp.m,
-        "M": bp.M,
-        "q": bp.q,
-        "u": bp.u,
-        "v": bp.v,
-    }
+def _judge(lhs: float, rhs: float, cfg: QuadConfig) -> tuple[float, bool, float]:
+    """The verdict rule: (margin, holds, tol_margin) of an instance.  The
+    margin rhs - lhs holds when it is at least -tol_margin, 100 * abs_tol."""
+    tol_margin = 100.0 * cfg.abs_tol
+    margin = rhs - lhs
+    return margin, margin >= -tol_margin, tol_margin
 
 
 def verify_theorem(
@@ -211,24 +208,29 @@ def verify_theorem(
 ) -> Verdict:
     """One inequality instance."""
     _check_hypotheses(theorem_id, f, bp)
-    return _verdict(theorem_id, f, bp, cfg, ostrowski_lhs(f, bp.frac, cfg))
-
-
-def _verdict(
-    theorem_id: str, f: FunctionSpec, bp: BoundParams, cfg: QuadConfig, lhs: float
-) -> Verdict:
-    """The verdict of an instance whose hypotheses the caller has checked,
-    given its LHS."""
+    lhs = ostrowski_lhs(f, bp.frac, cfg)
     rhs = THEOREMS[theorem_id].rhs(bp)
-    tol_margin = 100.0 * cfg.abs_tol
-    margin = rhs - lhs
+    margin, holds, tol_margin = _judge(lhs, rhs, cfg)
     return Verdict(
         theorem_id=theorem_id,
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        holds=margin >= -tol_margin,
-        params=_snapshot(theorem_id, f, bp),
+        holds=holds,
+        params={
+            "theorem": theorem_id,
+            "function": f.id,
+            "a": bp.frac.a,
+            "b": bp.frac.b,
+            "x": bp.frac.x,
+            "mu": bp.frac.mu,
+            "alpha": bp.alpha,
+            "m": bp.m,
+            "M": bp.M,
+            "q": bp.q,
+            "u": bp.u,
+            "v": bp.v,
+        },
         tol_margin=tol_margin,
     )
 
@@ -243,14 +245,13 @@ def verify_classical(
     mean = adaptive_gauss(f.f, a, b, cfg) / (b - a)
     lhs = abs(float(f.f(x)) - mean)
     rhs = bnd.bound_classical(f.M, a, b, x)
-    tol_margin = 100.0 * cfg.abs_tol
-    margin = rhs - lhs
+    margin, holds, tol_margin = _judge(lhs, rhs, cfg)
     return Verdict(
         theorem_id="classical",
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        holds=margin >= -tol_margin,
+        holds=holds,
         params={
             "theorem": "classical",
             "function": f.id,

@@ -1,0 +1,181 @@
+"""The per-verdict sweep as it was before the columnar one: a frozen oracle.
+
+`run_sweep` lists every instance with its own `BoundParams`, builds a
+verdict per instance with the right-hand side written as one left-associated
+printed product, then a summary pass and a record per verdict.  The tests
+require `report.run_sweep` to return the same report, record for record,
+and to raise the same first error.  Only `report._grid_for` and
+`report.resolve_corpus` are shared with the library, and the tests pin
+those separately.
+"""
+
+import math
+
+from ostrowski_frac import __version__
+from ostrowski_frac import bounds as bnd
+from ostrowski_frac.bounds import BoundParams, geometry_factor
+from ostrowski_frac.fracint import ConvergenceError, DomainError, FracParams, mexp_integral
+from ostrowski_frac.report import _grid_for, resolve_corpus
+from ostrowski_frac.verify import (
+    HypothesisError,
+    _check_hypotheses,
+    ostrowski_signed,
+    ostrowski_signed_many,
+)
+
+
+def _t24(bp):
+    mu, p = bp.frac.mu, bp.p
+    mid = bnd._exprel(bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M))
+    return (
+        bp.M**bp.m
+        * (1.0 / (p * mu + 1.0)) ** (1.0 / p)
+        * mid ** (1.0 / bp.q)
+        * geometry_factor(bp.frac)
+    )
+
+
+def _t26(bp):
+    mu = bp.frac.mu
+    c = bp.M ** (bp.q * bp.alpha * (1.0 - bp.m))
+    return (
+        bp.M**bp.m
+        * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q)
+        * mexp_integral(c, mu) ** (1.0 / bp.q)
+        * geometry_factor(bp.frac)
+    )
+
+
+def _mm(bp):
+    mu = bp.frac.mu
+    inner = bnd._young_inner(bp, bp.q * bp.alpha * (1.0 - bp.m))
+    return (
+        bp.M**bp.m
+        * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q)
+        * inner ** (1.0 / bp.q)
+        * geometry_factor(bp.frac)
+    )
+
+
+# Each RHS as one product, in the order the printed formula multiplies.
+RHS = {
+    "t22": lambda bp: geometry_factor(bp.frac) * bnd.k_alpha(bp.M, bp.m, bp.alpha, bp.frac.mu),
+    "t24": _t24,
+    "t26": _t26,
+    "set": lambda bp: bnd.bound_set(bp.M, bp.frac),
+    "mu1": bnd.bound_mu1,
+    "mm": _mm,
+    "remark_q1": _mm,
+}
+
+
+def instances(f, cfg):
+    """(theorem, bp) of every verdict, in sweep order; one hypothesis check
+    per point, one `FracParams` per (x index, mu), built before the point is
+    looked up."""
+    a, b = f.domain
+    applies = {}
+    fracs = {}
+    for theorem in cfg.theorems:
+        for i, frac_x in enumerate(cfg.x_fracs):
+            x = a + frac_x * (b - a)
+            for mu, alpha, m, q, u in _grid_for(theorem, cfg):
+                frac = fracs.get((i, mu))
+                if frac is None:
+                    frac = fracs[i, mu] = FracParams(a, b, x, mu)
+                key = (theorem, mu, alpha, m, q, u)
+                if applies.get(key) is False:
+                    continue
+                try:
+                    bp = BoundParams(frac, f.M, alpha, m, q, u, None if u is None else 1.0 - u)
+                except DomainError:
+                    applies[key] = False
+                    continue
+                if key not in applies:
+                    try:
+                        _check_hypotheses(theorem, f, bp)
+                        applies[key] = True
+                    except HypothesisError:
+                        applies[key] = False
+                if applies[key]:
+                    yield theorem, bp
+
+
+def _lhs_by_key(f, fracs, quad):
+    batches = {}
+    for frac in fracs:
+        batches.setdefault(frac.mu, {}).setdefault(frac.x, frac)
+    lhs = {}
+    for mu, by_x in batches.items():
+        group = list(by_x.values())
+        try:
+            values = ostrowski_signed_many(f, group, quad)
+        except ConvergenceError:
+            values = []
+            for frac in group:
+                try:
+                    values.append(ostrowski_signed(f, frac, quad))
+                except ConvergenceError as exc:
+                    values.append(exc)
+        for frac, value in zip(group, values):
+            lhs[frac.x, mu] = value if isinstance(value, ConvergenceError) else abs(value)
+    return lhs
+
+
+def _verdict(theorem, f, bp, quad, lhs):
+    rhs = RHS[theorem](bp)
+    tol_margin = 100.0 * quad.abs_tol
+    margin = rhs - lhs
+    return {
+        "theorem": theorem,
+        "lhs": lhs,
+        "rhs": rhs,
+        "margin": margin,
+        "holds": margin >= -tol_margin,
+        "tol_margin": tol_margin,
+        "function": f.id,
+        "a": bp.frac.a,
+        "b": bp.frac.b,
+        "x": bp.frac.x,
+        "mu": bp.frac.mu,
+        "alpha": bp.alpha,
+        "m": bp.m,
+        "M": bp.M,
+        "q": bp.q,
+        "u": bp.u,
+        "v": bp.v,
+    }
+
+
+def run_sweep(cfg):
+    """The report, with errors raised in sweep order: a DomainError while
+    listing after the verdicts before it, a failed LHS at its first use."""
+    verdicts = []
+    for f in resolve_corpus(cfg):
+        todo, stop = [], None
+        try:
+            for item in instances(f, cfg):
+                todo.append(item)
+        except DomainError as exc:
+            stop = exc
+        lhs = _lhs_by_key(f, [bp.frac for _, bp in todo], cfg.quad)
+        for theorem, bp in todo:
+            value = lhs[bp.frac.x, bp.frac.mu]
+            if isinstance(value, ConvergenceError):
+                raise value
+            verdicts.append(_verdict(theorem, f, bp, cfg.quad, value))
+        if stop is not None:
+            raise stop
+
+    summary = {}
+    for v in verdicts:
+        s = summary.setdefault(v["theorem"], {"pass": 0, "fail": 0, "worst_margin": None})
+        s["pass" if v["holds"] else "fail"] += 1
+        if s["worst_margin"] is None or v["margin"] < s["worst_margin"]:
+            s["worst_margin"] = v["margin"]
+    return {
+        "config_fingerprint": cfg.fingerprint(),
+        "version": __version__,
+        "summary": summary,
+        "verdicts": verdicts,
+    }

@@ -3,10 +3,12 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
+import sweep_oracle
 
 from ostrowski_frac import report as report_mod
-from ostrowski_frac.bounds import BoundParams
+from ostrowski_frac.bounds import BoundParams, geometry_factor
 from ostrowski_frac.cli import main
 from ostrowski_frac.fracint import ConvergenceError, DomainError, FracParams
 from ostrowski_frac.report import (
@@ -18,7 +20,7 @@ from ostrowski_frac.report import (
     resolve_corpus,
     run_sweep,
 )
-from ostrowski_frac.verify import HypothesisError, _check_hypotheses, ostrowski_lhs
+from ostrowski_frac.verify import THEOREMS, HypothesisError, _check_hypotheses, ostrowski_lhs
 
 # x = a and x = b leave one fractional integral empty; const1 carries no
 # claims, so no theorem applies to it.
@@ -281,11 +283,33 @@ class TestConfigParsing:
             "wiggle = 3",
             "function.f = \n",
             "function.f = affine slope\n",
+            # Not a boolean: must not silently skip the audit.
+            "audit = on\n",
+            "audit = ture\n",
+            "audit = \n",
         ],
     )
     def test_malformed(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "value, audit",
+        [("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+         ("false", False), ("False", False), ("NO", False), ("0", False)],
+    )
+    def test_audit_values(self, value, audit):
+        assert parse_config(f"audit = {value}\n").audit_extra is audit
+
+    def test_unknown_audit_value_exits_2(self, tmp_path, capsys):
+        # The crafted member fails its audit, so skipping the audit would let it through.
+        path = tmp_path / "typo.cfg"
+        path.write_text(
+            "audit = ture\n"
+            "function.bad = affine slope=0.8 intercept=0.0 lo=1.0 hi=2.0 declared_M=0.1\n"
+        )
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "audit must be one of" in capsys.readouterr().err
 
     def test_extra_function_resolves(self):
         cfg = parse_config(
@@ -444,6 +468,11 @@ class TestHypothesesCheckedOncePerPoint:
             "theorems = mm,remark_q1,t26\nx_fracs = 0.25,0.5,0.75\nmu = 1.5\n"
             "alpha = 0.5\nm = 0.25\nq = 1.0,2.0\nu = 1.0,0.5\n"
         ),
+        # Repeated values repeat verdicts, but each point is checked once.
+        "repeats": (
+            "theorems = t22,t26\nx_fracs = 0.25,0.75,0.25\nmu = 0.5,1.0,0.5\n"
+            "alpha = 0.5,0.5\nm = 0.5\nq = 1.0,2.0\n"
+        ),
         # x = a + 1.5 (b - a) is rejected by FracParams after the x = 0.5 verdicts.
         "x-outside": "theorems = t22,t26\nx_fracs = 0.5,1.5\nmu = 0.5,1.0\nq = 1.0\n",
         # mm rejects u = 1 at every point; x = 1.5 must still raise there,
@@ -482,16 +511,24 @@ class TestHypothesesCheckedOncePerPoint:
         return out, checked, None
 
     @staticmethod
-    def _listed(cfg):
-        """`_instances` over the corpus up to the first DomainError."""
+    def _listing(f, cfg):
+        return report_mod._listing(
+            f, cfg, {t: report_mod._grid_runs(t, cfg) for t in cfg.theorems})
+
+    @classmethod
+    def _listed(cls, cfg):
+        """`_listing` over the corpus up to the first DomainError: the
+        instances of every slot's points, in sweep order."""
         out = []
-        try:
-            for f in resolve_corpus(cfg):
-                for theorem, bp in report_mod._instances(f, cfg):
-                    out.append((theorem, f.id, bp.frac.x, bp.frac.mu,
-                                bp.alpha, bp.m, bp.q, bp.u))
-        except DomainError as exc:
-            return out, str(exc)
+        for f in resolve_corpus(cfg):
+            blocks, stop = cls._listing(f, cfg)
+            for theorem, slots in blocks:
+                for frac, run in slots:
+                    assert run.error is None
+                    out += [(theorem, f.id, frac.x, frac.mu, bp.alpha, bp.m, bp.q, bp.u)
+                            for bp, _ in run.points]
+            if stop is not None:
+                return out, str(stop)
         return out, None
 
     @pytest.mark.parametrize("case", sorted(CONFIGS))
@@ -535,9 +572,13 @@ class TestHypothesesCheckedOncePerPoint:
     def test_one_frac_params_per_x_and_mu(self, text):
         cfg = parse_config(text)
         for f in resolve_corpus(cfg):
-            items = list(report_mod._instances(f, cfg))
-            pairs = {(bp.frac.x, bp.frac.mu) for _, bp in items}
-            assert len({id(bp.frac) for _, bp in items}) == len(pairs)
+            blocks, _ = self._listing(f, cfg)
+            slots = [slot for _, theorem_slots in blocks for slot in theorem_slots]
+            pairs = {(frac.x, frac.mu) for frac, _ in slots}
+            # A point's BoundParams carries the FracParams of its run at the first x.
+            fracs = [frac for frac, _ in slots]
+            fracs += [bp.frac for _, run in slots for bp, _ in run.points]
+            assert len({id(frac) for frac in fracs}) == len(pairs)
 
     def test_rejected_bound_params_built_once_per_point(self, monkeypatch):
         cfg = parse_config(self.CONFIGS["u-one"])
@@ -555,5 +596,94 @@ class TestHypothesesCheckedOncePerPoint:
         monkeypatch.setattr(report_mod, "BoundParams", Counting)
         for f in resolve_corpus(cfg):
             built.clear()
-            list(report_mod._instances(f, cfg))
+            self._listing(f, cfg)
             assert built.count(1.0) == rejected
+
+
+class TestSweepMatchesPerVerdictOracle:
+    """The columnar sweep returns, record for record, the report of the
+    per-verdict sweep it replaced (tests/sweep_oracle.py), raises the same
+    first error, and renders to the same bytes."""
+
+    # quad-dense's grid: t22 and set at small mu, x-fractions drawn one per bin.
+    QUAD_DENSE = (
+        "theorems = t22,set\n"
+        "x_fracs = " + ",".join(
+            repr(0.005 + 0.03 * (k + float(u)))
+            for k, u in enumerate(np.random.default_rng(7).uniform(size=33))) + "\n"
+        "mu = 0.1,0.25,0.5,1,1.5,2.5\nalpha = 1\nm = 0.5\nq = 1\n"
+    )
+    EXTRA_MEMBER = (
+        "functions = powdecay,aff\nx_fracs = 0.1,0.5,0.9\nmu = 0.5,1.5\n"
+        "function.aff = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5\n"
+    )
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got == want
+        for fmt in ("json", "csv"):
+            assert render_report(got, fmt) == render_report(want, fmt)
+
+    def test_default_sweep(self, default_sweep):
+        self._assert_same(default_sweep, sweep_oracle.run_sweep(SweepConfig()))
+
+    @pytest.mark.parametrize("case", sorted(TestHypothesesCheckedOncePerPoint.CONFIGS))
+    def test_structure_configs(self, case):
+        cfg = parse_config(TestHypothesesCheckedOncePerPoint.CONFIGS[case])
+        error = TestHypothesesCheckedOncePerPoint.RAISES.get(case)
+        if error is None:
+            self._assert_same(run_sweep(cfg), sweep_oracle.run_sweep(cfg))
+            return
+        for sweep in (run_sweep, sweep_oracle.run_sweep):
+            with pytest.raises(DomainError) as got:
+                sweep(cfg)
+            assert str(got.value) == error
+
+    @pytest.mark.parametrize("text", [QUAD_DENSE, EXTRA_MEMBER], ids=["quad-dense", "extra"])
+    def test_other_configs(self, text):
+        cfg = parse_config(text)
+        got = run_sweep(cfg)
+        assert got["verdicts"]
+        self._assert_same(got, sweep_oracle.run_sweep(cfg))
+
+    def test_point_factor_error_at_its_first_verdict(self):
+        # M = 1e-300 underflows t26's c = M^(q alpha (1-m)) at q = 3 but not
+        # at q = 1: the error comes after the q = 1 verdicts at the first x,
+        # and before the DomainError of the x outside [a, b].
+        cfg = parse_config(
+            "functions = tiny\ntheorems = t26,t22\nx_fracs = 0.25,1.5\nmu = 0.5,1.5\n"
+            "alpha = 1.0\nm = 0.25\nq = 1.0,3.0\naudit = false\n"
+            "function.tiny = affine slope=1e-300 intercept=1.0 lo=1.0 hi=2.0\n"
+        )
+        for sweep in (run_sweep, sweep_oracle.run_sweep):
+            with pytest.raises(DomainError, match=r"c in \[float_info.min, 1\] required"):
+                sweep(cfg)
+
+    def test_point_factor_times_geometry_is_the_rhs(self, corpus):
+        """Over the default grid, for every theorem with a point factor: the
+        factor of the point at the first x, times the geometry factor at any
+        x, is bit for bit the scalar RHS and the printed product there."""
+        cfg = SweepConfig()
+        checked = 0
+        for theorem, record in THEOREMS.items():
+            if record.factor is None:
+                continue
+            for f in corpus.values():
+                a, b = f.domain
+                fracs = [FracParams(a, b, a + t * (b - a), mu)
+                         for t in cfg.x_fracs for mu in cfg.mus]
+                for mu, alpha, m, q, u in report_mod._grid_for(theorem, cfg):
+                    at = [fr for fr in fracs if fr.mu == mu]
+                    bps = [BoundParams(fr, f.M, alpha, m, q, u, None if u is None else 1.0 - u)
+                           for fr in at]
+                    try:
+                        _check_hypotheses(theorem, f, bps[0])
+                    except HypothesisError:
+                        continue
+                    factor = record.factor(bps[0])
+                    got = [(factor * geometry_factor(bp.frac)).hex() for bp in bps]
+                    assert got == [record.rhs(bp).hex() for bp in bps]
+                    assert got == [sweep_oracle.RHS[theorem](bp).hex() for bp in bps]
+                    checked += len(bps)
+        # The default sweep's t22, t24, t26, mm and remark_q1 verdicts.
+        assert checked == 17892 - 1584
