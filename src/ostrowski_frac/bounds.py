@@ -8,10 +8,9 @@ exactly 1 where t underflows to 0.  The kernel integral is
 The bracket multiplying the geometry factor in the main fractional bound is
 taken to be exactly the kernel integral k(alpha); see README for why.
 
-`bound_t22`, `bound_t24`, `bound_t26` and `bound_mm` are each a point factor
-(`factor_*`), which reads mu but never x, times `geometry_factor`.  The
-factors multiply left to right as the printed products do, so the split
-changes no bit and a sweep may evaluate each factor once per point.
+Every printed right-hand side is a point factor (`factor_*`), which reads
+mu but never x, times `geometry_factor`; `verify.Theorem.rhs` forms that
+product, so a sweep may evaluate each factor once per point.
 """
 
 from __future__ import annotations
@@ -76,13 +75,8 @@ def k_alpha(M: float, m: float, alpha: float, mu: float) -> float:
 
 
 def factor_t22(bp: BoundParams) -> float:
-    """`bound_t22` over the geometry factor: the kernel factor."""
+    """Main fractional bound over the geometry factor: the kernel factor."""
     return k_alpha(bp.M, bp.m, bp.alpha, bp.frac.mu)
-
-
-def bound_t22(bp: BoundParams) -> float:
-    """Main fractional bound: the kernel factor times the geometry factor."""
-    return factor_t22(bp) * geometry_factor(bp.frac)
 
 
 def _exprel(t: float) -> float:
@@ -91,8 +85,8 @@ def _exprel(t: float) -> float:
 
 
 def factor_t24(bp: BoundParams) -> float:
-    """`bound_t24` over the geometry factor (requires the open parameter box
-    and q > 1)."""
+    """Hoelder-route bound over the geometry factor (requires the open
+    parameter box and q > 1)."""
     if bp.q <= 1.0:
         raise DomainError("q > 1 required")
     if bp.M >= 1.0:
@@ -105,13 +99,9 @@ def factor_t24(bp: BoundParams) -> float:
     return bp.M**bp.m * (1.0 / (p * mu + 1.0)) ** (1.0 / p) * mid ** (1.0 / bp.q)
 
 
-def bound_t24(bp: BoundParams) -> float:
-    """Hoelder-route bound: its point factor times the geometry factor."""
-    return factor_t24(bp) * geometry_factor(bp.frac)
-
-
 def factor_t26(bp: BoundParams) -> float:
-    """`bound_t26` over the geometry factor."""
+    """Power-mean-route bound over the geometry factor; equals factor_t22 at
+    q = 1 for M < 1."""
     if bp.M >= 1.0:
         raise DomainError("M < 1 required")
     if not 0.0 < bp.m < 1.0:
@@ -125,14 +115,9 @@ def factor_t26(bp: BoundParams) -> float:
     )
 
 
-def bound_t26(bp: BoundParams) -> float:
-    """Power-mean-route bound; reduces to bound_t22 at q = 1 for M < 1."""
-    return factor_t26(bp) * geometry_factor(bp.frac)
-
-
-def bound_set(M: float, frac: FracParams) -> float:
-    """Geometric-convex corollary: M * geometry_factor / (mu + 1)."""
-    return M * geometry_factor(frac) / (frac.mu + 1.0)
+def factor_set(bp: BoundParams) -> float:
+    """Geometric-convex corollary over the geometry factor: M / (mu + 1)."""
+    return bp.M / (bp.frac.mu + 1.0)
 
 
 class Mu1Audit(NamedTuple):
@@ -141,8 +126,9 @@ class Mu1Audit(NamedTuple):
     difference: float
 
 
-def bound_mu1(bp: BoundParams) -> float:
-    """The mu = 1 corollary's printed closed form, evaluated verbatim.
+def factor_mu1(bp: BoundParams) -> float:
+    """The mu = 1 corollary's printed closed form over the geometry factor
+    ((x-a)^2 + (b-x)^2) / (b-a): M^m 2^(1/q) bracket^(1/q) / 2.
 
     Caution: the printed bracket (c-1)/ln c * (1 - 1/ln c) does NOT equal the
     kernel integral int_0^1 t c^t dt = c/ln c - (c-1)/(ln c)^2; it exceeds it
@@ -155,24 +141,18 @@ def bound_mu1(bp: BoundParams) -> float:
         raise DomainError("M < 1 required")
     if not 0.0 < bp.m < 1.0:
         raise DomainError("m in (0, 1) required")
-    a, b, x = bp.frac.a, bp.frac.b, bp.frac.x
     lc = bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M)
     if lc == 0.0:
         raise DomainError("the printed bracket diverges at c = 1")
     bracket = _exprel(lc) * (1.0 - 1.0 / lc)
-    return (
-        bp.M**bp.m
-        * 2.0 ** (1.0 / bp.q)
-        * bracket ** (1.0 / bp.q)
-        * ((x - a) ** 2 + (b - x) ** 2)
-        / (2.0 * (b - a))
-    )
+    return bp.M**bp.m * 2.0 ** (1.0 / bp.q) * bracket ** (1.0 / bp.q) / 2.0
 
 
 def bound_mu1_audit(bp: BoundParams) -> Mu1Audit:
     """Printed mu = 1 closed form next to the recomputed power-mean bound."""
-    printed = bound_mu1(bp)
-    recomputed = bound_t26(bp)
+    g = geometry_factor(bp.frac)
+    printed = factor_mu1(bp) * g
+    recomputed = factor_t26(bp) * g
     return Mu1Audit(printed, recomputed, printed - recomputed)
 
 
@@ -185,7 +165,8 @@ def _young_inner(bp: BoundParams, exponent: float) -> float:
 
 
 def factor_mm(bp: BoundParams) -> float:
-    """`bound_mm` over the geometry factor."""
+    """Young-split relaxation of the power-mean bound over the geometry
+    factor; always >= factor_t26."""
     if bp.M >= 1.0:
         raise DomainError("M < 1 required")
     if not 0.0 < bp.m < 1.0:
@@ -193,11 +174,6 @@ def factor_mm(bp: BoundParams) -> float:
     mu = bp.frac.mu
     inner = _young_inner(bp, bp.q * bp.alpha * (1.0 - bp.m))
     return bp.M**bp.m * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q) * inner ** (1.0 / bp.q)
-
-
-def bound_mm(bp: BoundParams) -> float:
-    """Young-split relaxation of the power-mean bound; always >= bound_t26."""
-    return factor_mm(bp) * geometry_factor(bp.frac)
 
 
 def bound_classical(M: float, a: float, b: float, x: float) -> float:

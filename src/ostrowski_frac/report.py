@@ -42,6 +42,9 @@ DEFAULT_MS = (0.25, 0.5, 0.75)
 DEFAULT_QS = (1.0, 1.5, 2.0, 3.0)
 DEFAULT_US = (0.5,)
 
+# A valid instance to probe configured parameter values with.
+_PROBE = FracParams(0.0, 1.0, 0.5, 1.0)
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -55,7 +58,6 @@ class SweepConfig:
     us: tuple[float, ...] = DEFAULT_US
     quad: QuadConfig = field(default_factory=QuadConfig)
     out_format: str = "json"
-    seed: int = 0
     output: Optional[str] = None
     audit_extra: bool = True
     # (family, id, params) triples for additional corpus members.
@@ -70,6 +72,16 @@ class SweepConfig:
                 raise ConfigError(f"unknown theorem id {t!r}; known: {THEOREM_IDS}")
         if self.out_format not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
+        # BoundParams alone states the range of alpha, m, q and u: one probe
+        # per value, so that no value is dropped from the sweep unreported.
+        for key, values in (("alpha", self.alphas), ("m", self.ms), ("q", self.qs),
+                            ("u", self.us)):
+            for value in values:
+                kw = {"u": value, "v": 1.0 - value} if key == "u" else {key: value}
+                try:
+                    BoundParams(_PROBE, 1.0, **kw)
+                except DomainError as exc:
+                    raise ConfigError(f"{key} = {value!r}: {exc}") from None
 
     def canonical_text(self) -> str:
         lines = [
@@ -86,7 +98,6 @@ class SweepConfig:
             f"base_nodes = {self.quad.base_nodes}",
             f"max_subdivisions = {self.quad.max_subdivisions}",
             f"format = {self.out_format}",
-            f"seed = {self.seed}",
             f"audit = {str(self.audit_extra).lower()}",
         ]
         for family, fid, params in self.extra_functions:
@@ -148,11 +159,21 @@ def parse_config(text: str) -> SweepConfig:
             kv[key] = value
 
     defaults = SweepConfig()
+
+    def number(key, kind):
+        if key not in kv:
+            return getattr(defaults.quad, key)
+        value = kv.pop(key)
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
+
     quad = QuadConfig(
-        abs_tol=float(kv.pop("abs_tol", defaults.quad.abs_tol)),
-        rel_tol=float(kv.pop("rel_tol", defaults.quad.rel_tol)),
-        max_subdivisions=int(kv.pop("max_subdivisions", defaults.quad.max_subdivisions)),
-        base_nodes=int(kv.pop("base_nodes", defaults.quad.base_nodes)),
+        abs_tol=number("abs_tol", float),
+        rel_tol=number("rel_tol", float),
+        max_subdivisions=number("max_subdivisions", int),
+        base_nodes=number("base_nodes", int),
     )
 
     def tup(key, default):
@@ -174,7 +195,6 @@ def parse_config(text: str) -> SweepConfig:
         us=tup("u", defaults.us),
         quad=quad,
         out_format=kv.pop("format", "json"),
-        seed=int(kv.pop("seed", 0)),
         output=kv.pop("output", None),
         audit_extra=_parse_bool("audit", kv.pop("audit", "true")),
         extra_functions=tuple(extra),
@@ -222,11 +242,10 @@ def _grid_runs(theorem: str, cfg: SweepConfig) -> list[tuple[float, list[tuple]]
 
 class _Run(NamedTuple):
     """One run of a theorem's grid on one function: the points that apply,
-    each with its `BoundParams` and its point factor (None where the theorem
-    has none), and the DomainError of a point factor, which stops the sweep
-    right after the points before it."""
+    each with its `BoundParams` and its point factor, and the DomainError of
+    a point factor, which stops the sweep right after the points before it."""
 
-    points: list[tuple[BoundParams, Optional[float]]]
+    points: list[tuple[BoundParams, float]]
     error: Optional[DomainError]
 
 
@@ -234,23 +253,22 @@ def _run_on(theorem: str, f: FunctionSpec, frac: FracParams, rest: list[tuple], 
     """Check one run's points on f.  Per point: one `BoundParams`, one
     `_check_hypotheses` and one point factor.  No hypothesis or factor reads
     x, so the outcome serves every x; `frac` carries the run's mu (and the
-    first x).  `seen` holds the outcome of every point already checked."""
+    first x).  `seen` holds the outcome of every point already checked.
+    `SweepConfig` has validated alpha, m, q and u, and f its M, so every
+    `BoundParams` builds."""
     factor = THEOREMS[theorem].factor
     points = []
     for alpha, m, q, u in rest:
         key = (frac.mu, alpha, m, q, u)
         if key not in seen:
             seen[key] = None
-            try:
-                bp = BoundParams(frac, f.M, alpha, m, q, u, None if u is None else 1.0 - u)
-            except DomainError:
-                continue
+            bp = BoundParams(frac, f.M, alpha, m, q, u, None if u is None else 1.0 - u)
             try:
                 _check_hypotheses(theorem, f, bp)
             except HypothesisError:
                 continue
             try:
-                seen[key] = (bp, None if factor is None else factor(bp))
+                seen[key] = (bp, factor(bp))
             except DomainError as exc:
                 return _Run(points, exc)
         if seen[key] is not None:
@@ -328,11 +346,11 @@ def run_sweep(cfg: SweepConfig) -> dict:
 
     Per function, the applicable points are listed first (`_listing`),
     their LHS values computed in one batch per mu, and the verdict records
-    built in sweep order.  A theorem with a point factor gets each RHS as
-    that factor times the geometry factor of its (x, mu), computed once per
-    (x, mu); the others evaluate their RHS per verdict.  Errors surface in
-    sweep order too: a DomainError while listing is raised after the
-    verdicts before it, a failed LHS or point factor at its first use.
+    built in sweep order.  Each RHS is `Theorem.rhs`: the point factor,
+    computed once per point, times the geometry factor of its (x, mu),
+    computed once per (x, mu).  Errors surface in sweep order too: a
+    DomainError while listing is raised after the verdicts before it, a
+    failed LHS or point factor at its first use.
     """
     specs = resolve_corpus(cfg)
     grids = {theorem: _grid_runs(theorem, cfg) for theorem in cfg.theorems}
@@ -344,7 +362,6 @@ def run_sweep(cfg: SweepConfig) -> dict:
         lhs_of = _lhs_by_key(f, [frac for _, slots in blocks for frac, _ in slots], cfg.quad)
         geometry: dict[tuple[float, float], float] = {}
         for theorem, slots in blocks:
-            stated = THEOREMS[theorem]
             worst = summary[theorem]["worst_margin"] if theorem in summary else None
             held = failed = 0
             for frac, run in slots:
@@ -354,15 +371,11 @@ def run_sweep(cfg: SweepConfig) -> dict:
                     raise lhs
                 if not run.points:  # the run's first point factor failed
                     raise run.error
-                if stated.factor is None:
-                    rhss = [stated.rhs(BoundParams(frac, bp.M, bp.alpha, bp.m, bp.q, bp.u, bp.v))
-                            for bp, _ in run.points]
-                else:
-                    g = geometry.get((x, mu))
-                    if g is None:
-                        g = geometry[x, mu] = geometry_factor(frac)
-                    rhss = [factor * g for _, factor in run.points]
-                for (bp, _), rhs in zip(run.points, rhss):
+                g = geometry.get((x, mu))
+                if g is None:
+                    g = geometry[x, mu] = geometry_factor(frac)
+                for bp, factor in run.points:
+                    rhs = factor * g
                     margin, holds, tol_margin = _judge(lhs, rhs, cfg.quad)
                     if holds:
                         held += 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class Verdict:
     rhs: float
     margin: float
     holds: bool
-    params: dict
     tol_margin: float
 
 
@@ -112,19 +111,20 @@ def lemma_identity_residual(
 
 @dataclass(frozen=True)
 class Theorem:
-    """One theorem as stated: its right-hand side, the claim it needs on
-    |f'|^q, and its parameter box.  The corollaries are records whose box
-    pins a parameter of their parent."""
+    """One theorem as stated: the point factor of its right-hand side, the
+    claim it needs on |f'|^q, and its parameter box.  The corollaries are
+    records whose box pins a parameter of their parent."""
 
-    rhs: Callable[[BoundParams], float]
-    # rhs(bp) == factor(bp) * geometry_factor(bp.frac) bit for bit, with a
-    # factor that never reads x; None where the RHS groups otherwise.
-    factor: Optional[Callable[[BoundParams], float]] = None
+    factor: Callable[[BoundParams], float]  # reads mu, never x
     geom_convex: bool = False  # claim: geometric-convex, not (alpha, m)-geometric
     M_below_1: bool = True  # M < 1, and m < 1 too for an (alpha, m)-geometric claim
     open_box: bool = False  # q > 1 and alpha < 1
     young: bool = False  # the Young split u, v = 1 - u
     pins: tuple[tuple[str, float], ...] = ()  # (parameter, the value it is fixed at)
+
+    def rhs(self, bp: BoundParams) -> float:
+        """The right-hand side: the point factor times the geometry factor."""
+        return self.factor(bp) * bnd.geometry_factor(bp.frac)
 
     @property
     def box(self) -> tuple[tuple[str, str, float], ...]:
@@ -146,20 +146,17 @@ class Theorem:
 
 _RELATIONS = {">": operator.gt, "<": operator.lt, "=": operator.eq}
 
-# Each RHS is looked up in `bounds` at call time, so a wrapped `bounds`
+# Each factor is looked up in `bounds` at call time, so a wrapped `bounds`
 # function (a profiler, a tracer) sees every call.
 THEOREMS = {
-    "t22": Theorem(lambda bp: bnd.bound_t22(bp), lambda bp: bnd.factor_t22(bp),
-                   M_below_1=False, pins=(("q", 1.0),)),
-    "t24": Theorem(lambda bp: bnd.bound_t24(bp), lambda bp: bnd.factor_t24(bp),
-                   open_box=True),
-    "t26": Theorem(lambda bp: bnd.bound_t26(bp), lambda bp: bnd.factor_t26(bp)),
-    "set": Theorem(lambda bp: bnd.bound_set(bp.M, bp.frac), geom_convex=True,
+    "t22": Theorem(lambda bp: bnd.factor_t22(bp), M_below_1=False, pins=(("q", 1.0),)),
+    "t24": Theorem(lambda bp: bnd.factor_t24(bp), open_box=True),
+    "t26": Theorem(lambda bp: bnd.factor_t26(bp)),
+    "set": Theorem(lambda bp: bnd.factor_set(bp), geom_convex=True,
                    pins=(("alpha", 1.0), ("m", 1.0))),
-    "mu1": Theorem(lambda bp: bnd.bound_mu1(bp), pins=(("mu", 1.0),)),
-    "mm": Theorem(lambda bp: bnd.bound_mm(bp), lambda bp: bnd.factor_mm(bp), young=True),
-    "remark_q1": Theorem(lambda bp: bnd.bound_mm(bp), lambda bp: bnd.factor_mm(bp),
-                         young=True, pins=(("q", 1.0),)),
+    "mu1": Theorem(lambda bp: bnd.factor_mu1(bp), pins=(("mu", 1.0),)),
+    "mm": Theorem(lambda bp: bnd.factor_mm(bp), young=True),
+    "remark_q1": Theorem(lambda bp: bnd.factor_mm(bp), young=True, pins=(("q", 1.0),)),
 }
 THEOREM_IDS = tuple(THEOREMS)
 
@@ -210,29 +207,7 @@ def verify_theorem(
     _check_hypotheses(theorem_id, f, bp)
     lhs = ostrowski_lhs(f, bp.frac, cfg)
     rhs = THEOREMS[theorem_id].rhs(bp)
-    margin, holds, tol_margin = _judge(lhs, rhs, cfg)
-    return Verdict(
-        theorem_id=theorem_id,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        holds=holds,
-        params={
-            "theorem": theorem_id,
-            "function": f.id,
-            "a": bp.frac.a,
-            "b": bp.frac.b,
-            "x": bp.frac.x,
-            "mu": bp.frac.mu,
-            "alpha": bp.alpha,
-            "m": bp.m,
-            "M": bp.M,
-            "q": bp.q,
-            "u": bp.u,
-            "v": bp.v,
-        },
-        tol_margin=tol_margin,
-    )
+    return Verdict(theorem_id, lhs, rhs, *_judge(lhs, rhs, cfg))
 
 
 def verify_classical(
@@ -245,26 +220,4 @@ def verify_classical(
     mean = adaptive_gauss(f.f, a, b, cfg) / (b - a)
     lhs = abs(float(f.f(x)) - mean)
     rhs = bnd.bound_classical(f.M, a, b, x)
-    margin, holds, tol_margin = _judge(lhs, rhs, cfg)
-    return Verdict(
-        theorem_id="classical",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        holds=holds,
-        params={
-            "theorem": "classical",
-            "function": f.id,
-            "a": a,
-            "b": b,
-            "x": x,
-            "mu": 1.0,
-            "alpha": None,
-            "m": None,
-            "M": f.M,
-            "q": None,
-            "u": None,
-            "v": None,
-        },
-        tol_margin=tol_margin,
-    )
+    return Verdict("classical", lhs, rhs, *_judge(lhs, rhs, cfg))

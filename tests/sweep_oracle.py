@@ -4,7 +4,8 @@
 verdict per instance with the right-hand side written as one left-associated
 printed product, then a summary pass and a record per verdict.  The tests
 require `report.run_sweep` to return the same report, record for record,
-and to raise the same first error.  Only `report._grid_for` and
+and to raise the same first error; a `set` RHS, which the library groups as
+(M / (mu + 1)) * geometry factor, only to within 1e-15 relative.  Only `report._grid_for` and
 `report.resolve_corpus` are shared with the library, and the tests pin
 those separately.
 """
@@ -57,13 +58,38 @@ def _mm(bp):
     )
 
 
+def _set(bp):
+    return bp.M * geometry_factor(bp.frac) / (bp.frac.mu + 1.0)
+
+
+def _mu1(bp):
+    if bp.frac.mu != 1.0:
+        raise DomainError("mu = 1 required")
+    if bp.M >= 1.0:
+        raise DomainError("M < 1 required")
+    if not 0.0 < bp.m < 1.0:
+        raise DomainError("m in (0, 1) required")
+    a, b, x = bp.frac.a, bp.frac.b, bp.frac.x
+    lc = bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M)
+    if lc == 0.0:
+        raise DomainError("the printed bracket diverges at c = 1")
+    bracket = bnd._exprel(lc) * (1.0 - 1.0 / lc)
+    return (
+        bp.M**bp.m
+        * 2.0 ** (1.0 / bp.q)
+        * bracket ** (1.0 / bp.q)
+        * ((x - a) ** 2 + (b - x) ** 2)
+        / (2.0 * (b - a))
+    )
+
+
 # Each RHS as one product, in the order the printed formula multiplies.
 RHS = {
     "t22": lambda bp: geometry_factor(bp.frac) * bnd.k_alpha(bp.M, bp.m, bp.alpha, bp.frac.mu),
     "t24": _t24,
     "t26": _t26,
-    "set": lambda bp: bnd.bound_set(bp.M, bp.frac),
-    "mu1": bnd.bound_mu1,
+    "set": _set,
+    "mu1": _mu1,
     "mm": _mm,
     "remark_q1": _mm,
 }

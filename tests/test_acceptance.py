@@ -11,19 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from ostrowski_frac.bounds import (
-    BoundParams,
-    bound_mm,
-    bound_mu1_audit,
-    bound_t22,
-    bound_t24,
-    bound_t26,
-)
+from ostrowski_frac.bounds import BoundParams, bound_mu1_audit
 from ostrowski_frac.cli import main
 from ostrowski_frac.convexity import check_gm_lemma, check_power_lemma
 from ostrowski_frac.fracint import FracParams, gamma, mexp_integral, rl_lower, rl_upper
 from ostrowski_frac.report import SweepConfig, run_sweep
-from ostrowski_frac.verify import lemma_identity_residual, verify_classical
+from ostrowski_frac.verify import THEOREMS, lemma_identity_residual, verify_classical
 
 import mp_oracle
 from conftest import simpson
@@ -170,21 +163,21 @@ def test_criterion_06_specialization_equalities(report_line):
         # power-mean route at q = 1 collapses onto the main bound
         alpha = rng.uniform(0.05, 1.0)
         p1 = BoundParams(frac, M=M, alpha=alpha, m=m, q=1.0)
-        worst = max(worst, _rel(bound_t26(p1), bound_t22(p1)))
+        worst = max(worst, _rel(THEOREMS["t26"].rhs(p1), THEOREMS["t22"].rhs(p1)))
 
         # each alpha = 1 corollary, written out, against its parent at alpha = 1
         p2 = BoundParams(frac, M=M, alpha=1.0, m=m, q=q)
         geometry = ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
         t22_alpha1 = geometry * M**m * mexp_integral(M ** (1.0 - m), mu)
-        worst = max(worst, _rel(t22_alpha1, bound_t22(p2)))
+        worst = max(worst, _rel(t22_alpha1, THEOREMS["t22"].rhs(p2)))
         t26_alpha1 = (
             M**m
             * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / q)
             * mexp_integral(M ** (q * (1.0 - m)), mu) ** (1.0 / q)
             * geometry
         )
-        worst = max(worst, _rel(t26_alpha1, bound_t26(p2)))
-        # bound_t24 needs alpha < 1: the Hoelder form, exponent q alpha (1 - m),
+        worst = max(worst, _rel(t26_alpha1, THEOREMS["t26"].rhs(p2)))
+        # t24 needs alpha < 1: the Hoelder form, exponent q alpha (1 - m),
         # written out in mpmath at 40 digits (in floats its (M^e - 1) cancels),
         # against it at the drawn alpha
         if q > 1.0 + 1e-9:
@@ -192,7 +185,7 @@ def test_criterion_06_specialization_equalities(report_line):
             record = {"theorem": "t24", "a": a, "b": b, "x": x, "mu": mu, "alpha": alpha,
                       "m": m, "M": M, "q": q, "u": None, "v": None}
             hoelder = mp_oracle.rhs(record)
-            worst = max(worst, float(_rel(bound_t24(p3), hoelder)))
+            worst = max(worst, float(_rel(THEOREMS["t24"].rhs(p3), hoelder)))
         count += 1
     ok = worst <= 1e-14
     report_line(6, ok, f"specialization equalities worst rel diff={worst:.3g} (<=1e-14)")
@@ -221,7 +214,7 @@ def test_criterion_07_young_ordering(report_line):
             u=u,
             v=1.0 - u,
         )
-        worst = min(worst, bound_mm(bp) - bound_t26(bp))
+        worst = min(worst, THEOREMS["mm"].rhs(bp) - THEOREMS["t26"].rhs(bp))
         count += 1
     ok = worst >= -1e-12
     report_line(7, ok, f"young relaxation worst margin={worst:.3g} (>=-1e-12)")
@@ -290,7 +283,6 @@ def test_criterion_10_cli_contract(tmp_path, capfd, report_line):
         "alpha = 0.5\n"
         "m = 0.5\n"
         "q = 1.0,2.0\n"
-        "seed = 42\n"
     )
     reports = []
     for name in ("r1.json", "r2.json"):

@@ -6,13 +6,8 @@ import pytest
 from ostrowski_frac.bounds import (
     BoundParams,
     bound_classical,
-    bound_mm,
-    bound_mu1,
     bound_mu1_audit,
-    bound_set,
-    bound_t22,
-    bound_t24,
-    bound_t26,
+    factor_mm,
     geometry_factor,
     k_alpha,
 )
@@ -24,6 +19,10 @@ import mp_oracle
 
 def bp(a=0.0, b=1.0, x=0.5, mu=0.5, **kw):
     return BoundParams(FracParams(a, b, x, mu), **kw)
+
+
+def rhs_of(theorem, params):
+    return THEOREMS[theorem].rhs(params)
 
 
 class TestBoundParams:
@@ -103,7 +102,7 @@ class TestKAlpha:
 class TestMainBound:
     def test_frozen_example(self):
         params = bp(a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5)
-        assert bound_t22(params) == pytest.approx(0.43972994582116864, rel=1e-9)
+        assert rhs_of("t22", params) == pytest.approx(0.43972994582116864, rel=1e-9)
 
     def test_alpha1_corollary_matches_parent(self):
         # the alpha = 1 corollary's k(1), written out, against the parent
@@ -118,29 +117,29 @@ class TestMainBound:
             params = BoundParams(FracParams(a, b, x, mu), M=M, alpha=1.0, m=m)
             geometry = ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
             lhs = geometry * M**m * mexp_integral(M ** (1.0 - m), mu)
-            rhs = bound_t22(params)
+            rhs = rhs_of("t22", params)
             assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
 
 
 class TestHoelderBound:
     def test_frozen_example(self):
         params = bp(a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5, q=2.0)
-        assert bound_t24(params) == pytest.approx(0.47525246968553458, rel=1e-12)
+        assert rhs_of("t24", params) == pytest.approx(0.47525246968553458, rel=1e-12)
 
     def test_requires_open_box(self):
         with pytest.raises(DomainError):
-            bound_t24(bp(M=0.5, alpha=0.5, m=0.5, q=1.0))
+            rhs_of("t24", bp(M=0.5, alpha=0.5, m=0.5, q=1.0))
         with pytest.raises(DomainError):
-            bound_t24(bp(M=1.0, alpha=0.5, m=0.5, q=2.0))
+            rhs_of("t24", bp(M=1.0, alpha=0.5, m=0.5, q=2.0))
         with pytest.raises(DomainError):
-            bound_t24(bp(M=0.5, alpha=1.0, m=0.5, q=2.0))
+            rhs_of("t24", bp(M=0.5, alpha=1.0, m=0.5, q=2.0))
         with pytest.raises(DomainError):
-            bound_t24(bp(M=0.5, alpha=0.5, m=1.0, q=2.0))
+            rhs_of("t24", bp(M=0.5, alpha=0.5, m=1.0, q=2.0))
 
     def test_guard_near_m_one(self):
         # m -> 1 sends the mean factor's exponent to 0; its expm1 form stays
         # finite and continuous
-        near = bound_t24(bp(M=0.5, alpha=0.5, m=1.0 - 1e-9, q=2.0))
+        near = rhs_of("t24", bp(M=0.5, alpha=0.5, m=1.0 - 1e-9, q=2.0))
         at_limit = 0.5 ** (1.0 - 1e-9) * (1.0 / 2.0) ** 0.5 * geometry_factor(
             FracParams(0.0, 1.0, 0.5, 0.5)
         )
@@ -161,21 +160,21 @@ class TestHoelderBound:
 
         for alpha in (0.05, 0.5, 0.9):
             params = bp(M=0.4, alpha=alpha, m=0.5, q=2.0)
-            assert bound_t24(params) == pytest.approx(written_out(params), rel=1e-13)
+            assert rhs_of("t24", params) == pytest.approx(written_out(params), rel=1e-13)
         corollary = written_out(bp(M=0.4, alpha=1.0, m=0.5, q=2.0))
-        near = bound_t24(bp(M=0.4, alpha=1.0 - 1e-12, m=0.5, q=2.0))
+        near = rhs_of("t24", bp(M=0.4, alpha=1.0 - 1e-12, m=0.5, q=2.0))
         assert near == pytest.approx(corollary, rel=1e-10)
 
     def test_underflowing_exponent_is_finite(self):
         # q alpha (1 - m) ln M underflows to 0; the mean factor is then 1
-        value = bound_t24(bp(M=0.5, alpha=5e-324, m=0.5, q=2.0))
+        value = rhs_of("t24", bp(M=0.5, alpha=5e-324, m=0.5, q=2.0))
         assert math.isfinite(value) and value > 0.0
 
 
 class TestPowerMeanBound:
     def test_frozen_example(self):
         params = bp(a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5, q=2.0)
-        assert bound_t26(params) == pytest.approx(0.44018934589992498, rel=1e-9)
+        assert rhs_of("t26", params) == pytest.approx(0.44018934589992498, rel=1e-9)
 
     def test_q1_reduces_to_main_bound(self):
         rng = np.random.default_rng(23)
@@ -190,8 +189,8 @@ class TestPowerMeanBound:
                 m=rng.uniform(0.05, 0.999),
                 q=1.0,
             )
-            lhs = bound_t26(params)
-            rhs = bound_t22(params)
+            lhs = rhs_of("t26", params)
+            rhs = rhs_of("t22", params)
             assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
 
     def test_alpha1_corollary_matches_parent(self):
@@ -212,20 +211,20 @@ class TestPowerMeanBound:
                 * mexp_integral(M ** (q * (1.0 - m)), mu) ** (1.0 / q)
                 * ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
             )
-            rhs = bound_t26(params)
+            rhs = rhs_of("t26", params)
             assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(rhs))
 
 
 class TestSetBound:
     def test_frozen_example(self):
-        assert bound_set(0.5, FracParams(0.0, 1.0, 0.5, 2.0)) == pytest.approx(
+        assert rhs_of("set", bp(x=0.5, mu=2.0, M=0.5)) == pytest.approx(
             0.041666666666666664, rel=1e-15
         )
 
     def test_equals_main_bound_at_M_one(self):
         params = bp(M=1.0, mu=1.5)
-        assert bound_set(1.0, params.frac) == pytest.approx(
-            bound_t22(params), rel=1e-14
+        assert rhs_of("set", params) == pytest.approx(
+            rhs_of("t22", params), rel=1e-14
         )
 
 
@@ -234,11 +233,11 @@ class TestMu1Bound:
         params = BoundParams(
             FracParams(0.0, 2.0, 1.0, 1.0), M=0.9, alpha=1.0, m=0.5, q=2.0
         )
-        assert bound_mu1(params) == pytest.approx(2.1168025157429535, rel=1e-12)
+        assert rhs_of("mu1", params) == pytest.approx(2.1168025157429535, rel=1e-12)
 
     def test_requires_mu_one(self):
         with pytest.raises(DomainError):
-            bound_mu1(bp(mu=0.5, M=0.5, m=0.5))
+            rhs_of("mu1", bp(mu=0.5, M=0.5, m=0.5))
 
     def test_audit_reports_positive_gap(self):
         # the printed bracket exceeds the kernel integral by 1/|ln c|
@@ -258,14 +257,14 @@ class TestMu1Bound:
         for M in (1.0 - 1e-4, 1.0 - 1e-8, 1.0 - 1e-12):
             params = BoundParams(FracParams(0.0, 2.0, 1.0, 1.0), M=M, m=0.5)
             lc = 1.0 * 1.0 * (1.0 - 0.5) * math.log(M)
-            bracket = bound_mu1(params) / M**0.5
+            bracket = rhs_of("mu1", params) / M**0.5
             kernel = mexp_integral(math.exp(lc), 1.0)
             assert bracket - kernel == pytest.approx(-1.0 / lc, rel=1e-9)
 
     def test_bracket_at_c_one_rejected(self):
         # alpha underflows the exponent to 0: c = 1, where the bracket is infinite
         with pytest.raises(DomainError, match="diverges"):
-            bound_mu1(BoundParams(FracParams(0.0, 2.0, 1.0, 1.0), M=0.5, alpha=5e-324, m=0.5))
+            rhs_of("mu1", BoundParams(FracParams(0.0, 2.0, 1.0, 1.0), M=0.5, alpha=5e-324, m=0.5))
 
 
 class TestYoungBounds:
@@ -274,7 +273,7 @@ class TestYoungBounds:
             a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5, q=2.0,
             u=0.5, v=0.5,
         )
-        assert bound_mm(params) == pytest.approx(0.46648905080240843, rel=1e-12)
+        assert rhs_of("mm", params) == pytest.approx(0.46648905080240843, rel=1e-12)
 
     def test_dominates_power_mean(self):
         rng = np.random.default_rng(31)
@@ -293,23 +292,23 @@ class TestYoungBounds:
                 u=u,
                 v=1.0 - u,
             )
-            assert bound_mm(params) - bound_t26(params) >= -1e-12
+            assert rhs_of("mm", params) - rhs_of("t26", params) >= -1e-12
             count += 1
 
     def test_v_to_one_limit_is_finite(self):
         params = bp(M=0.5, m=0.5, q=2.0, u=1e-9, v=1.0 - 1e-9)
-        assert math.isfinite(bound_mm(params))
+        assert math.isfinite(rhs_of("mm", params))
 
     def test_remark_q1(self):
         # the q = 1 remark is the general Young bound pinned at q = 1
         for M, alpha, m, u in ((0.5, 1.0, 0.5, 0.5), (0.3, 0.4, 0.75, 0.2)):
             params = bp(M=M, alpha=alpha, m=m, q=1.0, u=u, v=1.0 - u)
-            assert THEOREMS["remark_q1"].rhs(params) == bound_mm(params)
+            assert THEOREMS["remark_q1"].factor(params) == factor_mm(params)
         assert THEOREMS["remark_q1"].pins == (("q", 1.0),)
 
     def test_missing_split_rejected(self):
         with pytest.raises(DomainError):
-            bound_mm(bp(M=0.5, m=0.5, q=2.0))
+            rhs_of("mm", bp(M=0.5, m=0.5, q=2.0))
 
 
 class TestClassicalBound:
@@ -338,8 +337,8 @@ class TestReflectionSymmetry:
             kw = dict(M=0.6, alpha=0.5, m=0.5, q=2.0, u=0.5, v=0.5)
             p1 = BoundParams(FracParams(a, b, x, mu), **kw)
             p2 = BoundParams(FracParams(a, b, a + b - x, mu), **kw)
-            for fn in (bound_t22, bound_t24, bound_t26, bound_mm):
-                assert fn(p1) == pytest.approx(fn(p2), rel=1e-12)
+            for theorem in ("t22", "t24", "t26", "mm"):
+                assert rhs_of(theorem, p1) == pytest.approx(rhs_of(theorem, p2), rel=1e-12)
 
 
 class TestRhsOracle:
