@@ -58,6 +58,9 @@ class FracParams:
             raise DomainError("mu > 0 required")
 
 
+MAX_TOL = 1e-8  # the largest abs_tol or rel_tol a QuadConfig accepts
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     abs_tol: float = 1e-10
@@ -68,8 +71,13 @@ class QuadConfig:
     base_nodes: int = 16
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("tolerances must be positive")
+        # A verdict holds down to a margin of -100 * abs_tol (verify._judge):
+        # the cap keeps that slack at 1e-6 at most, below the smallest worst
+        # margin of the default sweep (set, 1.3e-5); abs_tol = inf would
+        # pass any violation.
+        for name in ("abs_tol", "rel_tol"):
+            if not 0.0 < getattr(self, name) <= MAX_TOL:
+                raise DomainError(f"{name} in (0, {MAX_TOL:g}] required")
         if self.max_subdivisions < 1 or self.base_nodes < 1:
             raise DomainError("max_subdivisions and base_nodes must be >= 1")
 

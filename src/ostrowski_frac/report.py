@@ -13,20 +13,19 @@ import hashlib
 import io
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from . import __version__
 from .bounds import BoundParams, geometry_factor
 from .corpus import FunctionSpec, audit, corpus_by_id, spec_from_family
-from .fracint import ConvergenceError, DomainError, FracParams, QuadConfig
+from .fracint import DomainError, FracParams, QuadConfig
 from .verify import (
     THEOREM_IDS,
     THEOREMS,
     HypothesisError,
     _check_hypotheses,
     _judge,
-    ostrowski_signed,
     ostrowski_signed_many,
 )
 
@@ -72,14 +71,21 @@ class SweepConfig:
                 raise ConfigError(f"unknown theorem id {t!r}; known: {THEOREM_IDS}")
         if self.out_format not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
-        # BoundParams alone states the range of alpha, m, q and u: one probe
-        # per value, so that no value is dropped from the sweep unreported.
-        for key, values in (("alpha", self.alphas), ("m", self.ms), ("q", self.qs),
-                            ("u", self.us)):
+        # FracParams alone states the range of x and mu, BoundParams that of
+        # alpha, m, q and u: one probe per value, so that no value is dropped
+        # from the sweep unreported or fails part-way through it.
+        probes = {
+            "x_fracs": (self.x_fracs, lambda v: replace(_PROBE, x=v)),
+            "mu": (self.mus, lambda v: replace(_PROBE, mu=v)),
+            "alpha": (self.alphas, lambda v: BoundParams(_PROBE, 1.0, alpha=v)),
+            "m": (self.ms, lambda v: BoundParams(_PROBE, 1.0, m=v)),
+            "q": (self.qs, lambda v: BoundParams(_PROBE, 1.0, q=v)),
+            "u": (self.us, lambda v: BoundParams(_PROBE, 1.0, u=v, v=1.0 - v)),
+        }
+        for key, (values, probe) in probes.items():
             for value in values:
-                kw = {"u": value, "v": 1.0 - value} if key == "u" else {key: value}
                 try:
-                    BoundParams(_PROBE, 1.0, **kw)
+                    probe(value)
                 except DomainError as exc:
                     raise ConfigError(f"{key} = {value!r}: {exc}") from None
 
@@ -231,186 +237,102 @@ def _grid_for(theorem: str, cfg: SweepConfig):
     return itertools.product(*(record.admitted(name, values) for name, values in axes))
 
 
-def _grid_runs(theorem: str, cfg: SweepConfig) -> list[tuple[float, list[tuple]]]:
-    """`_grid_for` split into runs of consecutive points that share mu, its
-    slowest axis: (mu, [(alpha, m, q, u), ...]) in grid order."""
-    return [
-        (mu, [point[1:] for point in points])
-        for mu, points in itertools.groupby(_grid_for(theorem, cfg), key=lambda p: p[0])
-    ]
-
-
-class _Run(NamedTuple):
-    """One run of a theorem's grid on one function: the points that apply,
-    each with its `BoundParams` and its point factor, and the DomainError of
-    a point factor, which stops the sweep right after the points before it."""
-
-    points: list[tuple[BoundParams, float]]
-    error: Optional[DomainError]
-
-
-def _run_on(theorem: str, f: FunctionSpec, frac: FracParams, rest: list[tuple], seen: dict) -> _Run:
-    """Check one run's points on f.  Per point: one `BoundParams`, one
-    `_check_hypotheses` and one point factor.  No hypothesis or factor reads
-    x, so the outcome serves every x; `frac` carries the run's mu (and the
-    first x).  `seen` holds the outcome of every point already checked.
-    `SweepConfig` has validated alpha, m, q and u, and f its M, so every
-    `BoundParams` builds."""
-    factor = THEOREMS[theorem].factor
-    points = []
-    for alpha, m, q, u in rest:
-        key = (frac.mu, alpha, m, q, u)
-        if key not in seen:
-            seen[key] = None
-            bp = BoundParams(frac, f.M, alpha, m, q, u, None if u is None else 1.0 - u)
-            try:
-                _check_hypotheses(theorem, f, bp)
-            except HypothesisError:
-                continue
-            try:
-                seen[key] = (bp, factor(bp))
-            except DomainError as exc:
-                return _Run(points, exc)
-        if seen[key] is not None:
-            points.append(seen[key])
-    return _Run(points, None)
-
-
-def _listing(f: FunctionSpec, cfg: SweepConfig, grids: dict):
-    """What the sweep emits for f: per theorem, the (frac, run) slots in
-    sweep order, and the DomainError that stops the sweep on f (None if it
-    runs through).
-
-    One `FracParams` is built per (x index, mu), at its first use in sweep
-    order (theorem, x, then the grid), so an invalid x or mu stops the sweep
-    there: the slots before it are emitted, then it is raised.  The points
-    are checked once per theorem, at the first x, for the runs that x
-    reaches.  A slot whose run has no point is left out.
-    """
+def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float, list]]:
+    """The points of a theorem's grid whose hypotheses hold on f, in grid
+    order, as (mu, [(bp, point factor), ...]) per run of points that share
+    mu, the grid's slowest axis.  Each distinct point gets one `BoundParams`,
+    one `_check_hypotheses` and one point factor; none of them reads x, so a
+    run's `BoundParams` share one `FracParams` at x = a.  `SweepConfig` has
+    validated every value, and f its M, so only a point factor can raise."""
     a, b = f.domain
-    fracs: dict[tuple[int, float], FracParams] = {}
-    blocks = []
-    for theorem in cfg.theorems:
-        runs, slots, stop, seen = None, [], None, {}
-        for i, frac_x in enumerate(cfg.x_fracs):
-            x = a + frac_x * (b - a)
-            row = []
-            try:
-                for mu, _ in grids[theorem]:
-                    frac = fracs.get((i, mu))
-                    if frac is None:
-                        frac = fracs[i, mu] = FracParams(a, b, x, mu)
-                    row.append(frac)
-            except DomainError as exc:
-                stop = exc
-            if runs is None:
-                runs = [_run_on(theorem, f, frac, rest, seen)
-                        for frac, (_, rest) in zip(row, grids[theorem])]
-            slots += [(frac, run) for frac, run in zip(row, runs) if run.points or run.error]
-            if stop is not None:
-                break
-        blocks.append((theorem, slots))
-        if stop is not None:
-            return blocks, stop
-    return blocks, None
-
-
-def _lhs_by_key(f: FunctionSpec, fracs: list[FracParams], quad: QuadConfig) -> dict:
-    """|signed LHS| per distinct (x, mu), one quadrature batch per mu.
-
-    A batch that fails is redone one instance at a time, so that each
-    instance maps to its own value or its own ConvergenceError.
-    """
-    batches: dict[float, dict[float, FracParams]] = {}
-    for frac in fracs:
-        batches.setdefault(frac.mu, {}).setdefault(frac.x, frac)
-    lhs = {}
-    for mu, by_x in batches.items():
-        group = list(by_x.values())
-        try:
-            values = ostrowski_signed_many(f, group, quad)
-        except ConvergenceError:
-            values = []
-            for frac in group:
+    factor = THEOREMS[theorem].factor
+    seen: dict[tuple, Optional[tuple[BoundParams, float]]] = {}
+    runs = []
+    for mu, grid in itertools.groupby(_grid_for(theorem, cfg), key=lambda p: p[0]):
+        frac = FracParams(a, b, a, mu)
+        points = []
+        for point in grid:
+            if point not in seen:
+                seen[point] = None
+                _, alpha, m, q, u = point
+                bp = BoundParams(frac, f.M, alpha, m, q, u, None if u is None else 1.0 - u)
                 try:
-                    values.append(ostrowski_signed(f, frac, quad))
-                except ConvergenceError as exc:
-                    values.append(exc)
-        for frac, value in zip(group, values):
-            lhs[frac.x, mu] = value if isinstance(value, ConvergenceError) else abs(value)
-    return lhs
+                    _check_hypotheses(theorem, f, bp)
+                except HypothesisError:
+                    continue
+                seen[point] = (bp, factor(bp))
+            if seen[point] is not None:
+                points.append(seen[point])
+        if points:
+            runs.append((mu, points))
+    return runs
 
 
 def run_sweep(cfg: SweepConfig) -> dict:
     """Execute the sweep; returns the report as a plain dict.
 
-    Per function, the applicable points are listed first (`_listing`),
-    their LHS values computed in one batch per mu, and the verdict records
-    built in sweep order.  Each RHS is `Theorem.rhs`: the point factor,
-    computed once per point, times the geometry factor of its (x, mu),
-    computed once per (x, mu).  Errors surface in sweep order too: a
-    DomainError while listing is raised after the verdicts before it, a
-    failed LHS or point factor at its first use.
+    Per function, in four steps: list every theorem's points (`_points`);
+    build one `FracParams` per (x, mu) in use; compute their LHS values,
+    one quadrature batch per mu; emit the verdict records in sweep order.
+    Each RHS is `Theorem.rhs`: the point factor, computed once per point,
+    times the geometry factor of its (x, mu), computed once per (x, mu).
+
+    Errors come in this order.  `SweepConfig` has rejected every bad
+    configured value before the sweep starts.  Then, per function in corpus
+    order, a point factor's DomainError is raised while that function's
+    points are listed, before any of its quadrature.  Then the first
+    ConvergenceError in batch order: mu in order of first appearance, then
+    x in `x_fracs` order (`adaptive_gauss_many` raises for its lowest-index
+    failing integral).
     """
-    specs = resolve_corpus(cfg)
-    grids = {theorem: _grid_runs(theorem, cfg) for theorem in cfg.theorems}
     records: list[dict] = []
     summary: dict[str, dict] = {}
-
-    for f in specs:
-        blocks, stop = _listing(f, cfg, grids)
-        lhs_of = _lhs_by_key(f, [frac for _, slots in blocks for frac, _ in slots], cfg.quad)
-        geometry: dict[tuple[float, float], float] = {}
-        for theorem, slots in blocks:
+    for f in resolve_corpus(cfg):
+        a, b = f.domain
+        xs = [a + frac_x * (b - a) for frac_x in cfg.x_fracs]
+        listed = [(theorem, _points(theorem, f, cfg)) for theorem in cfg.theorems]
+        mus = dict.fromkeys(mu for _, runs in listed for mu, _ in runs)
+        batches = {mu: [FracParams(a, b, x, mu) for x in dict.fromkeys(xs)] for mu in mus}
+        at: dict[tuple[float, float], tuple[float, float]] = {}  # (x, mu) -> (lhs, g)
+        for mu, fracs in batches.items():
+            for frac, signed in zip(fracs, ostrowski_signed_many(f, fracs, cfg.quad)):
+                at[frac.x, mu] = abs(signed), geometry_factor(frac)
+        for theorem, runs in listed:
             worst = summary[theorem]["worst_margin"] if theorem in summary else None
-            held = failed = 0
-            for frac, run in slots:
-                x, mu = frac.x, frac.mu
-                lhs = lhs_of[x, mu]
-                if isinstance(lhs, ConvergenceError):
-                    raise lhs
-                if not run.points:  # the run's first point factor failed
-                    raise run.error
-                g = geometry.get((x, mu))
-                if g is None:
-                    g = geometry[x, mu] = geometry_factor(frac)
-                for bp, factor in run.points:
-                    rhs = factor * g
-                    margin, holds, tol_margin = _judge(lhs, rhs, cfg.quad)
-                    if holds:
-                        held += 1
-                    else:
-                        failed += 1
-                    if worst is None or margin < worst:
-                        worst = margin
-                    records.append({
-                        "theorem": theorem,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                        "margin": margin,
-                        "holds": holds,
-                        "tol_margin": tol_margin,
-                        "function": f.id,
-                        "a": frac.a,
-                        "b": frac.b,
-                        "x": x,
-                        "mu": mu,
-                        "alpha": bp.alpha,
-                        "m": bp.m,
-                        "M": bp.M,
-                        "q": bp.q,
-                        "u": bp.u,
-                        "v": bp.v,
-                    })
-                if run.error is not None:
-                    raise run.error
-            if held or failed:
+            start, held = len(records), 0
+            for x in xs:
+                for mu, points in runs:
+                    lhs, g = at[x, mu]
+                    for bp, factor in points:
+                        rhs = factor * g
+                        margin, holds, tol_margin = _judge(lhs, rhs, cfg.quad)
+                        held += holds
+                        if worst is None or margin < worst:
+                            worst = margin
+                        records.append({
+                            "theorem": theorem,
+                            "lhs": lhs,
+                            "rhs": rhs,
+                            "margin": margin,
+                            "holds": holds,
+                            "tol_margin": tol_margin,
+                            "function": f.id,
+                            "a": a,
+                            "b": b,
+                            "x": x,
+                            "mu": mu,
+                            "alpha": bp.alpha,
+                            "m": bp.m,
+                            "M": bp.M,
+                            "q": bp.q,
+                            "u": bp.u,
+                            "v": bp.v,
+                        })
+            if len(records) > start:
                 s = summary.setdefault(theorem, {"pass": 0, "fail": 0, "worst_margin": None})
                 s["pass"] += held
-                s["fail"] += failed
+                s["fail"] += len(records) - start - held
                 s["worst_margin"] = worst
-        if stop is not None:
-            raise stop
 
     return {
         "config_fingerprint": cfg.fingerprint(),

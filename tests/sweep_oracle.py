@@ -3,9 +3,9 @@
 `run_sweep` lists every instance with its own `BoundParams`, builds a
 verdict per instance with the right-hand side written as one left-associated
 printed product, then a summary pass and a record per verdict.  The tests
-require `report.run_sweep` to return the same report, record for record,
-and to raise the same first error; a `set` RHS, which the library groups as
-(M / (mu + 1)) * geometry factor, only to within 1e-15 relative.  Only `report._grid_for` and
+require `report.run_sweep` to return the same report, record for record;
+a `set` RHS, which the library groups as (M / (mu + 1)) * geometry factor,
+only to within 1e-15 relative.  Only `report._grid_for` and
 `report.resolve_corpus` are shared with the library, and the tests pin
 those separately.
 """

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -184,26 +185,43 @@ class TestSweepCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    # An extra member whose declared M understates |f'|; audit disabled so
+    # the sweep itself must catch the violated inequality.
+    CRAFTED_VIOLATION = (
+        "functions = bad\n"
+        "theorems = t22\n"
+        "x_fracs = 0.95\n"
+        "mu = 1.0\n"
+        "alpha = 1.0\n"
+        "m = 0.5\n"
+        "q = 1.0\n"
+        "audit = false\n"
+        "function.bad = affine slope=0.8 intercept=0.0 lo=1.0 hi=2.0 "
+        "declared_M=0.1\n"
+    )
+
     def test_crafted_violation_exits_1(self, tmp_path, capsys):
-        # an extra member whose declared M understates |f'|; audit disabled
-        # so the sweep itself must catch the violated inequality
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(
-            "functions = bad\n"
-            "theorems = t22\n"
-            "x_fracs = 0.95\n"
-            "mu = 1.0\n"
-            "alpha = 1.0\n"
-            "m = 0.5\n"
-            "q = 1.0\n"
-            "audit = false\n"
-            "function.bad = affine slope=0.8 intercept=0.0 lo=1.0 hi=2.0 "
-            "declared_M=0.1\n"
-        )
+        cfg.write_text(self.CRAFTED_VIOLATION)
         rc = main(["sweep", "--config", str(cfg)])
         assert rc == 1
         report = json.loads(capsys.readouterr().out)
         assert any(not v["holds"] for v in report["verdicts"])
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("abs_tol = inf", "abs_tol in (0, 1e-08] required"),
+         ("abs_tol = 1e300", "abs_tol in (0, 1e-08] required"),
+         ("rel_tol = inf", "rel_tol in (0, 1e-08] required")],
+    )
+    def test_loose_tolerance_exits_2(self, tmp_path, capsys, line, message):
+        # A verdict holds down to a margin of -100 * abs_tol: a tolerance
+        # loose enough would pass the crafted violation with exit 0.
+        cfg = tmp_path / "loose.cfg"
+        cfg.write_text(self.CRAFTED_VIOLATION + line + "\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
     def test_audit_catches_crafted_violation_by_default(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -254,7 +272,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "line, named",
         [("abs_tol = banana", "abs_tol"), ("alpha = 0.5,1.5", "alpha = 1.5"),
-         ("seed = 1", "unknown config keys: ['seed']")],
+         ("seed = 1", "unknown config keys: ['seed']"),
+         ("x_fracs = 0.5,1.5", "x_fracs = 1.5"), ("mu = 0", "mu = 0.0")],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, line, named):
         # A value the sweep cannot use is a usage error, not a violation (1)
@@ -330,6 +349,10 @@ class TestConfigParsing:
             ("q = 0.5", "q = 0.5: q >= 1 required"),
             ("u = 1.0", "u = 1.0: u, v > 0 required"),
             ("alpha = nan", "alpha = nan: alpha in (0, 1] required"),
+            ("x_fracs = 0.5,1.5", "x_fracs = 1.5: x in [a, b] required"),
+            ("x_fracs = nan", "x_fracs = nan: x must be finite"),
+            ("mu = 0", "mu = 0.0: mu > 0 required"),
+            ("mu = inf", "mu = inf: mu must be finite"),
         ],
     )
     def test_out_of_domain_parameter(self, text, message):
@@ -437,12 +460,11 @@ class TestBatchedSweep:
         with pytest.raises(RuntimeError, match="integrand evaluated"):
             run_sweep(cfg)
 
-    # Depth-1 failures, first in sweep order but in no batch's first place.
-    # On linear only mu = 2.5 and mu = 1.5 fail, at every x: listing them
-    # out of order defeats any sorted batch order.  On a steep exp_decay at
-    # 1e-15 tolerance, mu = 1 fails only at x = b and mu = 0.5 already at
-    # x = 0.1, so the mu = 1 batch, computed first, fails at a later
-    # instance than the mu = 0.5 one.
+    # Depth-1 failures.  On linear only mu = 2.5 and mu = 1.5 fail, at
+    # every x: the mu = 2.5 batch comes first, its first x fails.  On a
+    # steep exp_decay at 1e-15 tolerance, mu = 1 fails only at x = b and
+    # mu = 0.5 already at x = 0.1: the mu = 1 batch, first in batch order,
+    # fails at an instance that comes after (0.1, 0.5) in sweep order.
     FAILING = {
         "by-mu": "functions = linear\nx_fracs = 0.75,0.25\nmu = 0.5,2.5,1.5\n",
         "by-x": (
@@ -451,27 +473,37 @@ class TestBatchedSweep:
             "function.steep = exp_decay M=0.5 lam=80 lo=1.0 hi=2.0\n"
         ),
     }
+    # The first failing instance in batch order (x, mu).
+    FIRST_FAILING = {"by-mu": (2.25, 2.5), "by-x": (2.0, 1.0)}
     T22_DEPTH_1 = "theorems = t22\nalpha = 1.0\nm = 0.5\nq = 1.0\nmax_subdivisions = 1\n"
 
     @staticmethod
-    def _first_failure(cfg):
-        """One instance at a time, in sweep order (every t22 instance of
-        these configs applies)."""
+    def _failures(cfg):
+        """(x, mu, message) of every failing instance, one instance at a
+        time, in batch order: mu, then x (every t22 instance of these
+        configs applies)."""
         (f,) = resolve_corpus(cfg)
         a, b = f.domain
-        for frac_x in cfg.x_fracs:
-            for mu in cfg.mus:
+        out = []
+        for mu in cfg.mus:
+            for frac_x in cfg.x_fracs:
+                x = a + frac_x * (b - a)
                 try:
-                    ostrowski_lhs(f, FracParams(a, b, a + frac_x * (b - a), mu), cfg.quad)
+                    ostrowski_lhs(f, FracParams(a, b, x, mu), cfg.quad)
                 except ConvergenceError as exc:
-                    return str(exc)
-        raise AssertionError("no instance fails")
+                    out.append((x, mu, str(exc)))
+        return out
 
     @pytest.mark.parametrize("case", sorted(FAILING))
     def test_first_failing_instance_in_sweep_order_is_raised(self, case, tmp_path, capsys):
         text = self.T22_DEPTH_1 + self.FAILING[case]
         cfg = parse_config(text)
-        want = self._first_failure(cfg)
+        failures = self._failures(cfg)
+        x, mu, want = failures[0]
+        assert (x, mu) == self.FIRST_FAILING[case]
+        # Every failing instance has its own message, so the raised one
+        # names the instance.
+        assert len({message for *_, message in failures}) == len(failures) > 1
         with pytest.raises(ConvergenceError) as got:
             run_sweep(cfg)
         assert str(got.value) == want
@@ -480,17 +512,26 @@ class TestBatchedSweep:
         assert main(["sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {want}\n"
 
-    def test_earlier_convergence_error_wins_over_later_domain_error(self):
-        # mu = -1 is rejected while listing, after the failing (0.75, 2.5).
+    def test_point_factor_error_before_any_quadrature(self, monkeypatch):
+        # M = 1e-300 underflows t26's c = M^(q alpha (1-m)) at q = 3 but not
+        # at q = 1.  t22's points, listed first, apply; the error of t26's
+        # point factor still comes before any integrand is evaluated.
         cfg = parse_config(
-            self.T22_DEPTH_1 + "functions = linear\nx_fracs = 0.75\nmu = 2.5,-1\n"
+            "functions = tiny\ntheorems = t22,t26\nx_fracs = 0.25,0.75\nmu = 0.5,1.5\n"
+            "alpha = 1.0\nm = 0.25\nq = 1.0,3.0\naudit = false\n"
+            "function.tiny = affine slope=1e-300 intercept=1.0 lo=1.0 hi=2.0\n"
         )
-        want = self._first_failure(dataclasses.replace(cfg, mus=(2.5,)))
-        with pytest.raises(ConvergenceError) as got:
+        (tiny,) = resolve_corpus(cfg)
+        assert report_mod._points("t22", tiny, cfg)
+
+        def boom(u):
+            raise RuntimeError("integrand evaluated")
+
+        spec = dataclasses.replace(tiny, f=boom, fprime=boom)
+        monkeypatch.setattr(report_mod, "resolve_corpus", lambda cfg: [spec])
+        with pytest.raises(DomainError) as got:
             run_sweep(cfg)
-        assert str(got.value) == want
-        with pytest.raises(DomainError, match="mu > 0"):
-            run_sweep(dataclasses.replace(cfg, mus=(0.5, -1.0)))
+        assert str(got.value) == "c in [float_info.min, 1] required"
 
 
 class TestHypothesesCheckedOncePerPoint:
@@ -519,77 +560,57 @@ class TestHypothesesCheckedOncePerPoint:
             "theorems = t22,t26\nx_fracs = 0.25,0.75,0.25\nmu = 0.5,1.0,0.5\n"
             "alpha = 0.5,0.5\nm = 0.5\nq = 1.0,2.0\n"
         ),
-        # x = a + 1.5 (b - a) is rejected by FracParams after the x = 0.5 verdicts.
-        "x-outside": "theorems = t22,t26\nx_fracs = 0.5,1.5\nmu = 0.5,1.0\nq = 1.0\n",
-        # t26 has no claim at alpha = 0.3, so rejects every point; x = 1.5 must
-        # still raise there, before any set verdict (set pins alpha = 1).
-        "x-outside-rejected": "theorems = t26,set\nx_fracs = 0.5,1.5\nmu = 1.0\nalpha = 0.3\n",
     }
-    RAISES = dict.fromkeys(("x-outside", "x-outside-rejected"), "x in [a, b] required")
 
     @staticmethod
     def _reference(cfg):
         """One `_check_hypotheses` per instance, in sweep order: the emitted
-        instances, the distinct points checked, and the message of the
-        DomainError that stops the sweep (None if it runs through)."""
+        instances and the distinct points checked."""
         out, checked = [], set()
-        try:
-            for f in resolve_corpus(cfg):
-                a, b = f.domain
-                for theorem in cfg.theorems:
-                    for frac_x in cfg.x_fracs:
-                        x = a + frac_x * (b - a)
-                        for mu, alpha, m, q, u in report_mod._grid_for(theorem, cfg):
-                            frac = FracParams(a, b, x, mu)
-                            bp = BoundParams(frac, f.M, alpha, m, q, u,
-                                             None if u is None else 1.0 - u)
-                            checked.add((f.id, theorem, mu, alpha, m, q, u))
-                            try:
-                                _check_hypotheses(theorem, f, bp)
-                            except HypothesisError:
-                                continue
-                            out.append((theorem, f.id, x, mu, alpha, m, q, u))
-        except DomainError as exc:
-            return out, checked, str(exc)
-        return out, checked, None
+        for f in resolve_corpus(cfg):
+            a, b = f.domain
+            for theorem in cfg.theorems:
+                for frac_x in cfg.x_fracs:
+                    x = a + frac_x * (b - a)
+                    for mu, alpha, m, q, u in report_mod._grid_for(theorem, cfg):
+                        frac = FracParams(a, b, x, mu)
+                        bp = BoundParams(frac, f.M, alpha, m, q, u,
+                                         None if u is None else 1.0 - u)
+                        checked.add((f.id, theorem, mu, alpha, m, q, u))
+                        try:
+                            _check_hypotheses(theorem, f, bp)
+                        except HypothesisError:
+                            continue
+                        out.append((theorem, f.id, x, mu, alpha, m, q, u))
+        return out, checked
 
     @staticmethod
-    def _listing(f, cfg):
-        return report_mod._listing(
-            f, cfg, {t: report_mod._grid_runs(t, cfg) for t in cfg.theorems})
-
-    @classmethod
-    def _listed(cls, cfg):
-        """`_listing` over the corpus up to the first DomainError: the
-        instances of every slot's points, in sweep order."""
+    def _listed(cfg):
+        """`_points` over the corpus, spread over every x: the instances in
+        sweep order."""
         out = []
         for f in resolve_corpus(cfg):
-            blocks, stop = cls._listing(f, cfg)
-            for theorem, slots in blocks:
-                for frac, run in slots:
-                    assert run.error is None
-                    out += [(theorem, f.id, frac.x, frac.mu, bp.alpha, bp.m, bp.q, bp.u)
-                            for bp, _ in run.points]
-            if stop is not None:
-                return out, str(stop)
-        return out, None
+            a, b = f.domain
+            for theorem in cfg.theorems:
+                runs = report_mod._points(theorem, f, cfg)
+                for frac_x in cfg.x_fracs:
+                    x = a + frac_x * (b - a)
+                    for mu, points in runs:
+                        assert all(bp.frac.mu == mu for bp, _ in points)
+                        out += [(theorem, f.id, x, mu, bp.alpha, bp.m, bp.q, bp.u)
+                                for bp, _ in points]
+        return out
 
     @pytest.mark.parametrize("case", sorted(CONFIGS))
     def test_same_instances_as_one_check_per_instance(self, case, corpus):
         cfg = parse_config(self.CONFIGS[case])
-        want, _, error = self._reference(cfg)
-        assert error == self.RAISES.get(case)
-        assert want or case == "x-outside-rejected"
-        assert self._listed(cfg) == (want, error)
-        if error is not None:
-            with pytest.raises(DomainError) as got:
-                run_sweep(cfg)
-            assert str(got.value) == error
-            return
+        want, _ = self._reference(cfg)
+        assert want
+        assert self._listed(cfg) == want
         verdicts = run_sweep(cfg)["verdicts"]
         keys = ("theorem", "function", "x", "mu", "alpha", "m", "q", "u")
         got = [tuple(v[k] for k in keys) for v in verdicts]
-        assert got and got == want
+        assert got == want
         for v in verdicts:
             bp = BoundParams(
                 FracParams(v["a"], v["b"], v["x"], v["mu"]),
@@ -607,21 +628,31 @@ class TestHypothesesCheckedOncePerPoint:
             return _check_hypotheses(theorem, f, bp)
 
         monkeypatch.setattr(report_mod, "_check_hypotheses", counting)
-        self._listed(cfg)
+        run_sweep(cfg)
         assert len(seen) == len(set(seen))
         assert set(seen) == self._reference(cfg)[1]
 
-    @pytest.mark.parametrize("text", [BATCH_SWEEP, ""], ids=["batch", "default"])
-    def test_one_frac_params_per_x_and_mu(self, text):
+    @pytest.mark.parametrize(
+        "text", [BATCH_SWEEP, "", CONFIGS["repeats"]], ids=["batch", "default", "repeats"])
+    def test_one_frac_params_per_x_and_mu(self, text, monkeypatch):
+        """A sweep builds one `FracParams` per (function, x, mu) that has a
+        verdict, and one per run of a theorem's grid that shares mu."""
         cfg = parse_config(text)
-        for f in resolve_corpus(cfg):
-            blocks, _ = self._listing(f, cfg)
-            slots = [slot for _, theorem_slots in blocks for slot in theorem_slots]
-            pairs = {(frac.x, frac.mu) for frac, _ in slots}
-            # A point's BoundParams carries the FracParams of its run at the first x.
-            fracs = [frac for frac, _ in slots]
-            fracs += [bp.frac for _, run in slots for bp, _ in run.points]
-            assert len({id(frac) for frac in fracs}) == len(pairs)
+        pairs = {(f, x, mu) for _, f, x, mu, *_ in self._reference(cfg)[0]}
+        runs = sum(
+            len(list(itertools.groupby(report_mod._grid_for(t, cfg), key=lambda p: p[0])))
+            for t in cfg.theorems
+        ) * len(resolve_corpus(cfg))
+        built = []
+
+        class Counting(FracParams):
+            def __post_init__(self):
+                built.append((self.x, self.mu))
+                super().__post_init__()
+
+        monkeypatch.setattr(report_mod, "FracParams", Counting)
+        run_sweep(cfg)
+        assert len(built) == len(pairs) + runs
 
     def test_rejected_bound_params_built_once_per_point(self, monkeypatch):
         cfg = parse_config(self.CONFIGS["no-claim"])
@@ -640,19 +671,19 @@ class TestHypothesesCheckedOncePerPoint:
         monkeypatch.setattr(report_mod, "BoundParams", Counting)
         for f in resolve_corpus(cfg):
             built.clear()
-            self._listing(f, cfg)
+            for theorem in cfg.theorems:
+                report_mod._points(theorem, f, cfg)
             assert built.count(0.3) == rejected
 
 
 class TestSweepMatchesPerVerdictOracle:
     """The columnar sweep returns, record for record, the report of the
-    per-verdict sweep it replaced (tests/sweep_oracle.py), raises the same
-    first error, and renders to the same bytes.  The exceptions are the
-    theorems whose printed product groups otherwise than point factor times
-    geometry factor: `set` (M * geometry factor / (mu + 1)) and, where
-    b - a is not a power of 2, `mu1` (... * ((x-a)^2 + (b-x)^2) / (2(b-a))).
-    Their rhs and margin may differ from the oracle's by 1e-15 relative to
-    the oracle's rhs."""
+    per-verdict sweep it replaced (tests/sweep_oracle.py) and renders to
+    the same bytes.  The exceptions are the theorems whose printed product
+    groups otherwise than point factor times geometry factor: `set`
+    (M * geometry factor / (mu + 1)) and, where b - a is not a power of 2,
+    `mu1` (... * ((x-a)^2 + (b-x)^2) / (2(b-a))).  Their rhs and margin may
+    differ from the oracle's by 1e-15 relative to the oracle's rhs."""
 
     REGROUPED = ("set", "mu1")
 
@@ -693,14 +724,7 @@ class TestSweepMatchesPerVerdictOracle:
     @pytest.mark.parametrize("case", sorted(TestHypothesesCheckedOncePerPoint.CONFIGS))
     def test_structure_configs(self, case):
         cfg = parse_config(TestHypothesesCheckedOncePerPoint.CONFIGS[case])
-        error = TestHypothesesCheckedOncePerPoint.RAISES.get(case)
-        if error is None:
-            self._assert_same(run_sweep(cfg), sweep_oracle.run_sweep(cfg))
-            return
-        for sweep in (run_sweep, sweep_oracle.run_sweep):
-            with pytest.raises(DomainError) as got:
-                sweep(cfg)
-            assert str(got.value) == error
+        self._assert_same(run_sweep(cfg), sweep_oracle.run_sweep(cfg))
 
     @pytest.mark.parametrize("text", [QUAD_DENSE, EXTRA_MEMBER], ids=["quad-dense", "extra"])
     def test_other_configs(self, text):
@@ -708,19 +732,6 @@ class TestSweepMatchesPerVerdictOracle:
         got = run_sweep(cfg)
         assert got["verdicts"]
         self._assert_same(got, sweep_oracle.run_sweep(cfg))
-
-    def test_point_factor_error_at_its_first_verdict(self):
-        # M = 1e-300 underflows t26's c = M^(q alpha (1-m)) at q = 3 but not
-        # at q = 1: the error comes after the q = 1 verdicts at the first x,
-        # and before the DomainError of the x outside [a, b].
-        cfg = parse_config(
-            "functions = tiny\ntheorems = t26,t22\nx_fracs = 0.25,1.5\nmu = 0.5,1.5\n"
-            "alpha = 1.0\nm = 0.25\nq = 1.0,3.0\naudit = false\n"
-            "function.tiny = affine slope=1e-300 intercept=1.0 lo=1.0 hi=2.0\n"
-        )
-        for sweep in (run_sweep, sweep_oracle.run_sweep):
-            with pytest.raises(DomainError, match=r"c in \[float_info.min, 1\] required"):
-                sweep(cfg)
 
     def test_point_factor_times_geometry_is_the_rhs(self, corpus):
         """Over the default grid, for every theorem: the factor of the point

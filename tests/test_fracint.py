@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ostrowski_frac.fracint import (
+    MAX_TOL,
     ConvergenceError,
     DomainError,
     FracParams,
@@ -65,6 +66,19 @@ class TestQuadConfig:
             QuadConfig(abs_tol=0.0)
         with pytest.raises(DomainError):
             QuadConfig(max_subdivisions=0)
+
+    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [math.inf, 1e300, 1.0001e-8, math.nan, 0.0, -1e-10])
+    def test_tolerance_outside_range(self, name, value):
+        # 100 * abs_tol is the slack a verdict is granted: a loose tolerance
+        # would let it pass any violation.
+        with pytest.raises(DomainError) as got:
+            QuadConfig(**{name: value})
+        assert str(got.value) == f"{name} in (0, 1e-08] required"
+
+    def test_tolerance_cap_is_accepted(self):
+        cfg = QuadConfig(abs_tol=1e-8, rel_tol=1e-8)
+        assert cfg.abs_tol == cfg.rel_tol == MAX_TOL == 1e-8
 
 
 class TestAdaptiveGauss:
