@@ -142,7 +142,8 @@ def check_membership(
 
     g must accept numpy arrays.  If g_domain is given, every combination
     point the grid produces must fall inside it; silently extrapolating g
-    would mask violations, so an excursion raises DomainError instead.
+    would mask violations, so an excursion raises DomainError instead, as
+    does a value of g on the grid that is not finite.
     """
     lo, hi = domain
     if lo < 0:
@@ -171,10 +172,10 @@ def check_membership(
     else:
         pts = T * X + m * (1.0 - T) * Y
         lhs = np.asarray(g(pts), dtype=float)
+        gx = np.asarray(g(X), dtype=float)
+        gy = np.asarray(g(Y), dtype=float)
         ta = T**alpha
-        rhs = ta * np.asarray(g(X), dtype=float) + m * (1.0 - ta) * np.asarray(
-            g(Y), dtype=float
-        )
+        rhs = ta * gx + m * (1.0 - ta) * gy
 
     if g_domain is not None:
         dlo, dhi = g_domain
@@ -183,6 +184,10 @@ def check_membership(
                 f"combination points leave g's domain: needed "
                 f"[{pts.min():.6g}, {pts.max():.6g}], have [{dlo:.6g}, {dhi:.6g}]"
             )
+
+    # Every comparison with nan is False: a non-finite g would pass vacuously.
+    if not all(np.isfinite(v).all() for v in (gx, gy, lhs)):
+        raise DomainError("g not finite on the grid")
 
     tol = grid.slack * np.maximum(1.0, np.abs(rhs))
     viol = lhs > rhs + tol

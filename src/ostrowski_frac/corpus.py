@@ -55,6 +55,12 @@ class FunctionSpec:
         if not 0.0 < self.M <= 1.0:
             raise DomainError("M in (0, 1] required")
 
+    def require_within(self, a: float, b: float) -> None:
+        """Raise DomainError unless [a, b] lies in the domain, up to 1e-12."""
+        lo, hi = self.domain
+        if not (lo - 1e-12 <= a and b <= hi + 1e-12):
+            raise DomainError(f"[{a}, {b}] outside domain of {self.id!r}")
+
     def has_claim(self, kind: ConvexityKind, q: float, tol: float = 1e-12) -> bool:
         for ck, cq in self.claims:
             if ck.kind is not kind.kind or abs(cq - q) > tol:

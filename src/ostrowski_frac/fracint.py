@@ -103,8 +103,8 @@ def _panel_sums(g, lo, hi, k, ref, w):
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     pts = mid[:, None] + half[:, None] * ref
-    vals = np.asarray(g(pts.ravel(), np.repeat(k, ref.size)), dtype=float)
-    return np.sum(vals.reshape(pts.shape) * w * half[:, None], axis=1)
+    vals = np.asarray(g(pts.ravel(), k.repeat(ref.size)), dtype=float)
+    return np.add.reduce(vals.reshape(pts.shape) * w * half[:, None], axis=1)
 
 
 def _interleave(left, right):
@@ -131,6 +131,8 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
 
     Raises ConvergenceError for the lowest-index integral that fails, naming
     its leftmost failing panel: the error integrating one by one would give.
+    A panel fails where its halves still disagree at the depth cap, or at
+    once, unbisected, where their sum is not finite.
     Empty intervals integrate to 0 without calling g.
     """
     los = np.asarray(los, dtype=float)
@@ -159,30 +161,41 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
     # estimate on [a, b] and j, the integral's position in `live`.
     a, b, est, j = lo, hi, whole, np.arange(live.size)
     levels = []  # per depth: (left + right of each panel, panel was split)
+    failures = []  # per depth: (j, a, message) of its first failing panel
     for depth in range(cfg.max_subdivisions + 1):
         mid = 0.5 * (a + b)
-        halves = _panel_sums(
-            g, _interleave(a, mid), _interleave(mid, b), live[np.repeat(j, 2)], ref, w
-        )
-        left, right = halves[0::2], halves[1::2]
-        both = left + right
+        # The halves, interleaved: each panel's left half, then its right.
+        lo2, hi2, j2 = _interleave(a, mid), _interleave(mid, b), j.repeat(2)
+        halves = _panel_sums(g, lo2, hi2, live[j2], ref, w)
+        both = halves[0::2] + halves[1::2]
         err = np.abs(both - est)
         split = ~(err <= np.maximum(tol[j] * (b - a) / total[j], floor))
+        # A non-finite sum fails its integral at once: bisecting it again
+        # would double its panels at every level down to the depth cap.
+        bad = ~np.isfinite(both)
         if depth == cfg.max_subdivisions:
-            failed = np.flatnonzero(split & ~(err <= cap_accept))
-            if failed.size:
-                i = failed[0]
-                raise ConvergenceError(
-                    f"quadrature on [{float(a[i])}, {float(b[i])}] not converged "
-                    f"at depth {cfg.max_subdivisions} (disagreement {float(err[i]):.3g})"
-                )
+            failed = split & ~(err <= cap_accept)
             split[:] = False
+        else:
+            failed = bad
+            split &= ~bad
+        if failed.any():
+            i = np.flatnonzero(failed)[0]
+            where = f"[{float(a[i])}, {float(b[i])}]"
+            message = (
+                f"integrand not finite on {where}" if bad[i] else
+                f"quadrature on {where} not converged at depth {cfg.max_subdivisions} "
+                f"(disagreement {float(err[i]):.3g})"
+            )
+            failures.append((j[i], a[i], message))
         levels.append((both, split))
         if not split.any():
             break
-        a, b = _interleave(a[split], mid[split]), _interleave(mid[split], b[split])
-        est = _interleave(left[split], right[split])
-        j = np.repeat(j[split], 2)
+        keep = split.repeat(2)
+        a, b, est, j = lo2[keep], hi2[keep], halves[keep], j2[keep]
+    if failures:
+        # The lowest-index failing integral at its leftmost failing panel.
+        raise ConvergenceError(min(failures, key=lambda fail: fail[:2])[2])
 
     # A split panel's value is its left half's plus its right half's, as in
     # the recursion; the halves are the next level's consecutive pairs.

@@ -13,6 +13,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -346,6 +347,11 @@ _CSV_FIELDS = (
     "theorem", "function", "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v",
     "lhs", "rhs", "margin", "holds", "tol_margin",
 )
+# Key order of a verdict record, as `run_sweep` builds it.
+_VERDICT_KEYS = (
+    "theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function",
+    "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v",
+)
 
 
 def _fmt(v) -> str:
@@ -358,24 +364,94 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _value_json(v) -> str:
+    """v as `json.dumps(report, indent=2)` renders it as a record's value."""
+    if type(v) is float and math.isfinite(v):
+        return float.__repr__(v)
+    if isinstance(v, (dict, list, tuple)):
+        return json.dumps(v, indent=2).replace("\n", "\n      ")
+    return json.dumps(v)
+
+
+def _template(keys) -> str:
+    return ",\n      ".join(f'"{k}": %s' for k in keys)
+
+
+# A record is its (theorem, lhs) segment, its new values (rhs to
+# tol_margin), its (function, ..., mu) segment and its point segment.
+_HEAD, _NEW_VALUES, _TAIL, _POINT = (
+    "\n    {\n      " + _template(_VERDICT_KEYS[:2]) + ",\n      ",
+    _template(_VERDICT_KEYS[2:6]) + ",\n      ",
+    _template(_VERDICT_KEYS[6:11]) + ",\n      ",
+    _template(_VERDICT_KEYS[11:]) + "\n    }",
+)
+
+
+def _verdicts_json(verdicts: list[dict]) -> str:
+    """The verdict list as `json.dumps(report, indent=2)` renders it.
+
+    Only rhs, margin, holds and tol_margin are new in each record.  The
+    other values are objects the sweep shares: theorem and lhs per (x, mu)
+    of a theorem, function, a, b, x and mu per (x, mu) of a function, and
+    alpha to v per parameter point.  Each group's text, and each value's,
+    is rendered once and looked up by the `id`s of its objects, which the
+    records keep alive for the call.  An identity key can miss where a value
+    key would hit, but it cannot print the wrong text: 0.0 and -0.0, or 1,
+    1.0 and True, are equal values with different text.  The records are
+    kept as their segments and joined once, so shared text is not copied
+    into each record first.
+    """
+    if not verdicts:
+        return "[]"
+    heads, tails, points, texts = {}, {}, {}, {}
+
+    def segment(template, values) -> str:
+        parts = []
+        for v in values:
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = _value_json(v)
+            parts.append(text)
+        return template % tuple(parts)
+
+    out = []
+    for r in verdicts:
+        if tuple(r) != _VERDICT_KEYS:
+            raise ValueError(f"verdict keys {tuple(r)}, want {_VERDICT_KEYS}")
+        (theorem, lhs, rhs, margin, holds, tol_margin,
+         function, a, b, x, mu, alpha, m, M, q, u, v) = r.values()
+        key = id(theorem), id(lhs)
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = segment(_HEAD, (theorem, lhs))
+        key = id(function), id(a), id(b), id(x), id(mu)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = segment(_TAIL, (function, a, b, x, mu))
+        key = id(alpha), id(m), id(M), id(q), id(u), id(v)
+        point = points.get(key)
+        if point is None:
+            point = points[key] = segment(_POINT, (alpha, m, M, q, u, v))
+        # A finite sum of floats has finite terms, and str(float) is repr.
+        if (type(rhs) is type(margin) is type(tol_margin) is float
+                and math.isfinite(rhs + margin + tol_margin) and type(holds) is bool):
+            new = rhs, margin, "true" if holds else "false", tol_margin
+        else:
+            new = tuple(map(_value_json, (rhs, margin, holds, tol_margin)))
+        out += (",", head, _NEW_VALUES % new, tail, point)
+    out[0] = "["  # the first record opens the list, the others follow a ","
+    out.append("\n  ]")
+    return "".join(out)
+
+
 def render_report(report: dict, out_format: str) -> str:
     """The report as text.  JSON is `json.dumps(report, indent=2) + "\\n"`
-    byte for byte.
-
-    With `indent` set, json falls back to its pure-Python encoder, so only
-    the head is rendered that way; the verdicts, the report's last key, go
-    through the C encoder with the separator carrying the newline and the
-    record indent.  Verdict records are flat (str, float, bool, None) and
-    json escapes newlines inside strings, so `},\\n      {` occurs only
-    between records, where the item brackets are spliced in.
-    """
+    byte for byte: the head through json, the verdicts, the report's last
+    key, through `_verdicts_json`."""
     if out_format == "json":
         head = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
-        body = json.dumps(report["verdicts"], separators=(",\n      ", ": "))
-        if body != "[]":
-            records = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-            body = "[\n    {\n      " + records + "\n    }\n  ]"
-        return head[:-2] + ',\n  "verdicts": ' + body + "\n}\n"
+        verdicts = _verdicts_json(report["verdicts"])
+        return "".join((head[:-2], ',\n  "verdicts": ', verdicts, "\n}\n"))
     buf = io.StringIO()
     buf.write(",".join(_CSV_FIELDS) + "\n")
     for v in report["verdicts"]:

@@ -62,13 +62,11 @@ def ostrowski_signed_many(
     if not fracs:
         return []
     mu = fracs[0].mu
-    lo, hi = f.domain
     anchors, ends = [], []
     for frac in fracs:
         if frac.mu != mu:
             raise DomainError("instances of one batch must share mu")
-        if frac.a < lo - 1e-12 or frac.b > hi + 1e-12:
-            raise DomainError(f"[{frac.a}, {frac.b}] outside domain of {f.id!r}")
+        f.require_within(frac.a, frac.b)
         # int_a^x (t-a)^(mu-1) f(t) dt and int_x^b (b-t)^(mu-1) f(t) dt,
         # over Gamma(mu): kernels anchored at a and at b.
         anchors += (frac.a, frac.b)
@@ -214,9 +212,7 @@ def verify_classical(
     f: FunctionSpec, a: float, b: float, x: float, cfg: QuadConfig = DEFAULT_QUAD
 ) -> Verdict:
     """Classical point-vs-mean estimate with the 1/4 constant."""
-    lo, hi = f.domain
-    if a < lo - 1e-12 or b > hi + 1e-12:
-        raise DomainError(f"[{a}, {b}] outside domain of {f.id!r}")
+    f.require_within(a, b)
     mean = adaptive_gauss(f.f, a, b, cfg) / (b - a)
     lhs = abs(float(f.f(x)) - mean)
     rhs = bnd.bound_classical(f.M, a, b, x)

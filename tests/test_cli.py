@@ -70,6 +70,27 @@ class TestFracIntCommand:
         rc = main(["frac-int", "--f", "const1", "--a", "1", "--x", "1", "--mu", "0.5"])
         assert rc == 2
 
+    def test_ends_default_to_the_domain(self, capsys):
+        # expdecay lives on [1, 2]: a default a = 0 integrated outside it.
+        for given, default in (
+            (["--a", "1"], []),
+            (["--b", "2", "--upper"], ["--upper"]),
+        ):
+            values = []
+            for extra in (given, default):
+                assert main(["frac-int", "--f", "expdecay", "--x", "1.5", "--mu", "0.5",
+                             *extra]) == 0
+                values.append(capsys.readouterr().out)
+            assert values[0] == values[1]
+
+    @pytest.mark.parametrize("extra", [
+        ["--a", "-1"], ["--a", "0.5"], ["--b", "2.5", "--upper"], ["--a", "nan"],
+    ])
+    def test_interval_outside_the_domain_exits_2(self, capsys, extra):
+        rc = main(["frac-int", "--f", "powdecay", "--x", "1.5", "--mu", "0.5", *extra])
+        assert rc == 2
+        assert "outside domain of 'powdecay'" in capsys.readouterr().err
+
 
 class TestCheckConvexityCommand:
     def test_pass(self, capsys):
@@ -79,6 +100,15 @@ class TestCheckConvexityCommand:
         )
         assert rc == 0
         assert capsys.readouterr().out.strip() == "pass"
+
+    def test_non_finite_g_exits_2(self, capsys):
+        # |f'|^nan is nan everywhere, and every comparison with nan is False.
+        rc = main(
+            ["check-convexity", "--f", "powdecay", "--kind", "alpha-m-geom",
+             "--alpha", "0.5", "--m", "0.5", "--q", "nan"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: g not finite on the grid\n"
 
     def test_counterexample_exits_1(self, capsys):
         # |f'| = 1 for linear, but additive m-convexity of the constant 1
@@ -108,6 +138,15 @@ class TestVerifyCommand:
         )
         assert rc == 0
         assert capsys.readouterr().out.startswith("t22: pass")
+
+    @pytest.mark.parametrize("a", ["-1", "nan"])
+    def test_classical_outside_the_domain_exits_2(self, capsys, a):
+        # A nan end used to be integrated, bisecting nan panels until numpy
+        # failed to allocate.
+        rc = main(["verify", "--theorem", "classical", "--f", "linear",
+                   "--a", a, "--b", "1", "--x", "0.5"])
+        assert rc == 2
+        assert "outside domain of 'linear'" in capsys.readouterr().err
 
     def test_hypothesis_error_exits_2(self, capsys):
         rc = main(
@@ -415,6 +454,50 @@ class TestRenderReport:
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
                   "summary": {}, "verdicts": []}
         assert render_report(report, "json") == self._oracle(report)
+
+    def test_default_sweep_equals_indented_dump(self, default_sweep):
+        assert render_report(default_sweep, "json") == self._oracle(default_sweep)
+
+    # Equal values with different text (0.0 and -0.0; 1, 1.0 and True) and
+    # values json spells its own way: an identity key must tell them apart.
+    POOL = [0.0, -0.0, 1, 1.0, True, False, None, float("nan"), float("inf"),
+            float("-inf"), 0.1, 1e300, 5e-324, -7, 2**70, "t22",
+            'q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫",
+            [], {}, [1.5, None, "x"], {"k": [0.5, {"z": True}]}]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_json_random_records_equal_indented_dump(self, seed):
+        import random
+
+        rng = random.Random(seed)
+
+        def copy(v):
+            # An equal value in a distinct object, where one can be made.
+            return float(repr(v)) if type(v) is float else v
+
+        shared = [rng.choice(self.POOL) for _ in range(12)]
+        verdicts = []
+        for _ in range(300):
+            verdicts.append({
+                k: rng.choice(shared) if rng.random() < 0.7 else copy(rng.choice(self.POOL))
+                for k in report_mod._VERDICT_KEYS
+            })
+        report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
+                  "summary": {"t22": {"pass": 1, "fail": 0, "worst_margin": -0.0}},
+                  "verdicts": verdicts}
+        assert render_report(report, "json") == self._oracle(report)
+
+    def test_json_record_keys_must_be_in_sweep_order(self):
+        base = run_sweep(parse_config(SMALL_SWEEP))
+        record = base["verdicts"][0]
+        keys = list(record)
+        missing = {k: v for k, v in record.items() if k != "tol_margin"}
+        reordered = {k: record[k] for k in [keys[1], keys[0], *keys[2:]]}
+        extra = {**record, "note": "x"}
+        for bad in (missing, reordered, extra):
+            report = {**base, "verdicts": [record, bad]}
+            with pytest.raises(ValueError, match="verdict keys"):
+                render_report(report, "json")
 
     def test_json_awkward_strings_and_floats(self):
         base = run_sweep(parse_config(SMALL_SWEEP))

@@ -109,6 +109,17 @@ class TestMembership:
         with pytest.raises(DomainError):
             check_membership(g, (0.0, 2.0), geom_convex(), GRID)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", [convex(), alpha_m_convex(0.5, 0.5), geom_convex(),
+                                      alpha_m_geom_convex(0.5, 0.5)])
+    def test_non_finite_g_rejected(self, kind, bad):
+        # Comparisons with nan are False: without the check nan passes every
+        # kind, and one non-finite value anywhere on the grid is enough.
+        # (-inf fails the geometric kinds' g > 0 check first.)
+        g = lambda u: np.where(np.asarray(u) == 2.0, bad, 1.0 + np.asarray(u) ** 2)
+        with pytest.raises(DomainError, match="^g not finite on the grid$"):
+            check_membership(g, (1.0, 2.0), kind, GRID)
+
     def test_hull_excursion_rejected(self):
         # additive m-convex combinations reach m*(1-t)*y < lo
         g = lambda u: np.asarray(u, dtype=float) ** 2

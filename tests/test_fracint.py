@@ -291,6 +291,38 @@ class TestBatchedRefinerMatchesRecursion:
         assert str(single.value) == str(batch.value) == str(want.value)
 
 
+class TestNonFiniteIntegrand:
+    """A panel whose half-sum is not finite fails its integral at once; it
+    used to split at every level, doubling its panels down to the cap."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fails_at_once(self, bad):
+        points = []
+
+        def g(s, k):
+            points.append(s.size)
+            return np.where(s > 0.3, bad, s)
+
+        cfg = QuadConfig(max_subdivisions=12)
+        with pytest.raises(ConvergenceError, match=r"^integrand not finite on \[0\.0, 1\.0\]$"):
+            adaptive_gauss_many(g, [0.0], [1.0], cfg)
+        # Bisecting the nan panels to depth 12 evaluated 183,856 points.
+        assert sum(points) < 1000
+
+    def test_lower_index_cap_failure_wins(self):
+        cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)
+        capped = lambda s: np.abs(s - 1 / 3) ** 0.05  # noqa: E731
+        gs = [capped, lambda s: np.where(s > 0.5, np.nan, s)]
+        with pytest.raises(ConvergenceError) as alone:
+            adaptive_gauss(capped, 0.0, 1.0, cfg)
+        assert "not converged at depth 3" in str(alone.value)
+        with pytest.raises(ConvergenceError) as batch:
+            adaptive_gauss_many(batch_of(gs), [0.0, 0.0], [1.0, 1.0], cfg)
+        assert str(batch.value) == str(alone.value)
+        with pytest.raises(ConvergenceError, match=r"^integrand not finite on \[0\.0, 1\.0\]$"):
+            adaptive_gauss_many(batch_of(gs[::-1]), [0.0, 0.0], [1.0, 1.0], cfg)
+
+
 class TestRlLower:
     def test_constant_half_order(self):
         # J of the constant 1 is (x-a)^mu / Gamma(mu+1)
