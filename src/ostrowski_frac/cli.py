@@ -25,7 +25,7 @@ from .convexity import (
     m_convex,
     m_geom_convex,
 )
-from .corpus import audit, builtin_corpus, corpus_by_id
+from .corpus import builtin_audits, corpus_by_id
 from .fracint import ConvergenceError, DomainError, FracParams, rl_lower, rl_upper
 from .report import (
     ConfigError,
@@ -159,8 +159,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_corpus_audit(args) -> int:
     bad = 0
-    for spec in builtin_corpus():
-        violations = audit(spec)
+    for spec, violations in builtin_audits():
         if violations:
             bad += 1
             print(f"{spec.id}: FAIL")

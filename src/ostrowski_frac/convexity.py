@@ -1,11 +1,14 @@
 """Grid-based membership checks for the convexity classes and the two
 pointwise auxiliary lemmas.
 
-A class is never "proved": the checker evaluates the defining inequality on a
-finite (x, y, t) grid and returns the lexicographically first violating triple
-if one exists.  The three geometric kinds share a single code path through an
-effective (alpha, m) pair, so the specializations alpha=1 and m=1 are exact by
-construction.
+A class is never "proved" here: the checker evaluates the defining inequality
+on a finite (x, y, t) grid and returns the lexicographically first violating
+triple if one exists.  The corpus families decide membership with exact
+certificates instead (`corpus`); the grid stays as a tool, as the audit of a
+hand-built spec's claims, and as the independent oracle the certificates are
+tested against.  The three geometric kinds share a single code path through
+an effective (alpha, m) pair, so the specializations alpha=1 and m=1 are
+exact by construction.
 
 The grid is sparse: x, y and t are broadcast axes, so g(x), g(y) and t^alpha
 are evaluated once per grid value and the two-axis powers once per (x, t) or

@@ -122,7 +122,9 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
     Refinement is breadth-first: each level bisects every active panel of
     every integral and evaluates all the halves in one call g(s, k), where s
     is a 1-d array of points and k gives, for each point, the index of the
-    integral it belongs to; g returns values elementwise.  Each integral's
+    integral it belongs to; g returns values elementwise.  Panels are
+    ordered by integral, so k never decreases within a call: g may split
+    its points by integral where k first reaches a value.  Each integral's
     acceptance test is that of a depth-first recursion over its own panels,
     and accepted values are added bottom-up in that recursion's tree order,
     so every result is bit for bit what integrating it alone would give.
@@ -227,6 +229,16 @@ def rl_many(f, anchors, ends, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> list
     integral anchored at its upper limit, ends[k] > c the right-sided one
     anchored at its lower limit, and ends[k] == c gives 0.
     """
+    g, uppers = rl_integrand(f, anchors, ends, mu)
+    vals = adaptive_gauss_many(g, np.zeros(len(uppers)), uppers, cfg)
+    return (vals / gamma(mu + 1.0)).tolist()
+
+
+def rl_integrand(f, anchors, ends, mu: float):
+    """(g, uppers): the batch integrand g(s, k) and the upper limits whose
+    integrals over [0, uppers[k]], divided by Gamma(mu + 1), are the
+    fractional integrals of `rl_many`, after the substitution
+    s = |t - c|^mu."""
     fn = _as_callable(f)
     if not mu > 0:
         raise DomainError("mu > 0 required")
@@ -240,8 +252,7 @@ def rl_many(f, anchors, ends, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> list
     def g(s, k):
         return fn(anchor[k] + sign[k] * s**inv)
 
-    vals = adaptive_gauss_many(g, np.zeros(len(uppers)), uppers, cfg)
-    return (vals / gamma(mu + 1.0)).tolist()
+    return g, uppers
 
 
 def rl_lower(f, a: float, x: float, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:

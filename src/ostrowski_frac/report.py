@@ -447,8 +447,12 @@ def _verdicts_json(verdicts: list[dict]) -> str:
 def render_report(report: dict, out_format: str) -> str:
     """The report as text.  JSON is `json.dumps(report, indent=2) + "\\n"`
     byte for byte: the head through json, the verdicts, the report's last
-    key, through `_verdicts_json`."""
+    key, through `_verdicts_json`.  A report whose last key is not
+    `verdicts`, or whose only key is, raises ValueError."""
     if out_format == "json":
+        keys = list(report)
+        if len(keys) < 2 or keys[-1] != "verdicts":
+            raise ValueError(f"report keys {keys}: want 'verdicts' last, after another key")
         head = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
         verdicts = _verdicts_json(report["verdicts"])
         return "".join((head[:-2], ',\n  "verdicts": ', verdicts, "\n}\n"))

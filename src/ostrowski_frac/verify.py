@@ -12,6 +12,7 @@ one the residual check confirms to quadrature accuracy.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,6 +31,7 @@ from .fracint import (
     adaptive_gauss,
     adaptive_gauss_many,
     gamma,
+    rl_integrand,
     rl_many,
 )
 
@@ -46,6 +48,15 @@ class Verdict:
     margin: float
     holds: bool
     tol_margin: float
+
+
+def _signed(f: FunctionSpec, frac: FracParams, left: float, right: float) -> float:
+    """The signed expression from its two fractional integrals."""
+    a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
+    return (
+        ((x - a) ** mu + (b - x) ** mu) / (b - a) * float(f.f(x))
+        - gamma(mu + 1.0) / (b - a) * (left + right)
+    )
 
 
 def ostrowski_signed_many(
@@ -72,16 +83,8 @@ def ostrowski_signed_many(
         anchors += (frac.a, frac.b)
         ends += (frac.x, frac.x)
     sides = rl_many(f, anchors, ends, mu, cfg)
-    scale = gamma(mu + 1.0)
-    out = []
-    for frac, left, right in zip(fracs, sides[0::2], sides[1::2]):
-        a, b, x = frac.a, frac.b, frac.x
-        fx = float(f.f(x))
-        out.append(
-            ((x - a) ** mu + (b - x) ** mu) / (b - a) * fx
-            - scale / (b - a) * (left + right)
-        )
-    return out
+    return [_signed(f, frac, left, right)
+            for frac, left, right in zip(fracs, sides[0::2], sides[1::2])]
 
 
 def ostrowski_signed(f: FunctionSpec, frac: FracParams, cfg: QuadConfig = DEFAULT_QUAD) -> float:
@@ -96,13 +99,28 @@ def ostrowski_lhs(f: FunctionSpec, frac: FracParams, cfg: QuadConfig = DEFAULT_Q
 def lemma_identity_residual(
     f: FunctionSpec, frac: FracParams, cfg: QuadConfig = DEFAULT_QUAD
 ) -> float:
-    """|signed LHS - weighted f' moment integrals|; a quadrature consistency oracle."""
+    """|signed LHS - weighted f' moment integrals|; a quadrature consistency oracle.
+
+    The two fractional integrals of the signed LHS and the two moment
+    integrals int_0^1 t^mu f'(t x + (1-t) c) dt, c = a and c = b, are
+    refined as one batch of four, each bit for bit as it would be alone.
+    """
     a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
-    lhs = ostrowski_signed(f, frac, cfg)
+    f.require_within(a, b)
+    rl, uppers = rl_integrand(f, [a, b], [x, x], mu)  # as ostrowski_signed_many
     ends = np.array([a, b])
-    i_a, i_b = adaptive_gauss_many(
-        lambda t, k: t**mu * f.fprime(t * x + (1.0 - t) * ends[k]), [0.0, 0.0], [1.0, 1.0], cfg
-    ).tolist()
+
+    def g(t, k):
+        # k never decreases: the fractional integrals' points come first.
+        n = int(np.searchsorted(k, 2))
+        s = t[n:]
+        moments = s**mu * f.fprime(s * x + (1.0 - s) * ends[k[n:] - 2])
+        return np.concatenate((rl(t[:n], k[:n]), moments))
+
+    vals = adaptive_gauss_many(g, [0.0] * 4, uppers + [1.0, 1.0], cfg)
+    left, right = (vals[:2] / gamma(mu + 1.0)).tolist()
+    i_a, i_b = vals[2:].tolist()
+    lhs = _signed(f, frac, left, right)
     rhs = ((x - a) ** (mu + 1.0) * i_a - (b - x) ** (mu + 1.0) * i_b) / (b - a)
     return abs(lhs - rhs)
 
@@ -159,33 +177,44 @@ THEOREMS = {
 THEOREM_IDS = tuple(THEOREMS)
 
 
+# The convexity classes the theorems need of |f'|^q, each built once.
+_GEOM_CONVEX = geom_convex()
+_alpha_m_geom_convex = functools.lru_cache(maxsize=4096)(alpha_m_geom_convex)
+
+
 def _check_hypotheses(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> None:
+    """Raise HypothesisError, naming every failed hypothesis in order, unless
+    the theorem is stated for f at bp.  Only a failed check's message is
+    formatted."""
     theorem = THEOREMS.get(theorem_id)
     if theorem is None:
         raise HypothesisError(f"unknown theorem id {theorem_id!r}")
-    checks = [
-        (abs(f.M - bp.M) <= 1e-15, f"f.M={f.M:g} differs from bp.M={bp.M:g}"),
-        (f.decreasing_abs_deriv, "|f'| not declared decreasing"),
-        (bp.frac.b >= 1.0, "b >= 1 required"),
-    ]
-    if theorem.geom_convex:
-        kind, claim = geom_convex(), "geometric-convex"
-    else:
-        kind = alpha_m_geom_convex(bp.alpha, bp.m)
-        claim = f"(alpha={bp.alpha:g}, m={bp.m:g})-geometric"
+    failures = []
+    if not abs(f.M - bp.M) <= 1e-15:
+        failures.append(f"f.M={f.M:g} differs from bp.M={bp.M:g}")
+    if not f.decreasing_abs_deriv:
+        failures.append("|f'| not declared decreasing")
+    if not bp.frac.b >= 1.0:
+        failures.append("b >= 1 required")
     if theorem.M_below_1:
-        checks.append((bp.M < 1.0, "M < 1 required"))
-        if not theorem.geom_convex:
-            checks.append((bp.m < 1.0, "m < 1 required"))
-    checks.append((f.has_claim(kind, bp.q), f"no {claim} claim at q={bp.q:g}"))
+        if not bp.M < 1.0:
+            failures.append("M < 1 required")
+        if not (theorem.geom_convex or bp.m < 1.0):
+            failures.append("m < 1 required")
+    if theorem.geom_convex:
+        if not f.has_claim(_GEOM_CONVEX, bp.q):
+            failures.append(f"no geometric-convex claim at q={bp.q:g}")
+    elif not f.has_claim(_alpha_m_geom_convex(bp.alpha, bp.m), bp.q):
+        failures.append(f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q={bp.q:g}")
     if theorem.young:
-        checks.append((bp.u is not None, "u, v required"))
-    else:
-        checks.append((bp.u is None, "u, v not used"))
+        if bp.u is None:
+            failures.append("u, v required")
+    elif bp.u is not None:
+        failures.append("u, v not used")
     params = {"mu": bp.frac.mu, "alpha": bp.alpha, "m": bp.m, "q": bp.q}
-    checks += [(_RELATIONS[rel](params[name], bound), f"{name} {rel} {bound:g} required")
-               for name, rel, bound in theorem.box]
-    failures = [msg for ok, msg in checks if not ok]
+    for name, rel, bound in theorem.box:
+        if not _RELATIONS[rel](params[name], bound):
+            failures.append(f"{name} {rel} {bound:g} required")
     if failures:
         raise HypothesisError(f"{theorem_id} on {f.id!r}: " + "; ".join(failures))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sweep_oracle
 
+from ostrowski_frac import corpus as corpus_mod
 from ostrowski_frac import report as report_mod
 from ostrowski_frac.bounds import BoundParams, geometry_factor
 from ostrowski_frac.cli import main
@@ -274,10 +275,10 @@ class TestSweepCommand:
         assert "failed audit" in capsys.readouterr().err
 
     def test_theorem_met_nowhere_exits_2(self, tmp_path, capsys):
-        # no corpus function claims (alpha, m) = (0.3, 0.4): an empty sweep
-        # must not pass, and the report is still written as it is
+        # const1 is in no geometric class and expdecay in none at m = 1: an
+        # empty sweep must not pass, and the report is still written as it is
         cfg = tmp_path / "unmet.cfg"
-        cfg.write_text("theorems = t22,t26\nalpha = 0.3\nm = 0.4\n")
+        cfg.write_text("functions = const1,expdecay\ntheorems = t22,t26\nm = 1.0\n")
         out = tmp_path / "report.json"
         rc = main(["sweep", "--config", str(cfg), "--output", str(out)])
         assert rc == 2
@@ -288,6 +289,18 @@ class TestSweepCommand:
             )
         report = json.loads(out.read_text())
         assert report["summary"] == {} and report["verdicts"] == []
+
+    def test_off_the_default_grid_gets_verdicts(self, tmp_path, capsys):
+        # Membership is certified at any (alpha, m), not only at the default
+        # sweep's values: every theorem gets verdicts, and they hold.
+        cfg = tmp_path / "off.cfg"
+        cfg.write_text("alpha = 0.3\nm = 0.4\nq = 2.5\nx_fracs = 0.25,0.75\nmu = 0.5,1.5\n")
+        out = tmp_path / "report.json"
+        assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert set(report["summary"]) == set(THEOREMS)
+        assert report["verdicts"] and all_hold(report)
+        assert "error" not in capsys.readouterr().err
 
     def test_one_theorem_met_nowhere_exits_2(self, tmp_path, capsys):
         # t24 needs q > 1; with q = 1 only t22 has verdicts
@@ -324,6 +337,30 @@ class TestSweepCommand:
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["sweep", "--config", "/no/such/file.cfg"]) == 2
+
+
+class TestCorpusAuditCommand:
+    IDS = ("linear", "affine08", "const1", "const2", "powdecay", "expdecay")
+
+    def test_every_builtin_passes(self, capsys):
+        assert main(["corpus-audit"]) == 0
+        assert capsys.readouterr().out == "".join(f"{fid}: pass\n" for fid in self.IDS)
+
+    def test_failure_is_reported_with_each_spec_audited_once(self, monkeypatch, capsys):
+        audited = []
+        audit = corpus_mod.audit
+
+        def failing(spec, *args):
+            audited.append(spec.id)
+            return ["boom", "bang"] if spec.id == "expdecay" else audit(spec, *args)
+
+        monkeypatch.setattr(corpus_mod, "audit", failing)
+        assert main(["corpus-audit"]) == 1
+        captured = capsys.readouterr()
+        assert audited == list(self.IDS)
+        assert captured.out == "".join(
+            f"{fid}: pass\n" for fid in self.IDS[:-1]) + "expdecay: FAIL\n  - boom\n  - bang\n"
+        assert captured.err == ""
 
 
 class TestConfigParsing:
@@ -458,6 +495,17 @@ class TestRenderReport:
     def test_default_sweep_equals_indented_dump(self, default_sweep):
         assert render_report(default_sweep, "json") == self._oracle(default_sweep)
 
+    @pytest.mark.parametrize(
+        "report", [{"verdicts": [], "version": "1"}, {"verdicts": []}],
+        ids=["verdicts-first", "verdicts-only"])
+    def test_json_verdicts_must_be_last_after_another_key(self, report):
+        with pytest.raises(ValueError, match="want 'verdicts' last"):
+            render_report(report, "json")
+
+    def test_json_verdicts_last_equals_indented_dump(self):
+        report = {"version": "1", "verdicts": []}
+        assert render_report(report, "json") == self._oracle(report)
+
     # Equal values with different text (0.0 and -0.0; 1, 1.0 and True) and
     # values json spells its own way: an identity key must tell them apart.
     POOL = [0.0, -0.0, 1, 1.0, True, False, None, float("nan"), float("inf"),
@@ -545,7 +593,7 @@ class TestBatchedSweep:
 
     # Depth-1 failures.  On linear only mu = 2.5 and mu = 1.5 fail, at
     # every x: the mu = 2.5 batch comes first, its first x fails.  On a
-    # steep exp_decay at 1e-15 tolerance, mu = 1 fails only at x = b and
+    # steep power_decay at 1e-15 tolerance, mu = 1 fails only at x = b and
     # mu = 0.5 already at x = 0.1: the mu = 1 batch, first in batch order,
     # fails at an instance that comes after (0.1, 0.5) in sweep order.
     FAILING = {
@@ -553,7 +601,7 @@ class TestBatchedSweep:
         "by-x": (
             "functions = steep\nx_fracs = 0.5,0.1,1.0\nmu = 1.0,0.5\n"
             "abs_tol = 1e-15\nrel_tol = 1e-15\naudit = false\n"
-            "function.steep = exp_decay M=0.5 lam=80 lo=1.0 hi=2.0\n"
+            "function.steep = power_decay M=0.5 r=80 lo=1.0 hi=2.0\n"
         ),
     }
     # The first failing instance in batch order (x, mu).
@@ -632,11 +680,13 @@ class TestHypothesesCheckedOncePerPoint:
             "theorems = mm,remark_q1\nx_fracs = 0.0,0.5\nmu = 1.5\n"
             "alpha = 0.5,1.0\nm = 0.25\nq = 1.0,3.0\nu = 0.25,0.5\n"
         ),
-        # No corpus function claims alpha = 0.3: every point with it is
+        # const1 is in no geometric class, and powdecay is not
+        # (0.25, 0.9)-geometrically convex: every point with alpha = 0.25 is
         # rejected, at every x.
         "no-claim": (
+            "functions = const1,powdecay\n"
             "theorems = mm,remark_q1,t26\nx_fracs = 0.25,0.5,0.75\nmu = 1.5\n"
-            "alpha = 0.3,0.5\nm = 0.25\nq = 1.0,2.0\nu = 0.5\n"
+            "alpha = 0.25,0.5\nm = 0.9\nq = 1.0,2.0\nu = 0.5\n"
         ),
         # Repeated values repeat verdicts, but each point is checked once.
         "repeats": (
@@ -741,7 +791,7 @@ class TestHypothesesCheckedOncePerPoint:
         cfg = parse_config(self.CONFIGS["no-claim"])
         rejected = sum(
             1 for t in cfg.theorems for _, alpha, *_ in report_mod._grid_for(t, cfg)
-            if alpha == 0.3
+            if alpha == 0.25
         )
         assert rejected and len(cfg.x_fracs) > 1
         built = []
@@ -756,7 +806,7 @@ class TestHypothesesCheckedOncePerPoint:
             built.clear()
             for theorem in cfg.theorems:
                 report_mod._points(theorem, f, cfg)
-            assert built.count(0.3) == rejected
+            assert built.count(0.25) == rejected
 
 
 class TestSweepMatchesPerVerdictOracle:

@@ -1,20 +1,28 @@
+import itertools
+
+import mpmath as mp
 import numpy as np
 import pytest
 
+from ostrowski_frac import corpus as corpus_mod
 from ostrowski_frac.convexity import (
     GridSpec,
+    alpha_m_convex,
     alpha_m_geom_convex,
     check_membership,
     geom_convex,
+    m_geom_convex,
 )
 from ostrowski_frac.corpus import (
-    CLAIM_QS,
     FunctionSpec,
     affine_spec,
     audit,
     builtin_corpus,
+    constant_spec,
     corpus_by_id,
+    exp_decay_defect,
     exp_decay_spec,
+    power_decay_margin,
     power_decay_spec,
     spec_from_family,
 )
@@ -37,15 +45,20 @@ class TestBuiltinCorpus:
         assert corpus_by_id().keys() == corpus.keys()
 
     def test_claims_match_predicate_not_assumption(self, corpus):
-        # every attached claim must actually hold on a finer grid than the audit uses
-        fine = GridSpec(points_per_axis=31, t_steps=31)
-        for spec in corpus.values():
-            for kind, q in spec.claims:
-                gq = lambda u, q=q: np.abs(np.asarray(spec.fprime(u), float)) ** q
-                assert (
-                    check_membership(gq, spec.domain, kind, fine, g_domain=spec.domain)
-                    is None
-                ), (spec.id, kind.describe(), q)
+        # Every claim of the table the certificates replaced is certified,
+        # by a margin: every (alpha, m, q) of the default sweep, geometric
+        # for all but expdecay.
+        for alpha, m, q in itertools.product(OLD_ALPHAS, OLD_MS, OLD_QS):
+            kind = alpha_m_geom_convex(alpha, m)
+            for fid in ("linear", "affine08", "powdecay", "expdecay"):
+                assert corpus[fid].has_claim(kind, q), (fid, alpha, m, q)
+                assert corpus[fid].has_claim(geom_convex(), q) is (fid != "expdecay")
+            # powdecay: M = 0.5, r = 0.04 on [1, 2]
+            assert power_decay_margin(0.5, 0.04, 1.0, 2.0, alpha, m) >= 0.09
+            # expdecay: M = 0.5, lam = 0.02 on [1, 2]; 0 at t = 1 up to rounding
+            defects = [exp_decay_defect(0.5, 0.02, 1.0, 2.0, alpha, m, t)
+                       for t in np.linspace(0.0, 1.0, 2001).tolist()]
+            assert max(defects[:-1]) < 0.0 and abs(defects[-1]) <= 1e-16
 
     @pytest.mark.parametrize(
         "grid", [GridSpec(41, 41), GridSpec(33, 57)], ids=["41x41", "33x57"]
@@ -57,7 +70,7 @@ class TestBuiltinCorpus:
 
     def test_expdecay_has_no_geometric_claim(self, corpus):
         spec = corpus["expdecay"]
-        for q in CLAIM_QS:
+        for q in OLD_QS:
             assert not spec.has_claim(geom_convex(), q)
         # and indeed the membership predicate rejects it on a fine grid
         gq = lambda u: np.abs(np.asarray(spec.fprime(u), float))
@@ -66,12 +79,168 @@ class TestBuiltinCorpus:
         )
         assert ce is not None
 
-    def test_has_claim_tolerance(self, corpus):
-        spec = corpus["powdecay"]
-        assert spec.has_claim(alpha_m_geom_convex(0.5, 0.5), 2.0)
-        assert spec.has_claim(alpha_m_geom_convex(0.5, 0.5), 2.0 + 1e-13)
-        assert not spec.has_claim(alpha_m_geom_convex(0.5, 0.5), 2.1)
-        assert not spec.has_claim(alpha_m_geom_convex(0.51, 0.5), 2.0)
+    def test_has_claim_is_exact_for_hand_built_specs(self, corpus):
+        kind = alpha_m_geom_convex(0.5, 0.5)
+        base = corpus["powdecay"]
+        spec = FunctionSpec(
+            id="hand", f=base.f, fprime=base.fprime, domain=base.domain, M=base.M,
+            claims=((kind, 2.0),), decreasing_abs_deriv=True,
+        )
+        assert spec.has_claim(kind, 2.0)
+        assert not spec.has_claim(kind, 2.0 + 1e-13)
+        assert not spec.has_claim(alpha_m_geom_convex(0.5 + 1e-13, 0.5), 2.0)
+        assert not spec.has_claim(geom_convex(), 2.0)
+        # a family's certificate does not read q
+        assert all(base.has_claim(kind, q) for q in (1.0, 2.0 + 1e-13, 2.5, 7.0))
+
+
+# The claim table the certificates replaced: the default sweep's values.
+OLD_ALPHAS = (0.25, 0.5, 0.75, 1.0)
+OLD_MS = (0.25, 0.5, 0.75)
+OLD_QS = (1.0, 1.5, 2.0, 3.0)
+
+
+def _gq(spec, q):
+    return lambda u: np.abs(np.asarray(spec.fprime(u), dtype=float)) ** q
+
+
+def _mp_defect(fprime, x, y, t, alpha, m, q):
+    """g(x^t y^(m(1-t))) - g(x)^(t^alpha) g(y)^(m(1-t^alpha)) for g = |f'|^q,
+    at 40 digits; fprime takes and returns mpf."""
+    with mp.workdps(40):
+        x, y, t, alpha, m = map(mp.mpf, (x, y, t, alpha, m))
+        s = t**alpha
+        g = lambda u: abs(fprime(u)) ** q
+        return g(x**t * y ** (m * (1 - t))) - g(x) ** s * g(y) ** (m * (1 - s))
+
+
+class TestCertificates:
+    """Each family's membership certificate against the grid, which stays
+    an independent oracle: wherever a certificate admits a claim, no grid
+    may find a counterexample or leave the domain."""
+
+    ALPHAS = MS = (0.25, 0.5, 0.75, 1.0)
+    QS = (1.0, 1.5, 2.0, 2.5, 3.0)
+
+    @staticmethod
+    def specs(corpus):
+        return [
+            *corpus.values(),
+            # near the boundary of their classes (see TestBoundaryCases)
+            power_decay_spec("pd02", M=0.5, r=0.2, lo=1.0, hi=2.0),
+            exp_decay_spec("ed99", M=0.99, lam=0.02, lo=1.0, hi=2.0),
+            # a domain where x^t y^(m(1-t)) leaves [lo, hi] unless m = 1
+            affine_spec("aff_off", slope=0.5, intercept=0.0, lo=1.5, hi=2.5),
+        ]
+
+    @pytest.mark.parametrize(
+        "grid", [GridSpec(21, 21), GridSpec(41, 41), GridSpec(33, 57)],
+        ids=["21x21", "41x41", "33x57"],
+    )
+    def test_certified_claims_pass_the_grid(self, corpus, grid):
+        admitted = rejected = 0
+        for spec in self.specs(corpus):
+            for alpha, m in itertools.product(self.ALPHAS, self.MS):
+                kind = alpha_m_geom_convex(alpha, m)
+                if not spec.has_claim(kind, 1.0):
+                    rejected += 1
+                    continue
+                admitted += 1
+                for q in self.QS:
+                    ce = check_membership(_gq(spec, q), spec.domain, kind, grid,
+                                          g_domain=spec.domain)
+                    assert ce is None, (spec.id, alpha, m, q, ce)
+        assert admitted and rejected
+
+    def test_grid_counterexamples_are_rejected(self, corpus):
+        # The contrapositive, where the grid has a say: each grid failure
+        # (a counterexample or a domain error) is a rejection.
+        failures = 0
+        for spec in self.specs(corpus):
+            for alpha, m in itertools.product(self.ALPHAS, self.MS):
+                kind = alpha_m_geom_convex(alpha, m)
+                try:
+                    ce = check_membership(_gq(spec, 1.0), spec.domain, kind,
+                                          GridSpec(21, 21), g_domain=spec.domain)
+                except DomainError:
+                    ce = "domain"
+                if ce is not None:
+                    failures += 1
+                    assert not spec.has_claim(kind, 1.0), (spec.id, alpha, m)
+        # const1 and const2 (g = 0), aff_off off m = 1, and decay failures
+        assert failures > 2 * 16 + 12
+
+    def test_power_decay_threshold_is_exact(self):
+        # M = 0.5, r = 0.2, alpha = 0.5 on [1, 2]: (1 - alpha)/alpha r ln 2
+        # = (1 - m) ln 2 at m* = 0.8.
+        spec = power_decay_spec("pd02", M=0.5, r=0.2, lo=1.0, hi=2.0)
+        assert spec.has_claim(alpha_m_geom_convex(0.5, 0.8 - 1e-9), 1.0)
+        assert not spec.has_claim(alpha_m_geom_convex(0.5, 0.8 + 1e-9), 1.0)
+        # alpha = 1: the left side is 0, so every m < 1 (and M < 1) is certified
+        assert all(spec.has_claim(alpha_m_geom_convex(1.0, m), 1.0) for m in self.MS)
+
+    def test_arithmetic_kinds_are_never_certified(self, corpus):
+        for fid in ("linear", "powdecay", "expdecay"):
+            assert not corpus[fid].has_claim(alpha_m_convex(0.5, 0.5), 1.0)
+
+    def test_constant_is_never_a_member(self, corpus):
+        for kind in (geom_convex(), m_geom_convex(0.5), alpha_m_geom_convex(0.5, 0.5)):
+            assert not corpus["const1"].has_claim(kind, 1.0)
+        assert not constant_spec("c", value=1.0, lo=1.0, hi=2.0).has_claim(geom_convex(), 1.0)
+
+    def test_combination_points_must_stay_in_the_domain(self):
+        # [1.5, 2.5]: 1.5^m < 1.5 for m < 1, where the grid raises DomainError
+        spec = affine_spec("aff_off", slope=0.5, intercept=0.0, lo=1.5, hi=2.5)
+        kind = alpha_m_geom_convex(0.5, 0.5)
+        assert not spec.has_claim(kind, 1.0)
+        with pytest.raises(DomainError, match="combination points leave"):
+            check_membership(_gq(spec, 1.0), spec.domain, kind, g_domain=spec.domain)
+        assert spec.has_claim(geom_convex(), 1.0)
+        assert spec.has_claim(alpha_m_geom_convex(0.5, 1.0), 1.0)
+
+    def test_memoized_per_alpha_m(self, monkeypatch):
+        calls = []
+        certified = corpus_mod._exp_decay_certified
+
+        def counting(*args):
+            calls.append(args[-2:])
+            return certified(*args)
+
+        monkeypatch.setattr(corpus_mod, "_exp_decay_certified", counting)
+        spec = exp_decay_spec("ed", M=0.5, lam=0.02, lo=1.0, hi=2.0)
+        for q in self.QS:
+            assert spec.has_claim(alpha_m_geom_convex(0.5, 0.5), q)
+            assert spec.has_claim(alpha_m_geom_convex(1.0, 0.25), q)
+            # the same (alpha, m) as m_geom_convex(0.25)
+            assert spec.has_claim(m_geom_convex(0.25), q)
+        assert calls == [(0.5, 0.5), (1.0, 0.25)]
+
+
+class TestBoundaryCases:
+    """Two false claims, each near the boundary of its class, that the
+    shipped 21 x 21 x 21 grid passes: the certificate rejects both, and 40
+    digits confirm the violation."""
+
+    def test_power_decay_just_past_the_threshold(self):
+        # m* = 0.8; at m = 0.801 the defect is positive for t in (0.9900, 1)
+        spec = power_decay_spec("pd02", M=0.5, r=0.2, lo=1.0, hi=2.0)
+        kind = alpha_m_geom_convex(0.5, 0.801)
+        assert not spec.has_claim(kind, 1.0)
+        for q in (1.0, 3.0):
+            assert check_membership(_gq(spec, q), spec.domain, kind, g_domain=spec.domain) is None
+        defect = _mp_defect(lambda u: mp.mpf(0.5) * u ** -mp.mpf(0.2), 2.0, 1.0, 0.995,
+                            0.5, 0.801, 1)
+        assert defect > 3e-7
+
+    def test_exp_decay_between_grid_t_steps(self):
+        spec = exp_decay_spec("ed99", M=0.99, lam=0.02, lo=1.0, hi=2.0)
+        kind = alpha_m_geom_convex(1.0, 0.25)
+        assert not spec.has_claim(kind, 1.0)
+        for q in (1.0, 3.0):
+            assert check_membership(_gq(spec, q), spec.domain, kind, g_domain=spec.domain) is None
+        defect = _mp_defect(lambda u: mp.mpf(0.99) * mp.exp(-mp.mpf(0.02) * (u - 1)),
+                            2.0, 1.0, 0.990175, 1.0, 0.25, 1)
+        assert 8.9e-7 < defect < 9.0e-7
 
 
 class TestAuditFailures:

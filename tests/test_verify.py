@@ -7,7 +7,7 @@ import pytest
 from ostrowski_frac.bounds import BoundParams
 from ostrowski_frac.convexity import alpha_m_geom_convex, geom_convex
 from ostrowski_frac.corpus import FunctionSpec, affine_spec
-from ostrowski_frac.fracint import DomainError, FracParams
+from ostrowski_frac.fracint import DomainError, FracParams, adaptive_gauss_many
 from ostrowski_frac.report import _grid_for, parse_config
 from ostrowski_frac.verify import (
     THEOREM_IDS,
@@ -94,6 +94,32 @@ class TestIdentityResidual:
         res = lemma_identity_residual(corpus["linear"], FracParams(0.5, 2.0, 0.5, 0.8))
         assert res <= 1e-8
 
+    @staticmethod
+    def _two_batches(f, frac):
+        """The residual as computed before its four integrals shared one
+        batch: the signed LHS, then the two moment integrals."""
+        a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
+        lhs = ostrowski_signed(f, frac)
+        ends = np.array([a, b])
+        i_a, i_b = adaptive_gauss_many(
+            lambda t, k: t**mu * f.fprime(t * x + (1.0 - t) * ends[k]), [0.0, 0.0], [1.0, 1.0]
+        ).tolist()
+        rhs = ((x - a) ** (mu + 1.0) * i_a - (b - x) ** (mu + 1.0) * i_b) / (b - a)
+        return abs(lhs - rhs)
+
+    def test_one_batch_equals_two_bit_for_bit(self, corpus):
+        rng = np.random.default_rng(8)
+        for spec in corpus.values():
+            lo, hi = spec.domain
+            fracs = [FracParams(lo, hi, lo, 0.7), FracParams(lo, hi, hi, 1.3)]
+            while len(fracs) < 30:
+                a, x, b = np.sort(rng.uniform(lo, hi, size=3)).tolist()
+                if b - a >= 1e-2:
+                    fracs.append(FracParams(a, b, x, float(rng.uniform(0.2, 3.0))))
+            for frac in fracs:
+                got = lemma_identity_residual(spec, frac)
+                assert got.hex() == self._two_batches(spec, frac).hex(), (spec.id, frac)
+
 
 class TestHypothesisChecking:
     def kwargs(self, **kw):
@@ -131,6 +157,25 @@ class TestHypothesisChecking:
             verify_theorem("mu1", f, bp)
 
 
+# The claim table the membership certificates replaced, frozen with the
+# oracle below: (alpha, m)-geometric claims at every (alpha, m, q) of the
+# default sweep on the affine and decay members, and geometric-convex ones
+# on all of them but expdecay; a constant has none.
+_OLD_ALPHAS = (0.25, 0.5, 0.75, 1.0)
+_OLD_MS = (0.25, 0.5, 0.75)
+_OLD_QS = (1.0, 1.5, 2.0, 3.0)
+_OLD_GEOMETRIC = {"linear": True, "affine08": True, "powdecay": True, "undeclared": True,
+                  "expdecay": False}
+
+
+def _old_has_claim(f, kind, q):
+    if f.id not in _OLD_GEOMETRIC or q not in _OLD_QS:
+        return False
+    if kind == geom_convex():
+        return _OLD_GEOMETRIC[f.id]
+    return kind.alpha in _OLD_ALPHAS and kind.m in _OLD_MS
+
+
 def _old_require(cond, failures, msg):
     if not cond:
         failures.append(msg)
@@ -146,7 +191,7 @@ def _old_check_hypotheses(theorem_id, f, bp):
 
     if theorem_id == "t22":
         _old_require(
-            f.has_claim(alpha_m_geom_convex(bp.alpha, bp.m), 1.0),
+            _old_has_claim(f, alpha_m_geom_convex(bp.alpha, bp.m), 1.0),
             failures,
             f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q=1",
         )
@@ -154,7 +199,7 @@ def _old_check_hypotheses(theorem_id, f, bp):
         _old_require(bp.M < 1.0, failures, "M < 1 required")
         _old_require(bp.m < 1.0, failures, "m < 1 required")
         _old_require(
-            f.has_claim(alpha_m_geom_convex(bp.alpha, bp.m), bp.q),
+            _old_has_claim(f, alpha_m_geom_convex(bp.alpha, bp.m), bp.q),
             failures,
             f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q={bp.q:g}",
         )
@@ -170,7 +215,7 @@ def _old_check_hypotheses(theorem_id, f, bp):
     elif theorem_id == "set":
         _old_require(bp.M < 1.0, failures, "M < 1 required")
         _old_require(
-            f.has_claim(geom_convex(), bp.q),
+            _old_has_claim(f, geom_convex(), bp.q),
             failures,
             f"no geometric-convex claim at q={bp.q:g}",
         )
@@ -246,12 +291,38 @@ class TestTheoremRegistry:
                        if value != 1.0]
         return broken
 
+    @staticmethod
+    def _newly_certified(fid, geometric, alpha, m, q):
+        """The claims off the old table (q = 2.5, or m = 1 for an
+        (alpha, m)-geometric claim) that a certificate admits: every one on
+        an affine member, powdecay's but (0.5, 1), and expdecay's with m < 1."""
+        if not (q == 2.5 or (not geometric and m == 1.0)):
+            return False
+        if fid in ("linear", "affine08"):
+            return True
+        if fid in ("powdecay", "undeclared"):
+            return geometric or m < 1.0 or alpha == 1.0
+        return fid == "expdecay" and not geometric and m < 1.0
+
+    @staticmethod
+    def _without_claim(message, theorem_id, f, bp):
+        """The per-id chain's message with its missing-claim failure gone."""
+        if theorem_id == "set":
+            claim = f"no geometric-convex claim at q={bp.q:g}"
+        else:
+            q = 1.0 if theorem_id == "t22" else bp.q
+            claim = f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q={q:g}"
+        head, failures = message.split(": ", 1)
+        rest = [msg for msg in failures.split("; ") if msg != claim]
+        assert len(rest) < len(failures.split("; ")), (message, claim)
+        return f"{head}: " + "; ".join(rest) if rest else None
+
     def test_hypotheses_equal_per_id_chain(self, corpus):
         undeclared = dataclasses.replace(
             corpus["powdecay"], id="undeclared", decreasing_abs_deriv=False
         )
         functions = [*corpus.values(), undeclared]
-        same = newly_rejected = parent_passed = 0
+        same = newly_rejected = parent_passed = certified = 0
         for theorem_id, f, mu, alpha, m, q, u, M, b in itertools.product(
             THEOREM_IDS + ("t99",), functions, (0.5, 1.0), (0.5, 1.0), (0.5, 1.0),
             (1.0, 2.0, 2.5), (None, 0.5), (None, 0.5, 1.0), (2.0, 0.9),
@@ -269,6 +340,12 @@ class TestTheoremRegistry:
             got = _outcome(_check_hypotheses, theorem_id, f, bp)
             broken = self._newly_broken(theorem_id, bp)
             if not broken:
+                # t22 on the per-id chain reads its claim at q = 1 (its pin).
+                q = 1.0 if theorem_id == "t22" else bp.q
+                if theorem_id in THEOREMS and self._newly_certified(
+                        f.id, theorem_id == "set", alpha, m, q):
+                    want = self._without_claim(want, theorem_id, f, bp)
+                    certified += 1
                 assert got == want, (theorem_id, f.id, bp)
                 same += 1
                 continue
@@ -284,6 +361,9 @@ class TestTheoremRegistry:
         # t26 and mu1 with u.
         assert newly_rejected == len(functions) * (240 + 252 + 3 * 144)
         assert same and newly_rejected and parent_passed
+        # The cases whose messages differ are exactly those whose claim the
+        # old table lacked and a certificate admits (`_newly_certified`).
+        assert certified == 2472
 
 
 class TestVerdicts:
