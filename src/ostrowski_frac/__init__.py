@@ -17,7 +17,6 @@ from .fracint import (  # noqa: F401
     rl_upper,
 )
 from .convexity import (  # noqa: F401
-    ConvexityKind,
     Counterexample,
     GridSpec,
     check_gm_lemma,

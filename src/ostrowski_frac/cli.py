@@ -15,16 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import BoundParams
-from .convexity import (
-    GridSpec,
-    alpha_m_convex,
-    alpha_m_geom_convex,
-    check_membership,
-    convex,
-    geom_convex,
-    m_convex,
-    m_geom_convex,
-)
+from .convexity import GridSpec, check_membership
 from .corpus import builtin_audits, corpus_by_id
 from .fracint import ConvergenceError, DomainError, FracParams, rl_lower, rl_upper
 from .report import (
@@ -40,16 +31,6 @@ from .verify import THEOREM_IDS, HypothesisError, verify_classical, verify_theor
 
 def _g(v: float) -> str:
     return f"{v:.17g}"
-
-
-_KIND_BUILDERS = {
-    "convex": lambda a, m: convex(),
-    "m-convex": lambda a, m: m_convex(m),
-    "alpha-m-convex": lambda a, m: alpha_m_convex(a, m),
-    "geom": lambda a, m: geom_convex(),
-    "m-geom": lambda a, m: m_geom_convex(m),
-    "alpha-m-geom": lambda a, m: alpha_m_geom_convex(a, m),
-}
 
 
 def _corpus_lookup(fid: str):
@@ -77,14 +58,12 @@ def _cmd_check_convexity(args) -> int:
     f = _corpus_lookup(args.f)
     import numpy as np
 
-    builder = _KIND_BUILDERS[args.kind]
-    kind = builder(args.alpha, args.m)
     grid = GridSpec(points_per_axis=args.points, t_steps=args.t_steps)
 
     def g(u):
         return np.abs(np.asarray(f.fprime(u), dtype=float)) ** args.q
 
-    ce = check_membership(g, f.domain, kind, grid, g_domain=f.domain)
+    ce = check_membership(g, f.domain, args.alpha, args.m, grid, g_domain=f.domain)
     if ce is None:
         print("pass")
         return 0
@@ -187,9 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upper", action="store_true", help="right-sided integral")
     p.set_defaults(func=_cmd_frac_int)
 
-    p = sub.add_parser("check-convexity", help="grid membership check for |f'|^q")
+    p = sub.add_parser(
+        "check-convexity",
+        help="grid check that |f'|^q is (alpha, m)-geometrically convex",
+    )
     p.add_argument("--f", required=True)
-    p.add_argument("--kind", required=True, choices=sorted(_KIND_BUILDERS))
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--q", type=float, default=1.0)

@@ -5,23 +5,24 @@ its derivative by finite differences, and the monotonicity of |f'| it
 declares.  The registry construction fails loudly if any builtin entry does
 not audit clean.
 
-Convexity membership of |f'|^q is decided per family, not sampled.  Each
-family spec carries `member(kind)`: an exact certificate for the
-(alpha, m)-geometric kinds, in which q cancels, so it is memoized per
-(alpha, m).  Every certificate also requires the combination points
-x^t y^(m(1-t)) to stay in the domain; by monotonicity they fill
-[min(lo, lo^m), max(hi, hi^m)].
+Convexity membership of |f'|^q is decided per family, not sampled.  Every
+class the theorems need is (alpha, m)-geometric convexity (alpha = m = 1 is
+plain geometric convexity), and in logs its defining inequality scales by q,
+so membership depends only on (alpha, m).  Each family spec carries
+`member(alpha, m)`: an exact certificate, memoized per (alpha, m).  Every
+certificate also requires the combination points x^t y^(m(1-t)) to stay in
+the domain; by monotonicity they fill [min(lo, lo^m), max(hi, hi^m)].
   - affine: |f'|^q is a constant c, certified when 0 < c <= 1, since
     c <= c^(t^alpha + m(1 - t^alpha)) then (exact for m < 1: t = 0 needs
     c <= c^m);
-  - constant: g = 0 is never a member (the geometric kinds need g > 0);
+  - constant: g = 0 is never a member (the geometric classes need g > 0);
   - power decay (`power_decay_margin`): exact in closed form;
   - exp decay (`exp_decay_defect`): for fixed t the defect is convex in
     (x, y), so it peaks at a corner of the box; its supremum over t is
     bounded by interval bisection (Hansen, Global Optimization Using
     Interval Analysis) up to the grid's relative slack, `GridSpec.slack`.
-A hand-built FunctionSpec with no family instead lists its `claims`, which
-`audit` checks on the membership grid and `has_claim` looks up exactly.
+A hand-built FunctionSpec with no family certifies nothing, so no theorem
+applies to it.
 
 The two nontrivial members were found by brute-force search over the decay
 families below, keeping parameters whose |f'|^q is a member for every
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convexity import DEFAULT_GRID, ConvexityKind, GridSpec, check_membership
+from .convexity import DEFAULT_GRID
 from .fracint import DomainError
 
 
@@ -52,11 +53,10 @@ class FunctionSpec:
     fprime: Callable
     domain: tuple[float, float]
     M: float
-    claims: tuple[tuple[ConvexityKind, float], ...]
     decreasing_abs_deriv: bool
-    # A family's membership certificate for |f'|^q, for every q; None for a
-    # hand-built spec, whose `claims` are its memberships.
-    member: Optional[Callable[[ConvexityKind], bool]] = None
+    # Whether |f'|^q is (alpha, m)-geometrically convex, for every q > 0: a
+    # family's certificate; a hand-built spec certifies nothing.
+    member: Callable[[float, float], bool] = lambda alpha, m: False
 
     def __post_init__(self) -> None:
         lo, hi = self.domain
@@ -71,19 +71,11 @@ class FunctionSpec:
         if not (lo - 1e-12 <= a and b <= hi + 1e-12):
             raise DomainError(f"[{a}, {b}] outside domain of {self.id!r}")
 
-    def has_claim(self, kind: ConvexityKind, q: float) -> bool:
-        """Whether |f'|^q is in `kind`: the family's certificate decides,
-        otherwise (kind, q) must be one of the claims, exactly."""
-        if self.member is not None:
-            return self.member(kind)
-        return (kind, q) in self.claims
 
-
-def audit(spec: FunctionSpec, grid: GridSpec = DEFAULT_GRID) -> list[str]:
+def audit(spec: FunctionSpec) -> list[str]:
     """Run all FunctionSpec invariants; return the violated ones (empty = pass).
 
-    A family spec's memberships are certificates, not claims: only a
-    hand-built spec's claims are checked, on `grid`.
+    Membership is decided by the spec's certificate, so it is not audited.
     """
     lo, hi = spec.domain
     violations: list[str] = []
@@ -102,22 +94,6 @@ def audit(spec: FunctionSpec, grid: GridSpec = DEFAULT_GRID) -> list[str]:
     if err > 1e-6:
         violations.append(f"finite difference disagrees with fprime: max err {err:.3g}")
 
-    for kind, q in spec.claims:
-        def gq(u, q=q):
-            return np.abs(np.asarray(spec.fprime(u), dtype=float)) ** q
-
-        try:
-            ce = check_membership(gq, spec.domain, kind, grid, g_domain=spec.domain)
-        except DomainError as exc:
-            violations.append(f"claim {kind.describe()} q={q:g}: {exc}")
-            continue
-        if ce is not None:
-            violations.append(
-                f"claim {kind.describe()} q={q:g} violated at "
-                f"x={ce.x:.17g} y={ce.y:.17g} t={ce.t:.17g} "
-                f"(lhs {ce.lhs:.17g} > rhs {ce.rhs:.17g})"
-            )
-
     if spec.decreasing_abs_deriv:
         if np.any(np.diff(absd) > 1e-12):
             violations.append("|f'| is not non-increasing on the grid")
@@ -131,11 +107,9 @@ def audit(spec: FunctionSpec, grid: GridSpec = DEFAULT_GRID) -> list[str]:
 # g(y)^(m(1-t^alpha)) for x, y in [lo, hi] and t in [0, 1].
 
 def _certificate(lo: float, hi: float, certify: Callable[[float, float], bool]):
-    """`member(kind)` from `certify(alpha, m)`, memoized per (alpha, m).
+    """`member(alpha, m)` from `certify(alpha, m)`, memoized per (alpha, m).
 
-    The geometric kinds are (alpha, m)-geometric ones with absent
-    parameters at 1; no family is certified for an arithmetic kind.  The
-    combination points must stay in [lo, hi], up to the grid's 1e-12.
+    The combination points must stay in [lo, hi], up to the grid's 1e-12.
     """
 
     @functools.cache
@@ -143,10 +117,7 @@ def _certificate(lo: float, hi: float, certify: Callable[[float, float], bool]):
         inside = min(lo, lo**m) >= lo - 1e-12 and max(hi, hi**m) <= hi + 1e-12
         return inside and certify(alpha, m)
 
-    def member(kind: ConvexityKind) -> bool:
-        return kind.geometric and certified(*kind.effective())
-
-    return member
+    return certified
 
 
 def power_decay_margin(
@@ -248,7 +219,6 @@ def affine_spec(
         fprime=lambda u: slope * np.ones_like(np.asarray(u, dtype=float)),
         domain=(lo, hi),
         M=M,
-        claims=(),
         decreasing_abs_deriv=True,
         member=_certificate(lo, hi, lambda alpha, m: 0.0 < abs(slope) <= 1.0),
     )
@@ -262,7 +232,6 @@ def constant_spec(id: str, value: float, lo: float, hi: float) -> FunctionSpec:
         fprime=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
         domain=(lo, hi),
         M=1e-3,
-        claims=(),
         decreasing_abs_deriv=True,
         member=_certificate(lo, hi, lambda alpha, m: False),
     )
@@ -300,7 +269,6 @@ def power_decay_spec(
         fprime=fprime,
         domain=(lo, hi),
         M=M if declared_M is None else declared_M,
-        claims=(),
         decreasing_abs_deriv=True,
         member=_certificate(lo, hi, certify),
     )
@@ -338,7 +306,6 @@ def exp_decay_spec(
         fprime=fprime,
         domain=(lo, hi),
         M=M if declared_M is None else declared_M,
-        claims=(),
         decreasing_abs_deriv=True,
         member=_certificate(lo, hi, certify),
     )

@@ -160,8 +160,11 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
     cap_accept = 10.0 * cfg.abs_tol
 
     # Active panels, ordered by integral and then left to right: a, b, the
-    # estimate on [a, b] and j, the integral's position in `live`.
-    a, b, est, j = lo, hi, whole, np.arange(live.size)
+    # estimate on [a, b] and j, the integral's position in `live`.  A
+    # non-finite estimate is nan, which splits its panel as inf would, but
+    # spares both - est the warning of inf - inf.  Deeper estimates are
+    # halves of a finite sum, so finite.
+    a, b, est, j = lo, hi, np.where(np.isfinite(whole), whole, np.nan), np.arange(live.size)
     levels = []  # per depth: (left + right of each panel, panel was split)
     failures = []  # per depth: (j, a, message) of its first failing panel
     for depth in range(cfg.max_subdivisions + 1):

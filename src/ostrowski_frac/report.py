@@ -136,9 +136,11 @@ def _parse_bool(key: str, value: str) -> bool:
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Flat key-value format, one `key = value` per line; # starts a comment."""
+    """Flat key-value format, one `key = value` per line and each key at most
+    once; # starts a comment."""
     kv: dict[str, str] = {}
     extra: list[tuple[str, str, tuple[tuple[str, float], ...]]] = []
+    seen: set[str] = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,6 +148,9 @@ def parse_config(text: str) -> SweepConfig:
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"repeated config key {key!r}")
+        seen.add(key)
         if key.startswith("function."):
             fid = key[len("function."):]
             parts = value.split()
@@ -214,6 +219,8 @@ def parse_config(text: str) -> SweepConfig:
 def resolve_corpus(cfg: SweepConfig) -> list[FunctionSpec]:
     by_id = corpus_by_id()
     for family, fid, params in cfg.extra_functions:
+        if fid in by_id:
+            raise ConfigError(f"extra function id {fid!r} is already in the corpus")
         spec = spec_from_family(family, fid, **dict(params))
         if cfg.audit_extra:
             violations = audit(spec)

@@ -22,7 +22,6 @@ import numpy as np
 from . import bounds as bnd
 from .bounds import BoundParams
 from .corpus import FunctionSpec
-from .convexity import alpha_m_geom_convex, geom_convex
 from .fracint import (
     DEFAULT_QUAD,
     DomainError,
@@ -142,7 +141,7 @@ class Theorem:
         """The right-hand side: the point factor times the geometry factor."""
         return self.factor(bp) * bnd.geometry_factor(bp.frac)
 
-    @property
+    @functools.cached_property
     def box(self) -> tuple[tuple[str, str, float], ...]:
         """(parameter, relation, bound) constraints: the open box, then the pins."""
         open_box = (("q", ">", 1.0), ("alpha", "<", 1.0)) if self.open_box else ()
@@ -177,11 +176,6 @@ THEOREMS = {
 THEOREM_IDS = tuple(THEOREMS)
 
 
-# The convexity classes the theorems need of |f'|^q, each built once.
-_GEOM_CONVEX = geom_convex()
-_alpha_m_geom_convex = functools.lru_cache(maxsize=4096)(alpha_m_geom_convex)
-
-
 def _check_hypotheses(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> None:
     """Raise HypothesisError, naming every failed hypothesis in order, unless
     the theorem is stated for f at bp.  Only a failed check's message is
@@ -202,19 +196,20 @@ def _check_hypotheses(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> None
         if not (theorem.geom_convex or bp.m < 1.0):
             failures.append("m < 1 required")
     if theorem.geom_convex:
-        if not f.has_claim(_GEOM_CONVEX, bp.q):
+        if not f.member(1.0, 1.0):
             failures.append(f"no geometric-convex claim at q={bp.q:g}")
-    elif not f.has_claim(_alpha_m_geom_convex(bp.alpha, bp.m), bp.q):
+    elif not f.member(bp.alpha, bp.m):
         failures.append(f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q={bp.q:g}")
     if theorem.young:
         if bp.u is None:
             failures.append("u, v required")
     elif bp.u is not None:
         failures.append("u, v not used")
-    params = {"mu": bp.frac.mu, "alpha": bp.alpha, "m": bp.m, "q": bp.q}
-    for name, rel, bound in theorem.box:
-        if not _RELATIONS[rel](params[name], bound):
-            failures.append(f"{name} {rel} {bound:g} required")
+    if theorem.box:
+        params = {"mu": bp.frac.mu, "alpha": bp.alpha, "m": bp.m, "q": bp.q}
+        for name, rel, bound in theorem.box:
+            if not _RELATIONS[rel](params[name], bound):
+                failures.append(f"{name} {rel} {bound:g} required")
     if failures:
         raise HypothesisError(f"{theorem_id} on {f.id!r}: " + "; ".join(failures))
 

@@ -24,8 +24,8 @@ from ostrowski_frac.report import (
 )
 from ostrowski_frac.verify import THEOREMS, HypothesisError, _check_hypotheses, ostrowski_lhs
 
-# x = a and x = b leave one fractional integral empty; const1 carries no
-# claims, so no theorem applies to it.
+# x = a and x = b leave one fractional integral empty; const1 is in no
+# convexity class, so no theorem applies to it.
 BATCH_SWEEP = """\
 functions = linear,const1,powdecay,expdecay
 theorems = t22,set,mu1,t26
@@ -96,8 +96,8 @@ class TestFracIntCommand:
 class TestCheckConvexityCommand:
     def test_pass(self, capsys):
         rc = main(
-            ["check-convexity", "--f", "powdecay", "--kind", "alpha-m-geom",
-             "--alpha", "0.5", "--m", "0.5", "--q", "2"]
+            ["check-convexity", "--f", "powdecay", "--alpha", "0.5", "--m", "0.5",
+             "--q", "2"]
         )
         assert rc == 0
         assert capsys.readouterr().out.strip() == "pass"
@@ -105,21 +105,26 @@ class TestCheckConvexityCommand:
     def test_non_finite_g_exits_2(self, capsys):
         # |f'|^nan is nan everywhere, and every comparison with nan is False.
         rc = main(
-            ["check-convexity", "--f", "powdecay", "--kind", "alpha-m-geom",
-             "--alpha", "0.5", "--m", "0.5", "--q", "nan"]
+            ["check-convexity", "--f", "powdecay", "--alpha", "0.5", "--m", "0.5",
+             "--q", "nan"]
         )
         assert rc == 2
         assert capsys.readouterr().err == "error: g not finite on the grid\n"
 
     def test_counterexample_exits_1(self, capsys):
-        # |f'| = 1 for linear, but additive m-convexity of the constant 1
-        # fails: 1 > t + m(1-t) for m < 1
-        rc = main(
-            ["check-convexity", "--f", "linear", "--kind", "m-convex",
-             "--m", "0.5"]
-        )
+        # alpha and m default to 1: expdecay's |f'| is not geometrically
+        # convex (by AM-GM), so the grid finds a counterexample
+        rc = main(["check-convexity", "--f", "expdecay"])
         assert rc == 1
         assert capsys.readouterr().out.startswith("counterexample")
+
+    def test_alpha_is_read_at_m_one(self, capsys):
+        # powdecay is (0.3, 0.5)- but not (0.3, 1)-geometrically convex: at
+        # m = 1, t^alpha > t shifts weight onto the smaller g(x) when x > y
+        assert main(["check-convexity", "--f", "powdecay", "--alpha", "0.3"]) == 1
+        assert capsys.readouterr().out.startswith("counterexample")
+        assert main(["check-convexity", "--f", "powdecay", "--alpha", "0.3",
+                     "--m", "0.5"]) == 0
 
 
 class TestVerifyCommand:
@@ -462,6 +467,36 @@ class TestConfigParsing:
         ids = [s.id for s in resolve_corpus(cfg)]
         assert "aff" in ids and "powdecay" in ids
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("mu = 1.0\nmu = 0.5\n", "mu"),
+            ("abs_tol = 1e-10\n# again\nabs_tol = 1e-10\n", "abs_tol"),
+            ("function.aff = affine slope=0.5 intercept=0 lo=0 hi=1\n"
+             "function.aff = affine slope=0.25 intercept=0 lo=0 hi=1\n", "function.aff"),
+        ],
+        ids=["mu", "abs_tol", "function"],
+    )
+    def test_repeated_key_exits_2(self, tmp_path, capsys, text, key):
+        # A second value would replace the first: one of them would be dropped.
+        with pytest.raises(ConfigError, match=f"^repeated config key '{key}'$"):
+            parse_config(text)
+        path = tmp_path / "twice.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: repeated config key '{key}'\n"
+
+    def test_extra_function_may_not_reuse_a_builtin_id(self, tmp_path, capsys):
+        # It would replace the builtin, and its verdicts would carry the
+        # builtin's label for a different function on a different domain.
+        text = "function.linear = affine slope=0.5 intercept=0 lo=1 hi=2\n"
+        with pytest.raises(ConfigError, match="^extra function id 'linear' is already"):
+            resolve_corpus(parse_config(text))
+        path = tmp_path / "shadow.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "'linear' is already in the corpus" in capsys.readouterr().err
+
 
 class TestRenderReport:
     def test_csv_header_and_rows(self):
@@ -585,9 +620,9 @@ class TestBatchedSweep:
             monkeypatch.setattr(report_mod, "resolve_corpus", lambda cfg: [spec])
 
         cfg = parse_config(BATCH_SWEEP)
-        with_boom("const1")  # no claims: nothing applies
+        with_boom("const1")  # no membership: nothing applies
         assert run_sweep(cfg)["verdicts"] == []
-        with_boom("linear")  # claims hold: the sweep must integrate it
+        with_boom("linear")  # memberships hold: the sweep must integrate it
         with pytest.raises(RuntimeError, match="integrand evaluated"):
             run_sweep(cfg)
 

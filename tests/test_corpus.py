@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from ostrowski_frac import corpus as corpus_mod
-from ostrowski_frac.convexity import (
-    GridSpec,
-    alpha_m_convex,
-    alpha_m_geom_convex,
-    check_membership,
-    geom_convex,
-    m_geom_convex,
-)
+from ostrowski_frac.convexity import GridSpec, check_membership
 from ostrowski_frac.corpus import (
     FunctionSpec,
     affine_spec,
@@ -46,13 +39,12 @@ class TestBuiltinCorpus:
 
     def test_claims_match_predicate_not_assumption(self, corpus):
         # Every claim of the table the certificates replaced is certified,
-        # by a margin: every (alpha, m, q) of the default sweep, geometric
+        # by a margin: every (alpha, m) of the default sweep, geometric
         # for all but expdecay.
-        for alpha, m, q in itertools.product(OLD_ALPHAS, OLD_MS, OLD_QS):
-            kind = alpha_m_geom_convex(alpha, m)
+        for alpha, m in itertools.product(OLD_ALPHAS, OLD_MS):
             for fid in ("linear", "affine08", "powdecay", "expdecay"):
-                assert corpus[fid].has_claim(kind, q), (fid, alpha, m, q)
-                assert corpus[fid].has_claim(geom_convex(), q) is (fid != "expdecay")
+                assert corpus[fid].member(alpha, m), (fid, alpha, m)
+                assert corpus[fid].member(1.0, 1.0) is (fid != "expdecay")
             # powdecay: M = 0.5, r = 0.04 on [1, 2]
             assert power_decay_margin(0.5, 0.04, 1.0, 2.0, alpha, m) >= 0.09
             # expdecay: M = 0.5, lam = 0.02 on [1, 2]; 0 at t = 1 up to rounding
@@ -60,41 +52,28 @@ class TestBuiltinCorpus:
                        for t in np.linspace(0.0, 1.0, 2001).tolist()]
             assert max(defects[:-1]) < 0.0 and abs(defects[-1]) <= 1e-16
 
-    @pytest.mark.parametrize(
-        "grid", [GridSpec(41, 41), GridSpec(33, 57)], ids=["41x41", "33x57"]
-    )
-    def test_audits_clean_beyond_the_shipped_grid(self, corpus, grid):
-        # 41 nests the shipped 21-point axes; 33 x 57 shares only their quarter points
-        for spec in corpus.values():
-            assert audit(spec, grid) == [], spec.id
-
     def test_expdecay_has_no_geometric_claim(self, corpus):
         spec = corpus["expdecay"]
+        assert not spec.member(1.0, 1.0)
+        # and indeed the grid rejects it on a fine grid, for every q
         for q in OLD_QS:
-            assert not spec.has_claim(geom_convex(), q)
-        # and indeed the membership predicate rejects it on a fine grid
-        gq = lambda u: np.abs(np.asarray(spec.fprime(u), float))
-        ce = check_membership(
-            gq, spec.domain, geom_convex(), GridSpec(41, 41), g_domain=spec.domain
-        )
-        assert ce is not None
+            ce = check_membership(_gq(spec, q), spec.domain, grid=GridSpec(41, 41),
+                                  g_domain=spec.domain)
+            assert ce is not None, q
 
-    def test_has_claim_is_exact_for_hand_built_specs(self, corpus):
-        kind = alpha_m_geom_convex(0.5, 0.5)
+    def test_hand_built_spec_certifies_nothing(self, corpus):
         base = corpus["powdecay"]
         spec = FunctionSpec(
             id="hand", f=base.f, fprime=base.fprime, domain=base.domain, M=base.M,
-            claims=((kind, 2.0),), decreasing_abs_deriv=True,
+            decreasing_abs_deriv=True,
         )
-        assert spec.has_claim(kind, 2.0)
-        assert not spec.has_claim(kind, 2.0 + 1e-13)
-        assert not spec.has_claim(alpha_m_geom_convex(0.5 + 1e-13, 0.5), 2.0)
-        assert not spec.has_claim(geom_convex(), 2.0)
-        # a family's certificate does not read q
-        assert all(base.has_claim(kind, q) for q in (1.0, 2.0 + 1e-13, 2.5, 7.0))
+        assert base.member(0.5, 0.5) and base.member(1.0, 1.0)
+        assert not spec.member(0.5, 0.5) and not spec.member(1.0, 1.0)
+        assert audit(spec) == []
 
 
-# The claim table the certificates replaced: the default sweep's values.
+# The claim table the certificates replaced: the default sweep's values
+# (its q values too, which no certificate reads).
 OLD_ALPHAS = (0.25, 0.5, 0.75, 1.0)
 OLD_MS = (0.25, 0.5, 0.75)
 OLD_QS = (1.0, 1.5, 2.0, 3.0)
@@ -116,8 +95,8 @@ def _mp_defect(fprime, x, y, t, alpha, m, q):
 
 class TestCertificates:
     """Each family's membership certificate against the grid, which stays
-    an independent oracle: wherever a certificate admits a claim, no grid
-    may find a counterexample or leave the domain."""
+    an independent oracle: wherever a certificate admits an (alpha, m), no
+    grid may find a counterexample or leave the domain, at any q."""
 
     ALPHAS = MS = (0.25, 0.5, 0.75, 1.0)
     QS = (1.0, 1.5, 2.0, 2.5, 3.0)
@@ -141,13 +120,12 @@ class TestCertificates:
         admitted = rejected = 0
         for spec in self.specs(corpus):
             for alpha, m in itertools.product(self.ALPHAS, self.MS):
-                kind = alpha_m_geom_convex(alpha, m)
-                if not spec.has_claim(kind, 1.0):
+                if not spec.member(alpha, m):
                     rejected += 1
                     continue
                 admitted += 1
                 for q in self.QS:
-                    ce = check_membership(_gq(spec, q), spec.domain, kind, grid,
+                    ce = check_membership(_gq(spec, q), spec.domain, alpha, m, grid,
                                           g_domain=spec.domain)
                     assert ce is None, (spec.id, alpha, m, q, ce)
         assert admitted and rejected
@@ -158,15 +136,14 @@ class TestCertificates:
         failures = 0
         for spec in self.specs(corpus):
             for alpha, m in itertools.product(self.ALPHAS, self.MS):
-                kind = alpha_m_geom_convex(alpha, m)
                 try:
-                    ce = check_membership(_gq(spec, 1.0), spec.domain, kind,
+                    ce = check_membership(_gq(spec, 1.0), spec.domain, alpha, m,
                                           GridSpec(21, 21), g_domain=spec.domain)
                 except DomainError:
                     ce = "domain"
                 if ce is not None:
                     failures += 1
-                    assert not spec.has_claim(kind, 1.0), (spec.id, alpha, m)
+                    assert not spec.member(alpha, m), (spec.id, alpha, m)
         # const1 and const2 (g = 0), aff_off off m = 1, and decay failures
         assert failures > 2 * 16 + 12
 
@@ -174,29 +151,24 @@ class TestCertificates:
         # M = 0.5, r = 0.2, alpha = 0.5 on [1, 2]: (1 - alpha)/alpha r ln 2
         # = (1 - m) ln 2 at m* = 0.8.
         spec = power_decay_spec("pd02", M=0.5, r=0.2, lo=1.0, hi=2.0)
-        assert spec.has_claim(alpha_m_geom_convex(0.5, 0.8 - 1e-9), 1.0)
-        assert not spec.has_claim(alpha_m_geom_convex(0.5, 0.8 + 1e-9), 1.0)
+        assert spec.member(0.5, 0.8 - 1e-9)
+        assert not spec.member(0.5, 0.8 + 1e-9)
         # alpha = 1: the left side is 0, so every m < 1 (and M < 1) is certified
-        assert all(spec.has_claim(alpha_m_geom_convex(1.0, m), 1.0) for m in self.MS)
-
-    def test_arithmetic_kinds_are_never_certified(self, corpus):
-        for fid in ("linear", "powdecay", "expdecay"):
-            assert not corpus[fid].has_claim(alpha_m_convex(0.5, 0.5), 1.0)
+        assert all(spec.member(1.0, m) for m in self.MS)
 
     def test_constant_is_never_a_member(self, corpus):
-        for kind in (geom_convex(), m_geom_convex(0.5), alpha_m_geom_convex(0.5, 0.5)):
-            assert not corpus["const1"].has_claim(kind, 1.0)
-        assert not constant_spec("c", value=1.0, lo=1.0, hi=2.0).has_claim(geom_convex(), 1.0)
+        for alpha, m in ((1.0, 1.0), (1.0, 0.5), (0.5, 0.5)):
+            assert not corpus["const1"].member(alpha, m)
+        assert not constant_spec("c", value=1.0, lo=1.0, hi=2.0).member(1.0, 1.0)
 
     def test_combination_points_must_stay_in_the_domain(self):
         # [1.5, 2.5]: 1.5^m < 1.5 for m < 1, where the grid raises DomainError
         spec = affine_spec("aff_off", slope=0.5, intercept=0.0, lo=1.5, hi=2.5)
-        kind = alpha_m_geom_convex(0.5, 0.5)
-        assert not spec.has_claim(kind, 1.0)
+        assert not spec.member(0.5, 0.5)
         with pytest.raises(DomainError, match="combination points leave"):
-            check_membership(_gq(spec, 1.0), spec.domain, kind, g_domain=spec.domain)
-        assert spec.has_claim(geom_convex(), 1.0)
-        assert spec.has_claim(alpha_m_geom_convex(0.5, 1.0), 1.0)
+            check_membership(_gq(spec, 1.0), spec.domain, 0.5, 0.5, g_domain=spec.domain)
+        assert spec.member(1.0, 1.0)
+        assert spec.member(0.5, 1.0)
 
     def test_memoized_per_alpha_m(self, monkeypatch):
         calls = []
@@ -208,11 +180,9 @@ class TestCertificates:
 
         monkeypatch.setattr(corpus_mod, "_exp_decay_certified", counting)
         spec = exp_decay_spec("ed", M=0.5, lam=0.02, lo=1.0, hi=2.0)
-        for q in self.QS:
-            assert spec.has_claim(alpha_m_geom_convex(0.5, 0.5), q)
-            assert spec.has_claim(alpha_m_geom_convex(1.0, 0.25), q)
-            # the same (alpha, m) as m_geom_convex(0.25)
-            assert spec.has_claim(m_geom_convex(0.25), q)
+        for _ in range(3):  # each repeat is a memo hit
+            assert spec.member(0.5, 0.5)
+            assert spec.member(1.0, 0.25)
         assert calls == [(0.5, 0.5), (1.0, 0.25)]
 
 
@@ -224,20 +194,20 @@ class TestBoundaryCases:
     def test_power_decay_just_past_the_threshold(self):
         # m* = 0.8; at m = 0.801 the defect is positive for t in (0.9900, 1)
         spec = power_decay_spec("pd02", M=0.5, r=0.2, lo=1.0, hi=2.0)
-        kind = alpha_m_geom_convex(0.5, 0.801)
-        assert not spec.has_claim(kind, 1.0)
+        assert not spec.member(0.5, 0.801)
         for q in (1.0, 3.0):
-            assert check_membership(_gq(spec, q), spec.domain, kind, g_domain=spec.domain) is None
+            assert check_membership(_gq(spec, q), spec.domain, 0.5, 0.801,
+                                    g_domain=spec.domain) is None
         defect = _mp_defect(lambda u: mp.mpf(0.5) * u ** -mp.mpf(0.2), 2.0, 1.0, 0.995,
                             0.5, 0.801, 1)
         assert defect > 3e-7
 
     def test_exp_decay_between_grid_t_steps(self):
         spec = exp_decay_spec("ed99", M=0.99, lam=0.02, lo=1.0, hi=2.0)
-        kind = alpha_m_geom_convex(1.0, 0.25)
-        assert not spec.has_claim(kind, 1.0)
+        assert not spec.member(1.0, 0.25)
         for q in (1.0, 3.0):
-            assert check_membership(_gq(spec, q), spec.domain, kind, g_domain=spec.domain) is None
+            assert check_membership(_gq(spec, q), spec.domain, 1.0, 0.25,
+                                    g_domain=spec.domain) is None
         defect = _mp_defect(lambda u: mp.mpf(0.99) * mp.exp(-mp.mpf(0.02) * (u - 1)),
                             2.0, 1.0, 0.990175, 1.0, 0.25, 1)
         assert 8.9e-7 < defect < 9.0e-7
@@ -251,7 +221,6 @@ class TestAuditFailures:
             fprime=lambda u: 0.9 * np.asarray(u, float) / 2.0,
             domain=(0.0, 2.0),
             M=1.0,
-            claims=(),
             decreasing_abs_deriv=False,
         )
         violations = audit(spec)
@@ -263,21 +232,6 @@ class TestAuditFailures:
         violations = audit(spec)
         assert any("exceeds declared M" in v for v in violations)
 
-    def test_false_claim_detected(self):
-        # exp decay with a geometric claim bolted on must fail membership
-        base = exp_decay_spec("expgeom", M=0.5, lam=0.5, lo=1.0, hi=2.0)
-        spec = FunctionSpec(
-            id=base.id,
-            f=base.f,
-            fprime=base.fprime,
-            domain=base.domain,
-            M=base.M,
-            claims=base.claims + ((geom_convex(), 1.0),),
-            decreasing_abs_deriv=base.decreasing_abs_deriv,
-        )
-        violations = audit(spec)
-        assert any("geom-convex" in v and "violated" in v for v in violations)
-
     def test_increasing_deriv_flag_detected(self):
         spec = FunctionSpec(
             id="grows",
@@ -285,7 +239,6 @@ class TestAuditFailures:
             fprime=lambda u: np.asarray(u, float) / 2.0,
             domain=(0.0, 2.0),
             M=1.0,
-            claims=(),
             decreasing_abs_deriv=True,
         )
         violations = audit(spec)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ostrowski_frac.bounds import BoundParams
-from ostrowski_frac.convexity import alpha_m_geom_convex, geom_convex
 from ostrowski_frac.corpus import FunctionSpec, affine_spec
 from ostrowski_frac.fracint import DomainError, FracParams, adaptive_gauss_many
 from ostrowski_frac.report import _grid_for, parse_config
@@ -26,11 +25,11 @@ from conftest import simpson
 
 
 def plain_spec(id, f, fprime, domain):
-    """Ad-hoc FunctionSpec for expression-level tests; claims are irrelevant
-    because only ostrowski_signed / residual functions are exercised."""
+    """Ad-hoc FunctionSpec for expression-level tests; membership is
+    irrelevant because only ostrowski_signed / residual functions are
+    exercised."""
     return FunctionSpec(
-        id=id, f=f, fprime=fprime, domain=domain, M=1.0, claims=(),
-        decreasing_abs_deriv=False,
+        id=id, f=f, fprime=fprime, domain=domain, M=1.0, decreasing_abs_deriv=False,
     )
 
 
@@ -169,11 +168,13 @@ _OLD_GEOMETRIC = {"linear": True, "affine08": True, "powdecay": True, "undeclare
 
 
 def _old_has_claim(f, kind, q):
+    """kind: "geom" for the geometric-convex claim, else (alpha, m)."""
     if f.id not in _OLD_GEOMETRIC or q not in _OLD_QS:
         return False
-    if kind == geom_convex():
+    if kind == "geom":
         return _OLD_GEOMETRIC[f.id]
-    return kind.alpha in _OLD_ALPHAS and kind.m in _OLD_MS
+    alpha, m = kind
+    return alpha in _OLD_ALPHAS and m in _OLD_MS
 
 
 def _old_require(cond, failures, msg):
@@ -191,7 +192,7 @@ def _old_check_hypotheses(theorem_id, f, bp):
 
     if theorem_id == "t22":
         _old_require(
-            _old_has_claim(f, alpha_m_geom_convex(bp.alpha, bp.m), 1.0),
+            _old_has_claim(f, (bp.alpha, bp.m), 1.0),
             failures,
             f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q=1",
         )
@@ -199,7 +200,7 @@ def _old_check_hypotheses(theorem_id, f, bp):
         _old_require(bp.M < 1.0, failures, "M < 1 required")
         _old_require(bp.m < 1.0, failures, "m < 1 required")
         _old_require(
-            _old_has_claim(f, alpha_m_geom_convex(bp.alpha, bp.m), bp.q),
+            _old_has_claim(f, (bp.alpha, bp.m), bp.q),
             failures,
             f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q={bp.q:g}",
         )
@@ -215,7 +216,7 @@ def _old_check_hypotheses(theorem_id, f, bp):
     elif theorem_id == "set":
         _old_require(bp.M < 1.0, failures, "M < 1 required")
         _old_require(
-            _old_has_claim(f, geom_convex(), bp.q),
+            _old_has_claim(f, "geom", bp.q),
             failures,
             f"no geometric-convex claim at q={bp.q:g}",
         )
