@@ -11,12 +11,16 @@ taken to be exactly the kernel integral k(alpha); see README for why.
 Every printed right-hand side is a point factor (`factor_*`), which reads
 mu but never x, times `geometry_factor`; `verify.Theorem.rhs` forms that
 product, so a sweep may evaluate each factor once per point.
+
+A point factor is the printed formula and nothing more: it assumes the
+hypotheses and parameter box that its `verify.THEOREMS` record states, and
+`verify._check_hypotheses` is the one place that checks them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .fracint import DomainError, FracParams, mexp_integral
@@ -30,7 +34,7 @@ class BoundParams:
     m: float = 1.0
     q: float = 1.0
     u: Optional[float] = None
-    v: Optional[float] = None
+    v: Optional[float] = field(init=False)  # 1 - u, the Young split's other half
 
     def __post_init__(self) -> None:
         if not 0.0 < self.M <= 1.0:
@@ -41,13 +45,11 @@ class BoundParams:
             raise DomainError("m in (0, 1] required")
         if not self.q >= 1.0:
             raise DomainError("q >= 1 required")
-        if (self.u is None) != (self.v is None):
-            raise DomainError("u and v must be given together")
-        if self.u is not None:
-            if not (self.u > 0 and self.v > 0):
-                raise DomainError("u, v > 0 required")
-            if abs(self.u + self.v - 1.0) > 1e-15:
-                raise DomainError("u + v = 1 required")
+        if self.u is not None and not 0.0 < self.u < 1.0:
+            raise DomainError("u, v > 0 required")
+        # Stored, not a property: every record of a point then shares one v
+        # object, which the report renderer's identity memo relies on.
+        object.__setattr__(self, "v", None if self.u is None else 1.0 - self.u)
 
     @property
     def p(self) -> float:
@@ -85,14 +87,7 @@ def _exprel(t: float) -> float:
 
 
 def factor_t24(bp: BoundParams) -> float:
-    """Hoelder-route bound over the geometry factor (requires the open
-    parameter box and q > 1)."""
-    if bp.q <= 1.0:
-        raise DomainError("q > 1 required")
-    if bp.M >= 1.0:
-        raise DomainError("M < 1 required")
-    if not (0.0 < bp.alpha < 1.0 and 0.0 < bp.m < 1.0):
-        raise DomainError("alpha, m in (0, 1) required")
+    """Hoelder-route bound over the geometry factor."""
     mu = bp.frac.mu
     p = bp.p
     mid = _exprel(bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M))
@@ -101,11 +96,7 @@ def factor_t24(bp: BoundParams) -> float:
 
 def factor_t26(bp: BoundParams) -> float:
     """Power-mean-route bound over the geometry factor; equals factor_t22 at
-    q = 1 for M < 1."""
-    if bp.M >= 1.0:
-        raise DomainError("M < 1 required")
-    if not 0.0 < bp.m < 1.0:
-        raise DomainError("m in (0, 1) required")
+    q = 1."""
     mu = bp.frac.mu
     c = bp.M ** (bp.q * bp.alpha * (1.0 - bp.m))
     return (
@@ -135,12 +126,6 @@ def factor_mu1(bp: BoundParams) -> float:
     by 1/|ln c|, so it diverges as c -> 1.  Use bound_mu1_audit to see both
     values.
     """
-    if bp.frac.mu != 1.0:
-        raise DomainError("mu = 1 required")
-    if bp.M >= 1.0:
-        raise DomainError("M < 1 required")
-    if not 0.0 < bp.m < 1.0:
-        raise DomainError("m in (0, 1) required")
     lc = bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M)
     if lc == 0.0:
         raise DomainError("the printed bracket diverges at c = 1")
@@ -150,6 +135,8 @@ def factor_mu1(bp: BoundParams) -> float:
 
 def bound_mu1_audit(bp: BoundParams) -> Mu1Audit:
     """Printed mu = 1 closed form next to the recomputed power-mean bound."""
+    if bp.frac.mu != 1.0:
+        raise DomainError("mu = 1 required")
     g = geometry_factor(bp.frac)
     printed = factor_mu1(bp) * g
     recomputed = factor_t26(bp) * g
@@ -158,8 +145,6 @@ def bound_mu1_audit(bp: BoundParams) -> Mu1Audit:
 
 def _young_inner(bp: BoundParams, exponent: float) -> float:
     """u^2/(mu+u) + v^2 (M^(e/v) - 1) / (e ln M)."""
-    if bp.u is None:
-        raise DomainError("u, v required")
     lc = exponent * math.log(bp.M)
     return bp.u**2 / (bp.frac.mu + bp.u) + bp.v * _exprel(lc / bp.v)
 
@@ -167,10 +152,6 @@ def _young_inner(bp: BoundParams, exponent: float) -> float:
 def factor_mm(bp: BoundParams) -> float:
     """Young-split relaxation of the power-mean bound over the geometry
     factor; always >= factor_t26."""
-    if bp.M >= 1.0:
-        raise DomainError("M < 1 required")
-    if not 0.0 < bp.m < 1.0:
-        raise DomainError("m in (0, 1) required")
     mu = bp.frac.mu
     inner = _young_inner(bp, bp.q * bp.alpha * (1.0 - bp.m))
     return bp.M**bp.m * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q) * inner ** (1.0 / bp.q)

@@ -78,19 +78,17 @@ def _cmd_verify(args) -> int:
     f = _corpus_lookup(args.f)
     a = f.domain[0] if args.a is None else args.a
     b = f.domain[1] if args.b is None else args.b
+    given = {name: getattr(args, name) for name in ("mu", "alpha", "m", "q", "u")}
     if args.theorem == "classical":
+        # The classical estimate has no fractional parameter to read.
+        unused = [f"--{name}" for name, value in given.items() if value is not None]
+        if unused:
+            raise HypothesisError(f"classical on {f.id!r}: {', '.join(unused)} not used")
         v = verify_classical(f, a, b, args.x)
     else:
-        frac = FracParams(a, b, args.x, args.mu)
-        bp = BoundParams(
-            frac=frac,
-            M=f.M,
-            alpha=args.alpha,
-            m=args.m,
-            q=args.q,
-            u=args.u,
-            v=None if args.u is None else 1.0 - args.u,
-        )
+        mu, alpha, m, q = (1.0 if given[name] is None else given[name]
+                           for name in ("mu", "alpha", "m", "q"))
+        bp = BoundParams(FracParams(a, b, args.x, mu), f.M, alpha, m, q, args.u)
         v = verify_theorem(args.theorem, f, bp)
     status = "pass" if v.holds else "FAIL"
     print(
@@ -186,10 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=1.0)
+    # Read by the fractional theorems only, where all but --u default to 1.
+    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--m", type=float, default=None)
+    p.add_argument("--q", type=float, default=None)
     p.add_argument("--u", type=float, default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -29,21 +29,21 @@ import numpy as np
 
 from .fracint import DomainError
 
+# Relative floating-point tolerance of every check here: lhs <= rhs passes
+# when lhs <= rhs + SLACK * max(1, |rhs|).
+SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class GridSpec:
     points_per_axis: int = 21
     t_steps: int = 21
-    # Scale of the floating-point tolerance: rhs + slack*max(1, |rhs|).
-    slack: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.points_per_axis < 3:
             raise DomainError("points_per_axis >= 3 required")
         if self.t_steps < 5:
             raise DomainError("t_steps >= 5 required")
-        if self.slack < 0:
-            raise DomainError("slack >= 0 required")
 
 
 DEFAULT_GRID = GridSpec()
@@ -112,7 +112,7 @@ def check_membership(
     if not all(np.isfinite(v).all() for v in (gx, gy, lhs)):
         raise DomainError("g not finite on the grid")
 
-    tol = grid.slack * np.maximum(1.0, np.abs(rhs))
+    tol = SLACK * np.maximum(1.0, np.abs(rhs))
     viol = lhs > rhs + tol
     if not viol.any():
         return None
@@ -126,7 +126,7 @@ def check_membership(
     )
 
 
-def check_gm_lemma(x: float, y: float, m: float, t: float, slack: float = 1e-12) -> bool:
+def check_gm_lemma(x: float, y: float, m: float, t: float) -> bool:
     """x^t y^(m(1-t)) <= t x + (1-t) y, up to floating-point slack.
 
     Total for x, y >= 0 and m, t in (0, 1]; always true under the lemma's
@@ -134,11 +134,11 @@ def check_gm_lemma(x: float, y: float, m: float, t: float, slack: float = 1e-12)
     """
     lhs = x**t * y ** (m * (1.0 - t))
     rhs = t * x + (1.0 - t) * y
-    return bool(lhs <= rhs + slack * max(1.0, abs(rhs)))
+    return bool(lhs <= rhs + SLACK * max(1.0, abs(rhs)))
 
 
-def check_power_lemma(lam: float, u: float, v: float, slack: float = 1e-12) -> bool:
+def check_power_lemma(lam: float, u: float, v: float) -> bool:
     """lam^(u^v) <= lam^(u v) for 0 < lam <= 1 and u, v in (0, 1]."""
     lhs = lam ** (u**v)
     rhs = lam ** (u * v)
-    return bool(lhs <= rhs + slack * max(1.0, abs(rhs)))
+    return bool(lhs <= rhs + SLACK * max(1.0, abs(rhs)))

@@ -20,7 +20,7 @@ the domain; by monotonicity they fill [min(lo, lo^m), max(hi, hi^m)].
   - exp decay (`exp_decay_defect`): for fixed t the defect is convex in
     (x, y), so it peaks at a corner of the box; its supremum over t is
     bounded by interval bisection (Hansen, Global Optimization Using
-    Interval Analysis) up to the grid's relative slack, `GridSpec.slack`.
+    Interval Analysis) up to the relative slack `convexity.SLACK`.
 A hand-built FunctionSpec with no family certifies nothing, so no theorem
 applies to it.
 
@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .convexity import DEFAULT_GRID
+from .convexity import SLACK
 from .fracint import DomainError
 
 
@@ -162,7 +162,7 @@ def exp_decay_defect(
 
 
 def _exp_decay_certified(M, lam, lo, hi, alpha, m, max_intervals: int = 4096) -> bool:
-    """Whether `exp_decay_defect` <= slack for every t in [0, 1].
+    """Whether `exp_decay_defect` <= `SLACK` for every t in [0, 1].
 
     On a t-interval each corner's defect is bounded above term by term:
     t^alpha and x^t y^(m(1-t)) are monotone in t, so each term is largest
@@ -175,7 +175,6 @@ def _exp_decay_certified(M, lam, lo, hi, alpha, m, max_intervals: int = 4096) ->
     """
     if not lam > 0.0:
         return False
-    slack = DEFAULT_GRID.slack
     corners = _exp_decay_corners(M, lam, lo, hi, m)
 
     def bound(t0, t1):
@@ -191,10 +190,10 @@ def _exp_decay_certified(M, lam, lo, hi, alpha, m, max_intervals: int = 4096) ->
         if not work:
             return True
         t0, t1 = work.pop()
-        if bound(t0, t1) <= slack:
+        if bound(t0, t1) <= SLACK:
             continue
         mid = 0.5 * (t0 + t1)
-        if exp_decay_defect(M, lam, lo, hi, alpha, m, mid) > slack:
+        if exp_decay_defect(M, lam, lo, hi, alpha, m, mid) > SLACK:
             return False
         work += [(mid, t1), (t0, mid)]
     return not work

@@ -81,7 +81,7 @@ class SweepConfig:
             "alpha": (self.alphas, lambda v: BoundParams(_PROBE, 1.0, alpha=v)),
             "m": (self.ms, lambda v: BoundParams(_PROBE, 1.0, m=v)),
             "q": (self.qs, lambda v: BoundParams(_PROBE, 1.0, q=v)),
-            "u": (self.us, lambda v: BoundParams(_PROBE, 1.0, u=v, v=1.0 - v)),
+            "u": (self.us, lambda v: BoundParams(_PROBE, 1.0, u=v)),
         }
         for key, (values, probe) in probes.items():
             for value in values:
@@ -263,7 +263,7 @@ def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float
             if point not in seen:
                 seen[point] = None
                 _, alpha, m, q, u = point
-                bp = BoundParams(frac, f.M, alpha, m, q, u, None if u is None else 1.0 - u)
+                bp = BoundParams(frac, f.M, alpha, m, q, u)
                 try:
                     _check_hypotheses(theorem, f, bp)
                 except HypothesisError:

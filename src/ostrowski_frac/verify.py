@@ -12,7 +12,6 @@ one the residual check confirms to quadrature accuracy.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -127,25 +126,21 @@ def lemma_identity_residual(
 @dataclass(frozen=True)
 class Theorem:
     """One theorem as stated: the point factor of its right-hand side, the
-    claim it needs on |f'|^q, and its parameter box.  The corollaries are
-    records whose box pins a parameter of their parent."""
+    claim it needs on |f'|^q, and its parameter box.  The record is the only
+    statement of these hypotheses; the factor assumes them.  The corollaries
+    are records whose box pins a parameter of their parent."""
 
     factor: Callable[[BoundParams], float]  # reads mu, never x
     geom_convex: bool = False  # claim: geometric-convex, not (alpha, m)-geometric
     M_below_1: bool = True  # M < 1, and m < 1 too for an (alpha, m)-geometric claim
-    open_box: bool = False  # q > 1 and alpha < 1
     young: bool = False  # the Young split u, v = 1 - u
-    pins: tuple[tuple[str, float], ...] = ()  # (parameter, the value it is fixed at)
+    # (parameter, relation, bound) constraints on mu, alpha, m or q: the open
+    # box (">" or "<") first, then the pins ("=").
+    box: tuple[tuple[str, str, float], ...] = ()
 
     def rhs(self, bp: BoundParams) -> float:
         """The right-hand side: the point factor times the geometry factor."""
         return self.factor(bp) * bnd.geometry_factor(bp.frac)
-
-    @functools.cached_property
-    def box(self) -> tuple[tuple[str, str, float], ...]:
-        """(parameter, relation, bound) constraints: the open box, then the pins."""
-        open_box = (("q", ">", 1.0), ("alpha", "<", 1.0)) if self.open_box else ()
-        return open_box + tuple((name, "=", value) for name, value in self.pins)
 
     def admitted(self, name: str, values: tuple) -> tuple:
         """The values of one parameter (mu, alpha, m, q or u) that the theorem
@@ -164,14 +159,14 @@ _RELATIONS = {">": operator.gt, "<": operator.lt, "=": operator.eq}
 # Each factor is looked up in `bounds` at call time, so a wrapped `bounds`
 # function (a profiler, a tracer) sees every call.
 THEOREMS = {
-    "t22": Theorem(lambda bp: bnd.factor_t22(bp), M_below_1=False, pins=(("q", 1.0),)),
-    "t24": Theorem(lambda bp: bnd.factor_t24(bp), open_box=True),
+    "t22": Theorem(lambda bp: bnd.factor_t22(bp), M_below_1=False, box=(("q", "=", 1.0),)),
+    "t24": Theorem(lambda bp: bnd.factor_t24(bp), box=(("q", ">", 1.0), ("alpha", "<", 1.0))),
     "t26": Theorem(lambda bp: bnd.factor_t26(bp)),
     "set": Theorem(lambda bp: bnd.factor_set(bp), geom_convex=True,
-                   pins=(("alpha", 1.0), ("m", 1.0))),
-    "mu1": Theorem(lambda bp: bnd.factor_mu1(bp), pins=(("mu", 1.0),)),
+                   box=(("alpha", "=", 1.0), ("m", "=", 1.0))),
+    "mu1": Theorem(lambda bp: bnd.factor_mu1(bp), box=(("mu", "=", 1.0),)),
     "mm": Theorem(lambda bp: bnd.factor_mm(bp), young=True),
-    "remark_q1": Theorem(lambda bp: bnd.factor_mm(bp), young=True, pins=(("q", 1.0),)),
+    "remark_q1": Theorem(lambda bp: bnd.factor_mm(bp), young=True, box=(("q", "=", 1.0),)),
 }
 THEOREM_IDS = tuple(THEOREMS)
 

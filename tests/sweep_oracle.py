@@ -113,7 +113,7 @@ def instances(f, cfg):
                 if applies.get(key) is False:
                     continue
                 try:
-                    bp = BoundParams(frac, f.M, alpha, m, q, u, None if u is None else 1.0 - u)
+                    bp = BoundParams(frac, f.M, alpha, m, q, u)
                 except DomainError:
                     applies[key] = False
                     continue

@@ -212,7 +212,6 @@ def test_criterion_07_young_ordering(report_line):
             m=rng.uniform(0.05, 0.999),
             q=rng.uniform(1.0, 4.0),
             u=u,
-            v=1.0 - u,
         )
         worst = min(worst, THEOREMS["mm"].rhs(bp) - THEOREMS["t26"].rhs(bp))
         count += 1

@@ -40,14 +40,20 @@ class TestBoundParams:
             dict(M=0.5, alpha=0.0),
             dict(M=0.5, m=1.2),
             dict(M=0.5, q=0.9),
-            dict(M=0.5, u=0.5),
-            dict(M=0.5, u=0.6, v=0.6),
-            dict(M=0.5, u=-0.2, v=1.2),
+            dict(M=0.5, u=1.0),
+            dict(M=0.5, u=-0.2),
+            dict(M=0.5, u=float("nan")),
         ],
     )
     def test_validation(self, kw):
         with pytest.raises(DomainError):
             bp(**kw)
+
+    def test_v_is_derived_from_u(self):
+        assert bp(M=0.5).v is None
+        assert bp(M=0.5, u=0.25).v == 0.75
+        with pytest.raises(TypeError):
+            bp(M=0.5, u=0.5, v=0.5)
 
 
 class TestGeometryFactor:
@@ -125,16 +131,6 @@ class TestHoelderBound:
     def test_frozen_example(self):
         params = bp(a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5, q=2.0)
         assert rhs_of("t24", params) == pytest.approx(0.47525246968553458, rel=1e-12)
-
-    def test_requires_open_box(self):
-        with pytest.raises(DomainError):
-            rhs_of("t24", bp(M=0.5, alpha=0.5, m=0.5, q=1.0))
-        with pytest.raises(DomainError):
-            rhs_of("t24", bp(M=1.0, alpha=0.5, m=0.5, q=2.0))
-        with pytest.raises(DomainError):
-            rhs_of("t24", bp(M=0.5, alpha=1.0, m=0.5, q=2.0))
-        with pytest.raises(DomainError):
-            rhs_of("t24", bp(M=0.5, alpha=0.5, m=1.0, q=2.0))
 
     def test_guard_near_m_one(self):
         # m -> 1 sends the mean factor's exponent to 0; its expm1 form stays
@@ -235,9 +231,10 @@ class TestMu1Bound:
         )
         assert rhs_of("mu1", params) == pytest.approx(2.1168025157429535, rel=1e-12)
 
-    def test_requires_mu_one(self):
-        with pytest.raises(DomainError):
-            rhs_of("mu1", bp(mu=0.5, M=0.5, m=0.5))
+    def test_audit_requires_mu_one(self):
+        # the audit calls the factor directly, not through the theorem record
+        with pytest.raises(DomainError, match="mu = 1"):
+            bound_mu1_audit(bp(mu=0.5, M=0.5, m=0.5))
 
     def test_audit_reports_positive_gap(self):
         # the printed bracket exceeds the kernel integral by 1/|ln c|
@@ -271,7 +268,7 @@ class TestYoungBounds:
     def test_frozen_example(self):
         params = bp(
             a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5, q=2.0,
-            u=0.5, v=0.5,
+            u=0.5,
         )
         assert rhs_of("mm", params) == pytest.approx(0.46648905080240843, rel=1e-12)
 
@@ -290,25 +287,20 @@ class TestYoungBounds:
                 m=rng.uniform(0.05, 0.999),
                 q=rng.uniform(1.0, 4.0),
                 u=u,
-                v=1.0 - u,
             )
             assert rhs_of("mm", params) - rhs_of("t26", params) >= -1e-12
             count += 1
 
     def test_v_to_one_limit_is_finite(self):
-        params = bp(M=0.5, m=0.5, q=2.0, u=1e-9, v=1.0 - 1e-9)
+        params = bp(M=0.5, m=0.5, q=2.0, u=1e-9)
         assert math.isfinite(rhs_of("mm", params))
 
     def test_remark_q1(self):
         # the q = 1 remark is the general Young bound pinned at q = 1
         for M, alpha, m, u in ((0.5, 1.0, 0.5, 0.5), (0.3, 0.4, 0.75, 0.2)):
-            params = bp(M=M, alpha=alpha, m=m, q=1.0, u=u, v=1.0 - u)
+            params = bp(M=M, alpha=alpha, m=m, q=1.0, u=u)
             assert THEOREMS["remark_q1"].factor(params) == factor_mm(params)
-        assert THEOREMS["remark_q1"].pins == (("q", 1.0),)
-
-    def test_missing_split_rejected(self):
-        with pytest.raises(DomainError):
-            rhs_of("mm", bp(M=0.5, m=0.5, q=2.0))
+        assert THEOREMS["remark_q1"].box == (("q", "=", 1.0),)
 
 
 class TestClassicalBound:
@@ -334,7 +326,7 @@ class TestReflectionSymmetry:
             if b - a < 1e-3 or not a < x < b:
                 continue
             mu = rng.uniform(0.2, 3.0)
-            kw = dict(M=0.6, alpha=0.5, m=0.5, q=2.0, u=0.5, v=0.5)
+            kw = dict(M=0.6, alpha=0.5, m=0.5, q=2.0, u=0.5)
             p1 = BoundParams(FracParams(a, b, x, mu), **kw)
             p2 = BoundParams(FracParams(a, b, a + b - x, mu), **kw)
             for theorem in ("t22", "t24", "t26", "mm"):

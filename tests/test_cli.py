@@ -185,6 +185,19 @@ class TestVerifyCommand:
         assert main([*argv, "--u", "0.5"]) == 2
         assert "u, v not used" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [(["--u", "0.5"], "--u"), (["--mu", "0.3", "--q", "7"], "--mu, --q"),
+         (["--alpha", "1"], "--alpha"), (["--m", "1"], "--m")],
+    )
+    def test_classical_refuses_fractional_parameters(self, capsys, extra, named):
+        # the classical estimate would ignore them
+        argv = ["verify", "--theorem", "classical", "--f", "linear", "--x", "1.0"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, *extra]) == 2
+        assert capsys.readouterr().err == f"error: classical on 'linear': {named} not used\n"
+
 
 class TestDefaultSweepListing:
     """The shipped default sweep: which verdicts it lists, in which order,
@@ -742,8 +755,7 @@ class TestHypothesesCheckedOncePerPoint:
                     x = a + frac_x * (b - a)
                     for mu, alpha, m, q, u in report_mod._grid_for(theorem, cfg):
                         frac = FracParams(a, b, x, mu)
-                        bp = BoundParams(frac, f.M, alpha, m, q, u,
-                                         None if u is None else 1.0 - u)
+                        bp = BoundParams(frac, f.M, alpha, m, q, u)
                         checked.add((f.id, theorem, mu, alpha, m, q, u))
                         try:
                             _check_hypotheses(theorem, f, bp)
@@ -782,7 +794,7 @@ class TestHypothesesCheckedOncePerPoint:
         for v in verdicts:
             bp = BoundParams(
                 FracParams(v["a"], v["b"], v["x"], v["mu"]),
-                v["M"], v["alpha"], v["m"], v["q"], v["u"], v["v"],
+                v["M"], v["alpha"], v["m"], v["q"], v["u"],
             )
             _check_hypotheses(v["theorem"], corpus[v["function"]], bp)
 
@@ -821,6 +833,16 @@ class TestHypothesesCheckedOncePerPoint:
         monkeypatch.setattr(report_mod, "FracParams", Counting)
         run_sweep(cfg)
         assert len(built) == len(pairs) + runs
+
+    def test_records_of_one_point_share_one_v(self):
+        # The renderer memoizes a point's text by the ids of its values.
+        points = collections.defaultdict(list)
+        for r in run_sweep(parse_config(self.CONFIGS["two-u"]))["verdicts"]:
+            points[r["theorem"], r["function"], r["mu"], r["alpha"], r["m"], r["q"],
+                   r["u"]].append(r["v"])
+        assert points and all(len(vs) > 1 for vs in points.values())
+        for (*_, u), vs in points.items():
+            assert vs[0] == 1.0 - u and all(v is vs[0] for v in vs)
 
     def test_rejected_bound_params_built_once_per_point(self, monkeypatch):
         cfg = parse_config(self.CONFIGS["no-claim"])
@@ -915,8 +937,7 @@ class TestSweepMatchesPerVerdictOracle:
                          for t in cfg.x_fracs for mu in cfg.mus]
                 for mu, alpha, m, q, u in report_mod._grid_for(theorem, cfg):
                     at = [fr for fr in fracs if fr.mu == mu]
-                    bps = [BoundParams(fr, f.M, alpha, m, q, u, None if u is None else 1.0 - u)
-                           for fr in at]
+                    bps = [BoundParams(fr, f.M, alpha, m, q, u) for fr in at]
                     try:
                         _check_hypotheses(theorem, f, bps[0])
                     except HypothesisError:

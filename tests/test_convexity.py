@@ -156,7 +156,7 @@ def _dense_check_membership(g, domain, alpha, m, grid, g_domain=None):
                 f"[{pts.min():.6g}, {pts.max():.6g}], have [{dlo:.6g}, {dhi:.6g}]"
             )
 
-    tol = grid.slack * np.maximum(1.0, np.abs(rhs))
+    tol = 1e-12 * np.maximum(1.0, np.abs(rhs))  # the checker's relative slack
     viol = lhs > rhs + tol
     if not viol.any():
         return None

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from ostrowski_frac import bounds as bnd
 from ostrowski_frac.bounds import BoundParams
 from ostrowski_frac.corpus import FunctionSpec, affine_spec
 from ostrowski_frac.fracint import DomainError, FracParams, adaptive_gauss_many
@@ -154,6 +156,55 @@ class TestHypothesisChecking:
         bp = BoundParams(FracParams(1.0, 2.0, 1.5, 0.5), **self.kwargs())
         with pytest.raises(HypothesisError, match="mu = 1"):
             verify_theorem("mu1", f, bp)
+
+
+# A point inside every open box; a record's pins replace its values.
+_BOX_POINT = {"mu": 0.5, "alpha": 0.5, "m": 0.5, "q": 2.0}
+
+
+def _stated_conditions():
+    """(theorem, message, change) for every condition a record states: the
+    message naming it, and the change to one of the record's admitted
+    points that breaks it."""
+    out = []
+    for theorem_id, record in THEOREMS.items():
+        if record.M_below_1:
+            out.append((theorem_id, "M < 1 required", {"M": 1.0}))
+            if not record.geom_convex:
+                out.append((theorem_id, "m < 1 required", {"m": 1.0}))
+        out.append((theorem_id, "u, v required", {"u": None}) if record.young
+                   else (theorem_id, "u, v not used", {"u": 0.5}))
+        for name, rel, bound in record.box:
+            broken = _BOX_POINT[name] if rel == "=" else bound
+            out.append((theorem_id, f"{name} {rel} {bound:g} required", {name: broken}))
+    return out
+
+
+@pytest.mark.parametrize(
+    "theorem_id, message, change", _stated_conditions(),
+    ids=[f"{t}: {message}" for t, message, _ in _stated_conditions()],
+)
+def test_record_is_the_only_guard(theorem_id, message, change, corpus, monkeypatch):
+    """A point factor assumes its record's hypotheses: `verify_theorem`
+    rejects a point that breaks any of them, naming it, before a factor runs."""
+    def boom(bp):
+        raise AssertionError("a point factor ran")
+
+    for name in vars(bnd):
+        if name.startswith("factor_"):
+            monkeypatch.setattr(bnd, name, boom)
+    record = THEOREMS[theorem_id]
+    f = corpus["powdecay"]  # f.M = 0.5
+    point = {**_BOX_POINT, **{name: bound for name, rel, bound in record.box if rel == "="}}
+    point.update(M=0.5, u=0.5 if record.young else None)
+
+    def bound_params(point):
+        mu = point.pop("mu")
+        return BoundParams(FracParams(1.0, 2.0, 1.4, mu), **point)
+
+    _check_hypotheses(theorem_id, f, bound_params(dict(point)))  # admitted
+    with pytest.raises(HypothesisError, match=re.escape(message)):
+        verify_theorem(theorem_id, f, bound_params({**point, **change}))
 
 
 # The claim table the membership certificates replaced, frozen with the
@@ -335,7 +386,6 @@ class TestTheoremRegistry:
                 m=m,
                 q=q,
                 u=u,
-                v=None if u is None else 1.0 - u,
             )
             want = _outcome(_old_check_hypotheses, theorem_id, f, bp)
             got = _outcome(_check_hypotheses, theorem_id, f, bp)
@@ -382,13 +432,12 @@ class TestVerdicts:
         f = corpus["powdecay"]
         record = THEOREMS[theorem]
         # a point inside every open box, with the record's pins substituted
-        point = {"mu": 0.5, "alpha": 0.5, "m": 0.5, "q": 2.0, **dict(record.pins)}
-        u = 0.5 if record.young else None
+        pins = {name: bound for name, rel, bound in record.box if rel == "="}
+        point = {"mu": 0.5, "alpha": 0.5, "m": 0.5, "q": 2.0, **pins}
         bp = BoundParams(
             FracParams(1.0, 2.0, 1.4, point.pop("mu")),
             M=0.5,
-            u=u,
-            v=None if u is None else 1.0 - u,
+            u=0.5 if record.young else None,
             **point,
         )
         v = verify_theorem(theorem, f, bp)
