@@ -42,12 +42,17 @@ def _corpus_lookup(fid: str):
 
 def _cmd_frac_int(args) -> int:
     f = _corpus_lookup(args.f)
-    a = f.domain[0] if args.a is None else args.a
-    b = f.domain[1] if args.b is None else args.b
+    # The left-sided integral reads --a only, the right-sided one --b only.
+    if args.upper and args.a is not None:
+        raise DomainError("frac-int --upper: --a not used")
+    if not args.upper and args.b is not None:
+        raise DomainError("frac-int without --upper: --b not used")
     if args.upper:
+        b = f.domain[1] if args.b is None else args.b
         f.require_within(args.x, b)
         value = rl_upper(f, args.x, b, args.mu)
     else:
+        a = f.domain[0] if args.a is None else args.a
         f.require_within(a, args.x)
         value = rl_lower(f, a, args.x, args.mu)
     print(_g(value))
@@ -157,8 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frac-int", help="evaluate one Riemann-Liouville integral")
     p.add_argument("--f", required=True, help="corpus function id")
-    p.add_argument("--a", type=float, default=None, help="default: f's domain start")
-    p.add_argument("--b", type=float, default=None, help="default: f's domain end")
+    p.add_argument("--a", type=float, default=None,
+                   help="without --upper only; default: f's domain start")
+    p.add_argument("--b", type=float, default=None,
+                   help="with --upper only; default: f's domain end")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--upper", action="store_true", help="right-sided integral")

@@ -60,8 +60,8 @@ class FunctionSpec:
 
     def __post_init__(self) -> None:
         lo, hi = self.domain
-        if lo < 0 or not lo < hi:
-            raise DomainError("domain must satisfy 0 <= lo < hi")
+        if lo < 0 or not lo < hi < math.inf:
+            raise DomainError("domain must satisfy 0 <= lo < hi < inf")
         if not 0.0 < self.M <= 1.0:
             raise DomainError("M in (0, 1] required")
 
@@ -76,13 +76,14 @@ def audit(spec: FunctionSpec) -> list[str]:
     """Run all FunctionSpec invariants; return the violated ones (empty = pass).
 
     Membership is decided by the spec's certificate, so it is not audited.
+    Each check is `not (value <= bound)`, so that a nan value fails it.
     """
     lo, hi = spec.domain
     violations: list[str] = []
 
     xs = np.linspace(lo, hi, 10_001)
     absd = np.abs(np.asarray(spec.fprime(xs), dtype=float))
-    if absd.max() > spec.M + 1e-12:
+    if not absd.max() <= spec.M + 1e-12:
         violations.append(
             f"|f'| exceeds declared M: max {absd.max():.17g} > M {spec.M:.17g}"
         )
@@ -91,11 +92,11 @@ def audit(spec: FunctionSpec) -> list[str]:
     xi = np.linspace(lo + h, hi - h, 1_001)
     fd = (np.asarray(spec.f(xi + h), float) - np.asarray(spec.f(xi - h), float)) / (2 * h)
     err = np.abs(fd - np.asarray(spec.fprime(xi), float)).max()
-    if err > 1e-6:
+    if not err <= 1e-6:
         violations.append(f"finite difference disagrees with fprime: max err {err:.3g}")
 
     if spec.decreasing_abs_deriv:
-        if np.any(np.diff(absd) > 1e-12):
+        if not np.all(np.diff(absd) <= 1e-12):
             violations.append("|f'| is not non-increasing on the grid")
 
     return violations
@@ -173,8 +174,6 @@ def _exp_decay_certified(M, lam, lo, hi, alpha, m, max_intervals: int = 4096) ->
     terms of order 1, is far below it.  A supremum still undecided after
     `max_intervals` intervals is not certified.
     """
-    if not lam > 0.0:
-        return False
     corners = _exp_decay_corners(M, lam, lo, hi, m)
 
     def bound(t0, t1):
@@ -202,6 +201,29 @@ def _exp_decay_certified(M, lam, lo, hi, alpha, m, max_intervals: int = 4096) ->
 # ---------------------------------------------------------------------------
 # Parametric families (also registrable from the CLI config by name).
 
+def _family_spec(
+    id: str,
+    lo: float,
+    hi: float,
+    M: float,
+    f: Callable,
+    fprime: Callable,
+    certify: Callable[[float, float], bool],
+) -> FunctionSpec:
+    """A family member on [lo, hi] with non-increasing |f'|: f and fprime
+    take their argument as a float array, and `certify(alpha, m)` decides
+    membership (see `_certificate`)."""
+    return FunctionSpec(
+        id=id,
+        f=lambda u: f(np.asarray(u, dtype=float)),
+        fprime=lambda u: fprime(np.asarray(u, dtype=float)),
+        domain=(lo, hi),
+        M=M,
+        decreasing_abs_deriv=True,
+        member=_certificate(lo, hi, certify),
+    )
+
+
 def affine_spec(
     id: str,
     slope: float,
@@ -211,28 +233,23 @@ def affine_spec(
     declared_M: Optional[float] = None,
 ) -> FunctionSpec:
     """f(x) = slope*x + intercept; |f'| is the constant |slope|."""
-    M = abs(slope) if declared_M is None else declared_M
-    return FunctionSpec(
-        id=id,
-        f=lambda u: slope * np.asarray(u, dtype=float) + intercept,
-        fprime=lambda u: slope * np.ones_like(np.asarray(u, dtype=float)),
-        domain=(lo, hi),
-        M=M,
-        decreasing_abs_deriv=True,
-        member=_certificate(lo, hi, lambda alpha, m: 0.0 < abs(slope) <= 1.0),
+    return _family_spec(
+        id, lo, hi,
+        M=abs(slope) if declared_M is None else declared_M,
+        f=lambda u: slope * u + intercept,
+        fprime=lambda u: slope * np.ones_like(u),
+        certify=lambda alpha, m: 0.0 < abs(slope) <= 1.0,
     )
 
 
 def constant_spec(id: str, value: float, lo: float, hi: float) -> FunctionSpec:
     """f constant; |f'| = 0, so no geometric membership (g must be positive)."""
-    return FunctionSpec(
-        id=id,
-        f=lambda u: value * np.ones_like(np.asarray(u, dtype=float)),
-        fprime=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        domain=(lo, hi),
+    return _family_spec(
+        id, lo, hi,
         M=1e-3,
-        decreasing_abs_deriv=True,
-        member=_certificate(lo, hi, lambda alpha, m: False),
+        f=lambda u: value * np.ones_like(u),
+        fprime=np.zeros_like,
+        certify=lambda alpha, m: False,
     )
 
 
@@ -251,25 +268,15 @@ def power_decay_spec(
     if r == 1.0:
         raise DomainError("r = 1 not supported (logarithmic antiderivative)")
 
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        return offset + M * u ** (1.0 - r) / (1.0 - r)
-
-    def fprime(u):
-        u = np.asarray(u, dtype=float)
-        return M * u ** (-r)
-
     def certify(alpha, m):
         return 0.0 < abs(M) <= 1.0 and power_decay_margin(M, r, lo, hi, alpha, m) >= 0.0
 
-    return FunctionSpec(
-        id=id,
-        f=f,
-        fprime=fprime,
-        domain=(lo, hi),
+    return _family_spec(
+        id, lo, hi,
         M=M if declared_M is None else declared_M,
-        decreasing_abs_deriv=True,
-        member=_certificate(lo, hi, certify),
+        f=lambda u: offset + M * u ** (1.0 - r) / (1.0 - r),
+        fprime=lambda u: M * u ** (-r),
+        certify=certify,
     )
 
 
@@ -282,31 +289,19 @@ def exp_decay_spec(
     offset: float = 1.0,
     declared_M: Optional[float] = None,
 ) -> FunctionSpec:
-    """f'(x) = M * exp(-lam*(x - lo)); sup|f'| = M at x = lo.
+    """f'(x) = M * exp(-lam*(x - lo)) with lam > 0; sup|f'| = M at x = lo.
 
     Not geometrically convex (m = 1 fails by AM-GM): only some
     (alpha, m)-geometric memberships with m < 1 are certified.
     """
-
-    def f(u):
-        u = np.asarray(u, dtype=float)
-        return offset - (M / lam) * np.exp(-lam * (u - lo))
-
-    def fprime(u):
-        u = np.asarray(u, dtype=float)
-        return M * np.exp(-lam * (u - lo))
-
-    def certify(alpha, m):
-        return M != 0.0 and _exp_decay_certified(M, lam, lo, hi, alpha, m)
-
-    return FunctionSpec(
-        id=id,
-        f=f,
-        fprime=fprime,
-        domain=(lo, hi),
+    if not lam > 0.0:
+        raise DomainError("lam > 0 required")
+    return _family_spec(
+        id, lo, hi,
         M=M if declared_M is None else declared_M,
-        decreasing_abs_deriv=True,
-        member=_certificate(lo, hi, certify),
+        f=lambda u: offset - (M / lam) * np.exp(-lam * (u - lo)),
+        fprime=lambda u: M * np.exp(-lam * (u - lo)),
+        certify=lambda alpha, m: M != 0.0 and _exp_decay_certified(M, lam, lo, hi, alpha, m),
     )
 
 

@@ -42,8 +42,27 @@ DEFAULT_MS = (0.25, 0.5, 0.75)
 DEFAULT_QS = (1.0, 1.5, 2.0, 3.0)
 DEFAULT_US = (0.5,)
 
+# Each list key of the config file and the SweepConfig field it sets, and
+# each quadrature key and its type, in canonical-text order.
+_LIST_KEYS = {
+    "x_fracs": "x_fracs", "mu": "mus", "alpha": "alphas", "m": "ms", "q": "qs", "u": "us",
+}
+_QUAD_KEYS = {"abs_tol": float, "rel_tol": float, "base_nodes": int, "max_subdivisions": int}
+
 # A valid instance to probe configured parameter values with.
 _PROBE = FracParams(0.0, 1.0, 0.5, 1.0)
+
+
+def _probe(key: str, value: float) -> None:
+    """Raise DomainError unless `value` is in range for list key `key`.
+    FracParams alone states the range of x and mu, BoundParams, whose
+    keywords are the other keys, that of alpha, m, q and u."""
+    if key == "x_fracs":
+        replace(_PROBE, x=value)
+    elif key == "mu":
+        replace(_PROBE, mu=value)
+    else:
+        BoundParams(_PROBE, 1.0, **{key: value})
 
 
 @dataclass(frozen=True)
@@ -64,29 +83,21 @@ class SweepConfig:
     extra_functions: tuple[tuple[str, str, tuple[tuple[str, float], ...]], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("theorems", "x_fracs", "mus", "alphas", "ms", "qs", "us"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must be non-empty")
+        lists = {key: getattr(self, name) for key, name in _LIST_KEYS.items()}
+        for key, values in {"theorems": self.theorems, **lists}.items():
+            if not values:
+                raise ConfigError(f"{key} must be non-empty")
         for t in self.theorems:
             if t not in THEOREM_IDS:
                 raise ConfigError(f"unknown theorem id {t!r}; known: {THEOREM_IDS}")
         if self.out_format not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
-        # FracParams alone states the range of x and mu, BoundParams that of
-        # alpha, m, q and u: one probe per value, so that no value is dropped
-        # from the sweep unreported or fails part-way through it.
-        probes = {
-            "x_fracs": (self.x_fracs, lambda v: replace(_PROBE, x=v)),
-            "mu": (self.mus, lambda v: replace(_PROBE, mu=v)),
-            "alpha": (self.alphas, lambda v: BoundParams(_PROBE, 1.0, alpha=v)),
-            "m": (self.ms, lambda v: BoundParams(_PROBE, 1.0, m=v)),
-            "q": (self.qs, lambda v: BoundParams(_PROBE, 1.0, q=v)),
-            "u": (self.us, lambda v: BoundParams(_PROBE, 1.0, u=v)),
-        }
-        for key, (values, probe) in probes.items():
+        # One probe per value, so that no value is dropped from the sweep
+        # unreported or fails part-way through it.
+        for key, values in lists.items():
             for value in values:
                 try:
-                    probe(value)
+                    _probe(key, value)
                 except DomainError as exc:
                     raise ConfigError(f"{key} = {value!r}: {exc}") from None
 
@@ -94,16 +105,9 @@ class SweepConfig:
         lines = [
             f"functions = {','.join(self.functions)}",
             f"theorems = {','.join(self.theorems)}",
-            f"x_fracs = {','.join(repr(v) for v in self.x_fracs)}",
-            f"mu = {','.join(repr(v) for v in self.mus)}",
-            f"alpha = {','.join(repr(v) for v in self.alphas)}",
-            f"m = {','.join(repr(v) for v in self.ms)}",
-            f"q = {','.join(repr(v) for v in self.qs)}",
-            f"u = {','.join(repr(v) for v in self.us)}",
-            f"abs_tol = {self.quad.abs_tol!r}",
-            f"rel_tol = {self.quad.rel_tol!r}",
-            f"base_nodes = {self.quad.base_nodes}",
-            f"max_subdivisions = {self.quad.max_subdivisions}",
+            *(f"{key} = {','.join(repr(v) for v in getattr(self, name))}"
+              for key, name in _LIST_KEYS.items()),
+            *(f"{key} = {getattr(self.quad, key)!r}" for key in _QUAD_KEYS),
             f"format = {self.out_format}",
             f"audit = {str(self.audit_extra).lower()}",
         ]
@@ -170,27 +174,17 @@ def parse_config(text: str) -> SweepConfig:
         else:
             kv[key] = value
 
-    defaults = SweepConfig()
-
     def number(key, kind):
-        if key not in kv:
-            return getattr(defaults.quad, key)
         value = kv.pop(key)
         try:
             return kind(value)
         except ValueError:
             raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
 
-    quad = QuadConfig(
-        abs_tol=number("abs_tol", float),
-        rel_tol=number("rel_tol", float),
-        max_subdivisions=number("max_subdivisions", int),
-        base_nodes=number("base_nodes", int),
-    )
-
-    def tup(key, default):
-        return _parse_floats(kv.pop(key)) if key in kv else default
-
+    quad = QuadConfig(**{
+        key: number(key, kind) for key, kind in _QUAD_KEYS.items() if key in kv
+    })
+    lists = {name: _parse_floats(kv.pop(key)) for key, name in _LIST_KEYS.items() if key in kv}
     cfg = SweepConfig(
         functions=tuple(
             s.strip() for s in kv.pop("functions", "").split(",") if s.strip()
@@ -199,12 +193,7 @@ def parse_config(text: str) -> SweepConfig:
             s.strip() for s in kv.pop("theorems", ",".join(THEOREM_IDS)).split(",")
             if s.strip()
         ),
-        x_fracs=tup("x_fracs", defaults.x_fracs),
-        mus=tup("mu", defaults.mus),
-        alphas=tup("alpha", defaults.alphas),
-        ms=tup("m", defaults.ms),
-        qs=tup("q", defaults.qs),
-        us=tup("u", defaults.us),
+        **lists,
         quad=quad,
         out_format=kv.pop("format", "json"),
         output=kv.pop("output", None),

@@ -92,6 +92,18 @@ class TestFracIntCommand:
         assert rc == 2
         assert "outside domain of 'powdecay'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, flag", [
+        (["--a", "1.2", "--upper"], "--a"), (["--b", "1.8"], "--b"),
+    ])
+    def test_unread_end_exits_2(self, capsys, extra, flag):
+        # The left-sided integral reads only --a, the right-sided one only
+        # --b: the other end must not be dropped silently.
+        rc = main(["frac-int", "--f", "powdecay", "--x", "1.5", "--mu", "0.5", *extra])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"{flag} not used" in captured.err
+
 
 class TestCheckConvexityCommand:
     def test_pass(self, capsys):
@@ -343,7 +355,9 @@ class TestSweepCommand:
         "line, named",
         [("abs_tol = banana", "abs_tol"), ("alpha = 0.5,1.5", "alpha = 1.5"),
          ("seed = 1", "unknown config keys: ['seed']"),
-         ("x_fracs = 0.5,1.5", "x_fracs = 1.5"), ("mu = 0", "mu = 0.0")],
+         ("x_fracs = 0.5,1.5", "x_fracs = 1.5"), ("mu = 0", "mu = 0.0"),
+         # lam = 0 once ended in a ZeroDivisionError traceback, exit 1.
+         ("function.e = exp_decay M=0.5 lam=0 lo=1 hi=2", "error: lam > 0 required\n")],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, line, named):
         # A value the sweep cannot use is a usage error, not a violation (1)
@@ -392,6 +406,12 @@ class TestConfigParsing:
         assert cfg.theorems == ("t22", "t26", "mm")
         assert cfg.mus == (0.5, 1.0)
         assert cfg.qs == (1.0, 2.0)
+
+    @pytest.mark.parametrize("key", ["theorems", "x_fracs", "mu", "alpha", "m", "q", "u"])
+    def test_empty_list_names_its_key(self, key):
+        with pytest.raises(ConfigError) as got:
+            parse_config(f"{key} = ,\n")
+        assert str(got.value) == f"{key} must be non-empty"
 
     def test_fingerprint_tracks_content(self):
         c1 = parse_config(SMALL_SWEEP)
@@ -954,3 +974,21 @@ class TestSweepMatchesPerVerdictOracle:
                     checked += len(bps)
         # Every verdict of the default sweep.
         assert checked == 17892
+
+
+class TestCanonicalText:
+    """`canonical_text` is the fingerprinted statement of a config: parsed
+    back, it must give the same config."""
+
+    EXTRA = (
+        "function.aff = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5 declared_M=0.75\n"
+        "function.ed = exp_decay M=0.5 lam=0.02 lo=1 hi=2\n"
+        "format = csv\naudit = no\nabs_tol = 1e-11\nbase_nodes = 8\n"
+    )
+    CONFIGS = {"default": "", "small": SMALL_SWEEP, "extra": EXTRA,
+               **TestHypothesesCheckedOncePerPoint.CONFIGS}
+
+    @pytest.mark.parametrize("case", sorted(CONFIGS))
+    def test_parses_back(self, case):
+        cfg = parse_config(self.CONFIGS[case])
+        assert parse_config(cfg.canonical_text()) == cfg

@@ -244,6 +244,19 @@ class TestAuditFailures:
         violations = audit(spec)
         assert any("non-increasing" in v for v in violations)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            affine_spec("a", slope=0.5, intercept=float("nan"), lo=1.0, hi=2.0),
+            power_decay_spec("p", M=0.5, r=float("nan"), lo=1.0, hi=2.0),
+        ],
+        ids=["affine-nan-intercept", "power-decay-nan-r"],
+    )
+    def test_non_finite_values_detected(self, spec):
+        # Every comparison with nan is False: a check written as
+        # `value > bound` would let these through clean.
+        assert audit(spec)
+
 
 class TestSpecValidation:
     def test_bad_domain(self):
@@ -251,6 +264,8 @@ class TestSpecValidation:
             affine_spec("x", slope=1.0, intercept=0.0, lo=-1.0, hi=1.0)
         with pytest.raises(DomainError):
             affine_spec("x", slope=1.0, intercept=0.0, lo=1.0, hi=1.0)
+        with pytest.raises(DomainError, match="lo < hi < inf"):
+            affine_spec("x", slope=0.5, intercept=0.0, lo=1.0, hi=float("inf"))
 
     def test_bad_M(self):
         with pytest.raises(DomainError):
@@ -264,6 +279,12 @@ class TestSpecValidation:
             power_decay_spec("x", M=0.5, r=0.04, lo=0.5, hi=2.0)
         with pytest.raises(DomainError):
             power_decay_spec("x", M=0.5, r=1.0, lo=1.0, hi=2.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5, float("nan")])
+    def test_exp_decay_needs_positive_lam(self, lam):
+        # f divides by lam: lam = 0 would end in a ZeroDivisionError.
+        with pytest.raises(DomainError, match=r"^lam > 0 required$"):
+            exp_decay_spec("x", M=0.5, lam=lam, lo=1.0, hi=2.0)
 
 
 class TestSpecFromFamily:
