@@ -20,7 +20,7 @@ hypotheses and parameter box that its `verify.THEOREMS` record states, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .fracint import DomainError, FracParams, mexp_integral
@@ -34,7 +34,6 @@ class BoundParams:
     m: float = 1.0
     q: float = 1.0
     u: Optional[float] = None
-    v: Optional[float] = field(init=False)  # 1 - u, the Young split's other half
 
     def __post_init__(self) -> None:
         if not 0.0 < self.M <= 1.0:
@@ -47,9 +46,11 @@ class BoundParams:
             raise DomainError("q >= 1 required")
         if self.u is not None and not 0.0 < self.u < 1.0:
             raise DomainError("u, v > 0 required")
-        # Stored, not a property: every record of a point then shares one v
-        # object, which the report renderer's identity memo relies on.
-        object.__setattr__(self, "v", None if self.u is None else 1.0 - self.u)
+
+    @property
+    def v(self) -> Optional[float]:
+        """1 - u, the Young split's other half."""
+        return None if self.u is None else 1.0 - self.u
 
     @property
     def p(self) -> float:

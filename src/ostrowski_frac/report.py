@@ -10,12 +10,11 @@ domain.
 from __future__ import annotations
 
 import hashlib
-import io
 import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
 from .bounds import BoundParams, geometry_factor
@@ -175,11 +174,17 @@ def parse_config(text: str) -> SweepConfig:
             kv[key] = value
 
     def number(key, kind):
-        value = kv.pop(key)
+        text = kv.pop(key)
         try:
-            return kind(value)
+            value = kind(text)
         except ValueError:
-            raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
+            raise ConfigError(f"{key} must be {kind.__name__}, got {text!r}") from None
+        # QuadConfig states the range, one key at a time.
+        try:
+            QuadConfig(**{key: value})
+        except DomainError as exc:
+            raise ConfigError(f"{key} = {value!r}: {exc}") from None
+        return value
 
     quad = QuadConfig(**{
         key: number(key, kind) for key, kind in _QUAD_KEYS.items() if key in kv
@@ -265,12 +270,39 @@ def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float
     return runs
 
 
+class Cell(NamedTuple):
+    """One (x, mu) of a group: its LHS and its verdicts, each an
+    (index of its point in the group, rhs, margin, holds) tuple."""
+    x: float
+    mu: float
+    lhs: float
+    verdicts: list[tuple[int, float, float, bool]]
+
+
+class Group(NamedTuple):
+    """The verdicts of one theorem on one function: its points (at x = a;
+    each recurs at every x) and its cells by (x, mu) in sweep order."""
+    theorem: str
+    function: str
+    a: float
+    b: float
+    points: list[BoundParams]
+    cells: list[Cell]
+
+
+class Verdicts(NamedTuple):
+    """A report's verdicts: the tolerance they share, their groups in sweep order."""
+    tol_margin: float
+    groups: list[Group]
+
+
 def run_sweep(cfg: SweepConfig) -> dict:
-    """Execute the sweep; returns the report as a plain dict.
+    """Execute the sweep; returns the report as a plain dict whose
+    `verdicts` are grouped (`Verdicts`; `verdict_rows` lists them flat).
 
     Per function, in four steps: list every theorem's points (`_points`);
     build one `FracParams` per (x, mu) in use; compute their LHS values,
-    one quadrature batch per mu; emit the verdict records in sweep order.
+    one quadrature batch per mu; judge the verdicts in sweep order.
     Each RHS is `Theorem.rhs`: the point factor, computed once per point,
     times the geometry factor of its (x, mu), computed once per (x, mu).
 
@@ -282,7 +314,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
     x in `x_fracs` order (`adaptive_gauss_many` raises for its lowest-index
     failing integral).
     """
-    records: list[dict] = []
+    groups: list[Group] = []
     summary: dict[str, dict] = {}
     for f in resolve_corpus(cfg):
         a, b = f.domain
@@ -295,59 +327,58 @@ def run_sweep(cfg: SweepConfig) -> dict:
             for frac, signed in zip(fracs, ostrowski_signed_many(f, fracs, cfg.quad)):
                 at[frac.x, mu] = abs(signed), geometry_factor(frac)
         for theorem, runs in listed:
-            worst = summary[theorem]["worst_margin"] if theorem in summary else None
-            start, held = len(records), 0
+            if not runs:
+                continue
+            s = summary.setdefault(theorem, {"pass": 0, "fail": 0, "worst_margin": None})
+            worst, held, cells = s["worst_margin"], 0, []
+            points = [bp for _, run in runs for bp, _ in run]
+            # Where each run's points start in `points`.
+            starts = list(itertools.accumulate((len(run) for _, run in runs), initial=0))
             for x in xs:
-                for mu, points in runs:
+                for (mu, run), start in zip(runs, starts):
                     lhs, g = at[x, mu]
-                    for bp, factor in points:
+                    verdicts = []
+                    for i, (_, factor) in enumerate(run, start):
                         rhs = factor * g
-                        margin, holds, tol_margin = _judge(lhs, rhs, cfg.quad)
+                        margin, holds, _ = _judge(lhs, rhs, cfg.quad)
                         held += holds
                         if worst is None or margin < worst:
                             worst = margin
-                        records.append({
-                            "theorem": theorem,
-                            "lhs": lhs,
-                            "rhs": rhs,
-                            "margin": margin,
-                            "holds": holds,
-                            "tol_margin": tol_margin,
-                            "function": f.id,
-                            "a": a,
-                            "b": b,
-                            "x": x,
-                            "mu": mu,
-                            "alpha": bp.alpha,
-                            "m": bp.m,
-                            "M": bp.M,
-                            "q": bp.q,
-                            "u": bp.u,
-                            "v": bp.v,
-                        })
-            if len(records) > start:
-                s = summary.setdefault(theorem, {"pass": 0, "fail": 0, "worst_margin": None})
-                s["pass"] += held
-                s["fail"] += len(records) - start - held
-                s["worst_margin"] = worst
+                        verdicts.append((i, rhs, margin, holds))
+                    cells.append(Cell(x, mu, lhs, verdicts))
+            s["pass"] += held
+            s["fail"] += len(xs) * len(points) - held
+            s["worst_margin"] = worst
+            groups.append(Group(theorem, f.id, a, b, points, cells))
 
     return {
         "config_fingerprint": cfg.fingerprint(),
         "version": __version__,
         "summary": summary,
-        "verdicts": records,
+        # The verdict rule's tolerance does not depend on the instance.
+        "verdicts": Verdicts(_judge(0.0, 0.0, cfg.quad)[2], groups),
     }
 
 
-_CSV_FIELDS = (
-    "theorem", "function", "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v",
-    "lhs", "rhs", "margin", "holds", "tol_margin",
-)
-# Key order of a verdict record, as `run_sweep` builds it.
-_VERDICT_KEYS = (
-    "theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function",
-    "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v",
-)
+# A verdict's flat record: its keys, in the JSON report's order.
+_ROW_KEYS = ("theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function",
+             "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v")
+
+
+def verdict_rows(report: dict):
+    """The report's verdicts as flat records (`_ROW_KEYS`), in sweep order."""
+    tol_margin, groups = report["verdicts"]
+    for g in groups:
+        for c in g.cells:
+            for i, rhs, margin, holds in c.verdicts:
+                bp = g.points[i]
+                yield dict(zip(_ROW_KEYS, (
+                    g.theorem, c.lhs, rhs, margin, holds, tol_margin, g.function, g.a, g.b,
+                    c.x, c.mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
+
+
+_CSV_FIELDS = ("theorem", "function", "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v",
+               "lhs", "rhs", "margin", "holds", "tol_margin")
 
 
 def _fmt(v) -> str:
@@ -361,7 +392,7 @@ def _fmt(v) -> str:
 
 
 def _value_json(v) -> str:
-    """v as `json.dumps(report, indent=2)` renders it as a record's value."""
+    """v as `json.dumps(report, indent=2)` renders it as a verdict's value."""
     if type(v) is float and math.isfinite(v):
         return float.__repr__(v)
     if isinstance(v, (dict, list, tuple)):
@@ -369,95 +400,63 @@ def _value_json(v) -> str:
     return json.dumps(v)
 
 
-def _template(keys) -> str:
-    return ",\n      ".join(f'"{k}": %s' for k in keys)
+# A verdict's own values: rhs, margin and holds.
+_NEW = '%s,\n      "margin": %s,\n      "holds": %s'
 
 
-# A record is its (theorem, lhs) segment, its new values (rhs to
-# tol_margin), its (function, ..., mu) segment and its point segment.
-_HEAD, _NEW_VALUES, _TAIL, _POINT = (
-    "\n    {\n      " + _template(_VERDICT_KEYS[:2]) + ",\n      ",
-    _template(_VERDICT_KEYS[2:6]) + ",\n      ",
-    _template(_VERDICT_KEYS[6:11]) + ",\n      ",
-    _template(_VERDICT_KEYS[11:]) + "\n    }",
-)
-
-
-def _verdicts_json(verdicts: list[dict]) -> str:
-    """The verdict list as `json.dumps(report, indent=2)` renders it.
-
-    Only rhs, margin, holds and tol_margin are new in each record.  The
-    other values are objects the sweep shares: theorem and lhs per (x, mu)
-    of a theorem, function, a, b, x and mu per (x, mu) of a function, and
-    alpha to v per parameter point.  Each group's text, and each value's,
-    is rendered once and looked up by the `id`s of its objects, which the
-    records keep alive for the call.  An identity key can miss where a value
-    key would hit, but it cannot print the wrong text: 0.0 and -0.0, or 1,
-    1.0 and True, are equal values with different text.  The records are
-    kept as their segments and joined once, so shared text is not copied
-    into each record first.
-    """
-    if not verdicts:
-        return "[]"
-    heads, tails, points, texts = {}, {}, {}, {}
-
-    def segment(template, values) -> str:
-        parts = []
-        for v in values:
-            text = texts.get(id(v))
-            if text is None:
-                text = texts[id(v)] = _value_json(v)
-            parts.append(text)
-        return template % tuple(parts)
-
+def _verdicts_text(verdicts: Verdicts) -> str:
+    """The verdicts' flat records (`verdict_rows`) as `json.dumps(report,
+    indent=2)` lists them.  Each value is formatted once, where it is stored:
+    tol_margin per report; theorem, function, a, b and each point's alpha
+    to v per group; lhs, x and mu per cell; rhs, margin and holds per verdict."""
     out = []
-    for r in verdicts:
-        if tuple(r) != _VERDICT_KEYS:
-            raise ValueError(f"verdict keys {tuple(r)}, want {_VERDICT_KEYS}")
-        (theorem, lhs, rhs, margin, holds, tol_margin,
-         function, a, b, x, mu, alpha, m, M, q, u, v) = r.values()
-        key = id(theorem), id(lhs)
-        head = heads.get(key)
-        if head is None:
-            head = heads[key] = segment(_HEAD, (theorem, lhs))
-        key = id(function), id(a), id(b), id(x), id(mu)
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = segment(_TAIL, (function, a, b, x, mu))
-        key = id(alpha), id(m), id(M), id(q), id(u), id(v)
-        point = points.get(key)
-        if point is None:
-            point = points[key] = segment(_POINT, (alpha, m, M, q, u, v))
-        # A finite sum of floats has finite terms, and str(float) is repr.
-        if (type(rhs) is type(margin) is type(tol_margin) is float
-                and math.isfinite(rhs + margin + tol_margin) and type(holds) is bool):
-            new = rhs, margin, "true" if holds else "false", tol_margin
-        else:
-            new = tuple(map(_value_json, (rhs, margin, holds, tol_margin)))
-        out += (",", head, _NEW_VALUES % new, tail, point)
-    out[0] = "["  # the first record opens the list, the others follow a ","
+    tol_margin = _value_json(verdicts.tol_margin)
+    for g in verdicts.groups:
+        theorem = _value_json(g.theorem)
+        shared = (f',\n      "tol_margin": {tol_margin},\n      "function": '
+                  f'{_value_json(g.function)},\n      "a": {_value_json(g.a)},\n      "b": '
+                  f'{_value_json(g.b)},\n      "x": ')
+        points = [
+            f'{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
+            f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
+            f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}'
+            for bp in g.points
+        ]
+        for c in g.cells:
+            head = (f',\n    {{\n      "theorem": {theorem},\n      "lhs": '
+                    f'{_value_json(c.lhs)},\n      "rhs": ')
+            tail = f'{shared}{_value_json(c.x)},\n      "mu": {_value_json(c.mu)},\n      "alpha": '
+            for i, rhs, margin, holds in c.verdicts:
+                # A finite sum of floats has finite terms, and str(float) is repr.
+                if (type(rhs) is type(margin) is float and math.isfinite(rhs + margin)
+                        and type(holds) is bool):
+                    holds = "true" if holds else "false"
+                else:
+                    rhs, margin, holds = map(_value_json, (rhs, margin, holds))
+                out += (head, _NEW % (rhs, margin, holds), tail, points[i])
+    if not out:
+        return "[]"
+    out[0] = "[" + out[0][1:]  # the first verdict opens the list, the others follow a ","
     out.append("\n  ]")
     return "".join(out)
 
 
 def render_report(report: dict, out_format: str) -> str:
-    """The report as text.  JSON is `json.dumps(report, indent=2) + "\\n"`
-    byte for byte: the head through json, the verdicts, the report's last
-    key, through `_verdicts_json`.  A report whose last key is not
-    `verdicts`, or whose only key is, raises ValueError."""
+    """The report as text, its verdicts as their flat records (`verdict_rows`).
+    JSON is `json.dumps(report, indent=2) + "\\n"` byte for byte: the head
+    through json, the verdicts, its last key, through `_verdicts_text`.  A
+    report whose last key is not `verdicts`, or whose only key is, raises
+    ValueError."""
     if out_format == "json":
         keys = list(report)
         if len(keys) < 2 or keys[-1] != "verdicts":
             raise ValueError(f"report keys {keys}: want 'verdicts' last, after another key")
         head = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
-        verdicts = _verdicts_json(report["verdicts"])
+        verdicts = _verdicts_text(report["verdicts"])
         return "".join((head[:-2], ',\n  "verdicts": ', verdicts, "\n}\n"))
-    buf = io.StringIO()
-    buf.write(",".join(_CSV_FIELDS) + "\n")
-    for v in report["verdicts"]:
-        buf.write(",".join(_fmt(v.get(k)) for k in _CSV_FIELDS) + "\n")
-    return buf.getvalue()
+    rows = ([r[k] for k in _CSV_FIELDS] for r in verdict_rows(report))
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in (_CSV_FIELDS, *rows))
 
 
 def all_hold(report: dict) -> bool:
-    return all(v["holds"] for v in report["verdicts"])
+    return all(v[3] for g in report["verdicts"].groups for c in g.cells for v in c.verdicts)

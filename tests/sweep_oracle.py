@@ -7,9 +7,11 @@ require `report.run_sweep` to return the same report, record for record;
 a `set` RHS, which the library groups as (M / (mu + 1)) * geometry factor,
 only to within 1e-15 relative.  Only `report._grid_for` and
 `report.resolve_corpus` are shared with the library, and the tests pin
-those separately.
+those separately.  `render` writes such a flat report as text, the way
+`report.render_report` wrote it before the report kept its verdicts grouped.
 """
 
+import json
 import math
 
 from ostrowski_frac import __version__
@@ -205,3 +207,28 @@ def run_sweep(cfg):
         "summary": summary,
         "verdicts": verdicts,
     }
+
+
+CSV_FIELDS = (
+    "theorem", "function", "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v",
+    "lhs", "rhs", "margin", "holds", "tol_margin",
+)
+
+
+def _csv_value(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def render(report, out_format):
+    """A flat report (verdicts as a list of records) as JSON or CSV text."""
+    if out_format == "json":
+        return json.dumps(report, indent=2) + "\n"
+    lines = [",".join(CSV_FIELDS)]
+    lines += [",".join(_csv_value(v[k]) for k in CSV_FIELDS) for v in report["verdicts"]]
+    return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from ostrowski_frac.bounds import BoundParams, bound_mu1_audit
 from ostrowski_frac.cli import main
 from ostrowski_frac.convexity import check_gm_lemma, check_power_lemma
 from ostrowski_frac.fracint import FracParams, gamma, mexp_integral, rl_lower, rl_upper
-from ostrowski_frac.report import SweepConfig, run_sweep
+from ostrowski_frac.report import SweepConfig, run_sweep, verdict_rows
 from ostrowski_frac.verify import THEOREMS, lemma_identity_residual, verify_classical
 
 import mp_oracle
@@ -104,9 +104,10 @@ def test_criterion_04_theorem_sweep(report_line):
     start = time.perf_counter()
     report = run_sweep(SweepConfig())
     elapsed = time.perf_counter() - start
-    margins = [v["margin"] for v in report["verdicts"]]
+    rows = list(verdict_rows(report))
+    margins = [v["margin"] for v in rows]
     worst = min(margins)
-    all_pass = all(v["holds"] for v in report["verdicts"])
+    all_pass = all(v["holds"] for v in rows)
     ok = all_pass and worst >= -1e-8 and elapsed <= 300.0
     report_line(
         4,

@@ -12,6 +12,7 @@ from ostrowski_frac.bounds import (
     k_alpha,
 )
 from ostrowski_frac.fracint import DomainError, FracParams, mexp_integral
+from ostrowski_frac.report import verdict_rows
 from ostrowski_frac.verify import THEOREMS
 
 import mp_oracle
@@ -337,7 +338,7 @@ class TestRhsOracle:
     def test_default_sweep_within_1e15_of_40_digits(self, default_sweep):
         # every printed RHS of the default sweep against mpmath at 40 digits
         worst = {}
-        for v in default_sweep["verdicts"]:
+        for v in verdict_rows(default_sweep):
             err = mp_oracle.rel_err(v["rhs"], mp_oracle.rhs(v))
             worst[v["theorem"]] = max(worst.get(v["theorem"], 0.0), err)
         assert set(worst) == set(THEOREMS)

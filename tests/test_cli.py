@@ -16,11 +16,13 @@ from ostrowski_frac.fracint import ConvergenceError, DomainError, FracParams
 from ostrowski_frac.report import (
     ConfigError,
     SweepConfig,
+    Verdicts,
     all_hold,
     parse_config,
     render_report,
     resolve_corpus,
     run_sweep,
+    verdict_rows,
 )
 from ostrowski_frac.verify import THEOREMS, HypothesisError, _check_hypotheses, ostrowski_lhs
 
@@ -222,7 +224,7 @@ class TestDefaultSweepListing:
     TUPLES_SHA256 = "6238511069f18af2c957e3776f587bc1d1f60c27f3508a736829edb70a7d174b"
 
     def test_listing_counts_and_digest(self, default_sweep):
-        verdicts = default_sweep["verdicts"]
+        verdicts = list(verdict_rows(default_sweep))
         assert len(verdicts) == 17892
         assert all(v["holds"] for v in verdicts)
         assert collections.Counter(v["theorem"] for v in verdicts) == self.COUNTS
@@ -286,9 +288,31 @@ class TestSweepCommand:
     )
     def test_loose_tolerance_exits_2(self, tmp_path, capsys, line, message):
         # A verdict holds down to a margin of -100 * abs_tol: a tolerance
-        # loose enough would pass the crafted violation with exit 0.
+        # loose enough would pass the crafted violation with exit 0.  The
+        # error names the key and the value, as read.
+        key, value = line.split(" = ")
         cfg = tmp_path / "loose.cfg"
         cfg.write_text(self.CRAFTED_VIOLATION + line + "\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {key} = {float(value)!r}: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("rel_tol = 0.0", "rel_tol = 0.0: rel_tol in (0, 1e-08] required"),
+         ("base_nodes = 0", "base_nodes = 0: max_subdivisions and base_nodes must be >= 1"),
+         ("max_subdivisions = -3",
+          "max_subdivisions = -3: max_subdivisions and base_nodes must be >= 1")],
+    )
+    def test_quadrature_value_out_of_range_exits_2(self, tmp_path, capsys, line, message):
+        # A config error like any other list or quadrature value's, not
+        # QuadConfig's own DomainError, which names neither key nor value.
+        with pytest.raises(ConfigError) as got:
+            parse_config(line)
+        assert str(got.value) == message
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(line + "\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
@@ -329,7 +353,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert set(report["summary"]) == set(THEOREMS)
-        assert report["verdicts"] and all_hold(report)
+        assert report["verdicts"] and all(v["holds"] for v in report["verdicts"])
         assert "error" not in capsys.readouterr().err
 
     def test_one_theorem_met_nowhere_exits_2(self, tmp_path, capsys):
@@ -538,8 +562,20 @@ class TestRenderReport:
         text = render_report(report, "csv")
         lines = text.strip().splitlines()
         assert lines[0].startswith("theorem,function,a,b,x,mu")
-        assert len(lines) == len(report["verdicts"]) + 1
+        assert len(lines) == len(list(verdict_rows(report))) + 1
         assert all_hold(report)
+
+    @pytest.mark.parametrize("text", [
+        SMALL_SWEEP + "u = 0.25,0.5\nformat = csv\n",
+        "functions = powdecay,aff\nx_fracs = 0.1,0.5,0.9\nmu = 0.5,1.5\nformat = csv\n"
+        "function.aff = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5\n",
+    ], ids=["csv", "extra"])
+    def test_csv_equals_csv_of_rows(self, text):
+        report = run_sweep(parse_config(text))
+        rows = list(verdict_rows(report))
+        assert rows and any(r["u"] is not None for r in rows)
+        want = sweep_oracle.render({**report, "verdicts": rows}, "csv")
+        assert render_report(report, "csv") == want
 
     def test_json_contains_fingerprint(self):
         cfg = parse_config(SMALL_SWEEP)
@@ -548,7 +584,7 @@ class TestRenderReport:
 
     @staticmethod
     def _oracle(report):
-        return json.dumps(report, indent=2) + "\n"
+        return json.dumps({**report, "verdicts": list(verdict_rows(report))}, indent=2) + "\n"
 
     @pytest.mark.parametrize("text", [SMALL_SWEEP, BATCH_SWEEP])
     def test_json_equals_indented_dump(self, text):
@@ -557,7 +593,11 @@ class TestRenderReport:
 
     def test_json_without_verdicts(self):
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
-                  "summary": {}, "verdicts": []}
+                  "summary": {}, "verdicts": Verdicts(1e-8, [])}
+        assert render_report(report, "json") == self._oracle(report)
+        # Groups and cells without a verdict list none either.
+        group = report_mod.Group("t22", "f", 0.0, 1.0, [], [report_mod.Cell(0.5, 1.0, 0.0, [])])
+        report["verdicts"] = Verdicts(1e-8, [group, group._replace(cells=[])])
         assert render_report(report, "json") == self._oracle(report)
 
     def test_default_sweep_equals_indented_dump(self, default_sweep):
@@ -571,15 +611,21 @@ class TestRenderReport:
             render_report(report, "json")
 
     def test_json_verdicts_last_equals_indented_dump(self):
-        report = {"version": "1", "verdicts": []}
+        report = {"version": "1", "verdicts": Verdicts(1e-8, [])}
         assert render_report(report, "json") == self._oracle(report)
 
     # Equal values with different text (0.0 and -0.0; 1, 1.0 and True) and
-    # values json spells its own way: an identity key must tell them apart.
+    # values json spells its own way.
     POOL = [0.0, -0.0, 1, 1.0, True, False, None, float("nan"), float("inf"),
             float("-inf"), 0.1, 1e300, 5e-324, -7, 2**70, "t22",
             'q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫",
             [], {}, [1.5, None, "x"], {"k": [0.5, {"z": True}]}]
+    # Values a point accepts, again equal ones with different text.
+    POINT_VALUES = {
+        "alpha": [1, 1.0, True, 0.1, 5e-324], "m": [1, 1.0, True, 0.5, 5e-324],
+        "M": [1, 1.0, True, 0.5, 5e-324], "q": [1, 1.0, True, 1e300, float("inf")],
+        "u": [None, 0.5, 0.1, 5e-324, 1 - 2**-53],
+    }
 
     @pytest.mark.parametrize("seed", range(4))
     def test_json_random_records_equal_indented_dump(self, seed):
@@ -587,45 +633,61 @@ class TestRenderReport:
 
         rng = random.Random(seed)
 
-        def copy(v):
+        def value():
             # An equal value in a distinct object, where one can be made.
-            return float(repr(v)) if type(v) is float else v
+            v = rng.choice(self.POOL)
+            return float(repr(v)) if type(v) is float and rng.random() < 0.5 else v
 
-        shared = [rng.choice(self.POOL) for _ in range(12)]
-        verdicts = []
-        for _ in range(300):
-            verdicts.append({
-                k: rng.choice(shared) if rng.random() < 0.7 else copy(rng.choice(self.POOL))
-                for k in report_mod._VERDICT_KEYS
-            })
+        frac = FracParams(0.0, 1.0, 0.0, 1.0)
+        groups = []
+        while sum(len(c.verdicts) for g in groups for c in g.cells) < 300:
+            points = [
+                BoundParams(frac, **{k: rng.choice(vs) for k, vs in self.POINT_VALUES.items()})
+                for _ in range(rng.randint(1, 5))
+            ]
+            cells = [
+                report_mod.Cell(value(), value(), value(), [
+                    (rng.randrange(len(points)), value(), value(), value())
+                    for _ in range(rng.randint(0, 8))
+                ])
+                for _ in range(rng.randint(0, 6))
+            ]
+            groups.append(report_mod.Group(value(), value(), value(), value(), points, cells))
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
                   "summary": {"t22": {"pass": 1, "fail": 0, "worst_margin": -0.0}},
-                  "verdicts": verdicts}
+                  "verdicts": Verdicts(value(), groups)}
         assert render_report(report, "json") == self._oracle(report)
 
-    def test_json_record_keys_must_be_in_sweep_order(self):
-        base = run_sweep(parse_config(SMALL_SWEEP))
-        record = base["verdicts"][0]
-        keys = list(record)
-        missing = {k: v for k, v in record.items() if k != "tol_margin"}
-        reordered = {k: record[k] for k in [keys[1], keys[0], *keys[2:]]}
-        extra = {**record, "note": "x"}
-        for bad in (missing, reordered, extra):
-            report = {**base, "verdicts": [record, bad]}
-            with pytest.raises(ValueError, match="verdict keys"):
-                render_report(report, "json")
+    # A verdict's flat record, key by key, as the JSON report lists it.
+    RECORD_KEYS = ("theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function",
+                   "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v")
+
+    def test_verdict_keys_in_sweep_order(self):
+        report = run_sweep(parse_config(SMALL_SWEEP))
+        rows = list(verdict_rows(report))
+        assert rows and all(tuple(r) == self.RECORD_KEYS for r in rows)
+        # The text lists each verdict's keys in that order, with its values.
+        text = render_report(report, "json")
+        records = dict(json.loads(text, object_pairs_hook=list))["verdicts"]
+        assert [[k for k, _ in r] for r in records] == [list(self.RECORD_KEYS)] * len(rows)
+        assert [dict(r) for r in records] == rows
 
     def test_json_awkward_strings_and_floats(self):
         base = run_sweep(parse_config(SMALL_SWEEP))
-        record = base["verdicts"][0]
+        tol_margin, (group, *_) = base["verdicts"]
+        cell = group.cells[0]
+        i, rhs, _, holds = cell.verdicts[0]
+        points = [dataclasses.replace(group.points[i], u=None), group.points[i]]
         ids = ['q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫"]
         specials = [float("nan"), float("inf"), float("-inf"), -0.0]
-        verdicts = []
-        for i, fid in enumerate(ids):
-            verdicts.append({**record, "function": fid,
-                             "lhs": specials[i % 4], "margin": specials[(i + 1) % 4],
-                             "u": None, "v": None})
-        report = {**base, "verdicts": verdicts}
+        groups = []
+        for k, fid in enumerate(ids):
+            verdicts = [(0, rhs, specials[(k + 1) % 4], holds),
+                        (1, specials[(k + 2) % 4], -0.0, holds)]
+            cells = [cell._replace(lhs=specials[k % 4], verdicts=verdicts),
+                     cell._replace(x=-0.0, verdicts=verdicts[::-1])]
+            groups.append(group._replace(function=fid, points=points, cells=cells))
+        report = {**base, "verdicts": Verdicts(tol_margin, groups)}
         assert render_report(report, "json") == self._oracle(report)
 
 
@@ -635,7 +697,7 @@ class TestBatchedSweep:
 
     def test_lhs_equals_one_instance_at_a_time(self, corpus):
         cfg = parse_config(BATCH_SWEEP)
-        verdicts = run_sweep(cfg)["verdicts"]
+        verdicts = list(verdict_rows(run_sweep(cfg)))
         assert {v["x"] for v in verdicts if v["function"] == "linear"} >= {0.0, 3.0}
         assert {v["mu"] for v in verdicts} == {0.25, 1.0, 2.5}
         for v in verdicts:
@@ -654,7 +716,7 @@ class TestBatchedSweep:
 
         cfg = parse_config(BATCH_SWEEP)
         with_boom("const1")  # no membership: nothing applies
-        assert run_sweep(cfg)["verdicts"] == []
+        assert list(verdict_rows(run_sweep(cfg))) == []
         with_boom("linear")  # memberships hold: the sweep must integrate it
         with pytest.raises(RuntimeError, match="integrand evaluated"):
             run_sweep(cfg)
@@ -807,7 +869,7 @@ class TestHypothesesCheckedOncePerPoint:
         want, _ = self._reference(cfg)
         assert want
         assert self._listed(cfg) == want
-        verdicts = run_sweep(cfg)["verdicts"]
+        verdicts = list(verdict_rows(run_sweep(cfg)))
         keys = ("theorem", "function", "x", "mu", "alpha", "m", "q", "u")
         got = [tuple(v[k] for k in keys) for v in verdicts]
         assert got == want
@@ -854,15 +916,21 @@ class TestHypothesesCheckedOncePerPoint:
         run_sweep(cfg)
         assert len(built) == len(pairs) + runs
 
-    def test_records_of_one_point_share_one_v(self):
-        # The renderer memoizes a point's text by the ids of its values.
-        points = collections.defaultdict(list)
-        for r in run_sweep(parse_config(self.CONFIGS["two-u"]))["verdicts"]:
-            points[r["theorem"], r["function"], r["mu"], r["alpha"], r["m"], r["q"],
-                   r["u"]].append(r["v"])
-        assert points and all(len(vs) > 1 for vs in points.values())
-        for (*_, u), vs in points.items():
-            assert vs[0] == 1.0 - u and all(v is vs[0] for v in vs)
+    def test_group_states_each_point_once(self):
+        # A group holds each of its points once, and each x's verdicts refer
+        # to it: the renderer formats a point's values once per group.
+        cfg = parse_config(self.CONFIGS["two-u"])
+        groups = run_sweep(cfg)["verdicts"].groups
+        assert groups
+        for g in groups:
+            keys = [(bp.frac.mu, bp.alpha, bp.m, bp.q, bp.u) for bp in g.points]
+            assert len(set(keys)) == len(keys) > 1
+            assert all(bp.v == 1.0 - bp.u for bp in g.points)
+            used = collections.Counter()
+            for c in g.cells:
+                assert all(g.points[i].frac.mu == c.mu for i, *_ in c.verdicts)
+                used.update(i for i, *_ in c.verdicts)
+            assert used == {i: len(cfg.x_fracs) for i in range(len(g.points))}
 
     def test_rejected_bound_params_built_once_per_point(self, monkeypatch):
         cfg = parse_config(self.CONFIGS["no-claim"])
@@ -887,9 +955,9 @@ class TestHypothesesCheckedOncePerPoint:
 
 
 class TestSweepMatchesPerVerdictOracle:
-    """The columnar sweep returns, record for record, the report of the
-    per-verdict sweep it replaced (tests/sweep_oracle.py) and renders to
-    the same bytes.  The exceptions are the theorems whose printed product
+    """The columnar sweep returns, record for record (`verdict_rows`), the
+    report of the per-verdict sweep it replaced (tests/sweep_oracle.py) and
+    renders to the same bytes.  The exceptions are the theorems whose printed product
     groups otherwise than point factor times geometry factor: `set`
     (M * geometry factor / (mu + 1)) and, where b - a is not a power of 2,
     `mu1` (... * ((x-a)^2 + (b-x)^2) / (2(b-a))).  Their rhs and margin may
@@ -914,7 +982,8 @@ class TestSweepMatchesPerVerdictOracle:
     def _assert_same(cls, got, want):
         want = {**want, "summary": dict(want["summary"]),
                 "verdicts": [dict(w) for w in want["verdicts"]]}
-        for g, w in zip(got["verdicts"], want["verdicts"]):
+        rows = list(verdict_rows(got))
+        for g, w in zip(rows, want["verdicts"]):
             if w["theorem"] in cls.REGROUPED:
                 for key in ("rhs", "margin"):
                     assert abs(g[key] - w[key]) <= 1e-15 * abs(w["rhs"])
@@ -924,9 +993,9 @@ class TestSweepMatchesPerVerdictOracle:
             if margins:
                 want["summary"][theorem] = {**want["summary"][theorem],
                                             "worst_margin": min(margins)}
-        assert got == want
+        assert {**got, "verdicts": rows} == want
         for fmt in ("json", "csv"):
-            assert render_report(got, fmt) == render_report(want, fmt)
+            assert render_report(got, fmt) == sweep_oracle.render(want, fmt)
 
     def test_default_sweep(self, default_sweep):
         self._assert_same(default_sweep, sweep_oracle.run_sweep(SweepConfig()))
@@ -940,7 +1009,7 @@ class TestSweepMatchesPerVerdictOracle:
     def test_other_configs(self, text):
         cfg = parse_config(text)
         got = run_sweep(cfg)
-        assert got["verdicts"]
+        assert got["verdicts"].groups
         self._assert_same(got, sweep_oracle.run_sweep(cfg))
 
     def test_point_factor_times_geometry_is_the_rhs(self, corpus):
