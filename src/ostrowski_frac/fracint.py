@@ -97,16 +97,6 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panel_sums(g, lo, hi, k, ref, w):
-    """Gauss-Legendre sum on each panel [lo[i], hi[i]] of integral k[i], all
-    panels in one call of g."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * ref
-    vals = np.asarray(g(pts.ravel(), k.repeat(ref.size)), dtype=float)
-    return np.add.reduce(vals.reshape(pts.shape) * w * half[:, None], axis=1)
-
-
 def _interleave(left, right):
     out = np.empty(2 * left.size)
     out[0::2] = left
@@ -147,9 +137,6 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
         return out
     ref, w = _leggauss(cfg.base_nodes)
     lo, hi = los[live], his[live]
-    whole = _panel_sums(g, lo, hi, live, ref, w)
-    # fmax, not maximum: a nan estimate keeps the absolute tolerance.
-    tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(whole))
     total = hi - lo
     # Per-panel acceptance floor; keeps algebraic corner panels from chasing
     # an ever-halving target they cannot meet.
@@ -159,45 +146,63 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
     # disagreements are accepted rather than reported as failure.
     cap_accept = 10.0 * cfg.abs_tol
 
-    # Active panels, ordered by integral and then left to right: a, b, the
-    # estimate on [a, b] and j, the integral's position in `live`.  A
-    # non-finite estimate is nan, which splits its panel as inf would, but
-    # spares both - est the warning of inf - inf.  Deeper estimates are
-    # halves of a finite sum, so finite.
-    a, b, est, j = lo, hi, np.where(np.isfinite(whole), whole, np.nan), np.arange(live.size)
     levels = []  # per depth: (left + right of each panel, panel was split)
     failures = []  # per depth: (j, a, message) of its first failing panel
-    for depth in range(cfg.max_subdivisions + 1):
-        mid = 0.5 * (a + b)
-        # The halves, interleaved: each panel's left half, then its right.
-        lo2, hi2, j2 = _interleave(a, mid), _interleave(mid, b), j.repeat(2)
-        halves = _panel_sums(g, lo2, hi2, live[j2], ref, w)
-        both = halves[0::2] + halves[1::2]
-        err = np.abs(both - est)
-        split = ~(err <= np.maximum(tol[j] * (b - a) / total[j], floor))
-        # A non-finite sum fails its integral at once: bisecting it again
-        # would double its panels at every level down to the depth cap.
-        bad = ~np.isfinite(both)
-        if depth == cfg.max_subdivisions:
-            failed = split & ~(err <= cap_accept)
-            split[:] = False
+    # The panels [pa, pb] each pass evaluates, and k, the integral of each of
+    # their points: the whole intervals at depth -1, then at each depth the
+    # halves of every active panel, interleaved: its left half, then its right.
+    pa, pb, k = lo, hi, live.repeat(ref.size)
+    for depth in range(-1, cfg.max_subdivisions + 1):
+        # Gauss-Legendre sums on all the panels, in one call of g.  These
+        # arrays stay loop locals, each rebound only once its successor
+        # exists, so glibc reuses their memory for the next pass; freed all at
+        # once, as on return from a helper, they let it trim the heap top
+        # (M_TRIM_THRESHOLD, mallopt(3)) and the next pass faults the same
+        # pages back in.  No array g was given or returned is written to.
+        half = 0.5 * (pb - pa)
+        pts = (0.5 * (pb + pa))[:, None] + half[:, None] * ref
+        vals = np.asarray(g(pts.ravel(), k), dtype=float)
+        terms = vals.reshape(pts.shape) * w
+        terms *= half[:, None]
+        sums = np.add.reduce(terms, axis=1)
+        if depth < 0:
+            # fmax, not maximum: a nan estimate keeps the absolute tolerance.
+            tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(sums))
+            # Active panels, ordered by integral and then left to right: a, b,
+            # the estimate on [a, b] and j, the integral's position in `live`.
+            # A non-finite estimate is nan, which splits its panel as inf
+            # would, but spares both - est the warning of inf - inf.  Deeper
+            # estimates are halves of a finite sum, so finite.
+            a, b, est, j = lo, hi, np.where(np.isfinite(sums), sums, np.nan), np.arange(live.size)
         else:
-            failed = bad
-            split &= ~bad
-        if failed.any():
-            i = np.flatnonzero(failed)[0]
-            where = f"[{float(a[i])}, {float(b[i])}]"
-            message = (
-                f"integrand not finite on {where}" if bad[i] else
-                f"quadrature on {where} not converged at depth {cfg.max_subdivisions} "
-                f"(disagreement {float(err[i]):.3g})"
-            )
-            failures.append((j[i], a[i], message))
-        levels.append((both, split))
-        if not split.any():
-            break
-        keep = split.repeat(2)
-        a, b, est, j = lo2[keep], hi2[keep], halves[keep], j2[keep]
+            both = sums[0::2] + sums[1::2]
+            err = np.abs(both - est)
+            split = ~(err <= np.maximum(tol[j] * (b - a) / total[j], floor))
+            # A non-finite sum fails its integral at once: bisecting it again
+            # would double its panels at every level down to the depth cap.
+            finite = np.isfinite(both)
+            if depth == cfg.max_subdivisions:
+                failed = split & ~(err <= cap_accept)
+                split[:] = False
+            else:
+                failed = ~finite
+                split &= finite
+            if np.count_nonzero(failed):
+                i = np.flatnonzero(failed)[0]
+                where = f"[{float(a[i])}, {float(b[i])}]"
+                message = (
+                    f"integrand not finite on {where}" if not finite[i] else
+                    f"quadrature on {where} not converged at depth {cfg.max_subdivisions} "
+                    f"(disagreement {float(err[i]):.3g})"
+                )
+                failures.append((j[i], a[i], message))
+            levels.append((both, split))
+            if not np.count_nonzero(split):
+                break
+            keep = np.flatnonzero(split.repeat(2))
+            a, b, est, j = pa[keep], pb[keep], sums[keep], j[keep >> 1]
+        mid = 0.5 * (a + b)
+        pa, pb, k = _interleave(a, mid), _interleave(mid, b), live[j].repeat(2 * ref.size)
     if failures:
         # The lowest-index failing integral at its leftmost failing panel.
         raise ConvergenceError(min(failures, key=lambda fail: fail[:2])[2])

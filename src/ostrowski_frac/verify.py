@@ -106,14 +106,16 @@ def lemma_identity_residual(
     a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
     f.require_within(a, b)
     rl, uppers = rl_integrand(f, [a, b], [x, x], mu)  # as ostrowski_signed_many
-    ends = np.array([a, b])
+    ends = np.array([0.0, 0.0, a, b])  # c of the moment integrals, k = 2, 3
 
     def g(t, k):
         # k never decreases: the fractional integrals' points come first.
-        n = int(np.searchsorted(k, 2))
+        n = k.searchsorted(2)
         s = t[n:]
-        moments = s**mu * f.fprime(s * x + (1.0 - s) * ends[k[n:] - 2])
-        return np.concatenate((rl(t[:n], k[:n]), moments))
+        out = np.empty(t.size)
+        out[:n] = rl(t[:n], k[:n])
+        out[n:] = s**mu * f.fprime(s * x + (1.0 - s) * ends[k[n:]])
+        return out
 
     vals = adaptive_gauss_many(g, [0.0] * 4, uppers + [1.0, 1.0], cfg)
     left, right = (vals[:2] / gamma(mu + 1.0)).tolist()

@@ -222,6 +222,26 @@ class TestBatchedRefinerMatchesRecursion:
         assert rl_upper(spec, x, b, mu) == upper
         assert rl_many(spec, [x, x, a], [a, b, a], mu) == [lower, upper, 0.0]
 
+    @pytest.mark.parametrize("cfg", CORNER_CFGS)
+    def test_arrays_given_to_g_are_never_written(self, cfg):
+        # g keeps every s and k it is given and returns read-only values:
+        # the refiner may compute in place only in arrays of its own.
+        gs = [lambda t: t**0.1, lambda t: (1.0 - t) ** 0.1, lambda t: np.abs(t - 0.3) ** 0.1]
+        batch = batch_of(gs)
+        kept = []  # (an array g was given or returned, its copy at the time)
+
+        def g(s, k):
+            vals = batch(s, k)
+            vals.flags.writeable = False
+            kept.extend((array, array.copy()) for array in (s, k, vals))
+            return vals
+
+        got = adaptive_gauss_many(g, [0.0] * 3, [1.0] * 3, cfg)
+        assert got.tolist() == [recursive_gauss(gi, 0.0, 1.0, cfg) for gi in gs]
+        assert len(kept) > 3 * 20
+        for array, copy in kept:
+            assert np.array_equal(array, copy)
+
     def test_empty_and_nonempty_mixed(self):
         calls = []
 

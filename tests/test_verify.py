@@ -18,6 +18,7 @@ from ostrowski_frac.verify import (
     lemma_identity_residual,
     ostrowski_lhs,
     ostrowski_signed,
+    ostrowski_signed_many,
     verify_classical,
     verify_theorem,
 )
@@ -68,6 +69,18 @@ class TestOstrowskiSigned:
                 got = ostrowski_signed(spec, FracParams(a, b, x, 1.0))
                 mean = simpson(spec.f, a, b, panels=2000) / (b - a)
                 assert got == pytest.approx(float(spec.f(x)) - mean, abs=1e-8)
+
+    @pytest.mark.parametrize("fid", ["powdecay", "expdecay"])
+    @pytest.mark.parametrize("mu", [0.1, 2.5])
+    def test_dense_batch_equals_alone(self, corpus, fid, mu):
+        # A quad-dense-shaped batch: 198 fractional integrals, whose levels
+        # hold hundreds of panels, against each instance integrated alone.
+        spec = corpus[fid]
+        a, b = spec.domain
+        fracs = [FracParams(a, b, a + (0.005 + 0.01 * i) * (b - a), mu) for i in range(99)]
+        batch = ostrowski_signed_many(spec, fracs)
+        for frac, got in zip(fracs, batch):
+            assert got == ostrowski_signed(spec, frac), frac
 
     def test_outside_domain_rejected(self, corpus):
         with pytest.raises(DomainError):
