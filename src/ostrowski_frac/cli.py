@@ -23,7 +23,7 @@ from .report import (
     SweepConfig,
     all_hold,
     parse_config,
-    render_report,
+    report_chunks,
     run_sweep,
 )
 from .verify import THEOREM_IDS, HypothesisError, verify_classical, verify_theorem
@@ -113,12 +113,16 @@ def _cmd_sweep(args) -> int:
 
         cfg = dataclasses.replace(cfg, output=args.output)
     report = run_sweep(cfg)
-    text = render_report(report, cfg.out_format)
+    # One group at a time, so neither the whole text nor its encoded copy is
+    # ever held; the file is opened only now, so a sweep that raises leaves
+    # it untouched.
+    chunks = report_chunks(report, cfg.out_format)
     if cfg.output:
-        Path(cfg.output).write_text(text)
+        with Path(cfg.output).open("w") as out:
+            out.writelines(chunks)
         print(f"report written to {cfg.output}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     for theorem, s in report["summary"].items():
         print(
             f"{theorem}: {s['pass']} pass, {s['fail']} fail, "

@@ -365,16 +365,21 @@ _ROW_KEYS = ("theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function
              "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v")
 
 
+def _group_rows(tol_margin, g: Group):
+    """One group's verdicts as flat records (`_ROW_KEYS`), in sweep order."""
+    for c in g.cells:
+        for i, rhs, margin, holds in c.verdicts:
+            bp = g.points[i]
+            yield dict(zip(_ROW_KEYS, (
+                g.theorem, c.lhs, rhs, margin, holds, tol_margin, g.function, g.a, g.b,
+                c.x, c.mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
+
+
 def verdict_rows(report: dict):
     """The report's verdicts as flat records (`_ROW_KEYS`), in sweep order."""
     tol_margin, groups = report["verdicts"]
     for g in groups:
-        for c in g.cells:
-            for i, rhs, margin, holds in c.verdicts:
-                bp = g.points[i]
-                yield dict(zip(_ROW_KEYS, (
-                    g.theorem, c.lhs, rhs, margin, holds, tol_margin, g.function, g.a, g.b,
-                    c.x, c.mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
+        yield from _group_rows(tol_margin, g)
 
 
 _CSV_FIELDS = ("theorem", "function", "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v",
@@ -404,14 +409,19 @@ def _value_json(v) -> str:
 _NEW = '%s,\n      "margin": %s,\n      "holds": %s'
 
 
-def _verdicts_text(verdicts: Verdicts) -> str:
-    """The verdicts' flat records (`verdict_rows`) as `json.dumps(report,
-    indent=2)` lists them.  Each value is formatted once, where it is stored:
-    tol_margin per report; theorem, function, a, b and each point's alpha
-    to v per group; lhs, x and mu per cell; rhs, margin and holds per verdict."""
-    out = []
+def _json_chunks(report: dict):
+    """`report_chunks` for JSON: the head through json, then the verdicts,
+    its last key, one string per group with a verdict, then the close.
+    Each value is formatted once, where it is stored: tol_margin per
+    report; theorem, function, a, b and each point's alpha to v per group;
+    lhs, x and mu per cell; rhs, margin and holds per verdict."""
+    top = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
+    yield top[:-2] + ',\n  "verdicts": '
+    verdicts = report["verdicts"]
     tol_margin = _value_json(verdicts.tol_margin)
+    opened = False
     for g in verdicts.groups:
+        out = []
         theorem = _value_json(g.theorem)
         shared = (f',\n      "tol_margin": {tol_margin},\n      "function": '
                   f'{_value_json(g.function)},\n      "a": {_value_json(g.a)},\n      "b": '
@@ -434,28 +444,43 @@ def _verdicts_text(verdicts: Verdicts) -> str:
                 else:
                     rhs, margin, holds = map(_value_json, (rhs, margin, holds))
                 out += (head, _NEW % (rhs, margin, holds), tail, points[i])
-    if not out:
-        return "[]"
-    out[0] = "[" + out[0][1:]  # the first verdict opens the list, the others follow a ","
-    out.append("\n  ]")
-    return "".join(out)
+        if out:
+            if not opened:  # the first verdict opens the list, the others follow a ","
+                out[0] = "[" + out[0][1:]
+                opened = True
+            yield "".join(out)
+    yield "\n  ]\n}\n" if opened else "[]\n}\n"
 
 
-def render_report(report: dict, out_format: str) -> str:
-    """The report as text, its verdicts as their flat records (`verdict_rows`).
-    JSON is `json.dumps(report, indent=2) + "\\n"` byte for byte: the head
-    through json, the verdicts, its last key, through `_verdicts_text`.  A
-    report whose last key is not `verdicts`, or whose only key is, raises
-    ValueError."""
+def _csv_chunks(report: dict):
+    """`report_chunks` for CSV: the header, then one string per group."""
+    yield ",".join(_CSV_FIELDS) + "\n"
+    tol_margin, groups = report["verdicts"]
+    for g in groups:
+        yield "".join(",".join([_fmt(r[k]) for k in _CSV_FIELDS]) + "\n"
+                      for r in _group_rows(tol_margin, g))
+
+
+def report_chunks(report: dict, out_format: str):
+    """The report as text, in pieces: `out_format` "json" or "csv", its
+    verdicts as their flat records (`verdict_rows`), at most one group's
+    verdicts per piece, so a caller can write the report without holding
+    it whole.  JSON is `json.dumps(report, indent=2) + "\\n"` byte for byte.
+    An unknown format, or a JSON report whose last key is not `verdicts`
+    or whose only key is, raises ValueError here, before any piece."""
     if out_format == "json":
         keys = list(report)
         if len(keys) < 2 or keys[-1] != "verdicts":
             raise ValueError(f"report keys {keys}: want 'verdicts' last, after another key")
-        head = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
-        verdicts = _verdicts_text(report["verdicts"])
-        return "".join((head[:-2], ',\n  "verdicts": ', verdicts, "\n}\n"))
-    rows = ([r[k] for k in _CSV_FIELDS] for r in verdict_rows(report))
-    return "".join(",".join(map(_fmt, row)) + "\n" for row in (_CSV_FIELDS, *rows))
+        return _json_chunks(report)
+    if out_format == "csv":
+        return _csv_chunks(report)
+    raise ValueError(f"unknown report format {out_format!r}: want json or csv")
+
+
+def render_report(report: dict, out_format: str) -> str:
+    """The report as one string: the join of `report_chunks`."""
+    return "".join(report_chunks(report, out_format))
 
 
 def all_hold(report: dict) -> bool:

@@ -3,11 +3,13 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import sweep_oracle
 
+from ostrowski_frac import cli as cli_mod
 from ostrowski_frac import corpus as corpus_mod
 from ostrowski_frac import report as report_mod
 from ostrowski_frac.bounds import BoundParams, geometry_factor
@@ -20,6 +22,7 @@ from ostrowski_frac.report import (
     all_hold,
     parse_config,
     render_report,
+    report_chunks,
     resolve_corpus,
     run_sweep,
     verdict_rows,
@@ -256,6 +259,46 @@ class TestSweepCommand:
             assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("dest", ["output", "stdout"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("sweep", ["small", "default"])
+    def test_writes_the_rendered_report(self, sweep, fmt, dest, default_sweep, tmp_path, capsys):
+        # One formatting path behind both destinations: what the command
+        # writes is `render_report` of the sweep, byte for byte.
+        text = (SMALL_SWEEP if sweep == "small" else "") + f"format = {fmt}\n"
+        cfg = parse_config(text)
+        report = run_sweep(cfg) if sweep == "small" else default_sweep
+        if sweep == "default":
+            assert dataclasses.replace(cfg, out_format="json") == SweepConfig()
+        want = render_report(report, fmt)
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text)
+        out = tmp_path / f"report.{fmt}"
+        argv = ["sweep", "--config", str(path)]
+        assert main(argv + ["--output", str(out)] if dest == "output" else argv) == 0
+        stdout = capsys.readouterr().out
+        if dest == "output":
+            assert out.read_bytes() == want.encode()
+            assert stdout == f"report written to {out}\n"
+        else:
+            assert stdout == want
+
+    def test_writing_holds_less_than_half_the_report(self, default_sweep, tmp_path, monkeypatch):
+        # The report is streamed one group at a time: writing it must not
+        # hold the whole text, let alone a second, encoded copy of it.
+        monkeypatch.setattr(cli_mod, "run_sweep", lambda cfg: default_sweep)
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["sweep", "--output", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 6_000_000
+        assert peak < size / 2, (peak, size)
 
     # An extra member whose declared M understates |f'|; audit disabled so
     # the sweep itself must catch the violated inequality.
@@ -610,6 +653,16 @@ class TestRenderReport:
         with pytest.raises(ValueError, match="want 'verdicts' last"):
             render_report(report, "json")
 
+    @pytest.mark.parametrize("fmt", ["xml", "JSON", ""])
+    def test_unknown_format_raises(self, fmt):
+        # Named at the call, before any piece: a caller that opens its
+        # destination after the call never truncates it for nothing.
+        report = {"version": "1", "verdicts": Verdicts(1e-8, [])}
+        with pytest.raises(ValueError, match=f"unknown report format {fmt!r}"):
+            report_chunks(report, fmt)
+        with pytest.raises(ValueError, match=f"unknown report format {fmt!r}"):
+            render_report(report, fmt)
+
     def test_json_verdicts_last_equals_indented_dump(self):
         report = {"version": "1", "verdicts": Verdicts(1e-8, [])}
         assert render_report(report, "json") == self._oracle(report)
@@ -772,6 +825,17 @@ class TestBatchedSweep:
         path.write_text(text)
         assert main(["sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_failing_sweep_leaves_the_output_file_unchanged(self, tmp_path, capsys):
+        # The report is streamed, but the file is opened only once the
+        # sweep has returned: one that raises first does not truncate it.
+        path = tmp_path / "failing.cfg"
+        path.write_text(self.T22_DEPTH_1 + self.FAILING["by-mu"])
+        out = tmp_path / "report.json"
+        out.write_bytes(b"an earlier report\n")
+        assert main(["sweep", "--config", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b"an earlier report\n"
 
     def test_point_factor_error_before_any_quadrature(self, monkeypatch):
         # M = 1e-300 underflows t26's c = M^(q alpha (1-m)) at q = 3 but not
