@@ -1,9 +1,9 @@
 """Registry of closed-form test functions with analytic derivatives.
 
-`audit` machine-checks every FunctionSpec: its declared derivative bound M,
-its derivative by finite differences, and the monotonicity of |f'| it
-declares.  The registry construction fails loudly if any builtin entry does
-not audit clean.
+Every theorem assumes |f'| <= M and |f'| non-increasing.  Each family
+states both in closed form where it is built (`_family_spec`): a declared M
+below sup|f'| is a DomainError, and no family with rising |f'| can be built.
+`audit`, a grid check of M, f' and monotonicity, is their independent oracle.
 
 Convexity membership of |f'|^q is decided per family, not sampled.  Every
 class the theorems need is (alpha, m)-geometric convexity (alpha = m = 1 is
@@ -42,10 +42,6 @@ from .convexity import SLACK
 from .fracint import DomainError
 
 
-class CorpusError(RuntimeError):
-    """A builtin function spec failed its own audit."""
-
-
 @dataclass(frozen=True)
 class FunctionSpec:
     id: str
@@ -53,7 +49,6 @@ class FunctionSpec:
     fprime: Callable
     domain: tuple[float, float]
     M: float
-    decreasing_abs_deriv: bool
     # Whether |f'|^q is (alpha, m)-geometrically convex, for every q > 0: a
     # family's certificate; a hand-built spec certifies nothing.
     member: Callable[[float, float], bool] = lambda alpha, m: False
@@ -73,7 +68,9 @@ class FunctionSpec:
 
 
 def audit(spec: FunctionSpec) -> list[str]:
-    """Run all FunctionSpec invariants; return the violated ones (empty = pass).
+    """Check a FunctionSpec on a grid; return the violated invariants (empty =
+    pass): |f'| <= M, fprime against finite differences of f, and |f'|
+    non-increasing.
 
     Membership is decided by the spec's certificate, so it is not audited.
     Each check is `not (value <= bound)`, so that a nan value fails it.
@@ -95,9 +92,8 @@ def audit(spec: FunctionSpec) -> list[str]:
     if not err <= 1e-6:
         violations.append(f"finite difference disagrees with fprime: max err {err:.3g}")
 
-    if spec.decreasing_abs_deriv:
-        if not np.all(np.diff(absd) <= 1e-12):
-            violations.append("|f'| is not non-increasing on the grid")
+    if not np.all(np.diff(absd) <= 1e-12):
+        violations.append("|f'| is not non-increasing on the grid")
 
     return violations
 
@@ -162,7 +158,10 @@ def exp_decay_defect(
                for x, y, c, d in _exp_decay_corners(M, lam, lo, hi, m))
 
 
-def _exp_decay_certified(M, lam, lo, hi, alpha, m, max_intervals: int = 4096) -> bool:
+_EXP_DECAY_MAX_INTERVALS = 4096
+
+
+def _exp_decay_certified(M, lam, lo, hi, alpha, m) -> bool:
     """Whether `exp_decay_defect` <= `SLACK` for every t in [0, 1].
 
     On a t-interval each corner's defect is bounded above term by term:
@@ -172,7 +171,7 @@ def _exp_decay_certified(M, lam, lo, hi, alpha, m, max_intervals: int = 4096) ->
     t = 1 for every corner, so the bisection needs the slack to stop there
     (about 70 intervals for the builtin member); rounding, about 1e-16 of
     terms of order 1, is far below it.  A supremum still undecided after
-    `max_intervals` intervals is not certified.
+    `_EXP_DECAY_MAX_INTERVALS` intervals is not certified.
     """
     corners = _exp_decay_corners(M, lam, lo, hi, m)
 
@@ -185,7 +184,7 @@ def _exp_decay_certified(M, lam, lo, hi, alpha, m, max_intervals: int = 4096) ->
         )
 
     work = [(0.0, 1.0)]
-    for _ in range(max_intervals):
+    for _ in range(_EXP_DECAY_MAX_INTERVALS):
         if not work:
             return True
         t0, t1 = work.pop()
@@ -206,22 +205,26 @@ def _family_spec(
     lo: float,
     hi: float,
     M: float,
+    sup: float,
     f: Callable,
     fprime: Callable,
     certify: Callable[[float, float], bool],
 ) -> FunctionSpec:
     """A family member on [lo, hi] with non-increasing |f'|: f and fprime
-    take their argument as a float array, and `certify(alpha, m)` decides
-    membership (see `_certificate`)."""
-    return FunctionSpec(
+    take their argument as a float array, `sup` is the supremum of |f'| in
+    closed form, which the declared M may not understate, and
+    `certify(alpha, m)` decides membership (see `_certificate`)."""
+    spec = FunctionSpec(
         id=id,
         f=lambda u: f(np.asarray(u, dtype=float)),
         fprime=lambda u: fprime(np.asarray(u, dtype=float)),
         domain=(lo, hi),
         M=M,
-        decreasing_abs_deriv=True,
         member=_certificate(lo, hi, certify),
     )
+    if not M >= sup:
+        raise DomainError(f"declared M={M!r} is below sup|f'| = {sup!r} on [{lo!r}, {hi!r}]")
+    return spec
 
 
 def affine_spec(
@@ -236,6 +239,7 @@ def affine_spec(
     return _family_spec(
         id, lo, hi,
         M=abs(slope) if declared_M is None else declared_M,
+        sup=abs(slope),
         f=lambda u: slope * u + intercept,
         fprime=lambda u: slope * np.ones_like(u),
         certify=lambda alpha, m: 0.0 < abs(slope) <= 1.0,
@@ -247,6 +251,7 @@ def constant_spec(id: str, value: float, lo: float, hi: float) -> FunctionSpec:
     return _family_spec(
         id, lo, hi,
         M=1e-3,
+        sup=0.0,
         f=lambda u: value * np.ones_like(u),
         fprime=np.zeros_like,
         certify=lambda alpha, m: False,
@@ -262,9 +267,12 @@ def power_decay_spec(
     offset: float = 0.1,
     declared_M: Optional[float] = None,
 ) -> FunctionSpec:
-    """f'(x) = M * x^(-r) on [lo, hi] with lo >= 1; f kept positive by offset."""
+    """f'(x) = M * x^(-r) on [lo, hi] with lo >= 1 and r >= 0, so |f'| is
+    non-increasing with sup|f'| = |M| lo^(-r); f kept positive by offset."""
     if not lo >= 1.0:
         raise DomainError("power_decay family needs lo >= 1 (|f'| <= M there)")
+    if not r >= 0.0:
+        raise DomainError(f"power_decay family needs r >= 0 (|f'| non-increasing), got r={r!r}")
     if r == 1.0:
         raise DomainError("r = 1 not supported (logarithmic antiderivative)")
 
@@ -274,6 +282,7 @@ def power_decay_spec(
     return _family_spec(
         id, lo, hi,
         M=M if declared_M is None else declared_M,
+        sup=abs(M) * lo ** (-r),
         f=lambda u: offset + M * u ** (1.0 - r) / (1.0 - r),
         fprime=lambda u: M * u ** (-r),
         certify=certify,
@@ -289,7 +298,7 @@ def exp_decay_spec(
     offset: float = 1.0,
     declared_M: Optional[float] = None,
 ) -> FunctionSpec:
-    """f'(x) = M * exp(-lam*(x - lo)) with lam > 0; sup|f'| = M at x = lo.
+    """f'(x) = M * exp(-lam*(x - lo)) with lam > 0; sup|f'| = |M| at x = lo.
 
     Not geometrically convex (m = 1 fails by AM-GM): only some
     (alpha, m)-geometric memberships with m < 1 are certified.
@@ -299,6 +308,7 @@ def exp_decay_spec(
     return _family_spec(
         id, lo, hi,
         M=M if declared_M is None else declared_M,
+        sup=abs(M),
         f=lambda u: offset - (M / lam) * np.exp(-lam * (u - lo)),
         fprime=lambda u: M * np.exp(-lam * (u - lo)),
         certify=lambda alpha, m: M != 0.0 and _exp_decay_certified(M, lam, lo, hi, alpha, m),
@@ -324,9 +334,12 @@ def spec_from_family(family: str, id: str, **params) -> FunctionSpec:
         raise DomainError(f"bad parameters for family {family!r}: {exc}") from None
 
 
-def builtin_audits() -> list[tuple[FunctionSpec, list[str]]]:
-    """Each builtin spec with the violations its audit finds."""
-    specs = (
+@functools.cache
+def builtin_corpus() -> tuple[FunctionSpec, ...]:
+    """The builtin registry, built once per process: the specs are frozen,
+    so callers share them, and with them each family's memoized
+    certificates."""
+    return (
         affine_spec("linear", slope=1.0, intercept=0.0, lo=0.0, hi=3.0),
         affine_spec("affine08", slope=0.8, intercept=0.1, lo=1.0, hi=2.0),
         constant_spec("const1", value=1.0, lo=0.0, hi=2.0),
@@ -335,23 +348,6 @@ def builtin_audits() -> list[tuple[FunctionSpec, list[str]]]:
         power_decay_spec("powdecay", M=0.5, r=0.04, lo=1.0, hi=2.0),
         exp_decay_spec("expdecay", M=0.5, lam=0.02, lo=1.0, hi=2.0),
     )
-    return [(spec, audit(spec)) for spec in specs]
-
-
-@functools.cache
-def builtin_corpus() -> tuple[FunctionSpec, ...]:
-    """The validated builtin registry; raises CorpusError if any audit fails.
-
-    Audited once per process: the specs are frozen, so callers share them,
-    and with them each family's memoized certificates.
-    """
-    audited = builtin_audits()
-    for spec, violations in audited:
-        if violations:
-            raise CorpusError(
-                f"builtin spec {spec.id!r} failed audit: " + "; ".join(violations)
-            )
-    return tuple(spec for spec, _ in audited)
 
 
 def corpus_by_id() -> dict[str, FunctionSpec]:

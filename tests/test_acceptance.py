@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from ostrowski_frac import bounds as bnd
 from ostrowski_frac.bounds import BoundParams, bound_mu1_audit
 from ostrowski_frac.cli import main
 from ostrowski_frac.convexity import check_gm_lemma, check_power_lemma
@@ -273,7 +274,7 @@ def test_criterion_09_mu1_closed_form_audit(report_line):
     assert diffs
 
 
-def test_criterion_10_cli_contract(tmp_path, capfd, report_line):
+def test_criterion_10_cli_contract(tmp_path, capfd, monkeypatch, report_line):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
         "functions = powdecay\n"
@@ -291,19 +292,13 @@ def test_criterion_10_cli_contract(tmp_path, capfd, report_line):
         reports.append(out.read_bytes())
     identical = reports[0] == reports[1]
 
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(
-        "functions = bad\n"
-        "theorems = t22\n"
-        "x_fracs = 0.95\n"
-        "mu = 1.0\n"
-        "alpha = 1.0\n"
-        "m = 0.5\n"
-        "q = 1.0\n"
-        "audit = false\n"
-        "function.bad = affine slope=0.8 intercept=0.0 lo=1.0 hi=2.0 declared_M=0.1\n"
-    )
-    rc_violation = main(["sweep", "--config", str(bad)])
+    # The same sweep against a printed t22 bound understated by half (every
+    # t22 verdict here has lhs/rhs > 0.57): a false bound, not a false
+    # hypothesis.  The theorem record looks its factor up at call time.
+    factor_t22 = bnd.factor_t22
+    with monkeypatch.context() as patch:
+        patch.setattr(bnd, "factor_t22", lambda bp: 0.5 * factor_t22(bp))
+        rc_violation = main(["sweep", "--config", str(cfg)])
 
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("this is not a config\n")

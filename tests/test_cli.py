@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import sweep_oracle
 
+from ostrowski_frac import bounds as bnd
 from ostrowski_frac import cli as cli_mod
 from ostrowski_frac import corpus as corpus_mod
 from ostrowski_frac import report as report_mod
@@ -300,22 +301,26 @@ class TestSweepCommand:
         assert size > 6_000_000
         assert peak < size / 2, (peak, size)
 
-    # An extra member whose declared M understates |f'|; audit disabled so
-    # the sweep itself must catch the violated inequality.
+    # A t22 instance with lhs/rhs = 0.96, checked against its printed bound
+    # understated by half (`understated_t22`): a false bound, not a false
+    # hypothesis, which the sweep itself must catch.
     CRAFTED_VIOLATION = (
-        "functions = bad\n"
+        "functions = affine08\n"
         "theorems = t22\n"
         "x_fracs = 0.95\n"
         "mu = 1.0\n"
         "alpha = 1.0\n"
         "m = 0.5\n"
         "q = 1.0\n"
-        "audit = false\n"
-        "function.bad = affine slope=0.8 intercept=0.0 lo=1.0 hi=2.0 "
-        "declared_M=0.1\n"
     )
 
-    def test_crafted_violation_exits_1(self, tmp_path, capsys):
+    @pytest.fixture
+    def understated_t22(self, monkeypatch):
+        # The theorem record looks its factor up at call time.
+        factor_t22 = bnd.factor_t22
+        monkeypatch.setattr(bnd, "factor_t22", lambda bp: 0.5 * factor_t22(bp))
+
+    def test_crafted_violation_exits_1(self, tmp_path, capsys, understated_t22):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(self.CRAFTED_VIOLATION)
         rc = main(["sweep", "--config", str(cfg)])
@@ -329,7 +334,7 @@ class TestSweepCommand:
          ("abs_tol = 1e300", "abs_tol in (0, 1e-08] required"),
          ("rel_tol = inf", "rel_tol in (0, 1e-08] required")],
     )
-    def test_loose_tolerance_exits_2(self, tmp_path, capsys, line, message):
+    def test_loose_tolerance_exits_2(self, tmp_path, capsys, line, message, understated_t22):
         # A verdict holds down to a margin of -100 * abs_tol: a tolerance
         # loose enough would pass the crafted violation with exit 0.  The
         # error names the key and the value, as read.
@@ -361,6 +366,8 @@ class TestSweepCommand:
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
     def test_audit_catches_crafted_violation_by_default(self, tmp_path, capsys):
+        # An understated M is rejected when the member is built, before any
+        # audit; what the audit still catches is a nan f, by finite differences.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(
             "functions = bad\n"
@@ -369,7 +376,28 @@ class TestSweepCommand:
         )
         rc = main(["sweep", "--config", str(cfg)])
         assert rc == 2
-        assert "failed audit" in capsys.readouterr().err
+        assert "declared M=0.1 is below sup|f'| = 0.8" in capsys.readouterr().err
+        cfg.write_text("functions = bad\nfunction.bad = affine slope=0.8 intercept=nan lo=1 hi=2\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "failed audit: finite difference" in capsys.readouterr().err
+
+    # |f'| understated by M (0.5 < 0.8), and |f'| rising (r < 0): hypotheses
+    # of every theorem, rejected when the member is built, audit or not.
+    @pytest.mark.parametrize("audit", ["no", "yes"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [("function.p = affine slope=0.8 intercept=0.1 lo=1 hi=2 declared_M=0.5",
+          "declared M=0.5 is below sup|f'| = 0.8 on [1.0, 2.0]"),
+         ("function.p = power_decay M=0.5 r=-0.5 lo=1 hi=2",
+          "power_decay family needs r >= 0 (|f'| non-increasing), got r=-0.5")],
+        ids=["understated-M", "rising-derivative"],
+    )
+    def test_false_hypothesis_exits_2(self, tmp_path, capsys, audit, line, message):
+        cfg = tmp_path / "hypothesis.cfg"
+        cfg.write_text(f"audit = {audit}\n{line}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
     def test_theorem_met_nowhere_exits_2(self, tmp_path, capsys):
         # const1 is in no geometric class and expdecay in none at m = 1: an
@@ -555,7 +583,7 @@ class TestConfigParsing:
         path = tmp_path / "typo.cfg"
         path.write_text(
             "audit = ture\n"
-            "function.bad = affine slope=0.8 intercept=0.0 lo=1.0 hi=2.0 declared_M=0.1\n"
+            "function.bad = affine slope=0.8 intercept=nan lo=1.0 hi=2.0\n"
         )
         assert main(["sweep", "--config", str(path)]) == 2
         assert "audit must be one of" in capsys.readouterr().err

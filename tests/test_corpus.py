@@ -65,7 +65,6 @@ class TestBuiltinCorpus:
         base = corpus["powdecay"]
         spec = FunctionSpec(
             id="hand", f=base.f, fprime=base.fprime, domain=base.domain, M=base.M,
-            decreasing_abs_deriv=True,
         )
         assert base.member(0.5, 0.5) and base.member(1.0, 1.0)
         assert not spec.member(0.5, 0.5) and not spec.member(1.0, 1.0)
@@ -221,14 +220,19 @@ class TestAuditFailures:
             fprime=lambda u: 0.9 * np.asarray(u, float) / 2.0,
             domain=(0.0, 2.0),
             M=1.0,
-            decreasing_abs_deriv=False,
         )
         violations = audit(spec)
         assert any("finite difference" in v for v in violations)
 
     def test_understated_M_detected(self):
-        spec = affine_spec("lying", slope=0.8, intercept=0.0, lo=0.0, hi=1.0,
-                           declared_M=0.1)
+        # A family cannot understate its M, so this is built by hand.
+        spec = FunctionSpec(
+            id="lying",
+            f=lambda u: 0.8 * np.asarray(u, float),
+            fprime=lambda u: 0.8 * np.ones_like(np.asarray(u, float)),
+            domain=(0.0, 1.0),
+            M=0.1,
+        )
         violations = audit(spec)
         assert any("exceeds declared M" in v for v in violations)
 
@@ -239,7 +243,6 @@ class TestAuditFailures:
             fprime=lambda u: np.asarray(u, float) / 2.0,
             domain=(0.0, 2.0),
             M=1.0,
-            decreasing_abs_deriv=True,
         )
         violations = audit(spec)
         assert any("non-increasing" in v for v in violations)
@@ -248,14 +251,55 @@ class TestAuditFailures:
         "spec",
         [
             affine_spec("a", slope=0.5, intercept=float("nan"), lo=1.0, hi=2.0),
-            power_decay_spec("p", M=0.5, r=float("nan"), lo=1.0, hi=2.0),
+            power_decay_spec("p", M=0.5, r=0.5, lo=1.0, hi=2.0, offset=float("nan")),
         ],
-        ids=["affine-nan-intercept", "power-decay-nan-r"],
+        ids=["affine-nan-intercept", "power-decay-nan-offset"],
     )
     def test_non_finite_values_detected(self, spec):
         # Every comparison with nan is False: a check written as
         # `value > bound` would let these through clean.
         assert audit(spec)
+
+
+class TestClosedForms:
+    """Each family's sup|f'| and monotone |f'| against the grid audit, which
+    stays their independent oracle: with M declared at the closed-form
+    supremum the audit is clean and its grid attains that supremum, and a
+    declared M a hair below it cannot be built."""
+
+    CASES = [
+        *(("affine", dict(slope=slope, intercept=0.25, lo=lo, hi=lo + 1.5), abs(slope))
+          for slope in (-1.0, -0.8, -0.3, 0.3, 0.8, 1.0) for lo in (0.0, 1.0)),
+        *(("power_decay", dict(M=M, r=r, lo=lo, hi=lo + 1.0), abs(M) * lo ** -r)
+          for M in (0.5, -0.5) for r in (0.0, 0.04, 0.5, 2.0) for lo in (1.0, 1.5)),
+        *(("exp_decay", dict(M=M, lam=lam, lo=1.0, hi=2.0), abs(M))
+          for M in (0.5, -0.5) for lam in (0.02, 1.0, 5.0)),
+    ]
+
+    @pytest.mark.parametrize(
+        "family, params, sup", CASES,
+        ids=[family + "".join(f"-{k}={v:g}" for k, v in params.items() if k != "hi")
+             for family, params, _ in CASES],
+    )
+    def test_audit_agrees_with_closed_form(self, family, params, sup):
+        spec = spec_from_family(family, "s", declared_M=sup, **params)
+        assert audit(spec) == []
+        xs = np.linspace(*spec.domain, 10_001)
+        assert np.abs(spec.fprime(xs)).max() == pytest.approx(sup, rel=1e-15)
+        with pytest.raises(DomainError, match=r"is below sup\|f'\| = "):
+            spec_from_family(family, "s", declared_M=sup * (1 - 1e-9), **params)
+
+    def test_M_above_sup_is_allowed(self):
+        # It only weakens the bound.  The default M stays the parameter M
+        # where lo > 1 puts sup|f'| = |M| lo^(-r) below it.
+        assert power_decay_spec("p", M=0.5, r=0.5, lo=1.5, hi=2.0).M == 0.5
+        assert affine_spec("a", slope=0.5, intercept=0.0, lo=1.0, hi=2.0,
+                           declared_M=0.75).M == 0.75
+
+    @pytest.mark.parametrize("r", [-0.5, -1e-12, float("nan")])
+    def test_rising_derivative_cannot_be_built(self, r):
+        with pytest.raises(DomainError, match=r"needs r >= 0 \(\|f'\| non-increasing\)"):
+            power_decay_spec("p", M=0.5, r=r, lo=1.0, hi=2.0)
 
 
 class TestSpecValidation:
