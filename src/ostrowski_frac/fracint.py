@@ -11,10 +11,15 @@ a panel is bisected until its two halves agree with it within tolerance.
 Refinement is breadth-first over a batch of integrals: each level bisects
 every active panel of every integral in the batch with one integrand call,
 so the fractional integrals of many instances that share (f, mu) cost one
-numpy call per level rather than one per panel.  Each integral's panels are
-accepted by the test a depth-first recursion would apply and summed in that
-recursion's tree order, so a batched result equals, bit for bit, the one
-integrating it alone gives.
+numpy call per level rather than one per panel.  A small level (at most
+SMALL_LEVEL active panels, as in the identity check's batches of four)
+costs numpy's fixed price per call rather than its points, so it is judged
+in Python floats, and its integrand call evaluates the quarters of its
+panels as well as their halves: the next depth is judged on those quarters
+without a call of its own.  Each integral's panels are accepted by the
+test a depth-first recursion would apply and summed in that recursion's
+tree order, so a batched result equals, bit for bit, the one integrating
+it alone gives, whichever path its levels take.
 """
 
 from __future__ import annotations
@@ -98,10 +103,129 @@ def _leggauss(n: int):
 
 
 def _interleave(left, right):
-    out = np.empty(2 * left.size)
-    out[0::2] = left
+    out = left.repeat(2)
     out[1::2] = right
     return out
+
+
+# A level with at most this many active panels is refined by `_SmallLevels`.
+# A small level's cost is numpy's fixed price per call (some forty calls a
+# level), not its points.  On levels of n copies of a fractional integrand
+# with a corner (powdecay's f(1 + s^(1/2)) and f(1 + s^(2/3))), the two paths
+# cost the same per depth at 15 to 20 active panels (2-vCPU x86-64 VM): above
+# that the scalar loops and the quarters evaluated in vain cost more than the
+# numpy calls they save.  16 is at the low end of that crossover.
+SMALL_LEVEL = 16
+
+
+def _failure(a: float, b: float, err: float, finite: bool, cap: int) -> str:
+    """The ConvergenceError message of a failing panel [a, b]."""
+    where = f"[{float(a)}, {float(b)}]"
+    if not finite:
+        return f"integrand not finite on {where}"
+    return (f"quadrature on {where} not converged at depth {cap} "
+            f"(disagreement {float(err):.3g})")
+
+
+class _SmallLevels:
+    """The refinement of levels of at most SMALL_LEVEL active panels.
+
+    The split test, the failure checks and the next level's panel lists run
+    on Python floats, with the IEEE operations of the numpy path in its
+    order.  Each call of g evaluates the halves and the quarters of every
+    active panel, so a depth whose panels are halves of the previous one's
+    kept panels is judged without a call.
+    """
+
+    def __init__(self, g, live, ref, w, tol, total, cfg, levels, failures):
+        self.g, self.live, self.ref, self.w = g, live, ref, w
+        self.tol, self.total = tol.tolist(), total.tolist()
+        self.floor = 0.01 * cfg.abs_tol
+        self.cap_accept = 10.0 * cfg.abs_tol
+        self.cap = cfg.max_subdivisions
+        self.levels, self.failures = levels, failures
+
+    def refine(self, depth, a, b, est, j):
+        """Refine the active panels [a[i], b[i]] of `depth` (lists; est
+        their estimates, j their integrals' positions in `live`) until no
+        panel splits, then return None, or until a level has more than
+        SMALL_LEVEL panels: return (depth, a, b, est, j) of that level, as
+        arrays for the numpy path."""
+        ref = self.ref
+        while True:
+            # Below the cap the quarters are evaluated too: 6 panels per
+            # active panel, its left and right halves, then their halves.
+            ahead = depth < self.cap
+            pa, pb = [], []
+            for lo, hi in zip(a, b):
+                mid = 0.5 * (lo + hi)
+                if ahead:
+                    q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+                    pa += (lo, mid, lo, q1, mid, q3)
+                    pb += (mid, hi, q1, mid, q3, hi)
+                else:
+                    pa += (lo, mid)
+                    pb += (mid, hi)
+            per = 6 if ahead else 2
+            pa, pb = np.array(pa), np.array(pb)
+            half = 0.5 * (pb - pa)
+            pts = (0.5 * (pb + pa))[:, None] + half[:, None] * ref
+            vals = np.asarray(self.g(pts.ravel(), self.live[j].repeat(per * ref.size)), dtype=float)
+            terms = vals.reshape(pts.shape) * self.w
+            terms *= half[:, None]
+            sums = np.add.reduce(terms, axis=1).tolist()
+            a, b, est, j, at = self._judge(depth, a, b, est, j, sums, range(0, len(sums), per))
+            if not a:  # always so at the cap, where no panel splits
+                return None
+            depth += 1
+            # The kept halves' halves are the quarters at sums[p + 2: p + 6].
+            a, b, est, j, _ = self._judge(depth, a, b, est, j, sums, at)
+            if not a:
+                return None
+            depth += 1
+            if len(a) > SMALL_LEVEL:
+                return depth, np.array(a), np.array(b), np.array(est), np.array(j)
+
+    def _judge(self, depth, a, b, est, j, sums, at):
+        """Test the panels of `depth`, whose halves' sums are sums[p] and
+        sums[p + 1] for p in `at`, as the numpy path would; record the
+        level and its first failure.  Return the next level's panels, the
+        halves of the split ones, with p + 2 and p + 4 for p in `at`."""
+        tol, total, floor, cap_accept, cap = (
+            self.tol, self.total, self.floor, self.cap_accept, self.cap)
+        at_cap = depth == cap
+        boths, splits = [], []
+        na, nb, nest, nj, nat = [], [], [], [], []
+        first = None
+        for lo, hi, e, i, p in zip(a, b, est, j, at):
+            left, right = sums[p], sums[p + 1]
+            both = left + right
+            err = abs(both - e)
+            bound = tol[i] * (hi - lo) / total[i]
+            # np.maximum(bound, floor): a nan bound stays nan.
+            split = not err <= (floor if bound < floor else bound)
+            finite = math.isfinite(both)
+            if at_cap:
+                failed = split and not err <= cap_accept
+                split = False
+            else:
+                failed = not finite
+                split = split and finite
+            if failed and first is None:
+                first = (i, lo, _failure(lo, hi, err, finite, cap))
+            boths.append(both)
+            splits.append(split)
+            if split:
+                mid = 0.5 * (lo + hi)
+                na += (lo, mid)
+                nb += (mid, hi)
+                nest += (left, right)
+                nj += (i, i)
+                nat += (p + 2, p + 4)
+        if first is not None:
+            self.failures.append(first)
+        self.levels.append((boths, splits))
+        return na, nb, nest, nj, nat
 
 
 def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
@@ -110,16 +234,19 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
     parent and child estimates disagree.
 
     Refinement is breadth-first: each level bisects every active panel of
-    every integral and evaluates all the halves in one call g(s, k), where s
-    is a 1-d array of points and k gives, for each point, the index of the
-    integral it belongs to; g returns values elementwise.  Panels are
-    ordered by integral, so k never decreases within a call: g may split
-    its points by integral where k first reaches a value.  Each integral's
-    acceptance test is that of a depth-first recursion over its own panels,
-    and accepted values are added bottom-up in that recursion's tree order,
-    so every result is bit for bit what integrating it alone would give.
-    Local bisection grades the panels into endpoints where the integrand has
-    only algebraic smoothness, which uniform refinement handles poorly.
+    every integral and evaluates the halves in one call g(s, k), where s is
+    a 1-d array of points and k gives, for each point, the index of the
+    integral it belongs to; g returns values elementwise.  A level of at
+    most SMALL_LEVEL active panels is judged in Python floats, and its call
+    evaluates the halves' halves too, so one call serves two depths: g may
+    receive two depths' panels at once.  Panels are ordered by integral, so
+    k never decreases within a call: g may split its points by integral
+    where k first reaches a value.  Each integral's acceptance test is that
+    of a depth-first recursion over its own panels, and accepted values are
+    added bottom-up in that recursion's tree order, so every result is bit
+    for bit what integrating it alone would give.  Local bisection grades
+    the panels into endpoints where the integrand has only algebraic
+    smoothness, which uniform refinement handles poorly.
 
     Raises ConvergenceError for the lowest-index integral that fails, naming
     its leftmost failing panel: the error integrating one by one would give.
@@ -146,13 +273,17 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
     # disagreements are accepted rather than reported as failure.
     cap_accept = 10.0 * cfg.abs_tol
 
-    levels = []  # per depth: (left + right of each panel, panel was split)
+    # Per depth: (left + right of each panel, panel was split), as arrays
+    # from the numpy path and as lists from `_SmallLevels`.
+    levels = []
     failures = []  # per depth: (j, a, message) of its first failing panel
+    small = None  # the `_SmallLevels` of this batch, made when first needed
     # The panels [pa, pb] each pass evaluates, and k, the integral of each of
     # their points: the whole intervals at depth -1, then at each depth the
     # halves of every active panel, interleaved: its left half, then its right.
     pa, pb, k = lo, hi, live.repeat(ref.size)
-    for depth in range(-1, cfg.max_subdivisions + 1):
+    depth = -1
+    while True:
         # Gauss-Legendre sums on all the panels, in one call of g.  These
         # arrays stay loop locals, each rebound only once its successor
         # exists, so glibc reuses their memory for the next pass; freed all at
@@ -188,19 +319,22 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
                 failed = ~finite
                 split &= finite
             if np.count_nonzero(failed):
-                i = np.flatnonzero(failed)[0]
-                where = f"[{float(a[i])}, {float(b[i])}]"
-                message = (
-                    f"integrand not finite on {where}" if not finite[i] else
-                    f"quadrature on {where} not converged at depth {cfg.max_subdivisions} "
-                    f"(disagreement {float(err[i]):.3g})"
-                )
-                failures.append((j[i], a[i], message))
+                i = failed.nonzero()[0][0]
+                failures.append(
+                    (j[i], a[i], _failure(a[i], b[i], err[i], finite[i], cfg.max_subdivisions)))
             levels.append((both, split))
             if not np.count_nonzero(split):
                 break
-            keep = np.flatnonzero(split.repeat(2))
+            keep = split.repeat(2).nonzero()[0]
             a, b, est, j = pa[keep], pb[keep], sums[keep], j[keep >> 1]
+        depth += 1
+        if a.size <= SMALL_LEVEL:
+            if small is None:
+                small = _SmallLevels(g, live, ref, w, tol, total, cfg, levels, failures)
+            step = small.refine(depth, a.tolist(), b.tolist(), est.tolist(), j.tolist())
+            if step is None:
+                break
+            depth, a, b, est, j = step
         mid = 0.5 * (a + b)
         pa, pb, k = _interleave(a, mid), _interleave(mid, b), live[j].repeat(2 * ref.size)
     if failures:
@@ -211,8 +345,13 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
     # the recursion; the halves are the next level's consecutive pairs.
     vals = levels[-1][0]
     for both, split in reversed(levels[:-1]):
-        both[split] = vals[0::2] + vals[1::2]
-        vals = both
+        if isinstance(both, list):
+            halves = iter(vals if isinstance(vals, list) else vals.tolist())
+            vals = [next(halves) + next(halves) if s else v for v, s in zip(both, split)]
+        else:
+            vals = np.asarray(vals)
+            both[split] = vals[0::2] + vals[1::2]
+            vals = both
     out[live] = vals
     return out
 

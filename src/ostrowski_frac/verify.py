@@ -48,13 +48,19 @@ class Verdict:
     tol_margin: float
 
 
-def _signed(f: FunctionSpec, frac: FracParams, left: float, right: float) -> float:
-    """The signed expression from its two fractional integrals."""
+def _signed(frac: FracParams, fx: float, left: float, right: float) -> float:
+    """The signed expression from f(x) and its two fractional integrals."""
     a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
     return (
-        ((x - a) ** mu + (b - x) ** mu) / (b - a) * float(f.f(x))
+        ((x - a) ** mu + (b - x) ** mu) / (b - a) * fx
         - gamma(mu + 1.0) / (b - a) * (left + right)
     )
+
+
+def _values_at(f: FunctionSpec, xs: Sequence[float]) -> list[float]:
+    """f at each of xs, from one call of f on their array: every signed
+    LHS takes f(x) from here, whatever its batch."""
+    return np.asarray(f.f(np.array(xs, dtype=float)), dtype=float).tolist()
 
 
 def ostrowski_signed_many(
@@ -81,8 +87,9 @@ def ostrowski_signed_many(
         anchors += (frac.a, frac.b)
         ends += (frac.x, frac.x)
     sides = rl_many(f, anchors, ends, mu, cfg)
-    return [_signed(f, frac, left, right)
-            for frac, left, right in zip(fracs, sides[0::2], sides[1::2])]
+    fxs = _values_at(f, [frac.x for frac in fracs])
+    return [_signed(frac, fx, left, right)
+            for frac, fx, left, right in zip(fracs, fxs, sides[0::2], sides[1::2])]
 
 
 def ostrowski_signed(f: FunctionSpec, frac: FracParams, cfg: QuadConfig = DEFAULT_QUAD) -> float:
@@ -120,7 +127,7 @@ def lemma_identity_residual(
     vals = adaptive_gauss_many(g, [0.0] * 4, uppers + [1.0, 1.0], cfg)
     left, right = (vals[:2] / gamma(mu + 1.0)).tolist()
     i_a, i_b = vals[2:].tolist()
-    lhs = _signed(f, frac, left, right)
+    lhs = _signed(frac, _values_at(f, [x])[0], left, right)
     rhs = ((x - a) ** (mu + 1.0) * i_a - (b - x) ** (mu + 1.0) * i_b) / (b - a)
     return abs(lhs - rhs)
 

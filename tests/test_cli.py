@@ -381,6 +381,14 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "failed audit: finite difference" in capsys.readouterr().err
 
+    def test_large_intercept_passes_the_audit(self, tmp_path, capsys):
+        # The finite-difference check allows for the rounding of |f| ~ 1e8.
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("functions = big\ntheorems = t22\n"
+                       "function.big = affine slope=0.5 intercept=1e8 lo=1 hi=2\n")
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 0
+        assert "t22: 432 pass, 0 fail" in capsys.readouterr().err
+
     # |f'| understated by M (0.5 < 0.8), and |f'| rising (r < 0): hypotheses
     # of every theorem, rejected when the member is built, audit or not.
     @pytest.mark.parametrize("audit", ["no", "yes"])

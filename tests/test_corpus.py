@@ -247,6 +247,37 @@ class TestAuditFailures:
         violations = audit(spec)
         assert any("non-increasing" in v for v in violations)
 
+    def test_large_values_pass_finite_difference(self):
+        # The central difference's rounding grows with |f| / h: at an
+        # intercept of 1e8 (1e12) it alone is 7e-4 (5.6), though f' is exact.
+        for intercept in (1e8, 1e12, -1e12):
+            assert audit(affine_spec("big", slope=0.5, intercept=intercept, lo=1.0, hi=2.0)) == []
+
+    @pytest.mark.parametrize("intercept", [0.1, -3.0])
+    def test_derivative_one_percent_off_detected(self, intercept):
+        spec = affine_spec("a", slope=0.5, intercept=intercept, lo=1.0, hi=2.0)
+        off = FunctionSpec(
+            id="off",
+            f=spec.f,
+            fprime=lambda u: 1.01 * spec.fprime(u),
+            domain=spec.domain,
+            M=0.6,
+        )
+        assert audit(off) == ["finite difference disagrees with fprime: max err 0.005 > 1e-06"]
+
+    def test_infinite_value_detected(self):
+        # An inf f would make the rounding bound inf too.
+        spec = FunctionSpec(
+            id="inf",
+            f=lambda u: np.where(np.asarray(u, float) > 1.5, np.inf, np.asarray(u, float)),
+            fprime=lambda u: np.ones_like(np.asarray(u, float)),
+            domain=(1.0, 2.0),
+            M=1.0,
+        )
+        with np.errstate(invalid="ignore"):
+            violations = audit(spec)
+        assert any("finite difference" in v for v in violations)
+
     @pytest.mark.parametrize(
         "spec",
         [

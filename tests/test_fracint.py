@@ -1,11 +1,14 @@
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from ostrowski_frac import fracint
 from ostrowski_frac.fracint import (
     MAX_TOL,
+    SMALL_LEVEL,
     ConvergenceError,
     DomainError,
     FracParams,
@@ -225,8 +228,11 @@ class TestBatchedRefinerMatchesRecursion:
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
     def test_arrays_given_to_g_are_never_written(self, cfg):
         # g keeps every s and k it is given and returns read-only values:
-        # the refiner may compute in place only in arrays of its own.
-        gs = [lambda t: t**0.1, lambda t: (1.0 - t) ** 0.1, lambda t: np.abs(t - 0.3) ** 0.1]
+        # the refiner may compute in place only in arrays of its own.  Each
+        # function has SMALL_LEVEL + 1 copies, so every level is refined by
+        # the numpy path, one call per level (TestSmallLevels has the other).
+        corners = [lambda t: t**0.1, lambda t: (1.0 - t) ** 0.1, lambda t: np.abs(t - 0.3) ** 0.1]
+        gs = corners * (SMALL_LEVEL + 1)
         batch = batch_of(gs)
         kept = []  # (an array g was given or returned, its copy at the time)
 
@@ -236,8 +242,8 @@ class TestBatchedRefinerMatchesRecursion:
             kept.extend((array, array.copy()) for array in (s, k, vals))
             return vals
 
-        got = adaptive_gauss_many(g, [0.0] * 3, [1.0] * 3, cfg)
-        assert got.tolist() == [recursive_gauss(gi, 0.0, 1.0, cfg) for gi in gs]
+        got = adaptive_gauss_many(g, [0.0] * len(gs), [1.0] * len(gs), cfg)
+        assert got.tolist() == [recursive_gauss(gi, 0.0, 1.0, cfg) for gi in corners] * (SMALL_LEVEL + 1)
         assert len(kept) > 3 * 20
         for array, copy in kept:
             assert np.array_equal(array, copy)
@@ -267,13 +273,15 @@ class TestBatchedRefinerMatchesRecursion:
         assert adaptive_gauss_many(g, [], []).tolist() == []
 
     def test_one_call_per_level(self):
+        # SMALL_LEVEL + 1 copies: every level is refined by the numpy path.
+        n = SMALL_LEVEL + 1
         calls = []
 
         def g(s, k):
             calls.append(s.size)
             return s**0.1
 
-        adaptive_gauss_many(g, [0.0] * 8, [1.0] * 8)
+        adaptive_gauss_many(g, [0.0] * n, [1.0] * n)
         points, widths = [], set()
 
         def panel(s):
@@ -286,7 +294,7 @@ class TestBatchedRefinerMatchesRecursion:
         # level (each level has its own panel width), covering exactly the
         # points the recursion evaluates one panel at a time.
         assert len(calls) == len(widths) > 20
-        assert sum(calls) == 8 * sum(points)
+        assert sum(calls) == n * sum(points)
 
     @pytest.mark.parametrize(
         "order",
@@ -309,6 +317,162 @@ class TestBatchedRefinerMatchesRecursion:
         with pytest.raises(ConvergenceError) as batch:
             adaptive_gauss_many(batch_of(gs), [0.0] * len(gs), his, cfg)
         assert str(single.value) == str(batch.value) == str(want.value)
+
+
+def outcome(integrate):
+    """integrate()'s value, or its ConvergenceError's message."""
+    try:
+        return integrate()
+    except ConvergenceError as exc:
+        return f"ConvergenceError: {exc}"
+
+
+def recorded(g, sizes):
+    """g, appending the number of points of each call to sizes."""
+
+    def h(s, k):
+        sizes.append(s.size)
+        return g(s, k)
+
+    return h
+
+
+CORNERS = [
+    lambda t: t**0.1,
+    lambda t: (1.0 - t) ** 0.1,
+    lambda t: np.abs(t - 0.3) ** 0.1,
+    lambda t: t**0.1 * np.exp(-t),
+]
+
+
+class TestSmallLevels:
+    """Levels of at most SMALL_LEVEL active panels: judged in Python floats,
+    each call of g evaluating two depths.  Bit for bit the recursion still."""
+
+    def test_schedule(self):
+        # One integral: every level is small.  One call for the whole
+        # interval, then one per pair of depths, evaluating each active
+        # panel's halves and quarters: 3 times the panels the recursion
+        # evaluates at the pair's first depth.
+        sizes, panels = [], []
+        kept = []  # (an array g was given or returned, its copy at the time)
+
+        def g(s, k):
+            sizes.append(s.size)
+            vals = s**0.1
+            vals.flags.writeable = False
+            kept.extend((array, array.copy()) for array in (s, k, vals))
+            return vals
+
+        def panel(s):
+            panels.append(round(math.log2(np.ptp(s))))
+            return s**0.1
+
+        got = adaptive_gauss_many(g, [0.0], [1.0])
+        assert got.tolist() == [recursive_gauss(panel, 0.0, 1.0)]
+        nodes = QuadConfig().base_nodes
+        per_depth = [count for _, count in sorted(Counter(panels).items(), reverse=True)]
+        assert per_depth[0] == 1 and len(per_depth) > 20  # the whole interval, then depths 0, 1, ...
+        assert sizes == [nodes] + [3 * count * nodes for count in per_depth[1::2]]
+        assert sizes == [16, 96] + [192] * 12  # 2,416 points in 14 calls
+        for array, copy in kept:
+            assert np.array_equal(array, copy)
+
+    @pytest.mark.parametrize("cap", [4, 5, 6, 7])
+    def test_schedule_at_the_depth_cap(self, cap):
+        # s^2.5 at tolerance 1e-14 refines down to the cap and is accepted
+        # there.  No quarter below the cap is evaluated: an even cap's
+        # depth is a call of halves alone.
+        cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=cap)
+        sizes, panels = [], []
+
+        def panel(s):
+            panels.append(round(math.log2(np.ptp(s))))
+            return s**2.5
+
+        got = adaptive_gauss_many(recorded(lambda s, k: s**2.5, sizes), [0.0], [1.0], cfg)
+        assert got.tolist() == [recursive_gauss(panel, 0.0, 1.0, cfg)]
+        per_depth = [count for _, count in sorted(Counter(panels).items(), reverse=True)]
+        assert len(per_depth) == cap + 2  # the whole interval, then depths 0 to cap
+        nodes = cfg.base_nodes
+        assert sizes == [nodes] + [(3 if depth < cap else 1) * per_depth[depth + 1] * nodes
+                                   for depth in range(0, cap + 1, 2)]
+
+    @pytest.mark.parametrize("n", [SMALL_LEVEL - 1, SMALL_LEVEL, SMALL_LEVEL + 1])
+    @pytest.mark.parametrize("cfg", CORNER_CFGS)
+    def test_batch_sizes_around_the_threshold(self, n, cfg):
+        gs = [CORNERS[i % len(CORNERS)] for i in range(n)]
+        assert_bitwise(gs, [0.0] * n, [1.0] * n, cfg)
+        # Depth 0 bisects the n whole intervals: with their quarters when
+        # the level is small, alone when it is not.
+        sizes = []
+        adaptive_gauss_many(recorded(batch_of(gs), sizes), [0.0] * n, [1.0] * n, cfg)
+        assert sizes[1] == (6 if n <= SMALL_LEVEL else 2) * n * cfg.base_nodes
+
+    @pytest.mark.parametrize("cfg", CORNER_CFGS)
+    def test_levels_fall_into_the_small_path(self, cfg):
+        # 17 polynomials converge at depth 0; the corners refine on, 6
+        # active panels at depth 1 and fewer below.
+        gs = [lambda s, i=i: s**2 + i for i in range(SMALL_LEVEL + 1)] + CORNERS[:3]
+        n = len(gs)
+        assert_bitwise(gs, [0.0] * n, [1.0] * n, cfg)
+        sizes = []
+        adaptive_gauss_many(recorded(batch_of(gs), sizes), [0.0] * n, [1.0] * n, cfg)
+        assert sizes[1] == 2 * n * cfg.base_nodes  # numpy path
+        assert sizes[2] == 6 * 6 * cfg.base_nodes  # small path, with quarters
+
+    def test_levels_rise_out_of_the_small_path(self):
+        # sin(60 s + i) splits every panel down to depth 1: 5 active panels
+        # at depth 0 (small), 20 at depth 2 (numpy path).
+        gs = [lambda s, i=i: np.sin(60.0 * s + i) for i in range(5)]
+        assert_bitwise(gs, [0.0] * 5, [1.0] * 5)
+        sizes = []
+        adaptive_gauss_many(recorded(batch_of(gs), sizes), [0.0] * 5, [1.0] * 5)
+        assert sizes == [5 * 16, 6 * 5 * 16, 2 * 20 * 16]
+
+    @pytest.mark.parametrize("cap", [3, 4, 5, 6])
+    @pytest.mark.parametrize("tol", [1e-14, 1e-10])
+    def test_lookahead_pair_at_the_depth_cap(self, cap, tol):
+        # Small levels start at depth 0 and go two depths per call: an odd
+        # cap is the second depth of a pair, an even cap is evaluated on its
+        # own.  Each integral converges, is accepted at the cap or fails
+        # there, as the recursion does.
+        cfg = QuadConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=cap)
+        pool = CORNERS + [lambda s: s**2, lambda s: np.abs(s - 1 / 3) ** 0.05]
+        want = [outcome(lambda g=g: recursive_gauss(g, 0.0, 1.0, cfg)) for g in pool]
+        for g, v in zip(pool, want):
+            assert outcome(lambda: adaptive_gauss(g, 0.0, 1.0, cfg)) == v
+        for order in (pool, pool[::-1]):
+            wants = [want[pool.index(g)] for g in order]
+            failed = [v for v in wants if isinstance(v, str)]
+            got = outcome(lambda: adaptive_gauss_many(
+                batch_of(order), [0.0] * len(order), [1.0] * len(order), cfg).tolist())
+            assert got == (failed[0] if failed else wants)
+
+    def test_nonfinite_half_and_cap_failure_in_a_lookahead_level(self, monkeypatch):
+        # spiked is nan only at one Gauss point of the quarter [0.25, 0.5],
+        # so [0, 1] splits at depth 0 and [0, 0.5] is found not finite at
+        # depth 1, the second depth of the first pair.
+        ref, _ = np.polynomial.legendre.leggauss(16)
+        spike = 0.375 + 0.125 * ref[4]
+
+        def spiked(s):
+            return np.where(np.abs(s - spike) < 1e-12, np.nan, s**0.1)
+
+        capped = lambda s: np.abs(s - 1 / 3) ** 0.05  # noqa: E731
+        cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)
+        with pytest.raises(ConvergenceError) as want:
+            recursive_gauss(capped, 0.0, 1.0, cfg)
+        assert "not converged at depth 3" in str(want.value)
+        nonfinite = "ConvergenceError: integrand not finite on [0.0, 0.5]"
+
+        def errors():
+            return [outcome(lambda gs=gs: adaptive_gauss_many(batch_of(gs), [0.0] * 2, [1.0] * 2, cfg))
+                    for gs in ([capped, spiked], [spiked, capped])]
+
+        assert errors() == [f"ConvergenceError: {want.value}", nonfinite]
+        monkeypatch.setattr(fracint, "SMALL_LEVEL", 0)  # the numpy path alone
+        assert errors() == [f"ConvergenceError: {want.value}", nonfinite]
 
 
 class TestNonFiniteIntegrand:
