@@ -11,6 +11,7 @@ from .fracint import (  # noqa: F401
     adaptive_gauss,
     adaptive_gauss_many,
     gamma,
+    gauss_jacobi_many,
     mexp_integral,
     rl_lower,
     rl_many,

@@ -1,10 +1,10 @@
 """Command-line driver.
 
 Subcommands: frac-int, check-convexity, verify, sweep, corpus-audit.
-Exit codes: 0 all checks hold, 1 at least one violation or counterexample,
-2 usage or domain error, or a requested sweep theorem that no corpus
-function meets the hypotheses of.  Numbers print with 17 significant
-digits so reports round-trip.
+Exit codes: 0 all checks hold, 1 at least one violation or a convexity
+claim its certificate rejects, 2 usage or domain error, or a requested
+sweep theorem that no corpus function meets the hypotheses of.  Numbers
+print with 17 significant digits so reports round-trip.
 """
 
 from __future__ import annotations
@@ -59,7 +59,12 @@ def _cmd_frac_int(args) -> int:
 
 
 def _cmd_check_convexity(args) -> int:
+    """The answer is f's certificate (`FunctionSpec.member`, for every
+    q > 0).  The grid is run too: it rejects a g that is not finite, and
+    against a claim the certificate rejects it gives its witness."""
     f = _corpus_lookup(args.f)
+    if args.q <= 0:
+        raise DomainError("q > 0 required")
     import numpy as np
 
     grid = GridSpec(points_per_axis=args.points, t_steps=args.t_steps)
@@ -68,13 +73,16 @@ def _cmd_check_convexity(args) -> int:
         return np.abs(np.asarray(f.fprime(u), dtype=float)) ** args.q
 
     ce = check_membership(g, f.domain, args.alpha, args.m, grid, g_domain=f.domain)
-    if ce is None:
+    if f.member(args.alpha, args.m):
         print("pass")
         return 0
-    print(
-        f"counterexample x={_g(ce.x)} y={_g(ce.y)} t={_g(ce.t)} "
-        f"lhs={_g(ce.lhs)} rhs={_g(ce.rhs)}"
-    )
+    if ce is None:
+        print("FAIL: not a member by its certificate; the grid finds no counterexample")
+    else:
+        print(
+            f"counterexample x={_g(ce.x)} y={_g(ce.y)} t={_g(ce.t)} "
+            f"lhs={_g(ce.lhs)} rhs={_g(ce.rhs)}"
+        )
     return 1
 
 
@@ -178,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check-convexity",
-        help="grid check that |f'|^q is (alpha, m)-geometrically convex",
+        help="whether |f'|^q is (alpha, m)-geometrically convex, with a grid witness",
     )
     p.add_argument("--f", required=True)
     p.add_argument("--alpha", type=float, default=1.0)

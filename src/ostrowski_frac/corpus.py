@@ -67,13 +67,15 @@ class FunctionSpec:
             raise DomainError(f"[{a}, {b}] outside domain of {self.id!r}")
 
 
+@np.errstate(invalid="ignore")
 def audit(spec: FunctionSpec) -> list[str]:
     """Check a FunctionSpec on a grid; return the violated invariants (empty =
     pass): |f'| <= M, fprime against finite differences of f, and |f'|
     non-increasing.
 
     Membership is decided by the spec's certificate, so it is not audited.
-    Each check is `not (value <= bound)`, so that a nan value fails it.
+    Each check is `not (value <= bound)`, so that a nan value fails it, and
+    the nan of an inf - inf is reported as a violation, not warned about.
     """
     lo, hi = spec.domain
     violations: list[str] = []
@@ -206,6 +208,15 @@ def _exp_decay_certified(M, lam, lo, hi, alpha, m) -> bool:
 # ---------------------------------------------------------------------------
 # Parametric families (also registrable from the CLI config by name).
 
+def _require_finite(**params: float) -> None:
+    """Raise DomainError naming the first non-finite family parameter: a nan
+    would otherwise pass every `not (value <= bound)` check of its
+    construction and surface only inside quadrature."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 def _family_spec(
     id: str,
     lo: float,
@@ -242,6 +253,7 @@ def affine_spec(
     declared_M: Optional[float] = None,
 ) -> FunctionSpec:
     """f(x) = slope*x + intercept; |f'| is the constant |slope|."""
+    _require_finite(slope=slope, intercept=intercept)
     return _family_spec(
         id, lo, hi,
         M=abs(slope) if declared_M is None else declared_M,
@@ -254,6 +266,7 @@ def affine_spec(
 
 def constant_spec(id: str, value: float, lo: float, hi: float) -> FunctionSpec:
     """f constant; |f'| = 0, so no geometric membership (g must be positive)."""
+    _require_finite(value=value)
     return _family_spec(
         id, lo, hi,
         M=1e-3,
@@ -281,6 +294,7 @@ def power_decay_spec(
         raise DomainError(f"power_decay family needs r >= 0 (|f'| non-increasing), got r={r!r}")
     if r == 1.0:
         raise DomainError("r = 1 not supported (logarithmic antiderivative)")
+    _require_finite(M=M, r=r, offset=offset)
 
     def certify(alpha, m):
         return 0.0 < abs(M) <= 1.0 and power_decay_margin(M, r, lo, hi, alpha, m) >= 0.0
@@ -311,6 +325,7 @@ def exp_decay_spec(
     """
     if not lam > 0.0:
         raise DomainError("lam > 0 required")
+    _require_finite(M=M, lam=lam, offset=offset)
     return _family_spec(
         id, lo, hi,
         M=M if declared_M is None else declared_M,

@@ -1,25 +1,30 @@
 """Gamma, Riemann-Liouville fractional integrals, and the t^mu c^t kernel integral.
 
-The fractional integrals are computed after the substitution s = (x-t)^mu
-(resp. (t-x)^mu), which absorbs the weak endpoint singularity for mu < 1 and
-leaves a bounded integrand:
+Every weakly singular integral here is int_0^1 u^(mu-1) phi(u) du with an
+analytic phi: a fractional integral between an anchor c and an end e is,
+after t = c + (e - c) u,
 
-    J_{a+}^mu f(x) = (1/Gamma(mu+1)) * int_0^{(x-a)^mu} f(x - s^(1/mu)) ds
+    (1/Gamma(mu)) int |t-c|^(mu-1) f(t) dt
+        = |e-c|^mu / Gamma(mu+1) * mu int_0^1 u^(mu-1) f(c + (e-c) u) du,
 
-Quadrature is fixed-order Gauss-Legendre on dyadically subdivided panels;
-a panel is bisected until its two halves agree with it within tolerance.
-Refinement is breadth-first over a batch of integrals: each level bisects
-every active panel of every integral in the batch with one integrand call,
-so the fractional integrals of many instances that share (f, mu) cost one
-numpy call per level rather than one per panel.  A small level (at most
-SMALL_LEVEL active panels, as in the identity check's batches of four)
-costs numpy's fixed price per call rather than its points, so it is judged
-in Python floats, and its integrand call evaluates the quarters of its
-panels as well as their halves: the next depth is judged on those quarters
-without a call of its own.  Each integral's panels are accepted by the
-test a depth-first recursion would apply and summed in that recursion's
-tree order, so a batched result equals, bit for bit, the one integrating
-it alone gives, whichever path its levels take.
+and the identity's moments int_0^1 t^mu f'(...) dt take phi(u) = u f'(...).
+`gauss_jacobi_many` gives mu int_0^1 u^(mu-1) phi(u) du, the mean of phi
+under the density mu u^(mu-1), for a batch of them, with the n- and
+2n-point Gauss rules for that density (Golub and Welsch 1969), which
+absorb the endpoint singularity; the 2n-point value is the result.  An
+integral whose two rules disagree beyond tolerance, or whose value is not
+finite, falls back to the adaptive refiner on the bounded integrand
+phi(s^(1/mu)) after s = u^mu.
+
+The refiner, `adaptive_gauss_many`, is fixed-order Gauss-Legendre on
+dyadically subdivided panels; a panel is bisected until its two halves
+agree with it within tolerance.  Refinement is breadth-first over a batch
+of integrals: each level bisects every active panel of every integral in
+the batch with one integrand call.  Each integral's panels are accepted by
+the test a depth-first recursion would apply and summed in that
+recursion's tree order, so a batched result equals, bit for bit, the one
+integrating it alone gives.  Both rules' sums are per integral too, so a
+batch of either kind changes no bit of any of its integrals.
 """
 
 from __future__ import annotations
@@ -108,126 +113,6 @@ def _interleave(left, right):
     return out
 
 
-# A level with at most this many active panels is refined by `_SmallLevels`.
-# A small level's cost is numpy's fixed price per call (some forty calls a
-# level), not its points.  On levels of n copies of a fractional integrand
-# with a corner (powdecay's f(1 + s^(1/2)) and f(1 + s^(2/3))), the two paths
-# cost the same per depth at 15 to 20 active panels (2-vCPU x86-64 VM): above
-# that the scalar loops and the quarters evaluated in vain cost more than the
-# numpy calls they save.  16 is at the low end of that crossover.
-SMALL_LEVEL = 16
-
-
-def _failure(a: float, b: float, err: float, finite: bool, cap: int) -> str:
-    """The ConvergenceError message of a failing panel [a, b]."""
-    where = f"[{float(a)}, {float(b)}]"
-    if not finite:
-        return f"integrand not finite on {where}"
-    return (f"quadrature on {where} not converged at depth {cap} "
-            f"(disagreement {float(err):.3g})")
-
-
-class _SmallLevels:
-    """The refinement of levels of at most SMALL_LEVEL active panels.
-
-    The split test, the failure checks and the next level's panel lists run
-    on Python floats, with the IEEE operations of the numpy path in its
-    order.  Each call of g evaluates the halves and the quarters of every
-    active panel, so a depth whose panels are halves of the previous one's
-    kept panels is judged without a call.
-    """
-
-    def __init__(self, g, live, ref, w, tol, total, cfg, levels, failures):
-        self.g, self.live, self.ref, self.w = g, live, ref, w
-        self.tol, self.total = tol.tolist(), total.tolist()
-        self.floor = 0.01 * cfg.abs_tol
-        self.cap_accept = 10.0 * cfg.abs_tol
-        self.cap = cfg.max_subdivisions
-        self.levels, self.failures = levels, failures
-
-    def refine(self, depth, a, b, est, j):
-        """Refine the active panels [a[i], b[i]] of `depth` (lists; est
-        their estimates, j their integrals' positions in `live`) until no
-        panel splits, then return None, or until a level has more than
-        SMALL_LEVEL panels: return (depth, a, b, est, j) of that level, as
-        arrays for the numpy path."""
-        ref = self.ref
-        while True:
-            # Below the cap the quarters are evaluated too: 6 panels per
-            # active panel, its left and right halves, then their halves.
-            ahead = depth < self.cap
-            pa, pb = [], []
-            for lo, hi in zip(a, b):
-                mid = 0.5 * (lo + hi)
-                if ahead:
-                    q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-                    pa += (lo, mid, lo, q1, mid, q3)
-                    pb += (mid, hi, q1, mid, q3, hi)
-                else:
-                    pa += (lo, mid)
-                    pb += (mid, hi)
-            per = 6 if ahead else 2
-            pa, pb = np.array(pa), np.array(pb)
-            half = 0.5 * (pb - pa)
-            pts = (0.5 * (pb + pa))[:, None] + half[:, None] * ref
-            vals = np.asarray(self.g(pts.ravel(), self.live[j].repeat(per * ref.size)), dtype=float)
-            terms = vals.reshape(pts.shape) * self.w
-            terms *= half[:, None]
-            sums = np.add.reduce(terms, axis=1).tolist()
-            a, b, est, j, at = self._judge(depth, a, b, est, j, sums, range(0, len(sums), per))
-            if not a:  # always so at the cap, where no panel splits
-                return None
-            depth += 1
-            # The kept halves' halves are the quarters at sums[p + 2: p + 6].
-            a, b, est, j, _ = self._judge(depth, a, b, est, j, sums, at)
-            if not a:
-                return None
-            depth += 1
-            if len(a) > SMALL_LEVEL:
-                return depth, np.array(a), np.array(b), np.array(est), np.array(j)
-
-    def _judge(self, depth, a, b, est, j, sums, at):
-        """Test the panels of `depth`, whose halves' sums are sums[p] and
-        sums[p + 1] for p in `at`, as the numpy path would; record the
-        level and its first failure.  Return the next level's panels, the
-        halves of the split ones, with p + 2 and p + 4 for p in `at`."""
-        tol, total, floor, cap_accept, cap = (
-            self.tol, self.total, self.floor, self.cap_accept, self.cap)
-        at_cap = depth == cap
-        boths, splits = [], []
-        na, nb, nest, nj, nat = [], [], [], [], []
-        first = None
-        for lo, hi, e, i, p in zip(a, b, est, j, at):
-            left, right = sums[p], sums[p + 1]
-            both = left + right
-            err = abs(both - e)
-            bound = tol[i] * (hi - lo) / total[i]
-            # np.maximum(bound, floor): a nan bound stays nan.
-            split = not err <= (floor if bound < floor else bound)
-            finite = math.isfinite(both)
-            if at_cap:
-                failed = split and not err <= cap_accept
-                split = False
-            else:
-                failed = not finite
-                split = split and finite
-            if failed and first is None:
-                first = (i, lo, _failure(lo, hi, err, finite, cap))
-            boths.append(both)
-            splits.append(split)
-            if split:
-                mid = 0.5 * (lo + hi)
-                na += (lo, mid)
-                nb += (mid, hi)
-                nest += (left, right)
-                nj += (i, i)
-                nat += (p + 2, p + 4)
-        if first is not None:
-            self.failures.append(first)
-        self.levels.append((boths, splits))
-        return na, nb, nest, nj, nat
-
-
 def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """Integrate a batch of integrals, the k-th over [los[k], his[k]], with
     fixed-order Gauss-Legendre panels refined by dyadic bisection wherever
@@ -236,15 +121,12 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
     Refinement is breadth-first: each level bisects every active panel of
     every integral and evaluates the halves in one call g(s, k), where s is
     a 1-d array of points and k gives, for each point, the index of the
-    integral it belongs to; g returns values elementwise.  A level of at
-    most SMALL_LEVEL active panels is judged in Python floats, and its call
-    evaluates the halves' halves too, so one call serves two depths: g may
-    receive two depths' panels at once.  Panels are ordered by integral, so
-    k never decreases within a call: g may split its points by integral
-    where k first reaches a value.  Each integral's acceptance test is that
-    of a depth-first recursion over its own panels, and accepted values are
-    added bottom-up in that recursion's tree order, so every result is bit
-    for bit what integrating it alone would give.  Local bisection grades
+    integral it belongs to; g returns values elementwise.  Panels are
+    ordered by integral, so k never decreases within a call.  Each
+    integral's acceptance test is that of a depth-first recursion over its
+    own panels, and accepted values are added bottom-up in that recursion's
+    tree order, so every result is bit for bit what integrating it alone
+    would give.  Local bisection grades
     the panels into endpoints where the integrand has only algebraic
     smoothness, which uniform refinement handles poorly.
 
@@ -273,11 +155,8 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
     # disagreements are accepted rather than reported as failure.
     cap_accept = 10.0 * cfg.abs_tol
 
-    # Per depth: (left + right of each panel, panel was split), as arrays
-    # from the numpy path and as lists from `_SmallLevels`.
-    levels = []
+    levels = []  # per depth: (left + right of each panel, panel was split)
     failures = []  # per depth: (j, a, message) of its first failing panel
-    small = None  # the `_SmallLevels` of this batch, made when first needed
     # The panels [pa, pb] each pass evaluates, and k, the integral of each of
     # their points: the whole intervals at depth -1, then at each depth the
     # halves of every active panel, interleaved: its left half, then its right.
@@ -320,21 +199,19 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
                 split &= finite
             if np.count_nonzero(failed):
                 i = failed.nonzero()[0][0]
-                failures.append(
-                    (j[i], a[i], _failure(a[i], b[i], err[i], finite[i], cfg.max_subdivisions)))
+                where = f"[{float(a[i])}, {float(b[i])}]"
+                message = (
+                    f"integrand not finite on {where}" if not finite[i] else
+                    f"quadrature on {where} not converged at depth {cfg.max_subdivisions} "
+                    f"(disagreement {float(err[i]):.3g})"
+                )
+                failures.append((j[i], a[i], message))
             levels.append((both, split))
             if not np.count_nonzero(split):
                 break
             keep = split.repeat(2).nonzero()[0]
             a, b, est, j = pa[keep], pb[keep], sums[keep], j[keep >> 1]
         depth += 1
-        if a.size <= SMALL_LEVEL:
-            if small is None:
-                small = _SmallLevels(g, live, ref, w, tol, total, cfg, levels, failures)
-            step = small.refine(depth, a.tolist(), b.tolist(), est.tolist(), j.tolist())
-            if step is None:
-                break
-            depth, a, b, est, j = step
         mid = 0.5 * (a + b)
         pa, pb, k = _interleave(a, mid), _interleave(mid, b), live[j].repeat(2 * ref.size)
     if failures:
@@ -345,13 +222,8 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
     # the recursion; the halves are the next level's consecutive pairs.
     vals = levels[-1][0]
     for both, split in reversed(levels[:-1]):
-        if isinstance(both, list):
-            halves = iter(vals if isinstance(vals, list) else vals.tolist())
-            vals = [next(halves) + next(halves) if s else v for v, s in zip(both, split)]
-        else:
-            vals = np.asarray(vals)
-            both[split] = vals[0::2] + vals[1::2]
-            vals = both
+        both[split] = vals[0::2] + vals[1::2]
+        vals = both
     out[live] = vals
     return out
 
@@ -364,42 +236,89 @@ def adaptive_gauss(g, lo: float, hi: float, cfg: QuadConfig = DEFAULT_QUAD) -> f
     return float(adaptive_gauss_many(lambda s, k: g(s), [lo], [hi], cfg)[0])
 
 
-def _as_callable(f):
-    return getattr(f, "f", f)
+# n of the rule pair: every weakly singular integral is summed with the n-
+# and the 2n-point Gauss-Jacobi rules, their difference its error estimate.
+JACOBI_NODES = 12
+
+
+@lru_cache(maxsize=256)
+def _jacobi_rule(n: int, mu: float):
+    """(nodes, weights, their sum) of the n-point Gauss rule for the density
+    mu u^(mu-1) on [0, 1] (Golub and Welsch 1969): the nodes are the
+    eigenvalues of the Jacobi matrix of the shifted Jacobi polynomials
+    P^(0, mu-1)(2u-1), the weights the squared first components of their
+    eigenvectors, whose sum is 1 up to rounding.  A rule sum divided by the
+    weights' sum, added in the same order, is exact for a constant.  eigh
+    reads the lower triangle alone."""
+    beta = mu - 1.0
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    jacobi = np.diag(0.5 + 0.5 * diag)
+    jacobi[np.arange(1, n), np.arange(n - 1)] = k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2
+    return nodes, weights, np.add.reduce(weights[None, :], axis=1)
+
+
+def gauss_jacobi_many(phi, count: int, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+    """mu int_0^1 u^(mu-1) phi(u, k) du for k = 0, ..., count - 1: the mean
+    of phi(., k) under the density mu u^(mu-1).
+
+    phi(u, k) takes a 1-d array of points u and, for each point, the index
+    k of its integral, which never decreases, and returns values
+    elementwise.  One call of phi evaluates the n- and the 2n-point rule
+    (n = JACOBI_NODES) on every integral; the 2n-point value is the result.
+    An integral whose 2n-point value is not finite, or whose two values
+    differ by more than max(abs_tol, rel_tol |value|), is integrated again
+    by `adaptive_gauss_many` as int_0^1 phi(s^(1/mu), k) ds (s = u^mu),
+    which raises ConvergenceError where that fails too.
+    """
+    if not 0.0 < mu < math.inf:
+        raise DomainError("finite mu > 0 required")
+    (coarse_u, coarse_w, coarse_sum), (fine_u, fine_w, fine_sum) = (
+        _jacobi_rule(JACOBI_NODES, mu), _jacobi_rule(2 * JACOBI_NODES, mu))
+    nodes = np.concatenate((coarse_u, fine_u))
+    vals = np.asarray(phi(np.tile(nodes, count), np.arange(count).repeat(nodes.size)), dtype=float)
+    vals = vals.reshape(count, nodes.size)
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, and refined below
+        coarse = np.add.reduce(vals[:, :JACOBI_NODES] * coarse_w, axis=1) / coarse_sum
+        fine = np.add.reduce(vals[:, JACOBI_NODES:] * fine_w, axis=1) / fine_sum
+        err = np.abs(coarse - fine)
+    redo = np.flatnonzero(~(err <= np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(fine))))
+    if redo.size:
+        inv = 1.0 / mu
+        fine[redo] = adaptive_gauss_many(
+            lambda s, j: phi(s**inv, redo[j]), np.zeros(redo.size), np.ones(redo.size), cfg)
+    return fine
+
+
+def rl_lines(anchors, ends, mu: float):
+    """(c, d, scales) of the fractional integrals of `rl_many`: the k-th is
+    scales[k] times the mean of f(c[k] + d[k] u) under the density
+    mu u^(mu-1), with d = ends - anchors and scales[k] =
+    |d[k]|^mu / Gamma(mu+1), each a scalar pow: numpy's vectorised pow may
+    round differently in the last bit."""
+    c = np.asarray(anchors, dtype=float)
+    d = np.asarray(ends, dtype=float) - c
+    g = gamma(mu + 1.0)
+    return c, d, np.array([abs(h) ** mu / g for h in d.tolist()])
 
 
 def rl_many(f, anchors, ends, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> list[float]:
     """Fractional integrals (1/Gamma(mu)) int |t-c|^(mu-1) f(t) dt between
-    each anchor c = anchors[k] and ends[k], refined as one batch.
+    each anchor c = anchors[k] and ends[k], as one `gauss_jacobi_many` batch.
 
     The kernel is singular at the anchor: ends[k] < c gives the left-sided
     integral anchored at its upper limit, ends[k] > c the right-sided one
     anchored at its lower limit, and ends[k] == c gives 0.
     """
-    g, uppers = rl_integrand(f, anchors, ends, mu)
-    vals = adaptive_gauss_many(g, np.zeros(len(uppers)), uppers, cfg)
-    return (vals / gamma(mu + 1.0)).tolist()
-
-
-def rl_integrand(f, anchors, ends, mu: float):
-    """(g, uppers): the batch integrand g(s, k) and the upper limits whose
-    integrals over [0, uppers[k]], divided by Gamma(mu + 1), are the
-    fractional integrals of `rl_many`, after the substitution
-    s = |t - c|^mu."""
-    fn = _as_callable(f)
-    if not mu > 0:
-        raise DomainError("mu > 0 required")
-    anchor = np.asarray(anchors, dtype=float)
-    sign = np.sign(np.asarray(ends, dtype=float) - anchor)
-    # Scalar pow, as everywhere else the limits are computed: numpy's
-    # vectorised pow may round differently in the last bit.
-    uppers = [abs(e - c) ** mu for c, e in zip(anchors, ends)]
-    inv = 1.0 / mu  # one scalar exponent per batch keeps numpy's fast paths
-
-    def g(s, k):
-        return fn(anchor[k] + sign[k] * s**inv)
-
-    return g, uppers
+    fn = getattr(f, "f", f)
+    c, d, scales = rl_lines(anchors, ends, mu)
+    vals = gauss_jacobi_many(lambda u, k: fn(c[k] + d[k] * u), c.size, mu, cfg)
+    return (scales * vals).tolist()
 
 
 def rl_lower(f, a: float, x: float, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:

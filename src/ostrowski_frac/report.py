@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from . import __version__
 from .bounds import BoundParams, geometry_factor
-from .corpus import FunctionSpec, audit, corpus_by_id, spec_from_family
+from .corpus import FunctionSpec, corpus_by_id, spec_from_family
 from .fracint import DomainError, FracParams, QuadConfig
 from .verify import (
     THEOREM_IDS,
@@ -77,7 +77,6 @@ class SweepConfig:
     quad: QuadConfig = field(default_factory=QuadConfig)
     out_format: str = "json"
     output: Optional[str] = None
-    audit_extra: bool = True
     # (family, id, params) triples for additional corpus members.
     extra_functions: tuple[tuple[str, str, tuple[tuple[str, float], ...]], ...] = ()
 
@@ -108,7 +107,6 @@ class SweepConfig:
               for key, name in _LIST_KEYS.items()),
             *(f"{key} = {getattr(self.quad, key)!r}" for key in _QUAD_KEYS),
             f"format = {self.out_format}",
-            f"audit = {str(self.audit_extra).lower()}",
         ]
         for family, fid, params in self.extra_functions:
             kv = " ".join(f"{k}={v!r}" for k, v in params)
@@ -124,18 +122,6 @@ def _parse_floats(value: str) -> tuple[float, ...]:
         return tuple(float(v) for v in value.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError(f"bad numeric list {value!r}: {exc}") from None
-
-
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    try:
-        return _BOOLEANS[value.lower()]
-    except KeyError:
-        raise ConfigError(
-            f"{key} must be one of {', '.join(_BOOLEANS)} (any case), got {value!r}"
-        ) from None
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -202,7 +188,6 @@ def parse_config(text: str) -> SweepConfig:
         quad=quad,
         out_format=kv.pop("format", "json"),
         output=kv.pop("output", None),
-        audit_extra=_parse_bool("audit", kv.pop("audit", "true")),
         extra_functions=tuple(extra),
     )
     if kv:
@@ -216,12 +201,6 @@ def resolve_corpus(cfg: SweepConfig) -> list[FunctionSpec]:
         if fid in by_id:
             raise ConfigError(f"extra function id {fid!r} is already in the corpus")
         spec = spec_from_family(family, fid, **dict(params))
-        if cfg.audit_extra:
-            violations = audit(spec)
-            if violations:
-                raise ConfigError(
-                    f"extra function {fid!r} failed audit: " + "; ".join(violations)
-                )
         by_id[spec.id] = spec
     if not cfg.functions:
         return list(by_id.values())

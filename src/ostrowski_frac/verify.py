@@ -27,9 +27,9 @@ from .fracint import (
     FracParams,
     QuadConfig,
     adaptive_gauss,
-    adaptive_gauss_many,
     gamma,
-    rl_integrand,
+    gauss_jacobi_many,
+    rl_lines,
     rl_many,
 )
 
@@ -107,26 +107,23 @@ def lemma_identity_residual(
     """|signed LHS - weighted f' moment integrals|; a quadrature consistency oracle.
 
     The two fractional integrals of the signed LHS and the two moment
-    integrals int_0^1 t^mu f'(t x + (1-t) c) dt, c = a and c = b, are
-    refined as one batch of four, each bit for bit as it would be alone.
+    integrals int_0^1 t^mu f'(t x + (1-t) c) dt, c = a and c = b, are one
+    `gauss_jacobi_many` batch of four under the density mu t^(mu-1): on
+    the line t x + (1-t) c = c + (x-c) t, the sides are means of f and the
+    moments means of t f', over mu.  Each is bit for bit what it would be
+    alone, the sides what `ostrowski_signed_many` gives.
     """
     a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
     f.require_within(a, b)
-    rl, uppers = rl_integrand(f, [a, b], [x, x], mu)  # as ostrowski_signed_many
-    ends = np.array([0.0, 0.0, a, b])  # c of the moment integrals, k = 2, 3
+    c, d, scales = rl_lines([a, b, a, b], [x, x, x, x], mu)
 
-    def g(t, k):
-        # k never decreases: the fractional integrals' points come first.
-        n = k.searchsorted(2)
-        s = t[n:]
-        out = np.empty(t.size)
-        out[:n] = rl(t[:n], k[:n])
-        out[n:] = s**mu * f.fprime(s * x + (1.0 - s) * ends[k[n:]])
-        return out
+    def phi(t, k):
+        u = c[k] + d[k] * t
+        return np.where(k < 2, f.f(u), t * f.fprime(u))
 
-    vals = adaptive_gauss_many(g, [0.0] * 4, uppers + [1.0, 1.0], cfg)
-    left, right = (vals[:2] / gamma(mu + 1.0)).tolist()
-    i_a, i_b = vals[2:].tolist()
+    vals = gauss_jacobi_many(phi, 4, mu, cfg)
+    left, right = (scales[:2] * vals[:2]).tolist()
+    i_a, i_b = (vals[2:] / mu).tolist()
     lhs = _signed(frac, _values_at(f, [x])[0], left, right)
     rhs = ((x - a) ** (mu + 1.0) * i_a - (b - x) ** (mu + 1.0) * i_b) / (b - a)
     return abs(lhs - rhs)

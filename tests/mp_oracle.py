@@ -79,3 +79,69 @@ def rel_err(got: float, want) -> float:
     """|got - want| / |want| as a float."""
     with mp.workdps(DPS):
         return float(abs((mp.mpf(got) - want) / want))
+
+
+# The builtin corpus as its families build it: (family, parameters) per id.
+CORPUS = {
+    "linear": ("affine", {"slope": 1.0, "intercept": 0.0}),
+    "affine08": ("affine", {"slope": 0.8, "intercept": 0.1}),
+    "const1": ("constant", {"value": 1.0}),
+    "const2": ("constant", {"value": 2.0}),
+    "powdecay": ("power_decay", {"M": 0.5, "r": 0.04, "offset": 0.1}),
+    "expdecay": ("exp_decay", {"M": 0.5, "lam": 0.02, "lo": 1.0, "offset": 1.0}),
+}
+
+
+def family_f(family: str, params: dict):
+    """f of a family member as an mpmath function."""
+    p = {k: mp.mpf(v) for k, v in params.items()}
+    if family == "affine":
+        return lambda t: p["slope"] * t + p["intercept"]
+    if family == "constant":
+        return lambda t: p["value"]
+    if family == "power_decay":
+        return lambda t: p["offset"] + p["M"] * t ** (1 - p["r"]) / (1 - p["r"])
+    if family == "exp_decay":
+        return lambda t: p["offset"] - p["M"] / p["lam"] * mp.exp(-p["lam"] * (t - p["lo"]))
+    raise KeyError(family)
+
+
+def rl(family: str, params: dict, anchor: float, end: float, mu: float):
+    """(1/Gamma(mu)) int |t-c|^(mu-1) f(t) dt between the anchor c and end,
+    in closed form: with d = end - c, h = |d| and t = c + d u it is
+    h^mu/Gamma(mu) int_0^1 u^(mu-1) f(c + d u) du, where
+
+      affine f = s t + i:          (s c + i)/mu + s d/(mu+1);
+      power decay, p = 1 - r:      offset/mu + M/p c^p/mu 2F1(-p, mu; mu+1; -d/c);
+      exp decay:                   offset/mu
+                                   - M/lam e^(-lam(c-lo))/mu 1F1(mu; mu+1; -lam d)
+
+    (Euler's integral for 2F1 and 1F1 with b = mu, c = mu + 1)."""
+    with mp.workdps(DPS):
+        c, mu = mp.mpf(anchor), mp.mpf(mu)
+        d = mp.mpf(end) - c
+        unit = abs(d) ** mu / mp.gamma(mu + 1)  # the fractional integral of f = 1
+        p = {k: mp.mpf(v) for k, v in params.items()}
+        if family == "constant":
+            return p["value"] * unit
+        if family == "affine":
+            s, i = p["slope"], p["intercept"]
+            return unit * ((s * c + i) + s * d * mu / (mu + 1))
+        if family == "power_decay":
+            q = 1 - p["r"]
+            return unit * (p["offset"] + p["M"] / q * c**q * mp.hyp2f1(-q, mu, mu + 1, -d / c))
+        if family == "exp_decay":
+            lam = p["lam"]
+            decay = mp.exp(-lam * (c - p["lo"])) * mp.hyp1f1(mu, mu + 1, -lam * d)
+            return unit * (p["offset"] - p["M"] / lam * decay)
+        raise KeyError(family)
+
+
+def rl_quad(family: str, params: dict, anchor: float, end: float, mu: float):
+    """`rl` by quadrature: after u = w^(1/mu), h^mu/Gamma(mu+1) times
+    int_0^1 f(c + d w^(1/mu)) dw, whose integrand is bounded."""
+    with mp.workdps(DPS):
+        c, mu = mp.mpf(anchor), mp.mpf(mu)
+        d = mp.mpf(end) - c
+        f = family_f(family, params)
+        return abs(d) ** mu / mp.gamma(mu + 1) * mp.quad(lambda w: f(c + d * w ** (1 / mu)), [0, 1])

@@ -365,9 +365,9 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
-    def test_audit_catches_crafted_violation_by_default(self, tmp_path, capsys):
-        # An understated M is rejected when the member is built, before any
-        # audit; what the audit still catches is a nan f, by finite differences.
+    def test_crafted_violation_exits_2(self, tmp_path, capsys):
+        # An understated M and a nan f are rejected when the member is built:
+        # the nan one used to build, and fail only inside quadrature.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(
             "functions = bad\n"
@@ -379,19 +379,21 @@ class TestSweepCommand:
         assert "declared M=0.1 is below sup|f'| = 0.8" in capsys.readouterr().err
         cfg.write_text("functions = bad\nfunction.bad = affine slope=0.8 intercept=nan lo=1 hi=2\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
-        assert "failed audit: finite difference" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: intercept must be finite, got nan\n"
 
     def test_large_intercept_passes_the_audit(self, tmp_path, capsys):
-        # The finite-difference check allows for the rounding of |f| ~ 1e8.
+        # The finite-difference check allows for the rounding of |f| ~ 1e8,
+        # and the sweep's verdicts hold at that size.
         cfg = tmp_path / "big.cfg"
         cfg.write_text("functions = big\ntheorems = t22\n"
                        "function.big = affine slope=0.5 intercept=1e8 lo=1 hi=2\n")
+        (big,) = resolve_corpus(parse_config(cfg.read_text()))
+        assert corpus_mod.audit(big) == []
         assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 0
         assert "t22: 432 pass, 0 fail" in capsys.readouterr().err
 
     # |f'| understated by M (0.5 < 0.8), and |f'| rising (r < 0): hypotheses
-    # of every theorem, rejected when the member is built, audit or not.
-    @pytest.mark.parametrize("audit", ["no", "yes"])
+    # of every theorem, rejected when the member is built.
     @pytest.mark.parametrize(
         "line, message",
         [("function.p = affine slope=0.8 intercept=0.1 lo=1 hi=2 declared_M=0.5",
@@ -400,9 +402,9 @@ class TestSweepCommand:
           "power_decay family needs r >= 0 (|f'| non-increasing), got r=-0.5")],
         ids=["understated-M", "rising-derivative"],
     )
-    def test_false_hypothesis_exits_2(self, tmp_path, capsys, audit, line, message):
+    def test_false_hypothesis_exits_2(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "hypothesis.cfg"
-        cfg.write_text(f"audit = {audit}\n{line}\n")
+        cfg.write_text(f"{line}\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
@@ -532,7 +534,7 @@ class TestConfigParsing:
             "wiggle = 3",
             "function.f = \n",
             "function.f = affine slope\n",
-            # Not a boolean: must not silently skip the audit.
+            # audit is no longer a key: any value of it is an unknown key.
             "audit = on\n",
             "audit = ture\n",
             "audit = \n",
@@ -578,23 +580,18 @@ class TestConfigParsing:
             parse_config(text + "\n")
         assert str(got.value) == message
 
-    @pytest.mark.parametrize(
-        "value, audit",
-        [("true", True), ("TRUE", True), ("Yes", True), ("1", True),
-         ("false", False), ("False", False), ("NO", False), ("0", False)],
-    )
-    def test_audit_values(self, value, audit):
-        assert parse_config(f"audit = {value}\n").audit_extra is audit
-
     def test_unknown_audit_value_exits_2(self, tmp_path, capsys):
-        # The crafted member fails its audit, so skipping the audit would let it through.
+        # The key that switched the grid audit of extra members is gone, so
+        # every value of it is an unknown key, the ones it took too: the
+        # audit re-ran an oracle of closed forms the families state.
         path = tmp_path / "typo.cfg"
-        path.write_text(
-            "audit = ture\n"
-            "function.bad = affine slope=0.8 intercept=nan lo=1.0 hi=2.0\n"
-        )
-        assert main(["sweep", "--config", str(path)]) == 2
-        assert "audit must be one of" in capsys.readouterr().err
+        for value in ("ture", "true", "no"):
+            path.write_text(
+                f"audit = {value}\n"
+                "function.bad = affine slope=0.8 intercept=nan lo=1.0 hi=2.0\n"
+            )
+            assert main(["sweep", "--config", str(path)]) == 2
+            assert capsys.readouterr().err == "error: unknown config keys: ['audit']\n"
 
     def test_extra_function_resolves(self):
         cfg = parse_config(
@@ -810,21 +807,26 @@ class TestBatchedSweep:
         with pytest.raises(RuntimeError, match="integrand evaluated"):
             run_sweep(cfg)
 
-    # Depth-1 failures.  On linear only mu = 2.5 and mu = 1.5 fail, at
-    # every x: the mu = 2.5 batch comes first, its first x fails.  On a
-    # steep power_decay at 1e-15 tolerance, mu = 1 fails only at x = b and
-    # mu = 0.5 already at x = 0.1: the mu = 1 batch, first in batch order,
-    # fails at an instance that comes after (0.1, 0.5) in sweep order.
+    # Depth-1 failures of the refiner, which integrates what the Gauss-Jacobi
+    # rule cannot resolve.  On a power_decay with r = 20 over [1, 10] only
+    # mu = 2.5 and mu = 1.5 fail, at every x: the mu = 2.5 batch comes
+    # first, its first x fails.  On a steep power_decay at
+    # 1e-15 tolerance, mu = 1 fails only at x = b and mu = 0.5 already at
+    # x = 0.1: the mu = 1 batch, first in batch order, fails at an instance
+    # that comes after (0.1, 0.5) in sweep order.
     FAILING = {
-        "by-mu": "functions = linear\nx_fracs = 0.75,0.25\nmu = 0.5,2.5,1.5\n",
+        "by-mu": (
+            "functions = wide\nx_fracs = 0.75,0.25\nmu = 0.5,2.5,1.5\n"
+            "function.wide = power_decay M=0.5 r=20 lo=1.0 hi=10.0\n"
+        ),
         "by-x": (
             "functions = steep\nx_fracs = 0.5,0.1,1.0\nmu = 1.0,0.5\n"
-            "abs_tol = 1e-15\nrel_tol = 1e-15\naudit = false\n"
+            "abs_tol = 1e-15\nrel_tol = 1e-15\n"
             "function.steep = power_decay M=0.5 r=80 lo=1.0 hi=2.0\n"
         ),
     }
     # The first failing instance in batch order (x, mu).
-    FIRST_FAILING = {"by-mu": (2.25, 2.5), "by-x": (2.0, 1.0)}
+    FIRST_FAILING = {"by-mu": (7.75, 2.5), "by-x": (2.0, 1.0)}
     T22_DEPTH_1 = "theorems = t22\nalpha = 1.0\nm = 0.5\nq = 1.0\nmax_subdivisions = 1\n"
 
     @staticmethod
@@ -879,7 +881,7 @@ class TestBatchedSweep:
         # point factor still comes before any integrand is evaluated.
         cfg = parse_config(
             "functions = tiny\ntheorems = t22,t26\nx_fracs = 0.25,0.75\nmu = 0.5,1.5\n"
-            "alpha = 1.0\nm = 0.25\nq = 1.0,3.0\naudit = false\n"
+            "alpha = 1.0\nm = 0.25\nq = 1.0,3.0\n"
             "function.tiny = affine slope=1e-300 intercept=1.0 lo=1.0 hi=2.0\n"
         )
         (tiny,) = resolve_corpus(cfg)
@@ -1152,7 +1154,7 @@ class TestCanonicalText:
     EXTRA = (
         "function.aff = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5 declared_M=0.75\n"
         "function.ed = exp_decay M=0.5 lam=0.02 lo=1 hi=2\n"
-        "format = csv\naudit = no\nabs_tol = 1e-11\nbase_nodes = 8\n"
+        "format = csv\nabs_tol = 1e-11\nbase_nodes = 8\n"
     )
     CONFIGS = {"default": "", "small": SMALL_SWEEP, "extra": EXTRA,
                **TestHypothesesCheckedOncePerPoint.CONFIGS}

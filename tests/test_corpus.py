@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import mpmath as mp
@@ -274,15 +275,18 @@ class TestAuditFailures:
             domain=(1.0, 2.0),
             M=1.0,
         )
-        with np.errstate(invalid="ignore"):
-            violations = audit(spec)
+        violations = audit(spec)
         assert any("finite difference" in v for v in violations)
 
     @pytest.mark.parametrize(
         "spec",
         [
-            affine_spec("a", slope=0.5, intercept=float("nan"), lo=1.0, hi=2.0),
-            power_decay_spec("p", M=0.5, r=0.5, lo=1.0, hi=2.0, offset=float("nan")),
+            # The f a family would have with a nan intercept or offset; the
+            # families reject those (TestSpecValidation), so built by hand.
+            dataclasses.replace(affine_spec("a", slope=0.5, intercept=0.0, lo=1.0, hi=2.0),
+                                f=lambda u: 0.5 * np.asarray(u, float) + np.nan),
+            dataclasses.replace(power_decay_spec("p", M=0.5, r=0.5, lo=1.0, hi=2.0),
+                                f=lambda u: np.nan + 0.5 * np.asarray(u, float) ** 0.5 / 0.5),
         ],
         ids=["affine-nan-intercept", "power-decay-nan-offset"],
     )
@@ -354,6 +358,21 @@ class TestSpecValidation:
             power_decay_spec("x", M=0.5, r=0.04, lo=0.5, hi=2.0)
         with pytest.raises(DomainError):
             power_decay_spec("x", M=0.5, r=1.0, lo=1.0, hi=2.0)
+
+    @pytest.mark.parametrize("family, params, name", [
+        ("affine", dict(slope=0.8, intercept=float("nan")), "intercept"),
+        ("affine", dict(slope=float("inf"), intercept=0.0), "slope"),
+        ("constant", dict(value=float("-inf")), "value"),
+        ("power_decay", dict(M=0.5, r=0.5, offset=float("nan")), "offset"),
+        ("power_decay", dict(M=float("nan"), r=0.5), "M"),
+        ("power_decay", dict(M=0.5, r=float("inf")), "r"),
+        ("exp_decay", dict(M=0.5, lam=float("inf")), "lam"),
+        ("exp_decay", dict(M=0.5, lam=0.02, offset=float("inf")), "offset"),
+    ])
+    def test_non_finite_parameter_rejected(self, family, params, name):
+        # A nan intercept used to build, and fail only inside quadrature.
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+            spec_from_family(family, "x", lo=1.0, hi=2.0, **params)
 
     @pytest.mark.parametrize("lam", [0.0, -0.5, float("nan")])
     def test_exp_decay_needs_positive_lam(self, lam):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ostrowski_frac import fracint
+from ostrowski_frac.corpus import exp_decay_spec
 from ostrowski_frac.fracint import (
+    JACOBI_NODES,
     MAX_TOL,
-    SMALL_LEVEL,
     ConvergenceError,
     DomainError,
     FracParams,
@@ -16,6 +17,7 @@ from ostrowski_frac.fracint import (
     adaptive_gauss,
     adaptive_gauss_many,
     gamma,
+    gauss_jacobi_many,
     mexp_integral,
     rl_lower,
     rl_many,
@@ -167,9 +169,24 @@ def assert_bitwise(gs, los, his, cfg=QuadConfig()):
     assert adaptive_gauss_many(batch_of(gs), los, his, cfg).tolist() == want
 
 
-def rl_integrand(f, x, mu, sign):
+def rl_integrand(f, c, e, mu):
+    """The fallback's integrand of the fractional integral between anchor c
+    and end e: f(c + (e - c) s^(1/mu)) on [0, 1], whose integral times
+    |e - c|^mu / Gamma(mu + 1) is the fractional integral."""
     inv = 1.0 / mu
-    return lambda s: f(x + sign * s**inv)
+    return lambda s: f(c + (e - c) * s**inv)
+
+
+# |rl_many - closed form|: the rule is within a few ulps of values up to
+# 27 in size (1.5e-14 at worst on the corpus).
+RL_ORACLE_BOUND = 1e-13
+
+
+def assert_near_oracle(got, fid, anchors, ends, mu):
+    family, params = mp_oracle.CORPUS[fid]
+    for value, c, e in zip(got, anchors, ends):
+        want = mp_oracle.rl(family, params, c, e, mu)
+        assert abs(value - float(want)) <= RL_ORACLE_BOUND, (fid, c, e, mu, value, want)
 
 
 # Integrals whose panel trees differ: refinement depths, leftmost failing
@@ -204,35 +221,32 @@ class TestBatchedRefinerMatchesRecursion:
 
     @pytest.mark.parametrize("mu", [0.1, 0.25, 0.5, 1.0, 2.5])
     def test_corpus_rl_integrands(self, corpus, mu):
-        gs, his = [], []
-        for spec in corpus.values():
+        # The refiner on the integrands a fallback of the corpus' fractional
+        # integrals would give it, and `rl_many` on the integrals themselves
+        # against their closed forms.
+        for fid, spec in corpus.items():
             a, b = spec.domain
-            for frac in (0.05, 0.5, 0.95):
-                x = a + frac * (b - a)
-                gs += [rl_integrand(spec.f, a, mu, 1.0), rl_integrand(spec.f, b, mu, -1.0)]
-                his += [(x - a) ** mu, (b - x) ** mu]
-        assert_bitwise(gs, [0.0] * len(gs), his)
+            xs = [a + frac * (b - a) for frac in (0.05, 0.5, 0.95)]
+            anchors, ends = [a, b] * 3, [x for x in xs for _ in "ab"]
+            gs = [rl_integrand(spec.f, c, e, mu) for c, e in zip(anchors, ends)]
+            assert_bitwise(gs, [0.0] * len(gs), [1.0] * len(gs))
+            assert_near_oracle(rl_many(spec, anchors, ends, mu), fid, anchors, ends, mu)
 
     @pytest.mark.parametrize("mu", [0.1, 0.5, 2.5])
     def test_rl_entry_points(self, corpus, mu):
         spec = corpus["powdecay"]
         a, b = spec.domain
         x = 1.37
-        scale = gamma(mu + 1.0)
-        lower = recursive_gauss(rl_integrand(spec.f, x, mu, -1.0), 0.0, (x - a) ** mu) / scale
-        upper = recursive_gauss(rl_integrand(spec.f, x, mu, 1.0), 0.0, (b - x) ** mu) / scale
-        assert rl_lower(spec, a, x, mu) == lower
-        assert rl_upper(spec, x, b, mu) == upper
+        lower, upper = rl_lower(spec, a, x, mu), rl_upper(spec, x, b, mu)
+        assert_near_oracle([lower, upper], "powdecay", [x, x], [a, b], mu)
         assert rl_many(spec, [x, x, a], [a, b, a], mu) == [lower, upper, 0.0]
 
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
     def test_arrays_given_to_g_are_never_written(self, cfg):
         # g keeps every s and k it is given and returns read-only values:
-        # the refiner may compute in place only in arrays of its own.  Each
-        # function has SMALL_LEVEL + 1 copies, so every level is refined by
-        # the numpy path, one call per level (TestSmallLevels has the other).
+        # the refiner may compute in place only in arrays of its own.
         corners = [lambda t: t**0.1, lambda t: (1.0 - t) ** 0.1, lambda t: np.abs(t - 0.3) ** 0.1]
-        gs = corners * (SMALL_LEVEL + 1)
+        gs = corners * 6
         batch = batch_of(gs)
         kept = []  # (an array g was given or returned, its copy at the time)
 
@@ -243,7 +257,7 @@ class TestBatchedRefinerMatchesRecursion:
             return vals
 
         got = adaptive_gauss_many(g, [0.0] * len(gs), [1.0] * len(gs), cfg)
-        assert got.tolist() == [recursive_gauss(gi, 0.0, 1.0, cfg) for gi in corners] * (SMALL_LEVEL + 1)
+        assert got.tolist() == [recursive_gauss(gi, 0.0, 1.0, cfg) for gi in corners] * 6
         assert len(kept) > 3 * 20
         for array, copy in kept:
             assert np.array_equal(array, copy)
@@ -273,8 +287,7 @@ class TestBatchedRefinerMatchesRecursion:
         assert adaptive_gauss_many(g, [], []).tolist() == []
 
     def test_one_call_per_level(self):
-        # SMALL_LEVEL + 1 copies: every level is refined by the numpy path.
-        n = SMALL_LEVEL + 1
+        n = 17
         calls = []
 
         def g(s, k):
@@ -346,14 +359,14 @@ CORNERS = [
 
 
 class TestSmallLevels:
-    """Levels of at most SMALL_LEVEL active panels: judged in Python floats,
-    each call of g evaluating two depths.  Bit for bit the recursion still."""
+    """Levels of few active panels, as the fallback of one or two integrals
+    has them: one call of g per depth, evaluating the halves of the active
+    panels, and bit for bit the recursion, at odd and even depth caps and
+    where a deeper level is not finite."""
 
     def test_schedule(self):
-        # One integral: every level is small.  One call for the whole
-        # interval, then one per pair of depths, evaluating each active
-        # panel's halves and quarters: 3 times the panels the recursion
-        # evaluates at the pair's first depth.
+        # One integral: one call for the whole interval, then one per depth,
+        # on the panels the recursion evaluates at that depth.
         sizes, panels = [], []
         kept = []  # (an array g was given or returned, its copy at the time)
 
@@ -373,16 +386,14 @@ class TestSmallLevels:
         nodes = QuadConfig().base_nodes
         per_depth = [count for _, count in sorted(Counter(panels).items(), reverse=True)]
         assert per_depth[0] == 1 and len(per_depth) > 20  # the whole interval, then depths 0, 1, ...
-        assert sizes == [nodes] + [3 * count * nodes for count in per_depth[1::2]]
-        assert sizes == [16, 96] + [192] * 12  # 2,416 points in 14 calls
+        assert sizes == [count * nodes for count in per_depth]
         for array, copy in kept:
             assert np.array_equal(array, copy)
 
     @pytest.mark.parametrize("cap", [4, 5, 6, 7])
     def test_schedule_at_the_depth_cap(self, cap):
         # s^2.5 at tolerance 1e-14 refines down to the cap and is accepted
-        # there.  No quarter below the cap is evaluated: an even cap's
-        # depth is a call of halves alone.
+        # there, one call per depth.
         cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=cap)
         sizes, panels = [], []
 
@@ -394,49 +405,44 @@ class TestSmallLevels:
         assert got.tolist() == [recursive_gauss(panel, 0.0, 1.0, cfg)]
         per_depth = [count for _, count in sorted(Counter(panels).items(), reverse=True)]
         assert len(per_depth) == cap + 2  # the whole interval, then depths 0 to cap
-        nodes = cfg.base_nodes
-        assert sizes == [nodes] + [(3 if depth < cap else 1) * per_depth[depth + 1] * nodes
-                                   for depth in range(0, cap + 1, 2)]
+        assert sizes == [count * cfg.base_nodes for count in per_depth]
 
-    @pytest.mark.parametrize("n", [SMALL_LEVEL - 1, SMALL_LEVEL, SMALL_LEVEL + 1])
+    @pytest.mark.parametrize("n", [15, 16, 17])
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
     def test_batch_sizes_around_the_threshold(self, n, cfg):
         gs = [CORNERS[i % len(CORNERS)] for i in range(n)]
         assert_bitwise(gs, [0.0] * n, [1.0] * n, cfg)
-        # Depth 0 bisects the n whole intervals: with their quarters when
-        # the level is small, alone when it is not.
+        # Depth 0 bisects the n whole intervals, whatever n.
         sizes = []
         adaptive_gauss_many(recorded(batch_of(gs), sizes), [0.0] * n, [1.0] * n, cfg)
-        assert sizes[1] == (6 if n <= SMALL_LEVEL else 2) * n * cfg.base_nodes
+        assert sizes[1] == 2 * n * cfg.base_nodes
 
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
     def test_levels_fall_into_the_small_path(self, cfg):
         # 17 polynomials converge at depth 0; the corners refine on, 6
         # active panels at depth 1 and fewer below.
-        gs = [lambda s, i=i: s**2 + i for i in range(SMALL_LEVEL + 1)] + CORNERS[:3]
+        gs = [lambda s, i=i: s**2 + i for i in range(17)] + CORNERS[:3]
         n = len(gs)
         assert_bitwise(gs, [0.0] * n, [1.0] * n, cfg)
         sizes = []
         adaptive_gauss_many(recorded(batch_of(gs), sizes), [0.0] * n, [1.0] * n, cfg)
-        assert sizes[1] == 2 * n * cfg.base_nodes  # numpy path
-        assert sizes[2] == 6 * 6 * cfg.base_nodes  # small path, with quarters
+        assert sizes[1] == 2 * n * cfg.base_nodes
+        assert sizes[2] == 2 * 6 * cfg.base_nodes
 
     def test_levels_rise_out_of_the_small_path(self):
         # sin(60 s + i) splits every panel down to depth 1: 5 active panels
-        # at depth 0 (small), 20 at depth 2 (numpy path).
+        # at depth 0, 10 at depth 1, 20 at depth 2.
         gs = [lambda s, i=i: np.sin(60.0 * s + i) for i in range(5)]
         assert_bitwise(gs, [0.0] * 5, [1.0] * 5)
         sizes = []
         adaptive_gauss_many(recorded(batch_of(gs), sizes), [0.0] * 5, [1.0] * 5)
-        assert sizes == [5 * 16, 6 * 5 * 16, 2 * 20 * 16]
+        assert sizes == [5 * 16, 2 * 5 * 16, 2 * 10 * 16, 2 * 20 * 16]
 
     @pytest.mark.parametrize("cap", [3, 4, 5, 6])
     @pytest.mark.parametrize("tol", [1e-14, 1e-10])
     def test_lookahead_pair_at_the_depth_cap(self, cap, tol):
-        # Small levels start at depth 0 and go two depths per call: an odd
-        # cap is the second depth of a pair, an even cap is evaluated on its
-        # own.  Each integral converges, is accepted at the cap or fails
-        # there, as the recursion does.
+        # Odd and even caps: each integral converges, is accepted at the
+        # cap or fails there, as the recursion does.
         cfg = QuadConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=cap)
         pool = CORNERS + [lambda s: s**2, lambda s: np.abs(s - 1 / 3) ** 0.05]
         want = [outcome(lambda g=g: recursive_gauss(g, 0.0, 1.0, cfg)) for g in pool]
@@ -449,10 +455,10 @@ class TestSmallLevels:
                 batch_of(order), [0.0] * len(order), [1.0] * len(order), cfg).tolist())
             assert got == (failed[0] if failed else wants)
 
-    def test_nonfinite_half_and_cap_failure_in_a_lookahead_level(self, monkeypatch):
+    def test_nonfinite_half_and_cap_failure_in_a_lookahead_level(self):
         # spiked is nan only at one Gauss point of the quarter [0.25, 0.5],
         # so [0, 1] splits at depth 0 and [0, 0.5] is found not finite at
-        # depth 1, the second depth of the first pair.
+        # depth 1.
         ref, _ = np.polynomial.legendre.leggauss(16)
         spike = 0.375 + 0.125 * ref[4]
 
@@ -465,14 +471,104 @@ class TestSmallLevels:
             recursive_gauss(capped, 0.0, 1.0, cfg)
         assert "not converged at depth 3" in str(want.value)
         nonfinite = "ConvergenceError: integrand not finite on [0.0, 0.5]"
+        errors = [outcome(lambda gs=gs: adaptive_gauss_many(batch_of(gs), [0.0] * 2, [1.0] * 2, cfg))
+                  for gs in ([capped, spiked], [spiked, capped])]
+        assert errors == [f"ConvergenceError: {want.value}", nonfinite]
 
-        def errors():
-            return [outcome(lambda gs=gs: adaptive_gauss_many(batch_of(gs), [0.0] * 2, [1.0] * 2, cfg))
-                    for gs in ([capped, spiked], [spiked, capped])]
 
-        assert errors() == [f"ConvergenceError: {want.value}", nonfinite]
-        monkeypatch.setattr(fracint, "SMALL_LEVEL", 0)  # the numpy path alone
-        assert errors() == [f"ConvergenceError: {want.value}", nonfinite]
+def forbid_fallback(monkeypatch):
+    """Make `gauss_jacobi_many`'s fallback to the refiner fail the test."""
+
+    def refine(g, los, his, cfg):
+        raise AssertionError("fallback taken")
+
+    monkeypatch.setattr(fracint, "adaptive_gauss_many", refine)
+
+
+class TestClosedFormOracle:
+    """`mp_oracle.rl`'s hypergeometric closed forms against 40-digit
+    quadrature of the bounded integrand after u = w^(1/mu)."""
+
+    @pytest.mark.parametrize("fid", ["powdecay", "expdecay"])
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 1.0, 2.5])
+    def test_decay_forms_match_quadrature(self, fid, mu):
+        family, params = mp_oracle.CORPUS[fid]
+        for anchor, end in ((1.0, 1.7), (2.0, 1.3), (1.0, 2.0), (2.0, 1.0)):
+            closed = mp_oracle.rl(family, params, anchor, end, mu)
+            quad = mp_oracle.rl_quad(family, params, anchor, end, mu)
+            with mp_oracle.mp.workdps(mp_oracle.DPS):
+                assert abs(closed - quad) <= 1e-30 * abs(closed), (anchor, end)
+
+
+class TestGaussJacobi:
+    """The rule pair every weakly singular integral takes, and its fallback
+    to the refiner."""
+
+    @pytest.mark.parametrize("beta", [-0.9, -0.5, 0.0, 1.5])
+    @pytest.mark.parametrize("n", [JACOBI_NODES, 2 * JACOBI_NODES])
+    def test_nodes_integrate_monomials(self, n, beta):
+        # An n-point Gauss rule is exact through degree 2n - 1: with the
+        # weight u^beta, sum w_i u_i^k = 1/(beta + k + 1).
+        mu = beta + 1.0
+        nodes, weights, total = fracint._jacobi_rule(n, mu)
+        assert nodes.size == n and np.all((0.0 < nodes) & (nodes < 1.0))
+        for k in range(2 * n):
+            got = float(np.add.reduce(weights * nodes**k) / total[0]) / mu
+            assert got == pytest.approx(1.0 / (beta + k + 1.0), rel=5e-14), k
+
+    def test_batch_equals_alone(self, monkeypatch):
+        # Two integrals the rule resolves and two that fall back (a kink
+        # and a corner the polynomial rule cannot follow), bit for bit.
+        gs = [np.exp, lambda u: u**3, lambda u: np.abs(u - 0.3), lambda u: u**0.01]
+        fallbacks = []
+        refine = fracint.adaptive_gauss_many
+        monkeypatch.setattr(fracint, "adaptive_gauss_many",
+                            lambda g, los, his, cfg: fallbacks.append(len(los)) or refine(g, los, his, cfg))
+        for mu in (0.1, 0.7, 2.5):
+            fallbacks.clear()
+            batch = gauss_jacobi_many(batch_of(gs), len(gs), mu)
+            assert fallbacks == [2]
+            alone = [gauss_jacobi_many(lambda u, k, g=g: g(u), 1, mu)[0] for g in gs]
+            assert fallbacks == [2, 1, 1]
+            assert batch.tolist() == alone
+            assert batch[1] == pytest.approx(mu / (mu + 3.0), rel=1e-14)
+
+    @pytest.mark.parametrize("mu", [0.3, 1.0, 2.5])
+    def test_result_is_the_finer_rule(self, monkeypatch, mu):
+        # e^(16 u): the 12-point rule is off by 1.5e-12 to 1.4e-11 relative,
+        # inside tolerance, the 24-point one by rounding.  The mean is
+        # 1F1(mu; mu+1; 16).
+        forbid_fallback(monkeypatch)
+        (got,) = gauss_jacobi_many(lambda u, k: np.exp(16.0 * u), 1, mu)
+        assert mp_oracle.rel_err(got, mp_oracle.mp.hyp1f1(mu, mu + 1, 16)) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        with pytest.raises(ConvergenceError, match=r"^integrand not finite on "):
+            gauss_jacobi_many(lambda u, k: np.where(u > 0.5, bad, u), 1, 0.5)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0])
+    def test_unresolved_side_falls_back(self, monkeypatch, mu):
+        # exp_decay with lam = 50 over [1, 10]: the side anchored at 1 is
+        # e^(-450 u) in u, past what 24 points resolve, so the refiner
+        # integrates it, to the closed form's rounding.
+        spec = exp_decay_spec("steep", M=0.5, lam=50.0, lo=1.0, hi=10.0)
+        calls = []
+        refine = fracint.adaptive_gauss_many
+        monkeypatch.setattr(fracint, "adaptive_gauss_many",
+                            lambda g, los, his, cfg: calls.append(len(los)) or refine(g, los, his, cfg))
+        (got,) = rl_many(spec, [1.0], [10.0], mu)
+        assert calls == [1]
+        want = mp_oracle.rl("exp_decay", {"M": 0.5, "lam": 50.0, "lo": 1.0, "offset": 1.0},
+                            1.0, 10.0, mu)
+        assert abs(got - float(want)) <= RL_ORACLE_BOUND
+
+    def test_resolved_sides_make_no_fallback(self, corpus, monkeypatch):
+        forbid_fallback(monkeypatch)
+        for fid, spec in corpus.items():
+            a, b = spec.domain
+            for mu in (0.1, 0.25, 0.5, 1.0, 1.5, 2.5):
+                rl_many(spec, [a, b, a, b], [b, a, (a + b) / 2, (a + b) / 2], mu)
 
 
 class TestNonFiniteIntegrand:

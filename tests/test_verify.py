@@ -7,7 +7,7 @@ import pytest
 from ostrowski_frac import bounds as bnd
 from ostrowski_frac.bounds import BoundParams
 from ostrowski_frac.corpus import FunctionSpec
-from ostrowski_frac.fracint import DomainError, FracParams, adaptive_gauss_many
+from ostrowski_frac.fracint import DomainError, FracParams, gauss_jacobi_many
 from ostrowski_frac.report import _grid_for, parse_config
 from ostrowski_frac.verify import (
     THEOREM_IDS,
@@ -103,20 +103,37 @@ class TestIdentityResidual:
                 mu = rng.uniform(0.2, 3.0)
                 assert lemma_identity_residual(spec, FracParams(a, b, x, mu)) <= 1e-8
 
+    def test_residual_at_rounding(self, corpus):
+        # Acceptance criterion 1's draws: the rule puts every residual near
+        # rounding, far inside the criterion's 1e-8.
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for spec in corpus.values():
+            lo, hi = spec.domain
+            for _ in range(200):
+                while True:
+                    a, x, b = np.sort(rng.uniform(lo, hi, size=3))
+                    if b - a >= 1e-2:
+                        break
+                frac = FracParams(a, b, x, rng.uniform(0.2, 3.0))
+                worst = max(worst, lemma_identity_residual(spec, frac))
+        assert worst <= 1e-11
+
     def test_endpoint_x_equals_a(self, corpus):
         res = lemma_identity_residual(corpus["linear"], FracParams(0.5, 2.0, 0.5, 0.8))
         assert res <= 1e-8
 
     @staticmethod
     def _two_batches(f, frac):
-        """The residual as computed before its four integrals shared one
-        batch: the signed LHS, then the two moment integrals."""
+        """The residual from two batches, as computed before its four
+        integrals shared one: the signed LHS, then the two moment integrals,
+        the means of t f'(c + (x-c) t) under the density mu t^(mu-1)."""
         a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
         lhs = ostrowski_signed(f, frac)
-        ends = np.array([a, b])
-        i_a, i_b = adaptive_gauss_many(
-            lambda t, k: t**mu * f.fprime(t * x + (1.0 - t) * ends[k]), [0.0, 0.0], [1.0, 1.0]
-        ).tolist()
+        c = np.array([a, b])
+        d = np.array([x - a, x - b])
+        i_a, i_b = (gauss_jacobi_many(
+            lambda t, k: t * f.fprime(c[k] + d[k] * t), 2, mu) / mu).tolist()
         rhs = ((x - a) ** (mu + 1.0) * i_a - (b - x) ** (mu + 1.0) * i_b) / (b - a)
         return abs(lhs - rhs)
 
