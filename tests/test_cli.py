@@ -393,7 +393,9 @@ class TestSweepCommand:
         assert "t22: 432 pass, 0 fail" in capsys.readouterr().err
 
     # |f'| understated by M (0.5 < 0.8), and |f'| rising (r < 0): hypotheses
-    # of every theorem, rejected when the member is built.
+    # of every theorem, rejected when the member is built, whether or not
+    # `functions` selects it.
+    @pytest.mark.parametrize("listed", ["no", "yes"])
     @pytest.mark.parametrize(
         "line, message",
         [("function.p = affine slope=0.8 intercept=0.1 lo=1 hi=2 declared_M=0.5",
@@ -402,9 +404,10 @@ class TestSweepCommand:
           "power_decay family needs r >= 0 (|f'| non-increasing), got r=-0.5")],
         ids=["understated-M", "rising-derivative"],
     )
-    def test_false_hypothesis_exits_2(self, tmp_path, capsys, line, message):
+    def test_false_hypothesis_exits_2(self, tmp_path, capsys, listed, line, message):
         cfg = tmp_path / "hypothesis.cfg"
-        cfg.write_text(f"{line}\n")
+        selected = "p" if listed == "yes" else "const1"
+        cfg.write_text(f"functions = {selected}\n{line}\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
