@@ -11,9 +11,10 @@ and the identity's moments int_0^1 t^mu f'(...) dt take phi(u) = u f'(...).
 `gauss_jacobi_many` gives mu int_0^1 u^(mu-1) phi(u) du, the mean of phi
 under the density mu u^(mu-1), for a batch of them, with the n- and
 2n-point Gauss rules for that density (Golub and Welsch 1969), which
-absorb the endpoint singularity; the 2n-point value is the result.  An
-integral whose two rules disagree beyond tolerance, or whose value is not
-finite, falls back to the adaptive refiner on the bounded integrand
+absorb the endpoint singularity; the 2n-point value is the result.  Both
+rules come from one 2n x 2n Jacobi matrix, cached per mu.  An integral
+whose two rules disagree beyond tolerance, or whose value is not finite,
+falls back to the adaptive refiner on the bounded integrand
 phi(s^(1/mu)) after s = u^mu.
 
 The refiner, `adaptive_gauss_many`, is fixed-order Gauss-Legendre on
@@ -42,7 +43,12 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature did not reach tolerance within max_subdivisions."""
+    """Adaptive quadrature did not reach tolerance within max_subdivisions;
+    `index` is the failing integral's position in its batch."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -130,8 +136,9 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
     the panels into endpoints where the integrand has only algebraic
     smoothness, which uniform refinement handles poorly.
 
-    Raises ConvergenceError for the lowest-index integral that fails, naming
-    its leftmost failing panel: the error integrating one by one would give.
+    Raises ConvergenceError for the lowest-index integral that fails, with
+    that index, naming its leftmost failing panel: the error integrating one
+    by one would give.
     A panel fails where its halves still disagree at the depth cap, or at
     once, unbisected, where their sum is not finite.
     Empty intervals integrate to 0 without calling g.
@@ -216,7 +223,8 @@ def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarr
         pa, pb, k = _interleave(a, mid), _interleave(mid, b), live[j].repeat(2 * ref.size)
     if failures:
         # The lowest-index failing integral at its leftmost failing panel.
-        raise ConvergenceError(min(failures, key=lambda fail: fail[:2])[2])
+        j, _, message = min(failures, key=lambda fail: fail[:2])
+        raise ConvergenceError(message, int(live[j]))
 
     # A split panel's value is its left half's plus its right half's, as in
     # the recursion; the halves are the next level's consecutive pairs.
@@ -241,15 +249,20 @@ def adaptive_gauss(g, lo: float, hi: float, cfg: QuadConfig = DEFAULT_QUAD) -> f
 JACOBI_NODES = 12
 
 
-@lru_cache(maxsize=256)
-def _jacobi_rule(n: int, mu: float):
-    """(nodes, weights, their sum) of the n-point Gauss rule for the density
-    mu u^(mu-1) on [0, 1] (Golub and Welsch 1969): the nodes are the
+@lru_cache(maxsize=128)
+def _jacobi_rules(mu: float):
+    """The n- and 2n-point Gauss rules for the density mu u^(mu-1) on
+    [0, 1] (n = JACOBI_NODES; Golub and Welsch 1969), as (nodes, n-point
+    weights, their sum, 2n-point weights, their sum), where nodes holds the
+    n-point rule's nodes, then the 2n-point rule's.  The nodes are the
     eigenvalues of the Jacobi matrix of the shifted Jacobi polynomials
     P^(0, mu-1)(2u-1), the weights the squared first components of their
-    eigenvectors, whose sum is 1 up to rounding.  A rule sum divided by the
-    weights' sum, added in the same order, is exact for a constant.  eigh
-    reads the lower triangle alone."""
+    eigenvectors, whose sum is 1 up to rounding.  One 2n x 2n matrix serves
+    both rules: its entries are elementwise in their index, so its leading
+    n x n block is, bit for bit, the n-point rule's matrix.  A rule sum
+    divided by the weights' sum, added in the same order, is exact for a
+    constant.  eigh reads the lower triangle alone."""
+    n = 2 * JACOBI_NODES
     beta = mu - 1.0
     k = np.arange(1.0, n)
     s = 2.0 * k + beta
@@ -258,9 +271,11 @@ def _jacobi_rule(n: int, mu: float):
     diag[1:] = beta * beta / (s * (s + 2.0))
     jacobi = np.diag(0.5 + 0.5 * diag)
     jacobi[np.arange(1, n), np.arange(n - 1)] = k * (k + beta) / (s * np.sqrt(s * s - 1.0))
-    nodes, vectors = np.linalg.eigh(jacobi)
-    weights = vectors[0] ** 2
-    return nodes, weights, np.add.reduce(weights[None, :], axis=1)
+    (coarse_u, coarse_v), (fine_u, fine_v) = (
+        np.linalg.eigh(jacobi[:JACOBI_NODES, :JACOBI_NODES]), np.linalg.eigh(jacobi))
+    coarse_w, fine_w = coarse_v[0] ** 2, fine_v[0] ** 2
+    return (np.concatenate((coarse_u, fine_u)), coarse_w, np.add.reduce(coarse_w[None, :], axis=1),
+            fine_w, np.add.reduce(fine_w[None, :], axis=1))
 
 
 def gauss_jacobi_many(phi, count: int, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
@@ -270,18 +285,19 @@ def gauss_jacobi_many(phi, count: int, mu: float, cfg: QuadConfig = DEFAULT_QUAD
     phi(u, k) takes a 1-d array of points u and, for each point, the index
     k of its integral, which never decreases, and returns values
     elementwise.  One call of phi evaluates the n- and the 2n-point rule
-    (n = JACOBI_NODES) on every integral; the 2n-point value is the result.
-    An integral whose 2n-point value is not finite, or whose two values
-    differ by more than max(abs_tol, rel_tol |value|), is integrated again
-    by `adaptive_gauss_many` as int_0^1 phi(s^(1/mu), k) ds (s = u^mu),
-    which raises ConvergenceError where that fails too.
+    (n = JACOBI_NODES) on every integral, at the 3n nodes of
+    `_jacobi_rules`; the 2n-point value is the result.  An integral whose
+    2n-point value is not finite, or whose two values differ by more than
+    max(abs_tol, rel_tol |value|), is integrated again by
+    `adaptive_gauss_many` as int_0^1 phi(s^(1/mu), k) ds (s = u^mu), which
+    raises ConvergenceError, with the failing k as index, where that fails
+    too.
     """
     if not 0.0 < mu < math.inf:
         raise DomainError("finite mu > 0 required")
-    (coarse_u, coarse_w, coarse_sum), (fine_u, fine_w, fine_sum) = (
-        _jacobi_rule(JACOBI_NODES, mu), _jacobi_rule(2 * JACOBI_NODES, mu))
-    nodes = np.concatenate((coarse_u, fine_u))
-    vals = np.asarray(phi(np.tile(nodes, count), np.arange(count).repeat(nodes.size)), dtype=float)
+    nodes, coarse_w, coarse_sum, fine_w, fine_sum = _jacobi_rules(mu)
+    vals = np.asarray(phi(nodes[None, :].repeat(count, axis=0).ravel(),
+                          np.arange(count).repeat(nodes.size)), dtype=float)
     vals = vals.reshape(count, nodes.size)
     with np.errstate(invalid="ignore"):  # inf - inf is nan, and refined below
         coarse = np.add.reduce(vals[:, :JACOBI_NODES] * coarse_w, axis=1) / coarse_sum
@@ -290,8 +306,12 @@ def gauss_jacobi_many(phi, count: int, mu: float, cfg: QuadConfig = DEFAULT_QUAD
     redo = np.flatnonzero(~(err <= np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(fine))))
     if redo.size:
         inv = 1.0 / mu
-        fine[redo] = adaptive_gauss_many(
-            lambda s, j: phi(s**inv, redo[j]), np.zeros(redo.size), np.ones(redo.size), cfg)
+        try:
+            fine[redo] = adaptive_gauss_many(
+                lambda s, j: phi(s**inv, redo[j]), np.zeros(redo.size), np.ones(redo.size), cfg)
+        except ConvergenceError as exc:
+            exc.index = int(redo[exc.index])
+            raise
     return fine
 
 
@@ -313,11 +333,17 @@ def rl_many(f, anchors, ends, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> list
 
     The kernel is singular at the anchor: ends[k] < c gives the left-sided
     integral anchored at its upper limit, ends[k] > c the right-sided one
-    anchored at its lower limit, and ends[k] == c gives 0.
+    anchored at its lower limit, and ends[k] == c gives 0.  A
+    ConvergenceError names the failing integral's anchor, end and mu.
     """
     fn = getattr(f, "f", f)
     c, d, scales = rl_lines(anchors, ends, mu)
-    vals = gauss_jacobi_many(lambda u, k: fn(c[k] + d[k] * u), c.size, mu, cfg)
+    try:
+        vals = gauss_jacobi_many(lambda u, k: fn(c[k] + d[k] * u), c.size, mu, cfg)
+    except ConvergenceError as exc:
+        k = exc.index
+        raise ConvergenceError(f"fractional integral anchored at {float(c[k])} with end "
+                               f"{float(ends[k])}, mu = {mu}: {exc}", k) from None
     return (scales * vals).tolist()
 
 

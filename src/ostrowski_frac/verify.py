@@ -23,6 +23,7 @@ from .bounds import BoundParams
 from .corpus import FunctionSpec
 from .fracint import (
     DEFAULT_QUAD,
+    ConvergenceError,
     DomainError,
     FracParams,
     QuadConfig,
@@ -110,8 +111,11 @@ def lemma_identity_residual(
     integrals int_0^1 t^mu f'(t x + (1-t) c) dt, c = a and c = b, are one
     `gauss_jacobi_many` batch of four under the density mu t^(mu-1): on
     the line t x + (1-t) c = c + (x-c) t, the sides are means of f and the
-    moments means of t f', over mu.  Each is bit for bit what it would be
-    alone, the sides what `ostrowski_signed_many` gives.
+    moments means of t f', over mu.  k never decreases in a call of the
+    integrand, so one `searchsorted` splits its points: f is evaluated on
+    the sides' points alone, f' on the moments'.  Each integral is bit for
+    bit what it would be alone, the sides what `ostrowski_signed_many`
+    gives.  A ConvergenceError names the failing integral and the instance.
     """
     a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
     f.require_within(a, b)
@@ -119,9 +123,15 @@ def lemma_identity_residual(
 
     def phi(t, k):
         u = c[k] + d[k] * t
-        return np.where(k < 2, f.f(u), t * f.fprime(u))
+        i = k.searchsorted(2)
+        return np.concatenate((f.f(u[:i]), t[i:] * f.fprime(u[i:])))
 
-    vals = gauss_jacobi_many(phi, 4, mu, cfg)
+    try:
+        vals = gauss_jacobi_many(phi, 4, mu, cfg)
+    except ConvergenceError as exc:
+        which = ("side at a", "side at b", "moment at a", "moment at b")[exc.index]
+        raise ConvergenceError(f"{which} of the identity for {f.id!r} at a = {a}, b = {b}, "
+                               f"x = {x}, mu = {mu}: {exc}", exc.index) from None
     left, right = (scales[:2] * vals[:2]).tolist()
     i_a, i_b = (vals[2:] / mu).tolist()
     lhs = _signed(frac, _values_at(f, [x])[0], left, right)

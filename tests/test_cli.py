@@ -217,6 +217,25 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == f"error: classical on 'linear': {named} not used\n"
 
 
+# Commands of the CI workflow's "Verify smoke test" step that no other test
+# here runs with the same argv; the step's other commands are the argv of
+# tests in TestVerifyCommand, TestFracIntCommand and TestCheckConvexityCommand.
+SMOKE_VERIFY = "--f powdecay --x 1.4 --mu 0.5 --alpha 0.5 --m 0.5 --q 2"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (f"verify --theorem mu1 {SMOKE_VERIFY}", "mu = 1 required"),
+    (f"verify --theorem mm {SMOKE_VERIFY}", "u, v required"),
+    ("frac-int --f powdecay --a -1 --x 1.5 --mu 0.5", "outside domain of 'powdecay'"),
+    ("frac-int --f powdecay --a 1.2 --x 1.5 --mu 0.5 --upper", "--a not used"),
+], ids=["mu1", "mm", "frac-int-a-outside", "frac-int-upper-a-unread"])
+def test_smoke_step_command_exits_2(capsys, argv, message):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 class TestDefaultSweepListing:
     """The shipped default sweep: which verdicts it lists, in which order,
     and that each holds.  The digest is over the (theorem, function, x, mu,
@@ -866,6 +885,13 @@ class TestBatchedSweep:
         path.write_text(text)
         assert main(["sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_message_names_the_failing_integral(self):
+        cfg = parse_config(self.T22_DEPTH_1 + self.FAILING["by-mu"])
+        with pytest.raises(ConvergenceError) as got:
+            run_sweep(cfg)
+        assert str(got.value).startswith(
+            "fractional integral anchored at 1.0 with end 7.75, mu = 2.5: quadrature on [")
 
     def test_failing_sweep_leaves_the_output_file_unchanged(self, tmp_path, capsys):
         # The report is streamed, but the file is opened only once the

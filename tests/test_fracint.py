@@ -23,6 +23,7 @@ from ostrowski_frac.fracint import (
     rl_many,
     rl_upper,
 )
+from ostrowski_frac.report import DEFAULT_MUS
 
 import mp_oracle
 from conftest import simpson
@@ -500,6 +501,64 @@ class TestClosedFormOracle:
                 assert abs(closed - quad) <= 1e-30 * abs(closed), (anchor, end)
 
 
+def golub_welsch(n, mu):
+    """Frozen oracle: (nodes, weights, their sum) of the n-point Gauss rule
+    for the density mu u^(mu-1) on [0, 1] from its own n x n Jacobi
+    matrix, as each rule of the pair was built before both came from one
+    2n x 2n matrix."""
+    beta = mu - 1.0
+    k = np.arange(1.0, n)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    jacobi = np.diag(0.5 + 0.5 * diag)
+    jacobi[np.arange(1, n), np.arange(n - 1)] = k * (k + beta) / (s * np.sqrt(s * s - 1.0))
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2
+    return nodes, weights, np.add.reduce(weights[None, :], axis=1)
+
+
+def jacobi_rule(n, mu):
+    """(nodes, weights, their sum) of the n- or 2n-point rule of the pair
+    `gauss_jacobi_many` takes for mu."""
+    nodes, coarse_w, coarse_sum, fine_w, fine_sum = fracint._jacobi_rules(mu)
+    if n == JACOBI_NODES:
+        return nodes[:n], coarse_w, coarse_sum
+    assert n == 2 * JACOBI_NODES
+    return nodes[JACOBI_NODES:], fine_w, fine_sum
+
+
+class TestJacobiRules:
+    """Both rules of the pair come from one 2n x 2n Jacobi matrix, built
+    once per mu."""
+
+    MUS = (
+        sorted(set(np.random.default_rng(22).uniform(0.1, 3.0, size=200).tolist()))
+        + list(DEFAULT_MUS) + [0.1, 0.25, 0.5, 1.0, 1.5, 2.5]  # the dense sweep's
+    )
+
+    def test_pair_equals_per_size_oracle_bit_for_bit(self):
+        for mu in self.MUS:
+            for n in (JACOBI_NODES, 2 * JACOBI_NODES):
+                for got, want in zip(jacobi_rule(n, mu), golub_welsch(n, mu)):
+                    assert got.tobytes() == want.tobytes(), (n, mu)
+
+    def test_eigh_twice_per_new_mu(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw))
+        fracint._jacobi_rules.cache_clear()
+        for mu in (0.37, 0.37, 1.9, 0.37, 1.9):
+            gauss_jacobi_many(lambda u, k: np.exp(u), 3, mu)
+        n = JACOBI_NODES
+        assert calls == [(n, n), (2 * n, 2 * n)] * 2
+
+    def test_cache_holds_128_mu(self):
+        assert fracint._jacobi_rules.cache_info().maxsize == 128
+
+
 class TestGaussJacobi:
     """The rule pair every weakly singular integral takes, and its fallback
     to the refiner."""
@@ -510,7 +569,7 @@ class TestGaussJacobi:
         # An n-point Gauss rule is exact through degree 2n - 1: with the
         # weight u^beta, sum w_i u_i^k = 1/(beta + k + 1).
         mu = beta + 1.0
-        nodes, weights, total = fracint._jacobi_rule(n, mu)
+        nodes, weights, total = jacobi_rule(n, mu)
         assert nodes.size == n and np.all((0.0 < nodes) & (nodes < 1.0))
         for k in range(2 * n):
             got = float(np.add.reduce(weights * nodes**k) / total[0]) / mu
@@ -546,6 +605,15 @@ class TestGaussJacobi:
     def test_non_finite_integrand_raises(self, bad):
         with pytest.raises(ConvergenceError, match=r"^integrand not finite on "):
             gauss_jacobi_many(lambda u, k: np.where(u > 0.5, bad, u), 1, 0.5)
+
+    def test_failure_index_is_the_batch_index(self):
+        # Integral 0 resolves; 1, 2 and 3 fall back, where 1 converges and 2
+        # and 3 fail: the refiner sees them as its 1 and 2, the error is 2's.
+        bad = lambda u: np.where(u > 0.5, np.nan, u)  # noqa: E731
+        gs = [np.exp, lambda u: np.abs(u - 0.3), bad, bad]
+        with pytest.raises(ConvergenceError, match=r"^integrand not finite on ") as got:
+            gauss_jacobi_many(batch_of(gs), len(gs), 0.5)
+        assert got.value.index == 2
 
     @pytest.mark.parametrize("mu", [0.5, 1.0])
     def test_unresolved_side_falls_back(self, monkeypatch, mu):
@@ -588,6 +656,12 @@ class TestNonFiniteIntegrand:
             adaptive_gauss_many(g, [0.0], [1.0], cfg)
         # Bisecting the nan panels to depth 12 evaluated 183,856 points.
         assert sum(points) < 1000
+
+    def test_index_counts_empty_intervals(self):
+        gs = [np.exp, np.exp, lambda s: np.where(s > 0.5, np.nan, s)]
+        with pytest.raises(ConvergenceError) as got:
+            adaptive_gauss_many(batch_of(gs), [0.0, 0.0, 0.0], [0.0, 1.0, 1.0])
+        assert got.value.index == 2
 
     def test_lower_index_cap_failure_wins(self):
         cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -5,9 +6,16 @@ import numpy as np
 import pytest
 
 from ostrowski_frac import bounds as bnd
+from ostrowski_frac import fracint
 from ostrowski_frac.bounds import BoundParams
-from ostrowski_frac.corpus import FunctionSpec
-from ostrowski_frac.fracint import DomainError, FracParams, gauss_jacobi_many
+from ostrowski_frac.corpus import FunctionSpec, exp_decay_spec, power_decay_spec
+from ostrowski_frac.fracint import (
+    ConvergenceError,
+    DomainError,
+    FracParams,
+    QuadConfig,
+    gauss_jacobi_many,
+)
 from ostrowski_frac.report import _grid_for, parse_config
 from ostrowski_frac.verify import (
     THEOREM_IDS,
@@ -24,6 +32,7 @@ from ostrowski_frac.verify import (
 
 import test_cli
 from conftest import simpson
+from test_fracint import forbid_fallback
 
 
 def plain_spec(id, f, fprime, domain):
@@ -149,6 +158,81 @@ class TestIdentityResidual:
             for frac in fracs:
                 got = lemma_identity_residual(spec, frac)
                 assert got.hex() == self._two_batches(spec, frac).hex(), (spec.id, frac)
+
+    def test_points_per_call(self, corpus, monkeypatch):
+        # Each of the four integrals takes the 12 + 24 nodes of the rule
+        # pair; f is evaluated on the sides' points and at x, f' on the
+        # moments' points alone.
+        forbid_fallback(monkeypatch)
+        sizes = {"f": [], "fprime": []}
+
+        def counted(name, g):
+            return lambda u: sizes[name].append(u.size) or g(u)
+
+        for spec in corpus.values():
+            a, b = spec.domain
+            sizes["f"].clear()
+            sizes["fprime"].clear()
+            spy = dataclasses.replace(
+                spec, f=counted("f", spec.f), fprime=counted("fprime", spec.fprime))
+            lemma_identity_residual(spy, FracParams(a, b, 0.3 * a + 0.7 * b, 1.7))
+            assert sum(sizes["f"]) == 2 * 36 + 1, spec.id
+            assert sum(sizes["fprime"]) == 2 * 36, spec.id
+
+    # Fallbacks of one residual's batch, and the kinds of integral in each
+    # call the refiner makes: only moments, only sides, or both.
+    FALLBACKS = {
+        "moments": ("exp_decay", dict(M=0.5, lam=50.0), 1.5, 0.5, {"moments"}),
+        "sides-and-both": ("power_decay", dict(M=0.5, r=8.0), 9.0, 2.5, {"sides", "both"}),
+        "both": ("exp_decay", dict(M=0.5, lam=50.0), 5.0, 1.0, {"both"}),
+        "lam20": ("exp_decay", dict(M=0.5, lam=20.0), 5.0, 2.5, {"sides", "both"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_split_through_the_fallback(self, monkeypatch, case):
+        family, params, x, mu, kinds = self.FALLBACKS[case]
+        build = power_decay_spec if family == "power_decay" else exp_decay_spec
+        spec = build("spy", lo=1.0, hi=10.0, **params)
+        frac = FracParams(1.0, 10.0, x, mu)
+        calls = []  # (f points, f' points) of each call the refiner makes
+        refining = []
+        refine = fracint.adaptive_gauss_many
+
+        def spy_refine(g, los, his, cfg):
+            refining.append(True)
+            try:
+                return refine(g, los, his, cfg)
+            finally:
+                refining.pop()
+
+        def spy_f(u):
+            if refining:
+                calls.append([u.size, 0])
+            return spec.f(u)
+
+        def spy_fprime(u):
+            if refining:
+                calls[-1][1] = u.size
+            return spec.fprime(u)
+
+        monkeypatch.setattr(fracint, "adaptive_gauss_many", spy_refine)
+        spy = dataclasses.replace(spec, f=spy_f, fprime=spy_fprime)
+        got = lemma_identity_residual(spy, frac)
+        assert {"moments" if not n_f else "sides" if not n_fprime else "both"
+                for n_f, n_fprime in calls} == kinds
+        assert got.hex() == self._two_batches(spec, frac).hex()
+
+    @pytest.mark.parametrize("x,mu,name,index", [
+        (7.75, 2.5, "side at a", 0), (1.5, 0.5, "moment at b", 3)])
+    def test_failing_integral_named(self, x, mu, name, index):
+        spec = power_decay_spec("wide", M=0.5, r=20.0, lo=1.0, hi=10.0)
+        cfg = QuadConfig(max_subdivisions=1)
+        with pytest.raises(ConvergenceError) as got:
+            lemma_identity_residual(spec, FracParams(1.0, 10.0, x, mu), cfg)
+        assert str(got.value).startswith(
+            f"{name} of the identity for 'wide' at a = 1.0, b = 10.0, x = {x}, mu = {mu}: "
+            "quadrature on [")
+        assert got.value.index == index
 
 
 class TestHypothesisChecking:
