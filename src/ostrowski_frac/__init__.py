@@ -10,8 +10,8 @@ from .fracint import (  # noqa: F401
     QuadConfig,
     adaptive_gauss,
     adaptive_gauss_many,
+    clenshaw_curtis_many,
     gamma,
-    gauss_jacobi_many,
     mexp_integral,
     rl_lower,
     rl_many,

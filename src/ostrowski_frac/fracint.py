@@ -8,14 +8,22 @@ after t = c + (e - c) u,
         = |e-c|^mu / Gamma(mu+1) * mu int_0^1 u^(mu-1) f(c + (e-c) u) du,
 
 and the identity's moments int_0^1 t^mu f'(...) dt take phi(u) = u f'(...).
-`gauss_jacobi_many` gives mu int_0^1 u^(mu-1) phi(u) du, the mean of phi
-under the density mu u^(mu-1), for a batch of them, with the n- and
-2n-point Gauss rules for that density (Golub and Welsch 1969), which
-absorb the endpoint singularity; the 2n-point value is the result.  Both
-rules come from one 2n x 2n Jacobi matrix, cached per mu.  An integral
-whose two rules disagree beyond tolerance, or whose value is not finite,
-falls back to the adaptive refiner on the bounded integrand
-phi(s^(1/mu)) after s = u^mu.
+`clenshaw_curtis_many` gives mu int_0^1 u^(mu-1) phi(u) du, the mean of phi
+under the density mu u^(mu-1), for a batch of them, with a nested pair of
+Clenshaw-Curtis product rules for that density, which absorb the endpoint
+singularity (QUADPACK's QAWS, Piessens et al. 1983; Trefethen, SIAM Review
+2008).  The 49 nodes are fixed, u_j = (1 + cos(j pi / 48)) / 2, and the
+25-point rule takes the even j.  The nodes include u = 0 and u = 1, so f
+is evaluated at the anchor and at the end themselves; for the Ostrowski
+sides and moments both lie in the validated [a, b].  Each rule integrates
+the density times the Chebyshev interpolant of phi: its weights are
+mu 2^(-mu) C^T r, C the fixed DCT-I matrix and r the Chebyshev moments of
+(1+x)^(mu-1), from QUADPACK dqmomo's forward recurrence.  A new mu costs
+that 48-step recurrence and two matrix-vector products, about 25 us raw
+on a 2-vCPU VM, with no eigensolve; the weights are cached per mu.  The
+49-point value is the result.  An integral whose two rules disagree
+beyond tolerance, or whose value is not finite, falls back to the
+adaptive refiner on the bounded integrand phi(s^(1/mu)) after s = u^mu.
 
 The refiner, `adaptive_gauss_many`, is fixed-order Gauss-Legendre on
 dyadically subdivided panels; a panel is bisected until its two halves
@@ -244,50 +252,77 @@ def adaptive_gauss(g, lo: float, hi: float, cfg: QuadConfig = DEFAULT_QUAD) -> f
     return float(adaptive_gauss_many(lambda s, k: g(s), [lo], [hi], cfg)[0])
 
 
-# n of the rule pair: every weakly singular integral is summed with the n-
-# and the 2n-point Gauss-Jacobi rules, their difference its error estimate.
-JACOBI_NODES = 12
+# The fine rule interpolates phi at CC_DEGREE + 1 nodes, the coarse rule at
+# every other one; their difference is the error estimate.
+CC_DEGREE = 48
+
+
+def _dct1(n: int) -> np.ndarray:
+    """The (n + 1) x (n + 1) DCT-I matrix C whose entry C[k, j] is the share
+    of the value at cos(j pi / n) in the coefficient of T_k of the Chebyshev
+    interpolant through those n + 1 points, the end terms of both sums
+    halved."""
+    j = np.arange(n + 1)
+    dct = np.cos(np.outer(j, j) * (math.pi / n)) * (2.0 / n)
+    dct[:, [0, n]] *= 0.5
+    dct[[0, n], :] *= 0.5
+    return dct
+
+
+@lru_cache(maxsize=None)
+def _cc_basis():
+    """(nodes, fine, coarse): the CC_DEGREE + 1 nodes u_j = (1 + cos(j pi /
+    CC_DEGREE)) / 2, from u = 1 down to u = 0, and the DCT-I matrices of the
+    fine and the coarse rule, whose nodes are the fine rule's even entries.
+    Built on first use, not at import."""
+    nodes = 0.5 + 0.5 * np.cos(np.arange(CC_DEGREE + 1) * (math.pi / CC_DEGREE))
+    return nodes, _dct1(CC_DEGREE), _dct1(CC_DEGREE // 2)
+
+
+def _cc_moments(mu: float) -> list[float]:
+    """r_k = int_-1^1 (1+x)^(mu-1) T_k(x) dx for k = 0, ..., CC_DEGREE, by
+    the forward recurrence of QUADPACK's dqmomo (Piessens et al. 1983):
+    r_0 = 2^mu / mu, r_1 = r_0 (mu-1) / (mu+1) and
+    r_k = -(2^mu + k (k-mu-1) r_(k-1)) / ((k-1) (k+mu))."""
+    two = 2.0**mu
+    r = [two / mu]
+    r.append(r[0] * (mu - 1.0) / (mu + 1.0))
+    for k in range(2, CC_DEGREE + 1):
+        r.append(-(two + k * (k - mu - 1.0) * r[k - 1]) / ((k - 1.0) * (k + mu)))
+    return r
 
 
 @lru_cache(maxsize=128)
-def _jacobi_rules(mu: float):
-    """The n- and 2n-point Gauss rules for the density mu u^(mu-1) on
-    [0, 1] (n = JACOBI_NODES; Golub and Welsch 1969), as (nodes, n-point
-    weights, their sum, 2n-point weights, their sum), where nodes holds the
-    n-point rule's nodes, then the 2n-point rule's.  The nodes are the
-    eigenvalues of the Jacobi matrix of the shifted Jacobi polynomials
-    P^(0, mu-1)(2u-1), the weights the squared first components of their
-    eigenvectors, whose sum is 1 up to rounding.  One 2n x 2n matrix serves
-    both rules: its entries are elementwise in their index, so its leading
-    n x n block is, bit for bit, the n-point rule's matrix.  A rule sum
-    divided by the weights' sum, added in the same order, is exact for a
-    constant.  eigh reads the lower triangle alone."""
-    n = 2 * JACOBI_NODES
-    beta = mu - 1.0
-    k = np.arange(1.0, n)
-    s = 2.0 * k + beta
-    diag = np.empty(n)
-    diag[0] = beta / (beta + 2.0)
-    diag[1:] = beta * beta / (s * (s + 2.0))
-    jacobi = np.diag(0.5 + 0.5 * diag)
-    jacobi[np.arange(1, n), np.arange(n - 1)] = k * (k + beta) / (s * np.sqrt(s * s - 1.0))
-    (coarse_u, coarse_v), (fine_u, fine_v) = (
-        np.linalg.eigh(jacobi[:JACOBI_NODES, :JACOBI_NODES]), np.linalg.eigh(jacobi))
-    coarse_w, fine_w = coarse_v[0] ** 2, fine_v[0] ** 2
-    return (np.concatenate((coarse_u, fine_u)), coarse_w, np.add.reduce(coarse_w[None, :], axis=1),
-            fine_w, np.add.reduce(fine_w[None, :], axis=1))
+def _cc_rules(mu: float):
+    """The Clenshaw-Curtis product rules for the density mu u^(mu-1) on
+    [0, 1], as (fine weights, their sum, coarse weights, their sum) on the
+    nodes of `_cc_basis`: the integral of that density times the Chebyshev
+    interpolant of phi, so exact for polynomials of degree CC_DEGREE and
+    CC_DEGREE / 2.  After u = (1+x)/2 the weights are
+    mu 2^(-mu) C^T r, C the DCT-I matrix and r the moments of
+    `_cc_moments`; their sum is 1 up to rounding, and a rule sum divided by
+    it, added in the same order, is exact for a constant.  A new mu costs
+    about 50 scalar steps and two matrix-vector products."""
+    _, fine, coarse = _cc_basis()
+    r = np.array(_cc_moments(mu))
+    scale = mu * 2.0**-mu
+    fine_w = scale * (r @ fine)
+    coarse_w = scale * (r[: coarse.shape[0]] @ coarse)
+    return (fine_w, np.add.reduce(fine_w[None, :], axis=1),
+            coarse_w, np.add.reduce(coarse_w[None, :], axis=1))
 
 
-def gauss_jacobi_many(phi, count: int, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+def clenshaw_curtis_many(phi, count: int, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """mu int_0^1 u^(mu-1) phi(u, k) du for k = 0, ..., count - 1: the mean
     of phi(., k) under the density mu u^(mu-1).
 
     phi(u, k) takes a 1-d array of points u and, for each point, the index
     k of its integral, which never decreases, and returns values
-    elementwise.  One call of phi evaluates the n- and the 2n-point rule
-    (n = JACOBI_NODES) on every integral, at the 3n nodes of
-    `_jacobi_rules`; the 2n-point value is the result.  An integral whose
-    2n-point value is not finite, or whose two values differ by more than
+    elementwise.  One call of phi evaluates, on every integral, the
+    CC_DEGREE + 1 fixed nodes of `_cc_basis`, u = 0 and u = 1 among them;
+    the fine rule of `_cc_rules` sums all of them, the coarse rule every
+    other one, and the fine value is the result.  An integral whose fine
+    value is not finite, or whose two values differ by more than
     max(abs_tol, rel_tol |value|), is integrated again by
     `adaptive_gauss_many` as int_0^1 phi(s^(1/mu), k) ds (s = u^mu), which
     raises ConvergenceError, with the failing k as index, where that fails
@@ -295,13 +330,14 @@ def gauss_jacobi_many(phi, count: int, mu: float, cfg: QuadConfig = DEFAULT_QUAD
     """
     if not 0.0 < mu < math.inf:
         raise DomainError("finite mu > 0 required")
-    nodes, coarse_w, coarse_sum, fine_w, fine_sum = _jacobi_rules(mu)
+    nodes = _cc_basis()[0]
+    fine_w, fine_sum, coarse_w, coarse_sum = _cc_rules(mu)
     vals = np.asarray(phi(nodes[None, :].repeat(count, axis=0).ravel(),
                           np.arange(count).repeat(nodes.size)), dtype=float)
     vals = vals.reshape(count, nodes.size)
     with np.errstate(invalid="ignore"):  # inf - inf is nan, and refined below
-        coarse = np.add.reduce(vals[:, :JACOBI_NODES] * coarse_w, axis=1) / coarse_sum
-        fine = np.add.reduce(vals[:, JACOBI_NODES:] * fine_w, axis=1) / fine_sum
+        coarse = np.add.reduce(vals[:, 0::2] * coarse_w, axis=1) / coarse_sum
+        fine = np.add.reduce(vals * fine_w, axis=1) / fine_sum
         err = np.abs(coarse - fine)
     redo = np.flatnonzero(~(err <= np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(fine))))
     if redo.size:
@@ -329,17 +365,20 @@ def rl_lines(anchors, ends, mu: float):
 
 def rl_many(f, anchors, ends, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> list[float]:
     """Fractional integrals (1/Gamma(mu)) int |t-c|^(mu-1) f(t) dt between
-    each anchor c = anchors[k] and ends[k], as one `gauss_jacobi_many` batch.
+    each anchor c = anchors[k] and ends[k], as one `clenshaw_curtis_many` batch.
 
     The kernel is singular at the anchor: ends[k] < c gives the left-sided
     integral anchored at its upper limit, ends[k] > c the right-sided one
-    anchored at its lower limit, and ends[k] == c gives 0.  A
-    ConvergenceError names the failing integral's anchor, end and mu.
+    anchored at its lower limit, and ends[k] == c gives 0.  The rule's
+    nodes include u = 0 and u = 1, so f is evaluated at each anchor and
+    each end themselves.  A mu not seen before adds the rule weights'
+    fixed cost, about 25 us raw on a 2-vCPU VM.  A ConvergenceError names
+    the failing integral's anchor, end and mu.
     """
     fn = getattr(f, "f", f)
     c, d, scales = rl_lines(anchors, ends, mu)
     try:
-        vals = gauss_jacobi_many(lambda u, k: fn(c[k] + d[k] * u), c.size, mu, cfg)
+        vals = clenshaw_curtis_many(lambda u, k: fn(c[k] + d[k] * u), c.size, mu, cfg)
     except ConvergenceError as exc:
         k = exc.index
         raise ConvergenceError(f"fractional integral anchored at {float(c[k])} with end "

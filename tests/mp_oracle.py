@@ -145,3 +145,13 @@ def rl_quad(family: str, params: dict, anchor: float, end: float, mu: float):
         d = mp.mpf(end) - c
         f = family_f(family, params)
         return abs(d) ** mu / mp.gamma(mu + 1) * mp.quad(lambda w: f(c + d * w ** (1 / mu)), [0, 1])
+
+
+def cheb_moment(mu: float, k: int):
+    """int_-1^1 (1+x)^(mu-1) T_k(x) dx = 2^mu 3F2(-k, k, 1; 1/2, mu+1; 1) / mu,
+    a terminating series (T_k(x) = 2F1(-k, k; 1/2; (1-x)/2), integrated term
+    by term against the Beta integral)."""
+    with mp.workdps(DPS):
+        mu = mp.mpf(mu)
+        # zeroprec: the odd moments vanish at mu = 1.
+        return 2**mu * mp.hyp3f2(-k, k, 1, mp.mpf(1) / 2, mu + 1, 1, zeroprec=400) / mu

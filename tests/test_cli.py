@@ -484,11 +484,20 @@ class TestSweepCommand:
          ("seed = 1", "unknown config keys: ['seed']"),
          ("x_fracs = 0.5,1.5", "x_fracs = 1.5"), ("mu = 0", "mu = 0.0"),
          # lam = 0 once ended in a ZeroDivisionError traceback, exit 1.
-         ("function.e = exp_decay M=0.5 lam=0 lo=1 hi=2", "error: lam > 0 required\n")],
+         ("function.e = exp_decay M=0.5 lam=0 lo=1 hi=2", "error: lam > 0 required\n"),
+         ("abs_tol = inf", "error: abs_tol = inf: abs_tol in (0, 1e-08] required\n"),
+         ("mu = ,", "error: mu must be non-empty\n"),
+         ("function.p = affine slope=0.8 intercept=0.1 lo=1 hi=2 declared_M=0.5",
+          "error: declared M=0.5 is below sup|f'| = 0.8 on [1.0, 2.0]\n"),
+         ("function.p = power_decay M=0.5 r=-0.5 lo=1 hi=2",
+          "error: power_decay family needs r >= 0 (|f'| non-increasing), got r=-0.5\n"),
+         ("function.n = affine slope=0.8 intercept=nan lo=1 hi=2",
+          "error: intercept must be finite, got nan\n")],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, line, named):
         # A value the sweep cannot use is a usage error, not a violation (1)
-        # and not a sweep that quietly drops it (0).
+        # and not a sweep that quietly drops it (0).  Each line is also a
+        # one-line file of the workflow's "Malformed sweep configs" step.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert main(["sweep", "--config", str(cfg)]) == 2

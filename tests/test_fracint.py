@@ -8,7 +8,7 @@ import pytest
 from ostrowski_frac import fracint
 from ostrowski_frac.corpus import exp_decay_spec
 from ostrowski_frac.fracint import (
-    JACOBI_NODES,
+    CC_DEGREE,
     MAX_TOL,
     ConvergenceError,
     DomainError,
@@ -16,8 +16,8 @@ from ostrowski_frac.fracint import (
     QuadConfig,
     adaptive_gauss,
     adaptive_gauss_many,
+    clenshaw_curtis_many,
     gamma,
-    gauss_jacobi_many,
     mexp_integral,
     rl_lower,
     rl_many,
@@ -478,7 +478,7 @@ class TestSmallLevels:
 
 
 def forbid_fallback(monkeypatch):
-    """Make `gauss_jacobi_many`'s fallback to the refiner fail the test."""
+    """Make `clenshaw_curtis_many`'s fallback to the refiner fail the test."""
 
     def refine(g, los, his, cfg):
         raise AssertionError("fallback taken")
@@ -501,62 +501,61 @@ class TestClosedFormOracle:
                 assert abs(closed - quad) <= 1e-30 * abs(closed), (anchor, end)
 
 
-def golub_welsch(n, mu):
-    """Frozen oracle: (nodes, weights, their sum) of the n-point Gauss rule
-    for the density mu u^(mu-1) on [0, 1] from its own n x n Jacobi
-    matrix, as each rule of the pair was built before both came from one
-    2n x 2n matrix."""
-    beta = mu - 1.0
-    k = np.arange(1.0, n)
-    s = 2.0 * k + beta
-    diag = np.empty(n)
-    diag[0] = beta / (beta + 2.0)
-    diag[1:] = beta * beta / (s * (s + 2.0))
-    jacobi = np.diag(0.5 + 0.5 * diag)
-    jacobi[np.arange(1, n), np.arange(n - 1)] = k * (k + beta) / (s * np.sqrt(s * s - 1.0))
-    nodes, vectors = np.linalg.eigh(jacobi)
-    weights = vectors[0] ** 2
-    return nodes, weights, np.add.reduce(weights[None, :], axis=1)
-
-
-def jacobi_rule(n, mu):
-    """(nodes, weights, their sum) of the n- or 2n-point rule of the pair
-    `gauss_jacobi_many` takes for mu."""
-    nodes, coarse_w, coarse_sum, fine_w, fine_sum = fracint._jacobi_rules(mu)
-    if n == JACOBI_NODES:
-        return nodes[:n], coarse_w, coarse_sum
-    assert n == 2 * JACOBI_NODES
-    return nodes[JACOBI_NODES:], fine_w, fine_sum
+def cc_rule(n, mu):
+    """(nodes, weights, their sum) of the rule of degree n = CC_DEGREE (the
+    fine rule) or CC_DEGREE / 2 (the coarse rule) that `clenshaw_curtis_many`
+    takes for mu."""
+    nodes = fracint._cc_basis()[0]
+    fine_w, fine_sum, coarse_w, coarse_sum = fracint._cc_rules(mu)
+    if n == CC_DEGREE // 2:
+        return nodes[0::2], coarse_w, coarse_sum
+    assert n == CC_DEGREE
+    return nodes, fine_w, fine_sum
 
 
 class TestJacobiRules:
-    """Both rules of the pair come from one 2n x 2n Jacobi matrix, built
-    once per mu."""
+    """The Clenshaw-Curtis product rules for the Jacobi weight mu u^(mu-1):
+    fixed nodes, and weights from the Chebyshev moments of that weight."""
 
     MUS = (
         sorted(set(np.random.default_rng(22).uniform(0.1, 3.0, size=200).tolist()))
         + list(DEFAULT_MUS) + [0.1, 0.25, 0.5, 1.0, 1.5, 2.5]  # the dense sweep's
     )
 
-    def test_pair_equals_per_size_oracle_bit_for_bit(self):
+    def test_moments_match_oracle(self):
+        # The forward recurrence against the terminating 3F2 at 40 digits,
+        # on the scale of r_0 = 2^mu / mu that the weights C^T r carry: the
+        # odd moments vanish at mu = 1, and others pass near 0.
         for mu in self.MUS:
-            for n in (JACOBI_NODES, 2 * JACOBI_NODES):
-                for got, want in zip(jacobi_rule(n, mu), golub_welsch(n, mu)):
-                    assert got.tobytes() == want.tobytes(), (n, mu)
+            r = fracint._cc_moments(mu)
+            assert len(r) == CC_DEGREE + 1
+            for k, got in enumerate(r):
+                want = mp_oracle.cheb_moment(mu, k)
+                assert abs(got - float(want)) <= 2e-15 * r[0], (mu, k, got, want)
 
-    def test_eigh_twice_per_new_mu(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw))
-        fracint._jacobi_rules.cache_clear()
+    def test_coarse_nodes_are_even_fine_nodes(self):
+        nodes = fracint._cc_basis()[0]
+        n = CC_DEGREE // 2
+        coarse = 0.5 + 0.5 * np.cos(np.arange(n + 1) * (math.pi / n))
+        assert nodes.size == CC_DEGREE + 1
+        assert nodes[0::2].tobytes() == coarse.tobytes()
+        assert nodes[0] == 1.0 and nodes[-1] == 0.0 and np.all(np.diff(nodes) < 0)
+
+    def test_no_linalg_call(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("numpy.linalg called")
+
+        for name in dir(np.linalg):
+            if callable(getattr(np.linalg, name)) and not name[0].isupper():
+                monkeypatch.setattr(np.linalg, name, refuse)
+        fracint._cc_rules.cache_clear()
+        fracint._cc_basis.cache_clear()
         for mu in (0.37, 0.37, 1.9, 0.37, 1.9):
-            gauss_jacobi_many(lambda u, k: np.exp(u), 3, mu)
-        n = JACOBI_NODES
-        assert calls == [(n, n), (2 * n, 2 * n)] * 2
+            clenshaw_curtis_many(lambda u, k: np.exp(u), 3, mu)
+        assert fracint._cc_rules.cache_info().misses == 2
 
     def test_cache_holds_128_mu(self):
-        assert fracint._jacobi_rules.cache_info().maxsize == 128
+        assert fracint._cc_rules.cache_info().maxsize == 128
 
 
 class TestGaussJacobi:
@@ -564,14 +563,14 @@ class TestGaussJacobi:
     to the refiner."""
 
     @pytest.mark.parametrize("beta", [-0.9, -0.5, 0.0, 1.5])
-    @pytest.mark.parametrize("n", [JACOBI_NODES, 2 * JACOBI_NODES])
+    @pytest.mark.parametrize("n", [CC_DEGREE // 2, CC_DEGREE])
     def test_nodes_integrate_monomials(self, n, beta):
-        # An n-point Gauss rule is exact through degree 2n - 1: with the
+        # A product rule on n + 1 nodes is exact through degree n: with the
         # weight u^beta, sum w_i u_i^k = 1/(beta + k + 1).
         mu = beta + 1.0
-        nodes, weights, total = jacobi_rule(n, mu)
-        assert nodes.size == n and np.all((0.0 < nodes) & (nodes < 1.0))
-        for k in range(2 * n):
+        nodes, weights, total = cc_rule(n, mu)
+        assert nodes.size == n + 1 and np.all((0.0 <= nodes) & (nodes <= 1.0))
+        for k in range(n + 1):
             got = float(np.add.reduce(weights * nodes**k) / total[0]) / mu
             assert got == pytest.approx(1.0 / (beta + k + 1.0), rel=5e-14), k
 
@@ -585,26 +584,26 @@ class TestGaussJacobi:
                             lambda g, los, his, cfg: fallbacks.append(len(los)) or refine(g, los, his, cfg))
         for mu in (0.1, 0.7, 2.5):
             fallbacks.clear()
-            batch = gauss_jacobi_many(batch_of(gs), len(gs), mu)
+            batch = clenshaw_curtis_many(batch_of(gs), len(gs), mu)
             assert fallbacks == [2]
-            alone = [gauss_jacobi_many(lambda u, k, g=g: g(u), 1, mu)[0] for g in gs]
+            alone = [clenshaw_curtis_many(lambda u, k, g=g: g(u), 1, mu)[0] for g in gs]
             assert fallbacks == [2, 1, 1]
             assert batch.tolist() == alone
             assert batch[1] == pytest.approx(mu / (mu + 3.0), rel=1e-14)
 
     @pytest.mark.parametrize("mu", [0.3, 1.0, 2.5])
     def test_result_is_the_finer_rule(self, monkeypatch, mu):
-        # e^(16 u): the 12-point rule is off by 1.5e-12 to 1.4e-11 relative,
-        # inside tolerance, the 24-point one by rounding.  The mean is
-        # 1F1(mu; mu+1; 16).
+        # e^(28 u): the coarse rule is off by 4.2e-12 to 1.4e-10 relative,
+        # inside tolerance, the fine one by rounding.  The mean is
+        # 1F1(mu; mu+1; 28).
         forbid_fallback(monkeypatch)
-        (got,) = gauss_jacobi_many(lambda u, k: np.exp(16.0 * u), 1, mu)
-        assert mp_oracle.rel_err(got, mp_oracle.mp.hyp1f1(mu, mu + 1, 16)) <= 1e-14
+        (got,) = clenshaw_curtis_many(lambda u, k: np.exp(28.0 * u), 1, mu)
+        assert mp_oracle.rel_err(got, mp_oracle.mp.hyp1f1(mu, mu + 1, 28)) <= 1e-14
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_integrand_raises(self, bad):
         with pytest.raises(ConvergenceError, match=r"^integrand not finite on "):
-            gauss_jacobi_many(lambda u, k: np.where(u > 0.5, bad, u), 1, 0.5)
+            clenshaw_curtis_many(lambda u, k: np.where(u > 0.5, bad, u), 1, 0.5)
 
     def test_failure_index_is_the_batch_index(self):
         # Integral 0 resolves; 1, 2 and 3 fall back, where 1 converges and 2
@@ -612,13 +611,13 @@ class TestGaussJacobi:
         bad = lambda u: np.where(u > 0.5, np.nan, u)  # noqa: E731
         gs = [np.exp, lambda u: np.abs(u - 0.3), bad, bad]
         with pytest.raises(ConvergenceError, match=r"^integrand not finite on ") as got:
-            gauss_jacobi_many(batch_of(gs), len(gs), 0.5)
+            clenshaw_curtis_many(batch_of(gs), len(gs), 0.5)
         assert got.value.index == 2
 
     @pytest.mark.parametrize("mu", [0.5, 1.0])
     def test_unresolved_side_falls_back(self, monkeypatch, mu):
         # exp_decay with lam = 50 over [1, 10]: the side anchored at 1 is
-        # e^(-450 u) in u, past what 24 points resolve, so the refiner
+        # e^(-450 u) in u, past what 49 nodes resolve, so the refiner
         # integrates it, to the closed form's rounding.
         spec = exp_decay_spec("steep", M=0.5, lam=50.0, lo=1.0, hi=10.0)
         calls = []
@@ -630,6 +629,21 @@ class TestGaussJacobi:
         want = mp_oracle.rl("exp_decay", {"M": 0.5, "lam": 50.0, "lo": 1.0, "offset": 1.0},
                             1.0, 10.0, mu)
         assert abs(got - float(want)) <= RL_ORACLE_BOUND
+
+    @pytest.mark.parametrize("lam,hi", [(5.0, 10.0), (50.0, 2.0)])
+    @pytest.mark.parametrize("mu", [0.25, 1.0, 2.5])
+    def test_steep_members_resolve_without_fallback(self, monkeypatch, lam, hi, mu):
+        # Moderately steep user members: e^(-45 u) and e^(-50 u) at worst in
+        # u, which the fine rule resolves alone, to the closed form's rounding.
+        forbid_fallback(monkeypatch)
+        spec = exp_decay_spec("steep", M=0.5, lam=lam, lo=1.0, hi=hi)
+        xs = [1.0 + frac * (hi - 1.0) for frac in (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)]
+        anchors, ends = [1.0] * 6 + [hi] * 6, xs + [1.0 + hi - x for x in xs]
+        got = rl_many(spec, anchors, ends, mu)
+        params = {"M": 0.5, "lam": lam, "lo": 1.0, "offset": 1.0}
+        for value, c, e in zip(got, anchors, ends):
+            want = mp_oracle.rl("exp_decay", params, c, e, mu)
+            assert abs(value - float(want)) <= RL_ORACLE_BOUND, (c, e, value, want)
 
     def test_resolved_sides_make_no_fallback(self, corpus, monkeypatch):
         forbid_fallback(monkeypatch)

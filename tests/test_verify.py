@@ -14,7 +14,7 @@ from ostrowski_frac.fracint import (
     DomainError,
     FracParams,
     QuadConfig,
-    gauss_jacobi_many,
+    clenshaw_curtis_many,
 )
 from ostrowski_frac.report import _grid_for, parse_config
 from ostrowski_frac.verify import (
@@ -112,9 +112,10 @@ class TestIdentityResidual:
                 mu = rng.uniform(0.2, 3.0)
                 assert lemma_identity_residual(spec, FracParams(a, b, x, mu)) <= 1e-8
 
-    def test_residual_at_rounding(self, corpus):
+    def test_residual_at_rounding(self, corpus, monkeypatch):
         # Acceptance criterion 1's draws: the rule puts every residual near
-        # rounding, far inside the criterion's 1e-8.
+        # rounding, far inside the criterion's 1e-8, with no fallback.
+        forbid_fallback(monkeypatch)
         rng = np.random.default_rng(0)
         worst = 0.0
         for spec in corpus.values():
@@ -141,7 +142,7 @@ class TestIdentityResidual:
         lhs = ostrowski_signed(f, frac)
         c = np.array([a, b])
         d = np.array([x - a, x - b])
-        i_a, i_b = (gauss_jacobi_many(
+        i_a, i_b = (clenshaw_curtis_many(
             lambda t, k: t * f.fprime(c[k] + d[k] * t), 2, mu) / mu).tolist()
         rhs = ((x - a) ** (mu + 1.0) * i_a - (b - x) ** (mu + 1.0) * i_b) / (b - a)
         return abs(lhs - rhs)
@@ -160,9 +161,9 @@ class TestIdentityResidual:
                 assert got.hex() == self._two_batches(spec, frac).hex(), (spec.id, frac)
 
     def test_points_per_call(self, corpus, monkeypatch):
-        # Each of the four integrals takes the 12 + 24 nodes of the rule
-        # pair; f is evaluated on the sides' points and at x, f' on the
-        # moments' points alone.
+        # Each of the four integrals takes the 49 nodes of the fine rule, the
+        # coarse rule's among them; f is evaluated on the sides' points and
+        # at x, f' on the moments' points alone.
         forbid_fallback(monkeypatch)
         sizes = {"f": [], "fprime": []}
 
@@ -176,16 +177,16 @@ class TestIdentityResidual:
             spy = dataclasses.replace(
                 spec, f=counted("f", spec.f), fprime=counted("fprime", spec.fprime))
             lemma_identity_residual(spy, FracParams(a, b, 0.3 * a + 0.7 * b, 1.7))
-            assert sum(sizes["f"]) == 2 * 36 + 1, spec.id
-            assert sum(sizes["fprime"]) == 2 * 36, spec.id
+            assert sum(sizes["f"]) == 2 * 49 + 1, spec.id
+            assert sum(sizes["fprime"]) == 2 * 49, spec.id
 
     # Fallbacks of one residual's batch, and the kinds of integral in each
     # call the refiner makes: only moments, only sides, or both.
     FALLBACKS = {
-        "moments": ("exp_decay", dict(M=0.5, lam=50.0), 1.5, 0.5, {"moments"}),
+        "moments": ("exp_decay", dict(M=0.5, lam=50.0), 3.0, 0.5, {"moments"}),
         "sides-and-both": ("power_decay", dict(M=0.5, r=8.0), 9.0, 2.5, {"sides", "both"}),
         "both": ("exp_decay", dict(M=0.5, lam=50.0), 5.0, 1.0, {"both"}),
-        "lam20": ("exp_decay", dict(M=0.5, lam=20.0), 5.0, 2.5, {"sides", "both"}),
+        "lam20": ("exp_decay", dict(M=0.5, lam=20.0), 7.0, 2.5, {"sides", "both"}),
     }
 
     @pytest.mark.parametrize("case", sorted(FALLBACKS))
@@ -225,7 +226,7 @@ class TestIdentityResidual:
     @pytest.mark.parametrize("x,mu,name,index", [
         (7.75, 2.5, "side at a", 0), (1.5, 0.5, "moment at b", 3)])
     def test_failing_integral_named(self, x, mu, name, index):
-        spec = power_decay_spec("wide", M=0.5, r=20.0, lo=1.0, hi=10.0)
+        spec = power_decay_spec("wide", M=0.5, r=12.0, lo=1.0, hi=10.0)
         cfg = QuadConfig(max_subdivisions=1)
         with pytest.raises(ConvergenceError) as got:
             lemma_identity_residual(spec, FracParams(1.0, 10.0, x, mu), cfg)
