@@ -120,9 +120,9 @@ def _cmd_sweep(args) -> int:
 
         cfg = dataclasses.replace(cfg, output=args.output)
     report = run_sweep(cfg)
-    # One group at a time, so neither the whole text nor its encoded copy is
-    # ever held; the file is opened only now, so a sweep that raises leaves
-    # it untouched.
+    # One (group, x) row at a time, so neither the whole text nor its
+    # encoded copy is ever held; the file is opened only now, so a sweep
+    # that raises leaves it untouched.
     chunks = report_chunks(report, cfg.out_format)
     if cfg.output:
         with Path(cfg.output).open("w") as out:

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from . import __version__
 from .bounds import BoundParams, geometry_factor
 from .corpus import FunctionSpec, corpus_by_id, spec_from_family
@@ -221,13 +223,18 @@ def _grid_for(theorem: str, cfg: SweepConfig):
 def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float, list]]:
     """The points of a theorem's grid whose hypotheses hold on f, in grid
     order, as (mu, [(bp, point factor), ...]) per run of points that share
-    mu, the grid's slowest axis.  Each distinct point gets one `BoundParams`,
-    one `_check_hypotheses` and one point factor; none of them reads x, so a
-    run's `BoundParams` share one `FracParams` at x = a.  `SweepConfig` has
-    validated every value, and f its M, so only a point factor can raise."""
+    mu, the grid's slowest axis.  Each distinct point gets one `BoundParams`
+    and one point factor; none of them reads x, so a run's `BoundParams`
+    share one `FracParams` at x = a.  `_check_hypotheses` runs once per
+    distinct (alpha, m, q, u): it reads mu only through the box, which
+    `Theorem.admitted` has applied, so mu joins the key only for a theorem
+    whose box names it.  `SweepConfig` has validated every value, and f its
+    M, so only a point factor can raise."""
     a, b = f.domain
-    factor = THEOREMS[theorem].factor
+    record = THEOREMS[theorem]
+    by_mu = any(name == "mu" for name, _, _ in record.box)
     seen: dict[tuple, Optional[tuple[BoundParams, float]]] = {}
+    admits: dict[tuple, bool] = {}
     runs = []
     for mu, grid in itertools.groupby(_grid_for(theorem, cfg), key=lambda p: p[0]):
         frac = FracParams(a, b, a, mu)
@@ -235,13 +242,17 @@ def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float
         for point in grid:
             if point not in seen:
                 seen[point] = None
-                _, alpha, m, q, u = point
-                bp = BoundParams(frac, f.M, alpha, m, q, u)
-                try:
-                    _check_hypotheses(theorem, f, bp)
-                except HypothesisError:
-                    continue
-                seen[point] = (bp, factor(bp))
+                key = point if by_mu else point[1:]
+                if admits.get(key, True):
+                    bp = BoundParams(frac, f.M, *point[1:])
+                    if key not in admits:
+                        try:
+                            _check_hypotheses(theorem, f, bp)
+                            admits[key] = True
+                        except HypothesisError:
+                            admits[key] = False
+                            continue
+                    seen[point] = (bp, record.factor(bp))
             if seen[point] is not None:
                 points.append(seen[point])
         if points:
@@ -249,24 +260,28 @@ def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float
     return runs
 
 
-class Cell(NamedTuple):
-    """One (x, mu) of a group: its LHS and its verdicts, each an
-    (index of its point in the group, rhs, margin, holds) tuple."""
-    x: float
+class Run(NamedTuple):
+    """The verdicts of a group's points that share mu, as columns: row i is
+    the group's i-th x, column j the run's j-th point.  The arrays are
+    float64 (lhs, rhs, margin) and bool (holds)."""
     mu: float
-    lhs: float
-    verdicts: list[tuple[int, float, float, bool]]
+    points: list[BoundParams]  # at x = a; each recurs at every x
+    lhs: np.ndarray  # |signed LHS| per x
+    rhs: np.ndarray  # per (x, point)
+    margin: np.ndarray
+    holds: np.ndarray
 
 
 class Group(NamedTuple):
-    """The verdicts of one theorem on one function: its points (at x = a;
-    each recurs at every x) and its cells by (x, mu) in sweep order."""
+    """The verdicts of one theorem on one function: its x values and its
+    runs in sweep order.  Its verdicts are listed x by x, and at each x
+    run by run, point by point."""
     theorem: str
     function: str
     a: float
     b: float
-    points: list[BoundParams]
-    cells: list[Cell]
+    xs: list[float]
+    runs: list[Run]
 
 
 class Verdicts(NamedTuple):
@@ -275,15 +290,36 @@ class Verdicts(NamedTuple):
     groups: list[Group]
 
 
+def _summary(groups: list[Group]) -> dict[str, dict]:
+    """Per theorem, in order of its first group: how many verdicts hold and
+    fail, and the least margin, which is nan if any margin is nan."""
+    runs: dict[str, list[Run]] = {}
+    for g in groups:
+        runs.setdefault(g.theorem, []).extend(g.runs)
+    summary = {}
+    for theorem, rs in runs.items():
+        held = sum(int(r.holds.sum()) for r in rs)
+        summary[theorem] = {
+            "pass": held,
+            "fail": sum(r.holds.size for r in rs) - held,
+            "worst_margin": float(np.min([r.margin.min() for r in rs])),
+        }
+    return summary
+
+
 def run_sweep(cfg: SweepConfig) -> dict:
     """Execute the sweep; returns the report as a plain dict whose
     `verdicts` are grouped (`Verdicts`; `verdict_rows` lists them flat).
 
     Per function, in four steps: list every theorem's points (`_points`);
     build one `FracParams` per (x, mu) in use; compute their LHS values,
-    one quadrature batch per mu; judge the verdicts in sweep order.
-    Each RHS is `Theorem.rhs`: the point factor, computed once per point,
-    times the geometry factor of its (x, mu), computed once per (x, mu).
+    one quadrature batch per mu; judge each run of a theorem's points that
+    share mu as one array.  Each RHS is `Theorem.rhs`: the point factor,
+    computed once per point, times the geometry factor of its (x, mu),
+    computed once per (x, mu); a run's RHS is the outer product of its
+    geometry factors by its point factors.  IEEE products and differences
+    round the same in numpy as in Python, so each rhs, margin and holds is
+    what `_judge` gives for the scalars.
 
     Errors come in this order.  `SweepConfig` has rejected every bad
     configured value before the sweep starts.  Then, per function in corpus
@@ -294,46 +330,31 @@ def run_sweep(cfg: SweepConfig) -> dict:
     failing integral).
     """
     groups: list[Group] = []
-    summary: dict[str, dict] = {}
     for f in resolve_corpus(cfg):
         a, b = f.domain
         xs = [a + frac_x * (b - a) for frac_x in cfg.x_fracs]
         listed = [(theorem, _points(theorem, f, cfg)) for theorem in cfg.theorems]
-        mus = dict.fromkeys(mu for _, runs in listed for mu, _ in runs)
-        batches = {mu: [FracParams(a, b, x, mu) for x in dict.fromkeys(xs)] for mu in mus}
-        at: dict[tuple[float, float], tuple[float, float]] = {}  # (x, mu) -> (lhs, g)
-        for mu, fracs in batches.items():
-            for frac, signed in zip(fracs, ostrowski_signed_many(f, fracs, cfg.quad)):
-                at[frac.x, mu] = abs(signed), geometry_factor(frac)
+        at = {}  # mu -> (lhs, g), each an array over xs
+        for mu in dict.fromkeys(mu for _, runs in listed for mu, _ in runs):
+            fracs = [FracParams(a, b, x, mu) for x in dict.fromkeys(xs)]
+            by_x = {frac.x: (abs(signed), geometry_factor(frac))
+                    for frac, signed in zip(fracs, ostrowski_signed_many(f, fracs, cfg.quad))}
+            at[mu] = np.array([by_x[x] for x in xs]).T
         for theorem, runs in listed:
             if not runs:
                 continue
-            s = summary.setdefault(theorem, {"pass": 0, "fail": 0, "worst_margin": None})
-            worst, held, cells = s["worst_margin"], 0, []
-            points = [bp for _, run in runs for bp, _ in run]
-            # Where each run's points start in `points`.
-            starts = list(itertools.accumulate((len(run) for _, run in runs), initial=0))
-            for x in xs:
-                for (mu, run), start in zip(runs, starts):
-                    lhs, g = at[x, mu]
-                    verdicts = []
-                    for i, (_, factor) in enumerate(run, start):
-                        rhs = factor * g
-                        margin, holds, _ = _judge(lhs, rhs, cfg.quad)
-                        held += holds
-                        if worst is None or margin < worst:
-                            worst = margin
-                        verdicts.append((i, rhs, margin, holds))
-                    cells.append(Cell(x, mu, lhs, verdicts))
-            s["pass"] += held
-            s["fail"] += len(xs) * len(points) - held
-            s["worst_margin"] = worst
-            groups.append(Group(theorem, f.id, a, b, points, cells))
+            columns = []
+            for mu, points in runs:
+                lhs, g = at[mu]
+                rhs = np.multiply.outer(g, [factor for _, factor in points])
+                margin, holds, _ = _judge(lhs[:, None], rhs, cfg.quad)
+                columns.append(Run(mu, [bp for bp, _ in points], lhs, rhs, margin, holds))
+            groups.append(Group(theorem, f.id, a, b, xs, columns))
 
     return {
         "config_fingerprint": cfg.fingerprint(),
         "version": __version__,
-        "summary": summary,
+        "summary": _summary(groups),
         # The verdict rule's tolerance does not depend on the instance.
         "verdicts": Verdicts(_judge(0.0, 0.0, cfg.quad)[2], groups),
     }
@@ -344,21 +365,25 @@ _ROW_KEYS = ("theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function
              "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v")
 
 
-def _group_rows(tol_margin, g: Group):
-    """One group's verdicts as flat records (`_ROW_KEYS`), in sweep order."""
-    for c in g.cells:
-        for i, rhs, margin, holds in c.verdicts:
-            bp = g.points[i]
-            yield dict(zip(_ROW_KEYS, (
-                g.theorem, c.lhs, rhs, margin, holds, tol_margin, g.function, g.a, g.b,
-                c.x, c.mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
+def _rows_by_x(tol_margin, g: Group):
+    """One group's verdicts as flat records (`_ROW_KEYS`) of Python values,
+    one list per x, in sweep order."""
+    runs = [(run.mu, run.points, run.lhs.tolist(), run.rhs.tolist(), run.margin.tolist(),
+             run.holds.tolist()) for run in g.runs]
+    for i, x in enumerate(g.xs):
+        yield [dict(zip(_ROW_KEYS, (
+                   g.theorem, lhs[i], rhs, margin, holds, tol_margin, g.function, g.a, g.b,
+                   x, mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
+               for mu, points, lhs, rhss, margins, holdss in runs
+               for bp, rhs, margin, holds in zip(points, rhss[i], margins[i], holdss[i])]
 
 
 def verdict_rows(report: dict):
     """The report's verdicts as flat records (`_ROW_KEYS`), in sweep order."""
     tol_margin, groups = report["verdicts"]
     for g in groups:
-        yield from _group_rows(tol_margin, g)
+        for rows in _rows_by_x(tol_margin, g):
+            yield from rows
 
 
 _CSV_FIELDS = ("theorem", "function", "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v",
@@ -384,67 +409,73 @@ def _value_json(v) -> str:
     return json.dumps(v)
 
 
-# A verdict's own values: rhs, margin and holds.
-_NEW = '%s,\n      "margin": %s,\n      "holds": %s'
-
-
 def _json_chunks(report: dict):
     """`report_chunks` for JSON: the head through json, then the verdicts,
-    its last key, one string per group with a verdict, then the close.
-    Each value is formatted once, where it is stored: tol_margin per
-    report; theorem, function, a, b and each point's alpha to v per group;
-    lhs, x and mu per cell; rhs, margin and holds per verdict."""
+    its last key, one string per (group, x) with a verdict, then the close.
+    Each shared value is formatted once, where it is stored: tol_margin per
+    report; theorem, function, a and b per group; mu and each point's alpha
+    to v per run; x per (group, x); lhs per (run, x).  Each verdict is then
+    one f-string of its rhs, margin and holds, read from `.tolist()`: by
+    repr if the run's rhs and margin are all finite (a finite float's
+    repr is json's), else each through `_value_json`."""
     top = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
     yield top[:-2] + ',\n  "verdicts": '
     verdicts = report["verdicts"]
     tol_margin = _value_json(verdicts.tol_margin)
     opened = False
     for g in verdicts.groups:
-        out = []
-        theorem = _value_json(g.theorem)
+        head = f',\n    {{\n      "theorem": {_value_json(g.theorem)},\n      "lhs": '
         shared = (f',\n      "tol_margin": {tol_margin},\n      "function": '
                   f'{_value_json(g.function)},\n      "a": {_value_json(g.a)},\n      "b": '
                   f'{_value_json(g.b)},\n      "x": ')
-        points = [
-            f'{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
-            f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
-            f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}'
-            for bp in g.points
-        ]
-        for c in g.cells:
-            head = (f',\n    {{\n      "theorem": {theorem},\n      "lhs": '
-                    f'{_value_json(c.lhs)},\n      "rhs": ')
-            tail = f'{shared}{_value_json(c.x)},\n      "mu": {_value_json(c.mu)},\n      "alpha": '
-            for i, rhs, margin, holds in c.verdicts:
-                # A finite sum of floats has finite terms, and str(float) is repr.
-                if (type(rhs) is type(margin) is float and math.isfinite(rhs + margin)
-                        and type(holds) is bool):
-                    holds = "true" if holds else "false"
+        runs = [(
+            f',\n      "mu": {_value_json(run.mu)},\n      "alpha": ',
+            [f'{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
+             f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
+             f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}'
+             for bp in run.points],
+            run.lhs.tolist(), run.rhs.tolist(), run.margin.tolist(), run.holds.tolist(),
+            bool(np.isfinite(run.rhs).all() and np.isfinite(run.margin).all()),
+        ) for run in g.runs]
+        for i, x in enumerate(g.xs):
+            at_x = shared + _value_json(x)
+            out = []
+            for mu_text, points, lhs, rhs, margin, holds, finite in runs:
+                lead = f'{head}{_value_json(lhs[i])},\n      "rhs": '
+                tail = at_x + mu_text
+                if finite:
+                    out += [f'{lead}{r!r},\n      "margin": {d!r},\n      "holds": '
+                            f'{"true" if h else "false"}{tail}{p}'
+                            for r, d, h, p in zip(rhs[i], margin[i], holds[i], points)]
                 else:
-                    rhs, margin, holds = map(_value_json, (rhs, margin, holds))
-                out += (head, _NEW % (rhs, margin, holds), tail, points[i])
-        if out:
-            if not opened:  # the first verdict opens the list, the others follow a ","
-                out[0] = "[" + out[0][1:]
-                opened = True
-            yield "".join(out)
+                    out += [f'{lead}{_value_json(r)},\n      "margin": {_value_json(d)},\n'
+                            f'      "holds": {_value_json(h)}{tail}{p}'
+                            for r, d, h, p in zip(rhs[i], margin[i], holds[i], points)]
+            if out:
+                if not opened:  # the first verdict opens the list, the others follow a ","
+                    out[0] = "[" + out[0][1:]
+                    opened = True
+                yield "".join(out)
     yield "\n  ]\n}\n" if opened else "[]\n}\n"
 
 
 def _csv_chunks(report: dict):
-    """`report_chunks` for CSV: the header, then one string per group."""
+    """`report_chunks` for CSV: the header, then one string per (group, x)."""
     yield ",".join(_CSV_FIELDS) + "\n"
     tol_margin, groups = report["verdicts"]
     for g in groups:
-        yield "".join(",".join([_fmt(r[k]) for k in _CSV_FIELDS]) + "\n"
-                      for r in _group_rows(tol_margin, g))
+        for rows in _rows_by_x(tol_margin, g):
+            yield "".join(",".join([_fmt(r[k]) for k in _CSV_FIELDS]) + "\n" for r in rows)
 
 
 def report_chunks(report: dict, out_format: str):
     """The report as text, in pieces: `out_format` "json" or "csv", its
-    verdicts as their flat records (`verdict_rows`), at most one group's
-    verdicts per piece, so a caller can write the report without holding
-    it whole.  JSON is `json.dumps(report, indent=2) + "\\n"` byte for byte.
+    verdicts as their flat records (`verdict_rows`), at most one (group, x)
+    row of verdicts per piece, so a caller can write the report without
+    holding it whole.  A row's piece of the default sweep is at most about
+    75 kB, below glibc's 128 KiB mmap threshold, so writing one piece after
+    another reuses the same heap pages instead of faulting in fresh ones.
+    JSON is `json.dumps(report, indent=2) + "\\n"` byte for byte.
     An unknown format, or a JSON report whose last key is not `verdicts`
     or whose only key is, raises ValueError here, before any piece."""
     if out_format == "json":
@@ -463,4 +494,4 @@ def render_report(report: dict, out_format: str) -> str:
 
 
 def all_hold(report: dict) -> bool:
-    return all(v[3] for g in report["verdicts"].groups for c in g.cells for v in c.verdicts)
+    return all(bool(run.holds.all()) for g in report["verdicts"].groups for run in g.runs)

@@ -305,8 +305,12 @@ class TestSweepCommand:
             assert stdout == want
 
     def test_writing_holds_less_than_half_the_report(self, default_sweep, tmp_path, monkeypatch):
-        # The report is streamed one group at a time: writing it must not
-        # hold the whole text, let alone a second, encoded copy of it.
+        # The report is streamed one (group, x) row at a time: writing it
+        # must not hold the whole text, let alone a second, encoded copy of
+        # it.  Each piece stays below glibc's 128 KiB mmap threshold, so its
+        # pages come from the heap the piece before it freed.
+        for fmt in ("json", "csv"):
+            assert max(map(len, report_chunks(default_sweep, fmt))) < 128 * 1024
         monkeypatch.setattr(cli_mod, "run_sweep", lambda cfg: default_sweep)
         out = tmp_path / "report.json"
         tracemalloc.start()
@@ -702,9 +706,12 @@ class TestRenderReport:
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
                   "summary": {}, "verdicts": Verdicts(1e-8, [])}
         assert render_report(report, "json") == self._oracle(report)
-        # Groups and cells without a verdict list none either.
-        group = report_mod.Group("t22", "f", 0.0, 1.0, [], [report_mod.Cell(0.5, 1.0, 0.0, [])])
-        report["verdicts"] = Verdicts(1e-8, [group, group._replace(cells=[])])
+        # Groups, x values and runs without a verdict list none either.
+        empty = np.empty((1, 0))
+        run = report_mod.Run(1.0, [], np.zeros(1), empty, empty, empty.astype(bool))
+        group = report_mod.Group("t22", "f", 0.0, 1.0, [0.5], [run])
+        report["verdicts"] = Verdicts(1e-8, [group, group._replace(runs=[]),
+                                             group._replace(xs=[], runs=[])])
         assert render_report(report, "json") == self._oracle(report)
 
     def test_default_sweep_equals_indented_dump(self, default_sweep):
@@ -732,11 +739,15 @@ class TestRenderReport:
         assert render_report(report, "json") == self._oracle(report)
 
     # Equal values with different text (0.0 and -0.0; 1, 1.0 and True) and
-    # values json spells its own way.
+    # values json spells its own way: what a group, x or mu may hold.
     POOL = [0.0, -0.0, 1, 1.0, True, False, None, float("nan"), float("inf"),
             float("-inf"), 0.1, 1e300, 5e-324, -7, 2**70, "t22",
             'q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫",
             [], {}, [1.5, None, "x"], {"k": [0.5, {"z": True}]}]
+    # The floats a run's lhs, rhs and margin may hold: finite ones, and
+    # with them those json spells its own way.
+    FINITE = [0.0, -0.0, 0.1, 1.0, 1e300, -1e300, 5e-324, -5e-324, 1 - 2**-53]
+    FLOATS = FINITE + [float("nan"), float("inf"), float("-inf")]
     # Values a point accepts, again equal ones with different text.
     POINT_VALUES = {
         "alpha": [1, 1.0, True, 0.1, 5e-324], "m": [1, 1.0, True, 0.5, 5e-324],
@@ -755,21 +766,30 @@ class TestRenderReport:
             v = rng.choice(self.POOL)
             return float(repr(v)) if type(v) is float and rng.random() < 0.5 else v
 
+        def floats(shape, pool):
+            return np.array([rng.choice(pool) for _ in range(int(np.prod(shape)))],
+                            dtype=float).reshape(shape)
+
         frac = FracParams(0.0, 1.0, 0.0, 1.0)
-        groups = []
-        while sum(len(c.verdicts) for g in groups for c in g.cells) < 300:
-            points = [
-                BoundParams(frac, **{k: rng.choice(vs) for k, vs in self.POINT_VALUES.items()})
-                for _ in range(rng.randint(1, 5))
-            ]
-            cells = [
-                report_mod.Cell(value(), value(), value(), [
-                    (rng.randrange(len(points)), value(), value(), value())
-                    for _ in range(rng.randint(0, 8))
-                ])
-                for _ in range(rng.randint(0, 6))
-            ]
-            groups.append(report_mod.Group(value(), value(), value(), value(), points, cells))
+        groups, kinds = [], set()
+        while sum(r.rhs.size for g in groups for r in g.runs) < 300:
+            xs = [value() for _ in range(rng.randint(0, 6))]
+            runs = []
+            for _ in range(rng.randint(0, 4)):
+                points = [
+                    BoundParams(frac, **{k: rng.choice(vs) for k, vs in self.POINT_VALUES.items()})
+                    for _ in range(rng.randint(0, 5))
+                ]
+                shape = (len(xs), len(points))
+                # An all-finite run, or one that may mix finite and not.
+                pool = rng.choice((self.FINITE, self.FLOATS))
+                rhs, margin = floats(shape, pool), floats(shape, pool)
+                kinds.add(bool(np.isfinite(rhs).all() and np.isfinite(margin).all()))
+                holds = np.array([rng.random() < 0.5 for _ in range(rhs.size)]).reshape(shape)
+                runs.append(report_mod.Run(value(), points, floats(len(xs), self.FLOATS),
+                                           rhs, margin, holds))
+            groups.append(report_mod.Group(value(), value(), value(), value(), xs, runs))
+        assert kinds == {True, False}
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
                   "summary": {"t22": {"pass": 1, "fail": 0, "worst_margin": -0.0}},
                   "verdicts": Verdicts(value(), groups)}
@@ -792,20 +812,70 @@ class TestRenderReport:
     def test_json_awkward_strings_and_floats(self):
         base = run_sweep(parse_config(SMALL_SWEEP))
         tol_margin, (group, *_) = base["verdicts"]
-        cell = group.cells[0]
-        i, rhs, _, holds = cell.verdicts[0]
-        points = [dataclasses.replace(group.points[i], u=None), group.points[i]]
+        run = group.runs[0]
+        bp, rhs, holds = run.points[0], run.rhs[0, 0], run.holds[0, 0]
+        points = [dataclasses.replace(bp, u=None), bp]
         ids = ['q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫"]
         specials = [float("nan"), float("inf"), float("-inf"), -0.0]
+        tiny_huge = [5e-324, 1e300, -1e300, -0.0]
         groups = []
         for k, fid in enumerate(ids):
-            verdicts = [(0, rhs, specials[(k + 1) % 4], holds),
-                        (1, specials[(k + 2) % 4], -0.0, holds)]
-            cells = [cell._replace(lhs=specials[k % 4], verdicts=verdicts),
-                     cell._replace(x=-0.0, verdicts=verdicts[::-1])]
-            groups.append(group._replace(function=fid, points=points, cells=cells))
+            # A run mixing finite and non-finite values at each x, and an
+            # all-finite run of extreme ones.
+            mixed = run._replace(
+                points=points, lhs=np.array([specials[k % 4], rhs]),
+                rhs=np.array([[rhs, specials[(k + 2) % 4]], [specials[(k + 2) % 4], rhs]]),
+                margin=np.array([[specials[(k + 1) % 4], -0.0], [-0.0, specials[(k + 1) % 4]]]),
+                holds=np.array([[holds, not holds], [not holds, holds]]))
+            finite = run._replace(
+                points=points[::-1], lhs=np.array([tiny_huge[k % 4], -0.0]),
+                rhs=np.array([[tiny_huge[(k + 1) % 4], rhs], [rhs, tiny_huge[(k + 2) % 4]]]),
+                margin=np.array([[-0.0, tiny_huge[(k + 3) % 4]], [tiny_huge[k % 4], -0.0]]),
+                holds=np.array([[holds, holds], [not holds, holds]]))
+            groups.append(group._replace(function=fid, xs=[group.xs[0], -0.0],
+                                         runs=[mixed, finite]))
         report = {**base, "verdicts": Verdicts(tol_margin, groups)}
         assert render_report(report, "json") == self._oracle(report)
+
+    def test_records_hold_python_values(self, default_sweep):
+        # `_fmt` and the JSON renderer tell a bool by `isinstance(v, bool)`,
+        # which a numpy bool fails: every record value is a Python one.
+        rows = list(verdict_rows(default_sweep))
+        assert len(rows) == 17892
+        kinds = {k: {type(r[k]) for r in rows} for k in self.RECORD_KEYS}
+        assert kinds["holds"] == {bool}
+        for key in ("lhs", "rhs", "margin", "tol_margin", "a", "b", "x", "mu",
+                    "alpha", "m", "M", "q"):
+            assert kinds[key] == {float}, key
+        assert kinds["u"] <= {float, type(None)} and kinds["v"] <= {float, type(None)}
+        want = sweep_oracle.render({**default_sweep, "verdicts": rows}, "csv")
+        assert render_report(default_sweep, "csv") == want
+
+    def test_summary_of_a_run_with_a_nan_margin(self, monkeypatch):
+        # A nan LHS at the middle x makes that row's margins nan: they fail,
+        # and the worst margin is nan, wherever the nan comes.
+        cfg = parse_config(
+            "functions = powdecay\ntheorems = t22\nx_fracs = 0.25,0.5,0.75\nmu = 0.5\n"
+            "alpha = 0.5,1.0\nm = 0.5\nq = 1.0\n")
+        signed_many = report_mod.ostrowski_signed_many
+
+        def nan_in_the_middle(f, fracs, quad):
+            values = signed_many(f, fracs, quad)
+            values[1] = float("nan")
+            return values
+
+        monkeypatch.setattr(report_mod, "ostrowski_signed_many", nan_in_the_middle)
+        report = run_sweep(cfg)
+        rows = list(verdict_rows(report))
+        nan_rows = [r for r in rows if r["margin"] != r["margin"]]
+        assert len(nan_rows) == 2 and len(rows) == 6
+        assert rows[0]["margin"] == rows[0]["margin"]
+        assert not any(r["holds"] for r in nan_rows)
+        summary = report["summary"]["t22"]
+        assert summary["pass"] == sum(r["holds"] for r in rows) == 4
+        assert summary["fail"] == 2
+        assert summary["worst_margin"] != summary["worst_margin"]
+        assert not all_hold(report)
 
 
 class TestBatchedSweep:
@@ -936,8 +1006,9 @@ class TestBatchedSweep:
 
 
 class TestHypothesesCheckedOncePerPoint:
-    """The sweep checks hypotheses once per (function, theorem, mu, alpha,
-    m, q, u); what it emits must be what one check per instance gives."""
+    """The sweep checks hypotheses once per (function, theorem, alpha, m, q,
+    u), and for a theorem whose box names mu once per mu too; what it emits
+    must be what one check per instance gives."""
 
     CONFIGS = {
         "batch": BATCH_SWEEP,
@@ -978,7 +1049,7 @@ class TestHypothesesCheckedOncePerPoint:
                     for mu, alpha, m, q, u in report_mod._grid_for(theorem, cfg):
                         frac = FracParams(a, b, x, mu)
                         bp = BoundParams(frac, f.M, alpha, m, q, u)
-                        checked.add((f.id, theorem, mu, alpha, m, q, u))
+                        checked.add((f.id, theorem, alpha, m, q, u))
                         try:
                             _check_hypotheses(theorem, f, bp)
                         except HypothesisError:
@@ -1026,13 +1097,26 @@ class TestHypothesesCheckedOncePerPoint:
         seen = []
 
         def counting(theorem, f, bp):
-            seen.append((f.id, theorem, bp.frac.mu, bp.alpha, bp.m, bp.q, bp.u))
+            seen.append((f.id, theorem, bp.alpha, bp.m, bp.q, bp.u))
             return _check_hypotheses(theorem, f, bp)
 
         monkeypatch.setattr(report_mod, "_check_hypotheses", counting)
         run_sweep(cfg)
+        # Not once per mu: mu1's box, the only one to name mu, pins it, so
+        # its points are distinct without mu too.
         assert len(seen) == len(set(seen))
         assert set(seen) == self._reference(cfg)[1]
+
+    def test_default_sweep_checks(self, monkeypatch):
+        calls = []
+
+        def counting(theorem, f, bp):
+            calls.append(theorem)
+            return _check_hypotheses(theorem, f, bp)
+
+        monkeypatch.setattr(report_mod, "_check_hypotheses", counting)
+        assert len(list(verdict_rows(run_sweep(SweepConfig())))) == 17892
+        assert len(calls) == 1194
 
     @pytest.mark.parametrize(
         "text", [BATCH_SWEEP, "", CONFIGS["repeats"]], ids=["batch", "default", "repeats"])
@@ -1057,20 +1141,22 @@ class TestHypothesesCheckedOncePerPoint:
         assert len(built) == len(pairs) + runs
 
     def test_group_states_each_point_once(self):
-        # A group holds each of its points once, and each x's verdicts refer
-        # to it: the renderer formats a point's values once per group.
+        # A group holds each of its points once, in the run of its mu, with
+        # one column per point and one row per x: the renderer formats a
+        # point's values once per group.
         cfg = parse_config(self.CONFIGS["two-u"])
         groups = run_sweep(cfg)["verdicts"].groups
         assert groups
         for g in groups:
-            keys = [(bp.frac.mu, bp.alpha, bp.m, bp.q, bp.u) for bp in g.points]
+            assert len(g.xs) == len(cfg.x_fracs)
+            keys = [(bp.frac.mu, bp.alpha, bp.m, bp.q, bp.u) for r in g.runs for bp in r.points]
             assert len(set(keys)) == len(keys) > 1
-            assert all(bp.v == 1.0 - bp.u for bp in g.points)
-            used = collections.Counter()
-            for c in g.cells:
-                assert all(g.points[i].frac.mu == c.mu for i, *_ in c.verdicts)
-                used.update(i for i, *_ in c.verdicts)
-            assert used == {i: len(cfg.x_fracs) for i in range(len(g.points))}
+            for r in g.runs:
+                assert all(bp.frac.mu == r.mu and bp.v == 1.0 - bp.u for bp in r.points)
+                shape = (len(g.xs), len(r.points))
+                assert r.lhs.shape == shape[:1]
+                assert r.rhs.shape == r.margin.shape == r.holds.shape == shape
+                assert r.holds.dtype == bool
 
     def test_rejected_bound_params_built_once_per_point(self, monkeypatch):
         cfg = parse_config(self.CONFIGS["no-claim"])
@@ -1183,6 +1269,51 @@ class TestSweepMatchesPerVerdictOracle:
                     checked += len(bps)
         # Every verdict of the default sweep.
         assert checked == 17892
+
+
+class TestDenseStressSweep:
+    """The "Dense stress sweep" step of the CI workflow, through `cli.main`:
+    t22 and set on the whole corpus at 99 x-fractions and small mu."""
+
+    DENSE = (
+        "theorems = t22,set\n"
+        "x_fracs = " + ",".join(f"{0.005 + 0.01 * i:.3f}" for i in range(99)) + "\n"
+        "mu = 0.1,0.25,0.5,1.0,1.5,2.5\nalpha = 1\nm = 0.5\nq = 1\n"
+    )
+    KEYS = ("theorem", "function", "x", "mu", "alpha", "m", "q", "u")
+
+    @staticmethod
+    def _sweep(directory, text, name):
+        cfg, out = directory / f"{name}.cfg", directory / f"{name}.json"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def dense(self, tmp_path_factory):
+        return self._sweep(tmp_path_factory.mktemp("dense"), self.DENSE, "dense")
+
+    def test_every_verdict_holds(self, dense):
+        verdicts = json.loads(dense)["verdicts"]
+        assert len(verdicts) == 3564
+        assert all(v["holds"] for v in verdicts), [v for v in verdicts if not v["holds"]][:3]
+
+    def test_repeated_sweep_is_byte_identical(self, dense, tmp_path):
+        # Not pinned to a SHA-256: lhs bits can differ between hosts.
+        assert self._sweep(tmp_path, self.DENSE, "again") == dense
+
+    @pytest.mark.parametrize("frac", ["0.005", "0.505", "0.985"])
+    def test_one_x_fraction_has_the_dense_lhs_bits(self, dense, tmp_path, frac):
+        # Each (f, mu) batch is two integrals here, against the 198 of the
+        # dense batches; each integral's sums are its own, so batching must
+        # not change a bit of any lhs.
+        text = "\n".join(f"x_fracs = {frac}" if line.startswith("x_fracs") else line
+                         for line in self.DENSE.splitlines()) + "\n"
+        one = json.loads(self._sweep(tmp_path, text, "one"))["verdicts"]
+        assert len(one) == 36
+        lhs = {tuple(v[k] for k in self.KEYS): v["lhs"] for v in json.loads(dense)["verdicts"]}
+        assert [lhs[tuple(v[k] for k in self.KEYS)].hex() for v in one] == [
+            v["lhs"].hex() for v in one]
 
 
 class TestCanonicalText:
