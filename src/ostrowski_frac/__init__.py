@@ -9,7 +9,6 @@ from .fracint import (  # noqa: F401
     FracParams,
     QuadConfig,
     adaptive_gauss,
-    adaptive_gauss_many,
     clenshaw_curtis_many,
     gamma,
     mexp_integral,

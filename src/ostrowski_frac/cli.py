@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__, corpus
 from .bounds import BoundParams
-from .convexity import GridSpec, check_membership
+from .convexity import GridSpec, NotPositiveError, check_membership
 from .fracint import ConvergenceError, DomainError, FracParams, rl_lower, rl_upper
 from .report import (
     ConfigError,
@@ -61,7 +61,8 @@ def _cmd_frac_int(args) -> int:
 def _cmd_check_convexity(args) -> int:
     """The answer is f's certificate (`FunctionSpec.member`, for every
     q > 0).  The grid is run too: it rejects a g that is not finite, and
-    against a claim the certificate rejects it gives its witness."""
+    against a claim the certificate rejects it gives its witness, unless g
+    is not positive (a constant f), which no geometric kind admits."""
     f = _corpus_lookup(args.f)
     if args.q <= 0:
         raise DomainError("q > 0 required")
@@ -72,8 +73,15 @@ def _cmd_check_convexity(args) -> int:
     def g(u):
         return np.abs(np.asarray(f.fprime(u), dtype=float)) ** args.q
 
-    ce = check_membership(g, f.domain, args.alpha, args.m, grid, g_domain=f.domain)
-    if f.member(args.alpha, args.m):
+    member = f.member(args.alpha, args.m)
+    try:
+        ce = check_membership(g, f.domain, args.alpha, args.m, grid, g_domain=f.domain)
+    except NotPositiveError as exc:
+        if member:
+            raise
+        print(f"FAIL: not a member by its certificate; {exc}")
+        return 1
+    if member:
         print("pass")
         return 0
     if ce is None:

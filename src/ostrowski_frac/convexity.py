@@ -29,6 +29,12 @@ import numpy as np
 
 from .fracint import DomainError
 
+
+class NotPositiveError(DomainError):
+    """g is not positive where a geometric kind takes its power: no
+    (alpha, m)-geometric claim on it can hold."""
+
+
 # Relative floating-point tolerance of every check here: lhs <= rhs passes
 # when lhs <= rhs + SLACK * max(1, |rhs|).
 SLACK = 1e-12
@@ -93,10 +99,10 @@ def check_membership(
     gx = np.asarray(g(X), dtype=float)
     gy = np.asarray(g(Y), dtype=float)
     if np.any(gx <= 0.0) or np.any(gy <= 0.0):
-        raise DomainError("geometric kinds require g > 0 on the grid")
+        raise NotPositiveError("geometric kinds require g > 0 on the grid")
     lhs = np.asarray(g(pts), dtype=float)
     if np.any(lhs <= 0.0):
-        raise DomainError("g non-positive at a combination point")
+        raise NotPositiveError("g non-positive at a combination point")
     ta = T**alpha
     rhs = gx**ta * gy ** (m * (1.0 - ta))
 

@@ -8,32 +8,26 @@ after t = c + (e - c) u,
         = |e-c|^mu / Gamma(mu+1) * mu int_0^1 u^(mu-1) f(c + (e-c) u) du,
 
 and the identity's moments int_0^1 t^mu f'(...) dt take phi(u) = u f'(...).
-`clenshaw_curtis_many` gives mu int_0^1 u^(mu-1) phi(u) du, the mean of phi
-under the density mu u^(mu-1), for a batch of them, with a nested pair of
-Clenshaw-Curtis product rules for that density, which absorb the endpoint
-singularity (QUADPACK's QAWS, Piessens et al. 1983; Trefethen, SIAM Review
-2008).  The 49 nodes are fixed, u_j = (1 + cos(j pi / 48)) / 2, and the
-25-point rule takes the even j.  The nodes include u = 0 and u = 1, so f
-is evaluated at the anchor and at the end themselves; for the Ostrowski
-sides and moments both lie in the validated [a, b].  Each rule integrates
-the density times the Chebyshev interpolant of phi: its weights are
-mu 2^(-mu) C^T r, C the fixed DCT-I matrix and r the Chebyshev moments of
-(1+x)^(mu-1), from QUADPACK dqmomo's forward recurrence.  A new mu costs
-that 48-step recurrence and two matrix-vector products, about 25 us raw
-on a 2-vCPU VM, with no eigensolve; the weights are cached per mu.  The
-49-point value is the result.  An integral whose two rules disagree
-beyond tolerance, or whose value is not finite, falls back to the
-adaptive refiner on the bounded integrand phi(s^(1/mu)) after s = u^mu.
+`clenshaw_curtis_many`, the one quadrature routine, gives
+mu int_0^1 u^(mu-1) phi(u) du, the mean of phi under the density
+mu u^(mu-1), for a batch of them, with a nested pair of Clenshaw-Curtis
+product rules for that density, which absorb the endpoint singularity
+(QUADPACK's QAWS, Piessens et al. 1983; Trefethen, SIAM Review 2008).  The
+49 nodes are fixed, u_j = (1 + cos(j pi / 48)) / 2, and the 25-point rule
+takes the even j.  The nodes include u = 0 and u = 1, so f is evaluated at
+the anchor and at the end themselves; for the Ostrowski sides and moments
+both lie in the validated [a, b].  Each rule integrates the density times
+the Chebyshev interpolant of phi: its weights are mu 2^(-mu) C^T r, C the
+fixed DCT-I matrix and r the Chebyshev moments of (1+x)^(mu-1), from
+QUADPACK dqmomo's forward recurrence.  A new mu costs that 48-step
+recurrence and two matrix-vector products, about 25 us raw on a 2-vCPU
+VM, with no eigensolve; the weights are cached per mu.  The 49-point value
+is the result and its difference from the 25-point value the error
+estimate.
 
-The refiner, `adaptive_gauss_many`, is fixed-order Gauss-Legendre on
-dyadically subdivided panels; a panel is bisected until its two halves
-agree with it within tolerance.  Refinement is breadth-first over a batch
-of integrals: each level bisects every active panel of every integral in
-the batch with one integrand call.  Each integral's panels are accepted by
-the test a depth-first recursion would apply and summed in that
-recursion's tree order, so a batched result equals, bit for bit, the one
-integrating it alone gives.  Both rules' sums are per integral too, so a
-batch of either kind changes no bit of any of its integrals.
+An integral whose two rules disagree beyond tolerance, or whose value is
+not finite, is refined with the same rule pair on dyadic panels of [0, 1]
+(`_refine`); a batch changes no bit of any of its integrals.
 """
 
 from __future__ import annotations
@@ -51,8 +45,9 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Adaptive quadrature did not reach tolerance within max_subdivisions;
-    `index` is the failing integral's position in its batch."""
+    """An integral of `clenshaw_curtis_many` has a panel whose integrand is
+    not finite, or whose two rules still disagree after max_subdivisions
+    bisections; `index` is the failing integral's position in its batch."""
 
     def __init__(self, message: str, index: int = 0):
         super().__init__(message)
@@ -87,12 +82,14 @@ MAX_TOL = 1e-8  # the largest abs_tol or rel_tol a QuadConfig accepts
 
 @dataclass(frozen=True)
 class QuadConfig:
+    """How `clenshaw_curtis_many` accepts an integral: its two rules must
+    agree within max(abs_tol, rel_tol |value|), shared among its panels in
+    proportion to their widths, and a panel is bisected at most
+    max_subdivisions times (the depth cap)."""
+
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    # Depth of local bisection; algebraic corners (t^mu, mu ~ 0.1) need
-    # geometric grading well past what uniform refinement would suggest.
     max_subdivisions: int = 32
-    base_nodes: int = 16
 
     def __post_init__(self) -> None:
         # A verdict holds down to a margin of -100 * abs_tol (verify._judge):
@@ -102,8 +99,8 @@ class QuadConfig:
         for name in ("abs_tol", "rel_tol"):
             if not 0.0 < getattr(self, name) <= MAX_TOL:
                 raise DomainError(f"{name} in (0, {MAX_TOL:g}] required")
-        if self.max_subdivisions < 1 or self.base_nodes < 1:
-            raise DomainError("max_subdivisions and base_nodes must be >= 1")
+        if self.max_subdivisions < 1:
+            raise DomainError("max_subdivisions must be >= 1")
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -114,142 +111,6 @@ def gamma(z: float) -> float:
     if not (math.isfinite(z) and z > 0):
         raise DomainError(f"gamma requires finite z > 0, got {z!r}")
     return math.gamma(z)
-
-
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _interleave(left, right):
-    out = left.repeat(2)
-    out[1::2] = right
-    return out
-
-
-def adaptive_gauss_many(g, los, his, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
-    """Integrate a batch of integrals, the k-th over [los[k], his[k]], with
-    fixed-order Gauss-Legendre panels refined by dyadic bisection wherever
-    parent and child estimates disagree.
-
-    Refinement is breadth-first: each level bisects every active panel of
-    every integral and evaluates the halves in one call g(s, k), where s is
-    a 1-d array of points and k gives, for each point, the index of the
-    integral it belongs to; g returns values elementwise.  Panels are
-    ordered by integral, so k never decreases within a call.  Each
-    integral's acceptance test is that of a depth-first recursion over its
-    own panels, and accepted values are added bottom-up in that recursion's
-    tree order, so every result is bit for bit what integrating it alone
-    would give.  Local bisection grades
-    the panels into endpoints where the integrand has only algebraic
-    smoothness, which uniform refinement handles poorly.
-
-    Raises ConvergenceError for the lowest-index integral that fails, with
-    that index, naming its leftmost failing panel: the error integrating one
-    by one would give.
-    A panel fails where its halves still disagree at the depth cap, or at
-    once, unbisected, where their sum is not finite.
-    Empty intervals integrate to 0 without calling g.
-    """
-    los = np.asarray(los, dtype=float)
-    his = np.asarray(his, dtype=float)
-    if np.any(his < los):
-        raise DomainError("integration bounds reversed")
-    out = np.zeros(los.shape)
-    live = np.flatnonzero(his != los)
-    if not live.size:
-        return out
-    ref, w = _leggauss(cfg.base_nodes)
-    lo, hi = los[live], his[live]
-    total = hi - lo
-    # Per-panel acceptance floor; keeps algebraic corner panels from chasing
-    # an ever-halving target they cannot meet.
-    floor = 0.01 * cfg.abs_tol
-    # At the depth cap a panel's remaining error is of the order of its own
-    # disagreement (each bisection shrinks it geometrically), so tiny
-    # disagreements are accepted rather than reported as failure.
-    cap_accept = 10.0 * cfg.abs_tol
-
-    levels = []  # per depth: (left + right of each panel, panel was split)
-    failures = []  # per depth: (j, a, message) of its first failing panel
-    # The panels [pa, pb] each pass evaluates, and k, the integral of each of
-    # their points: the whole intervals at depth -1, then at each depth the
-    # halves of every active panel, interleaved: its left half, then its right.
-    pa, pb, k = lo, hi, live.repeat(ref.size)
-    depth = -1
-    while True:
-        # Gauss-Legendre sums on all the panels, in one call of g.  These
-        # arrays stay loop locals, each rebound only once its successor
-        # exists, so glibc reuses their memory for the next pass; freed all at
-        # once, as on return from a helper, they let it trim the heap top
-        # (M_TRIM_THRESHOLD, mallopt(3)) and the next pass faults the same
-        # pages back in.  No array g was given or returned is written to.
-        half = 0.5 * (pb - pa)
-        pts = (0.5 * (pb + pa))[:, None] + half[:, None] * ref
-        vals = np.asarray(g(pts.ravel(), k), dtype=float)
-        terms = vals.reshape(pts.shape) * w
-        terms *= half[:, None]
-        sums = np.add.reduce(terms, axis=1)
-        if depth < 0:
-            # fmax, not maximum: a nan estimate keeps the absolute tolerance.
-            tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(sums))
-            # Active panels, ordered by integral and then left to right: a, b,
-            # the estimate on [a, b] and j, the integral's position in `live`.
-            # A non-finite estimate is nan, which splits its panel as inf
-            # would, but spares both - est the warning of inf - inf.  Deeper
-            # estimates are halves of a finite sum, so finite.
-            a, b, est, j = lo, hi, np.where(np.isfinite(sums), sums, np.nan), np.arange(live.size)
-        else:
-            both = sums[0::2] + sums[1::2]
-            err = np.abs(both - est)
-            split = ~(err <= np.maximum(tol[j] * (b - a) / total[j], floor))
-            # A non-finite sum fails its integral at once: bisecting it again
-            # would double its panels at every level down to the depth cap.
-            finite = np.isfinite(both)
-            if depth == cfg.max_subdivisions:
-                failed = split & ~(err <= cap_accept)
-                split[:] = False
-            else:
-                failed = ~finite
-                split &= finite
-            if np.count_nonzero(failed):
-                i = failed.nonzero()[0][0]
-                where = f"[{float(a[i])}, {float(b[i])}]"
-                message = (
-                    f"integrand not finite on {where}" if not finite[i] else
-                    f"quadrature on {where} not converged at depth {cfg.max_subdivisions} "
-                    f"(disagreement {float(err[i]):.3g})"
-                )
-                failures.append((j[i], a[i], message))
-            levels.append((both, split))
-            if not np.count_nonzero(split):
-                break
-            keep = split.repeat(2).nonzero()[0]
-            a, b, est, j = pa[keep], pb[keep], sums[keep], j[keep >> 1]
-        depth += 1
-        mid = 0.5 * (a + b)
-        pa, pb, k = _interleave(a, mid), _interleave(mid, b), live[j].repeat(2 * ref.size)
-    if failures:
-        # The lowest-index failing integral at its leftmost failing panel.
-        j, _, message = min(failures, key=lambda fail: fail[:2])
-        raise ConvergenceError(message, int(live[j]))
-
-    # A split panel's value is its left half's plus its right half's, as in
-    # the recursion; the halves are the next level's consecutive pairs.
-    vals = levels[-1][0]
-    for both, split in reversed(levels[:-1]):
-        both[split] = vals[0::2] + vals[1::2]
-        vals = both
-    out[live] = vals
-    return out
-
-
-def adaptive_gauss(g, lo: float, hi: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """Integrate g on [lo, hi]; a batch of one for `adaptive_gauss_many`.
-
-    g must accept a 1-d numpy array and return values elementwise.
-    """
-    return float(adaptive_gauss_many(lambda s, k: g(s), [lo], [hi], cfg)[0])
 
 
 # The fine rule interpolates phi at CC_DEGREE + 1 nodes, the coarse rule at
@@ -312,43 +173,124 @@ def _cc_rules(mu: float):
             coarse_w, np.add.reduce(coarse_w[None, :], axis=1))
 
 
+def _rule_pair(vals, rules):
+    """(fine, |coarse - fine|) of each row of vals, the values of phi on the
+    nodes of `_cc_basis`, under `rules`, a `_cc_rules` entry."""
+    fine_w, fine_sum, coarse_w, coarse_sum = rules
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, and refined
+        coarse = np.add.reduce(vals[:, 0::2] * coarse_w, axis=1) / coarse_sum
+        fine = np.add.reduce(vals * fine_w, axis=1) / fine_sum
+        return fine, np.abs(coarse - fine)
+
+
 def clenshaw_curtis_many(phi, count: int, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """mu int_0^1 u^(mu-1) phi(u, k) du for k = 0, ..., count - 1: the mean
     of phi(., k) under the density mu u^(mu-1).
 
-    phi(u, k) takes a 1-d array of points u and, for each point, the index
-    k of its integral, which never decreases, and returns values
+    phi(u, k) takes a 1-d array of points u in [0, 1] and, for each point,
+    the index k of its integral, which never decreases, and returns values
     elementwise.  One call of phi evaluates, on every integral, the
     CC_DEGREE + 1 fixed nodes of `_cc_basis`, u = 0 and u = 1 among them;
     the fine rule of `_cc_rules` sums all of them, the coarse rule every
     other one, and the fine value is the result.  An integral whose fine
-    value is not finite, or whose two values differ by more than
-    max(abs_tol, rel_tol |value|), is integrated again by
-    `adaptive_gauss_many` as int_0^1 phi(s^(1/mu), k) ds (s = u^mu), which
-    raises ConvergenceError, with the failing k as index, where that fails
-    too.
+    value is not finite, or whose two values differ by more than its
+    tolerance max(abs_tol, rel_tol |value|), is refined by `_refine`, which
+    raises ConvergenceError, with the failing k as index, where that fails.
     """
     if not 0.0 < mu < math.inf:
         raise DomainError("finite mu > 0 required")
     nodes = _cc_basis()[0]
-    fine_w, fine_sum, coarse_w, coarse_sum = _cc_rules(mu)
     vals = np.asarray(phi(nodes[None, :].repeat(count, axis=0).ravel(),
                           np.arange(count).repeat(nodes.size)), dtype=float)
-    vals = vals.reshape(count, nodes.size)
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, and refined below
-        coarse = np.add.reduce(vals[:, 0::2] * coarse_w, axis=1) / coarse_sum
-        fine = np.add.reduce(vals * fine_w, axis=1) / fine_sum
-        err = np.abs(coarse - fine)
-    redo = np.flatnonzero(~(err <= np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(fine))))
+    fine, err = _rule_pair(vals.reshape(count, nodes.size), _cc_rules(mu))
+    tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(fine))
+    redo = np.flatnonzero(~(err <= tol))
     if redo.size:
-        inv = 1.0 / mu
-        try:
-            fine[redo] = adaptive_gauss_many(
-                lambda s, j: phi(s**inv, redo[j]), np.zeros(redo.size), np.ones(redo.size), cfg)
-        except ConvergenceError as exc:
-            exc.index = int(redo[exc.index])
-            raise
+        fine[redo] = _refine(phi, redo, tol[redo], mu, cfg)
     return fine
+
+
+def _refine(phi, ks, tol, mu: float, cfg: QuadConfig) -> np.ndarray:
+    """`clenshaw_curtis_many`'s integrals ks, each within its tol, by
+    bisecting [0, 1] breadth-first.
+
+    Each level evaluates every active panel of every integral with one
+    call of phi, on the fixed nodes mapped onto the panel.  A panel [0, h]
+    takes the mu rules times h^mu; a panel [lo, hi] with lo > 0 takes the
+    mu = 1 rules on mu u^(mu-1) phi(u) times hi - lo.  A panel is accepted
+    where its rules agree within its width's share of tol, so the shares of
+    an integral's panels add up to its tol; a split panel's value is its
+    left half's plus its right half's.  Each panel's sums are its own, so
+    every integral is bit for bit what refining it alone gives.
+
+    A panel fails where its value is not finite, and, at depth
+    max_subdivisions, where its rules still disagree.  The lowest-index
+    failing integral raises ConvergenceError naming its leftmost failing
+    panel: the error refining one by one would give.
+    """
+    nodes = _cc_basis()[0]
+    corner, inner = _cc_rules(mu), _cc_rules(1.0)
+    # The active panels, ordered by integral and then left to right: j, the
+    # integral's position in ks, and i, the panel's place at its depth, so
+    # the panel is [i h, (i + 1) h].
+    j, i = np.arange(ks.size).repeat(2), np.tile([0, 1], ks.size)
+    levels = []  # per depth: (each panel's value, panel was split)
+    failures = []  # per depth: (j, lo, message) of its first failing panel
+    for depth in range(1, cfg.max_subdivisions + 1):
+        h = 0.5**depth
+        u = (i * h)[:, None] + h * nodes
+        vals = np.asarray(phi(u.ravel(), ks[j].repeat(nodes.size)), dtype=float).reshape(u.shape)
+        value, err = np.empty(i.size), np.empty(i.size)
+        at0, inside = i == 0, i != 0
+        fine, diff = _rule_pair(vals[at0], corner)
+        value[at0], err[at0] = fine * h**mu, diff * h**mu
+        fine, diff = _rule_pair(mu * u[inside] ** (mu - 1.0) * vals[inside], inner)
+        value[inside], err[inside] = fine * h, diff * h
+        finite = np.isfinite(value)
+        split = ~(err <= tol[j] * h)
+        if depth < cfg.max_subdivisions:
+            failed = ~finite
+            split &= finite
+        else:
+            failed, split = split, np.zeros_like(split)
+        if failed.any():
+            first = int(failed.argmax())
+            where = f"[{float(i[first] * h)}, {float((i[first] + 1) * h)}]"
+            message = (
+                f"integrand not finite on {where}" if not finite[first] else
+                f"quadrature on {where} not converged at depth {cfg.max_subdivisions} "
+                f"(disagreement {float(err[first]):.3g})"
+            )
+            failures.append((j[first], i[first] * h, message))
+        levels.append((value, split))
+        if not split.any():
+            break
+        keep = split.nonzero()[0]
+        j, i = j[keep].repeat(2), (2 * i[keep]).repeat(2)
+        i[1::2] += 1
+    if failures:
+        first, _, message = min(failures, key=lambda fail: fail[:2])
+        raise ConvergenceError(message, int(ks[first]))
+    vals = levels[-1][0]
+    for value, split in reversed(levels[:-1]):
+        value[split] = vals[0::2] + vals[1::2]
+        vals = value
+    return vals[0::2] + vals[1::2]
+
+
+def adaptive_gauss(g, lo: float, hi: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+    """int_lo^hi g(t) dt: hi - lo times the mean of g(lo + (hi - lo) u) that
+    `clenshaw_curtis_many` gives at mu = 1.  The name predates that rule.
+
+    g must accept a 1-d numpy array and return values elementwise.  Empty
+    intervals integrate to 0 without calling g.
+    """
+    if hi < lo:
+        raise DomainError("integration bounds reversed")
+    if hi == lo:
+        return 0.0
+    width = hi - lo
+    return width * float(clenshaw_curtis_many(lambda u, k: g(lo + width * u), 1, 1.0, cfg)[0])
 
 
 def rl_lines(anchors, ends, mu: float):

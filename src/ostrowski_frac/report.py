@@ -48,7 +48,7 @@ DEFAULT_US = (0.5,)
 _LIST_KEYS = {
     "x_fracs": "x_fracs", "mu": "mus", "alpha": "alphas", "m": "ms", "q": "qs", "u": "us",
 }
-_QUAD_KEYS = {"abs_tol": float, "rel_tol": float, "base_nodes": int, "max_subdivisions": int}
+_QUAD_KEYS = {"abs_tol": float, "rel_tol": float, "max_subdivisions": int}
 
 # A valid instance to probe configured parameter values with.
 _PROBE = FracParams(0.0, 1.0, 0.5, 1.0)
@@ -326,7 +326,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
     order, a point factor's DomainError is raised while that function's
     points are listed, before any of its quadrature.  Then the first
     ConvergenceError in batch order: mu in order of first appearance, then
-    x in `x_fracs` order (`adaptive_gauss_many` raises for its lowest-index
+    x in `x_fracs` order (`clenshaw_curtis_many` raises for its lowest-index
     failing integral).
     """
     groups: list[Group] = []
@@ -402,6 +402,8 @@ def _fmt(v) -> str:
 
 def _value_json(v) -> str:
     """v as `json.dumps(report, indent=2)` renders it as a verdict's value."""
+    if v is None:  # the u and v of every point without the Young split
+        return "null"
     if type(v) is float and math.isfinite(v):
         return float.__repr__(v)
     if isinstance(v, (dict, list, tuple)):

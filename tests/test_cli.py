@@ -129,6 +129,19 @@ class TestCheckConvexityCommand:
         assert rc == 2
         assert capsys.readouterr().err == "error: g not finite on the grid\n"
 
+    @pytest.mark.parametrize("fid", ["const1", "const2"])
+    def test_constant_is_rejected_by_its_certificate(self, capsys, fid):
+        # g = |f'|^q = 0: the certificate rejects every claim, and the grid
+        # cannot give a witness, since no geometric kind admits g = 0.
+        assert main(["check-convexity", "--f", fid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "FAIL: not a member by its certificate; geometric kinds require g > 0 on the grid\n")
+        assert captured.err == ""
+        # 0^nan is nan: a g that is not finite still exits 2.
+        assert main(["check-convexity", "--f", fid, "--q", "nan"]) == 2
+        assert capsys.readouterr().err == "error: g not finite on the grid\n"
+
     def test_counterexample_exits_1(self, capsys):
         # alpha and m default to 1: expdecay's |f'| is not geometrically
         # convex (by AM-GM), so the grid finds a counterexample
@@ -372,9 +385,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "line, message",
         [("rel_tol = 0.0", "rel_tol = 0.0: rel_tol in (0, 1e-08] required"),
-         ("base_nodes = 0", "base_nodes = 0: max_subdivisions and base_nodes must be >= 1"),
-         ("max_subdivisions = -3",
-          "max_subdivisions = -3: max_subdivisions and base_nodes must be >= 1")],
+         ("max_subdivisions = 0", "max_subdivisions = 0: max_subdivisions must be >= 1"),
+         ("max_subdivisions = -3", "max_subdivisions = -3: max_subdivisions must be >= 1")],
     )
     def test_quadrature_value_out_of_range_exits_2(self, tmp_path, capsys, line, message):
         # A config error like any other list or quadrature value's, not
@@ -577,6 +589,7 @@ class TestConfigParsing:
             "abs_tol = banana\n",
             "rel_tol = 1e-9x\n",
             "max_subdivisions = 1.5\n",
+            # base_nodes is no longer a key: any value of it is an unknown key.
             "base_nodes = many\n",
             # The sweep draws nothing at random; seed is not a key.
             "seed = 1\n",
@@ -716,6 +729,22 @@ class TestRenderReport:
 
     def test_default_sweep_equals_indented_dump(self, default_sweep):
         assert render_report(default_sweep, "json") == self._oracle(default_sweep)
+
+    def test_none_takes_no_json_call(self, default_sweep, monkeypatch):
+        # None, the u and v of every point without the Young split, is most
+        # of the values the renderer hands to json: it now spells them
+        # itself, with the same bytes.
+        want = render_report(default_sweep, "json")
+        dumps, kinds = json.dumps, []
+
+        def counted(v, **kw):
+            kinds.append(type(v))
+            return dumps(v, **kw)
+
+        monkeypatch.setattr(report_mod.json, "dumps", counted)
+        assert report_mod._value_json(None) == dumps(None) == "null"
+        assert render_report(default_sweep, "json") == want
+        assert kinds and type(None) not in kinds
 
     @pytest.mark.parametrize(
         "report", [{"verdicts": [], "version": "1"}, {"verdicts": []}],
@@ -908,26 +937,27 @@ class TestBatchedSweep:
         with pytest.raises(RuntimeError, match="integrand evaluated"):
             run_sweep(cfg)
 
-    # Depth-1 failures of the refiner, which integrates what the Gauss-Jacobi
-    # rule cannot resolve.  On a power_decay with r = 20 over [1, 10] only
-    # mu = 2.5 and mu = 1.5 fail, at every x: the mu = 2.5 batch comes
-    # first, its first x fails.  On a steep power_decay at
-    # 1e-15 tolerance, mu = 1 fails only at x = b and mu = 0.5 already at
-    # x = 0.1: the mu = 1 batch, first in batch order, fails at an instance
-    # that comes after (0.1, 0.5) in sweep order.
+    # Depth-1 failures of the refinement, which integrates what the rule
+    # pair on [0, 1] cannot resolve.  On a power_decay with r = 21 over
+    # [1, 10], mu = 0.5 and mu = 2.5 converge by depth 1 at these x and
+    # mu = 0.1 fails at x = 7.75 and 5.5: the mu = 0.1 batch, second in
+    # batch order, fails first, at its first x.  On a steep power_decay at
+    # 1e-13 tolerance, mu = 1.5 fails only at x = b and mu = 1 already at
+    # x = 1.5: the mu = 1.5 batch, first in batch order, fails at an
+    # instance that comes after (1.5, 1.0) in sweep order.
     FAILING = {
         "by-mu": (
-            "functions = wide\nx_fracs = 0.75,0.25\nmu = 0.5,2.5,1.5\n"
-            "function.wide = power_decay M=0.5 r=20 lo=1.0 hi=10.0\n"
+            "functions = wide\nx_fracs = 0.75,0.25,0.5\nmu = 0.5,0.1,2.5\n"
+            "function.wide = power_decay M=0.5 r=21 lo=1.0 hi=10.0\n"
         ),
         "by-x": (
-            "functions = steep\nx_fracs = 0.5,0.1,1.0\nmu = 1.0,0.5\n"
-            "abs_tol = 1e-15\nrel_tol = 1e-15\n"
-            "function.steep = power_decay M=0.5 r=80 lo=1.0 hi=2.0\n"
+            "functions = steep\nx_fracs = 0.5,0.1,1.0\nmu = 1.5,1.0\n"
+            "abs_tol = 1e-13\nrel_tol = 1e-13\n"
+            "function.steep = power_decay M=0.5 r=160 lo=1.0 hi=2.0\n"
         ),
     }
     # The first failing instance in batch order (x, mu).
-    FIRST_FAILING = {"by-mu": (7.75, 2.5), "by-x": (2.0, 1.0)}
+    FIRST_FAILING = {"by-mu": (7.75, 0.1), "by-x": (2.0, 1.5)}
     T22_DEPTH_1 = "theorems = t22\nalpha = 1.0\nm = 0.5\nq = 1.0\nmax_subdivisions = 1\n"
 
     @staticmethod
@@ -970,7 +1000,7 @@ class TestBatchedSweep:
         with pytest.raises(ConvergenceError) as got:
             run_sweep(cfg)
         assert str(got.value).startswith(
-            "fractional integral anchored at 1.0 with end 7.75, mu = 2.5: quadrature on [")
+            "fractional integral anchored at 1.0 with end 7.75, mu = 0.1: quadrature on [")
 
     def test_failing_sweep_leaves_the_output_file_unchanged(self, tmp_path, capsys):
         # The report is streamed, but the file is opened only once the
@@ -1323,7 +1353,7 @@ class TestCanonicalText:
     EXTRA = (
         "function.aff = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5 declared_M=0.75\n"
         "function.ed = exp_decay M=0.5 lam=0.02 lo=1 hi=2\n"
-        "format = csv\nabs_tol = 1e-11\nbase_nodes = 8\n"
+        "format = csv\nabs_tol = 1e-11\nmax_subdivisions = 8\n"
     )
     CONFIGS = {"default": "", "small": SMALL_SWEEP, "extra": EXTRA,
                **TestHypothesesCheckedOncePerPoint.CONFIGS}

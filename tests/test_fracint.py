@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from collections import Counter
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from ostrowski_frac import fracint
-from ostrowski_frac.corpus import exp_decay_spec
+from ostrowski_frac.corpus import exp_decay_spec, power_decay_spec
 from ostrowski_frac.fracint import (
     CC_DEGREE,
     MAX_TOL,
@@ -15,7 +16,6 @@ from ostrowski_frac.fracint import (
     FracParams,
     QuadConfig,
     adaptive_gauss,
-    adaptive_gauss_many,
     clenshaw_curtis_many,
     gamma,
     mexp_integral,
@@ -98,8 +98,6 @@ class TestAdaptiveGauss:
     def test_reversed_bounds(self):
         with pytest.raises(DomainError):
             adaptive_gauss(np.exp, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            adaptive_gauss_many(lambda s, k: np.exp(s), [0.0, 1.0], [1.0, 0.0])
 
     def test_convergence_error(self):
         cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=2)
@@ -107,46 +105,45 @@ class TestAdaptiveGauss:
             adaptive_gauss(lambda s: np.abs(s - 1 / 3) ** 0.05, 0.0, 1.0, cfg)
 
 
-def recursive_gauss(g, lo, hi, cfg=QuadConfig()):
-    """The depth-first refiner the batched one replaced, frozen as an oracle:
-    one numpy call per panel, acceptance tested parent by parent."""
-    if hi < lo:
-        raise DomainError("integration bounds reversed")
-    if hi == lo:
-        return 0.0
-    ref, w = np.polynomial.legendre.leggauss(cfg.base_nodes)
+def recursive_cc(phi, mu, cfg=QuadConfig()):
+    """`clenshaw_curtis_many` of one integral as a depth-first recursion, one
+    panel per call of phi: an oracle for the breadth-first levels, which
+    must give the same bits or the same ConvergenceError."""
+    nodes = fracint._cc_basis()[0]
 
-    def panel(a, b):
-        edges = np.linspace(a, b, 2)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        pts = mid[:, None] + half[:, None] * ref[None, :]
-        vals = np.asarray(g(pts.ravel()), dtype=float).reshape(1, cfg.base_nodes)
-        return float(np.sum(vals * w[None, :] * half[:, None]))
+    def panel(i, depth):
+        # (value, |fine - coarse|) on [i h, (i + 1) h]
+        h = 0.5**depth
+        u = i * h + h * nodes
+        vals = np.asarray(phi(u), dtype=float)
+        if i == 0:
+            fine, diff = fracint._rule_pair(vals[None, :], fracint._cc_rules(mu))
+            scale = h**mu
+        else:
+            weighted = (mu * u ** (mu - 1.0) * vals)[None, :]
+            fine, diff = fracint._rule_pair(weighted, fracint._cc_rules(1.0))
+            scale = h
+        return fine[0] * scale, diff[0] * scale
 
-    whole = panel(lo, hi)
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(whole))
-    total = hi - lo
-    floor = 0.01 * cfg.abs_tol
-    cap_accept = 10.0 * cfg.abs_tol
+    whole, err = panel(0, 0)
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(whole))  # abs_tol if whole is nan
+    if err <= tol:
+        return float(whole)
 
-    def refine(a, b, est, depth):
-        mid = 0.5 * (a + b)
-        left = panel(a, mid)
-        right = panel(mid, b)
-        err = abs(left + right - est)
-        if err <= max(tol * (b - a) / total, floor):
-            return left + right
-        if depth >= cfg.max_subdivisions:
-            if err <= cap_accept:
-                return left + right
+    def refine(i, depth):
+        value, err = panel(i, depth)
+        h = 0.5**depth
+        where = f"[{i * h}, {(i + 1) * h}]"
+        if not math.isfinite(value):
+            raise ConvergenceError(f"integrand not finite on {where}")
+        if err <= tol * h:
+            return value
+        if depth == cfg.max_subdivisions:
             raise ConvergenceError(
-                f"quadrature on [{a}, {b}] not converged at depth "
-                f"{cfg.max_subdivisions} (disagreement {err:.3g})"
-            )
-        return refine(a, mid, left, depth + 1) + refine(mid, b, right, depth + 1)
+                f"quadrature on {where} not converged at depth {depth} (disagreement {err:.3g})")
+        return refine(2 * i, depth + 1) + refine(2 * i + 1, depth + 1)
 
-    return refine(lo, hi, whole, 0)
+    return float(refine(0, 1) + refine(1, 1))
 
 
 def batch_of(gs):
@@ -163,23 +160,35 @@ def batch_of(gs):
     return g
 
 
-def assert_bitwise(gs, los, his, cfg=QuadConfig()):
-    want = [recursive_gauss(g, lo, hi, cfg) for g, lo, hi in zip(gs, los, his)]
-    for g, lo, hi, v in zip(gs, los, his, want):
-        assert adaptive_gauss(g, lo, hi, cfg) == v
-    assert adaptive_gauss_many(batch_of(gs), los, his, cfg).tolist() == want
+def outcome(integrate):
+    """integrate()'s value, or its ConvergenceError's message."""
+    try:
+        return integrate()
+    except ConvergenceError as exc:
+        return f"ConvergenceError: {exc}"
 
 
-def rl_integrand(f, c, e, mu):
-    """The fallback's integrand of the fractional integral between anchor c
-    and end e: f(c + (e - c) s^(1/mu)) on [0, 1], whose integral times
+def assert_bitwise(gs, mu, cfg=QuadConfig()):
+    """The integrals of gs under the density mu u^(mu-1), each alone and all
+    in one batch, against the recursion: the same bits, or the same
+    ConvergenceError, the lowest-index one for the batch."""
+    want = [outcome(lambda g=g: recursive_cc(g, mu, cfg)) for g in gs]
+    for g, v in zip(gs, want):
+        assert outcome(lambda: float(clenshaw_curtis_many(lambda u, k: g(u), 1, mu, cfg)[0])) == v
+    failed = [v for v in want if isinstance(v, str)]
+    got = outcome(lambda: clenshaw_curtis_many(batch_of(gs), len(gs), mu, cfg).tolist())
+    assert got == (failed[0] if failed else want)
+
+
+def rl_integrand(f, c, e):
+    """phi of the fractional integral between anchor c and end e,
+    f(c + (e - c) u): its mean under the density mu u^(mu-1) times
     |e - c|^mu / Gamma(mu + 1) is the fractional integral."""
-    inv = 1.0 / mu
-    return lambda s: f(c + (e - c) * s**inv)
+    return lambda u: f(c + (e - c) * u)
 
 
 # |rl_many - closed form|: the rule is within a few ulps of values up to
-# 27 in size (1.5e-14 at worst on the corpus).
+# 73 in size (2.8e-14 at worst, on the refined sides of STEEP_MEMBERS).
 RL_ORACLE_BOUND = 1e-13
 
 
@@ -190,47 +199,73 @@ def assert_near_oracle(got, fid, anchors, ends, mu):
         assert abs(value - float(want)) <= RL_ORACLE_BOUND, (fid, c, e, mu, value, want)
 
 
+def panels_per_depth(phi, mu, cfg=QuadConfig()):
+    """The number of panels the recursion evaluates at each depth, from 0:
+    the panels a level of the batched refinement evaluates for phi."""
+    widths = Counter()
+
+    def panel(u):
+        widths[round(math.log2(np.ptp(u)))] += 1
+        return phi(u)
+
+    outcome(lambda: recursive_cc(panel, mu, cfg))
+    return [count for _, count in sorted(widths.items(), reverse=True)]
+
+
 # Integrals whose panel trees differ: refinement depths, leftmost failing
-# panels and accepted-at-cap panels all come out of the same tree walk.
+# panels and panels accepted at the cap all come out of the same tree walk.
 CORNER_CFGS = [
     QuadConfig(),
     QuadConfig(abs_tol=1e-13, rel_tol=1e-13),
-    QuadConfig(base_nodes=5, max_subdivisions=40),
+    QuadConfig(max_subdivisions=40),
+]
+
+# Integrands that level 0 leaves unresolved and the refinement resolves at
+# mu = 2.5: a boundary layer, a kink, and a corner that the weight's u^1.5
+# damps.
+STEEP = [
+    lambda u: np.exp(-450.0 * u),
+    lambda u: np.abs(u - 0.3),
+    lambda u: u**0.1,
+]
+
+CORNERS = [
+    lambda t: t**0.1,
+    lambda t: (1.0 - t) ** 0.1,
+    lambda t: np.abs(t - 0.3) ** 0.1,
+    lambda t: t**0.1 * np.exp(-t),
 ]
 
 
 class TestBatchedRefinerMatchesRecursion:
-    """The breadth-first refiner against the recursion it replaced: equal
-    to the last bit, not approximately."""
+    """The breadth-first refinement of `clenshaw_curtis_many` against the
+    depth-first recursion: equal to the last bit, not approximately."""
 
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
     def test_polynomials(self, cfg):
-        gs = [lambda s: s**3 - 2 * s, lambda s: 7.0 * s**20 + s, lambda s: 1.0 + 0.0 * s]
-        assert_bitwise(gs, [0.0, -1.0, 0.5], [2.0, 1.5, 3.25], cfg)
+        # Degree 48 and below is exact at level 0; s^60 is not.
+        gs = [lambda s: s**3 - 2 * s, lambda s: 7.0 * s**20 + s, lambda s: 1.0 + 0.0 * s,
+              lambda s: s**60 + s]
+        for mu in (0.5, 2.5):
+            assert_bitwise(gs, mu, cfg)
 
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
     def test_algebraic_corners(self, cfg):
-        # t^0.1 grades the panels dozens of levels into 0 (and into 1 for
-        # its mirror), the regime small-mu fractional integrals produce.
-        gs = [
-            lambda t: t**0.1,
-            lambda t: (1.0 - t) ** 0.1,
-            lambda t: np.abs(t - 0.3) ** 0.1,
-            lambda t: t**0.1 * np.exp(-t),
-        ]
-        assert_bitwise(gs, [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 2.0], cfg)
+        # At mu = 2.5 the corners at 0 converge, damped by the weight; the
+        # weight does not hold the corners at 1 and at 0.3, and at mu = 0.5
+        # it does not damp the one at 0, so those fail at the depth cap.
+        for mu in (0.5, 2.5):
+            assert_bitwise(CORNERS, mu, cfg)
 
     @pytest.mark.parametrize("mu", [0.1, 0.25, 0.5, 1.0, 2.5])
     def test_corpus_rl_integrands(self, corpus, mu):
-        # The refiner on the integrands a fallback of the corpus' fractional
-        # integrals would give it, and `rl_many` on the integrals themselves
-        # against their closed forms.
+        # The corpus' fractional integrals: their integrands batched against
+        # the recursion, and `rl_many` against their closed forms.
         for fid, spec in corpus.items():
             a, b = spec.domain
             xs = [a + frac * (b - a) for frac in (0.05, 0.5, 0.95)]
             anchors, ends = [a, b] * 3, [x for x in xs for _ in "ab"]
-            gs = [rl_integrand(spec.f, c, e, mu) for c, e in zip(anchors, ends)]
-            assert_bitwise(gs, [0.0] * len(gs), [1.0] * len(gs))
+            assert_bitwise([rl_integrand(spec.f, c, e) for c, e in zip(anchors, ends)], mu)
             assert_near_oracle(rl_many(spec, anchors, ends, mu), fid, anchors, ends, mu)
 
     @pytest.mark.parametrize("mu", [0.1, 0.5, 2.5])
@@ -244,71 +279,62 @@ class TestBatchedRefinerMatchesRecursion:
 
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
     def test_arrays_given_to_g_are_never_written(self, cfg):
-        # g keeps every s and k it is given and returns read-only values:
-        # the refiner may compute in place only in arrays of its own.
-        corners = [lambda t: t**0.1, lambda t: (1.0 - t) ** 0.1, lambda t: np.abs(t - 0.3) ** 0.1]
-        gs = corners * 6
+        # g keeps every u and k it is given and returns read-only values:
+        # the refinement may compute in place only in arrays of its own.
+        gs = STEEP * 6
         batch = batch_of(gs)
         kept = []  # (an array g was given or returned, its copy at the time)
 
-        def g(s, k):
-            vals = batch(s, k)
+        def g(u, k):
+            vals = batch(u, k)
             vals.flags.writeable = False
-            kept.extend((array, array.copy()) for array in (s, k, vals))
+            kept.extend((array, array.copy()) for array in (u, k, vals))
             return vals
 
-        got = adaptive_gauss_many(g, [0.0] * len(gs), [1.0] * len(gs), cfg)
-        assert got.tolist() == [recursive_gauss(gi, 0.0, 1.0, cfg) for gi in corners] * 6
-        assert len(kept) > 3 * 20
+        got = clenshaw_curtis_many(g, len(gs), 2.5, cfg)
+        assert got.tolist() == [recursive_cc(gi, 2.5, cfg) for gi in STEEP] * 6
+        assert len(kept) > 3 * 10
         for array, copy in kept:
             assert np.array_equal(array, copy)
 
     def test_empty_and_nonempty_mixed(self):
+        # The integrand of an empty interval (`rl_many`'s end == anchor) is
+        # constant: level 0 resolves it, with the smooth ones, and the
+        # refinement evaluates only the integrals whose rules disagree.
         calls = []
+        gs = [lambda u: 1.0 + 0.0 * u, STEEP[0], np.exp, STEEP[1], lambda u: 2.0 + 0.0 * u]
+        batch = batch_of(gs)
 
-        def g(s, k):
+        def g(u, k):
             calls.append(set(k.tolist()))
-            return np.sqrt(s) + k
+            return batch(u, k)
 
-        gs = [lambda s, i=i: np.sqrt(s) + i for i in range(5)]
-        los = [0.0, 0.5, 0.0, 2.0, 1.0]
-        his = [0.0, 1.5, 1.0, 2.0, 1.0]
-        want = [recursive_gauss(gi, lo, hi) for gi, lo, hi in zip(gs, los, his)]
-        got = adaptive_gauss_many(g, los, his)
-        assert got.tolist() == want
-        assert want[0] == want[3] == want[4] == 0.0
-        # Empty intervals are never evaluated.
-        assert set().union(*calls) == {1, 2}
+        got = clenshaw_curtis_many(g, len(gs), 0.5)
+        assert got.tolist() == [recursive_cc(gi, 0.5) for gi in gs]
+        assert got[0] == 1.0 and got[4] == 2.0
+        assert calls[0] == {0, 1, 2, 3, 4}
+        assert set().union(*calls[1:]) == {1, 3}
 
     def test_all_empty_makes_no_call(self):
-        def g(s, k):
-            raise AssertionError("integrand called on an empty batch")
+        def g(s):
+            raise AssertionError("integrand called on an empty interval")
 
-        assert adaptive_gauss_many(g, [1.0, 2.0], [1.0, 2.0]).tolist() == [0.0, 0.0]
-        assert adaptive_gauss_many(g, [], []).tolist() == []
+        assert adaptive_gauss(g, 1.0, 1.0) == adaptive_gauss(g, 2.0, 2.0) == 0.0
 
     def test_one_call_per_level(self):
         n = 17
         calls = []
 
-        def g(s, k):
-            calls.append(s.size)
-            return s**0.1
+        def g(u, k):
+            calls.append(u.size)
+            return np.abs(u - 0.3)
 
-        adaptive_gauss_many(g, [0.0] * n, [1.0] * n)
-        points, widths = [], set()
-
-        def panel(s):
-            points.append(s.size)
-            widths.add(round(math.log2(np.ptp(s))))
-            return s**0.1
-
-        recursive_gauss(panel, 0.0, 1.0)
-        # One call for the whole-interval estimates, then one per bisection
-        # level (each level has its own panel width), covering exactly the
-        # points the recursion evaluates one panel at a time.
-        assert len(calls) == len(widths) > 20
-        assert sum(calls) == n * sum(points)
+        clenshaw_curtis_many(g, n, 0.5)
+        # One call for level 0, then one per bisection level, covering
+        # exactly the panels the recursion evaluates one at a time.
+        per_depth = panels_per_depth(lambda u: np.abs(u - 0.3), 0.5)
+        assert calls == [n * (CC_DEGREE + 1) * count for count in per_depth]
+        assert len(calls) > 10
 
     @pytest.mark.parametrize(
         "order",
@@ -322,23 +348,15 @@ class TestBatchedRefinerMatchesRecursion:
             lambda s: np.abs(s - 0.8) ** 0.05 + np.abs(s - 0.6) ** 0.05,  # fails twice
         ]
         gs = [pool[i] for i in order]
-        his = [1.0] * len(gs)
         first = next(i for i in order if i != 0)
         with pytest.raises(ConvergenceError) as want:
-            recursive_gauss(pool[first], 0.0, 1.0, cfg)
+            recursive_cc(pool[first], 1.0, cfg)
         with pytest.raises(ConvergenceError) as single:
             adaptive_gauss(pool[first], 0.0, 1.0, cfg)
         with pytest.raises(ConvergenceError) as batch:
-            adaptive_gauss_many(batch_of(gs), [0.0] * len(gs), his, cfg)
+            clenshaw_curtis_many(batch_of(gs), len(gs), 1.0, cfg)
         assert str(single.value) == str(batch.value) == str(want.value)
-
-
-def outcome(integrate):
-    """integrate()'s value, or its ConvergenceError's message."""
-    try:
-        return integrate()
-    except ConvergenceError as exc:
-        return f"ConvergenceError: {exc}"
+        assert batch.value.index == order.index(first)
 
 
 def recorded(g, sizes):
@@ -351,139 +369,136 @@ def recorded(g, sizes):
     return h
 
 
-CORNERS = [
-    lambda t: t**0.1,
-    lambda t: (1.0 - t) ** 0.1,
-    lambda t: np.abs(t - 0.3) ** 0.1,
-    lambda t: t**0.1 * np.exp(-t),
-]
-
-
 class TestSmallLevels:
-    """Levels of few active panels, as the fallback of one or two integrals
-    has them: one call of g per depth, evaluating the halves of the active
-    panels, and bit for bit the recursion, at odd and even depth caps and
-    where a deeper level is not finite."""
+    """The level schedule: one call of phi for level 0 on every integral,
+    then one per depth on the halves of the panels still active there,
+    whether few or many, and bit for bit the recursion, at odd and even
+    depth caps and where a deeper level is not finite."""
 
     def test_schedule(self):
-        # One integral: one call for the whole interval, then one per depth,
-        # on the panels the recursion evaluates at that depth.
-        sizes, panels = [], []
+        # One integral: one call for level 0, then one per depth, on the
+        # panels the recursion evaluates at that depth.
+        sizes = []
         kept = []  # (an array g was given or returned, its copy at the time)
 
-        def g(s, k):
-            sizes.append(s.size)
-            vals = s**0.1
+        def g(u, k):
+            sizes.append(u.size)
+            vals = np.abs(u - 0.3)
             vals.flags.writeable = False
-            kept.extend((array, array.copy()) for array in (s, k, vals))
+            kept.extend((array, array.copy()) for array in (u, k, vals))
             return vals
 
-        def panel(s):
-            panels.append(round(math.log2(np.ptp(s))))
-            return s**0.1
-
-        got = adaptive_gauss_many(g, [0.0], [1.0])
-        assert got.tolist() == [recursive_gauss(panel, 0.0, 1.0)]
-        nodes = QuadConfig().base_nodes
-        per_depth = [count for _, count in sorted(Counter(panels).items(), reverse=True)]
-        assert per_depth[0] == 1 and len(per_depth) > 20  # the whole interval, then depths 0, 1, ...
-        assert sizes == [count * nodes for count in per_depth]
+        got = clenshaw_curtis_many(g, 1, 0.5)
+        assert got.tolist() == [recursive_cc(lambda u: np.abs(u - 0.3), 0.5)]
+        per_depth = panels_per_depth(lambda u: np.abs(u - 0.3), 0.5)
+        assert per_depth[0] == 1 and len(per_depth) > 10  # level 0, then depths 1, 2, ...
+        assert sizes == [count * (CC_DEGREE + 1) for count in per_depth]
         for array, copy in kept:
             assert np.array_equal(array, copy)
 
     @pytest.mark.parametrize("cap", [4, 5, 6, 7])
     def test_schedule_at_the_depth_cap(self, cap):
-        # s^2.5 at tolerance 1e-14 refines down to the cap and is accepted
-        # there, one call per depth.
+        # s^2.5 at tolerance 1e-14 needs depth 5: it fails at cap 4, is
+        # accepted at the cap at 5 and below it at 6 and 7, with one call
+        # per depth in each case.
         cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=cap)
-        sizes, panels = [], []
-
-        def panel(s):
-            panels.append(round(math.log2(np.ptp(s))))
-            return s**2.5
-
-        got = adaptive_gauss_many(recorded(lambda s, k: s**2.5, sizes), [0.0], [1.0], cfg)
-        assert got.tolist() == [recursive_gauss(panel, 0.0, 1.0, cfg)]
-        per_depth = [count for _, count in sorted(Counter(panels).items(), reverse=True)]
-        assert len(per_depth) == cap + 2  # the whole interval, then depths 0 to cap
-        assert sizes == [count * cfg.base_nodes for count in per_depth]
+        sizes = []
+        got = outcome(lambda: clenshaw_curtis_many(
+            recorded(lambda s, k: s**2.5, sizes), 1, 1.0, cfg).tolist())
+        want = outcome(lambda: [recursive_cc(lambda s: s**2.5, 1.0, cfg)])
+        assert got == want
+        assert isinstance(want, str) == (cap < 5)
+        # The recursion stops at its first failure, so the schedule is that
+        # of its tree without a cap, cut at the cap: level 0, then depths 1
+        # to 5 or to the cap.
+        per_depth = panels_per_depth(lambda s: s**2.5, 1.0, dataclasses.replace(cfg, max_subdivisions=7))
+        assert len(per_depth) == 6
+        assert sizes == [count * (CC_DEGREE + 1) for count in per_depth[:cap + 1]]
 
     @pytest.mark.parametrize("n", [15, 16, 17])
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
     def test_batch_sizes_around_the_threshold(self, n, cfg):
-        gs = [CORNERS[i % len(CORNERS)] for i in range(n)]
-        assert_bitwise(gs, [0.0] * n, [1.0] * n, cfg)
-        # Depth 0 bisects the n whole intervals, whatever n.
+        gs = [STEEP[i % len(STEEP)] for i in range(n)]
+        assert_bitwise(gs, 2.5, cfg)
+        # Depth 1 bisects [0, 1] for each of the n integrals, whatever n.
         sizes = []
-        adaptive_gauss_many(recorded(batch_of(gs), sizes), [0.0] * n, [1.0] * n, cfg)
-        assert sizes[1] == 2 * n * cfg.base_nodes
+        clenshaw_curtis_many(recorded(batch_of(gs), sizes), n, 2.5, cfg)
+        assert sizes[:2] == [n * (CC_DEGREE + 1), 2 * n * (CC_DEGREE + 1)]
 
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
     def test_levels_fall_into_the_small_path(self, cfg):
-        # 17 polynomials converge at depth 0; the corners refine on, 6
-        # active panels at depth 1 and fewer below.
-        gs = [lambda s, i=i: s**2 + i for i in range(17)] + CORNERS[:3]
+        # 17 polynomials converge at level 0; the three steep integrands
+        # refine on, 6 active panels at depth 1 and no more below.
+        gs = [lambda s, i=i: s**2 + i for i in range(17)] + STEEP
         n = len(gs)
-        assert_bitwise(gs, [0.0] * n, [1.0] * n, cfg)
+        assert_bitwise(gs, 2.5, cfg)
         sizes = []
-        adaptive_gauss_many(recorded(batch_of(gs), sizes), [0.0] * n, [1.0] * n, cfg)
-        assert sizes[1] == 2 * n * cfg.base_nodes
-        assert sizes[2] == 2 * 6 * cfg.base_nodes
+        clenshaw_curtis_many(recorded(batch_of(gs), sizes), n, 2.5, cfg)
+        assert sizes[:2] == [n * (CC_DEGREE + 1), 2 * 3 * (CC_DEGREE + 1)]
+        assert max(sizes[2:]) <= sizes[1]
 
     def test_levels_rise_out_of_the_small_path(self):
-        # sin(60 s + i) splits every panel down to depth 1: 5 active panels
-        # at depth 0, 10 at depth 1, 20 at depth 2.
-        gs = [lambda s, i=i: np.sin(60.0 * s + i) for i in range(5)]
-        assert_bitwise(gs, [0.0] * 5, [1.0] * 5)
+        # sin(200 s + i) splits every panel down to depth 3: 5 active
+        # panels at level 0, 10 at depth 1, 20 at depth 2, 40 at depth 3.
+        gs = [lambda s, i=i: np.sin(200.0 * s + i) for i in range(5)]
+        assert_bitwise(gs, 1.0)
         sizes = []
-        adaptive_gauss_many(recorded(batch_of(gs), sizes), [0.0] * 5, [1.0] * 5)
-        assert sizes == [5 * 16, 2 * 5 * 16, 2 * 10 * 16, 2 * 20 * 16]
+        clenshaw_curtis_many(recorded(batch_of(gs), sizes), 5, 1.0)
+        assert sizes == [count * (CC_DEGREE + 1) for count in (5, 10, 20, 40, 12)]
 
     @pytest.mark.parametrize("cap", [3, 4, 5, 6])
     @pytest.mark.parametrize("tol", [1e-14, 1e-10])
     def test_lookahead_pair_at_the_depth_cap(self, cap, tol):
         # Odd and even caps: each integral converges, is accepted at the
-        # cap or fails there, as the recursion does.
+        # cap or fails there, as the recursion does, in either order.
         cfg = QuadConfig(abs_tol=tol, rel_tol=tol, max_subdivisions=cap)
-        pool = CORNERS + [lambda s: s**2, lambda s: np.abs(s - 1 / 3) ** 0.05]
-        want = [outcome(lambda g=g: recursive_gauss(g, 0.0, 1.0, cfg)) for g in pool]
-        for g, v in zip(pool, want):
-            assert outcome(lambda: adaptive_gauss(g, 0.0, 1.0, cfg)) == v
+        pool = CORNERS + STEEP + [lambda s: s**2, lambda s: np.abs(s - 1 / 3) ** 0.05]
         for order in (pool, pool[::-1]):
-            wants = [want[pool.index(g)] for g in order]
-            failed = [v for v in wants if isinstance(v, str)]
-            got = outcome(lambda: adaptive_gauss_many(
-                batch_of(order), [0.0] * len(order), [1.0] * len(order), cfg).tolist())
-            assert got == (failed[0] if failed else wants)
+            assert_bitwise(order, 2.5, cfg)
 
     def test_nonfinite_half_and_cap_failure_in_a_lookahead_level(self):
-        # spiked is nan only at one Gauss point of the quarter [0.25, 0.5],
-        # so [0, 1] splits at depth 0 and [0, 0.5] is found not finite at
-        # depth 1.
-        ref, _ = np.polynomial.legendre.leggauss(16)
-        spike = 0.375 + 0.125 * ref[4]
+        # spiked is nan only at one node of the quarter [0.25, 0.5], so
+        # [0, 1] splits at level 0, [0, 0.5] at depth 1 (its kink), and
+        # [0.25, 0.5] is found not finite at depth 2.
+        spike = 0.25 + 0.25 * fracint._cc_basis()[0][5]
 
         def spiked(s):
-            return np.where(np.abs(s - spike) < 1e-12, np.nan, s**0.1)
+            return np.where(np.abs(s - spike) < 1e-12, np.nan, np.abs(s - 0.3))
 
         capped = lambda s: np.abs(s - 1 / 3) ** 0.05  # noqa: E731
         cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)
         with pytest.raises(ConvergenceError) as want:
-            recursive_gauss(capped, 0.0, 1.0, cfg)
+            recursive_cc(capped, 1.0, cfg)
         assert "not converged at depth 3" in str(want.value)
-        nonfinite = "ConvergenceError: integrand not finite on [0.0, 0.5]"
-        errors = [outcome(lambda gs=gs: adaptive_gauss_many(batch_of(gs), [0.0] * 2, [1.0] * 2, cfg))
+        nonfinite = "ConvergenceError: integrand not finite on [0.25, 0.5]"
+        assert outcome(lambda: recursive_cc(spiked, 1.0, cfg)) == nonfinite
+        errors = [outcome(lambda gs=gs: clenshaw_curtis_many(batch_of(gs), 2, 1.0, cfg))
                   for gs in ([capped, spiked], [spiked, capped])]
         assert errors == [f"ConvergenceError: {want.value}", nonfinite]
 
 
-def forbid_fallback(monkeypatch):
-    """Make `clenshaw_curtis_many`'s fallback to the refiner fail the test."""
+def forbid_refinement(monkeypatch):
+    """Make any refinement past level 0 of `clenshaw_curtis_many` fail the
+    test."""
 
-    def refine(g, los, his, cfg):
-        raise AssertionError("fallback taken")
+    def refine(phi, ks, tol, mu, cfg):
+        raise AssertionError("refinement taken")
 
-    monkeypatch.setattr(fracint, "adaptive_gauss_many", refine)
+    monkeypatch.setattr(fracint, "_refine", refine)
+
+
+def spy_refinement(monkeypatch):
+    """A list that gets the number of integrals of each refinement
+    `clenshaw_curtis_many` makes."""
+    calls = []
+    refine = fracint._refine
+
+    def spy(phi, ks, tol, mu, cfg):
+        calls.append(ks.size)
+        return refine(phi, ks, tol, mu, cfg)
+
+    monkeypatch.setattr(fracint, "_refine", spy)
+    return calls
 
 
 class TestClosedFormOracle:
@@ -559,8 +574,8 @@ class TestJacobiRules:
 
 
 class TestGaussJacobi:
-    """The rule pair every weakly singular integral takes, and its fallback
-    to the refiner."""
+    """The rule pair every weakly singular integral takes on [0, 1], and
+    the refinement an integral falls back to where the pair disagrees."""
 
     @pytest.mark.parametrize("beta", [-0.9, -0.5, 0.0, 1.5])
     @pytest.mark.parametrize("n", [CC_DEGREE // 2, CC_DEGREE])
@@ -575,19 +590,16 @@ class TestGaussJacobi:
             assert got == pytest.approx(1.0 / (beta + k + 1.0), rel=5e-14), k
 
     def test_batch_equals_alone(self, monkeypatch):
-        # Two integrals the rule resolves and two that fall back (a kink
-        # and a corner the polynomial rule cannot follow), bit for bit.
-        gs = [np.exp, lambda u: u**3, lambda u: np.abs(u - 0.3), lambda u: u**0.01]
-        fallbacks = []
-        refine = fracint.adaptive_gauss_many
-        monkeypatch.setattr(fracint, "adaptive_gauss_many",
-                            lambda g, los, his, cfg: fallbacks.append(len(los)) or refine(g, los, his, cfg))
+        # Two integrals the rule resolves and two it refines (a kink, and a
+        # boundary layer 49 nodes cannot follow), bit for bit.
+        gs = [np.exp, lambda u: u**3, STEEP[1], STEEP[0]]
+        calls = spy_refinement(monkeypatch)
         for mu in (0.1, 0.7, 2.5):
-            fallbacks.clear()
+            calls.clear()
             batch = clenshaw_curtis_many(batch_of(gs), len(gs), mu)
-            assert fallbacks == [2]
+            assert calls == [2]
             alone = [clenshaw_curtis_many(lambda u, k, g=g: g(u), 1, mu)[0] for g in gs]
-            assert fallbacks == [2, 1, 1]
+            assert calls == [2, 1, 1]
             assert batch.tolist() == alone
             assert batch[1] == pytest.approx(mu / (mu + 3.0), rel=1e-14)
 
@@ -596,7 +608,7 @@ class TestGaussJacobi:
         # e^(28 u): the coarse rule is off by 4.2e-12 to 1.4e-10 relative,
         # inside tolerance, the fine one by rounding.  The mean is
         # 1F1(mu; mu+1; 28).
-        forbid_fallback(monkeypatch)
+        forbid_refinement(monkeypatch)
         (got,) = clenshaw_curtis_many(lambda u, k: np.exp(28.0 * u), 1, mu)
         assert mp_oracle.rel_err(got, mp_oracle.mp.hyp1f1(mu, mu + 1, 28)) <= 1e-14
 
@@ -606,8 +618,9 @@ class TestGaussJacobi:
             clenshaw_curtis_many(lambda u, k: np.where(u > 0.5, bad, u), 1, 0.5)
 
     def test_failure_index_is_the_batch_index(self):
-        # Integral 0 resolves; 1, 2 and 3 fall back, where 1 converges and 2
-        # and 3 fail: the refiner sees them as its 1 and 2, the error is 2's.
+        # Integral 0 resolves; 1, 2 and 3 are refined, where 1 converges and
+        # 2 and 3 fail: the refinement sees them as its 1 and 2, the error
+        # is 2's.
         bad = lambda u: np.where(u > 0.5, np.nan, u)  # noqa: E731
         gs = [np.exp, lambda u: np.abs(u - 0.3), bad, bad]
         with pytest.raises(ConvergenceError, match=r"^integrand not finite on ") as got:
@@ -617,13 +630,10 @@ class TestGaussJacobi:
     @pytest.mark.parametrize("mu", [0.5, 1.0])
     def test_unresolved_side_falls_back(self, monkeypatch, mu):
         # exp_decay with lam = 50 over [1, 10]: the side anchored at 1 is
-        # e^(-450 u) in u, past what 49 nodes resolve, so the refiner
-        # integrates it, to the closed form's rounding.
+        # e^(-450 u) in u, past what 49 nodes resolve, so it is refined, to
+        # the closed form's rounding.
         spec = exp_decay_spec("steep", M=0.5, lam=50.0, lo=1.0, hi=10.0)
-        calls = []
-        refine = fracint.adaptive_gauss_many
-        monkeypatch.setattr(fracint, "adaptive_gauss_many",
-                            lambda g, los, his, cfg: calls.append(len(los)) or refine(g, los, his, cfg))
+        calls = spy_refinement(monkeypatch)
         (got,) = rl_many(spec, [1.0], [10.0], mu)
         assert calls == [1]
         want = mp_oracle.rl("exp_decay", {"M": 0.5, "lam": 50.0, "lo": 1.0, "offset": 1.0},
@@ -635,7 +645,7 @@ class TestGaussJacobi:
     def test_steep_members_resolve_without_fallback(self, monkeypatch, lam, hi, mu):
         # Moderately steep user members: e^(-45 u) and e^(-50 u) at worst in
         # u, which the fine rule resolves alone, to the closed form's rounding.
-        forbid_fallback(monkeypatch)
+        forbid_refinement(monkeypatch)
         spec = exp_decay_spec("steep", M=0.5, lam=lam, lo=1.0, hi=hi)
         xs = [1.0 + frac * (hi - 1.0) for frac in (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)]
         anchors, ends = [1.0] * 6 + [hi] * 6, xs + [1.0 + hi - x for x in xs]
@@ -646,16 +656,42 @@ class TestGaussJacobi:
             assert abs(value - float(want)) <= RL_ORACLE_BOUND, (c, e, value, want)
 
     def test_resolved_sides_make_no_fallback(self, corpus, monkeypatch):
-        forbid_fallback(monkeypatch)
+        forbid_refinement(monkeypatch)
         for fid, spec in corpus.items():
             a, b = spec.domain
             for mu in (0.1, 0.25, 0.5, 1.0, 1.5, 2.5):
                 rl_many(spec, [a, b, a, b], [b, a, (a + b) / 2, (a + b) / 2], mu)
 
+    # User members over [1, 10] steep enough to be refined, each with the
+    # closed form's parameters; the refiner this rule replaced was off by
+    # up to 1.4e-5 on them.
+    STEEP_MEMBERS = {
+        "exp_decay lam=20": (exp_decay_spec, dict(lam=20.0), dict(lam=20.0, lo=1.0, offset=1.0)),
+        "exp_decay lam=50": (exp_decay_spec, dict(lam=50.0), dict(lam=50.0, lo=1.0, offset=1.0)),
+        "power_decay r=8": (power_decay_spec, dict(r=8.0), dict(r=8.0, offset=0.1)),
+        "power_decay r=20": (power_decay_spec, dict(r=20.0), dict(r=20.0, offset=0.1)),
+    }
+
+    @pytest.mark.parametrize("member", sorted(STEEP_MEMBERS))
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 1.0, 2.5])
+    def test_refined_sides_match_closed_forms(self, member, mu):
+        # Sides anchored at both ends, whole and up to x = 9: the refined
+        # values against the closed forms, and the batch against each side
+        # alone, bit for bit.
+        build, kw, params = self.STEEP_MEMBERS[member]
+        spec = build("steep", M=0.5, lo=1.0, hi=10.0, **kw)
+        family = build.__name__.removesuffix("_spec")
+        anchors, ends = [1.0, 10.0, 1.0, 10.0], [10.0, 1.0, 9.0, 9.0]
+        got = rl_many(spec, anchors, ends, mu)
+        for value, c, e in zip(got, anchors, ends):
+            want = mp_oracle.rl(family, {"M": 0.5, **params}, c, e, mu)
+            assert abs(value - float(want)) <= RL_ORACLE_BOUND, (c, e, value, want)
+            assert rl_many(spec, [c], [e], mu) == [value]
+
 
 class TestNonFiniteIntegrand:
-    """A panel whose half-sum is not finite fails its integral at once; it
-    used to split at every level, doubling its panels down to the cap."""
+    """A panel whose value is not finite fails its integral at once, at
+    depth 1 at the latest, rather than splitting down to the depth cap."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_fails_at_once(self, bad):
@@ -666,15 +702,20 @@ class TestNonFiniteIntegrand:
             return np.where(s > 0.3, bad, s)
 
         cfg = QuadConfig(max_subdivisions=12)
-        with pytest.raises(ConvergenceError, match=r"^integrand not finite on \[0\.0, 1\.0\]$"):
-            adaptive_gauss_many(g, [0.0], [1.0], cfg)
-        # Bisecting the nan panels to depth 12 evaluated 183,856 points.
-        assert sum(points) < 1000
+        with pytest.raises(ConvergenceError, match=r"^integrand not finite on \[0\.0, 0\.5\]$"):
+            clenshaw_curtis_many(g, 1, 1.0, cfg)
+        # Level 0 and depth 1 only: splitting the panels that are not finite
+        # down to depth 12 would evaluate 49 * 2^13 points.
+        assert points == [CC_DEGREE + 1, 2 * (CC_DEGREE + 1)]
 
     def test_index_counts_empty_intervals(self):
-        gs = [np.exp, np.exp, lambda s: np.where(s > 0.5, np.nan, s)]
-        with pytest.raises(ConvergenceError) as got:
-            adaptive_gauss_many(batch_of(gs), [0.0, 0.0, 0.0], [0.0, 1.0, 1.0])
+        # `rl_many`'s integral 0 is over an empty interval (end == anchor),
+        # 1 is finite, 2 meets the nan above t = 1.5.
+        f = lambda t: np.where(t > 1.5, np.nan, t)  # noqa: E731
+        with pytest.raises(ConvergenceError, match=(
+                r"^fractional integral anchored at 1\.0 with end 2\.0, mu = 0\.5: "
+                r"integrand not finite on ")) as got:
+            rl_many(f, [1.0, 1.0, 1.0], [1.0, 1.2, 2.0], 0.5)
         assert got.value.index == 2
 
     def test_lower_index_cap_failure_wins(self):
@@ -685,10 +726,10 @@ class TestNonFiniteIntegrand:
             adaptive_gauss(capped, 0.0, 1.0, cfg)
         assert "not converged at depth 3" in str(alone.value)
         with pytest.raises(ConvergenceError) as batch:
-            adaptive_gauss_many(batch_of(gs), [0.0, 0.0], [1.0, 1.0], cfg)
+            clenshaw_curtis_many(batch_of(gs), 2, 1.0, cfg)
         assert str(batch.value) == str(alone.value)
-        with pytest.raises(ConvergenceError, match=r"^integrand not finite on \[0\.0, 1\.0\]$"):
-            adaptive_gauss_many(batch_of(gs[::-1]), [0.0, 0.0], [1.0, 1.0], cfg)
+        with pytest.raises(ConvergenceError, match=r"^integrand not finite on \[0\.5, 1\.0\]$"):
+            clenshaw_curtis_many(batch_of(gs[::-1]), 2, 1.0, cfg)
 
 
 class TestRlLower:

@@ -32,7 +32,7 @@ from ostrowski_frac.verify import (
 
 import test_cli
 from conftest import simpson
-from test_fracint import forbid_fallback
+from test_fracint import forbid_refinement
 
 
 def plain_spec(id, f, fprime, domain):
@@ -114,8 +114,8 @@ class TestIdentityResidual:
 
     def test_residual_at_rounding(self, corpus, monkeypatch):
         # Acceptance criterion 1's draws: the rule puts every residual near
-        # rounding, far inside the criterion's 1e-8, with no fallback.
-        forbid_fallback(monkeypatch)
+        # rounding, far inside the criterion's 1e-8, with no refinement.
+        forbid_refinement(monkeypatch)
         rng = np.random.default_rng(0)
         worst = 0.0
         for spec in corpus.values():
@@ -164,7 +164,7 @@ class TestIdentityResidual:
         # Each of the four integrals takes the 49 nodes of the fine rule, the
         # coarse rule's among them; f is evaluated on the sides' points and
         # at x, f' on the moments' points alone.
-        forbid_fallback(monkeypatch)
+        forbid_refinement(monkeypatch)
         sizes = {"f": [], "fprime": []}
 
         def counted(name, g):
@@ -180,13 +180,14 @@ class TestIdentityResidual:
             assert sum(sizes["f"]) == 2 * 49 + 1, spec.id
             assert sum(sizes["fprime"]) == 2 * 49, spec.id
 
-    # Fallbacks of one residual's batch, and the kinds of integral in each
-    # call the refiner makes: only moments, only sides, or both.
+    # Refinements of one residual's batch, and the kinds of integral in each
+    # call of the integrand the refinement makes: only moments, only sides,
+    # or both.
     FALLBACKS = {
         "moments": ("exp_decay", dict(M=0.5, lam=50.0), 3.0, 0.5, {"moments"}),
-        "sides-and-both": ("power_decay", dict(M=0.5, r=8.0), 9.0, 2.5, {"sides", "both"}),
+        "sides-and-both": ("power_decay", dict(M=0.5, r=20.0), 9.0, 2.5, {"sides", "both"}),
         "both": ("exp_decay", dict(M=0.5, lam=50.0), 5.0, 1.0, {"both"}),
-        "lam20": ("exp_decay", dict(M=0.5, lam=20.0), 7.0, 2.5, {"sides", "both"}),
+        "lam20": ("exp_decay", dict(M=0.5, lam=20.0), 7.0, 2.5, {"both"}),
     }
 
     @pytest.mark.parametrize("case", sorted(FALLBACKS))
@@ -195,14 +196,14 @@ class TestIdentityResidual:
         build = power_decay_spec if family == "power_decay" else exp_decay_spec
         spec = build("spy", lo=1.0, hi=10.0, **params)
         frac = FracParams(1.0, 10.0, x, mu)
-        calls = []  # (f points, f' points) of each call the refiner makes
+        calls = []  # (f points, f' points) of each call the refinement makes
         refining = []
-        refine = fracint.adaptive_gauss_many
+        refine = fracint._refine
 
-        def spy_refine(g, los, his, cfg):
+        def spy_refine(phi, ks, tol, mu, cfg):
             refining.append(True)
             try:
-                return refine(g, los, his, cfg)
+                return refine(phi, ks, tol, mu, cfg)
             finally:
                 refining.pop()
 
@@ -216,20 +217,36 @@ class TestIdentityResidual:
                 calls[-1][1] = u.size
             return spec.fprime(u)
 
-        monkeypatch.setattr(fracint, "adaptive_gauss_many", spy_refine)
+        monkeypatch.setattr(fracint, "_refine", spy_refine)
         spy = dataclasses.replace(spec, f=spy_f, fprime=spy_fprime)
         got = lemma_identity_residual(spy, frac)
         assert {"moments" if not n_f else "sides" if not n_fprime else "both"
                 for n_f, n_fprime in calls} == kinds
         assert got.hex() == self._two_batches(spec, frac).hex()
 
+    def test_refined_residual_within_criterion(self):
+        # exp_decay lam = 20 over [1, 10]: its side at a and both moments are
+        # refined.  The refiner this rule replaced left a residual of 5.2e-6
+        # here, 500 times acceptance criterion 1's 1e-8.
+        spec = exp_decay_spec("steep", M=0.5, lam=20.0, lo=1.0, hi=10.0)
+        assert lemma_identity_residual(spec, FracParams(1.0, 10.0, 9.0, 2.5)) <= 1e-8
+
+    # Members steep enough that the rule pair fails at depth 1: exp_decay's
+    # |f'| falls off from a, so its side at a fails first; the mirror image
+    # rises into b, and with f far from 0 its sides meet their relative
+    # tolerance while the moment at b, whose value is small, fails.
+    FAILING = {
+        "side at a": exp_decay_spec("wide", M=0.5, lam=100.0, lo=1.0, hi=10.0),
+        "moment at b": FunctionSpec("wide", lambda t: 100.0 + 0.01 * np.exp(50.0 * (t - 10.0)),
+                                    lambda t: 0.5 * np.exp(50.0 * (t - 10.0)), (1.0, 10.0), 0.5),
+    }
+
     @pytest.mark.parametrize("x,mu,name,index", [
         (7.75, 2.5, "side at a", 0), (1.5, 0.5, "moment at b", 3)])
     def test_failing_integral_named(self, x, mu, name, index):
-        spec = power_decay_spec("wide", M=0.5, r=12.0, lo=1.0, hi=10.0)
         cfg = QuadConfig(max_subdivisions=1)
         with pytest.raises(ConvergenceError) as got:
-            lemma_identity_residual(spec, FracParams(1.0, 10.0, x, mu), cfg)
+            lemma_identity_residual(self.FAILING[name], FracParams(1.0, 10.0, x, mu), cfg)
         assert str(got.value).startswith(
             f"{name} of the identity for 'wide' at a = 1.0, b = 10.0, x = {x}, mu = {mu}: "
             "quadrature on [")
