@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .fracint import DomainError, FracParams, mexp_integral
 
 
@@ -60,10 +62,19 @@ class BoundParams:
         return self.q / (self.q - 1.0)
 
 
+def _geometry(a: float, b: float, x: float, mu: float) -> float:
+    return ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
+
+
 def geometry_factor(frac: FracParams) -> float:
     """((x-a)^(mu+1) + (b-x)^(mu+1)) / (b-a)."""
-    a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
-    return ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
+    return _geometry(frac.a, frac.b, frac.x, frac.mu)
+
+
+def geometry_factors(a: float, b: float, xs, mu: float) -> np.ndarray:
+    """`geometry_factor` at each x of xs, as an array.  Each pow is a scalar
+    pow: numpy's vectorised pow may round differently in the last bit."""
+    return np.array([_geometry(a, b, x, mu) for x in xs])
 
 
 def k_alpha(M: float, m: float, alpha: float, mu: float) -> float:

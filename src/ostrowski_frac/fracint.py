@@ -20,14 +20,15 @@ both lie in the validated [a, b].  Each rule integrates the density times
 the Chebyshev interpolant of phi: its weights are mu 2^(-mu) C^T r, C the
 fixed DCT-I matrix and r the Chebyshev moments of (1+x)^(mu-1), from
 QUADPACK dqmomo's forward recurrence.  A new mu costs that 48-step
-recurrence and two matrix-vector products, about 25 us raw on a 2-vCPU
+recurrence and two matrix-vector products, about 16 us raw on a 2-vCPU
 VM, with no eigensolve; the weights are cached per mu.  The 49-point value
 is the result and its difference from the 25-point value the error
 estimate.
 
 An integral whose two rules disagree beyond tolerance, or whose value is
 not finite, is refined with the same rule pair on dyadic panels of [0, 1]
-(`_refine`); a batch changes no bit of any of its integrals.
+(`_refine`), to abs_tol where the value is not finite; a batch changes no
+bit of any of its integrals.
 """
 
 from __future__ import annotations
@@ -140,16 +141,23 @@ def _cc_basis():
     return nodes, _dct1(CC_DEGREE), _dct1(CC_DEGREE // 2)
 
 
+# (k, k - 1) for the steps k = 2, ..., CC_DEGREE of `_cc_moments`, as floats.
+_MOMENT_STEPS = tuple((float(k), k - 1.0) for k in range(2, CC_DEGREE + 1))
+
+
 def _cc_moments(mu: float) -> list[float]:
     """r_k = int_-1^1 (1+x)^(mu-1) T_k(x) dx for k = 0, ..., CC_DEGREE, by
     the forward recurrence of QUADPACK's dqmomo (Piessens et al. 1983):
     r_0 = 2^mu / mu, r_1 = r_0 (mu-1) / (mu+1) and
     r_k = -(2^mu + k (k-mu-1) r_(k-1)) / ((k-1) (k+mu))."""
     two = 2.0**mu
-    r = [two / mu]
-    r.append(r[0] * (mu - 1.0) / (mu + 1.0))
-    for k in range(2, CC_DEGREE + 1):
-        r.append(-(two + k * (k - mu - 1.0) * r[k - 1]) / ((k - 1.0) * (k + mu)))
+    prev = two / mu
+    r = [prev]
+    prev = prev * (mu - 1.0) / (mu + 1.0)
+    r.append(prev)
+    for k, k1 in _MOMENT_STEPS:
+        prev = -(two + k * (k - mu - 1.0) * prev) / (k1 * (k + mu))
+        r.append(prev)
     return r
 
 
@@ -183,6 +191,17 @@ def _rule_pair(vals, rules):
         return fine, np.abs(coarse - fine)
 
 
+@lru_cache(maxsize=8)
+def _node_grid(count: int):
+    """(u, k): the nodes of `_cc_basis` once for each of count integrals,
+    and each point's integral index, read-only, as `clenshaw_curtis_many`
+    hands them to phi."""
+    nodes = _cc_basis()[0]
+    u, k = np.tile(nodes, count), np.arange(count).repeat(nodes.size)
+    u.flags.writeable = k.flags.writeable = False
+    return u, k
+
+
 def clenshaw_curtis_many(phi, count: int, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """mu int_0^1 u^(mu-1) phi(u, k) du for k = 0, ..., count - 1: the mean
     of phi(., k) under the density mu u^(mu-1).
@@ -192,21 +211,24 @@ def clenshaw_curtis_many(phi, count: int, mu: float, cfg: QuadConfig = DEFAULT_Q
     elementwise.  One call of phi evaluates, on every integral, the
     CC_DEGREE + 1 fixed nodes of `_cc_basis`, u = 0 and u = 1 among them;
     the fine rule of `_cc_rules` sums all of them, the coarse rule every
-    other one, and the fine value is the result.  An integral whose fine
-    value is not finite, or whose two values differ by more than its
-    tolerance max(abs_tol, rel_tol |value|), is refined by `_refine`, which
-    raises ConvergenceError, with the failing k as index, where that fails.
+    other one, and the fine value is the result.  An integral is accepted
+    where its two values differ by less than its tolerance
+    max(abs_tol, rel_tol |value|), which a value that is not finite never
+    does.  The others are refined by `_refine` (to abs_tol where the value
+    is not finite), which raises ConvergenceError, with the failing k as
+    index, where that fails.
     """
     if not 0.0 < mu < math.inf:
         raise DomainError("finite mu > 0 required")
-    nodes = _cc_basis()[0]
-    vals = np.asarray(phi(nodes[None, :].repeat(count, axis=0).ravel(),
-                          np.arange(count).repeat(nodes.size)), dtype=float)
-    fine, err = _rule_pair(vals.reshape(count, nodes.size), _cc_rules(mu))
+    u, k = _node_grid(count)
+    vals = np.asarray(phi(u, k), dtype=float)
+    fine, err = _rule_pair(vals.reshape(count, CC_DEGREE + 1), _cc_rules(mu))
     tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(fine))
-    redo = np.flatnonzero(~(err <= tol))
-    if redo.size:
-        fine[redo] = _refine(phi, redo, tol[redo], mu, cfg)
+    ok = err < tol
+    if not ok.all():
+        redo = np.flatnonzero(~ok)
+        tol = np.where(np.isfinite(fine[redo]), tol[redo], cfg.abs_tol)
+        fine[redo] = _refine(phi, redo, tol, mu, cfg)
     return fine
 
 
@@ -305,16 +327,17 @@ def rl_lines(anchors, ends, mu: float):
     return c, d, np.array([abs(h) ** mu / g for h in d.tolist()])
 
 
-def rl_many(f, anchors, ends, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> list[float]:
+def rl_many(f, anchors, ends, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """Fractional integrals (1/Gamma(mu)) int |t-c|^(mu-1) f(t) dt between
-    each anchor c = anchors[k] and ends[k], as one `clenshaw_curtis_many` batch.
+    each anchor c = anchors[k] and ends[k], as an array from one
+    `clenshaw_curtis_many` batch.
 
     The kernel is singular at the anchor: ends[k] < c gives the left-sided
     integral anchored at its upper limit, ends[k] > c the right-sided one
     anchored at its lower limit, and ends[k] == c gives 0.  The rule's
     nodes include u = 0 and u = 1, so f is evaluated at each anchor and
     each end themselves.  A mu not seen before adds the rule weights'
-    fixed cost, about 25 us raw on a 2-vCPU VM.  A ConvergenceError names
+    fixed cost, about 16 us raw on a 2-vCPU VM.  A ConvergenceError names
     the failing integral's anchor, end and mu.
     """
     fn = getattr(f, "f", f)
@@ -325,21 +348,21 @@ def rl_many(f, anchors, ends, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> list
         k = exc.index
         raise ConvergenceError(f"fractional integral anchored at {float(c[k])} with end "
                                f"{float(ends[k])}, mu = {mu}: {exc}", k) from None
-    return (scales * vals).tolist()
+    return scales * vals
 
 
 def rl_lower(f, a: float, x: float, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """Left-sided fractional integral (1/Gamma(mu)) int_a^x (x-t)^(mu-1) f(t) dt."""
     if mu > 0 and not x > a:
         raise DomainError("x > a required")
-    return rl_many(f, [x], [a], mu, cfg)[0]
+    return float(rl_many(f, [x], [a], mu, cfg)[0])
 
 
 def rl_upper(f, x: float, b: float, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """Right-sided fractional integral (1/Gamma(mu)) int_x^b (t-x)^(mu-1) f(t) dt."""
     if mu > 0 and not b > x:
         raise DomainError("b > x required")
-    return rl_many(f, [x], [b], mu, cfg)[0]
+    return float(rl_many(f, [x], [b], mu, cfg)[0])
 
 
 @lru_cache(maxsize=16384)

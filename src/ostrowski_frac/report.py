@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .bounds import BoundParams, geometry_factor
+from .bounds import BoundParams, geometry_factors
 from .corpus import FunctionSpec, corpus_by_id, spec_from_family
 from .fracint import DomainError, FracParams, QuadConfig
 from .verify import (
@@ -311,15 +311,18 @@ def run_sweep(cfg: SweepConfig) -> dict:
     """Execute the sweep; returns the report as a plain dict whose
     `verdicts` are grouped (`Verdicts`; `verdict_rows` lists them flat).
 
-    Per function, in four steps: list every theorem's points (`_points`);
-    build one `FracParams` per (x, mu) in use; compute their LHS values,
-    one quadrature batch per mu; judge each run of a theorem's points that
-    share mu as one array.  Each RHS is `Theorem.rhs`: the point factor,
-    computed once per point, times the geometry factor of its (x, mu),
-    computed once per (x, mu); a run's RHS is the outer product of its
-    geometry factors by its point factors.  IEEE products and differences
-    round the same in numpy as in Python, so each rhs, margin and holds is
-    what `_judge` gives for the scalars.
+    Per function, in three steps: list every theorem's points (`_points`);
+    per mu in use, compute the LHS and geometry factor columns over the
+    distinct x values, with one `ostrowski_signed_many` call (one
+    quadrature batch) and one `geometry_factors` call; judge each run of a
+    theorem's points that share mu as one array.  Each RHS is
+    `Theorem.rhs`: the point factor, computed once per point, times the
+    geometry factor of its (x, mu), computed once per (x, mu); a run's RHS
+    is the outer product of its geometry factors by its point factors.
+    IEEE products and differences round the same in numpy as in Python,
+    so each rhs, margin and holds is what `_judge` gives for the scalars.
+    The runs of one (function, mu) share its lhs array, and the groups of
+    one function its x list.
 
     Errors come in this order.  `SweepConfig` has rejected every bad
     configured value before the sweep starts.  Then, per function in corpus
@@ -333,13 +336,14 @@ def run_sweep(cfg: SweepConfig) -> dict:
     for f in resolve_corpus(cfg):
         a, b = f.domain
         xs = [a + frac_x * (b - a) for frac_x in cfg.x_fracs]
+        row = {}  # each distinct x -> its row in the columns below
+        rows = [row.setdefault(x, len(row)) for x in xs]
+        distinct = list(row)
         listed = [(theorem, _points(theorem, f, cfg)) for theorem in cfg.theorems]
         at = {}  # mu -> (lhs, g), each an array over xs
         for mu in dict.fromkeys(mu for _, runs in listed for mu, _ in runs):
-            fracs = [FracParams(a, b, x, mu) for x in dict.fromkeys(xs)]
-            by_x = {frac.x: (abs(signed), geometry_factor(frac))
-                    for frac, signed in zip(fracs, ostrowski_signed_many(f, fracs, cfg.quad))}
-            at[mu] = np.array([by_x[x] for x in xs]).T
+            lhs = np.abs(ostrowski_signed_many(f, a, b, distinct, mu, cfg.quad))
+            at[mu] = lhs[rows], geometry_factors(a, b, distinct, mu)[rows]
         for theorem, runs in listed:
             if not runs:
                 continue
@@ -416,16 +420,31 @@ def _json_chunks(report: dict):
     its last key, one string per (group, x) with a verdict, then the close.
     Each shared value is formatted once, where it is stored: tol_margin per
     report; theorem, function, a and b per group; mu and each point's alpha
-    to v per run; x per (group, x); lhs per (run, x).  Each verdict is then
-    one f-string of its rhs, margin and holds, read from `.tolist()`: by
-    repr if the run's rhs and margin are all finite (a finite float's
-    repr is json's), else each through `_value_json`."""
+    to v per run.  An x list and an lhs column are formatted once per
+    object: `run_sweep` shares them among a function's groups, so their
+    text is kept, by the object's identity, while that function's groups
+    render.  Each verdict is then one f-string of its rhs, margin and
+    holds, read from `.tolist()`: by repr if the run's rhs and margin are
+    all finite (a finite float's repr is json's), else each through
+    `_value_json`."""
     top = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
     yield top[:-2] + ',\n  "verdicts": '
     verdicts = report["verdicts"]
     tol_margin = _value_json(verdicts.tol_margin)
-    opened = False
+    texts: dict[int, tuple] = {}  # id of an x list or lhs column -> (it, its text)
+    function, opened = None, False
+
+    def text_of(values):
+        entry = texts.get(id(values))
+        if entry is None:  # the entry holds values, so no other object takes its id
+            listed = values.tolist() if isinstance(values, np.ndarray) else values
+            entry = texts[id(values)] = (values, [_value_json(v) for v in listed])
+        return entry[1]
+
     for g in verdicts.groups:
+        if g.function is not function:
+            function = g.function
+            texts.clear()
         head = f',\n    {{\n      "theorem": {_value_json(g.theorem)},\n      "lhs": '
         shared = (f',\n      "tol_margin": {tol_margin},\n      "function": '
                   f'{_value_json(g.function)},\n      "a": {_value_json(g.a)},\n      "b": '
@@ -436,14 +455,14 @@ def _json_chunks(report: dict):
              f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
              f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}'
              for bp in run.points],
-            run.lhs.tolist(), run.rhs.tolist(), run.margin.tolist(), run.holds.tolist(),
+            text_of(run.lhs), run.rhs.tolist(), run.margin.tolist(), run.holds.tolist(),
             bool(np.isfinite(run.rhs).all() and np.isfinite(run.margin).all()),
         ) for run in g.runs]
-        for i, x in enumerate(g.xs):
-            at_x = shared + _value_json(x)
+        for i, x in enumerate(text_of(g.xs)):
+            at_x = shared + x
             out = []
             for mu_text, points, lhs, rhs, margin, holds, finite in runs:
-                lead = f'{head}{_value_json(lhs[i])},\n      "rhs": '
+                lead = f'{head}{lhs[i]},\n      "rhs": '
                 tail = at_x + mu_text
                 if finite:
                     out += [f'{lead}{r!r},\n      "margin": {d!r},\n      "holds": '

@@ -475,6 +475,20 @@ class TestSweepCommand:
         assert report["verdicts"] and all(v["holds"] for v in report["verdicts"])
         assert "error" not in capsys.readouterr().err
 
+    def test_off_grid_ci_step(self, tmp_path, capsys):
+        # The CI step "Sweep off the default parameter grid" with its own
+        # config, at the default x and mu grid: it exits 0 and lists
+        # verdicts; every theorem gets some, and they hold.
+        cfg = tmp_path / "off-grid.cfg"
+        cfg.write_text(TestSweepMatchesPerVerdictOracle.OFF_GRID)
+        out = tmp_path / "off-grid.json"
+        assert main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert set(report["summary"]) == set(THEOREMS)
+        assert len(report["verdicts"]) == 675
+        assert all(v["holds"] for v in report["verdicts"])
+        assert "error" not in capsys.readouterr().err
+
     def test_one_theorem_met_nowhere_exits_2(self, tmp_path, capsys):
         # t24 needs q > 1; with q = 1 only t22 has verdicts
         cfg = tmp_path / "partly.cfg"
@@ -727,6 +741,20 @@ class TestRenderReport:
                                              group._replace(xs=[], runs=[])])
         assert render_report(report, "json") == self._oracle(report)
 
+    def test_groups_of_one_function_with_their_own_columns(self):
+        # Groups of one function at the same mu whose lhs columns, or x
+        # lists, are other objects with other values: the renderer keeps a
+        # column's text by the column's identity, never by (function, mu).
+        report = run_sweep(parse_config(SMALL_SWEEP))
+        tol_margin, groups = report["verdicts"]
+        g = groups[0]
+        own_lhs = g._replace(theorem="own lhs",
+                             runs=[r._replace(lhs=r.lhs + 1.0) for r in g.runs])
+        own_xs = g._replace(theorem="own xs", xs=[x + 1.0 for x in g.xs])
+        assert [r.mu for r in own_lhs.runs] == [r.mu for r in g.runs]
+        report = {**report, "verdicts": Verdicts(tol_margin, [g, own_lhs, own_xs, g, *groups])}
+        assert render_report(report, "json") == self._oracle(report)
+
     def test_default_sweep_equals_indented_dump(self, default_sweep):
         assert render_report(default_sweep, "json") == self._oracle(default_sweep)
 
@@ -888,8 +916,8 @@ class TestRenderReport:
             "alpha = 0.5,1.0\nm = 0.5\nq = 1.0\n")
         signed_many = report_mod.ostrowski_signed_many
 
-        def nan_in_the_middle(f, fracs, quad):
-            values = signed_many(f, fracs, quad)
+        def nan_in_the_middle(f, a, b, x, mu, quad):
+            values = signed_many(f, a, b, x, mu, quad)
             values[1] = float("nan")
             return values
 
@@ -1150,25 +1178,39 @@ class TestHypothesesCheckedOncePerPoint:
 
     @pytest.mark.parametrize(
         "text", [BATCH_SWEEP, "", CONFIGS["repeats"]], ids=["batch", "default", "repeats"])
-    def test_one_frac_params_per_x_and_mu(self, text, monkeypatch):
-        """A sweep builds one `FracParams` per (function, x, mu) that has a
-        verdict, and one per run of a theorem's grid that shares mu."""
+    def test_one_lhs_call_per_function_and_mu(self, text, monkeypatch):
+        """A sweep builds no `FracParams` per x, only one per run of a
+        theorem's grid that shares mu (its points', at x = a), and makes
+        exactly one LHS call per (function, mu) that has a verdict, over
+        the function's distinct x values in `x_fracs` order."""
         cfg = parse_config(text)
-        pairs = {(f, x, mu) for _, f, x, mu, *_ in self._reference(cfg)[0]}
+        verdicts = self._reference(cfg)[0]
+        pairs = {(f, mu) for _, f, _, mu, *_ in verdicts}
         runs = sum(
             len(list(itertools.groupby(report_mod._grid_for(t, cfg), key=lambda p: p[0])))
             for t in cfg.theorems
         ) * len(resolve_corpus(cfg))
-        built = []
+        built, calls = [], []
 
         class Counting(FracParams):
             def __post_init__(self):
-                built.append((self.x, self.mu))
+                built.append((self.a, self.x))
                 super().__post_init__()
 
+        signed_many = report_mod.ostrowski_signed_many
+
+        def counting(f, a, b, x, mu, quad):
+            calls.append((f.id, mu, list(x)))
+            return signed_many(f, a, b, x, mu, quad)
+
         monkeypatch.setattr(report_mod, "FracParams", Counting)
+        monkeypatch.setattr(report_mod, "ostrowski_signed_many", counting)
         run_sweep(cfg)
-        assert len(built) == len(pairs) + runs
+        assert len(built) == runs and all(x == a for a, x in built)
+        assert len(calls) == len(pairs) and {(f, mu) for f, mu, _ in calls} == pairs
+        for fid, mu, xs in calls:
+            want = list(dict.fromkeys(x for _, f, x, m, *_ in verdicts if (f, m) == (fid, mu)))
+            assert xs == want
 
     def test_group_states_each_point_once(self):
         # A group holds each of its points once, in the run of its mu, with
@@ -1261,7 +1303,12 @@ class TestSweepMatchesPerVerdictOracle:
         cfg = parse_config(TestHypothesesCheckedOncePerPoint.CONFIGS[case])
         self._assert_same(run_sweep(cfg), sweep_oracle.run_sweep(cfg))
 
-    @pytest.mark.parametrize("text", [QUAD_DENSE, EXTRA_MEMBER], ids=["quad-dense", "extra"])
+    # The config of the CI step "Sweep off the default parameter grid":
+    # alpha, m and q off the default grid, at the default x and mu.
+    OFF_GRID = "alpha = 0.3\nm = 0.4\nq = 2.5\n"
+
+    @pytest.mark.parametrize("text", [QUAD_DENSE, EXTRA_MEMBER, OFF_GRID],
+                             ids=["quad-dense", "extra", "off-grid"])
     def test_other_configs(self, text):
         cfg = parse_config(text)
         got = run_sweep(cfg)

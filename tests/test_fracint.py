@@ -275,7 +275,7 @@ class TestBatchedRefinerMatchesRecursion:
         x = 1.37
         lower, upper = rl_lower(spec, a, x, mu), rl_upper(spec, x, b, mu)
         assert_near_oracle([lower, upper], "powdecay", [x, x], [a, b], mu)
-        assert rl_many(spec, [x, x, a], [a, b, a], mu) == [lower, upper, 0.0]
+        assert rl_many(spec, [x, x, a], [a, b, a], mu).tolist() == [lower, upper, 0.0]
 
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
     def test_arrays_given_to_g_are_never_written(self, cfg):
@@ -686,7 +686,7 @@ class TestGaussJacobi:
         for value, c, e in zip(got, anchors, ends):
             want = mp_oracle.rl(family, {"M": 0.5, **params}, c, e, mu)
             assert abs(value - float(want)) <= RL_ORACLE_BOUND, (c, e, value, want)
-            assert rl_many(spec, [c], [e], mu) == [value]
+            assert rl_many(spec, [c], [e], mu).tolist() == [value]
 
 
 class TestNonFiniteIntegrand:
@@ -707,6 +707,39 @@ class TestNonFiniteIntegrand:
         # Level 0 and depth 1 only: splitting the panels that are not finite
         # down to depth 12 would evaluate 49 * 2^13 points.
         assert points == [CC_DEGREE + 1, 2 * (CC_DEGREE + 1)]
+
+    def test_inf_at_an_odd_node_is_refined_to_abs_tol(self, monkeypatch):
+        # An inf at nodes[1], which only the fine rule sums, made the error
+        # estimate and the tolerance rel_tol * |inf| both inf, and the test
+        # `inf <= inf` accepted the value inf.  It is refined now, to
+        # abs_tol.  No refined panel evaluates that one float, so the value
+        # is phi's integral elsewhere: the mean of u, mu / (mu + 1).
+        nodes = fracint._cc_basis()[0]
+        tols, refine = [], fracint._refine
+
+        def spy(phi, ks, tol, mu, cfg):
+            tols.extend(tol.tolist())
+            return refine(phi, ks, tol, mu, cfg)
+
+        monkeypatch.setattr(fracint, "_refine", spy)
+        (got,) = clenshaw_curtis_many(lambda u, k: np.where(u == nodes[1], np.inf, u), 1, 0.5)
+        assert tols == [QuadConfig().abs_tol]
+        assert abs(got - 1.0 / 3.0) <= 1e-15
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.5])
+    def test_spiked_steep_integrand_is_refined_as_without_the_spike(self, mu):
+        # e^(-450 u), past what level 0 resolves, with an inf at nodes[1]:
+        # refined to abs_tol it is bit for bit the integral without the
+        # inf.  The inf tolerance would accept any finite panel; at mu = 1
+        # that stops at depth 1, off by more than abs_tol.
+        nodes = fracint._cc_basis()[0]
+        spiked = lambda u, k: np.where(u == nodes[1], np.inf, np.exp(-450.0 * u))  # noqa: E731
+        (got,) = clenshaw_curtis_many(spiked, 1, mu)
+        (want,) = clenshaw_curtis_many(lambda u, k: np.exp(-450.0 * u), 1, mu)
+        assert got.hex() == want.hex()
+        if mu == 1.0:
+            (loose,) = fracint._refine(spiked, np.array([0]), np.array([np.inf]), mu, QuadConfig())
+            assert abs(loose - got) > QuadConfig().abs_tol
 
     def test_index_counts_empty_intervals(self):
         # `rl_many`'s integral 0 is over an empty interval (end == anchor),

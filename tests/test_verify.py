@@ -8,7 +8,7 @@ import pytest
 from ostrowski_frac import bounds as bnd
 from ostrowski_frac import fracint
 from ostrowski_frac.bounds import BoundParams
-from ostrowski_frac.corpus import FunctionSpec, exp_decay_spec, power_decay_spec
+from ostrowski_frac.corpus import FunctionSpec, affine_spec, exp_decay_spec, power_decay_spec
 from ostrowski_frac.fracint import (
     ConvergenceError,
     DomainError,
@@ -16,7 +16,7 @@ from ostrowski_frac.fracint import (
     QuadConfig,
     clenshaw_curtis_many,
 )
-from ostrowski_frac.report import _grid_for, parse_config
+from ostrowski_frac.report import DEFAULT_MUS, DEFAULT_X_FRACS, _grid_for, parse_config, run_sweep
 from ostrowski_frac.verify import (
     THEOREM_IDS,
     THEOREMS,
@@ -85,14 +85,105 @@ class TestOstrowskiSigned:
         # hold hundreds of panels, against each instance integrated alone.
         spec = corpus[fid]
         a, b = spec.domain
-        fracs = [FracParams(a, b, a + (0.005 + 0.01 * i) * (b - a), mu) for i in range(99)]
-        batch = ostrowski_signed_many(spec, fracs)
-        for frac, got in zip(fracs, batch):
-            assert got == ostrowski_signed(spec, frac), frac
+        xs = [a + (0.005 + 0.01 * i) * (b - a) for i in range(99)]
+        batch = ostrowski_signed_many(spec, a, b, xs, mu)
+        for x, got in zip(xs, batch.tolist()):
+            assert got == ostrowski_signed(spec, FracParams(a, b, x, mu)), x
 
     def test_outside_domain_rejected(self, corpus):
         with pytest.raises(DomainError):
             ostrowski_signed(corpus["affine08"], FracParams(0.5, 2.0, 1.0, 1.0))
+
+
+def signed_one_at_a_time(f, a, b, x, mu):
+    """The signed LHS of one instance as it was computed before the columns:
+    its two sides as one `rl_many` batch, f(x) from a one-point array, and
+    the expression in Python floats."""
+    left, right = fracint.rl_many(f, [a, b], [x, x], mu).tolist()
+    fx = float(np.asarray(f.f(np.array([x])), dtype=float)[0])
+    return (
+        ((x - a) ** mu + (b - x) ** mu) / (b - a) * fx
+        - fracint.gamma(mu + 1.0) / (b - a) * (left + right)
+    )
+
+
+class TestColumnarSigned:
+    """`ostrowski_signed_many` over columns against one instance at a time,
+    by `.hex()`: the one-row call and the scalar expression."""
+
+    DENSE_FRACS = tuple(0.005 + 0.01 * i for i in range(99))
+    DENSE_MUS = (0.1, 0.25, 0.5, 1.0, 1.5, 2.5)
+
+    @staticmethod
+    def assert_bitwise(spec, a, b, xs, mu):
+        got = [v.hex() for v in ostrowski_signed_many(spec, a, b, xs, mu).tolist()]
+        assert got == [ostrowski_signed(spec, FracParams(a, b, x, mu)).hex() for x in xs]
+        assert got == [signed_one_at_a_time(spec, a, b, x, mu).hex() for x in xs]
+
+    @pytest.mark.parametrize("grid", ["default", "dense"])
+    def test_grid(self, corpus, grid):
+        fracs, mus = ((DEFAULT_X_FRACS, DEFAULT_MUS) if grid == "default"
+                      else (self.DENSE_FRACS, self.DENSE_MUS))
+        for spec in corpus.values():
+            a, b = spec.domain
+            for mu in mus:
+                self.assert_bitwise(spec, a, b, [a + t * (b - a) for t in fracs], mu)
+
+    @pytest.mark.parametrize("mu", [0.25, 1.0, 2.5])
+    def test_endpoints_and_repeats(self, corpus, mu):
+        for spec in corpus.values():
+            a, b = spec.domain
+            mid = 0.5 * (a + b)
+            xs = [a, b, mid, a, mid, b, mid]
+            self.assert_bitwise(spec, a, b, xs, mu)
+            # The empty side of each endpoint is 0.
+            assert fracint.rl_many(spec, [a, b], [a, b], mu).tolist() == [0.0, 0.0]
+            got = ostrowski_signed_many(spec, a, b, xs, mu).tolist()
+            assert got[3] == got[0] and got[5] == got[1] and got[2] == got[4] == got[6]
+
+    def test_columns_broadcast(self, corpus):
+        # a, b and x per instance, or shared as scalars.
+        spec = corpus["powdecay"]
+        a, b = spec.domain
+        xs = [1.2, 1.5, 1.9]
+        want = ostrowski_signed_many(spec, a, b, xs, 0.7).tolist()
+        assert ostrowski_signed_many(spec, [a] * 3, [b] * 3, np.array(xs), 0.7).tolist() == want
+        assert ostrowski_signed_many(spec, a, b, 1.5, 0.7).tolist() == want[1:2]
+        assert ostrowski_signed_many(spec, a, b, [], 0.7).tolist() == []
+
+    def test_x_rounded_past_b(self):
+        # a + 1.0 * (b - a) rounds past b on [0.7, 2.9]: the text FracParams
+        # gives, from the columns and from a sweep.
+        spec = affine_spec("p", slope=0.5, intercept=0.25, lo=0.7, hi=2.9)
+        a, b = spec.domain
+        x = a + 1.0 * (b - a)
+        assert x > b
+        with pytest.raises(DomainError) as want:
+            FracParams(a, b, x, 1.0)
+        assert str(want.value) == "x in [a, b] required"
+        with pytest.raises(DomainError, match=r"^x in \[a, b\] required$"):
+            ostrowski_signed_many(spec, a, b, [a + 0.5 * (b - a), x], 1.0)
+        cfg = parse_config("functions = p\nx_fracs = 0.5,1.0\n"
+                           "function.p = affine slope=0.5 intercept=0.25 lo=0.7 hi=2.9\n")
+        with pytest.raises(DomainError, match=r"^x in \[a, b\] required$"):
+            run_sweep(cfg)
+
+    @pytest.mark.parametrize("a,b,x,mu,message", [
+        ([1.0, 1.0], [2.0, 2.0], [1.5, np.nan], 1.0, "x must be finite"),
+        ([1.0, np.inf], [2.0, 2.0], [1.5, 1.5], 1.0, "a must be finite"),
+        ([1.0, 1.0], [2.0, 2.0], [1.5, 1.5], np.nan, "mu must be finite"),
+        ([1.0, 1.0], [2.0, 2.0], [1.5, 1.5], 0.0, "mu > 0 required"),
+        ([1.0, 1.5], [2.0, 1.5], [1.5, 1.5], 1.0, "a < b required"),
+        ([1.0, 0.5], [2.0, 2.0], [1.5, 1.5], 1.0, "[0.5, 2.0] outside domain of 'powdecay'"),
+        ([1.0, 1.0, 0.5], [2.0, 2.0, 2.0], [1.5, 2.5, 1.5], 1.0, "x in [a, b] required"),
+        ([-1.0], [2.0], [1.5], 1.0, "a >= 0 required"),
+        ([1.0], [2.5], [1.5], 1.0, "[1.0, 2.5] outside domain of 'powdecay'"),
+    ])
+    def test_first_bad_instance(self, corpus, a, b, x, mu, message):
+        # The first rejected instance raises what FracParams and then
+        # require_within raise for it alone.
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ostrowski_signed_many(corpus["powdecay"], a, b, x, mu)
 
 
 class TestIdentityResidual:
