@@ -369,17 +369,35 @@ _ROW_KEYS = ("theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function
              "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v")
 
 
+def _table(g: Group):
+    """One group's verdicts side by side: its runs that have a point, and
+    their rhs, margin and holds concatenated along axis 1, so that row i
+    lists the verdicts at the group's i-th x in report order, run by run,
+    point by point.  A run without a point is left out, so that its empty
+    columns cannot change the others' dtype; a group without a point has
+    no table (None)."""
+    runs = [run for run in g.runs if run.points]
+    if not runs:
+        return None
+    return runs, *(np.concatenate([getattr(run, key) for run in runs], axis=1)
+                   for key in ("rhs", "margin", "holds"))
+
+
 def _rows_by_x(tol_margin, g: Group):
     """One group's verdicts as flat records (`_ROW_KEYS`) of Python values,
-    one list per x, in sweep order."""
-    runs = [(run.mu, run.points, run.lhs.tolist(), run.rhs.tolist(), run.margin.tolist(),
-             run.holds.tolist()) for run in g.runs]
-    for i, x in enumerate(g.xs):
+    one list per x, in sweep order (the rows of `_table`)."""
+    table = _table(g)
+    if table is None:
+        return
+    runs, rhs, margin, holds = table
+    lhs = [run.lhs.tolist() for run in runs]
+    points = [(j, run.mu, bp) for j, run in enumerate(runs) for bp in run.points]
+    for i, (x, rhs_i, margin_i, holds_i) in enumerate(
+            zip(g.xs, rhs.tolist(), margin.tolist(), holds.tolist())):
         yield [dict(zip(_ROW_KEYS, (
-                   g.theorem, lhs[i], rhs, margin, holds, tol_margin, g.function, g.a, g.b,
+                   g.theorem, lhs[j][i], r, d, h, tol_margin, g.function, g.a, g.b,
                    x, mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
-               for mu, points, lhs, rhss, margins, holdss in runs
-               for bp, rhs, margin, holds in zip(points, rhss[i], margins[i], holdss[i])]
+               for (j, mu, bp), r, d, h in zip(points, rhs_i, margin_i, holds_i)]
 
 
 def verdict_rows(report: dict):
@@ -418,15 +436,19 @@ def _value_json(v) -> str:
 def _json_chunks(report: dict):
     """`report_chunks` for JSON: the head through json, then the verdicts,
     its last key, one string per (group, x) with a verdict, then the close.
-    Each shared value is formatted once, where it is stored: tol_margin per
-    report; theorem, function, a and b per group; mu and each point's alpha
-    to v per run.  An x list and an lhs column are formatted once per
-    object: `run_sweep` shares them among a function's groups, so their
-    text is kept, by the object's identity, while that function's groups
-    render.  Each verdict is then one f-string of its rhs, margin and
-    holds, read from `.tolist()`: by repr if the run's rhs and margin are
-    all finite (a finite float's repr is json's), else each through
-    `_value_json`."""
+    Each group renders as its `_table`, one row per x.  Each shared value
+    is formatted once, where it is stored: tol_margin per report; theorem,
+    function, a and b per group; x per row; mu per run, folded into the
+    text of each of its points, alpha to v.  An x list and an lhs column
+    are formatted once per object, by `float.__repr__` if all finite:
+    `run_sweep` shares them among a function's groups, so their text is
+    kept, by the object's identity, while that function's groups render.
+    The text that leads a verdict up to its rhs is built once per (x, run)
+    and repeated over the run's points.  Each row is then one
+    comprehension of one f-string per verdict: its lead, rhs, margin,
+    holds, x and point text.  rhs and margin are read from the table's
+    `.tolist()`, by repr if the group's are all finite (a finite float's
+    repr is json's), else each through `_value_json`."""
     top = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
     yield top[:-2] + ',\n  "verdicts": '
     verdicts = report["verdicts"]
@@ -438,45 +460,52 @@ def _json_chunks(report: dict):
         entry = texts.get(id(values))
         if entry is None:  # the entry holds values, so no other object takes its id
             listed = values.tolist() if isinstance(values, np.ndarray) else values
-            entry = texts[id(values)] = (values, [_value_json(v) for v in listed])
+            if set(map(type, listed)) <= {float} and all(map(math.isfinite, listed)):
+                text = list(map(float.__repr__, listed))  # json's text for a finite float
+            else:
+                text = [_value_json(v) for v in listed]
+            entry = texts[id(values)] = (values, text)
         return entry[1]
 
     for g in verdicts.groups:
         if g.function is not function:
             function = g.function
             texts.clear()
+        table = _table(g)
+        if table is None:
+            continue
+        runs, rhs, margin, holds = table
         head = f',\n    {{\n      "theorem": {_value_json(g.theorem)},\n      "lhs": '
         shared = (f',\n      "tol_margin": {tol_margin},\n      "function": '
                   f'{_value_json(g.function)},\n      "a": {_value_json(g.a)},\n      "b": '
                   f'{_value_json(g.b)},\n      "x": ')
-        runs = [(
-            f',\n      "mu": {_value_json(run.mu)},\n      "alpha": ',
-            [f'{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
-             f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
-             f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}'
-             for bp in run.points],
-            text_of(run.lhs), run.rhs.tolist(), run.margin.tolist(), run.holds.tolist(),
-            bool(np.isfinite(run.rhs).all() and np.isfinite(run.margin).all()),
-        ) for run in g.runs]
-        for i, x in enumerate(text_of(g.xs)):
+        leads = np.repeat(
+            np.array([[f'{head}{t},\n      "rhs": ' for t in text_of(run.lhs)] for run in runs],
+                     dtype=object),
+            [len(run.points) for run in runs], axis=0).T.tolist()
+        points = []
+        for run in runs:
+            mu = f',\n      "mu": {_value_json(run.mu)},\n      "alpha": '
+            points += [f'{mu}{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
+                       f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
+                       f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}'
+                       for bp in run.points]
+        finite = bool(np.isfinite(rhs).all() and np.isfinite(margin).all())
+        for x, lead, rhs_x, margin_x, holds_x in zip(
+                text_of(g.xs), leads, rhs.tolist(), margin.tolist(), holds.tolist()):
             at_x = shared + x
-            out = []
-            for mu_text, points, lhs, rhs, margin, holds, finite in runs:
-                lead = f'{head}{lhs[i]},\n      "rhs": '
-                tail = at_x + mu_text
-                if finite:
-                    out += [f'{lead}{r!r},\n      "margin": {d!r},\n      "holds": '
-                            f'{"true" if h else "false"}{tail}{p}'
-                            for r, d, h, p in zip(rhs[i], margin[i], holds[i], points)]
-                else:
-                    out += [f'{lead}{_value_json(r)},\n      "margin": {_value_json(d)},\n'
-                            f'      "holds": {_value_json(h)}{tail}{p}'
-                            for r, d, h, p in zip(rhs[i], margin[i], holds[i], points)]
-            if out:
-                if not opened:  # the first verdict opens the list, the others follow a ","
-                    out[0] = "[" + out[0][1:]
-                    opened = True
-                yield "".join(out)
+            if finite:
+                row = "".join([f'{ld}{r!r},\n      "margin": {d!r},\n      "holds": '
+                               f'{"true" if h else "false"}{at_x}{p}'
+                               for ld, r, d, h, p in zip(lead, rhs_x, margin_x, holds_x, points)])
+            else:
+                row = "".join([f'{ld}{_value_json(r)},\n      "margin": {_value_json(d)},\n'
+                               f'      "holds": {_value_json(h)}{at_x}{p}'
+                               for ld, r, d, h, p in zip(lead, rhs_x, margin_x, holds_x, points)])
+            if not opened:  # the first verdict opens the list, the others follow a ","
+                row = "[" + row[1:]
+                opened = True
+            yield row
     yield "\n  ]\n}\n" if opened else "[]\n}\n"
 
 

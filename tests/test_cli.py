@@ -53,6 +53,23 @@ m = 0.5
 q = 1.0,2.0
 """
 
+# The config of the CI step "Dense stress sweep": t22 and set on the whole
+# corpus at 99 x-fractions and small mu.
+DENSE_SWEEP = (
+    "theorems = t22,set\n"
+    "x_fracs = " + ",".join(f"{0.005 + 0.01 * i:.3f}" for i in range(99)) + "\n"
+    "mu = 0.1,0.25,0.5,1.0,1.5,2.5\nalpha = 1\nm = 0.5\nq = 1\n"
+)
+
+# quad-dense's grid: t22 and set at small mu, x-fractions drawn one per bin.
+QUAD_DENSE_SWEEP = (
+    "theorems = t22,set\n"
+    "x_fracs = " + ",".join(
+        repr(0.005 + 0.03 * (k + float(u)))
+        for k, u in enumerate(np.random.default_rng(7).uniform(size=33))) + "\n"
+    "mu = 0.1,0.25,0.5,1,1.5,2.5\nalpha = 1\nm = 0.5\nq = 1\n"
+)
+
 
 class TestFracIntCommand:
     def test_lower_value(self, capsys):
@@ -489,6 +506,35 @@ class TestSweepCommand:
         assert all(v["holds"] for v in report["verdicts"])
         assert "error" not in capsys.readouterr().err
 
+    def test_default_sweep_ci_step(self, tmp_path, capsys, monkeypatch):
+        # The CI step "Default sweep through the installed entry point", its
+        # commands in order, each a fresh sweep.
+        monkeypatch.chdir(tmp_path)
+
+        def sweep(*argv):
+            assert main(["sweep", *argv]) == 0
+            return capsys.readouterr().out
+
+        sweep("--output", "report.json")
+        data = (tmp_path / "report.json").read_bytes()
+        text = data.decode()
+        verdicts = json.loads(text)["verdicts"]
+        assert len(verdicts) == 17892
+        keys = ("theorem", "function", "x", "mu", "alpha", "m", "q", "u", "holds")
+        h = hashlib.sha256()
+        for v in verdicts:
+            h.update(json.dumps([v[k] for k in keys]).encode() + b"\n")
+        assert h.hexdigest() == TestDefaultSweepListing.TUPLES_SHA256
+        # The renderer against an independent one: json's own indented dump.
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+        sweep("--output", "report-again.json")
+        assert (tmp_path / "report-again.json").read_bytes() == data
+        # The report streams to a file and to stdout through one path.
+        assert sweep().encode() == data
+        (tmp_path / "csv.cfg").write_text("format = csv\n")
+        sweep("--config", "csv.cfg", "--output", "report.csv")
+        assert sweep("--config", "csv.cfg").encode() == (tmp_path / "report.csv").read_bytes()
+
     def test_one_theorem_met_nowhere_exits_2(self, tmp_path, capsys):
         # t24 needs q > 1; with q = 1 only t22 has verdicts
         cfg = tmp_path / "partly.cfg"
@@ -724,10 +770,45 @@ class TestRenderReport:
     def _oracle(report):
         return json.dumps({**report, "verdicts": list(verdict_rows(report))}, indent=2) + "\n"
 
-    @pytest.mark.parametrize("text", [SMALL_SWEEP, BATCH_SWEEP])
+    # The dense configs list one point per run: each row of a group's table
+    # holds one verdict per mu.
+    @pytest.mark.parametrize("text", [
+        SMALL_SWEEP, BATCH_SWEEP,
+        pytest.param(DENSE_SWEEP, id="dense"), pytest.param(QUAD_DENSE_SWEEP, id="quad-dense"),
+    ])
     def test_json_equals_indented_dump(self, text):
         report = run_sweep(parse_config(text))
         assert render_report(report, "json") == self._oracle(report)
+
+    def test_point_less_run_between_runs_with_points(self):
+        # Its empty columns are float, holds too: left in the table, they
+        # would turn the row's holds into floats ("holds": 0.0).
+        report = run_sweep(parse_config(SMALL_SWEEP))
+        tol_margin, groups = report["verdicts"]
+        g = next(g for g in groups if len(g.runs) >= 2 and all(r.points for r in g.runs))
+        empty = np.empty((len(g.xs), 0))
+        none = report_mod.Run(0.75, [], g.runs[0].lhs, empty, empty, empty)
+        group = g._replace(runs=[g.runs[0], none, *g.runs[1:]])
+        report = {**report, "verdicts": Verdicts(tol_margin, [group])}
+        text = render_report(report, "json")
+        assert text == self._oracle(report)
+        assert '"holds": true' in text and '"holds": 0.0' not in text
+
+    def test_non_finite_run_beside_finite_ones(self):
+        # Each value of a group whose one run holds inf and nan is written as
+        # json writes it, the finite runs' values too.
+        report = run_sweep(parse_config(SMALL_SWEEP))
+        tol_margin, groups = report["verdicts"]
+        g = next(g for g in groups if len(g.runs) >= 2)
+        first, *others = g.runs
+        rhs, margin = first.rhs.copy(), first.margin.copy()
+        rhs[0, 0], margin[-1, -1] = float("inf"), float("nan")
+        group = g._replace(runs=[*others, first._replace(rhs=rhs, margin=margin), *others])
+        assert all(np.isfinite(r.rhs).all() and np.isfinite(r.margin).all() for r in others)
+        report = {**report, "verdicts": Verdicts(tol_margin, [g, group, g])}
+        text = render_report(report, "json")
+        assert text == self._oracle(report)
+        assert '"rhs": Infinity' in text and '"margin": NaN' in text
 
     def test_json_without_verdicts(self):
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
@@ -1263,14 +1344,7 @@ class TestSweepMatchesPerVerdictOracle:
 
     REGROUPED = ("set", "mu1")
 
-    # quad-dense's grid: t22 and set at small mu, x-fractions drawn one per bin.
-    QUAD_DENSE = (
-        "theorems = t22,set\n"
-        "x_fracs = " + ",".join(
-            repr(0.005 + 0.03 * (k + float(u)))
-            for k, u in enumerate(np.random.default_rng(7).uniform(size=33))) + "\n"
-        "mu = 0.1,0.25,0.5,1,1.5,2.5\nalpha = 1\nm = 0.5\nq = 1\n"
-    )
+    QUAD_DENSE = QUAD_DENSE_SWEEP
     EXTRA_MEMBER = (
         "functions = powdecay,aff\nx_fracs = 0.1,0.5,0.9\nmu = 0.5,1.5\n"
         "function.aff = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5\n"
@@ -1352,11 +1426,7 @@ class TestDenseStressSweep:
     """The "Dense stress sweep" step of the CI workflow, through `cli.main`:
     t22 and set on the whole corpus at 99 x-fractions and small mu."""
 
-    DENSE = (
-        "theorems = t22,set\n"
-        "x_fracs = " + ",".join(f"{0.005 + 0.01 * i:.3f}" for i in range(99)) + "\n"
-        "mu = 0.1,0.25,0.5,1.0,1.5,2.5\nalpha = 1\nm = 0.5\nq = 1\n"
-    )
+    DENSE = DENSE_SWEEP
     KEYS = ("theorem", "function", "x", "mu", "alpha", "m", "q", "u")
 
     @staticmethod
