@@ -16,14 +16,8 @@ from .fracint import (  # noqa: F401
     rl_many,
     rl_upper,
 )
-from .convexity import (  # noqa: F401
-    Counterexample,
-    GridSpec,
-    check_gm_lemma,
-    check_membership,
-    check_power_lemma,
-)
-from .corpus import FunctionSpec, audit, builtin_corpus  # noqa: F401
+from .convexity import check_gm_lemma, check_power_lemma  # noqa: F401
+from .corpus import FunctionSpec, builtin_corpus  # noqa: F401
 from .bounds import BoundParams  # noqa: F401
 from .verify import (  # noqa: F401
     HypothesisError,

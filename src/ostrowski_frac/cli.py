@@ -1,6 +1,6 @@
 """Command-line driver.
 
-Subcommands: frac-int, check-convexity, verify, sweep, corpus-audit.
+Subcommands: frac-int, check-convexity, verify, sweep.
 Exit codes: 0 all checks hold, 1 at least one violation or a convexity
 claim its certificate rejects, 2 usage or domain error, or a requested
 sweep theorem that no corpus function meets the hypotheses of.  Numbers
@@ -10,12 +10,12 @@ print with 17 significant digits so reports round-trip.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import __version__, corpus
 from .bounds import BoundParams
-from .convexity import GridSpec, NotPositiveError, check_membership
 from .fracint import ConvergenceError, DomainError, FracParams, rl_lower, rl_upper
 from .report import (
     ConfigError,
@@ -59,39 +59,29 @@ def _cmd_frac_int(args) -> int:
 
 
 def _cmd_check_convexity(args) -> int:
-    """The answer is f's certificate (`FunctionSpec.member`, for every
-    q > 0).  The grid is run too: it rejects a g that is not finite, and
-    against a claim the certificate rejects it gives its witness, unless g
-    is not positive (a constant f), which no geometric kind admits."""
+    """The answer is f's certificate alone (`FunctionSpec.certify`, for
+    every q > 0).  A rejection prints the certificate's witness with g at
+    it, or its reason when it names no witness."""
     f = _corpus_lookup(args.f)
-    if args.q <= 0:
-        raise DomainError("q > 0 required")
-    import numpy as np
-
-    grid = GridSpec(points_per_axis=args.points, t_steps=args.t_steps)
-
-    def g(u):
-        return np.abs(np.asarray(f.fprime(u), dtype=float)) ** args.q
-
-    member = f.member(args.alpha, args.m)
-    try:
-        ce = check_membership(g, f.domain, args.alpha, args.m, grid, g_domain=f.domain)
-    except NotPositiveError as exc:
-        if member:
-            raise
-        print(f"FAIL: not a member by its certificate; {exc}")
-        return 1
-    if member:
+    alpha, m, q = args.alpha, args.m, args.q
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError("alpha in (0, 1] required")
+    if not 0.0 < m <= 1.0:
+        raise DomainError("m in (0, 1] required")
+    if not 0.0 < q < math.inf:
+        raise DomainError("q must be finite and > 0")
+    reason = f.certify(alpha, m)
+    if reason is None:
         print("pass")
-        return 0
-    if ce is None:
-        print("FAIL: not a member by its certificate; the grid finds no counterexample")
+    elif isinstance(reason, str):
+        print(f"FAIL: not a member by its certificate; {reason}")
     else:
-        print(
-            f"counterexample x={_g(ce.x)} y={_g(ce.y)} t={_g(ce.t)} "
-            f"lhs={_g(ce.lhs)} rhs={_g(ce.rhs)}"
-        )
-    return 1
+        x, y, t = reason
+        s = t**alpha
+        gx, gy, lhs = (abs(float(v)) ** q for v in f.fprime([x, y, x**t * y ** (m * (1.0 - t))]))
+        rhs = gx**s * gy ** (m * (1.0 - s))
+        print(f"counterexample x={_g(x)} y={_g(y)} t={_g(t)} lhs={_g(lhs)} rhs={_g(rhs)}")
+    return 0 if reason is None else 1
 
 
 def _cmd_verify(args) -> int:
@@ -158,21 +148,6 @@ def _cmd_sweep(args) -> int:
     return 0 if all_hold(report) else 1
 
 
-def _cmd_corpus_audit(args) -> int:
-    """The grid audit of each builtin spec: an oracle of its closed forms."""
-    bad = 0
-    for spec in corpus.builtin_corpus():
-        violations = corpus.audit(spec)
-        if violations:
-            bad += 1
-            print(f"{spec.id}: FAIL")
-            for v in violations:
-                print(f"  - {v}")
-        else:
-            print(f"{spec.id}: pass")
-    return 1 if bad else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ostrowski-frac",
@@ -194,14 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check-convexity",
-        help="whether |f'|^q is (alpha, m)-geometrically convex, with a grid witness",
+        help="whether |f'|^q is (alpha, m)-geometrically convex, with a witness",
     )
     p.add_argument("--f", required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=21)
-    p.add_argument("--t-steps", type=int, default=21)
     p.set_defaults(func=_cmd_check_convexity)
 
     p = sub.add_parser("verify", help="verify one inequality instance")
@@ -224,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="flat key-value config file")
     p.add_argument("--output", default=None, help="override output path")
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("corpus-audit", help="audit every builtin function spec")
-    p.set_defaults(func=_cmd_corpus_audit)
 
     return parser
 

@@ -3,24 +3,29 @@
 Every theorem assumes |f'| <= M and |f'| non-increasing.  Each family
 states both in closed form where it is built (`_family_spec`): a declared M
 below sup|f'| is a DomainError, and no family with rising |f'| can be built.
-`audit`, a grid check of M, f' and monotonicity, is their independent oracle.
+A grid check of M, f' and monotonicity, kept with the tests as an oracle,
+checks these closed forms.
 
 Convexity membership of |f'|^q is decided per family, not sampled.  Every
 class the theorems need is (alpha, m)-geometric convexity (alpha = m = 1 is
 plain geometric convexity), and in logs its defining inequality scales by q,
 so membership depends only on (alpha, m).  Each family spec carries
-`member(alpha, m)`: an exact certificate, memoized per (alpha, m).  Every
-certificate also requires the combination points x^t y^(m(1-t)) to stay in
-the domain; by monotonicity they fill [min(lo, lo^m), max(hi, hi^m)].
-  - affine: |f'|^q is a constant c, certified when 0 < c <= 1, since
-    c <= c^(t^alpha + m(1 - t^alpha)) then (exact for m < 1: t = 0 needs
-    c <= c^m);
+`certify(alpha, m)`, memoized per (alpha, m): None for a member, otherwise
+why the claim fails, as a witness (x, y, t) where the log defect is
+positive, so the inequality fails there for every q > 0, or as a one-line
+text.  Every certificate also requires the combination points
+x^t y^(m(1-t)) to stay in the domain; by monotonicity they fill
+[min(lo, lo^m), max(hi, hi^m)].
+  - affine: |f'|^q is a constant c <= 1 (|slope| <= M <= 1), certified
+    when c > 0, since c <= c^(t^alpha + m(1 - t^alpha)) then;
   - constant: g = 0 is never a member (the geometric classes need g > 0);
-  - power decay (`power_decay_margin`): exact in closed form;
+  - power decay (`power_decay_margin`): exact in closed form; a rejection
+    names the margin's worst corner at a t near 1;
   - exp decay (`exp_decay_defect`): for fixed t the defect is convex in
     (x, y), so it peaks at a corner of the box; its supremum over t is
     bounded by interval bisection (Hansen, Global Optimization Using
-    Interval Analysis) up to the relative slack `convexity.SLACK`.
+    Interval Analysis) up to the relative slack `convexity.SLACK`, and a
+    rejection names the corner and midpoint where the bisection stops.
 A hand-built FunctionSpec with no family certifies nothing, so no theorem
 applies to it.
 
@@ -41,6 +46,12 @@ import numpy as np
 from .convexity import SLACK
 from .fracint import DomainError
 
+# Why a convexity claim fails: a witness (x, y, t), or a one-line text; None
+# for a member.
+Reason = tuple[float, float, float] | str | None
+
+_G_ZERO = "geometric kinds require g > 0"
+
 
 @dataclass(frozen=True)
 class FunctionSpec:
@@ -49,9 +60,14 @@ class FunctionSpec:
     fprime: Callable
     domain: tuple[float, float]
     M: float
-    # Whether |f'|^q is (alpha, m)-geometrically convex, for every q > 0: a
-    # family's certificate; a hand-built spec certifies nothing.
-    member: Callable[[float, float], bool] = lambda alpha, m: False
+    # Why |f'|^q is not (alpha, m)-geometrically convex, for any q > 0, or
+    # None if it is: a family's certificate; a hand-built spec certifies nothing.
+    certify: Callable[[float, float], Reason] = (
+        lambda alpha, m: "a hand-built spec certifies nothing")
+
+    def member(self, alpha: float, m: float) -> bool:
+        """Whether |f'|^q is (alpha, m)-geometrically convex, for every q > 0."""
+        return self.certify(alpha, m) is None
 
     def __post_init__(self) -> None:
         lo, hi = self.domain
@@ -67,62 +83,33 @@ class FunctionSpec:
             raise DomainError(f"[{a}, {b}] outside domain of {self.id!r}")
 
 
-@np.errstate(invalid="ignore")
-def audit(spec: FunctionSpec) -> list[str]:
-    """Check a FunctionSpec on a grid; return the violated invariants (empty =
-    pass): |f'| <= M, fprime against finite differences of f, and |f'|
-    non-increasing.
-
-    Membership is decided by the spec's certificate, so it is not audited.
-    Each check is `not (value <= bound)`, so that a nan value fails it, and
-    the nan of an inf - inf is reported as a violation, not warned about.
-    """
-    lo, hi = spec.domain
-    violations: list[str] = []
-
-    xs = np.linspace(lo, hi, 10_001)
-    absd = np.abs(np.asarray(spec.fprime(xs), dtype=float))
-    if not absd.max() <= spec.M + 1e-12:
-        violations.append(
-            f"|f'| exceeds declared M: max {absd.max():.17g} > M {spec.M:.17g}"
-        )
-
-    h = 1e-5 * (hi - lo)
-    xi = np.linspace(lo + h, hi - h, 1_001)
-    fp, fm = np.asarray(spec.f(xi + h), float), np.asarray(spec.f(xi - h), float)
-    fd = (fp - fm) / (2 * h)
-    err = np.abs(fd - np.asarray(spec.fprime(xi), float)).max()
-    # The central difference's rounding bound: each f value is off by a few
-    # ulps of max|f|, which the quotient divides by 2h (at |f| ~ 1e8 that is
-    # about 1e-3, however exact f' is).  A non-finite f fails the check.
-    tol = 1e-6 + 4.0 * np.finfo(float).eps * np.abs(np.concatenate((fp, fm))).max() / h
-    if not err <= tol < math.inf:
-        violations.append(
-            f"finite difference disagrees with fprime: max err {err:.3g} > {tol:.3g}")
-
-    if not np.all(np.diff(absd) <= 1e-12):
-        violations.append("|f'| is not non-increasing on the grid")
-
-    return violations
-
-
 # ---------------------------------------------------------------------------
 # Membership certificates.  Each decides, for |f'|^q with any q > 0, the
 # (alpha, m)-geometric inequality g(x^t y^(m(1-t))) <= g(x)^(t^alpha)
 # g(y)^(m(1-t^alpha)) for x, y in [lo, hi] and t in [0, 1].
 
-def _certificate(lo: float, hi: float, certify: Callable[[float, float], bool]):
-    """`member(alpha, m)` from `certify(alpha, m)`, memoized per (alpha, m).
+def _certificate(lo: float, hi: float, certify: Callable[[float, float], Reason]):
+    """`FunctionSpec.certify` from a family's `certify(alpha, m)`, memoized
+    per (alpha, m).
 
-    The combination points must stay in [lo, hi], up to the grid's 1e-12.
+    The combination points must stay in [lo, hi], up to 1e-12.
     """
 
     @functools.cache
-    def certified(alpha: float, m: float) -> bool:
-        inside = min(lo, lo**m) >= lo - 1e-12 and max(hi, hi**m) <= hi + 1e-12
-        return inside and certify(alpha, m)
+    def certified(alpha: float, m: float) -> Reason:
+        if not (min(lo, lo**m) >= lo - 1e-12 and max(hi, hi**m) <= hi + 1e-12):
+            return f"combination points x^t y^(m(1-t)) leave [{lo!r}, {hi!r}]"
+        return certify(alpha, m)
 
     return certified
+
+
+def _power_decay_worst(r: float, lo: float, hi: float, m: float):
+    """(W, x, y): W = max r (ln x - m ln y) over x, y in [lo, hi], and the
+    corner that attains it."""
+    lh, ll = math.log(hi), math.log(lo)
+    return max((r * (lh - m * ll), hi, lo), (r * (ll - m * lh), lo, hi),
+               key=lambda corner: corner[0])
 
 
 def power_decay_margin(
@@ -137,9 +124,28 @@ def power_decay_margin(
     (a chord slope of the convex u^(1/alpha)), so the defect is <= 0 for
     every t iff (1 - m)(-ln|M|) - (1 - alpha) / alpha * W >= 0.
     """
-    lh, ll = math.log(hi), math.log(lo)
-    worst = max(r * (lh - m * ll), r * (ll - m * lh))
+    worst = _power_decay_worst(r, lo, hi, m)[0]
     return (1.0 - m) * -math.log(abs(M)) - (1.0 - alpha) / alpha * worst
+
+
+def _power_decay_reason(M, r, lo, hi, alpha, m) -> Reason:
+    """None if `power_decay_margin` certifies the claim, otherwise why not.
+
+    A negative margin is witnessed at its worst corner and the first
+    t = 1 - 2^-k (k = 1, ..., 52) whose closed-form defect is positive: the
+    defect over (1 - t^alpha) tends to minus the margin as t -> 1.
+    """
+    if M == 0.0:
+        return _G_ZERO
+    if power_decay_margin(M, r, lo, hi, alpha, m) >= 0.0:
+        return None if abs(M) <= 1.0 else "power decay is certified only for |M| <= 1"
+    worst, x, y = _power_decay_worst(r, lo, hi, m)
+    for k in range(1, 53):
+        t = 1.0 - 2.0**-k
+        s = t**alpha
+        if (s - t) * worst - (1.0 - s) * (1.0 - m) * -math.log(abs(M)) > 0.0:
+            return (x, y, t)
+    return "negative margin, but no positive defect at t = 1 - 2^-k, k <= 52"
 
 
 def _exp_decay_corners(M, lam, lo, hi, m):
@@ -154,6 +160,14 @@ def _exp_decay_corners(M, lam, lo, hi, m):
     return out
 
 
+def _exp_decay_worst(M, lam, lo, hi, alpha, m, t):
+    """(defect, x, y): `exp_decay_defect` at t and the corner that attains it."""
+    s = t**alpha
+    return max(((c + d * s - lam * (x**t * y ** (m * (1.0 - t))), x, y)
+                for x, y, c, d in _exp_decay_corners(M, lam, lo, hi, m)),
+               key=lambda corner: corner[0])
+
+
 def exp_decay_defect(
     M: float, lam: float, lo: float, hi: float, alpha: float, m: float, t: float
 ) -> float:
@@ -161,25 +175,25 @@ def exp_decay_defect(
     ln g(x^t y^(m(1-t))) - t^alpha ln g(x) - m(1 - t^alpha) ln g(y), over
     x, y in [lo, hi].  For lam >= 0 it is convex in (x, y) (x^t y^(m(1-t))
     is concave, since t + m(1-t) <= 1), so the largest is at a corner."""
-    s = t**alpha
-    return max(c + d * s - lam * (x**t * y ** (m * (1.0 - t)))
-               for x, y, c, d in _exp_decay_corners(M, lam, lo, hi, m))
+    return _exp_decay_worst(M, lam, lo, hi, alpha, m, t)[0]
 
 
 _EXP_DECAY_MAX_INTERVALS = 4096
 
 
-def _exp_decay_certified(M, lam, lo, hi, alpha, m) -> bool:
-    """Whether `exp_decay_defect` <= `SLACK` for every t in [0, 1].
+def _exp_decay_reason(M, lam, lo, hi, alpha, m) -> Reason:
+    """None if `exp_decay_defect` <= `SLACK` for every t in [0, 1], otherwise
+    why not.
 
     On a t-interval each corner's defect is bounded above term by term:
     t^alpha and x^t y^(m(1-t)) are monotone in t, so each term is largest
     at an end.  An interval whose bound exceeds the slack is bisected; a
-    midpoint whose defect exceeds it is a violation.  The defect is 0 at
-    t = 1 for every corner, so the bisection needs the slack to stop there
-    (about 70 intervals for the builtin member); rounding, about 1e-16 of
-    terms of order 1, is far below it.  A supremum still undecided after
-    `_EXP_DECAY_MAX_INTERVALS` intervals is not certified.
+    midpoint whose defect exceeds it is a violation, witnessed there at its
+    worst corner.  The defect is 0 at t = 1 for every corner, so the
+    bisection needs the slack to stop there (about 70 intervals for the
+    builtin member); rounding, about 1e-16 of terms of order 1, is far
+    below it.  A supremum still undecided after `_EXP_DECAY_MAX_INTERVALS`
+    intervals is not certified.
     """
     corners = _exp_decay_corners(M, lam, lo, hi, m)
 
@@ -194,15 +208,16 @@ def _exp_decay_certified(M, lam, lo, hi, alpha, m) -> bool:
     work = [(0.0, 1.0)]
     for _ in range(_EXP_DECAY_MAX_INTERVALS):
         if not work:
-            return True
+            return None
         t0, t1 = work.pop()
         if bound(t0, t1) <= SLACK:
             continue
         mid = 0.5 * (t0 + t1)
-        if exp_decay_defect(M, lam, lo, hi, alpha, m, mid) > SLACK:
-            return False
+        defect, x, y = _exp_decay_worst(M, lam, lo, hi, alpha, m, mid)
+        if defect > SLACK:
+            return (x, y, mid)
         work += [(mid, t1), (t0, mid)]
-    return not work
+    return f"supremum undecided after {_EXP_DECAY_MAX_INTERVALS} intervals" if work else None
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +240,19 @@ def _family_spec(
     sup: float,
     f: Callable,
     fprime: Callable,
-    certify: Callable[[float, float], bool],
+    certify: Callable[[float, float], Reason],
 ) -> FunctionSpec:
     """A family member on [lo, hi] with non-increasing |f'|: f and fprime
     take their argument as a float array, `sup` is the supremum of |f'| in
     closed form, which the declared M may not understate, and
-    `certify(alpha, m)` decides membership (see `_certificate`)."""
+    `certify(alpha, m)` says why a claim fails, or None (see `_certificate`)."""
     spec = FunctionSpec(
         id=id,
         f=lambda u: f(np.asarray(u, dtype=float)),
         fprime=lambda u: fprime(np.asarray(u, dtype=float)),
         domain=(lo, hi),
         M=M,
-        member=_certificate(lo, hi, certify),
+        certify=_certificate(lo, hi, certify),
     )
     if not M >= sup:
         raise DomainError(f"declared M={M!r} is below sup|f'| = {sup!r} on [{lo!r}, {hi!r}]")
@@ -260,7 +275,8 @@ def affine_spec(
         sup=abs(slope),
         f=lambda u: slope * u + intercept,
         fprime=lambda u: np.full(u.shape, slope, dtype=float),
-        certify=lambda alpha, m: 0.0 < abs(slope) <= 1.0,
+        # |slope| <= M <= 1, so only g = 0 fails.
+        certify=lambda alpha, m: None if slope != 0.0 else _G_ZERO,
     )
 
 
@@ -273,7 +289,7 @@ def constant_spec(id: str, value: float, lo: float, hi: float) -> FunctionSpec:
         sup=0.0,
         f=lambda u: np.full(u.shape, value, dtype=float),
         fprime=lambda u: np.zeros(u.shape),
-        certify=lambda alpha, m: False,
+        certify=lambda alpha, m: _G_ZERO,
     )
 
 
@@ -296,16 +312,13 @@ def power_decay_spec(
         raise DomainError("r = 1 not supported (logarithmic antiderivative)")
     _require_finite(M=M, r=r, offset=offset)
 
-    def certify(alpha, m):
-        return 0.0 < abs(M) <= 1.0 and power_decay_margin(M, r, lo, hi, alpha, m) >= 0.0
-
     return _family_spec(
         id, lo, hi,
         M=M if declared_M is None else declared_M,
         sup=abs(M) * lo ** (-r),
         f=lambda u: offset + M * u ** (1.0 - r) / (1.0 - r),
         fprime=lambda u: M * u ** (-r),
-        certify=certify,
+        certify=lambda alpha, m: _power_decay_reason(M, r, lo, hi, alpha, m),
     )
 
 
@@ -332,7 +345,8 @@ def exp_decay_spec(
         sup=abs(M),
         f=lambda u: offset - (M / lam) * np.exp(-lam * (u - lo)),
         fprime=lambda u: M * np.exp(-lam * (u - lo)),
-        certify=lambda alpha, m: M != 0.0 and _exp_decay_certified(M, lam, lo, hi, alpha, m),
+        certify=lambda alpha, m: (
+            _G_ZERO if M == 0.0 else _exp_decay_reason(M, lam, lo, hi, alpha, m)),
     )
 
 

@@ -227,12 +227,11 @@ def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float
     and one point factor; none of them reads x, so a run's `BoundParams`
     share one `FracParams` at x = a.  `_check_hypotheses` runs once per
     distinct (alpha, m, q, u): it reads mu only through the box, which
-    `Theorem.admitted` has applied, so mu joins the key only for a theorem
-    whose box names it.  `SweepConfig` has validated every value, and f its
-    M, so only a point factor can raise."""
+    `Theorem.admitted` has applied (a pin replaces the configured mus).
+    `SweepConfig` has validated every value, and f its M, so only a point
+    factor can raise."""
     a, b = f.domain
     record = THEOREMS[theorem]
-    by_mu = any(name == "mu" for name, _, _ in record.box)
     seen: dict[tuple, Optional[tuple[BoundParams, float]]] = {}
     admits: dict[tuple, bool] = {}
     runs = []
@@ -242,9 +241,9 @@ def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float
         for point in grid:
             if point not in seen:
                 seen[point] = None
-                key = point if by_mu else point[1:]
+                key = point[1:]
                 if admits.get(key, True):
-                    bp = BoundParams(frac, f.M, *point[1:])
+                    bp = BoundParams(frac, f.M, *key)
                     if key not in admits:
                         try:
                             _check_hypotheses(theorem, f, bp)

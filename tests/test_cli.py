@@ -6,12 +6,12 @@ import json
 import tracemalloc
 
 import numpy as np
+import grid_oracle
 import pytest
 import sweep_oracle
 
 from ostrowski_frac import bounds as bnd
 from ostrowski_frac import cli as cli_mod
-from ostrowski_frac import corpus as corpus_mod
 from ostrowski_frac import report as report_mod
 from ostrowski_frac.bounds import BoundParams, geometry_factor
 from ostrowski_frac.cli import main
@@ -138,30 +138,31 @@ class TestCheckConvexityCommand:
         assert capsys.readouterr().out.strip() == "pass"
 
     def test_non_finite_g_exits_2(self, capsys):
-        # |f'|^nan is nan everywhere, and every comparison with nan is False.
+        # |f'|^nan is nan everywhere, and every comparison with nan is False:
+        # q is checked before the certificate answers.
         rc = main(
             ["check-convexity", "--f", "powdecay", "--alpha", "0.5", "--m", "0.5",
              "--q", "nan"]
         )
         assert rc == 2
-        assert capsys.readouterr().err == "error: g not finite on the grid\n"
+        assert capsys.readouterr().err == "error: q must be finite and > 0\n"
 
     @pytest.mark.parametrize("fid", ["const1", "const2"])
     def test_constant_is_rejected_by_its_certificate(self, capsys, fid):
-        # g = |f'|^q = 0: the certificate rejects every claim, and the grid
-        # cannot give a witness, since no geometric kind admits g = 0.
+        # g = |f'|^q = 0: the certificate rejects every claim, with no
+        # witness, since no geometric kind admits g = 0.
         assert main(["check-convexity", "--f", fid]) == 1
         captured = capsys.readouterr()
         assert captured.out == (
-            "FAIL: not a member by its certificate; geometric kinds require g > 0 on the grid\n")
+            "FAIL: not a member by its certificate; geometric kinds require g > 0\n")
         assert captured.err == ""
-        # 0^nan is nan: a g that is not finite still exits 2.
+        # A q that is not finite still exits 2.
         assert main(["check-convexity", "--f", fid, "--q", "nan"]) == 2
-        assert capsys.readouterr().err == "error: g not finite on the grid\n"
+        assert capsys.readouterr().err == "error: q must be finite and > 0\n"
 
     def test_counterexample_exits_1(self, capsys):
         # alpha and m default to 1: expdecay's |f'| is not geometrically
-        # convex (by AM-GM), so the grid finds a counterexample
+        # convex (by AM-GM), so its certificate names a witness
         rc = main(["check-convexity", "--f", "expdecay"])
         assert rc == 1
         assert capsys.readouterr().out.startswith("counterexample")
@@ -173,6 +174,56 @@ class TestCheckConvexityCommand:
         assert capsys.readouterr().out.startswith("counterexample")
         assert main(["check-convexity", "--f", "powdecay", "--alpha", "0.3",
                      "--m", "0.5"]) == 0
+
+    @pytest.mark.parametrize("fid", ["powdecay", "expdecay"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--alpha", "0", "alpha in (0, 1] required"),
+        ("--alpha", "nan", "alpha in (0, 1] required"),
+        ("--alpha", "1.5", "alpha in (0, 1] required"),
+        ("--m", "0", "m in (0, 1] required"),
+        ("--m", "1.5", "m in (0, 1] required"),
+        ("--q", "0", "q must be finite and > 0"),
+        ("--q", "-1", "q must be finite and > 0"),
+        ("--q", "inf", "q must be finite and > 0"),
+    ])
+    def test_bad_parameter_exits_2_before_the_certificate(self, capsys, fid, flag, value,
+                                                          message):
+        # alpha = 0 divided by zero inside the power-decay certificate.
+        assert main(["check-convexity", "--f", fid, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fid,alpha,m,want", [
+        # Rejected claims a 21 x 21 x 21 grid passed: the exp-decay
+        # bisection stops at t = 1 - 2^-6, and so does the power-decay
+        # search for a positive closed-form defect.
+        ("expdecay", "0.5", "0.95",
+         "counterexample x=2 y=1 t=0.984375 "
+         "lhs=0.49031055589865113 rhs=0.49030948325496554\n"),
+        ("powdecay", "0.05", "0.25",
+         "counterexample x=2 y=1 t=0.984375 "
+         "lhs=0.4865382046722318 rhs=0.48653713064141008\n"),
+    ])
+    def test_certificate_names_its_witness(self, capsys, fid, alpha, m, want):
+        assert main(["check-convexity", "--f", fid, "--alpha", alpha, "--m", m]) == 1
+        assert capsys.readouterr().out == want
+
+    def test_certified_for_every_q(self, capsys):
+        # g = |f'|^2000 underflows on [1, 2]; the certificate holds for
+        # every q > 0, so no sampled g is needed to answer.
+        rc = main(["check-convexity", "--f", "powdecay", "--alpha", "0.5", "--m", "0.5",
+                   "--q", "2000"])
+        assert rc == 0
+        assert capsys.readouterr().out == "pass\n"
+
+    def test_exit_code_is_the_certificates_answer(self, corpus, capsys):
+        for spec in corpus.values():
+            for alpha, m in itertools.product((0.05, 0.5, 1.0), (0.25, 0.95, 1.0)):
+                rc = main(["check-convexity", "--f", spec.id, "--alpha", str(alpha),
+                           "--m", str(m), "--q", "3"])
+                assert rc == (0 if spec.member(alpha, m) else 1), (spec.id, alpha, m)
+        capsys.readouterr()
 
 
 class TestVerifyCommand:
@@ -440,7 +491,7 @@ class TestSweepCommand:
         cfg.write_text("functions = big\ntheorems = t22\n"
                        "function.big = affine slope=0.5 intercept=1e8 lo=1 hi=2\n")
         (big,) = resolve_corpus(parse_config(cfg.read_text()))
-        assert corpus_mod.audit(big) == []
+        assert grid_oracle.audit(big) == []
         assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 0
         assert "t22: 432 pass, 0 fail" in capsys.readouterr().err
 
@@ -581,30 +632,6 @@ class TestSweepCommand:
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["sweep", "--config", "/no/such/file.cfg"]) == 2
-
-
-class TestCorpusAuditCommand:
-    IDS = ("linear", "affine08", "const1", "const2", "powdecay", "expdecay")
-
-    def test_every_builtin_passes(self, capsys):
-        assert main(["corpus-audit"]) == 0
-        assert capsys.readouterr().out == "".join(f"{fid}: pass\n" for fid in self.IDS)
-
-    def test_failure_is_reported_with_each_spec_audited_once(self, monkeypatch, capsys):
-        audited = []
-        audit = corpus_mod.audit
-
-        def failing(spec, *args):
-            audited.append(spec.id)
-            return ["boom", "bang"] if spec.id == "expdecay" else audit(spec, *args)
-
-        monkeypatch.setattr(corpus_mod, "audit", failing)
-        assert main(["corpus-audit"]) == 1
-        captured = capsys.readouterr()
-        assert audited == list(self.IDS)
-        assert captured.out == "".join(
-            f"{fid}: pass\n" for fid in self.IDS[:-1]) + "expdecay: FAIL\n  - boom\n  - bang\n"
-        assert captured.err == ""
 
 
 class TestConfigParsing:

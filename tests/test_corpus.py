@@ -1,16 +1,16 @@
 import dataclasses
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from grid_oracle import GridSpec, audit, check_membership
 
 from ostrowski_frac import corpus as corpus_mod
-from ostrowski_frac.convexity import GridSpec, check_membership
 from ostrowski_frac.corpus import (
     FunctionSpec,
     affine_spec,
-    audit,
     builtin_corpus,
     constant_spec,
     corpus_by_id,
@@ -20,7 +20,9 @@ from ostrowski_frac.corpus import (
     power_decay_spec,
     spec_from_family,
 )
+from ostrowski_frac.convexity import SLACK
 from ostrowski_frac.fracint import DomainError
+from ostrowski_frac.report import DEFAULT_QS
 
 EXPECTED_IDS = ("linear", "affine08", "const1", "const2", "powdecay", "expdecay")
 
@@ -172,13 +174,13 @@ class TestCertificates:
 
     def test_memoized_per_alpha_m(self, monkeypatch):
         calls = []
-        certified = corpus_mod._exp_decay_certified
+        certified = corpus_mod._exp_decay_reason
 
         def counting(*args):
             calls.append(args[-2:])
             return certified(*args)
 
-        monkeypatch.setattr(corpus_mod, "_exp_decay_certified", counting)
+        monkeypatch.setattr(corpus_mod, "_exp_decay_reason", counting)
         spec = exp_decay_spec("ed", M=0.5, lam=0.02, lo=1.0, hi=2.0)
         for _ in range(3):  # each repeat is a memo hit
             assert spec.member(0.5, 0.5)
@@ -188,7 +190,7 @@ class TestCertificates:
 
 class TestBoundaryCases:
     """Two false claims, each near the boundary of its class, that the
-    shipped 21 x 21 x 21 grid passes: the certificate rejects both, and 40
+    default 21 x 21 x 21 grid passes: the certificate rejects both, and 40
     digits confirm the violation."""
 
     def test_power_decay_just_past_the_threshold(self):
@@ -211,6 +213,83 @@ class TestBoundaryCases:
         defect = _mp_defect(lambda u: mp.mpf(0.99) * mp.exp(-mp.mpf(0.02) * (u - 1)),
                             2.0, 1.0, 0.990175, 1.0, 0.25, 1)
         assert 8.9e-7 < defect < 9.0e-7
+
+
+class TestWitnesses:
+    """Every rejected claim says why: a witness (x, y, t) that violates the
+    inequality at every q, beyond the checks' slack, or a one-line text."""
+
+    KINDS = [round(0.05 * i, 2) for i in range(1, 21)]  # 0.05, 0.10, ..., 1.0
+
+    @pytest.mark.parametrize("fid", ["powdecay", "expdecay"])
+    def test_every_rejection_has_a_reason_and_every_witness_violates(self, corpus, fid):
+        spec = corpus[fid]
+        witnesses = 0
+        for alpha, m in itertools.product(self.KINDS, self.KINDS):
+            reason = spec.certify(alpha, m)
+            assert spec.member(alpha, m) is (reason is None)
+            if reason is None:
+                continue
+            if isinstance(reason, str):
+                assert reason and "\n" not in reason, (alpha, m, reason)
+                continue
+            witnesses += 1
+            x, y, t = reason
+            assert spec.domain[0] <= min(x, y) and max(x, y) <= spec.domain[1]
+            assert 0.0 < t < 1.0
+            s = t**alpha
+            for q in DEFAULT_QS:
+                g = _gq(spec, q)
+                lhs = float(g(x**t * y ** (m * (1.0 - t))))
+                rhs = float(g(x)) ** s * float(g(y)) ** (m * (1.0 - s))
+                assert lhs > rhs + SLACK * max(1.0, abs(rhs)), (alpha, m, q, reason)
+        assert witnesses
+
+    @pytest.mark.parametrize("fid", ["powdecay", "expdecay"])
+    def test_grid_counterexamples_are_rejected(self, corpus, fid):
+        spec = corpus[fid]
+        found = 0
+        for alpha, m in itertools.product(self.KINDS, self.KINDS):
+            for q in DEFAULT_QS:
+                ce = check_membership(_gq(spec, q), spec.domain, alpha, m,
+                                      g_domain=spec.domain)
+                if ce is not None:
+                    found += 1
+                    assert not spec.member(alpha, m), (alpha, m, q, ce)
+        assert found
+
+    def test_power_decay_witness_is_the_first_positive_defect(self):
+        # pd02: M = 0.5, r = 0.2 on [1, 2], threshold m* = 0.8 at alpha = 0.5;
+        # the worst corner is (2, 1), and the defect is positive from
+        # t = 1 - 2^-k on, for the first such k only.
+        spec = power_decay_spec("pd02", M=0.5, r=0.2, lo=1.0, hi=2.0)
+        x, y, t = spec.certify(0.5, 0.801)
+        assert (x, y) == (2.0, 1.0)
+        k = round(-math.log2(1.0 - t))
+        assert _mp_defect(lambda u: mp.mpf(0.5) * u ** -mp.mpf(0.2), x, y, t, 0.5, 0.801, 1) > 0
+        earlier = 1.0 - 2.0 ** -(k - 1)
+        assert _mp_defect(lambda u: mp.mpf(0.5) * u ** -mp.mpf(0.2), x, y, earlier,
+                          0.5, 0.801, 1) <= 0
+
+    def test_text_reasons(self):
+        assert constant_spec("c", value=1.0, lo=1.0, hi=2.0).certify(0.5, 0.5) == (
+            "geometric kinds require g > 0")
+        assert affine_spec("flat", slope=0.0, intercept=1.0, lo=1.0, hi=2.0,
+                           declared_M=0.5).certify(1.0, 1.0) == "geometric kinds require g > 0"
+        assert affine_spec("aff_off", slope=0.5, intercept=0.0, lo=1.5, hi=2.5).certify(
+            0.5, 0.5) == "combination points x^t y^(m(1-t)) leave [1.5, 2.5]"
+        base = corpus_by_id()["powdecay"]
+        hand = FunctionSpec(id="hand", f=base.f, fprime=base.fprime, domain=base.domain,
+                            M=base.M)
+        assert hand.certify(0.5, 0.5) == "a hand-built spec certifies nothing"
+        # sup|f'| = 2 * 4^(-1.5) = 0.25 <= 1, but the certificate needs |M| <= 1
+        big = power_decay_spec("big", M=2.0, r=1.5, lo=4.0, hi=5.0, declared_M=0.5)
+        assert big.certify(1.0, 1.0) == "power decay is certified only for |M| <= 1"
+
+    def test_undecided_exp_decay_supremum_is_a_text_reason(self, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "_EXP_DECAY_MAX_INTERVALS", 3)
+        spec = exp_decay_spec("ed", M=0.5, lam=0.02, lo=1.0, hi=2.0)
+        assert spec.certify(0.5, 0.5) == "supremum undecided after 3 intervals"
 
 
 class TestAuditFailures:
