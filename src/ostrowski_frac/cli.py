@@ -113,19 +113,16 @@ def _cmd_sweep(args) -> int:
         cfg = parse_config(Path(args.config).read_text())
     else:
         cfg = SweepConfig()
-    if args.output:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, output=args.output)
+    output = args.output or cfg.output
     report = run_sweep(cfg)
     # One (group, x) row at a time, so neither the whole text nor its
     # encoded copy is ever held; the file is opened only now, so a sweep
     # that raises leaves it untouched.
     chunks = report_chunks(report, cfg.out_format)
-    if cfg.output:
-        with Path(cfg.output).open("w") as out:
+    if output:
+        with Path(output).open("w") as out:
             out.writelines(chunks)
-        print(f"report written to {cfg.output}")
+        print(f"report written to {output}")
     else:
         sys.stdout.writelines(chunks)
     for theorem, s in report["summary"].items():

@@ -133,18 +133,24 @@ def _power_decay_reason(M, r, lo, hi, alpha, m) -> Reason:
 
     A negative margin is witnessed at its worst corner and the first
     t = 1 - 2^-k (k = 1, ..., 52) whose closed-form defect is positive: the
-    defect over (1 - t^alpha) tends to minus the margin as t -> 1.
+    defect over (1 - t^alpha) tends to minus the margin as t -> 1.  A
+    witness where g = |f'| does not break the inequality in floats is not
+    named: a margin that is 0 exactly can round to just below it.
     """
     if M == 0.0:
         return _G_ZERO
-    if power_decay_margin(M, r, lo, hi, alpha, m) >= 0.0:
+    margin = power_decay_margin(M, r, lo, hi, alpha, m)
+    if margin >= 0.0:
         return None if abs(M) <= 1.0 else "power decay is certified only for |M| <= 1"
     worst, x, y = _power_decay_worst(r, lo, hi, m)
     for k in range(1, 53):
         t = 1.0 - 2.0**-k
         s = t**alpha
         if (s - t) * worst - (1.0 - s) * (1.0 - m) * -math.log(abs(M)) > 0.0:
-            return (x, y, t)
+            gx, gy, g = (abs(M * u**-r) for u in (x, y, x**t * y ** (m * (1.0 - t))))
+            if g > gx**s * gy ** (m * (1.0 - s)):
+                return (x, y, t)
+            return f"margin {margin!r} is within rounding of 0; g does not fail in floats"
     return "negative margin, but no positive defect at t = 1 - 2^-k, k <= 52"
 
 

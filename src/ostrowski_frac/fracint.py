@@ -76,6 +76,7 @@ class FracParams:
             raise DomainError("x in [a, b] required")
         if not self.mu > 0:
             raise DomainError("mu > 0 required")
+        gamma(self.mu + 1.0)  # a DomainError where Gamma(mu + 1) overflows
 
 
 MAX_TOL = 1e-8  # the largest abs_tol or rel_tol a QuadConfig accepts
@@ -108,10 +109,14 @@ DEFAULT_QUAD = QuadConfig()
 
 
 def gamma(z: float) -> float:
-    """Gamma function for positive real arguments."""
+    """Gamma function for positive real arguments, up to about 171.62,
+    above which it overflows a float."""
     if not (math.isfinite(z) and z > 0):
         raise DomainError(f"gamma requires finite z > 0, got {z!r}")
-    return math.gamma(z)
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        raise DomainError(f"gamma({z!r}) overflows a float") from None
 
 
 # The fine rule interpolates phi at CC_DEGREE + 1 nodes, the coarse rule at

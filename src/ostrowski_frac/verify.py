@@ -271,7 +271,8 @@ def verify_classical(
 ) -> Verdict:
     """Classical point-vs-mean estimate with the 1/4 constant."""
     f.require_within(a, b)
+    # The bound checks a < b and x in [a, b] before the mean divides by b - a.
+    rhs = bnd.bound_classical(f.M, a, b, x)
     mean = adaptive_gauss(f.f, a, b, cfg) / (b - a)
     lhs = abs(float(f.f(x)) - mean)
-    rhs = bnd.bound_classical(f.M, a, b, x)
     return Verdict("classical", lhs, rhs, *_judge(lhs, rhs, cfg))

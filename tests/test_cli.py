@@ -3,7 +3,11 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import grid_oracle
@@ -53,8 +57,8 @@ m = 0.5
 q = 1.0,2.0
 """
 
-# The config of the CI step "Dense stress sweep": t22 and set on the whole
-# corpus at 99 x-fractions and small mu.
+# The dense stress config: t22 and set on the whole corpus at 99
+# x-fractions and small mu.
 DENSE_SWEEP = (
     "theorems = t22,set\n"
     "x_fracs = " + ",".join(f"{0.005 + 0.01 * i:.3f}" for i in range(99)) + "\n"
@@ -209,6 +213,21 @@ class TestCheckConvexityCommand:
         assert main(["check-convexity", "--f", fid, "--alpha", alpha, "--m", m]) == 1
         assert capsys.readouterr().out == want
 
+    @pytest.mark.parametrize("alpha,m,want", [
+        # The exact margin (1 - m) ln 2 - (1 - alpha) / alpha * 0.04 ln 2 is 0
+        # at each of these; in floats it is -1.4e-17 at the first, where the
+        # closed-form defect rounds positive at t = 1 - 2^-26 but g does
+        # not fail there, and >= 0 at the others.
+        ("0.25", "0.88", "FAIL: not a member by its certificate; margin "
+         "-1.3877787807814457e-17 is within rounding of 0; g does not fail in floats\n"),
+        ("0.5", "0.96", "pass\n"), ("0.8", "0.99", "pass\n"),
+        ("0.2", "0.84", "pass\n"), ("0.4", "0.94", "pass\n"),
+    ])
+    def test_margin_zero_names_no_witness(self, capsys, alpha, m, want):
+        rc = main(["check-convexity", "--f", "powdecay", "--alpha", alpha, "--m", m])
+        assert rc == (0 if want == "pass\n" else 1)
+        assert capsys.readouterr().out == want
+
     def test_certified_for_every_q(self, capsys):
         # g = |f'|^2000 underflows on [1, 2]; the certificate holds for
         # every q > 0, so no sampled g is needed to answer.
@@ -252,6 +271,14 @@ class TestVerifyCommand:
                    "--a", a, "--b", "1", "--x", "0.5"])
         assert rc == 2
         assert "outside domain of 'linear'" in capsys.readouterr().err
+
+    def test_classical_empty_interval_exits_2(self, capsys):
+        # The mean divided by b - a = 0 before the bound checked a < b.
+        rc = main(["verify", "--theorem", "classical", "--f", "linear",
+                   "--a", "1", "--b", "1", "--x", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: a < b required\n"
 
     def test_hypothesis_error_exits_2(self, capsys):
         rc = main(
@@ -298,9 +325,8 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == f"error: classical on 'linear': {named} not used\n"
 
 
-# Commands of the CI workflow's "Verify smoke test" step that no other test
-# here runs with the same argv; the step's other commands are the argv of
-# tests in TestVerifyCommand, TestFracIntCommand and TestCheckConvexityCommand.
+# One instance on powdecay, outside the box of the theorems below; each
+# command exits 2 with its message on stderr and nothing on stdout.
 SMOKE_VERIFY = "--f powdecay --x 1.4 --mu 0.5 --alpha 0.5 --m 0.5 --q 2"
 
 
@@ -309,7 +335,11 @@ SMOKE_VERIFY = "--f powdecay --x 1.4 --mu 0.5 --alpha 0.5 --m 0.5 --q 2"
     (f"verify --theorem mm {SMOKE_VERIFY}", "u, v required"),
     ("frac-int --f powdecay --a -1 --x 1.5 --mu 0.5", "outside domain of 'powdecay'"),
     ("frac-int --f powdecay --a 1.2 --x 1.5 --mu 0.5 --upper", "--a not used"),
-], ids=["mu1", "mm", "frac-int-a-outside", "frac-int-upper-a-unread"])
+    # Gamma(401) overflows a float: math.gamma raised OverflowError (exit 1).
+    ("frac-int --f powdecay --x 1.5 --mu 400", "gamma(401.0) overflows a float"),
+    ("verify --theorem t22 --f powdecay --x 1.4 --mu 400", "gamma(401.0) overflows a float"),
+], ids=["mu1", "mm", "frac-int-a-outside", "frac-int-upper-a-unread",
+        "frac-int-gamma-overflow", "verify-gamma-overflow"])
 def test_smoke_step_command_exits_2(capsys, argv, message):
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
@@ -544,9 +574,9 @@ class TestSweepCommand:
         assert "error" not in capsys.readouterr().err
 
     def test_off_grid_ci_step(self, tmp_path, capsys):
-        # The CI step "Sweep off the default parameter grid" with its own
-        # config, at the default x and mu grid: it exits 0 and lists
-        # verdicts; every theorem gets some, and they hold.
+        # alpha, m and q off the default grid, at the default x and mu grid:
+        # the sweep exits 0 and lists verdicts; every theorem gets some, and
+        # they hold.
         cfg = tmp_path / "off-grid.cfg"
         cfg.write_text(TestSweepMatchesPerVerdictOracle.OFF_GRID)
         out = tmp_path / "off-grid.json"
@@ -558,8 +588,10 @@ class TestSweepCommand:
         assert "error" not in capsys.readouterr().err
 
     def test_default_sweep_ci_step(self, tmp_path, capsys, monkeypatch):
-        # The CI step "Default sweep through the installed entry point", its
-        # commands in order, each a fresh sweep.
+        # The default sweep through `main`, each command a fresh sweep: the
+        # count and tuple digest of the written report, its indented-dump
+        # equality, a second --output, stdout, and CSV file against CSV
+        # stdout.
         monkeypatch.chdir(tmp_path)
 
         def sweep(*argv):
@@ -619,12 +651,15 @@ class TestSweepCommand:
          ("function.p = power_decay M=0.5 r=-0.5 lo=1 hi=2",
           "error: power_decay family needs r >= 0 (|f'| non-increasing), got r=-0.5\n"),
          ("function.n = affine slope=0.8 intercept=nan lo=1 hi=2",
-          "error: intercept must be finite, got nan\n")],
+          "error: intercept must be finite, got nan\n"),
+         # Gamma(mu + 1) overflows a float: accepted once, it ended in an
+         # OverflowError traceback (exit 1) inside the sweep.
+         ("mu = 400", "error: mu = 400.0: gamma(401.0) overflows a float\n")],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, line, named):
         # A value the sweep cannot use is a usage error, not a violation (1)
-        # and not a sweep that quietly drops it (0).  Each line is also a
-        # one-line file of the workflow's "Malformed sweep configs" step.
+        # and not a sweep that quietly drops it (0).  Each line is a
+        # one-line config file.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
@@ -707,6 +742,7 @@ class TestConfigParsing:
             ("x_fracs = nan", "x_fracs = nan: x must be finite"),
             ("mu = 0", "mu = 0.0: mu > 0 required"),
             ("mu = inf", "mu = inf: mu must be finite"),
+            ("mu = 170.63", "mu = 170.63: gamma(171.63) overflows a float"),
         ],
     )
     def test_out_of_domain_parameter(self, text, message):
@@ -1404,7 +1440,6 @@ class TestSweepMatchesPerVerdictOracle:
         cfg = parse_config(TestHypothesesCheckedOncePerPoint.CONFIGS[case])
         self._assert_same(run_sweep(cfg), sweep_oracle.run_sweep(cfg))
 
-    # The config of the CI step "Sweep off the default parameter grid":
     # alpha, m and q off the default grid, at the default x and mu.
     OFF_GRID = "alpha = 0.3\nm = 0.4\nq = 2.5\n"
 
@@ -1450,8 +1485,9 @@ class TestSweepMatchesPerVerdictOracle:
 
 
 class TestDenseStressSweep:
-    """The "Dense stress sweep" step of the CI workflow, through `cli.main`:
-    t22 and set on the whole corpus at 99 x-fractions and small mu."""
+    """The dense stress sweep through `cli.main`: t22 and set on the whole
+    corpus at 99 x-fractions and small mu.  Every verdict holds, and the
+    written report is stable."""
 
     DENSE = DENSE_SWEEP
     KEYS = ("theorem", "function", "x", "mu", "alpha", "m", "q", "u")
@@ -1471,6 +1507,11 @@ class TestDenseStressSweep:
         verdicts = json.loads(dense)["verdicts"]
         assert len(verdicts) == 3564
         assert all(v["holds"] for v in verdicts), [v for v in verdicts if not v["holds"]][:3]
+
+    def test_file_equals_its_indented_dump(self, dense):
+        # The renderer against an independent one: json's own indented dump.
+        text = dense.decode()
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
     def test_repeated_sweep_is_byte_identical(self, dense, tmp_path):
         # Not pinned to a SHA-256: lhs bits can differ between hosts.
@@ -1506,3 +1547,27 @@ class TestCanonicalText:
     def test_parses_back(self, case):
         cfg = parse_config(self.CONFIGS[case])
         assert parse_config(cfg.canonical_text()) == cfg
+
+
+def test_module_entry_point_in_real_processes(tmp_path):
+    """`python -m ostrowski_frac.cli`, each command in its own process, run
+    from a directory outside the repo: the exit codes 0, 1 and 2 and what
+    each writes to stdout and stderr.  An exception that escaped `main` would
+    exit 1 with a traceback.  The only test here that spawns a process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cases = [
+        ("check-convexity --f powdecay --alpha 0.5 --m 0.5 --q 2", 0, "pass\n", ""),
+        ("check-convexity --f expdecay", 1, "counterexample x=1 y=2 t=0.5 "
+         "lhs=0.49587497438321498 rhs=0.49502491687458405\n", ""),
+        ("frac-int --f powdecay --x 1.5 --mu 400", 2, "",
+         "error: gamma(401.0) overflows a float\n"),
+    ]
+    procs = [subprocess.Popen([sys.executable, "-m", "ostrowski_frac.cli", *argv.split()],
+                              cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+             for argv, *_ in cases]
+    for proc, (argv, rc, out, err) in zip(procs, cases):
+        got_out, got_err = proc.communicate(timeout=60)
+        assert (proc.returncode, got_out, got_err) == (rc, out, err), argv

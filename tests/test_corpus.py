@@ -271,6 +271,19 @@ class TestWitnesses:
         assert _mp_defect(lambda u: mp.mpf(0.5) * u ** -mp.mpf(0.2), x, y, earlier,
                           0.5, 0.801, 1) <= 0
 
+    @pytest.mark.parametrize("fid,M,r,alpha,m", [
+        ("powdecay", 0.5, 0.04, 0.25, 0.88), ("pd02", 0.5, 0.2, 0.5, 0.8),
+    ])
+    def test_margin_rounded_below_zero_names_no_witness(self, fid, M, r, alpha, m):
+        # The exact margin is 0; in floats it is about -1e-17, and the
+        # closed-form defect rounds positive at a t where g does not fail.
+        spec = power_decay_spec(fid, M=M, r=r, lo=1.0, hi=2.0)
+        margin = power_decay_margin(M, r, 1.0, 2.0, alpha, m)
+        assert -1e-16 < margin < 0.0
+        assert spec.certify(alpha, m) == (
+            f"margin {margin!r} is within rounding of 0; g does not fail in floats")
+        assert not spec.member(alpha, m)
+
     def test_text_reasons(self):
         assert constant_spec("c", value=1.0, lo=1.0, hi=2.0).certify(0.5, 0.5) == (
             "geometric kinds require g > 0")

@@ -43,8 +43,9 @@ class TestGamma:
             lhs = gamma(z + 1.0)
             assert abs(lhs - z * gamma(z)) / lhs <= 1e-11
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("z", [0.0, -1.0, float("nan"), float("inf"), 171.63, 401.0])
     def test_domain_errors(self, z):
+        # Above about 171.62, math.gamma raises OverflowError.
         with pytest.raises(DomainError):
             gamma(z)
 
@@ -55,11 +56,16 @@ class TestFracParams:
 
     @pytest.mark.parametrize(
         "a,b,x,mu",
-        [(-0.1, 1, 0.5, 1), (1, 1, 1, 1), (0, 1, 1.5, 1), (0, 1, 0.5, 0), (0, 1, 0.5, -2)],
+        [(-0.1, 1, 0.5, 1), (1, 1, 1, 1), (0, 1, 1.5, 1), (0, 1, 0.5, 0), (0, 1, 0.5, -2),
+         (0, 1, 0.5, 170.63), (0, 1, 0.5, 400)],
     )
     def test_invalid(self, a, b, x, mu):
         with pytest.raises(DomainError):
             FracParams(a, b, x, mu)
+
+    def test_largest_mu(self):
+        # Gamma(171.62) is still finite.
+        FracParams(0.0, 1.0, 0.5, 170.62)
 
 
 class TestQuadConfig:
