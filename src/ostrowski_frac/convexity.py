@@ -5,9 +5,10 @@ g is (alpha, m)-geometrically convex on [lo, hi] when
 g(x^t y^(m(1-t))) <= g(x)^(t^alpha) g(y)^(m(1-t^alpha)) for x, y in
 [lo, hi] and t in [0, 1]; alpha = 1 gives m-geometric convexity and
 alpha = m = 1 geometric convexity.  Each corpus family decides that claim
-with an exact certificate (`corpus`), which names a witness (x, y, t) when
-it rejects one; a sampled grid of the inequality is the certificates' test
-oracle, not part of the library.
+with a certificate (`corpus`), which names a witness (x, y, t) when it
+rejects one.  Each is exact but exp decay's, which accepts a supremum
+defect up to `SLACK`.  A sampled grid of the inequality is the
+certificates' test oracle, not part of the library.
 """
 
 from __future__ import annotations

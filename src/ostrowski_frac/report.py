@@ -92,6 +92,10 @@ class SweepConfig:
                 raise ConfigError(f"unknown theorem id {t!r}; known: {THEOREM_IDS}")
         if self.out_format not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
+        # A CSV field or a `functions` list must be able to hold the id.
+        for _, fid, _ in self.extra_functions:
+            if not fid or "," in fid or '"' in fid:
+                raise ConfigError(f"function id {fid!r} must be non-empty, without ',' or '\"'")
         # One probe per value, so that no value is dropped from the sweep
         # unreported or fails part-way through it.
         for key, values in lists.items():
@@ -260,27 +264,28 @@ def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float
 
 
 class Run(NamedTuple):
-    """The verdicts of a group's points that share mu, as columns: row i is
-    the group's i-th x, column j the run's j-th point.  The arrays are
-    float64 (lhs, rhs, margin) and bool (holds)."""
+    """A group's points that share mu, and the LHS they share: element i
+    of `lhs` is at the group's i-th x."""
     mu: float
     points: list[BoundParams]  # at x = a; each recurs at every x
-    lhs: np.ndarray  # |signed LHS| per x
-    rhs: np.ndarray  # per (x, point)
-    margin: np.ndarray
-    holds: np.ndarray
+    lhs: np.ndarray  # |signed LHS| per x, float64
 
 
 class Group(NamedTuple):
-    """The verdicts of one theorem on one function: its x values and its
-    runs in sweep order.  Its verdicts are listed x by x, and at each x
-    run by run, point by point."""
+    """The verdicts of one theorem on one function: its x values, its runs
+    in sweep order, and its verdicts as one table, row i at the i-th x and
+    one column per point, run by run, point by point, so that the rows
+    list the verdicts in report order.  The table's arrays are float64
+    (rhs, margin) and bool (holds)."""
     theorem: str
     function: str
     a: float
     b: float
     xs: list[float]
     runs: list[Run]
+    rhs: np.ndarray
+    margin: np.ndarray
+    holds: np.ndarray
 
 
 class Verdicts(NamedTuple):
@@ -292,16 +297,16 @@ class Verdicts(NamedTuple):
 def _summary(groups: list[Group]) -> dict[str, dict]:
     """Per theorem, in order of its first group: how many verdicts hold and
     fail, and the least margin, which is nan if any margin is nan."""
-    runs: dict[str, list[Run]] = {}
+    tables: dict[str, list[Group]] = {}
     for g in groups:
-        runs.setdefault(g.theorem, []).extend(g.runs)
+        tables.setdefault(g.theorem, []).append(g)
     summary = {}
-    for theorem, rs in runs.items():
-        held = sum(int(r.holds.sum()) for r in rs)
+    for theorem, gs in tables.items():
+        held = sum(int(g.holds.sum()) for g in gs)
         summary[theorem] = {
             "pass": held,
-            "fail": sum(r.holds.size for r in rs) - held,
-            "worst_margin": float(np.min([r.margin.min() for r in rs])),
+            "fail": sum(g.holds.size for g in gs) - held,
+            "worst_margin": float(np.min([g.margin.min() for g in gs])),
         }
     return summary
 
@@ -313,15 +318,15 @@ def run_sweep(cfg: SweepConfig) -> dict:
     Per function, in three steps: list every theorem's points (`_points`);
     per mu in use, compute the LHS and geometry factor columns over the
     distinct x values, with one `ostrowski_signed_many` call (one
-    quadrature batch) and one `geometry_factors` call; judge each run of a
-    theorem's points that share mu as one array.  Each RHS is
-    `Theorem.rhs`: the point factor, computed once per point, times the
-    geometry factor of its (x, mu), computed once per (x, mu); a run's RHS
-    is the outer product of its geometry factors by its point factors.
-    IEEE products and differences round the same in numpy as in Python,
-    so each rhs, margin and holds is what `_judge` gives for the scalars.
-    The runs of one (function, mu) share its lhs array, and the groups of
-    one function its x list.
+    quadrature batch) and one `geometry_factors` call; judge each group
+    as one table, with one `_judge` call.  Each RHS is `Theorem.rhs`: the
+    point factor, computed once per point, times the geometry factor of
+    its (x, mu), computed once per (x, mu); a group's RHS is its geometry
+    factor columns, each repeated once per point of its run, times the row
+    of its point factors.  IEEE products and differences round the same in
+    numpy as in Python, so each rhs, margin and holds is what `_judge`
+    gives for the scalars.  The runs of one (function, mu) share its lhs
+    array, and the groups of one function its x list.
 
     Errors come in this order.  `SweepConfig` has rejected every bad
     configured value before the sweep starts.  Then, per function in corpus
@@ -346,13 +351,12 @@ def run_sweep(cfg: SweepConfig) -> dict:
         for theorem, runs in listed:
             if not runs:
                 continue
-            columns = []
-            for mu, points in runs:
-                lhs, g = at[mu]
-                rhs = np.multiply.outer(g, [factor for _, factor in points])
-                margin, holds, _ = _judge(lhs[:, None], rhs, cfg.quad)
-                columns.append(Run(mu, [bp for bp, _ in points], lhs, rhs, margin, holds))
-            groups.append(Group(theorem, f.id, a, b, xs, columns))
+            counts = [len(points) for _, points in runs]
+            lhs, g = np.repeat(np.stack([at[mu] for mu, _ in runs], axis=2), counts, axis=2)
+            rhs = g * [factor for _, points in runs for _, factor in points]
+            margin, holds, _ = _judge(lhs, rhs, cfg.quad)
+            columns = [Run(mu, [bp for bp, _ in points], at[mu][0]) for mu, points in runs]
+            groups.append(Group(theorem, f.id, a, b, xs, columns, rhs, margin, holds))
 
     return {
         "config_fingerprint": cfg.fingerprint(),
@@ -368,31 +372,13 @@ _ROW_KEYS = ("theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function
              "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v")
 
 
-def _table(g: Group):
-    """One group's verdicts side by side: its runs that have a point, and
-    their rhs, margin and holds concatenated along axis 1, so that row i
-    lists the verdicts at the group's i-th x in report order, run by run,
-    point by point.  A run without a point is left out, so that its empty
-    columns cannot change the others' dtype; a group without a point has
-    no table (None)."""
-    runs = [run for run in g.runs if run.points]
-    if not runs:
-        return None
-    return runs, *(np.concatenate([getattr(run, key) for run in runs], axis=1)
-                   for key in ("rhs", "margin", "holds"))
-
-
 def _rows_by_x(tol_margin, g: Group):
     """One group's verdicts as flat records (`_ROW_KEYS`) of Python values,
-    one list per x, in sweep order (the rows of `_table`)."""
-    table = _table(g)
-    if table is None:
-        return
-    runs, rhs, margin, holds = table
-    lhs = [run.lhs.tolist() for run in runs]
-    points = [(j, run.mu, bp) for j, run in enumerate(runs) for bp in run.points]
+    one list per x, in sweep order (the rows of the group's table)."""
+    lhs = [run.lhs.tolist() for run in g.runs]
+    points = [(j, run.mu, bp) for j, run in enumerate(g.runs) for bp in run.points]
     for i, (x, rhs_i, margin_i, holds_i) in enumerate(
-            zip(g.xs, rhs.tolist(), margin.tolist(), holds.tolist())):
+            zip(g.xs, g.rhs.tolist(), g.margin.tolist(), g.holds.tolist())):
         yield [dict(zip(_ROW_KEYS, (
                    g.theorem, lhs[j][i], r, d, h, tol_margin, g.function, g.a, g.b,
                    x, mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
@@ -435,7 +421,7 @@ def _value_json(v) -> str:
 def _json_chunks(report: dict):
     """`report_chunks` for JSON: the head through json, then the verdicts,
     its last key, one string per (group, x) with a verdict, then the close.
-    Each group renders as its `_table`, one row per x.  Each shared value
+    Each group renders as its table, one row per x.  Each shared value
     is formatted once, where it is stored: tol_margin per report; theorem,
     function, a and b per group; x per row; mu per run, folded into the
     text of each of its points, alpha to v.  An x list and an lhs column
@@ -470,28 +456,26 @@ def _json_chunks(report: dict):
         if g.function is not function:
             function = g.function
             texts.clear()
-        table = _table(g)
-        if table is None:
+        if not g.holds.size:
             continue
-        runs, rhs, margin, holds = table
         head = f',\n    {{\n      "theorem": {_value_json(g.theorem)},\n      "lhs": '
         shared = (f',\n      "tol_margin": {tol_margin},\n      "function": '
                   f'{_value_json(g.function)},\n      "a": {_value_json(g.a)},\n      "b": '
                   f'{_value_json(g.b)},\n      "x": ')
         leads = np.repeat(
-            np.array([[f'{head}{t},\n      "rhs": ' for t in text_of(run.lhs)] for run in runs],
+            np.array([[f'{head}{t},\n      "rhs": ' for t in text_of(run.lhs)] for run in g.runs],
                      dtype=object),
-            [len(run.points) for run in runs], axis=0).T.tolist()
+            [len(run.points) for run in g.runs], axis=0).T.tolist()
         points = []
-        for run in runs:
+        for run in g.runs:
             mu = f',\n      "mu": {_value_json(run.mu)},\n      "alpha": '
             points += [f'{mu}{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
                        f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
                        f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}'
                        for bp in run.points]
-        finite = bool(np.isfinite(rhs).all() and np.isfinite(margin).all())
+        finite = bool(np.isfinite(g.rhs).all() and np.isfinite(g.margin).all())
         for x, lead, rhs_x, margin_x, holds_x in zip(
-                text_of(g.xs), leads, rhs.tolist(), margin.tolist(), holds.tolist()):
+                text_of(g.xs), leads, g.rhs.tolist(), g.margin.tolist(), g.holds.tolist()):
             at_x = shared + x
             if finite:
                 row = "".join([f'{ld}{r!r},\n      "margin": {d!r},\n      "holds": '
@@ -540,7 +524,3 @@ def report_chunks(report: dict, out_format: str):
 def render_report(report: dict, out_format: str) -> str:
     """The report as one string: the join of `report_chunks`."""
     return "".join(report_chunks(report, out_format))
-
-
-def all_hold(report: dict) -> bool:
-    return all(bool(run.holds.all()) for g in report["verdicts"].groups for run in g.runs)

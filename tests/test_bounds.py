@@ -104,6 +104,9 @@ class TestKAlpha:
             k_alpha(1.2, 0.5, 0.5, 1.0)
         with pytest.raises(DomainError):
             k_alpha(0.5, 0.5, 0.5, 0.0)
+        for m, alpha in ((0.0, 0.5), (1.5, 0.5), (0.5, 0.0), (0.5, 1.5)):
+            with pytest.raises(DomainError, match="alpha, m in"):
+                k_alpha(0.5, m, alpha, 1.0)
 
 
 class TestMainBound:

@@ -1,4 +1,5 @@
 import collections
+import csv
 import dataclasses
 import hashlib
 import itertools
@@ -24,7 +25,6 @@ from ostrowski_frac.report import (
     ConfigError,
     SweepConfig,
     Verdicts,
-    all_hold,
     parse_config,
     render_report,
     report_chunks,
@@ -654,7 +654,18 @@ class TestSweepCommand:
           "error: intercept must be finite, got nan\n"),
          # Gamma(mu + 1) overflows a float: accepted once, it ended in an
          # OverflowError traceback (exit 1) inside the sweep.
-         ("mu = 400", "error: mu = 400.0: gamma(401.0) overflows a float\n")],
+         ("mu = 400", "error: mu = 400.0: gamma(401.0) overflows a float\n"),
+         # A CSV row of either id once had a field too many or an empty
+         # function, and no `functions` list could name the first.
+         ("function.com,ma = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5",
+          "error: function id 'com,ma' must be non-empty, without ',' or '\"'\n"),
+         ("function. = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5",
+          "error: function id '' must be non-empty, without ',' or '\"'\n"),
+         ('function.q"t = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5',
+          "error: function id 'q\"t' must be non-empty, without ',' or '\"'\n"),
+         ("function.x = affine slope=abc intercept=0 lo=0 hi=1",
+          "error: non-numeric parameter 'slope=abc'\n"),
+         ("functions = nosuch", "error: unknown function ids: ['nosuch']\n")],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, line, named):
         # A value the sweep cannot use is a usage error, not a violation (1)
@@ -810,7 +821,8 @@ class TestRenderReport:
         lines = text.strip().splitlines()
         assert lines[0].startswith("theorem,function,a,b,x,mu")
         assert len(lines) == len(list(verdict_rows(report))) + 1
-        assert all_hold(report)
+        assert [len(fields) for fields in csv.reader(lines)] == [17] * len(lines)
+        assert all(s["fail"] == 0 for s in report["summary"].values())
 
     @pytest.mark.parametrize("text", [
         SMALL_SWEEP + "u = 0.25,0.5\nformat = csv\n",
@@ -844,17 +856,17 @@ class TestRenderReport:
         assert render_report(report, "json") == self._oracle(report)
 
     def test_point_less_run_between_runs_with_points(self):
-        # Its empty columns are float, holds too: left in the table, they
-        # would turn the row's holds into floats ("holds": 0.0).
+        # It adds no column to its group's table, so the text is that of
+        # the group without it, and the row's holds stay bools.
         report = run_sweep(parse_config(SMALL_SWEEP))
         tol_margin, groups = report["verdicts"]
         g = next(g for g in groups if len(g.runs) >= 2 and all(r.points for r in g.runs))
-        empty = np.empty((len(g.xs), 0))
-        none = report_mod.Run(0.75, [], g.runs[0].lhs, empty, empty, empty)
+        none = report_mod.Run(0.75, [], g.runs[0].lhs)
         group = g._replace(runs=[g.runs[0], none, *g.runs[1:]])
+        without = render_report({**report, "verdicts": Verdicts(tol_margin, [g])}, "json")
         report = {**report, "verdicts": Verdicts(tol_margin, [group])}
         text = render_report(report, "json")
-        assert text == self._oracle(report)
+        assert text == self._oracle(report) == without
         assert '"holds": true' in text and '"holds": 0.0' not in text
 
     def test_non_finite_run_beside_finite_ones(self):
@@ -864,10 +876,14 @@ class TestRenderReport:
         tol_margin, groups = report["verdicts"]
         g = next(g for g in groups if len(g.runs) >= 2)
         first, *others = g.runs
-        rhs, margin = first.rhs.copy(), first.margin.copy()
-        rhs[0, 0], margin[-1, -1] = float("inf"), float("nan")
-        group = g._replace(runs=[*others, first._replace(rhs=rhs, margin=margin), *others])
-        assert all(np.isfinite(r.rhs).all() and np.isfinite(r.margin).all() for r in others)
+        rhs, margin = g.rhs.copy(), g.margin.copy()
+        n = len(first.points)  # the first run's columns
+        rhs[0, 0], margin[-1, n - 1] = float("inf"), float("nan")
+        assert np.isfinite(rhs[:, n:]).all() and np.isfinite(margin[:, n:]).all()
+        # The table's columns in the order of the group's runs.
+        order = [*range(n, rhs.shape[1]), *range(n), *range(n, rhs.shape[1])]
+        group = g._replace(runs=[*others, first, *others], rhs=rhs[:, order],
+                           margin=margin[:, order], holds=g.holds[:, order])
         report = {**report, "verdicts": Verdicts(tol_margin, [g, group, g])}
         text = render_report(report, "json")
         assert text == self._oracle(report)
@@ -879,10 +895,12 @@ class TestRenderReport:
         assert render_report(report, "json") == self._oracle(report)
         # Groups, x values and runs without a verdict list none either.
         empty = np.empty((1, 0))
-        run = report_mod.Run(1.0, [], np.zeros(1), empty, empty, empty.astype(bool))
-        group = report_mod.Group("t22", "f", 0.0, 1.0, [0.5], [run])
-        report["verdicts"] = Verdicts(1e-8, [group, group._replace(runs=[]),
-                                             group._replace(xs=[], runs=[])])
+        run = report_mod.Run(1.0, [], np.zeros(1))
+        group = report_mod.Group("t22", "f", 0.0, 1.0, [0.5], [run],
+                                 empty, empty, empty.astype(bool))
+        none = np.empty((0, 0))
+        report["verdicts"] = Verdicts(1e-8, [group, group._replace(runs=[]), group._replace(
+            xs=[], runs=[], rhs=none, margin=none, holds=none.astype(bool))])
         assert render_report(report, "json") == self._oracle(report)
 
     def test_groups_of_one_function_with_their_own_columns(self):
@@ -945,8 +963,8 @@ class TestRenderReport:
             float("-inf"), 0.1, 1e300, 5e-324, -7, 2**70, "t22",
             'q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫",
             [], {}, [1.5, None, "x"], {"k": [0.5, {"z": True}]}]
-    # The floats a run's lhs, rhs and margin may hold: finite ones, and
-    # with them those json spells its own way.
+    # The floats a run's lhs and a group's rhs and margin may hold: finite
+    # ones, and with them those json spells its own way.
     FINITE = [0.0, -0.0, 0.1, 1.0, 1e300, -1e300, 5e-324, -5e-324, 1 - 2**-53]
     FLOATS = FINITE + [float("nan"), float("inf"), float("-inf")]
     # Values a point accepts, again equal ones with different text.
@@ -973,7 +991,7 @@ class TestRenderReport:
 
         frac = FracParams(0.0, 1.0, 0.0, 1.0)
         groups, kinds = [], set()
-        while sum(r.rhs.size for g in groups for r in g.runs) < 300:
+        while sum(g.rhs.size for g in groups) < 300:
             xs = [value() for _ in range(rng.randint(0, 6))]
             runs = []
             for _ in range(rng.randint(0, 4)):
@@ -981,15 +999,16 @@ class TestRenderReport:
                     BoundParams(frac, **{k: rng.choice(vs) for k, vs in self.POINT_VALUES.items()})
                     for _ in range(rng.randint(0, 5))
                 ]
-                shape = (len(xs), len(points))
-                # An all-finite run, or one that may mix finite and not.
-                pool = rng.choice((self.FINITE, self.FLOATS))
-                rhs, margin = floats(shape, pool), floats(shape, pool)
-                kinds.add(bool(np.isfinite(rhs).all() and np.isfinite(margin).all()))
-                holds = np.array([rng.random() < 0.5 for _ in range(rhs.size)]).reshape(shape)
-                runs.append(report_mod.Run(value(), points, floats(len(xs), self.FLOATS),
+                runs.append(report_mod.Run(value(), points, floats(len(xs), self.FLOATS)))
+            shape = (len(xs), sum(len(r.points) for r in runs))
+            # An all-finite table, or one that may mix finite and not.
+            pool = rng.choice((self.FINITE, self.FLOATS))
+            rhs, margin = floats(shape, pool), floats(shape, pool)
+            kinds.add(bool(np.isfinite(rhs).all() and np.isfinite(margin).all()))
+            holds = np.array([rng.random() < 0.5 for _ in range(rhs.size)],
+                             dtype=bool).reshape(shape)
+            groups.append(report_mod.Group(value(), value(), value(), value(), xs, runs,
                                            rhs, margin, holds))
-            groups.append(report_mod.Group(value(), value(), value(), value(), xs, runs))
         assert kinds == {True, False}
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
                   "summary": {"t22": {"pass": 1, "fail": 0, "worst_margin": -0.0}},
@@ -1014,27 +1033,25 @@ class TestRenderReport:
         base = run_sweep(parse_config(SMALL_SWEEP))
         tol_margin, (group, *_) = base["verdicts"]
         run = group.runs[0]
-        bp, rhs, holds = run.points[0], run.rhs[0, 0], run.holds[0, 0]
+        bp, rhs, holds = run.points[0], group.rhs[0, 0], group.holds[0, 0]
         points = [dataclasses.replace(bp, u=None), bp]
         ids = ['q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫"]
         specials = [float("nan"), float("inf"), float("-inf"), -0.0]
         tiny_huge = [5e-324, 1e300, -1e300, -0.0]
         groups = []
         for k, fid in enumerate(ids):
-            # A run mixing finite and non-finite values at each x, and an
-            # all-finite run of extreme ones.
-            mixed = run._replace(
-                points=points, lhs=np.array([specials[k % 4], rhs]),
-                rhs=np.array([[rhs, specials[(k + 2) % 4]], [specials[(k + 2) % 4], rhs]]),
-                margin=np.array([[specials[(k + 1) % 4], -0.0], [-0.0, specials[(k + 1) % 4]]]),
-                holds=np.array([[holds, not holds], [not holds, holds]]))
-            finite = run._replace(
-                points=points[::-1], lhs=np.array([tiny_huge[k % 4], -0.0]),
-                rhs=np.array([[tiny_huge[(k + 1) % 4], rhs], [rhs, tiny_huge[(k + 2) % 4]]]),
-                margin=np.array([[-0.0, tiny_huge[(k + 3) % 4]], [tiny_huge[k % 4], -0.0]]),
-                holds=np.array([[holds, holds], [not holds, holds]]))
-            groups.append(group._replace(function=fid, xs=[group.xs[0], -0.0],
-                                         runs=[mixed, finite]))
+            # A run whose columns mix finite and non-finite values at each
+            # x, and a run whose columns hold extreme finite ones.
+            mixed = run._replace(points=points, lhs=np.array([specials[k % 4], rhs]))
+            finite = run._replace(points=points[::-1], lhs=np.array([tiny_huge[k % 4], -0.0]))
+            groups.append(group._replace(
+                function=fid, xs=[group.xs[0], -0.0], runs=[mixed, finite],
+                rhs=np.array([[rhs, specials[(k + 2) % 4], tiny_huge[(k + 1) % 4], rhs],
+                              [specials[(k + 2) % 4], rhs, rhs, tiny_huge[(k + 2) % 4]]]),
+                margin=np.array([[specials[(k + 1) % 4], -0.0, -0.0, tiny_huge[(k + 3) % 4]],
+                                 [-0.0, specials[(k + 1) % 4], tiny_huge[k % 4], -0.0]]),
+                holds=np.array([[holds, not holds, holds, holds],
+                                [not holds, holds, not holds, holds]])))
         report = {**base, "verdicts": Verdicts(tol_margin, groups)}
         assert render_report(report, "json") == self._oracle(report)
 
@@ -1052,12 +1069,12 @@ class TestRenderReport:
         want = sweep_oracle.render({**default_sweep, "verdicts": rows}, "csv")
         assert render_report(default_sweep, "csv") == want
 
-    def test_summary_of_a_run_with_a_nan_margin(self, monkeypatch):
+    def test_summary_of_a_run_with_a_nan_margin(self, tmp_path, monkeypatch):
         # A nan LHS at the middle x makes that row's margins nan: they fail,
         # and the worst margin is nan, wherever the nan comes.
-        cfg = parse_config(
-            "functions = powdecay\ntheorems = t22\nx_fracs = 0.25,0.5,0.75\nmu = 0.5\n"
-            "alpha = 0.5,1.0\nm = 0.5\nq = 1.0\n")
+        text = ("functions = powdecay\ntheorems = t22\nx_fracs = 0.25,0.5,0.75\nmu = 0.5\n"
+                "alpha = 0.5,1.0\nm = 0.5\nq = 1.0\n")
+        cfg = parse_config(text)
         signed_many = report_mod.ostrowski_signed_many
 
         def nan_in_the_middle(f, a, b, x, mu, quad):
@@ -1076,7 +1093,10 @@ class TestRenderReport:
         assert summary["pass"] == sum(r["holds"] for r in rows) == 4
         assert summary["fail"] == 2
         assert summary["worst_margin"] != summary["worst_margin"]
-        assert not all_hold(report)
+        # The exit code reads the summary's fail counts: the sweep fails.
+        path = tmp_path / "nan.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 1
 
 
 class TestBatchedSweep:
@@ -1369,10 +1389,9 @@ class TestHypothesesCheckedOncePerPoint:
             assert len(set(keys)) == len(keys) > 1
             for r in g.runs:
                 assert all(bp.frac.mu == r.mu and bp.v == 1.0 - bp.u for bp in r.points)
-                shape = (len(g.xs), len(r.points))
-                assert r.lhs.shape == shape[:1]
-                assert r.rhs.shape == r.margin.shape == r.holds.shape == shape
-                assert r.holds.dtype == bool
+                assert r.lhs.shape == (len(g.xs),)
+            assert g.rhs.shape == g.margin.shape == g.holds.shape == (len(g.xs), len(keys))
+            assert g.holds.dtype == bool
 
     def test_rejected_bound_params_built_once_per_point(self, monkeypatch):
         cfg = parse_config(self.CONFIGS["no-claim"])

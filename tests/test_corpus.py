@@ -298,6 +298,11 @@ class TestWitnesses:
         # sup|f'| = 2 * 4^(-1.5) = 0.25 <= 1, but the certificate needs |M| <= 1
         big = power_decay_spec("big", M=2.0, r=1.5, lo=4.0, hi=5.0, declared_M=0.5)
         assert big.certify(1.0, 1.0) == "power decay is certified only for |M| <= 1"
+        # f' = 0: g = 0 is in no geometric class, whatever the declared M.
+        assert power_decay_spec("pz", M=0.0, r=0.5, lo=1, hi=2, declared_M=0.5).certify(
+            0.5, 0.5) == "geometric kinds require g > 0"
+        assert exp_decay_spec("ez", M=0.0, lam=0.5, lo=1, hi=2, declared_M=0.5).certify(
+            0.5, 0.5) == "geometric kinds require g > 0"
 
     def test_undecided_exp_decay_supremum_is_a_text_reason(self, monkeypatch):
         monkeypatch.setattr(corpus_mod, "_EXP_DECAY_MAX_INTERVALS", 3)
