@@ -8,9 +8,9 @@ exactly 1 where t underflows to 0.  The kernel integral is
 The bracket multiplying the geometry factor in the main fractional bound is
 taken to be exactly the kernel integral k(alpha); see README for why.
 
-Every printed right-hand side is a point factor (`factor_*`), which reads
-mu but never x, times `geometry_factor`; `verify.Theorem.rhs` forms that
-product, so a sweep may evaluate each factor once per point.
+Every printed right-hand side is a point factor `factor_*(bp, mu)`, which
+never reads x, times `geometry_factor`; `verify.Theorem.rhs` forms that
+product, so a sweep may evaluate each factor once per (point, mu).
 
 A point factor is the printed formula and nothing more: it assumes the
 hypotheses and parameter box that its `verify.THEOREMS` record states, and
@@ -30,7 +30,8 @@ from .fracint import DomainError, FracParams, mexp_integral
 
 @dataclass(frozen=True)
 class BoundParams:
-    frac: FracParams
+    """A point (M, alpha, m, q, u) of a bound; its instance is a FracParams."""
+
     M: float
     alpha: float = 1.0
     m: float = 1.0
@@ -88,9 +89,9 @@ def k_alpha(M: float, m: float, alpha: float, mu: float) -> float:
     return M**m * mexp_integral(M ** (alpha * (1.0 - m)), mu)
 
 
-def factor_t22(bp: BoundParams) -> float:
+def factor_t22(bp: BoundParams, mu: float) -> float:
     """Main fractional bound over the geometry factor: the kernel factor."""
-    return k_alpha(bp.M, bp.m, bp.alpha, bp.frac.mu)
+    return k_alpha(bp.M, bp.m, bp.alpha, mu)
 
 
 def _exprel(t: float) -> float:
@@ -98,18 +99,16 @@ def _exprel(t: float) -> float:
     return math.expm1(t) / t if t else 1.0
 
 
-def factor_t24(bp: BoundParams) -> float:
+def factor_t24(bp: BoundParams, mu: float) -> float:
     """Hoelder-route bound over the geometry factor."""
-    mu = bp.frac.mu
     p = bp.p
     mid = _exprel(bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M))
     return bp.M**bp.m * (1.0 / (p * mu + 1.0)) ** (1.0 / p) * mid ** (1.0 / bp.q)
 
 
-def factor_t26(bp: BoundParams) -> float:
+def factor_t26(bp: BoundParams, mu: float) -> float:
     """Power-mean-route bound over the geometry factor; equals factor_t22 at
     q = 1."""
-    mu = bp.frac.mu
     c = bp.M ** (bp.q * bp.alpha * (1.0 - bp.m))
     return (
         bp.M**bp.m
@@ -118,9 +117,9 @@ def factor_t26(bp: BoundParams) -> float:
     )
 
 
-def factor_set(bp: BoundParams) -> float:
+def factor_set(bp: BoundParams, mu: float) -> float:
     """Geometric-convex corollary over the geometry factor: M / (mu + 1)."""
-    return bp.M / (bp.frac.mu + 1.0)
+    return bp.M / (mu + 1.0)
 
 
 class Mu1Audit(NamedTuple):
@@ -129,14 +128,14 @@ class Mu1Audit(NamedTuple):
     difference: float
 
 
-def factor_mu1(bp: BoundParams) -> float:
+def factor_mu1(bp: BoundParams, mu: float) -> float:
     """The mu = 1 corollary's printed closed form over the geometry factor
     ((x-a)^2 + (b-x)^2) / (b-a): M^m 2^(1/q) bracket^(1/q) / 2.
 
     Caution: the printed bracket (c-1)/ln c * (1 - 1/ln c) does NOT equal the
     kernel integral int_0^1 t c^t dt = c/ln c - (c-1)/(ln c)^2; it exceeds it
     by 1/|ln c|, so it diverges as c -> 1.  Use bound_mu1_audit to see both
-    values.
+    values.  The closed form is stated at mu = 1, so it does not read mu.
     """
     lc = bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M)
     if lc == 0.0:
@@ -145,27 +144,26 @@ def factor_mu1(bp: BoundParams) -> float:
     return bp.M**bp.m * 2.0 ** (1.0 / bp.q) * bracket ** (1.0 / bp.q) / 2.0
 
 
-def bound_mu1_audit(bp: BoundParams) -> Mu1Audit:
+def bound_mu1_audit(bp: BoundParams, frac: FracParams) -> Mu1Audit:
     """Printed mu = 1 closed form next to the recomputed power-mean bound."""
-    if bp.frac.mu != 1.0:
+    if frac.mu != 1.0:
         raise DomainError("mu = 1 required")
-    g = geometry_factor(bp.frac)
-    printed = factor_mu1(bp) * g
-    recomputed = factor_t26(bp) * g
+    g = geometry_factor(frac)
+    printed = factor_mu1(bp, 1.0) * g
+    recomputed = factor_t26(bp, 1.0) * g
     return Mu1Audit(printed, recomputed, printed - recomputed)
 
 
-def _young_inner(bp: BoundParams, exponent: float) -> float:
+def _young_inner(bp: BoundParams, mu: float, exponent: float) -> float:
     """u^2/(mu+u) + v^2 (M^(e/v) - 1) / (e ln M)."""
     lc = exponent * math.log(bp.M)
-    return bp.u**2 / (bp.frac.mu + bp.u) + bp.v * _exprel(lc / bp.v)
+    return bp.u**2 / (mu + bp.u) + bp.v * _exprel(lc / bp.v)
 
 
-def factor_mm(bp: BoundParams) -> float:
+def factor_mm(bp: BoundParams, mu: float) -> float:
     """Young-split relaxation of the power-mean bound over the geometry
     factor; always >= factor_t26."""
-    mu = bp.frac.mu
-    inner = _young_inner(bp, bp.q * bp.alpha * (1.0 - bp.m))
+    inner = _young_inner(bp, mu, bp.q * bp.alpha * (1.0 - bp.m))
     return bp.M**bp.m * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q) * inner ** (1.0 / bp.q)
 
 

@@ -97,8 +97,9 @@ def _cmd_verify(args) -> int:
     else:
         mu, alpha, m, q = (1.0 if given[name] is None else given[name]
                            for name in ("mu", "alpha", "m", "q"))
-        bp = BoundParams(FracParams(a, b, args.x, mu), f.M, alpha, m, q, args.u)
-        v = verify_theorem(args.theorem, f, bp)
+        # FracParams first, so that its fault is the one named.
+        frac = FracParams(a, b, args.x, mu)
+        v = verify_theorem(args.theorem, f, frac, BoundParams(f.M, alpha, m, q, args.u))
     status = "pass" if v.holds else "FAIL"
     print(
         f"{v.theorem_id}: {status} lhs={_g(v.lhs)} rhs={_g(v.rhs)} "

@@ -77,6 +77,7 @@ class FracParams:
         if not self.mu > 0:
             raise DomainError("mu > 0 required")
         gamma(self.mu + 1.0)  # a DomainError where Gamma(mu + 1) overflows
+        _cc_rules(self.mu)  # a DomainError where the quadrature moments overflow
 
 
 MAX_TOL = 1e-8  # the largest abs_tol or rel_tol a QuadConfig accepts
@@ -176,9 +177,15 @@ def _cc_rules(mu: float):
     mu 2^(-mu) C^T r, C the DCT-I matrix and r the moments of
     `_cc_moments`; their sum is 1 up to rounding, and a rule sum divided by
     it, added in the same order, is exact for a constant.  A new mu costs
-    about 50 scalar steps and two matrix-vector products."""
+    about 50 scalar steps and two matrix-vector products.  Below mu of about
+    1.25e-305 the moments overflow: DomainError.  An overflowed moment stays
+    infinite, so the last is finite only if all are, and finite moments, at
+    most about r_0 in size, give finite weights."""
     _, fine, coarse = _cc_basis()
-    r = np.array(_cc_moments(mu))
+    r = _cc_moments(mu)
+    if not math.isfinite(r[-1]):
+        raise DomainError("mu too small for finite quadrature weights")
+    r = np.array(r)
     scale = mu * 2.0**-mu
     fine_w = scale * (r @ fine)
     coarse_w = scale * (r[: coarse.shape[0]] @ coarse)

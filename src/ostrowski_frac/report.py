@@ -50,7 +50,7 @@ _LIST_KEYS = {
 }
 _QUAD_KEYS = {"abs_tol": float, "rel_tol": float, "max_subdivisions": int}
 
-# A valid instance to probe configured parameter values with.
+# A valid instance to probe configured values of x and mu with.
 _PROBE = FracParams(0.0, 1.0, 0.5, 1.0)
 
 
@@ -63,7 +63,7 @@ def _probe(key: str, value: float) -> None:
     elif key == "mu":
         replace(_PROBE, mu=value)
     else:
-        BoundParams(_PROBE, 1.0, **{key: value})
+        BoundParams(1.0, **{key: value})
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,8 @@ def parse_config(text: str) -> SweepConfig:
                 if "=" not in p:
                     raise ConfigError(f"bad parameter {p!r} in {key!r}")
                 pk, pv = p.split("=", 1)
+                if pk in dict(params):
+                    raise ConfigError(f"repeated parameter {pk!r} in function {fid!r}")
                 try:
                     params.append((pk, float(pv)))
                 except ValueError:
@@ -216,58 +218,36 @@ def resolve_corpus(cfg: SweepConfig) -> list[FunctionSpec]:
     return [by_id[f] for f in cfg.functions]
 
 
-def _grid_for(theorem: str, cfg: SweepConfig):
-    """Deterministic (mu, alpha, m, q, u) tuples applicable to one theorem:
-    the product of the configured values its record admits."""
-    record = THEOREMS[theorem]
-    axes = (("mu", cfg.mus), ("alpha", cfg.alphas), ("m", cfg.ms), ("q", cfg.qs), ("u", cfg.us))
-    return itertools.product(*(record.admitted(name, values) for name, values in axes))
-
-
 def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float, list]]:
-    """The points of a theorem's grid whose hypotheses hold on f, in grid
-    order, as (mu, [(bp, point factor), ...]) per run of points that share
-    mu, the grid's slowest axis.  Each distinct point gets one `BoundParams`
-    and one point factor; none of them reads x, so a run's `BoundParams`
-    share one `FracParams` at x = a.  `_check_hypotheses` runs once per
-    distinct (alpha, m, q, u): it reads mu only through the box, which
-    `Theorem.admitted` has applied (a pin replaces the configured mus).
-    `SweepConfig` has validated every value, and f its M, so only a point
-    factor can raise."""
-    a, b = f.domain
+    """The points of a theorem's grid, the product of the configured
+    (mu, alpha, m, q, u) its record admits, whose hypotheses hold on f, in
+    grid order, as (mu, [(bp, point factor), ...]) per admitted mu.  Each
+    distinct (alpha, m, q, u) gets one `BoundParams`, shared by every mu,
+    and one `_check_hypotheses` call at the first mu: the hypotheses read mu
+    only through the box, which `Theorem.admitted` has applied.  Neither
+    reads x.  `SweepConfig` has validated every value, and f its M, so only
+    a point factor can raise."""
     record = THEOREMS[theorem]
-    seen: dict[tuple, Optional[tuple[BoundParams, float]]] = {}
-    admits: dict[tuple, bool] = {}
-    runs = []
-    for mu, grid in itertools.groupby(_grid_for(theorem, cfg), key=lambda p: p[0]):
-        frac = FracParams(a, b, a, mu)
-        points = []
-        for point in grid:
-            if point not in seen:
-                seen[point] = None
-                key = point[1:]
-                if admits.get(key, True):
-                    bp = BoundParams(frac, f.M, *key)
-                    if key not in admits:
-                        try:
-                            _check_hypotheses(theorem, f, bp)
-                            admits[key] = True
-                        except HypothesisError:
-                            admits[key] = False
-                            continue
-                    seen[point] = (bp, record.factor(bp))
-            if seen[point] is not None:
-                points.append(seen[point])
-        if points:
-            runs.append((mu, points))
-    return runs
+    mus, *axes = (record.admitted(name, values) for name, values in (
+        ("mu", cfg.mus), ("alpha", cfg.alphas), ("m", cfg.ms), ("q", cfg.qs), ("u", cfg.us)))
+    keys = list(itertools.product(*axes)) if mus else []
+    held = {}
+    for key in dict.fromkeys(keys):
+        bp = BoundParams(f.M, *key)
+        try:
+            _check_hypotheses(theorem, f, f.domain[1], mus[0], bp)
+        except HypothesisError:
+            continue
+        held[key] = bp
+    points = [held[key] for key in keys if key in held]
+    return [(mu, [(bp, record.factor(bp, mu)) for bp in points]) for mu in mus] if points else []
 
 
 class Run(NamedTuple):
     """A group's points that share mu, and the LHS they share: element i
     of `lhs` is at the group's i-th x."""
     mu: float
-    points: list[BoundParams]  # at x = a; each recurs at every x
+    points: list[BoundParams]  # each recurs at every x
     lhs: np.ndarray  # |signed LHS| per x, float64
 
 
@@ -320,13 +300,14 @@ def run_sweep(cfg: SweepConfig) -> dict:
     distinct x values, with one `ostrowski_signed_many` call (one
     quadrature batch) and one `geometry_factors` call; judge each group
     as one table, with one `_judge` call.  Each RHS is `Theorem.rhs`: the
-    point factor, computed once per point, times the geometry factor of
-    its (x, mu), computed once per (x, mu); a group's RHS is its geometry
+    point factor, computed once per (point, mu), times the geometry factor
+    of its (x, mu), computed once per (x, mu); a group's RHS is its geometry
     factor columns, each repeated once per point of its run, times the row
     of its point factors.  IEEE products and differences round the same in
     numpy as in Python, so each rhs, margin and holds is what `_judge`
     gives for the scalars.  The runs of one (function, mu) share its lhs
-    array, and the groups of one function its x list.
+    array, the runs of a group their `BoundParams`, and the groups of one
+    function its x list.
 
     Errors come in this order.  `SweepConfig` has rejected every bad
     configured value before the sweep starts.  Then, per function in corpus

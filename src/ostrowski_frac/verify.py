@@ -170,7 +170,7 @@ class Theorem:
     statement of these hypotheses; the factor assumes them.  The corollaries
     are records whose box pins a parameter of their parent."""
 
-    factor: Callable[[BoundParams], float]  # reads mu, never x
+    factor: Callable[[BoundParams, float], float]  # (point, mu); never reads x
     geom_convex: bool = False  # claim: geometric-convex, not (alpha, m)-geometric
     M_below_1: bool = True  # M < 1, and m < 1 too for an (alpha, m)-geometric claim
     young: bool = False  # the Young split u, v = 1 - u
@@ -178,9 +178,9 @@ class Theorem:
     # box (">" or "<") first, then the pins ("=").
     box: tuple[tuple[str, str, float], ...] = ()
 
-    def rhs(self, bp: BoundParams) -> float:
+    def rhs(self, bp: BoundParams, frac: FracParams) -> float:
         """The right-hand side: the point factor times the geometry factor."""
-        return self.factor(bp) * bnd.geometry_factor(bp.frac)
+        return self.factor(bp, frac.mu) * bnd.geometry_factor(frac)
 
     def admitted(self, name: str, values: tuple) -> tuple:
         """The values of one parameter (mu, alpha, m, q or u) that the theorem
@@ -196,24 +196,32 @@ class Theorem:
 
 _RELATIONS = {">": operator.gt, "<": operator.lt, "=": operator.eq}
 
-# Each factor is looked up in `bounds` at call time, so a wrapped `bounds`
-# function (a profiler, a tracer) sees every call.
+
+def _factor(name: str) -> Callable[[BoundParams, float], float]:
+    """The point factor `bounds.<name>`, looked up at call time, so that a
+    wrapped `bounds` function (a profiler, a tracer) sees every call."""
+    return lambda bp, mu: getattr(bnd, name)(bp, mu)
+
+
 THEOREMS = {
-    "t22": Theorem(lambda bp: bnd.factor_t22(bp), M_below_1=False, box=(("q", "=", 1.0),)),
-    "t24": Theorem(lambda bp: bnd.factor_t24(bp), box=(("q", ">", 1.0), ("alpha", "<", 1.0))),
-    "t26": Theorem(lambda bp: bnd.factor_t26(bp)),
-    "set": Theorem(lambda bp: bnd.factor_set(bp), geom_convex=True,
+    "t22": Theorem(_factor("factor_t22"), M_below_1=False, box=(("q", "=", 1.0),)),
+    "t24": Theorem(_factor("factor_t24"), box=(("q", ">", 1.0), ("alpha", "<", 1.0))),
+    "t26": Theorem(_factor("factor_t26")),
+    "set": Theorem(_factor("factor_set"), geom_convex=True,
                    box=(("alpha", "=", 1.0), ("m", "=", 1.0))),
-    "mu1": Theorem(lambda bp: bnd.factor_mu1(bp), box=(("mu", "=", 1.0),)),
-    "mm": Theorem(lambda bp: bnd.factor_mm(bp), young=True),
-    "remark_q1": Theorem(lambda bp: bnd.factor_mm(bp), young=True, box=(("q", "=", 1.0),)),
+    "mu1": Theorem(_factor("factor_mu1"), box=(("mu", "=", 1.0),)),
+    "mm": Theorem(_factor("factor_mm"), young=True),
+    "remark_q1": Theorem(_factor("factor_mm"), young=True, box=(("q", "=", 1.0),)),
 }
 THEOREM_IDS = tuple(THEOREMS)
 
 
-def _check_hypotheses(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> None:
+def _check_hypotheses(
+    theorem_id: str, f: FunctionSpec, b: float, mu: float, bp: BoundParams
+) -> None:
     """Raise HypothesisError, naming every failed hypothesis in order, unless
-    the theorem is stated for f at bp.  Only a failed check's message is
+    the theorem is stated for f on an interval ending at b, at mu and the
+    point bp.  No hypothesis reads a or x.  Only a failed check's message is
     formatted.  |f'| <= f.M and |f'| non-increasing hold by construction
     for a family member, and a hand-built spec has no certified membership."""
     theorem = THEOREMS.get(theorem_id)
@@ -222,7 +230,7 @@ def _check_hypotheses(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> None
     failures = []
     if not abs(f.M - bp.M) <= 1e-15:
         failures.append(f"f.M={f.M:g} differs from bp.M={bp.M:g}")
-    if not bp.frac.b >= 1.0:
+    if not b >= 1.0:
         failures.append("b >= 1 required")
     if theorem.M_below_1:
         if not bp.M < 1.0:
@@ -240,7 +248,7 @@ def _check_hypotheses(theorem_id: str, f: FunctionSpec, bp: BoundParams) -> None
     elif bp.u is not None:
         failures.append("u, v not used")
     if theorem.box:
-        params = {"mu": bp.frac.mu, "alpha": bp.alpha, "m": bp.m, "q": bp.q}
+        params = {"mu": mu, "alpha": bp.alpha, "m": bp.m, "q": bp.q}
         for name, rel, bound in theorem.box:
             if not _RELATIONS[rel](params[name], bound):
                 failures.append(f"{name} {rel} {bound:g} required")
@@ -257,12 +265,13 @@ def _judge(lhs: float, rhs: float, cfg: QuadConfig) -> tuple[float, bool, float]
 
 
 def verify_theorem(
-    theorem_id: str, f: FunctionSpec, bp: BoundParams, cfg: QuadConfig = DEFAULT_QUAD
+    theorem_id: str, f: FunctionSpec, frac: FracParams, bp: BoundParams,
+    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> Verdict:
-    """One inequality instance."""
-    _check_hypotheses(theorem_id, f, bp)
-    lhs = ostrowski_lhs(f, bp.frac, cfg)
-    rhs = THEOREMS[theorem_id].rhs(bp)
+    """One inequality instance: the theorem on f at frac and the point bp."""
+    _check_hypotheses(theorem_id, f, frac.b, frac.mu, bp)
+    lhs = ostrowski_lhs(f, frac, cfg)
+    rhs = THEOREMS[theorem_id].rhs(bp, frac)
     return Verdict(theorem_id, lhs, rhs, *_judge(lhs, rhs, cfg))
 
 

@@ -1,14 +1,16 @@
 """The per-verdict sweep as it was before the columnar one: a frozen oracle.
 
-`run_sweep` lists every instance with its own `BoundParams`, builds a
-verdict per instance with the right-hand side written as one left-associated
-printed product, then a summary pass and a record per verdict.  The tests
-require `report.run_sweep` to return the same report, record for record;
-a `set` RHS, which the library groups as (M / (mu + 1)) * geometry factor,
-only to within 1e-15 relative.  Only `report._grid_for` and
-`report.resolve_corpus` are shared with the library, and the tests pin
-those separately.  `render` writes such a flat report as text, the way
-`report.render_report` wrote it before the report kept its verdicts grouped.
+`run_sweep` lists every instance with its own `FracParams` and
+`BoundParams` and one hypothesis check, from its own per-theorem grid
+(`grid`), builds a verdict per instance with the right-hand side written as
+one left-associated printed product, then a summary pass and a record per
+verdict.  The tests require `report.run_sweep` to return the same report,
+record for record; a `set` RHS, which the library groups as
+(M / (mu + 1)) * geometry factor, only to within 1e-15 relative.  Only
+`report.resolve_corpus` and `verify._check_hypotheses` are shared with the
+library, and the tests pin those separately.  `render` writes such a flat
+report as text, the way `report.render_report` wrote it before the report
+kept its verdicts grouped.
 """
 
 import json
@@ -18,7 +20,7 @@ from ostrowski_frac import __version__
 from ostrowski_frac import bounds as bnd
 from ostrowski_frac.bounds import BoundParams, geometry_factor
 from ostrowski_frac.fracint import ConvergenceError, DomainError, FracParams, mexp_integral
-from ostrowski_frac.report import _grid_for, resolve_corpus
+from ostrowski_frac.report import resolve_corpus
 from ostrowski_frac.verify import (
     HypothesisError,
     _check_hypotheses,
@@ -27,51 +29,51 @@ from ostrowski_frac.verify import (
 )
 
 
-def _t24(bp):
-    mu, p = bp.frac.mu, bp.p
+def _t24(frac, bp):
+    mu, p = frac.mu, bp.p
     mid = bnd._exprel(bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M))
     return (
         bp.M**bp.m
         * (1.0 / (p * mu + 1.0)) ** (1.0 / p)
         * mid ** (1.0 / bp.q)
-        * geometry_factor(bp.frac)
+        * geometry_factor(frac)
     )
 
 
-def _t26(bp):
-    mu = bp.frac.mu
+def _t26(frac, bp):
+    mu = frac.mu
     c = bp.M ** (bp.q * bp.alpha * (1.0 - bp.m))
     return (
         bp.M**bp.m
         * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q)
         * mexp_integral(c, mu) ** (1.0 / bp.q)
-        * geometry_factor(bp.frac)
+        * geometry_factor(frac)
     )
 
 
-def _mm(bp):
-    mu = bp.frac.mu
-    inner = bnd._young_inner(bp, bp.q * bp.alpha * (1.0 - bp.m))
+def _mm(frac, bp):
+    mu = frac.mu
+    inner = bnd._young_inner(bp, mu, bp.q * bp.alpha * (1.0 - bp.m))
     return (
         bp.M**bp.m
         * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / bp.q)
         * inner ** (1.0 / bp.q)
-        * geometry_factor(bp.frac)
+        * geometry_factor(frac)
     )
 
 
-def _set(bp):
-    return bp.M * geometry_factor(bp.frac) / (bp.frac.mu + 1.0)
+def _set(frac, bp):
+    return bp.M * geometry_factor(frac) / (frac.mu + 1.0)
 
 
-def _mu1(bp):
-    if bp.frac.mu != 1.0:
+def _mu1(frac, bp):
+    if frac.mu != 1.0:
         raise DomainError("mu = 1 required")
     if bp.M >= 1.0:
         raise DomainError("M < 1 required")
     if not 0.0 < bp.m < 1.0:
         raise DomainError("m in (0, 1) required")
-    a, b, x = bp.frac.a, bp.frac.b, bp.frac.x
+    a, b, x = frac.a, frac.b, frac.x
     lc = bp.q * bp.alpha * (1.0 - bp.m) * math.log(bp.M)
     if lc == 0.0:
         raise DomainError("the printed bracket diverges at c = 1")
@@ -87,7 +89,7 @@ def _mu1(bp):
 
 # Each RHS as one product, in the order the printed formula multiplies.
 RHS = {
-    "t22": lambda bp: geometry_factor(bp.frac) * bnd.k_alpha(bp.M, bp.m, bp.alpha, bp.frac.mu),
+    "t22": lambda frac, bp: geometry_factor(frac) * bnd.k_alpha(bp.M, bp.m, bp.alpha, frac.mu),
     "t24": _t24,
     "t26": _t26,
     "set": _set,
@@ -97,36 +99,46 @@ RHS = {
 }
 
 
+def grid(theorem, cfg):
+    """The per-id parameter grid that the theorem registry replaced:
+    (mu, alpha, m, q, u) in loop order, each pin replacing the configured
+    values and each open box filtering them."""
+    mus = (1.0,) if theorem == "mu1" else cfg.mus
+    alphas = tuple(a for a in cfg.alphas if a < 1.0) if theorem == "t24" else cfg.alphas
+    qs = (1.0,) if theorem == "remark_q1" else (
+        tuple(q for q in cfg.qs if q > 1.0) if theorem == "t24" else cfg.qs
+    )
+    if theorem in ("set",):
+        alphas = (1.0,)
+        ms_ = (1.0,)
+    else:
+        ms_ = cfg.ms
+    us = cfg.us if theorem in ("mm", "remark_q1") else (None,)
+    if theorem == "t22":
+        qs = (1.0,)
+    for mu in mus:
+        for alpha in alphas:
+            for m in ms_:
+                for q in qs:
+                    for u in us:
+                        yield mu, alpha, m, q, u
+
+
 def instances(f, cfg):
-    """(theorem, bp) of every verdict, in sweep order; one hypothesis check
-    per point, one `FracParams` per (x index, mu), built before the point is
-    looked up."""
+    """(theorem, frac, bp) of every verdict, in sweep order: one
+    `FracParams`, one `BoundParams` and one hypothesis check per instance."""
     a, b = f.domain
-    applies = {}
-    fracs = {}
     for theorem in cfg.theorems:
-        for i, frac_x in enumerate(cfg.x_fracs):
+        for frac_x in cfg.x_fracs:
             x = a + frac_x * (b - a)
-            for mu, alpha, m, q, u in _grid_for(theorem, cfg):
-                frac = fracs.get((i, mu))
-                if frac is None:
-                    frac = fracs[i, mu] = FracParams(a, b, x, mu)
-                key = (theorem, mu, alpha, m, q, u)
-                if applies.get(key) is False:
-                    continue
+            for mu, alpha, m, q, u in grid(theorem, cfg):
+                frac = FracParams(a, b, x, mu)
+                bp = BoundParams(f.M, alpha, m, q, u)
                 try:
-                    bp = BoundParams(frac, f.M, alpha, m, q, u)
-                except DomainError:
-                    applies[key] = False
+                    _check_hypotheses(theorem, f, frac.b, frac.mu, bp)
+                except HypothesisError:
                     continue
-                if key not in applies:
-                    try:
-                        _check_hypotheses(theorem, f, bp)
-                        applies[key] = True
-                    except HypothesisError:
-                        applies[key] = False
-                if applies[key]:
-                    yield theorem, bp
+                yield theorem, frac, bp
 
 
 def _lhs_by_key(f, fracs, quad):
@@ -151,8 +163,8 @@ def _lhs_by_key(f, fracs, quad):
     return lhs
 
 
-def _verdict(theorem, f, bp, quad, lhs):
-    rhs = RHS[theorem](bp)
+def _verdict(theorem, f, frac, bp, quad, lhs):
+    rhs = RHS[theorem](frac, bp)
     tol_margin = 100.0 * quad.abs_tol
     margin = rhs - lhs
     return {
@@ -163,10 +175,10 @@ def _verdict(theorem, f, bp, quad, lhs):
         "holds": margin >= -tol_margin,
         "tol_margin": tol_margin,
         "function": f.id,
-        "a": bp.frac.a,
-        "b": bp.frac.b,
-        "x": bp.frac.x,
-        "mu": bp.frac.mu,
+        "a": frac.a,
+        "b": frac.b,
+        "x": frac.x,
+        "mu": frac.mu,
         "alpha": bp.alpha,
         "m": bp.m,
         "M": bp.M,
@@ -187,12 +199,12 @@ def run_sweep(cfg):
                 todo.append(item)
         except DomainError as exc:
             stop = exc
-        lhs = _lhs_by_key(f, [bp.frac for _, bp in todo], cfg.quad)
-        for theorem, bp in todo:
-            value = lhs[bp.frac.x, bp.frac.mu]
+        lhs = _lhs_by_key(f, [frac for _, frac, _ in todo], cfg.quad)
+        for theorem, frac, bp in todo:
+            value = lhs[frac.x, frac.mu]
             if isinstance(value, ConvergenceError):
                 raise value
-            verdicts.append(_verdict(theorem, f, bp, cfg.quad, value))
+            verdicts.append(_verdict(theorem, f, frac, bp, cfg.quad, value))
         if stop is not None:
             raise stop
 

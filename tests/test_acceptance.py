@@ -164,30 +164,30 @@ def test_criterion_06_specialization_equalities(report_line):
 
         # power-mean route at q = 1 collapses onto the main bound
         alpha = rng.uniform(0.05, 1.0)
-        p1 = BoundParams(frac, M=M, alpha=alpha, m=m, q=1.0)
-        worst = max(worst, _rel(THEOREMS["t26"].rhs(p1), THEOREMS["t22"].rhs(p1)))
+        p1 = BoundParams(M=M, alpha=alpha, m=m, q=1.0)
+        worst = max(worst, _rel(THEOREMS["t26"].rhs(p1, frac), THEOREMS["t22"].rhs(p1, frac)))
 
         # each alpha = 1 corollary, written out, against its parent at alpha = 1
-        p2 = BoundParams(frac, M=M, alpha=1.0, m=m, q=q)
+        p2 = BoundParams(M=M, alpha=1.0, m=m, q=q)
         geometry = ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
         t22_alpha1 = geometry * M**m * mexp_integral(M ** (1.0 - m), mu)
-        worst = max(worst, _rel(t22_alpha1, THEOREMS["t22"].rhs(p2)))
+        worst = max(worst, _rel(t22_alpha1, THEOREMS["t22"].rhs(p2, frac)))
         t26_alpha1 = (
             M**m
             * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / q)
             * mexp_integral(M ** (q * (1.0 - m)), mu) ** (1.0 / q)
             * geometry
         )
-        worst = max(worst, _rel(t26_alpha1, THEOREMS["t26"].rhs(p2)))
+        worst = max(worst, _rel(t26_alpha1, THEOREMS["t26"].rhs(p2, frac)))
         # t24 needs alpha < 1: the Hoelder form, exponent q alpha (1 - m),
         # written out in mpmath at 40 digits (in floats its (M^e - 1) cancels),
         # against it at the drawn alpha
         if q > 1.0 + 1e-9:
-            p3 = BoundParams(frac, M=M, alpha=alpha, m=m, q=q)
+            p3 = BoundParams(M=M, alpha=alpha, m=m, q=q)
             record = {"theorem": "t24", "a": a, "b": b, "x": x, "mu": mu, "alpha": alpha,
                       "m": m, "M": M, "q": q, "u": None, "v": None}
             hoelder = mp_oracle.rhs(record)
-            worst = max(worst, float(_rel(THEOREMS["t24"].rhs(p3), hoelder)))
+            worst = max(worst, float(_rel(THEOREMS["t24"].rhs(p3, frac), hoelder)))
         count += 1
     ok = worst <= 1e-14
     report_line(6, ok, f"specialization equalities worst rel diff={worst:.3g} (<=1e-14)")
@@ -207,15 +207,15 @@ def test_criterion_07_young_ordering(report_line):
         if not a < x < b:
             continue
         u = rng.uniform(0.05, 0.95)
+        frac = FracParams(a, b, x, rng.uniform(0.2, 3.0))
         bp = BoundParams(
-            FracParams(a, b, x, rng.uniform(0.2, 3.0)),
             M=rng.uniform(0.05, 0.999),
             alpha=rng.uniform(0.05, 1.0),
             m=rng.uniform(0.05, 0.999),
             q=rng.uniform(1.0, 4.0),
             u=u,
         )
-        worst = min(worst, THEOREMS["mm"].rhs(bp) - THEOREMS["t26"].rhs(bp))
+        worst = min(worst, THEOREMS["mm"].rhs(bp, frac) - THEOREMS["t26"].rhs(bp, frac))
         count += 1
     ok = worst >= -1e-12
     report_line(7, ok, f"young relaxation worst margin={worst:.3g} (>=-1e-12)")
@@ -251,13 +251,12 @@ def test_criterion_09_mu1_closed_form_audit(report_line):
         if not a < x < b:
             continue
         bp = BoundParams(
-            FracParams(a, b, x, 1.0),
             M=rng.uniform(0.05, 0.95),
             alpha=rng.uniform(0.05, 1.0),
             m=rng.uniform(0.05, 0.95),
             q=rng.uniform(1.0, 4.0),
         )
-        audit = bound_mu1_audit(bp)
+        audit = bound_mu1_audit(bp, FracParams(a, b, x, 1.0))
         diffs.append(audit.difference / max(1.0, audit.recomputed))
         count += 1
     max_rel = max(abs(d) for d in diffs)
@@ -297,7 +296,7 @@ def test_criterion_10_cli_contract(tmp_path, capfd, monkeypatch, report_line):
     # hypothesis.  The theorem record looks its factor up at call time.
     factor_t22 = bnd.factor_t22
     with monkeypatch.context() as patch:
-        patch.setattr(bnd, "factor_t22", lambda bp: 0.5 * factor_t22(bp))
+        patch.setattr(bnd, "factor_t22", lambda bp, mu: 0.5 * factor_t22(bp, mu))
         rc_violation = main(["sweep", "--config", str(cfg)])
 
     malformed = tmp_path / "malformed.cfg"

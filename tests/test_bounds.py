@@ -18,20 +18,22 @@ from ostrowski_frac.verify import THEOREMS
 import mp_oracle
 
 
-def bp(a=0.0, b=1.0, x=0.5, mu=0.5, **kw):
-    return BoundParams(FracParams(a, b, x, mu), **kw)
+def inst(a=0.0, b=1.0, x=0.5, mu=0.5, **kw):
+    """(frac, bp): the instance (a, b, x, mu) and the point of the keywords."""
+    return FracParams(a, b, x, mu), BoundParams(**kw)
 
 
-def rhs_of(theorem, params):
-    return THEOREMS[theorem].rhs(params)
+def rhs_of(theorem, instance):
+    frac, params = instance
+    return THEOREMS[theorem].rhs(params, frac)
 
 
 class TestBoundParams:
     def test_p_conjugate(self):
-        assert bp(M=0.5, q=2.0).p == 2.0
-        assert bp(M=0.5, q=3.0).p == pytest.approx(1.5)
+        assert BoundParams(M=0.5, q=2.0).p == 2.0
+        assert BoundParams(M=0.5, q=3.0).p == pytest.approx(1.5)
         with pytest.raises(DomainError):
-            _ = bp(M=0.5, q=1.0).p
+            _ = BoundParams(M=0.5, q=1.0).p
 
     @pytest.mark.parametrize(
         "kw",
@@ -48,13 +50,13 @@ class TestBoundParams:
     )
     def test_validation(self, kw):
         with pytest.raises(DomainError):
-            bp(**kw)
+            BoundParams(**kw)
 
     def test_v_is_derived_from_u(self):
-        assert bp(M=0.5).v is None
-        assert bp(M=0.5, u=0.25).v == 0.75
+        assert BoundParams(M=0.5).v is None
+        assert BoundParams(M=0.5, u=0.25).v == 0.75
         with pytest.raises(TypeError):
-            bp(M=0.5, u=0.5, v=0.5)
+            BoundParams(M=0.5, u=0.5, v=0.5)
 
 
 class TestGeometryFactor:
@@ -111,7 +113,7 @@ class TestKAlpha:
 
 class TestMainBound:
     def test_frozen_example(self):
-        params = bp(a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5)
+        params = inst(a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5)
         assert rhs_of("t22", params) == pytest.approx(0.43972994582116864, rel=1e-9)
 
     def test_alpha1_corollary_matches_parent(self):
@@ -124,7 +126,7 @@ class TestMainBound:
             mu = rng.uniform(0.2, 3.0)
             M = rng.uniform(0.05, 1.0)
             m = rng.uniform(0.05, 1.0)
-            params = BoundParams(FracParams(a, b, x, mu), M=M, alpha=1.0, m=m)
+            params = FracParams(a, b, x, mu), BoundParams(M=M, alpha=1.0, m=m)
             geometry = ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
             lhs = geometry * M**m * mexp_integral(M ** (1.0 - m), mu)
             rhs = rhs_of("t22", params)
@@ -133,13 +135,13 @@ class TestMainBound:
 
 class TestHoelderBound:
     def test_frozen_example(self):
-        params = bp(a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5, q=2.0)
+        params = inst(a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5, q=2.0)
         assert rhs_of("t24", params) == pytest.approx(0.47525246968553458, rel=1e-12)
 
     def test_guard_near_m_one(self):
         # m -> 1 sends the mean factor's exponent to 0; its expm1 form stays
         # finite and continuous
-        near = rhs_of("t24", bp(M=0.5, alpha=0.5, m=1.0 - 1e-9, q=2.0))
+        near = rhs_of("t24", inst(M=0.5, alpha=0.5, m=1.0 - 1e-9, q=2.0))
         at_limit = 0.5 ** (1.0 - 1e-9) * (1.0 / 2.0) ** 0.5 * geometry_factor(
             FracParams(0.0, 1.0, 0.5, 0.5)
         )
@@ -149,31 +151,32 @@ class TestHoelderBound:
         # the Hoelder form with exponent q alpha (1 - m), written out, against
         # the parent inside the open box; its alpha = 1 corollary is the
         # parent's limit as alpha -> 1
-        def written_out(params):
+        def written_out(instance):
+            frac, params = instance
             e = params.q * params.alpha * (1.0 - params.m)
             return (
                 0.4**0.5
                 * (1.0 / 2.0) ** 0.5
                 * ((0.4**e - 1.0) / (e * math.log(0.4))) ** 0.5
-                * geometry_factor(params.frac)
+                * geometry_factor(frac)
             )
 
         for alpha in (0.05, 0.5, 0.9):
-            params = bp(M=0.4, alpha=alpha, m=0.5, q=2.0)
+            params = inst(M=0.4, alpha=alpha, m=0.5, q=2.0)
             assert rhs_of("t24", params) == pytest.approx(written_out(params), rel=1e-13)
-        corollary = written_out(bp(M=0.4, alpha=1.0, m=0.5, q=2.0))
-        near = rhs_of("t24", bp(M=0.4, alpha=1.0 - 1e-12, m=0.5, q=2.0))
+        corollary = written_out(inst(M=0.4, alpha=1.0, m=0.5, q=2.0))
+        near = rhs_of("t24", inst(M=0.4, alpha=1.0 - 1e-12, m=0.5, q=2.0))
         assert near == pytest.approx(corollary, rel=1e-10)
 
     def test_underflowing_exponent_is_finite(self):
         # q alpha (1 - m) ln M underflows to 0; the mean factor is then 1
-        value = rhs_of("t24", bp(M=0.5, alpha=5e-324, m=0.5, q=2.0))
+        value = rhs_of("t24", inst(M=0.5, alpha=5e-324, m=0.5, q=2.0))
         assert math.isfinite(value) and value > 0.0
 
 
 class TestPowerMeanBound:
     def test_frozen_example(self):
-        params = bp(a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5, q=2.0)
+        params = inst(a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5, q=2.0)
         assert rhs_of("t26", params) == pytest.approx(0.44018934589992498, rel=1e-9)
 
     def test_q1_reduces_to_main_bound(self):
@@ -182,8 +185,7 @@ class TestPowerMeanBound:
             a, x, b = np.sort(rng.uniform(0.0, 4.0, size=3))
             if b - a < 1e-3 or not a < x < b:
                 continue
-            params = BoundParams(
-                FracParams(a, b, x, rng.uniform(0.2, 3.0)),
+            params = FracParams(a, b, x, rng.uniform(0.2, 3.0)), BoundParams(
                 M=rng.uniform(0.05, 0.999),
                 alpha=rng.uniform(0.05, 1.0),
                 m=rng.uniform(0.05, 0.999),
@@ -204,7 +206,7 @@ class TestPowerMeanBound:
             M = rng.uniform(0.05, 0.999)
             m = rng.uniform(0.05, 0.999)
             q = rng.uniform(1.0, 4.0)
-            params = BoundParams(FracParams(a, b, x, mu), M=M, alpha=1.0, m=m, q=q)
+            params = FracParams(a, b, x, mu), BoundParams(M=M, alpha=1.0, m=m, q=q)
             lhs = (
                 M**m
                 * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / q)
@@ -217,12 +219,12 @@ class TestPowerMeanBound:
 
 class TestSetBound:
     def test_frozen_example(self):
-        assert rhs_of("set", bp(x=0.5, mu=2.0, M=0.5)) == pytest.approx(
+        assert rhs_of("set", inst(x=0.5, mu=2.0, M=0.5)) == pytest.approx(
             0.041666666666666664, rel=1e-15
         )
 
     def test_equals_main_bound_at_M_one(self):
-        params = bp(M=1.0, mu=1.5)
+        params = inst(M=1.0, mu=1.5)
         assert rhs_of("set", params) == pytest.approx(
             rhs_of("t22", params), rel=1e-14
         )
@@ -230,22 +232,18 @@ class TestSetBound:
 
 class TestMu1Bound:
     def test_frozen_example(self):
-        params = BoundParams(
-            FracParams(0.0, 2.0, 1.0, 1.0), M=0.9, alpha=1.0, m=0.5, q=2.0
-        )
+        params = inst(0.0, 2.0, 1.0, 1.0, M=0.9, alpha=1.0, m=0.5, q=2.0)
         assert rhs_of("mu1", params) == pytest.approx(2.1168025157429535, rel=1e-12)
 
     def test_audit_requires_mu_one(self):
         # the audit calls the factor directly, not through the theorem record
         with pytest.raises(DomainError, match="mu = 1"):
-            bound_mu1_audit(bp(mu=0.5, M=0.5, m=0.5))
+            bound_mu1_audit(BoundParams(M=0.5, m=0.5), FracParams(0.0, 1.0, 0.5, 0.5))
 
     def test_audit_reports_positive_gap(self):
         # the printed bracket exceeds the kernel integral by 1/|ln c|
-        params = BoundParams(
-            FracParams(0.0, 2.0, 1.0, 1.0), M=0.5, alpha=0.5, m=0.5, q=2.0
-        )
-        audit = bound_mu1_audit(params)
+        params = BoundParams(M=0.5, alpha=0.5, m=0.5, q=2.0)
+        audit = bound_mu1_audit(params, FracParams(0.0, 2.0, 1.0, 1.0))
         assert audit.printed > audit.recomputed
         assert audit.difference == pytest.approx(
             audit.printed - audit.recomputed, rel=1e-15
@@ -256,7 +254,7 @@ class TestMu1Bound:
         # kernel integral by 1/|ln c| and so diverges; at a = 0, b = 2, x = 1
         # and q = 1 the bound is M^m times the bracket
         for M in (1.0 - 1e-4, 1.0 - 1e-8, 1.0 - 1e-12):
-            params = BoundParams(FracParams(0.0, 2.0, 1.0, 1.0), M=M, m=0.5)
+            params = inst(0.0, 2.0, 1.0, 1.0, M=M, m=0.5)
             lc = 1.0 * 1.0 * (1.0 - 0.5) * math.log(M)
             bracket = rhs_of("mu1", params) / M**0.5
             kernel = mexp_integral(math.exp(lc), 1.0)
@@ -265,12 +263,12 @@ class TestMu1Bound:
     def test_bracket_at_c_one_rejected(self):
         # alpha underflows the exponent to 0: c = 1, where the bracket is infinite
         with pytest.raises(DomainError, match="diverges"):
-            rhs_of("mu1", BoundParams(FracParams(0.0, 2.0, 1.0, 1.0), M=0.5, alpha=5e-324, m=0.5))
+            rhs_of("mu1", inst(0.0, 2.0, 1.0, 1.0, M=0.5, alpha=5e-324, m=0.5))
 
 
 class TestYoungBounds:
     def test_frozen_example(self):
-        params = bp(
+        params = inst(
             a=0.0, b=2.0, x=0.7, mu=0.5, M=0.5, alpha=0.5, m=0.5, q=2.0,
             u=0.5,
         )
@@ -284,8 +282,7 @@ class TestYoungBounds:
             if b - a < 1e-3 or not a < x < b:
                 continue
             u = rng.uniform(0.05, 0.95)
-            params = BoundParams(
-                FracParams(a, b, x, rng.uniform(0.2, 3.0)),
+            params = FracParams(a, b, x, rng.uniform(0.2, 3.0)), BoundParams(
                 M=rng.uniform(0.05, 0.999),
                 alpha=rng.uniform(0.05, 1.0),
                 m=rng.uniform(0.05, 0.999),
@@ -296,14 +293,14 @@ class TestYoungBounds:
             count += 1
 
     def test_v_to_one_limit_is_finite(self):
-        params = bp(M=0.5, m=0.5, q=2.0, u=1e-9)
+        params = inst(M=0.5, m=0.5, q=2.0, u=1e-9)
         assert math.isfinite(rhs_of("mm", params))
 
     def test_remark_q1(self):
         # the q = 1 remark is the general Young bound pinned at q = 1
         for M, alpha, m, u in ((0.5, 1.0, 0.5, 0.5), (0.3, 0.4, 0.75, 0.2)):
-            params = bp(M=M, alpha=alpha, m=m, q=1.0, u=u)
-            assert THEOREMS["remark_q1"].factor(params) == factor_mm(params)
+            params = BoundParams(M=M, alpha=alpha, m=m, q=1.0, u=u)
+            assert THEOREMS["remark_q1"].factor(params, 0.5) == factor_mm(params, 0.5)
         assert THEOREMS["remark_q1"].box == (("q", "=", 1.0),)
 
 
@@ -331,8 +328,8 @@ class TestReflectionSymmetry:
                 continue
             mu = rng.uniform(0.2, 3.0)
             kw = dict(M=0.6, alpha=0.5, m=0.5, q=2.0, u=0.5)
-            p1 = BoundParams(FracParams(a, b, x, mu), **kw)
-            p2 = BoundParams(FracParams(a, b, a + b - x, mu), **kw)
+            p1 = inst(a, b, x, mu, **kw)
+            p2 = inst(a, b, a + b - x, mu, **kw)
             for theorem in ("t22", "t24", "t26", "mm"):
                 assert rhs_of(theorem, p1) == pytest.approx(rhs_of(theorem, p2), rel=1e-12)
 

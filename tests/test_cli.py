@@ -288,6 +288,18 @@ class TestVerifyCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--x", "5", "--mu", "0"], "x in [a, b] required"),
+        (["--x", "5", "--alpha", "0"], "x in [a, b] required"),
+        (["--x", "1.4", "--mu", "nan", "--alpha", "0"], "mu must be finite"),
+    ], ids=["x-and-mu", "x-and-alpha", "mu-and-alpha"])
+    def test_first_of_two_faults_is_named(self, capsys, extra, message):
+        # The instance (a, b, x, mu) is checked before the point (alpha, m,
+        # q, u), and x before mu.
+        assert main(["verify", "--theorem", "t22", "--f", "powdecay", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     REMARK = ["verify", "--theorem", "remark_q1", "--f", "powdecay", "--x", "1.4",
               "--mu", "0.5", "--alpha", "0.5", "--m", "0.5", "--q", "1", "--u", "0.5"]
 
@@ -345,6 +357,44 @@ def test_smoke_step_command_exits_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+class TestTinyMu:
+    """Below mu of about 1.25e-305 the quadrature rule's weights overflow.
+    Every command names that with exit 2, the sweep before any quadrature,
+    and none warns: the test run turns every warning into an error."""
+
+    MESSAGE = "mu too small for finite quadrature weights"
+    VERIFY = ["verify", "--theorem", "t22", "--f", "powdecay", "--x", "1.4",
+              "--alpha", "0.5", "--m", "0.5", "--mu"]
+    FRAC_INT = ["frac-int", "--f", "powdecay", "--x", "1.4", "--mu"]
+
+    @pytest.mark.parametrize("argv", [VERIFY, FRAC_INT, [*FRAC_INT[:-1], "--upper", "--mu"]],
+                             ids=["verify", "frac-int", "frac-int-upper"])
+    @pytest.mark.parametrize("mu", ["1e-310", "1.2e-305"])
+    def test_command_exits_2(self, capsys, argv, mu):
+        assert main([*argv, mu]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {self.MESSAGE}\n"
+
+    def test_sweep_names_the_value_before_any_quadrature(self, tmp_path, capsys, monkeypatch):
+        def boom(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(report_mod, "ostrowski_signed_many", boom)
+        path = tmp_path / "tiny.cfg"
+        path.write_text("mu = 0.5,1e-310\n")
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: mu = 1e-310: {self.MESSAGE}\n"
+
+    def test_mu_1e_300_still_works(self, tmp_path, capsys):
+        assert main([*self.VERIFY, "1e-300"]) == 0
+        assert main([*self.FRAC_INT, "1e-300"]) == 0
+        path = tmp_path / "small.cfg"
+        path.write_text("functions = powdecay\ntheorems = t22\nx_fracs = 0.5\nmu = 1e-300\n"
+                        "alpha = 0.5\nm = 0.5\n")
+        assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
+        assert "error" not in capsys.readouterr().err
 
 
 class TestDefaultSweepListing:
@@ -452,7 +502,7 @@ class TestSweepCommand:
     def understated_t22(self, monkeypatch):
         # The theorem record looks its factor up at call time.
         factor_t22 = bnd.factor_t22
-        monkeypatch.setattr(bnd, "factor_t22", lambda bp: 0.5 * factor_t22(bp))
+        monkeypatch.setattr(bnd, "factor_t22", lambda bp, mu: 0.5 * factor_t22(bp, mu))
 
     def test_crafted_violation_exits_1(self, tmp_path, capsys, understated_t22):
         cfg = tmp_path / "bad.cfg"
@@ -754,6 +804,7 @@ class TestConfigParsing:
             ("mu = 0", "mu = 0.0: mu > 0 required"),
             ("mu = inf", "mu = inf: mu must be finite"),
             ("mu = 170.63", "mu = 170.63: gamma(171.63) overflows a float"),
+            ("mu = 0.5,1e-310", "mu = 1e-310: mu too small for finite quadrature weights"),
         ],
     )
     def test_out_of_domain_parameter(self, text, message):
@@ -800,6 +851,18 @@ class TestConfigParsing:
         path.write_text(text)
         assert main(["sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: repeated config key '{key}'\n"
+
+    def test_repeated_family_parameter_exits_2(self, tmp_path, capsys):
+        # The second value replaced the first, so the member differed from
+        # its config line, and its fingerprint from the line written once.
+        text = "function.aff = affine slope=0.5 slope=0.9 intercept=0.25 lo=1.0 hi=2.5\n"
+        message = "repeated parameter 'slope' in function 'aff'"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(text)
+        path = tmp_path / "twice.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_extra_function_may_not_reuse_a_builtin_id(self, tmp_path, capsys):
         # It would replace the builtin, and its verdicts would carry the
@@ -989,14 +1052,13 @@ class TestRenderReport:
             return np.array([rng.choice(pool) for _ in range(int(np.prod(shape)))],
                             dtype=float).reshape(shape)
 
-        frac = FracParams(0.0, 1.0, 0.0, 1.0)
         groups, kinds = [], set()
         while sum(g.rhs.size for g in groups) < 300:
             xs = [value() for _ in range(rng.randint(0, 6))]
             runs = []
             for _ in range(rng.randint(0, 4)):
                 points = [
-                    BoundParams(frac, **{k: rng.choice(vs) for k, vs in self.POINT_VALUES.items()})
+                    BoundParams(**{k: rng.choice(vs) for k, vs in self.POINT_VALUES.items()})
                     for _ in range(rng.randint(0, 5))
                 ]
                 runs.append(report_mod.Run(value(), points, floats(len(xs), self.FLOATS)))
@@ -1228,9 +1290,9 @@ class TestBatchedSweep:
 
 
 class TestHypothesesCheckedOncePerPoint:
-    """The sweep checks hypotheses once per (function, theorem, alpha, m, q,
-    u), and for a theorem whose box names mu once per mu too; what it emits
-    must be what one check per instance gives."""
+    """The sweep checks hypotheses once per distinct (function, theorem,
+    alpha, m, q, u), whatever the number of mu values; what it emits must be
+    what one check per instance gives."""
 
     CONFIGS = {
         "batch": BATCH_SWEEP,
@@ -1260,20 +1322,20 @@ class TestHypothesesCheckedOncePerPoint:
 
     @staticmethod
     def _reference(cfg):
-        """One `_check_hypotheses` per instance, in sweep order: the emitted
-        instances and the distinct points checked."""
+        """One `_check_hypotheses` per instance of the oracle's grid, in
+        sweep order: the emitted instances and the distinct points checked."""
         out, checked = [], set()
         for f in resolve_corpus(cfg):
             a, b = f.domain
             for theorem in cfg.theorems:
                 for frac_x in cfg.x_fracs:
                     x = a + frac_x * (b - a)
-                    for mu, alpha, m, q, u in report_mod._grid_for(theorem, cfg):
+                    for mu, alpha, m, q, u in sweep_oracle.grid(theorem, cfg):
                         frac = FracParams(a, b, x, mu)
-                        bp = BoundParams(frac, f.M, alpha, m, q, u)
+                        bp = BoundParams(f.M, alpha, m, q, u)
                         checked.add((f.id, theorem, alpha, m, q, u))
                         try:
-                            _check_hypotheses(theorem, f, bp)
+                            _check_hypotheses(theorem, f, frac.b, frac.mu, bp)
                         except HypothesisError:
                             continue
                         out.append((theorem, f.id, x, mu, alpha, m, q, u))
@@ -1291,7 +1353,6 @@ class TestHypothesesCheckedOncePerPoint:
                 for frac_x in cfg.x_fracs:
                     x = a + frac_x * (b - a)
                     for mu, points in runs:
-                        assert all(bp.frac.mu == mu for bp, _ in points)
                         out += [(theorem, f.id, x, mu, bp.alpha, bp.m, bp.q, bp.u)
                                 for bp, _ in points]
         return out
@@ -1307,34 +1368,30 @@ class TestHypothesesCheckedOncePerPoint:
         got = [tuple(v[k] for k in keys) for v in verdicts]
         assert got == want
         for v in verdicts:
-            bp = BoundParams(
-                FracParams(v["a"], v["b"], v["x"], v["mu"]),
-                v["M"], v["alpha"], v["m"], v["q"], v["u"],
-            )
-            _check_hypotheses(v["theorem"], corpus[v["function"]], bp)
+            bp = BoundParams(v["M"], v["alpha"], v["m"], v["q"], v["u"])
+            _check_hypotheses(v["theorem"], corpus[v["function"]], v["b"], v["mu"], bp)
 
     @pytest.mark.parametrize("case", sorted(CONFIGS))
     def test_one_check_per_point(self, case, monkeypatch):
         cfg = parse_config(self.CONFIGS[case])
         seen = []
 
-        def counting(theorem, f, bp):
+        def counting(theorem, f, b, mu, bp):
             seen.append((f.id, theorem, bp.alpha, bp.m, bp.q, bp.u))
-            return _check_hypotheses(theorem, f, bp)
+            return _check_hypotheses(theorem, f, b, mu, bp)
 
         monkeypatch.setattr(report_mod, "_check_hypotheses", counting)
         run_sweep(cfg)
-        # Not once per mu: mu1's box, the only one to name mu, pins it, so
-        # its points are distinct without mu too.
+        # Not once per mu, and a repeated value is checked once.
         assert len(seen) == len(set(seen))
         assert set(seen) == self._reference(cfg)[1]
 
     def test_default_sweep_checks(self, monkeypatch):
         calls = []
 
-        def counting(theorem, f, bp):
+        def counting(theorem, f, b, mu, bp):
             calls.append(theorem)
-            return _check_hypotheses(theorem, f, bp)
+            return _check_hypotheses(theorem, f, b, mu, bp)
 
         monkeypatch.setattr(report_mod, "_check_hypotheses", counting)
         assert len(list(verdict_rows(run_sweep(SweepConfig())))) == 17892
@@ -1343,34 +1400,20 @@ class TestHypothesesCheckedOncePerPoint:
     @pytest.mark.parametrize(
         "text", [BATCH_SWEEP, "", CONFIGS["repeats"]], ids=["batch", "default", "repeats"])
     def test_one_lhs_call_per_function_and_mu(self, text, monkeypatch):
-        """A sweep builds no `FracParams` per x, only one per run of a
-        theorem's grid that shares mu (its points', at x = a), and makes
-        exactly one LHS call per (function, mu) that has a verdict, over
-        the function's distinct x values in `x_fracs` order."""
+        """A sweep makes exactly one LHS call per (function, mu) that has a
+        verdict, over the function's distinct x values in `x_fracs` order."""
         cfg = parse_config(text)
         verdicts = self._reference(cfg)[0]
         pairs = {(f, mu) for _, f, _, mu, *_ in verdicts}
-        runs = sum(
-            len(list(itertools.groupby(report_mod._grid_for(t, cfg), key=lambda p: p[0])))
-            for t in cfg.theorems
-        ) * len(resolve_corpus(cfg))
-        built, calls = [], []
-
-        class Counting(FracParams):
-            def __post_init__(self):
-                built.append((self.a, self.x))
-                super().__post_init__()
-
+        calls = []
         signed_many = report_mod.ostrowski_signed_many
 
         def counting(f, a, b, x, mu, quad):
             calls.append((f.id, mu, list(x)))
             return signed_many(f, a, b, x, mu, quad)
 
-        monkeypatch.setattr(report_mod, "FracParams", Counting)
         monkeypatch.setattr(report_mod, "ostrowski_signed_many", counting)
         run_sweep(cfg)
-        assert len(built) == runs and all(x == a for a, x in built)
         assert len(calls) == len(pairs) and {(f, mu) for f, mu, _ in calls} == pairs
         for fid, mu, xs in calls:
             want = list(dict.fromkeys(x for _, f, x, m, *_ in verdicts if (f, m) == (fid, mu)))
@@ -1385,34 +1428,49 @@ class TestHypothesesCheckedOncePerPoint:
         assert groups
         for g in groups:
             assert len(g.xs) == len(cfg.x_fracs)
-            keys = [(bp.frac.mu, bp.alpha, bp.m, bp.q, bp.u) for r in g.runs for bp in r.points]
+            keys = [(r.mu, bp.alpha, bp.m, bp.q, bp.u) for r in g.runs for bp in r.points]
             assert len(set(keys)) == len(keys) > 1
             for r in g.runs:
-                assert all(bp.frac.mu == r.mu and bp.v == 1.0 - bp.u for bp in r.points)
+                assert all(bp.v == 1.0 - bp.u for bp in r.points)
                 assert r.lhs.shape == (len(g.xs),)
             assert g.rhs.shape == g.margin.shape == g.holds.shape == (len(g.xs), len(keys))
             assert g.holds.dtype == bool
 
-    def test_rejected_bound_params_built_once_per_point(self, monkeypatch):
-        cfg = parse_config(self.CONFIGS["no-claim"])
-        rejected = sum(
-            1 for t in cfg.theorems for _, alpha, *_ in report_mod._grid_for(t, cfg)
-            if alpha == 0.25
-        )
-        assert rejected and len(cfg.x_fracs) > 1
-        built = []
+    @pytest.mark.parametrize("case", ["no-claim", "repeats"])
+    @pytest.mark.parametrize("extra_mus", [(), (0.75, 2.0, 3.5)], ids=["config-mu", "more-mu"])
+    def test_one_bound_params_and_check_per_point(self, case, extra_mus, monkeypatch):
+        """`_points` builds one `BoundParams` and makes one hypothesis check
+        per distinct admitted (alpha, m, q, u) on f, rejected or not,
+        whatever the number of mu values; every run lists the same objects."""
+        cfg = parse_config(self.CONFIGS[case])
+        cfg = dataclasses.replace(cfg, mus=cfg.mus + extra_mus)
+        built, checked = [], []
 
         class Counting(BoundParams):
             def __post_init__(self):
-                built.append(self.alpha)
+                built.append((self.alpha, self.m, self.q, self.u))
                 super().__post_init__()
 
+        def counting(theorem, f, b, mu, bp):
+            checked.append((bp.alpha, bp.m, bp.q, bp.u))
+            return _check_hypotheses(theorem, f, b, mu, bp)
+
         monkeypatch.setattr(report_mod, "BoundParams", Counting)
+        monkeypatch.setattr(report_mod, "_check_hypotheses", counting)
+        rejected = 0
         for f in resolve_corpus(cfg):
-            built.clear()
             for theorem in cfg.theorems:
-                report_mod._points(theorem, f, cfg)
-            assert built.count(0.25) == rejected
+                built.clear()
+                checked.clear()
+                runs = report_mod._points(theorem, f, cfg)
+                points = list(dict.fromkeys(p[1:] for p in sweep_oracle.grid(theorem, cfg)))
+                assert built == checked == points
+                first = [bp for bp, _ in runs[0][1]] if runs else []
+                rejected += len(points) - len(set(map(id, first)))
+                for _, run in runs:
+                    assert [bp for bp, _ in run] == first
+                    assert all(bp is want for (bp, _), want in zip(run, first))
+        assert rejected
 
 
 class TestSweepMatchesPerVerdictOracle:
@@ -1472,7 +1530,7 @@ class TestSweepMatchesPerVerdictOracle:
 
     def test_point_factor_times_geometry_is_the_rhs(self, corpus):
         """Over the default grid, for every theorem: the factor of the point
-        at the first x, times the geometry factor at any x, is bit for bit
+        at its mu, times the geometry factor at any x, is bit for bit
         the scalar RHS, and the printed product there (for `set`, within
         1e-15 relative)."""
         cfg = SweepConfig()
@@ -1482,23 +1540,23 @@ class TestSweepMatchesPerVerdictOracle:
                 a, b = f.domain
                 fracs = [FracParams(a, b, a + t * (b - a), mu)
                          for t in cfg.x_fracs for mu in cfg.mus]
-                for mu, alpha, m, q, u in report_mod._grid_for(theorem, cfg):
+                for mu, alpha, m, q, u in sweep_oracle.grid(theorem, cfg):
                     at = [fr for fr in fracs if fr.mu == mu]
-                    bps = [BoundParams(fr, f.M, alpha, m, q, u) for fr in at]
+                    bp = BoundParams(f.M, alpha, m, q, u)
                     try:
-                        _check_hypotheses(theorem, f, bps[0])
+                        _check_hypotheses(theorem, f, b, mu, bp)
                     except HypothesisError:
                         continue
-                    factor = record.factor(bps[0])
-                    got = [(factor * geometry_factor(bp.frac)).hex() for bp in bps]
-                    assert got == [record.rhs(bp).hex() for bp in bps]
-                    printed = [sweep_oracle.RHS[theorem](bp) for bp in bps]
+                    factor = record.factor(bp, mu)
+                    got = [(factor * geometry_factor(fr)).hex() for fr in at]
+                    assert got == [record.rhs(bp, fr).hex() for fr in at]
+                    printed = [sweep_oracle.RHS[theorem](fr, bp) for fr in at]
                     if theorem == "set":
                         assert all(abs(float.fromhex(g) - p) <= 1e-15 * p
                                    for g, p in zip(got, printed))
                     else:
                         assert got == [p.hex() for p in printed]
-                    checked += len(bps)
+                    checked += len(at)
         # Every verdict of the default sweep.
         assert checked == 17892
 

@@ -16,7 +16,9 @@ from ostrowski_frac.fracint import (
     QuadConfig,
     clenshaw_curtis_many,
 )
-from ostrowski_frac.report import DEFAULT_MUS, DEFAULT_X_FRACS, _grid_for, parse_config, run_sweep
+from ostrowski_frac.report import (
+    DEFAULT_MUS, DEFAULT_X_FRACS, _points, parse_config, resolve_corpus, run_sweep,
+)
 from ostrowski_frac.verify import (
     THEOREM_IDS,
     THEOREMS,
@@ -30,6 +32,7 @@ from ostrowski_frac.verify import (
     verify_theorem,
 )
 
+import sweep_oracle
 import test_cli
 from conftest import simpson
 from test_fracint import forbid_refinement
@@ -345,6 +348,8 @@ class TestIdentityResidual:
 
 
 class TestHypothesisChecking:
+    FRAC = FracParams(1.0, 2.0, 1.5, 0.5)
+
     def kwargs(self, **kw):
         base = dict(M=0.5, alpha=0.5, m=0.5, q=2.0)
         base.update(kw)
@@ -352,32 +357,32 @@ class TestHypothesisChecking:
 
     def test_t24_needs_q_above_one(self, corpus):
         f = corpus["powdecay"]
-        bp = BoundParams(FracParams(1.0, 2.0, 1.5, 0.5), **self.kwargs(q=1.0))
+        bp = BoundParams(**self.kwargs(q=1.0))
         with pytest.raises(HypothesisError, match="q > 1"):
-            verify_theorem("t24", f, bp)
+            verify_theorem("t24", f, self.FRAC, bp)
 
     def test_M_mismatch_rejected(self, corpus):
         f = corpus["powdecay"]  # f.M = 0.5
-        bp = BoundParams(FracParams(1.0, 2.0, 1.5, 0.5), **self.kwargs(M=0.6))
+        bp = BoundParams(**self.kwargs(M=0.6))
         with pytest.raises(HypothesisError, match="differs"):
-            verify_theorem("t26", f, bp)
+            verify_theorem("t26", f, self.FRAC, bp)
 
     def test_missing_claim_rejected(self, corpus):
         f = corpus["expdecay"]  # no geometric-convex claims
-        bp = BoundParams(FracParams(1.0, 2.0, 1.5, 0.5), M=0.5, q=1.0)
+        bp = BoundParams(M=0.5, q=1.0)
         with pytest.raises(HypothesisError, match="geometric-convex"):
-            verify_theorem("set", f, bp)
+            verify_theorem("set", f, self.FRAC, bp)
 
     def test_unknown_theorem(self, corpus):
-        bp = BoundParams(FracParams(1.0, 2.0, 1.5, 0.5), M=0.5)
+        bp = BoundParams(M=0.5)
         with pytest.raises(HypothesisError, match="unknown"):
-            verify_theorem("t99", corpus["powdecay"], bp)
+            verify_theorem("t99", corpus["powdecay"], self.FRAC, bp)
 
     def test_mu1_requires_unit_order(self, corpus):
         f = corpus["powdecay"]
-        bp = BoundParams(FracParams(1.0, 2.0, 1.5, 0.5), **self.kwargs())
+        bp = BoundParams(**self.kwargs())
         with pytest.raises(HypothesisError, match="mu = 1"):
-            verify_theorem("mu1", f, bp)
+            verify_theorem("mu1", f, self.FRAC, bp)
 
 
 # A point inside every open box; a record's pins replace its values.
@@ -409,7 +414,7 @@ def _stated_conditions():
 def test_record_is_the_only_guard(theorem_id, message, change, corpus, monkeypatch):
     """A point factor assumes its record's hypotheses: `verify_theorem`
     rejects a point that breaks any of them, naming it, before a factor runs."""
-    def boom(bp):
+    def boom(bp, mu):
         raise AssertionError("a point factor ran")
 
     for name in vars(bnd):
@@ -420,13 +425,15 @@ def test_record_is_the_only_guard(theorem_id, message, change, corpus, monkeypat
     point = {**_BOX_POINT, **{name: bound for name, rel, bound in record.box if rel == "="}}
     point.update(M=0.5, u=0.5 if record.young else None)
 
-    def bound_params(point):
+    def instance(point):
+        """(frac, bp) at point, a dict of mu and the keywords of BoundParams."""
         mu = point.pop("mu")
-        return BoundParams(FracParams(1.0, 2.0, 1.4, mu), **point)
+        return FracParams(1.0, 2.0, 1.4, mu), BoundParams(**point)
 
-    _check_hypotheses(theorem_id, f, bound_params(dict(point)))  # admitted
+    frac, bp = instance(dict(point))
+    _check_hypotheses(theorem_id, f, frac.b, frac.mu, bp)  # admitted
     with pytest.raises(HypothesisError, match=re.escape(message)):
-        verify_theorem(theorem_id, f, bound_params({**point, **change}))
+        verify_theorem(theorem_id, f, *instance({**point, **change}))
 
 
 # The claim table the membership certificates replaced, frozen with the
@@ -454,12 +461,12 @@ def _old_require(cond, failures, msg):
         failures.append(msg)
 
 
-def _old_check_hypotheses(theorem_id, f, bp):
+def _old_check_hypotheses(theorem_id, f, b, mu, bp):
     """The per-id if/elif chain that the theorem registry replaced, frozen
     as an oracle."""
     failures = []
     _old_require(abs(f.M - bp.M) <= 1e-15, failures, f"f.M={f.M:g} differs from bp.M={bp.M:g}")
-    _old_require(bp.frac.b >= 1.0, failures, "b >= 1 required")
+    _old_require(b >= 1.0, failures, "b >= 1 required")
 
     if theorem_id == "t22":
         _old_require(
@@ -479,7 +486,7 @@ def _old_check_hypotheses(theorem_id, f, bp):
             _old_require(bp.q > 1.0, failures, "q > 1 required")
             _old_require(bp.alpha < 1.0, failures, "alpha < 1 required")
         if theorem_id == "mu1":
-            _old_require(bp.frac.mu == 1.0, failures, "mu = 1 required")
+            _old_require(mu == 1.0, failures, "mu = 1 required")
         if theorem_id in ("mm", "remark_q1"):
             _old_require(bp.u is not None, failures, "u, v required")
             if theorem_id == "remark_q1":
@@ -498,34 +505,10 @@ def _old_check_hypotheses(theorem_id, f, bp):
         raise HypothesisError(f"{theorem_id} on {f.id!r}: " + "; ".join(failures))
 
 
-def _old_grid_for(theorem, cfg):
-    """The per-id parameter grid that the theorem registry replaced, frozen
-    as an oracle."""
-    mus = (1.0,) if theorem == "mu1" else cfg.mus
-    alphas = tuple(a for a in cfg.alphas if a < 1.0) if theorem == "t24" else cfg.alphas
-    qs = (1.0,) if theorem == "remark_q1" else (
-        tuple(q for q in cfg.qs if q > 1.0) if theorem == "t24" else cfg.qs
-    )
-    if theorem in ("set",):
-        alphas = (1.0,)
-        ms_ = (1.0,)
-    else:
-        ms_ = cfg.ms
-    us = cfg.us if theorem in ("mm", "remark_q1") else (None,)
-    if theorem == "t22":
-        qs = (1.0,)
-    for mu in mus:
-        for alpha in alphas:
-            for m in ms_:
-                for q in qs:
-                    for u in us:
-                        yield mu, alpha, m, q, u
-
-
-def _outcome(check, theorem_id, f, bp):
+def _outcome(check, theorem_id, f, b, mu, bp):
     """None if the hypotheses hold, else the HypothesisError message."""
     try:
-        check(theorem_id, f, bp)
+        check(theorem_id, f, b, mu, bp)
     except HypothesisError as exc:
         return str(exc)
     return None
@@ -545,9 +528,18 @@ class TestTheoremRegistry:
 
     @pytest.mark.parametrize("case", sorted(GRID_CONFIGS))
     def test_grid_equals_per_id_grid(self, case):
+        """`_points` lists the points of the per-id grid whose hypotheses
+        hold, in its order, in runs of equal length, one per grid mu."""
         cfg = parse_config(self.GRID_CONFIGS[case])
         for theorem in THEOREM_IDS:
-            assert list(_grid_for(theorem, cfg)) == list(_old_grid_for(theorem, cfg))
+            for f in resolve_corpus(cfg):
+                b = f.domain[1]
+                want = [p for p in sweep_oracle.grid(theorem, cfg) if _outcome(
+                    _check_hypotheses, theorem, f, b, p[0], BoundParams(f.M, *p[1:])) is None]
+                runs = _points(theorem, f, cfg)
+                got = [(mu, bp.alpha, bp.m, bp.q, bp.u) for mu, points in runs for bp, _ in points]
+                assert got == want, (theorem, f.id)
+                assert len({len(points) for _, points in runs}) <= 1
 
     @staticmethod
     def _newly_broken(theorem_id, bp):
@@ -596,16 +588,9 @@ class TestTheoremRegistry:
             THEOREM_IDS + ("t99",), functions, (0.5, 1.0), (0.5, 1.0), (0.5, 1.0),
             (1.0, 2.0, 2.5), (None, 0.5), (None, 0.5, 1.0), (2.0, 0.9),
         ):
-            bp = BoundParams(
-                FracParams(0.5, b, 0.7, mu),
-                M=f.M if M is None else M,
-                alpha=alpha,
-                m=m,
-                q=q,
-                u=u,
-            )
-            want = _outcome(_old_check_hypotheses, theorem_id, f, bp)
-            got = _outcome(_check_hypotheses, theorem_id, f, bp)
+            bp = BoundParams(f.M if M is None else M, alpha, m, q, u)
+            want = _outcome(_old_check_hypotheses, theorem_id, f, b, mu, bp)
+            got = _outcome(_check_hypotheses, theorem_id, f, b, mu, bp)
             broken = self._newly_broken(theorem_id, bp)
             if not broken:
                 # t22 on the per-id chain reads its claim at q = 1 (its pin).
@@ -637,10 +622,8 @@ class TestTheoremRegistry:
 class TestVerdicts:
     def test_t22_holds_on_powdecay(self, corpus):
         f = corpus["powdecay"]
-        bp = BoundParams(
-            FracParams(1.0, 2.0, 1.4, 0.5), M=0.5, alpha=0.5, m=0.5, q=1.0
-        )
-        v = verify_theorem("t22", f, bp)
+        bp = BoundParams(M=0.5, alpha=0.5, m=0.5, q=1.0)
+        v = verify_theorem("t22", f, FracParams(1.0, 2.0, 1.4, 0.5), bp)
         assert v.holds and v.margin >= -v.tol_margin
         assert v.theorem_id == "t22"
 
@@ -651,22 +634,16 @@ class TestVerdicts:
         # a point inside every open box, with the record's pins substituted
         pins = {name: bound for name, rel, bound in record.box if rel == "="}
         point = {"mu": 0.5, "alpha": 0.5, "m": 0.5, "q": 2.0, **pins}
-        bp = BoundParams(
-            FracParams(1.0, 2.0, 1.4, point.pop("mu")),
-            M=0.5,
-            u=0.5 if record.young else None,
-            **point,
-        )
-        v = verify_theorem(theorem, f, bp)
+        frac = FracParams(1.0, 2.0, 1.4, point.pop("mu"))
+        bp = BoundParams(M=0.5, u=0.5 if record.young else None, **point)
+        v = verify_theorem(theorem, f, frac, bp)
         assert v.holds, (theorem, v.lhs, v.rhs)
 
     def test_endpoint_x_equals_a_and_b(self, corpus):
         f = corpus["powdecay"]
+        bp = BoundParams(M=0.5, alpha=0.5, m=0.5, q=1.0)
         for x in (1.0, 2.0):
-            bp = BoundParams(
-                FracParams(1.0, 2.0, x, 0.5), M=0.5, alpha=0.5, m=0.5, q=1.0
-            )
-            v = verify_theorem("t22", f, bp)
+            v = verify_theorem("t22", f, FracParams(1.0, 2.0, x, 0.5), bp)
             assert v.holds
 
 
