@@ -13,8 +13,10 @@ never reads x, times `geometry_factor`; `verify.Theorem.rhs` forms that
 product, so a sweep may evaluate each factor once per (point, mu).
 
 A point factor is the printed formula and nothing more: it assumes the
-hypotheses and parameter box that its `verify.THEOREMS` record states, and
-`verify._check_hypotheses` is the one place that checks them.
+hypotheses and parameter box that its `verify.THEOREMS` record states.
+`verify._hypotheses` states them once, as one rule: `verify_theorem`
+checks it at one point (`verify._check_hypotheses`), and a sweep decides
+it over columns, once per value of each axis (`verify._admitted_grid`).
 """
 
 from __future__ import annotations

@@ -6,9 +6,12 @@ g(x^t y^(m(1-t))) <= g(x)^(t^alpha) g(y)^(m(1-t^alpha)) for x, y in
 [lo, hi] and t in [0, 1]; alpha = 1 gives m-geometric convexity and
 alpha = m = 1 geometric convexity.  Each corpus family decides that claim
 with a certificate (`corpus`), which names a witness (x, y, t) when it
-rejects one.  Each is exact but exp decay's, which accepts a supremum
-defect up to `SLACK`.  A sampled grid of the inequality is the
-certificates' test oracle, not part of the library.
+rejects one.  None is exact: exp decay's accepts a supremum defect up
+to `SLACK`, and power decay's evaluates its closed-form margin in floats,
+so at its threshold it decides on rounding (M = 0.5, r = 0.041 on [1, 2]
+at alpha = 0.059334298118668596, m = 0.35: a float margin of 0.0, a
+50-digit one of -2.4e-18, and the claim admitted).  A sampled grid of
+the inequality is the certificates' test oracle, not part of the library.
 """
 
 from __future__ import annotations

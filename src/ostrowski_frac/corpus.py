@@ -19,7 +19,8 @@ x^t y^(m(1-t)) to stay in the domain; by monotonicity they fill
   - affine: |f'|^q is a constant c <= 1 (|slope| <= M <= 1), certified
     when c > 0, since c <= c^(t^alpha + m(1 - t^alpha)) then;
   - constant: g = 0 is never a member (the geometric classes need g > 0);
-  - power decay (`power_decay_margin`): exact in closed form; a rejection
+  - power decay (`power_decay_margin`): a closed form evaluated in
+    floats, so it decides on rounding at its threshold; a rejection
     names the margin's worst corner at a t near 1;
   - exp decay (`exp_decay_defect`): for fixed t the defect is convex in
     (x, y), so it peaks at a corner of the box; its supremum over t is

@@ -327,16 +327,31 @@ def adaptive_gauss(g, lo: float, hi: float, cfg: QuadConfig = DEFAULT_QUAD) -> f
     return width * float(clenshaw_curtis_many(lambda u, k: g(lo + width * u), 1, 1.0, cfg)[0])
 
 
+_TINY = sys.float_info.min  # the smallest normal float
+
+
 def rl_lines(anchors, ends, mu: float):
     """(c, d, scales) of the fractional integrals of `rl_many`: the k-th is
     scales[k] times the mean of f(c[k] + d[k] u) under the density
     mu u^(mu-1), with d = ends - anchors and scales[k] =
     |d[k]|^mu / Gamma(mu+1), each a scalar pow: numpy's vectorised pow may
-    round differently in the last bit."""
+    round differently in the last bit.  A line of nonzero width whose
+    scale is below the smallest normal float (from about mu = 150 on a
+    width of 0.4) raises DomainError naming it: its integral would lose
+    its digits or vanish.  A line of width 0 has the exact scale 0."""
     c = np.asarray(anchors, dtype=float)
     d = np.asarray(ends, dtype=float) - c
     g = gamma(mu + 1.0)
-    return c, d, np.array([abs(h) ** mu / g for h in d.tolist()])
+    widths = d.tolist()
+    scales = [abs(h) ** mu / g for h in widths]
+    if scales and min(scales) < _TINY:
+        for k, (h, scale) in enumerate(zip(widths, scales)):
+            if h and scale < _TINY:
+                raise DomainError(
+                    f"fractional integral anchored at {float(c[k])} with end {float(ends[k])}, "
+                    f"mu = {mu}: scale |end - anchor|^mu / Gamma(mu + 1) = {scale!r} is below "
+                    "the smallest normal float")
+    return c, d, np.array(scales)
 
 
 def rl_many(f, anchors, ends, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:

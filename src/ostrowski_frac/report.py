@@ -10,7 +10,6 @@ domain.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -25,8 +24,7 @@ from .fracint import DomainError, FracParams, QuadConfig
 from .verify import (
     THEOREM_IDS,
     THEOREMS,
-    HypothesisError,
-    _check_hypotheses,
+    _admitted_grid,
     _judge,
     ostrowski_signed_many,
 )
@@ -219,27 +217,19 @@ def resolve_corpus(cfg: SweepConfig) -> list[FunctionSpec]:
 
 
 def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float, list]]:
-    """The points of a theorem's grid, the product of the configured
-    (mu, alpha, m, q, u) its record admits, whose hypotheses hold on f, in
-    grid order, as (mu, [(bp, point factor), ...]) per admitted mu.  Each
-    distinct (alpha, m, q, u) gets one `BoundParams`, shared by every mu,
-    and one `_check_hypotheses` call at the first mu: the hypotheses read mu
-    only through the box, which `Theorem.admitted` has applied.  Neither
-    reads x.  `SweepConfig` has validated every value, and f its M, so only
-    a point factor can raise."""
+    """The points of a theorem's grid whose hypotheses hold on f, in grid
+    order, as (mu, [(bp, point factor), ...]) per admitted mu: the product
+    of the configured (mu, alpha, m, q, u), decided by the hypotheses over
+    columns (`verify._admitted_grid`), with no check per point.  Each
+    distinct admitted (alpha, m, q, u) gets one `BoundParams`, shared by
+    every mu, and a rejected one none.  Neither reads x.  `SweepConfig`
+    has validated every value, and f its M, so only a point factor can
+    raise."""
     record = THEOREMS[theorem]
-    mus, *axes = (record.admitted(name, values) for name, values in (
-        ("mu", cfg.mus), ("alpha", cfg.alphas), ("m", cfg.ms), ("q", cfg.qs), ("u", cfg.us)))
-    keys = list(itertools.product(*axes)) if mus else []
-    held = {}
-    for key in dict.fromkeys(keys):
-        bp = BoundParams(f.M, *key)
-        try:
-            _check_hypotheses(theorem, f, f.domain[1], mus[0], bp)
-        except HypothesisError:
-            continue
-        held[key] = bp
-    points = [held[key] for key in keys if key in held]
+    mus, keys = _admitted_grid(theorem, f, f.domain[1], f.M, {
+        "mu": cfg.mus, "alpha": cfg.alphas, "m": cfg.ms, "q": cfg.qs, "u": cfg.us})
+    made = {key: BoundParams(f.M, *key) for key in dict.fromkeys(keys)}
+    points = [made[key] for key in keys]
     return [(mu, [(bp, record.factor(bp, mu)) for bp in points]) for mu in mus] if points else []
 
 
@@ -295,11 +285,13 @@ def run_sweep(cfg: SweepConfig) -> dict:
     """Execute the sweep; returns the report as a plain dict whose
     `verdicts` are grouped (`Verdicts`; `verdict_rows` lists them flat).
 
-    Per function, in three steps: list every theorem's points (`_points`);
-    per mu in use, compute the LHS and geometry factor columns over the
-    distinct x values, with one `ostrowski_signed_many` call (one
-    quadrature batch) and one `geometry_factors` call; judge each group
-    as one table, with one `_judge` call.  Each RHS is `Theorem.rhs`: the
+    Per function, in three steps: list every theorem's points (`_points`:
+    the hypotheses decided over columns, with no check per point and a
+    `BoundParams` for admitted points only); per mu in use, compute the
+    LHS and geometry factor columns over the distinct x values, with one
+    `ostrowski_signed_many` call (one quadrature batch) and one
+    `geometry_factors` call; judge each group as one table, with one
+    `_judge` call.  Each RHS is `Theorem.rhs`: the
     point factor, computed once per (point, mu), times the geometry factor
     of its (x, mu), computed once per (x, mu); a group's RHS is its geometry
     factor columns, each repeated once per point of its run, times the row
@@ -312,10 +304,12 @@ def run_sweep(cfg: SweepConfig) -> dict:
     Errors come in this order.  `SweepConfig` has rejected every bad
     configured value before the sweep starts.  Then, per function in corpus
     order, a point factor's DomainError is raised while that function's
-    points are listed, before any of its quadrature.  Then the first
-    ConvergenceError in batch order: mu in order of first appearance, then
-    x in `x_fracs` order (`clenshaw_curtis_many` raises for its lowest-index
-    failing integral).
+    points are listed, before any of its quadrature.  Then, per mu in
+    order of first appearance, the DomainError of the first fractional
+    integral whose scale is below the smallest normal float
+    (`fracint.rl_lines`), before that mu's quadrature, or the first
+    ConvergenceError in batch order, x in `x_fracs` order
+    (`clenshaw_curtis_many` raises for its lowest-index failing integral).
     """
     groups: list[Group] = []
     for f in resolve_corpus(cfg):
@@ -404,11 +398,14 @@ def _json_chunks(report: dict):
     its last key, one string per (group, x) with a verdict, then the close.
     Each group renders as its table, one row per x.  Each shared value
     is formatted once, where it is stored: tol_margin per report; theorem,
-    function, a and b per group; x per row; mu per run, folded into the
-    text of each of its points, alpha to v.  An x list and an lhs column
-    are formatted once per object, by `float.__repr__` if all finite:
-    `run_sweep` shares them among a function's groups, so their text is
-    kept, by the object's identity, while that function's groups render.
+    function, a and b per group; x per row; mu per run; alpha to v once
+    per point and group, prefixed by each run's mu text.  A group's runs
+    share their `BoundParams`, so a point's text is kept by the object's
+    identity (by value, `True` would take the text of `1.0`).  An x list
+    and an lhs column are formatted once per object, by `float.__repr__`
+    if all finite: `run_sweep` shares them among a function's groups, so
+    their text is kept, by the object's identity, while that function's
+    groups render.
     The text that leads a verdict up to its rhs is built once per (x, run)
     and repeated over the run's points.  Each row is then one
     comprehension of one f-string per verdict: its lead, rhs, margin,
@@ -447,13 +444,17 @@ def _json_chunks(report: dict):
             np.array([[f'{head}{t},\n      "rhs": ' for t in text_of(run.lhs)] for run in g.runs],
                      dtype=object),
             [len(run.points) for run in g.runs], axis=0).T.tolist()
-        points = []
+        points, point_text = [], {}  # id of a point of the group -> its alpha-to-v text
         for run in g.runs:
             mu = f',\n      "mu": {_value_json(run.mu)},\n      "alpha": '
-            points += [f'{mu}{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
-                       f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
-                       f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}'
-                       for bp in run.points]
+            for bp in run.points:
+                text = point_text.get(id(bp))
+                if text is None:
+                    text = point_text[id(bp)] = (
+                        f'{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
+                        f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
+                        f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}')
+                points.append(mu + text)
         finite = bool(np.isfinite(g.rhs).all() and np.isfinite(g.margin).all())
         for x, lead, rhs_x, margin_x, holds_x in zip(
                 text_of(g.xs), leads, g.rhs.tolist(), g.margin.tolist(), g.holds.tolist()):

@@ -182,16 +182,15 @@ class Theorem:
         """The right-hand side: the point factor times the geometry factor."""
         return self.factor(bp, frac.mu) * bnd.geometry_factor(frac)
 
-    def admitted(self, name: str, values: tuple) -> tuple:
-        """The values of one parameter (mu, alpha, m, q or u) that the theorem
-        is stated for: a pin replaces them, the open box filters them."""
+    def axis(self, name: str, values: tuple) -> tuple:
+        """The values of one parameter (mu, alpha, m, q or u) that the
+        theorem's grid takes from the configured ones: a pin replaces them,
+        and u is None without the Young split.  `_hypotheses` decides
+        each value, the open box among them."""
         if name == "u" and not self.young:
             return (None,)
-        for param, rel, bound in self.box:
-            if param == name:
-                values = (bound,) if rel == "=" else tuple(
-                    v for v in values if _RELATIONS[rel](v, bound))
-        return values
+        pins = tuple(bound for param, rel, bound in self.box if param == name and rel == "=")
+        return pins or values
 
 
 _RELATIONS = {">": operator.gt, "<": operator.lt, "=": operator.eq}
@@ -216,44 +215,76 @@ THEOREMS = {
 THEOREM_IDS = tuple(THEOREMS)
 
 
+def _hypotheses(theorem: Theorem, f: FunctionSpec, b: float, M: float):
+    """The theorem's hypotheses on f, on an interval ending at b, at points
+    whose bound on |f'| is M, in the order a failure names them: (names,
+    holds, text) per hypothesis.  holds decides it from the values of the
+    parameters in names alone: none for those of f, b and M, m for m < 1,
+    (alpha, m) for membership, u for the Young split, one parameter per
+    box constraint.  text, formatted with the point's alpha, m and q,
+    names its failure.
+    |f'| <= f.M and |f'| non-increasing hold by construction for a family
+    member, and a hand-built spec has no certified membership."""
+    yield (), lambda: abs(f.M - M) <= 1e-15, f"f.M={f.M:g} differs from bp.M={M:g}"
+    yield (), lambda: b >= 1.0, "b >= 1 required"
+    if theorem.M_below_1:
+        yield (), lambda: M < 1.0, "M < 1 required"
+        if not theorem.geom_convex:
+            yield ("m",), lambda m: m < 1.0, "m < 1 required"
+    if theorem.geom_convex:
+        yield (), lambda: f.member(1.0, 1.0), "no geometric-convex claim at q={q:g}"
+    else:
+        yield ("alpha", "m"), f.member, "no (alpha={alpha:g}, m={m:g})-geometric claim at q={q:g}"
+    yield (("u",), lambda u: (u is not None) == theorem.young,
+           "u, v required" if theorem.young else "u, v not used")
+    for name, rel, bound in theorem.box:
+        yield ((name,), lambda v, holds=_RELATIONS[rel], bound=bound: holds(v, bound),
+               f"{name} {rel} {bound:g} required")
+
+
+def _admitted_grid(
+    theorem_id: str, f: FunctionSpec, b: float, M: float, axes: dict[str, tuple]
+) -> tuple[tuple, list[tuple]]:
+    """The hypotheses (`_hypotheses`) over columns: (mus, points), the
+    values of mu and the (alpha, m, q, u) of the product of `axes` (each
+    parameter's configured values, through `Theorem.axis`) at which the
+    theorem is stated for f on an interval ending at b, at the bound M, in
+    grid order.  Each hypothesis is decided once per value it reads: those
+    of f, b and M once, each other once per value of its axis, membership
+    once per (alpha, m) pair left by the m axis.  Repeated values are
+    listed as often as configured."""
+    theorem = THEOREMS[theorem_id]
+    axes = {name: theorem.axis(name, values) for name, values in axes.items()}
+    pair_rules = []
+    for names, holds, _ in _hypotheses(theorem, f, b, M):
+        if not names and not holds():
+            return (), []
+        if len(names) == 1:
+            axes[names[0]] = tuple(v for v in axes[names[0]] if holds(v))
+        elif names:
+            pair_rules.append(holds)
+    pairs = [(alpha, m) for alpha in axes["alpha"] for m in axes["m"]
+             if all(holds(alpha, m) for holds in pair_rules)]
+    return axes["mu"], [(alpha, m, q, u) for alpha, m in pairs
+                        for q in axes["q"] for u in axes["u"]]
+
+
 def _check_hypotheses(
     theorem_id: str, f: FunctionSpec, b: float, mu: float, bp: BoundParams
 ) -> None:
-    """Raise HypothesisError, naming every failed hypothesis in order, unless
-    the theorem is stated for f on an interval ending at b, at mu and the
-    point bp.  No hypothesis reads a or x.  Only a failed check's message is
-    formatted.  |f'| <= f.M and |f'| non-increasing hold by construction
-    for a family member, and a hand-built spec has no certified membership."""
+    """`_hypotheses` at one point: raise HypothesisError, naming every
+    failed hypothesis in order, unless the theorem is stated for f on an
+    interval ending at b, at mu and the point bp.  No hypothesis reads a or
+    x."""
     theorem = THEOREMS.get(theorem_id)
     if theorem is None:
         raise HypothesisError(f"unknown theorem id {theorem_id!r}")
-    failures = []
-    if not abs(f.M - bp.M) <= 1e-15:
-        failures.append(f"f.M={f.M:g} differs from bp.M={bp.M:g}")
-    if not b >= 1.0:
-        failures.append("b >= 1 required")
-    if theorem.M_below_1:
-        if not bp.M < 1.0:
-            failures.append("M < 1 required")
-        if not (theorem.geom_convex or bp.m < 1.0):
-            failures.append("m < 1 required")
-    if theorem.geom_convex:
-        if not f.member(1.0, 1.0):
-            failures.append(f"no geometric-convex claim at q={bp.q:g}")
-    elif not f.member(bp.alpha, bp.m):
-        failures.append(f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q={bp.q:g}")
-    if theorem.young:
-        if bp.u is None:
-            failures.append("u, v required")
-    elif bp.u is not None:
-        failures.append("u, v not used")
-    if theorem.box:
-        params = {"mu": mu, "alpha": bp.alpha, "m": bp.m, "q": bp.q}
-        for name, rel, bound in theorem.box:
-            if not _RELATIONS[rel](params[name], bound):
-                failures.append(f"{name} {rel} {bound:g} required")
+    row = {"mu": mu, "alpha": bp.alpha, "m": bp.m, "q": bp.q, "u": bp.u}
+    failures = [text for names, holds, text in _hypotheses(theorem, f, b, bp.M)
+                if not holds(*(row[name] for name in names))]
     if failures:
-        raise HypothesisError(f"{theorem_id} on {f.id!r}: " + "; ".join(failures))
+        raise HypothesisError(f"{theorem_id} on {f.id!r}: "
+                              + "; ".join(text.format(**row) for text in failures))
 
 
 def _judge(lhs: float, rhs: float, cfg: QuadConfig) -> tuple[float, bool, float]:

@@ -18,6 +18,7 @@ import sweep_oracle
 from ostrowski_frac import bounds as bnd
 from ostrowski_frac import cli as cli_mod
 from ostrowski_frac import report as report_mod
+from ostrowski_frac import verify as verify_mod
 from ostrowski_frac.bounds import BoundParams, geometry_factor
 from ostrowski_frac.cli import main
 from ostrowski_frac.fracint import ConvergenceError, DomainError, FracParams
@@ -394,6 +395,43 @@ class TestTinyMu:
         path.write_text("functions = powdecay\ntheorems = t22\nx_fracs = 0.5\nmu = 1e-300\n"
                         "alpha = 0.5\nm = 0.5\n")
         assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
+        assert "error" not in capsys.readouterr().err
+
+
+class TestLargeMu:
+    """Above mu of about 150 on [1, 2] at x = 1.4, the scale |x - c|^mu /
+    Gamma(mu + 1) of a fractional integral is subnormal, and by mu = 160
+    it is 0, which once made the lhs f(x)'s term alone and let a false
+    inequality pass.  Every command names the line with exit 2; a line of
+    width 0 keeps its exact scale 0."""
+
+    VERIFY = ["verify", "--theorem", "t22", "--f", "powdecay", "--x", "1.4", "--mu"]
+    FRAC_INT = TestTinyMu.FRAC_INT
+
+    @pytest.mark.parametrize("argv, mu, line", [
+        (VERIFY, "170", "anchored at 1.0 with end 1.4, mu = 170.0"),
+        (VERIFY, "150", "anchored at 1.0 with end 1.4, mu = 150.0"),
+        (FRAC_INT, "160", "anchored at 1.4 with end 1.0, mu = 160.0"),
+        ([*FRAC_INT[:-1], "--upper", "--mu"], "160", "anchored at 1.4 with end 2.0, mu = 160.0"),
+    ], ids=["verify-170", "verify-150", "frac-int", "frac-int-upper"])
+    def test_command_exits_2(self, capsys, argv, mu, line):
+        assert main([*argv, mu]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: fractional integral {line}: scale ")
+        assert captured.err.endswith(" is below the smallest normal float\n")
+
+    def test_mu_140_still_works(self, capsys):
+        assert main([*self.VERIFY, "140"]) == 0
+        assert main([*self.FRAC_INT, "140"]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x", ["1.0", "2.0"])
+    def test_zero_width_side_at_large_mu(self, x, capsys):
+        # One side has width 0 and scale 0, the other width 1 and a normal
+        # scale 1 / Gamma(171).
+        assert main(["verify", "--theorem", "t22", "--f", "powdecay", "--x", x,
+                     "--mu", "170"]) == 0
         assert "error" not in capsys.readouterr().err
 
 
@@ -1290,9 +1328,9 @@ class TestBatchedSweep:
 
 
 class TestHypothesesCheckedOncePerPoint:
-    """The sweep checks hypotheses once per distinct (function, theorem,
-    alpha, m, q, u), whatever the number of mu values; what it emits must be
-    what one check per instance gives."""
+    """The sweep decides the hypotheses over columns, once per value of
+    each axis, and checks no point on its own; what it emits must be what
+    one check per instance gives."""
 
     CONFIGS = {
         "batch": BATCH_SWEEP,
@@ -1371,31 +1409,43 @@ class TestHypothesesCheckedOncePerPoint:
             bp = BoundParams(v["M"], v["alpha"], v["m"], v["q"], v["u"])
             _check_hypotheses(v["theorem"], corpus[v["function"]], v["b"], v["mu"], bp)
 
+    @staticmethod
+    def _counting(monkeypatch):
+        """Count, through `report`, the `BoundParams` built (as (alpha, m,
+        q, u)) and, through `verify`, the one-row hypothesis checks."""
+        built, checked = [], []
+
+        class Counting(BoundParams):
+            def __post_init__(self):
+                built.append((self.alpha, self.m, self.q, self.u))
+                super().__post_init__()
+
+        def counting(*args):
+            checked.append(args)
+            return _check_hypotheses(*args)
+
+        monkeypatch.setattr(report_mod, "BoundParams", Counting)
+        monkeypatch.setattr(verify_mod, "_check_hypotheses", counting)
+        return built, checked
+
     @pytest.mark.parametrize("case", sorted(CONFIGS))
-    def test_one_check_per_point(self, case, monkeypatch):
+    def test_no_check_per_point(self, case, monkeypatch):
         cfg = parse_config(self.CONFIGS[case])
-        seen = []
+        built, checked = self._counting(monkeypatch)
+        assert list(verdict_rows(run_sweep(cfg)))
+        assert built and not checked
 
-        def counting(theorem, f, b, mu, bp):
-            seen.append((f.id, theorem, bp.alpha, bp.m, bp.q, bp.u))
-            return _check_hypotheses(theorem, f, b, mu, bp)
-
-        monkeypatch.setattr(report_mod, "_check_hypotheses", counting)
-        run_sweep(cfg)
-        # Not once per mu, and a repeated value is checked once.
-        assert len(seen) == len(set(seen))
-        assert set(seen) == self._reference(cfg)[1]
-
-    def test_default_sweep_checks(self, monkeypatch):
-        calls = []
-
-        def counting(theorem, f, b, mu, bp):
-            calls.append(theorem)
-            return _check_hypotheses(theorem, f, b, mu, bp)
-
-        monkeypatch.setattr(report_mod, "_check_hypotheses", counting)
-        assert len(list(verdict_rows(run_sweep(SweepConfig())))) == 17892
-        assert len(calls) == 1194
+    def test_default_sweep_makes_no_check(self, monkeypatch):
+        """The default sweep makes no one-row hypothesis check and builds
+        one `BoundParams` per distinct admitted point of each (function,
+        theorem): 605, where one per distinct grid point would be 1,194."""
+        cfg = SweepConfig()
+        want = sum(len(dict.fromkeys(p[1:] for p in self._admitted(theorem, f, cfg)))
+                   for f in resolve_corpus(cfg) for theorem in cfg.theorems)
+        built, checked = self._counting(monkeypatch)
+        assert len(list(verdict_rows(run_sweep(cfg)))) == 17892
+        assert not checked
+        assert len(built) == want == 605
 
     @pytest.mark.parametrize(
         "text", [BATCH_SWEEP, "", CONFIGS["repeats"]], ids=["batch", "default", "repeats"])
@@ -1436,41 +1486,67 @@ class TestHypothesesCheckedOncePerPoint:
             assert g.rhs.shape == g.margin.shape == g.holds.shape == (len(g.xs), len(keys))
             assert g.holds.dtype == bool
 
+    @staticmethod
+    def _admitted(theorem, f, cfg):
+        """The oracle's grid points (mu, alpha, m, q, u) of a theorem that
+        one `_check_hypotheses` call each admits on f, in grid order."""
+        out = []
+        for p in sweep_oracle.grid(theorem, cfg):
+            try:
+                _check_hypotheses(theorem, f, f.domain[1], p[0], BoundParams(f.M, *p[1:]))
+            except HypothesisError:
+                continue
+            out.append(p)
+        return out
+
     @pytest.mark.parametrize("case", ["no-claim", "repeats"])
     @pytest.mark.parametrize("extra_mus", [(), (0.75, 2.0, 3.5)], ids=["config-mu", "more-mu"])
-    def test_one_bound_params_and_check_per_point(self, case, extra_mus, monkeypatch):
-        """`_points` builds one `BoundParams` and makes one hypothesis check
-        per distinct admitted (alpha, m, q, u) on f, rejected or not,
-        whatever the number of mu values; every run lists the same objects."""
+    def test_one_bound_params_per_admitted_point(self, case, extra_mus, monkeypatch):
+        """`_points` builds one `BoundParams` per distinct admitted (alpha,
+        m, q, u) on f, in grid order, and none for a rejected one, whatever
+        the number of mu values; it makes no hypothesis check of its own,
+        and every run lists the same objects."""
         cfg = parse_config(self.CONFIGS[case])
         cfg = dataclasses.replace(cfg, mus=cfg.mus + extra_mus)
-        built, checked = [], []
-
-        class Counting(BoundParams):
-            def __post_init__(self):
-                built.append((self.alpha, self.m, self.q, self.u))
-                super().__post_init__()
-
-        def counting(theorem, f, b, mu, bp):
-            checked.append((bp.alpha, bp.m, bp.q, bp.u))
-            return _check_hypotheses(theorem, f, b, mu, bp)
-
-        monkeypatch.setattr(report_mod, "BoundParams", Counting)
-        monkeypatch.setattr(report_mod, "_check_hypotheses", counting)
         rejected = 0
         for f in resolve_corpus(cfg):
             for theorem in cfg.theorems:
-                built.clear()
-                checked.clear()
-                runs = report_mod._points(theorem, f, cfg)
-                points = list(dict.fromkeys(p[1:] for p in sweep_oracle.grid(theorem, cfg)))
-                assert built == checked == points
+                admitted = list(dict.fromkeys(p[1:] for p in self._admitted(theorem, f, cfg)))
+                points = dict.fromkeys(p[1:] for p in sweep_oracle.grid(theorem, cfg))
+                with monkeypatch.context() as patch:
+                    built, checked = self._counting(patch)
+                    runs = report_mod._points(theorem, f, cfg)
+                assert built == admitted and not checked
+                rejected += len(points) - len(admitted)
                 first = [bp for bp, _ in runs[0][1]] if runs else []
-                rejected += len(points) - len(set(map(id, first)))
                 for _, run in runs:
-                    assert [bp for bp, _ in run] == first
-                    assert all(bp is want for (bp, _), want in zip(run, first))
+                    assert all(bp is want for (bp, _), want in zip(run, first, strict=True))
         assert rejected
+
+    @pytest.mark.parametrize("case", ["batch", "mixed-alpha-m", "repeats"])
+    def test_point_text_once_per_group(self, case, monkeypatch):
+        """The JSON renderer formats each point's alpha-to-v text once per
+        group, though the point recurs in every run (mu) of the group: its
+        v is read once, where one read per run was the design before."""
+        cfg = parse_config(self.CONFIGS[case])
+        reads = []
+
+        class Counting(BoundParams):
+            @property
+            def v(self):
+                reads.append(id(self))
+                return super().v
+
+        monkeypatch.setattr(report_mod, "BoundParams", Counting)
+        report = run_sweep(cfg)
+        groups = report["verdicts"].groups
+        assert any(len(g.runs) > 1 for g in groups)
+        for g in groups:
+            reads.clear()
+            text = "".join(report_mod._json_chunks({"n": 1, "verdicts": Verdicts(0.0, [g])}))
+            assert json.loads(text)["verdicts"]
+            ids = [id(bp) for r in g.runs for bp in r.points]
+            assert sorted(reads) == sorted(set(ids))
 
 
 class TestSweepMatchesPerVerdictOracle:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ from ostrowski_frac.fracint import (
     clenshaw_curtis_many,
 )
 from ostrowski_frac.report import (
-    DEFAULT_MUS, DEFAULT_X_FRACS, _points, parse_config, resolve_corpus, run_sweep,
+    DEFAULT_MUS, DEFAULT_X_FRACS, SweepConfig, _points, parse_config, resolve_corpus, run_sweep,
 )
 from ostrowski_frac.verify import (
     THEOREM_IDS,
@@ -514,6 +515,42 @@ def _outcome(check, theorem_id, f, b, mu, bp):
     return None
 
 
+def _registry_check(theorem_id, f, b, mu, bp):
+    """`_check_hypotheses` as the theorem registry wrote it before the
+    hypotheses were one rule over columns, frozen as an oracle of its
+    failure texts and their order."""
+    theorem = THEOREMS.get(theorem_id)
+    if theorem is None:
+        raise HypothesisError(f"unknown theorem id {theorem_id!r}")
+    failures = []
+    if not abs(f.M - bp.M) <= 1e-15:
+        failures.append(f"f.M={f.M:g} differs from bp.M={bp.M:g}")
+    if not b >= 1.0:
+        failures.append("b >= 1 required")
+    if theorem.M_below_1:
+        if not bp.M < 1.0:
+            failures.append("M < 1 required")
+        if not (theorem.geom_convex or bp.m < 1.0):
+            failures.append("m < 1 required")
+    if theorem.geom_convex:
+        if not f.member(1.0, 1.0):
+            failures.append(f"no geometric-convex claim at q={bp.q:g}")
+    elif not f.member(bp.alpha, bp.m):
+        failures.append(f"no (alpha={bp.alpha:g}, m={bp.m:g})-geometric claim at q={bp.q:g}")
+    if theorem.young:
+        if bp.u is None:
+            failures.append("u, v required")
+    elif bp.u is not None:
+        failures.append("u, v not used")
+    params = {"mu": mu, "alpha": bp.alpha, "m": bp.m, "q": bp.q}
+    for name, rel, bound in theorem.box:
+        if not {"<": params[name] < bound, ">": params[name] > bound,
+                "=": params[name] == bound}[rel]:
+            failures.append(f"{name} {rel} {bound:g} required")
+    if failures:
+        raise HypothesisError(f"{theorem_id} on {f.id!r}: " + "; ".join(failures))
+
+
 class TestTheoremRegistry:
     """The registry states each theorem once; verify and the sweep grid read
     it.  Frozen copies of the per-id code it replaced are the oracles."""
@@ -526,20 +563,84 @@ class TestTheoremRegistry:
         ),
     }
 
-    @pytest.mark.parametrize("case", sorted(GRID_CONFIGS))
-    def test_grid_equals_per_id_grid(self, case):
-        """`_points` lists the points of the per-id grid whose hypotheses
-        hold, in its order, in runs of equal length, one per grid mu."""
-        cfg = parse_config(self.GRID_CONFIGS[case])
+    @staticmethod
+    def _assert_grid_equals_one_row_checks(cfg):
+        """`_points` lists the points of the per-id grid that one
+        `_check_hypotheses` call each admits, in its order, in runs of equal
+        length, one per grid mu; returns how many it lists and rejects."""
+        listed = rejected = 0
         for theorem in THEOREM_IDS:
             for f in resolve_corpus(cfg):
                 b = f.domain[1]
-                want = [p for p in sweep_oracle.grid(theorem, cfg) if _outcome(
+                grid = list(sweep_oracle.grid(theorem, cfg))
+                want = [p for p in grid if _outcome(
                     _check_hypotheses, theorem, f, b, p[0], BoundParams(f.M, *p[1:])) is None]
                 runs = _points(theorem, f, cfg)
                 got = [(mu, bp.alpha, bp.m, bp.q, bp.u) for mu, points in runs for bp, _ in points]
                 assert got == want, (theorem, f.id)
                 assert len({len(points) for _, points in runs}) <= 1
+                listed += len(got)
+                rejected += len(grid) - len(got)
+        return listed, rejected
+
+    @pytest.mark.parametrize("case", sorted(GRID_CONFIGS))
+    def test_grid_equals_per_id_grid(self, case):
+        self._assert_grid_equals_one_row_checks(parse_config(self.GRID_CONFIGS[case]))
+
+    # Family members on both sides of a certificate's threshold, an affine
+    # one with M = 1, and one on a domain with b < 1.
+    EXTRA = (
+        ("power_decay", "pd004", (("M", 0.5), ("r", 0.04), ("lo", 1.0), ("hi", 2.0))),
+        ("power_decay", "pd03", (("M", 0.5), ("r", 0.3), ("lo", 1.0), ("hi", 2.0))),
+        ("power_decay", "pd2", (("M", 0.5), ("r", 2.0), ("lo", 1.0), ("hi", 3.0))),
+        ("exp_decay", "ed002", (("M", 0.5), ("lam", 0.02), ("lo", 1.0), ("hi", 2.0))),
+        ("exp_decay", "ed5", (("M", 0.5), ("lam", 5.0), ("lo", 1.0), ("hi", 2.0))),
+        ("affine", "affM1", (("slope", 0.5), ("intercept", 0.25), ("lo", 1.0), ("hi", 2.0),
+                             ("declared_M", 1.0))),
+        ("affine", "below1", (("slope", 0.5), ("intercept", 0.1), ("lo", 0.2), ("hi", 0.8))),
+    )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_columnar_rule_equals_one_row_rule(self, seed):
+        """On seeded random grids, the pins among their values and with
+        repeated values, the hypotheses over columns admit exactly the
+        points that the one-row rule admits one at a time, in grid order."""
+        rng = random.Random(seed)
+
+        def draw(pool, pin=None):
+            values = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            if pin is not None and rng.random() < 0.5:
+                values.insert(rng.randrange(len(values) + 1), pin)
+            return tuple(values)
+
+        cfg = SweepConfig(
+            mus=draw((0.3, 0.5, 2.0, 3.5), 1.0), alphas=draw((0.2, 0.3, 0.5, 0.75), 1.0),
+            ms=draw((0.1, 0.5, 0.75, 0.9), 1.0), qs=draw((1.5, 2.0, 4.0), 1.0),
+            us=draw((0.2, 0.5, 0.8)), extra_functions=self.EXTRA)
+        listed, rejected = self._assert_grid_equals_one_row_checks(cfg)
+        assert listed and rejected
+
+    def test_failure_texts_of_a_hand_built_spec(self):
+        """The one-row rule names the failures of a hand-built spec, which
+        certifies nothing, in the text and order of the registry's check
+        before the rule was stated over columns (`_registry_check`)."""
+        f = FunctionSpec("hand", lambda x: 0.5 * x, lambda x: 0.5 + 0.0 * x, (1.0, 2.0), 0.5)
+        seen = set()
+        for theorem_id, mu, alpha, m, q, u, M, b in itertools.product(
+            THEOREM_IDS + ("t99",), (0.5, 1.0), (0.5, 1.0), (0.5, 1.0), (1.0, 2.5),
+            (None, 0.5), (0.5, 1.0), (2.0, 0.9),
+        ):
+            bp = BoundParams(M, alpha, m, q, u)
+            want = _outcome(_registry_check, theorem_id, f, b, mu, bp)
+            assert want is not None
+            assert _outcome(_check_hypotheses, theorem_id, f, b, mu, bp) == want
+            seen.update(want.split(": ", 1)[-1].split("; "))
+        # Every kind of failure text, the box's among them.
+        assert {"b >= 1 required", "M < 1 required", "m < 1 required", "u, v required",
+                "u, v not used", "q > 1 required", "alpha < 1 required", "mu = 1 required",
+                "alpha = 1 required", "q = 1 required", "f.M=0.5 differs from bp.M=1",
+                "no geometric-convex claim at q=2.5",
+                "no (alpha=0.5, m=1)-geometric claim at q=1"} <= seen
 
     @staticmethod
     def _newly_broken(theorem_id, bp):
