@@ -6,12 +6,15 @@ g(x^t y^(m(1-t))) <= g(x)^(t^alpha) g(y)^(m(1-t^alpha)) for x, y in
 [lo, hi] and t in [0, 1]; alpha = 1 gives m-geometric convexity and
 alpha = m = 1 geometric convexity.  Each corpus family decides that claim
 with a certificate (`corpus`), which names a witness (x, y, t) when it
-rejects one.  None is exact: exp decay's accepts a supremum defect up
-to `SLACK`, and power decay's evaluates its closed-form margin in floats,
-so at its threshold it decides on rounding (M = 0.5, r = 0.041 on [1, 2]
-at alpha = 0.059334298118668596, m = 0.35: a float margin of 0.0, a
-50-digit one of -2.4e-18, and the claim admitted).  A sampled grid of
-the inequality is the certificates' test oracle, not part of the library.
+rejects one.  Each certifies only by a bound that clears its own
+rounding (Higham's gamma_n), with no slack, and leaves a claim within
+rounding undecided: power decay's closed-form margin at its threshold
+(M = 0.5, r = 0.041 on [1, 2] at alpha = 0.059334298118668596, m = 0.35:
+a float margin of 0.0, a 50-digit one of -2.4e-18), or an exp-decay
+defect whose slope at t = 1 is 0.  The exp-decay certificate uses
+`SLACK` only to order its search and to keep a witness clear of
+rounding.  A sampled grid of the inequality is the
+certificates' test oracle, not part of the library.
 """
 
 from __future__ import annotations

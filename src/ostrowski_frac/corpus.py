@@ -19,14 +19,19 @@ x^t y^(m(1-t)) to stay in the domain; by monotonicity they fill
   - affine: |f'|^q is a constant c <= 1 (|slope| <= M <= 1), certified
     when c > 0, since c <= c^(t^alpha + m(1 - t^alpha)) then;
   - constant: g = 0 is never a member (the geometric classes need g > 0);
-  - power decay (`power_decay_margin`): a closed form evaluated in
-    floats, so it decides on rounding at its threshold; a rejection
-    names the margin's worst corner at a t near 1;
+  - power decay (`power_decay_margin`): a closed form, certified only
+    where it is at least a bound on its own rounding, and undecided
+    within that bound; a rejection names the margin's worst corner at a
+    t near 1;
   - exp decay (`exp_decay_defect`): for fixed t the defect is convex in
-    (x, y), so it peaks at a corner of the box; its supremum over t is
-    bounded by interval bisection (Hansen, Global Optimization Using
-    Interval Analysis) up to the relative slack `convexity.SLACK`, and a
-    rejection names the corner and midpoint where the bisection stops.
+    (x, y), so it peaks at a corner of the box, where it is 0 at t = 1.
+    Its supremum over t is bounded on intervals of t (Hansen, Global
+    Optimization Using Interval Analysis), with no slack: an interval
+    ending at 1 by each corner's slope in t, any other by the defect
+    itself, each bound clearing its own rounding (one interval, [0, 1],
+    for the builtin member at every default (alpha, m) it is certified
+    at).  A rejection names the corner and midpoint where the bisection
+    finds a defect above `convexity.SLACK`.
 A hand-built FunctionSpec with no family certifies nothing, so no theorem
 applies to it.
 
@@ -40,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -105,6 +110,18 @@ def _certificate(lo: float, hi: float, certify: Callable[[float, float], Reason]
     return certified
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(n: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u), which bounds the relative error
+    of n floating-point operations, each within u (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, section 3.1).  Every count
+    below is about twice the operations it covers, plus the conditioning
+    |e ln b| of each pow b^e in its rounded exponent e."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
 def _power_decay_worst(r: float, lo: float, hi: float, m: float):
     """(W, x, y): W = max r (ln x - m ln y) over x, y in [lo, hi], and the
     corner that attains it."""
@@ -129,20 +146,34 @@ def power_decay_margin(
     return (1.0 - m) * -math.log(abs(M)) - (1.0 - alpha) / alpha * worst
 
 
+def _power_decay_rounding(M, r, lo, hi, alpha, m) -> float:
+    """A bound on the rounding of `power_decay_margin`: gamma_n times the
+    absolute values that make it up, exactly 0 where both of its terms are
+    exact zeros (alpha = m = 1, say)."""
+    ll, lh = abs(math.log(lo)), abs(math.log(hi))
+    return _gamma(16.0) * (abs((1.0 - m) * math.log(abs(M)))
+                           + abs((1.0 - alpha) / alpha) * r * max(lh + m * ll, ll + m * lh))
+
+
 def _power_decay_reason(M, r, lo, hi, alpha, m) -> Reason:
     """None if `power_decay_margin` certifies the claim, otherwise why not.
 
-    A negative margin is witnessed at its worst corner and the first
-    t = 1 - 2^-k (k = 1, ..., 52) whose closed-form defect is positive: the
-    defect over (1 - t^alpha) tends to minus the margin as t -> 1.  A
-    witness where g = |f'| does not break the inequality in floats is not
-    named: a margin that is 0 exactly can round to just below it.
+    The margin certifies only when it is at least its rounding bound
+    (`_power_decay_rounding`); within the bound, of either sign, the
+    claim is undecided.  A margin below minus its bound is witnessed at
+    its worst corner and the first t = 1 - 2^-k (k = 1, ..., 52) whose
+    closed-form defect is positive: the defect over (1 - t^alpha) tends to
+    minus the margin as t -> 1.  A witness where g = |f'| does not break
+    the inequality in floats is not named.
     """
     if M == 0.0:
         return _G_ZERO
     margin = power_decay_margin(M, r, lo, hi, alpha, m)
-    if margin >= 0.0:
+    rounding = _power_decay_rounding(M, r, lo, hi, alpha, m)
+    if margin >= rounding:
         return None if abs(M) <= 1.0 else "power decay is certified only for |M| <= 1"
+    if margin > -rounding:
+        return f"margin {margin!r} is within its rounding bound {rounding!r} of 0"
     worst, x, y = _power_decay_worst(r, lo, hi, m)
     for k in range(1, 53):
         t = 1.0 - 2.0**-k
@@ -151,19 +182,44 @@ def _power_decay_reason(M, r, lo, hi, alpha, m) -> Reason:
             gx, gy, g = (abs(M * u**-r) for u in (x, y, x**t * y ** (m * (1.0 - t))))
             if g > gx**s * gy ** (m * (1.0 - s)):
                 return (x, y, t)
-            return f"margin {margin!r} is within rounding of 0; g does not fail in floats"
+            return f"margin {margin!r} is negative, but g does not fail in floats"
     return "negative margin, but no positive defect at t = 1 - 2^-k, k <= 52"
 
 
-def _exp_decay_corners(M, lam, lo, hi, m):
-    """(x, y, c, d) per box corner: the defect over q at t is
-    c + d t^alpha - lam x^t y^(m(1-t))."""
+class _Corner(NamedTuple):
+    """A corner (x, y) of the box.  Its defect over q at t is
+    c + d t^alpha - lam z(t), with z(t) = x^t y^(m(1-t)), and its slope in
+    t is d alpha t^(alpha-1) - lam k z(t), with k = ln x - m ln y (nan for
+    a base 0).  c_mag, d_mag and k_mag are the sums of the absolute values
+    that make up c, d and k, which scale their rounding; ln_mag is
+    |ln x| + |ln y| (0 for a base 0, which `**` keeps exact), which scales
+    the rounding of z's exponent."""
+    x: float
+    y: float
+    c: float
+    d: float
+    k: float
+    c_mag: float
+    d_mag: float
+    k_mag: float
+    ln_mag: float
+
+
+def _abs_log(u: float) -> float:
+    return abs(math.log(u)) if u > 0.0 else 0.0
+
+
+def _exp_decay_corners(M, lam, lo, hi, m) -> list[_Corner]:
     L = math.log(abs(M))
     out = []
     for x in (lo, hi):
         for y in (lo, hi):
             A = (1.0 - m) * L + lam * m * (y - lo)
-            out.append((x, y, A + lam * lo, lam * (x - lo) - A))
+            A_mag = abs((1.0 - m) * L) + lam * m * (y - lo)
+            k = math.log(x) - m * math.log(y) if x > 0.0 and y > 0.0 else math.nan
+            out.append(_Corner(x, y, A + lam * lo, lam * (x - lo) - A, k,
+                               lam * lo + A_mag, lam * (x - lo) + A_mag,
+                               _abs_log(x) + m * _abs_log(y), _abs_log(x) + _abs_log(y)))
     return out
 
 
@@ -171,7 +227,7 @@ def _exp_decay_worst(M, lam, lo, hi, alpha, m, t):
     """(defect, x, y): `exp_decay_defect` at t and the corner that attains it."""
     s = t**alpha
     return max(((c + d * s - lam * (x**t * y ** (m * (1.0 - t))), x, y)
-                for x, y, c, d in _exp_decay_corners(M, lam, lo, hi, m)),
+                for x, y, c, d, *_ in _exp_decay_corners(M, lam, lo, hi, m)),
                key=lambda corner: corner[0])
 
 
@@ -185,46 +241,105 @@ def exp_decay_defect(
     return _exp_decay_worst(M, lam, lo, hi, alpha, m, t)[0]
 
 
+def _defect_bound(corners, lam, alpha, m, t0, t1) -> tuple[float, float]:
+    """(upper, strict): an upper bound on the defect over [t0, t1], and
+    the largest corner bound plus its own rounding, which is < 0 only if
+    every corner's defect is < 0 there.  t^alpha and z(t) are monotone in
+    t, so each term is largest at an end."""
+    s0, s1 = t0**alpha, t1**alpha
+    upper = strict = -math.inf
+    for x, y, c, d, _, c_mag, d_mag, _, ln_mag in corners:
+        z0, z1 = x**t0 * y ** (m * (1.0 - t0)), x**t1 * y ** (m * (1.0 - t1))
+        bound = c + max(d * s0, d * s1) - lam * min(z0, z1)
+        err = _gamma(16.0 + 2.0 * ln_mag) * (c_mag + d_mag * max(s0, s1) + lam * max(z0, z1))
+        upper, strict = max(upper, bound), max(strict, bound + err)
+    return upper, strict
+
+
+def _slope_positive(corners, lam, alpha, m, t0) -> bool:
+    """Whether every corner's slope in t is > 0 on [t0, 1], by a lower
+    bound above its own rounding: each corner's defect then rises to its
+    exact value 0 at t = 1, so it is <= 0 on [t0, 1].  t^(alpha-1) and z(t)
+    are monotone in t, so each term is least at an end.  At t0 = 0 with
+    alpha < 1, t^(alpha-1) is unbounded, so d alpha t^(alpha-1) is bounded
+    below, by d alpha, only for d >= 0."""
+    unbounded = t0 == 0.0 and alpha < 1.0
+    p0 = 1.0 if unbounded else t0 ** (alpha - 1.0)
+    # t0^(alpha-1) with alpha - 1 rounded
+    n = 16.0 + (0.0 if unbounded else abs(alpha - 1.0) * _abs_log(t0))
+    for x, y, _, d, k, _, d_mag, k_mag, ln_mag in corners:
+        if unbounded and d < 0.0:
+            return False
+        z0 = x**t0 * y ** (m * (1.0 - t0))  # z(1) = x
+        lower = min(d * alpha * p0, d * alpha) + min(-lam * k * z0, -lam * k * x)
+        err = _gamma(n + 2.0 * ln_mag) * (
+            d_mag * alpha * max(p0, 1.0) + lam * k_mag * max(z0, x))
+        if not lower > err:
+            return False
+    return True
+
+
+def _exp_decay_step(corners, lam, alpha, m, t0, t1, set_aside) -> str:
+    """How the search treats [t0, t1]: "cleared" if the defect is certified
+    <= 0 there, by its slope on an interval ending at 1, where every
+    corner's defect is 0, or by its bound below minus its rounding;
+    "aside" if `set_aside` and its bound is within `SLACK` of 0;
+    otherwise "bisect"."""
+    if t1 == 1.0 and _slope_positive(corners, lam, alpha, m, t0):
+        return "cleared"
+    upper, strict = _defect_bound(corners, lam, alpha, m, t0, t1)
+    if strict < 0.0:
+        return "cleared"
+    return "aside" if set_aside and upper <= SLACK else "bisect"
+
+
 _EXP_DECAY_MAX_INTERVALS = 4096
 
 
 def _exp_decay_reason(M, lam, lo, hi, alpha, m) -> Reason:
-    """None if `exp_decay_defect` <= `SLACK` for every t in [0, 1], otherwise
+    """None if `exp_decay_defect` <= 0 for every t in [0, 1], otherwise
     why not.
 
-    On a t-interval each corner's defect is bounded above term by term:
-    t^alpha and x^t y^(m(1-t)) are monotone in t, so each term is largest
-    at an end.  An interval whose bound exceeds the slack is bisected; a
-    midpoint whose defect exceeds it is a violation, witnessed there at its
-    worst corner.  The defect is 0 at t = 1 for every corner, so the
-    bisection needs the slack to stop there (about 70 intervals for the
-    builtin member); rounding, about 1e-16 of terms of order 1, is far
-    below it.  A supremum still undecided after `_EXP_DECAY_MAX_INTERVALS`
-    intervals is not certified.
+    Intervals of t are examined left first from [0, 1], each by
+    `_exp_decay_step`.  An interval that is not cleared is bisected, and
+    a midpoint whose defect exceeds `SLACK` is a violation, witnessed
+    there at its worst corner, so no witness is an artefact of rounding.
+    With no slack, a left-first bisection stalls where the defect crosses
+    0 just below a midpoint: it bisects toward the crossing, and its
+    midpoints right of the crossing have defects within SLACK of 0.  So
+    while the search looks for a witness it sets aside each interval
+    whose bound is within `SLACK` of 0, and returns to them, bisecting
+    with no slack, only once it has found none.  A witness is thus where
+    a search that accepted the slack would find it, and a claim is
+    certified with no slack.  The builtin member is cleared on [0, 1], in
+    one interval, at each (alpha, m) the default sweep certifies.  A
+    supremum still undecided after `_EXP_DECAY_MAX_INTERVALS` intervals,
+    such as one where a corner's slope at t = 1 is 0, is not certified.
     """
     corners = _exp_decay_corners(M, lam, lo, hi, m)
-
-    def bound(t0, t1):
-        s0, s1 = t0**alpha, t1**alpha
-        return max(
-            c + max(d * s0, d * s1)
-            - lam * min(x**t0 * y ** (m * (1.0 - t0)), x**t1 * y ** (m * (1.0 - t1)))
-            for x, y, c, d in corners
-        )
-
-    work = [(0.0, 1.0)]
+    work, aside = [(0.0, 1.0)], []
     for _ in range(_EXP_DECAY_MAX_INTERVALS):
+        if not work and aside:
+            # No witness: return to the intervals set aside, left first,
+            # and set none aside from now on.
+            work, aside = aside[::-1], None
         if not work:
             return None
         t0, t1 = work.pop()
-        if bound(t0, t1) <= SLACK:
+        step = _exp_decay_step(corners, lam, alpha, m, t0, t1, aside is not None)
+        if step == "cleared":
+            continue
+        if step == "aside":
+            aside.append((t0, t1))
             continue
         mid = 0.5 * (t0 + t1)
         defect, x, y = _exp_decay_worst(M, lam, lo, hi, alpha, m, mid)
         if defect > SLACK:
             return (x, y, mid)
         work += [(mid, t1), (t0, mid)]
-    return f"supremum undecided after {_EXP_DECAY_MAX_INTERVALS} intervals" if work else None
+    if work or aside:
+        return f"supremum undecided after {_EXP_DECAY_MAX_INTERVALS} intervals"
+    return None
 
 
 # ---------------------------------------------------------------------------

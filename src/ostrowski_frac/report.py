@@ -310,6 +310,8 @@ def run_sweep(cfg: SweepConfig) -> dict:
     (`fracint.rl_lines`), before that mu's quadrature, or the first
     ConvergenceError in batch order, x in `x_fracs` order
     (`clenshaw_curtis_many` raises for its lowest-index failing integral).
+    A DomainError of this quadrature step names the function first
+    (`'linear': ...`).
     """
     groups: list[Group] = []
     for f in resolve_corpus(cfg):
@@ -321,7 +323,10 @@ def run_sweep(cfg: SweepConfig) -> dict:
         listed = [(theorem, _points(theorem, f, cfg)) for theorem in cfg.theorems]
         at = {}  # mu -> (lhs, g), each an array over xs
         for mu in dict.fromkeys(mu for _, runs in listed for mu, _ in runs):
-            lhs = np.abs(ostrowski_signed_many(f, a, b, distinct, mu, cfg.quad))
+            try:
+                lhs = np.abs(ostrowski_signed_many(f, a, b, distinct, mu, cfg.quad))
+            except DomainError as exc:
+                raise DomainError(f"{f.id!r}: {exc}") from None
             at[mu] = lhs[rows], geometry_factors(a, b, distinct, mu)[rows]
         for theorem, runs in listed:
             if not runs:

@@ -214,20 +214,22 @@ class TestCheckConvexityCommand:
         assert main(["check-convexity", "--f", fid, "--alpha", alpha, "--m", m]) == 1
         assert capsys.readouterr().out == want
 
-    @pytest.mark.parametrize("alpha,m,want", [
+    @pytest.mark.parametrize("alpha,m,margin,bound", [
         # The exact margin (1 - m) ln 2 - (1 - alpha) / alpha * 0.04 ln 2 is 0
-        # at each of these; in floats it is -1.4e-17 at the first, where the
-        # closed-form defect rounds positive at t = 1 - 2^-26 but g does
-        # not fail there, and >= 0 at the others.
-        ("0.25", "0.88", "FAIL: not a member by its certificate; margin "
-         "-1.3877787807814457e-17 is within rounding of 0; g does not fail in floats\n"),
-        ("0.5", "0.96", "pass\n"), ("0.8", "0.99", "pass\n"),
-        ("0.2", "0.84", "pass\n"), ("0.4", "0.94", "pass\n"),
-    ])
-    def test_margin_zero_names_no_witness(self, capsys, alpha, m, want):
+        # at each of these; in floats it is -1.4e-17 at the first and > 0 at
+        # the others, each within its rounding bound, so none is certified.
+        ("0.25", "0.88", "-1.3877787807814457e-17", "2.955064163756787e-16"),
+        ("0.5", "0.96", "2.42861286636753e-17", "9.850213879189296e-17"),
+        ("0.8", "0.99", "7.806255641895632e-18", "2.4625534697973234e-17"),
+        ("0.2", "0.84", "1.3877787807814457e-17", "3.9400855516757164e-16"),
+        ("0.4", "0.94", "4.163336342344337e-17", "1.4775320818783943e-16"),
+    ], ids=["0.25-0.88", "0.5-0.96", "0.8-0.99", "0.2-0.84", "0.4-0.94"])
+    def test_margin_zero_names_no_witness(self, capsys, alpha, m, margin, bound):
         rc = main(["check-convexity", "--f", "powdecay", "--alpha", alpha, "--m", m])
-        assert rc == (0 if want == "pass\n" else 1)
-        assert capsys.readouterr().out == want
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            f"FAIL: not a member by its certificate; margin {margin} is within its "
+            f"rounding bound {bound} of 0\n")
 
     def test_certified_for_every_q(self, capsys):
         # g = |f'|^2000 underflows on [1, 2]; the certificate holds for
@@ -419,6 +421,19 @@ class TestLargeMu:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: fractional integral {line}: scale ")
+        assert captured.err.endswith(" is below the smallest normal float\n")
+
+    def test_sweep_names_the_function(self, tmp_path, capsys):
+        # linear on [0, 3]: its mu = 0.5 quadrature runs, then mu = 155
+        # underflows the scale of its side anchored at 0 with end 0.15.
+        path = tmp_path / "large-mu.cfg"
+        path.write_text("mu = 0.5,155\n")
+        assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: 'linear': fractional integral anchored at 0.0 with end "
+            "0.15000000000000002, mu = 155.0: scale ")
         assert captured.err.endswith(" is below the smallest normal float\n")
 
     def test_mu_140_still_works(self, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 
+import bisection_oracle
 import mpmath as mp
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ostrowski_frac.corpus import (
 )
 from ostrowski_frac.convexity import SLACK
 from ostrowski_frac.fracint import DomainError
-from ostrowski_frac.report import DEFAULT_QS
+from ostrowski_frac.report import DEFAULT_ALPHAS, DEFAULT_MS, DEFAULT_QS
 
 EXPECTED_IDS = ("linear", "affine08", "const1", "const2", "powdecay", "expdecay")
 
@@ -275,14 +276,25 @@ class TestWitnesses:
         ("powdecay", 0.5, 0.04, 0.25, 0.88), ("pd02", 0.5, 0.2, 0.5, 0.8),
     ])
     def test_margin_rounded_below_zero_names_no_witness(self, fid, M, r, alpha, m):
-        # The exact margin is 0; in floats it is about -1e-17, and the
-        # closed-form defect rounds positive at a t where g does not fail.
+        # The exact margin is 0; in floats it is about -1e-17, within its
+        # rounding bound, so the claim is undecided rather than witnessed.
         spec = power_decay_spec(fid, M=M, r=r, lo=1.0, hi=2.0)
         margin = power_decay_margin(M, r, 1.0, 2.0, alpha, m)
-        assert -1e-16 < margin < 0.0
+        bound = corpus_mod._power_decay_rounding(M, r, 1.0, 2.0, alpha, m)
+        assert -1e-16 < margin < 0.0 and -margin < bound < 1e-15
         assert spec.certify(alpha, m) == (
-            f"margin {margin!r} is within rounding of 0; g does not fail in floats")
+            f"margin {margin!r} is within its rounding bound {bound!r} of 0")
         assert not spec.member(alpha, m)
+
+    def test_negative_margin_that_g_cannot_show(self):
+        # pd02 just past its threshold m* = 0.8: the margin, -6.9e-15, is
+        # beyond its rounding bound, but the closed-form defect turns
+        # positive only so near t = 1 that g does not fail in floats.
+        m = 0.8 + 1e-14
+        margin = power_decay_margin(0.5, 0.2, 1.0, 2.0, 0.5, m)
+        assert margin < -10 * corpus_mod._power_decay_rounding(0.5, 0.2, 1.0, 2.0, 0.5, m)
+        assert power_decay_spec("pd02", M=0.5, r=0.2, lo=1.0, hi=2.0).certify(0.5, m) == (
+            f"margin {margin!r} is negative, but g does not fail in floats")
 
     def test_text_reasons(self):
         assert constant_spec("c", value=1.0, lo=1.0, hi=2.0).certify(0.5, 0.5) == (
@@ -305,9 +317,168 @@ class TestWitnesses:
             0.5, 0.5) == "geometric kinds require g > 0"
 
     def test_undecided_exp_decay_supremum_is_a_text_reason(self, monkeypatch):
+        # A member whose slope test fails on [0, 1]: its search needs 7
+        # intervals.
+        assert exp_decay_spec("ed", M=0.5, lam=0.5, lo=1.0, hi=2.0).member(0.9, 0.6)
         monkeypatch.setattr(corpus_mod, "_EXP_DECAY_MAX_INTERVALS", 3)
-        spec = exp_decay_spec("ed", M=0.5, lam=0.02, lo=1.0, hi=2.0)
-        assert spec.certify(0.5, 0.5) == "supremum undecided after 3 intervals"
+        spec = exp_decay_spec("ed", M=0.5, lam=0.5, lo=1.0, hi=2.0)
+        assert spec.certify(0.9, 0.6) == "supremum undecided after 3 intervals"
+
+
+class TestExpDecaySlope:
+    """The exp-decay certificate clears an interval ending at t = 1 by each
+    corner's slope, and any other by a bound below 0, each clearing its own
+    rounding, with no slack.  A frozen copy of the bisection it replaced,
+    which accepts a defect up to SLACK (`tests/bisection_oracle.py`), is
+    its oracle."""
+
+    EDGES = [0.001, 0.999, 0.059334298118668596]
+    KINDS = TestWitnesses.KINDS + EDGES
+    MEMBERS = {  # (M, lam, lo, hi)
+        "expdecay": (0.5, 0.02, 1.0, 2.0), "ed99": (0.99, 0.02, 1.0, 2.0),
+        "lam0.5": (0.5, 0.5, 1.0, 2.0), "lam1": (0.5, 1.0, 1.0, 2.0),
+        "lam5": (0.5, 5.0, 1.0, 2.0), "negative-M": (-0.5, 0.3, 1.0, 2.0),
+        # a base 0, which has no log, and a domain inside [0, 1]
+        "lo0": (0.5, 0.02, 0.0, 2.0), "below1": (0.5, 0.3, 0.25, 1.0),
+    }
+
+    @pytest.mark.parametrize("fid", MEMBERS)
+    def test_same_answers_as_the_frozen_bisection(self, monkeypatch, fid):
+        # negative-M at (0.45, 0.1) is rejected at t = 1 - 2^-11, found
+        # after 7,653 intervals by either search: the budget is raised so
+        # that the two searches, not their budgets, are compared.
+        monkeypatch.setattr(corpus_mod, "_EXP_DECAY_MAX_INTERVALS", 1 << 14)
+        members = 0
+        for alpha, m in itertools.product(self.KINDS, self.KINDS):
+            want = bisection_oracle.exp_decay_reason(*self.MEMBERS[fid], alpha, m)
+            assert corpus_mod._exp_decay_reason(*self.MEMBERS[fid], alpha, m) == want, (
+                alpha, m)
+            members += want is None
+        assert members or fid in ("lam5", "lo0")
+
+    def test_zero_slope_at_one_is_not_accepted(self):
+        # expdecay's corner (2, 1) at m = 0.5 has slope d alpha - lam k x at
+        # t = 1, 0 in reals at alpha = lam x k / d.  Its defect is then 0 to
+        # second order at t = 1, so no slope test may clear [t0, 1]: the
+        # frozen bisection accepts it within SLACK, and the certificate
+        # leaves it undecided.
+        M, lam, m = 0.5, 0.02, 0.5
+        corners = corpus_mod._exp_decay_corners(M, lam, 1.0, 2.0, m)
+        x, y, _, d, k, *_ = corner = corners[2]
+        assert (x, y) == (2.0, 1.0)
+        alpha = lam * x * k / d
+        below = above = alpha
+        nearby = [alpha]
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            nearby += [below, above]
+        slopes = [d * a - lam * k * x for a in nearby]
+        # in floats the slope at t = 1 is 0 or a few 1e-18 of either sign
+        assert max(map(abs, slopes)) < 3e-17 and max(slopes) > 0.0 > min(slopes)
+        for a in nearby:
+            for t0 in (0.0, 0.5, 0.75, 1.0 - 2.0**-20):
+                assert not corpus_mod._slope_positive([corner], lam, a, m, t0), (a, t0)
+        assert not corpus_mod._slope_positive(corners, lam, alpha, m, 0.0)
+        # a thousandth above alpha the slope test passes, a thousandth below not
+        assert corpus_mod._slope_positive([corner], lam, alpha * 1.001, m, 0.0)
+        assert not corpus_mod._slope_positive([corner], lam, alpha * 0.999, m, 0.0)
+        assert corpus_mod._exp_decay_reason(M, lam, 1.0, 2.0, alpha, m) == (
+            "supremum undecided after 4096 intervals")
+
+    def test_crossing_just_below_a_midpoint(self):
+        # expdecay at m = 0.5 and this alpha: the defect of corner (2, 1)
+        # crosses 0 just below t = 0.5, where it is 6.9e-18.  Every
+        # midpoint of [0, 0.5] between the crossing and 0.5 is within SLACK,
+        # so a search that bisected [0, 0.5] to the end would never reach
+        # the violation on [0.5, 1]: it is set aside instead.
+        alpha, m = 0.046861582763366876, 0.5
+        assert 0.0 < exp_decay_defect(0.5, 0.02, 1.0, 2.0, alpha, m, 0.5) < 1e-17
+        want = (2.0, 1.0, 0.75)
+        assert bisection_oracle.exp_decay_reason(0.5, 0.02, 1.0, 2.0, alpha, m) == want
+        assert corpus_mod._exp_decay_reason(0.5, 0.02, 1.0, 2.0, alpha, m) == want
+
+    def test_bound_within_rounding_does_not_clear(self):
+        # M = 0.5, lam = 0.02 on [1, 7] at m = 1: corner (7, 7) has defect
+        # 0 for every t in reals, and its float bound is -2.8e-17.
+        corner = corpus_mod._exp_decay_corners(0.5, 0.02, 1.0, 7.0, 1.0)[3]
+        assert (corner.x, corner.y, corner.d) == (7.0, 7.0, 0.0)
+        for t0, t1 in ((0.0, 0.5), (0.125, 0.25), (0.5, 0.75)):
+            upper, strict = corpus_mod._defect_bound([corner], 0.02, 0.5, 1.0, t0, t1)
+            assert upper < 0.0 < strict, (t0, t1)
+            assert corpus_mod._exp_decay_step([corner], 0.02, 0.5, 1.0, t0, t1, False) == (
+                "bisect")
+
+    def test_unbounded_slope_term_at_zero(self):
+        # lam = 5, m = 0.95: corner (1, 2) has d < 0, so at t0 = 0 with
+        # alpha < 1 its slope d alpha t^(alpha-1) has no lower bound, and
+        # at alpha = 1 it is the constant d.
+        corners = corpus_mod._exp_decay_corners(0.5, 5.0, 1.0, 2.0, 0.95)
+        assert corners[1].d < 0.0
+        for alpha in (0.5, 1.0):
+            assert not corpus_mod._slope_positive(corners[1:2], 5.0, alpha, 0.95, 0.0)
+
+    def test_builtin_default_pairs_take_one_interval_each(self, monkeypatch):
+        # Each (alpha, m) of the default sweep that expdecay is a member at
+        # is cleared on [0, 1] by the slope test alone.
+        examined = []
+        step = corpus_mod._exp_decay_step
+
+        def counting(*args):
+            examined.append(args[-3:-1])
+            return step(*args)
+
+        monkeypatch.setattr(corpus_mod, "_exp_decay_step", counting)
+        spec = exp_decay_spec("expdecay", M=0.5, lam=0.02, lo=1.0, hi=2.0)
+        pairs = list(itertools.product(DEFAULT_ALPHAS, DEFAULT_MS))
+        assert len(pairs) == 12 and all(spec.member(alpha, m) for alpha, m in pairs)
+        assert examined == [(0.0, 1.0)] * 12
+
+
+class TestPowerDecayRounding:
+    """The power-decay margin certifies only when it is at least a bound on
+    its own rounding."""
+
+    @staticmethod
+    def _mp_margin(M, r, alpha, m):
+        """`power_decay_margin` on [1, 2] at 50 digits, of the same floats."""
+        with mp.workdps(50):
+            M, r, alpha, m = map(mp.mpf, (M, r, alpha, m))
+            worst = max(r * mp.log(2), -r * m * mp.log(2))
+            return (1 - m) * -mp.log(abs(M)) - (1 - alpha) / alpha * worst
+
+    def test_threshold_replay_certifies_no_false_claim(self):
+        # 399 members M = 0.5, r = 0.041, ..., 0.439 on [1, 2], m cycling
+        # through 0.25, ..., 0.85 from 0.35, each at the alpha where its
+        # exact margin is 0, r / (r + 1 - m), and at its two float neighbours.
+        # Each margin is within its bound, so none is certified.  The float
+        # margin alone (>= 0.0) certified 689 of these 1,197 claims, 144 of
+        # them with a negative 50-digit margin.
+        for i in range(399):
+            r, m = 0.041 + 0.001 * i, round(0.25 + 0.1 * ((i + 1) % 7), 2)
+            threshold = r / (r + 1.0 - m)
+            for alpha in (math.nextafter(threshold, 0.0), threshold,
+                          math.nextafter(threshold, 1.0)):
+                margin = power_decay_margin(0.5, r, 1.0, 2.0, alpha, m)
+                bound = corpus_mod._power_decay_rounding(0.5, r, 1.0, 2.0, alpha, m)
+                assert abs(margin - self._mp_margin(0.5, r, alpha, m)) <= bound, (r, m, alpha)
+                assert corpus_mod._power_decay_reason(0.5, r, 1.0, 2.0, alpha, m) == (
+                    f"margin {margin!r} is within its rounding bound {bound!r} of 0")
+
+    def test_a_claim_certified_on_rounding(self):
+        # A float margin of 0.0, and a 50-digit one of -2.4e-18.
+        alpha, m, r = 0.059334298118668596, 0.35, 0.041
+        assert power_decay_margin(0.5, r, 1.0, 2.0, alpha, m) == 0.0
+        assert -2.5e-18 < self._mp_margin(0.5, r, alpha, m) < -2.3e-18
+        bound = corpus_mod._power_decay_rounding(0.5, r, 1.0, 2.0, alpha, m)
+        assert power_decay_spec("pd", M=0.5, r=r, lo=1.0, hi=2.0).certify(alpha, m) == (
+            f"margin 0.0 is within its rounding bound {bound!r} of 0")
+
+    def test_exact_zero_terms_have_no_rounding(self, corpus):
+        # alpha = m = 1: both terms are exact zeros, so the margin 0.0 is
+        # exact and certifies the geometric claim `set` needs.
+        assert corpus_mod._power_decay_rounding(0.5, 0.04, 1.0, 2.0, 1.0, 1.0) == 0.0
+        assert power_decay_margin(0.5, 0.04, 1.0, 2.0, 1.0, 1.0) == 0.0
+        assert corpus["powdecay"].certify(1.0, 1.0) is None
 
 
 class TestAuditFailures:

@@ -157,7 +157,7 @@ class TestColumnarSigned:
 
     def test_x_rounded_past_b(self):
         # a + 1.0 * (b - a) rounds past b on [0.7, 2.9]: the text FracParams
-        # gives, from the columns and from a sweep.
+        # gives, from the columns, and from a sweep after the function's id.
         spec = affine_spec("p", slope=0.5, intercept=0.25, lo=0.7, hi=2.9)
         a, b = spec.domain
         x = a + 1.0 * (b - a)
@@ -169,7 +169,7 @@ class TestColumnarSigned:
             ostrowski_signed_many(spec, a, b, [a + 0.5 * (b - a), x], 1.0)
         cfg = parse_config("functions = p\nx_fracs = 0.5,1.0\n"
                            "function.p = affine slope=0.5 intercept=0.25 lo=0.7 hi=2.9\n")
-        with pytest.raises(DomainError, match=r"^x in \[a, b\] required$"):
+        with pytest.raises(DomainError, match=r"^'p': x in \[a, b\] required$"):
             run_sweep(cfg)
 
     @pytest.mark.parametrize("a,b,x,mu,message", [
