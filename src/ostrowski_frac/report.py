@@ -216,21 +216,36 @@ def resolve_corpus(cfg: SweepConfig) -> list[FunctionSpec]:
     return [by_id[f] for f in cfg.functions]
 
 
-def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig) -> list[tuple[float, list]]:
+def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig,
+            factors: Optional[dict] = None) -> list[tuple[float, list]]:
     """The points of a theorem's grid whose hypotheses hold on f, in grid
     order, as (mu, [(bp, point factor), ...]) per admitted mu: the product
     of the configured (mu, alpha, m, q, u), decided by the hypotheses over
     columns (`verify._admitted_grid`), with no check per point.  Each
     distinct admitted (alpha, m, q, u) gets one `BoundParams`, shared by
-    every mu, and a rejected one none.  Neither reads x.  `SweepConfig`
+    every mu, and a rejected one none.  Neither reads x.  Each point
+    factor is computed only if `factors`, which the caller may pass to
+    share among calls, lacks it: it is kept there per (the record's
+    factor, M, mu) and (alpha, m, q, u).  The records that print one
+    factor share its callable (`verify._factor`), so `mm` and `remark_q1`
+    share their values, and so do the functions of one M.  `SweepConfig`
     has validated every value, and f its M, so only a point factor can
-    raise."""
-    record = THEOREMS[theorem]
+    raise: the first point, in grid order, whose factor is computed."""
+    factor = THEOREMS[theorem].factor
+    factors = {} if factors is None else factors
     mus, keys = _admitted_grid(theorem, f, f.domain[1], f.M, {
         "mu": cfg.mus, "alpha": cfg.alphas, "m": cfg.ms, "q": cfg.qs, "u": cfg.us})
+    if not keys:
+        return []
     made = {key: BoundParams(f.M, *key) for key in dict.fromkeys(keys)}
-    points = [made[key] for key in keys]
-    return [(mu, [(bp, record.factor(bp, mu)) for bp in points]) for mu in mus] if points else []
+    runs = []
+    for mu in mus:
+        values = factors.setdefault((factor, f.M, mu), {})  # (alpha, m, q, u) -> point factor
+        for key, bp in made.items():
+            if key not in values:
+                values[key] = factor(bp, mu)
+        runs.append((mu, [(made[key], values[key]) for key in keys]))
+    return runs
 
 
 class Run(NamedTuple):
@@ -288,18 +303,25 @@ def run_sweep(cfg: SweepConfig) -> dict:
     Per function, in three steps: list every theorem's points (`_points`:
     the hypotheses decided over columns, with no check per point and a
     `BoundParams` for admitted points only); per mu in use, compute the
-    LHS and geometry factor columns over the distinct x values, with one
-    `ostrowski_signed_many` call (one quadrature batch) and one
-    `geometry_factors` call; judge each group as one table, with one
-    `_judge` call.  Each RHS is `Theorem.rhs`: the
-    point factor, computed once per (point, mu), times the geometry factor
-    of its (x, mu), computed once per (x, mu); a group's RHS is its geometry
-    factor columns, each repeated once per point of its run, times the row
-    of its point factors.  IEEE products and differences round the same in
-    numpy as in Python, so each rhs, margin and holds is what `_judge`
-    gives for the scalars.  The runs of one (function, mu) share its lhs
+    LHS column over the distinct x values, with one
+    `ostrowski_signed_many` call (one quadrature batch); judge each group
+    as one table, with one `_judge` call.  Each RHS is `Theorem.rhs`: the
+    point factor times the geometry factor of its (x, mu).  A group's RHS
+    table is its geometry factor columns, each repeated once per point of
+    its run, times the row of its point factors.  IEEE products and
+    differences round the same in numpy as in Python, so each rhs, margin
+    and holds is what `_judge` gives for the scalars.
+    Each value that recurs is computed once per sweep: a point factor
+    once per (bounds factor, point values, mu), over functions and
+    theorems (`_points`); a geometry factor column once per (domain, mu),
+    with one `geometry_factors` call over the distinct x values, since it
+    reads f only through its domain; an RHS table once per (domain, runs'
+    mu and point counts, bits of the point factors), which fix it bit for
+    bit, so alike groups (`powdecay` and `expdecay`: M = 0.5 on [1, 2])
+    share one rhs array.  The runs of one (function, mu) share its lhs
     array, the runs of a group their `BoundParams`, and the groups of one
-    function its x list.
+    function its x list.  Each memo lives in one call, so a `bounds`
+    factor patched between two sweeps is seen by the second.
 
     Errors come in this order.  `SweepConfig` has rejected every bad
     configured value before the sweep starts.  Then, per function in corpus
@@ -314,28 +336,39 @@ def run_sweep(cfg: SweepConfig) -> dict:
     (`'linear': ...`).
     """
     groups: list[Group] = []
+    factors: dict = {}  # `_points`' point factors
+    geometry: dict = {}  # (a, b, mu) -> geometry factor column over xs
+    tables: dict = {}  # (a, b, mus, counts, point factor bytes) -> rhs table
     for f in resolve_corpus(cfg):
         a, b = f.domain
         xs = [a + frac_x * (b - a) for frac_x in cfg.x_fracs]
         row = {}  # each distinct x -> its row in the columns below
         rows = [row.setdefault(x, len(row)) for x in xs]
         distinct = list(row)
-        listed = [(theorem, _points(theorem, f, cfg)) for theorem in cfg.theorems]
-        at = {}  # mu -> (lhs, g), each an array over xs
+        listed = [(theorem, _points(theorem, f, cfg, factors)) for theorem in cfg.theorems]
+        at = {}  # mu -> lhs, an array over xs
         for mu in dict.fromkeys(mu for _, runs in listed for mu, _ in runs):
             try:
                 lhs = np.abs(ostrowski_signed_many(f, a, b, distinct, mu, cfg.quad))
             except DomainError as exc:
                 raise DomainError(f"{f.id!r}: {exc}") from None
-            at[mu] = lhs[rows], geometry_factors(a, b, distinct, mu)[rows]
+            at[mu] = lhs[rows]
+            if (a, b, mu) not in geometry:
+                geometry[a, b, mu] = geometry_factors(a, b, distinct, mu)[rows]
         for theorem, runs in listed:
             if not runs:
                 continue
             counts = [len(points) for _, points in runs]
-            lhs, g = np.repeat(np.stack([at[mu] for mu, _ in runs], axis=2), counts, axis=2)
-            rhs = g * [factor for _, points in runs for _, factor in points]
+            lhs = np.repeat(np.stack([at[mu] for mu, _ in runs], axis=1), counts, axis=1)
+            factors_row = np.array([factor for _, points in runs for _, factor in points])
+            key = a, b, tuple(mu for mu, _ in runs), tuple(counts), factors_row.tobytes()
+            rhs = tables.get(key)
+            if rhs is None:
+                g = np.repeat(np.stack([geometry[a, b, mu] for mu, _ in runs], axis=1),
+                              counts, axis=1)
+                rhs = tables[key] = g * factors_row
             margin, holds, _ = _judge(lhs, rhs, cfg.quad)
-            columns = [Run(mu, [bp for bp, _ in points], at[mu][0]) for mu, points in runs]
+            columns = [Run(mu, [bp for bp, _ in points], at[mu]) for mu, points in runs]
             groups.append(Group(theorem, f.id, a, b, xs, columns, rhs, margin, holds))
 
     return {
@@ -398,6 +431,12 @@ def _value_json(v) -> str:
     return json.dumps(v)
 
 
+def _texts(values: list, finite: bool) -> list[str]:
+    """Each of values as json writes it: by `float.__repr__`, json's text
+    for a finite float, if `finite` says that all are finite floats."""
+    return list(map(float.__repr__, values)) if finite else [_value_json(v) for v in values]
+
+
 def _json_chunks(report: dict):
     """`report_chunks` for JSON: the head through json, then the verdicts,
     its last key, one string per (group, x) with a verdict, then the close.
@@ -406,39 +445,44 @@ def _json_chunks(report: dict):
     function, a and b per group; x per row; mu per run; alpha to v once
     per point and group, prefixed by each run's mu text.  A group's runs
     share their `BoundParams`, so a point's text is kept by the object's
-    identity (by value, `True` would take the text of `1.0`).  An x list
-    and an lhs column are formatted once per object, by `float.__repr__`
-    if all finite: `run_sweep` shares them among a function's groups, so
-    their text is kept, by the object's identity, while that function's
-    groups render.
+    identity (by value, `True` would take the text of `1.0`).
+    `run_sweep` shares an x list and an lhs column among a function's
+    groups, and an rhs table among alike groups, so each is formatted
+    (`_texts`) once per object, and its text is kept, by the object's
+    identity, until the last group that reads it has rendered.  An rhs
+    table keeps a text per distinct row, keyed by the row's bytes, so
+    0.0 and -0.0 stay apart: rows at mirrored x-fractions repeat bit for
+    bit, and a shared table repeats whole.
     The text that leads a verdict up to its rhs is built once per (x, run)
     and repeated over the run's points.  Each row is then one
-    comprehension of one f-string per verdict: its lead, rhs, margin,
-    holds, x and point text.  rhs and margin are read from the table's
-    `.tolist()`, by repr if the group's are all finite (a finite float's
-    repr is json's), else each through `_value_json`."""
+    comprehension of one f-string per verdict: its lead, rhs text,
+    margin, holds, x and point text.  margin is read from the table's
+    `.tolist()`, by repr if the group's are all finite, else each
+    through `_value_json`."""
     top = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
     yield top[:-2] + ',\n  "verdicts": '
-    verdicts = report["verdicts"]
-    tol_margin = _value_json(verdicts.tol_margin)
-    texts: dict[int, tuple] = {}  # id of an x list or lhs column -> (it, its text)
-    function, opened = None, False
+    tol_margin, groups = report["verdicts"]
+    tol_margin = _value_json(tol_margin)
+    # id of an x list, lhs column or rhs table -> the last group that reads it
+    last = {id(v): k for k, g in enumerate(groups)
+            for v in (g.xs, g.rhs, *(run.lhs for run in g.runs))}
+    # id of an x list or lhs column -> (it, its text), of an rhs table ->
+    # (it, {row bytes: row text}); each entry holds its object, so no
+    # other object takes its id.
+    texts: dict[int, tuple] = {}
+    opened = False
 
     def text_of(values):
         entry = texts.get(id(values))
-        if entry is None:  # the entry holds values, so no other object takes its id
+        if entry is None:
             listed = values.tolist() if isinstance(values, np.ndarray) else values
-            if set(map(type, listed)) <= {float} and all(map(math.isfinite, listed)):
-                text = list(map(float.__repr__, listed))  # json's text for a finite float
-            else:
-                text = [_value_json(v) for v in listed]
-            entry = texts[id(values)] = (values, text)
+            finite = set(map(type, listed)) <= {float} and all(map(math.isfinite, listed))
+            entry = texts[id(values)] = (values, _texts(listed, finite))
         return entry[1]
 
-    for g in verdicts.groups:
-        if g.function is not function:
-            function = g.function
-            texts.clear()
+    for k, g in enumerate(groups):
+        for key in [key for key in texts if last[key] < k]:
+            del texts[key]
         if not g.holds.size:
             continue
         head = f',\n    {{\n      "theorem": {_value_json(g.theorem)},\n      "lhs": '
@@ -460,16 +504,22 @@ def _json_chunks(report: dict):
                         f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
                         f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}')
                 points.append(mu + text)
-        finite = bool(np.isfinite(g.rhs).all() and np.isfinite(g.margin).all())
-        for x, lead, rhs_x, margin_x, holds_x in zip(
-                text_of(g.xs), leads, g.rhs.tolist(), g.margin.tolist(), g.holds.tolist()):
+        row_text = texts.setdefault(id(g.rhs), (g.rhs, {}))[1]
+        finite_rhs = bool(np.isfinite(g.rhs).all())
+        finite = bool(np.isfinite(g.margin).all())
+        for x, lead, row, rhs_x, margin_x, holds_x in zip(text_of(g.xs), leads, g.rhs,
+                g.rhs.tolist(), g.margin.tolist(), g.holds.tolist()):
+            key = row.tobytes()
+            if key not in row_text:
+                row_text[key] = _texts(rhs_x, finite_rhs)
+            rhs_x = row_text[key]
             at_x = shared + x
             if finite:
-                row = "".join([f'{ld}{r!r},\n      "margin": {d!r},\n      "holds": '
+                row = "".join([f'{ld}{r},\n      "margin": {d!r},\n      "holds": '
                                f'{"true" if h else "false"}{at_x}{p}'
                                for ld, r, d, h, p in zip(lead, rhs_x, margin_x, holds_x, points)])
             else:
-                row = "".join([f'{ld}{_value_json(r)},\n      "margin": {_value_json(d)},\n'
+                row = "".join([f'{ld}{r},\n      "margin": {_value_json(d)},\n'
                                f'      "holds": {_value_json(h)}{at_x}{p}'
                                for ld, r, d, h, p in zip(lead, rhs_x, margin_x, holds_x, points)])
             if not opened:  # the first verdict opens the list, the others follow a ","

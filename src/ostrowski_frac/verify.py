@@ -12,6 +12,7 @@ one the residual check confirms to quadrature accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -196,9 +197,10 @@ class Theorem:
 _RELATIONS = {">": operator.gt, "<": operator.lt, "=": operator.eq}
 
 
+@functools.cache
 def _factor(name: str) -> Callable[[BoundParams, float], float]:
-    """The point factor `bounds.<name>`, looked up at call time, so that a
-    wrapped `bounds` function (a profiler, a tracer) sees every call."""
+    """The point factor `bounds.<name>`, one callable per name, looked up at
+    call time, so that a wrapped `bounds` function (a tracer) sees every call."""
     return lambda bp, mu: getattr(bnd, name)(bp, mu)
 
 

@@ -1105,8 +1105,20 @@ class TestRenderReport:
             return np.array([rng.choice(pool) for _ in range(int(np.prod(shape)))],
                             dtype=float).reshape(shape)
 
-        groups, kinds = [], set()
-        while sum(g.rhs.size for g in groups) < 300:
+        groups, kinds, rows = [], set(), set()
+        # Until each kind of shared table or repeated row below has come up.
+        while sum(g.rhs.size for g in groups) < 300 or rows != {
+                "shared", "repeated", "repeated non-finite", "signed zero"}:
+            if groups and rng.random() < 0.2:
+                # A group that shares an earlier group's rhs table, as alike
+                # groups of a sweep do, with its own lhs, margin and holds.
+                g = rng.choice(groups)
+                groups.append(g._replace(
+                    theorem=value(), function=value(),
+                    runs=[r._replace(lhs=floats(len(g.xs), self.FLOATS)) for r in g.runs],
+                    margin=floats(g.rhs.shape, self.FLOATS), holds=~g.holds))
+                rows.add("shared")
+                continue
             xs = [value() for _ in range(rng.randint(0, 6))]
             runs = []
             for _ in range(rng.randint(0, 4)):
@@ -1119,6 +1131,18 @@ class TestRenderReport:
             # An all-finite table, or one that may mix finite and not.
             pool = rng.choice((self.FINITE, self.FLOATS))
             rhs, margin = floats(shape, pool), floats(shape, pool)
+            if shape[0] >= 2 and shape[1] and rng.random() < 0.5:
+                # A row repeated bit for bit, or one equal to another as
+                # floats but not as bits: a text kept by value would take
+                # the other's.
+                i, j = rng.sample(range(shape[0]), 2)
+                rhs[j] = rhs[i]
+                if rng.random() < 0.5:
+                    k = rng.randrange(shape[1])
+                    rhs[i, k], rhs[j, k] = 0.0, -0.0
+                    rows.add("signed zero")
+                else:
+                    rows.add("repeated" if np.isfinite(rhs[i]).all() else "repeated non-finite")
             kinds.add(bool(np.isfinite(rhs).all() and np.isfinite(margin).all()))
             holds = np.array([rng.random() < 0.5 for _ in range(rhs.size)],
                              dtype=bool).reshape(shape)
@@ -1461,6 +1485,73 @@ class TestHypothesesCheckedOncePerPoint:
         assert len(list(verdict_rows(run_sweep(cfg)))) == 17892
         assert not checked
         assert len(built) == want == 605
+
+    @staticmethod
+    def _reuse(cfg, monkeypatch):
+        """The sweep's report, with its point-factor evaluations (through
+        the `bounds.factor_*` names) and `geometry_factors` calls counted,
+        then the values the JSON renderer formats (`report._texts`) beyond
+        one text per x list and lhs column object."""
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                counts[name] += 1
+                return fn(*args)
+            return counted
+
+        for name in dir(bnd):
+            if name.startswith("factor_"):
+                monkeypatch.setattr(bnd, name, counting("factor", getattr(bnd, name)))
+        monkeypatch.setattr(report_mod, "geometry_factors",
+                            counting("geometry", report_mod.geometry_factors))
+        report = run_sweep(cfg)
+        texts = report_mod._texts
+        monkeypatch.setattr(report_mod, "_texts",
+                            lambda values, finite: counts.update(text=len(values))
+                            or texts(values, finite))
+        render_report(report, "json")
+        groups = [g for g in report["verdicts"].groups if g.holds.size]
+        columns = {id(v): len(v) for g in groups for v in (g.xs, *(r.lhs for r in g.runs))}
+        counts["rhs text"] = counts.pop("text") - sum(columns.values())
+        return report, counts
+
+    def test_default_sweep_computes_each_recurring_value_once(self, monkeypatch):
+        """A point factor once per (bounds factor, point values, mu), one
+        callable for `mm` and `remark_q1`; a geometry column once per
+        (domain, mu); an rhs table once per alike groups, powdecay's and
+        expdecay's among them; and its text once per distinct row."""
+        assert THEOREMS["mm"].factor is THEOREMS["remark_q1"].factor
+        report, counts = self._reuse(SweepConfig(), monkeypatch)
+        groups = report["verdicts"].groups
+        tables = {id(g.rhs): g.rhs for g in groups}
+        assert counts == {"factor": 1256, "geometry": 8, "rhs text": 6856}
+        assert (len(groups), len(tables)) == (21, 15)
+        assert sum(g.rhs.size for g in groups) == 17892
+        by_function = {(g.theorem, g.function): g.rhs for g in groups}
+        assert by_function["t22", "powdecay"] is by_function["t22", "expdecay"]
+
+    def test_quad_dense_shares_tables_but_repeats_no_row(self, monkeypatch):
+        # Seeded x-fractions are not mirrored: no rhs row recurs within a
+        # table, so each distinct table's values are formatted once each.
+        report, counts = self._reuse(parse_config(QUAD_DENSE_SWEEP), monkeypatch)
+        groups = report["verdicts"].groups
+        tables = {id(g.rhs): g.rhs for g in groups}
+        assert counts["geometry"] == 12 and (len(groups), len(tables)) == (6, 5)
+        assert all(len({row.tobytes() for row in t}) == len(t) for t in tables.values())
+        assert counts["rhs text"] == sum(t.size for t in tables.values())
+
+    def test_factor_patched_between_sweeps_is_seen(self, monkeypatch):
+        # Every memo lives in one sweep: the second sweep in the process
+        # reads the patched factor, for both records that print it.
+        cfg = parse_config(self.CONFIGS["two-u"])
+        before = run_sweep(cfg)["verdicts"].groups
+        factor_mm = bnd.factor_mm
+        monkeypatch.setattr(bnd, "factor_mm", lambda bp, mu: 2.0 * factor_mm(bp, mu))
+        after = run_sweep(cfg)["verdicts"].groups
+        assert {g.theorem for g in after} == {"mm", "remark_q1"}
+        for g, h in zip(before, after, strict=True):
+            assert np.array_equal(h.rhs, 2.0 * g.rhs)
 
     @pytest.mark.parametrize(
         "text", [BATCH_SWEEP, "", CONFIGS["repeats"]], ids=["batch", "default", "repeats"])
