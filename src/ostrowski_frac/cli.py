@@ -63,10 +63,8 @@ def _cmd_check_convexity(args) -> int:
     it, or its reason when it names no witness."""
     f = _corpus_lookup(args.f)
     alpha, m, q = args.alpha, args.m, args.q
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("alpha in (0, 1] required")
-    if not 0.0 < m <= 1.0:
-        raise DomainError("m in (0, 1] required")
+    BoundParams(1.0, alpha, m)  # states the range of alpha and m
+    # Here q need only be finite and > 0, not >= 1 as in a bound.
     if not 0.0 < q < math.inf:
         raise DomainError("q must be finite and > 0")
     reason = f.certify(alpha, m)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -64,6 +65,19 @@ def _probe(key: str, value: float) -> None:
         BoundParams(1.0, **{key: value})
 
 
+def _number(key: str, value, kind: type):
+    """value as kind, float or int, if it is a real number, or for int an
+    integral one, and not a bool; else ConfigError names key and value."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        need = "an integer" if kind is int else "a real number"
+        raise ConfigError(f"{key} = {value!r}: {need}, not a bool, required")
+    try:
+        return kind(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{key} = {value!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     functions: tuple[str, ...] = ()  # empty = whole corpus
@@ -94,14 +108,23 @@ class SweepConfig:
         for _, fid, _ in self.extra_functions:
             if not fid or "," in fid or '"' in fid:
                 raise ConfigError(f"function id {fid!r} must be non-empty, without ',' or '\"'")
-        # One probe per value, so that no value is dropped from the sweep
-        # unreported or fails part-way through it.
-        for key, values in lists.items():
+        # Each number is stored as the type its config key parses to, so
+        # that the canonical text parses back to the same config.  One probe
+        # per value, so that no value is dropped from the sweep unreported
+        # or fails part-way through it.
+        for key, name in _LIST_KEYS.items():
+            values = tuple(_number(key, value, float) for value in lists[key])
             for value in values:
                 try:
                     _probe(key, value)
                 except DomainError as exc:
                     raise ConfigError(f"{key} = {value!r}: {exc}") from None
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "quad", QuadConfig(**{
+            key: _number(key, getattr(self.quad, key), kind) for key, kind in _QUAD_KEYS.items()}))
+        object.__setattr__(self, "extra_functions", tuple(
+            (family, fid, tuple((k, _number(f"function.{fid} {k}", v, float)) for k, v in params))
+            for family, fid, params in self.extra_functions))
 
     def canonical_text(self) -> str:
         lines = [
@@ -217,57 +240,61 @@ def resolve_corpus(cfg: SweepConfig) -> list[FunctionSpec]:
 
 
 def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig,
-            factors: Optional[dict] = None) -> list[tuple[float, list]]:
-    """The points of a theorem's grid whose hypotheses hold on f, in grid
-    order, as (mu, [(bp, point factor), ...]) per admitted mu: the product
-    of the configured (mu, alpha, m, q, u), decided by the hypotheses over
-    columns (`verify._admitted_grid`), with no check per point.  Each
-    distinct admitted (alpha, m, q, u) gets one `BoundParams`, shared by
-    every mu, and a rejected one none.  Neither reads x.  Each point
-    factor is computed only if `factors`, which the caller may pass to
-    share among calls, lacks it: it is kept there per (the record's
-    factor, M, mu) and (alpha, m, q, u).  The records that print one
-    factor share its callable (`verify._factor`), so `mm` and `remark_q1`
-    share their values, and so do the functions of one M.  `SweepConfig`
-    has validated every value, and f its M, so only a point factor can
-    raise: the first point, in grid order, whose factor is computed."""
+            factors: Optional[dict] = None) -> tuple[tuple, list, np.ndarray]:
+    """The points of a theorem's grid whose hypotheses hold on f, as (mus,
+    points, table): the admitted mu values and one `BoundParams` per
+    admitted (alpha, m, q, u), each in grid order, and their point factors,
+    one row per mu and one column per point.  The product of the
+    configured (mu, alpha, m, q, u) is decided by the hypotheses over
+    columns (`verify._admitted_grid`), with no check per point.  A repeated
+    (alpha, m, q, u) lists one `BoundParams` as often as it is configured,
+    and a rejected one gets none.  Neither reads x.  Each point factor is
+    computed only if `factors`, which the caller may pass to share among
+    calls, lacks it: it is kept there per (the record's factor, M, mu) and
+    (alpha, m, q, u).  The records that print one factor share its
+    callable (`verify._factor`), so `mm` and `remark_q1` share their
+    values, and so do the functions of one M.  `SweepConfig` has validated
+    every value, and f its M, so only a point factor can raise: the first
+    point, in grid order, whose factor is computed, named with f, the
+    theorem and the point."""
     factor = THEOREMS[theorem].factor
     factors = {} if factors is None else factors
     mus, keys = _admitted_grid(theorem, f, f.domain[1], f.M, {
         "mu": cfg.mus, "alpha": cfg.alphas, "m": cfg.ms, "q": cfg.qs, "u": cfg.us})
-    if not keys:
-        return []
     made = {key: BoundParams(f.M, *key) for key in dict.fromkeys(keys)}
-    runs = []
-    for mu in mus:
+    table = np.empty((len(mus), len(keys)))
+    for i, mu in enumerate(mus):
         values = factors.setdefault((factor, f.M, mu), {})  # (alpha, m, q, u) -> point factor
         for key, bp in made.items():
             if key not in values:
-                values[key] = factor(bp, mu)
-        runs.append((mu, [(made[key], values[key]) for key in keys]))
-    return runs
+                try:
+                    values[key] = factor(bp, mu)
+                except DomainError as exc:
+                    point = ", ".join(f"{name}={v!r}" for name, v in
+                                      zip(("mu", "alpha", "m", "q", "u"), (mu, *key)))
+                    raise DomainError(f"{f.id!r}: {theorem} at {point}: {exc}") from None
+        table[i] = [values[key] for key in keys]
+    return mus, [made[key] for key in keys], table
 
 
 class Run(NamedTuple):
-    """A group's points that share mu, and the LHS they share: element i
-    of `lhs` is at the group's i-th x."""
+    """One mu of a group, and the LHS it shares with the function's other
+    groups: element i of `lhs` is at the group's i-th x."""
     mu: float
-    points: list[BoundParams]  # each recurs at every x
     lhs: np.ndarray  # |signed LHS| per x, float64
 
 
 class Group(NamedTuple):
     """The verdicts of one theorem on one function: its x values, its runs
-    in sweep order, and its verdicts as one table, row i at the i-th x and
-    one column per point, run by run, point by point, so that the rows
-    list the verdicts in report order.  The table's arrays are float64
-    (rhs, margin) and bool (holds)."""
+    (mu values) and its points in sweep order, and its verdicts as tables
+    (float64 rhs and margin, bool holds) indexed by (x, run, point)."""
     theorem: str
     function: str
     a: float
     b: float
     xs: list[float]
     runs: list[Run]
+    points: list[BoundParams]  # each recurs at every (x, run)
     rhs: np.ndarray
     margin: np.ndarray
     holds: np.ndarray
@@ -305,28 +332,29 @@ def run_sweep(cfg: SweepConfig) -> dict:
     `BoundParams` for admitted points only); per mu in use, compute the
     LHS column over the distinct x values, with one
     `ostrowski_signed_many` call (one quadrature batch); judge each group
-    as one table, with one `_judge` call.  Each RHS is `Theorem.rhs`: the
-    point factor times the geometry factor of its (x, mu).  A group's RHS
-    table is its geometry factor columns, each repeated once per point of
-    its run, times the row of its point factors.  IEEE products and
-    differences round the same in numpy as in Python, so each rhs, margin
-    and holds is what `_judge` gives for the scalars.
+    as one (x, mu, point) table, with one `_judge` call.  Each RHS is
+    `Theorem.rhs`: the point factor times the geometry factor of its (x,
+    mu).  A group's RHS table is its (x, mu) geometry factors times its
+    (mu, point) factors, and its margin that minus its (x, mu) LHS, each
+    broadcast over the axis it lacks.  IEEE products and differences
+    round the same in numpy as in Python, so each rhs, margin and holds
+    is what `_judge` gives for the scalars.
     Each value that recurs is computed once per sweep: a point factor
     once per (bounds factor, point values, mu), over functions and
     theorems (`_points`); a geometry factor column once per (domain, mu),
     with one `geometry_factors` call over the distinct x values, since it
-    reads f only through its domain; an RHS table once per (domain, runs'
-    mu and point counts, bits of the point factors), which fix it bit for
-    bit, so alike groups (`powdecay` and `expdecay`: M = 0.5 on [1, 2])
-    share one rhs array.  The runs of one (function, mu) share its lhs
-    array, the runs of a group their `BoundParams`, and the groups of one
-    function its x list.  Each memo lives in one call, so a `bounds`
-    factor patched between two sweeps is seen by the second.
+    reads f only through its domain; an RHS table once per (domain, mu
+    values, bits of the point factors), which fix it bit for bit, so
+    alike groups (`powdecay` and `expdecay`: M = 0.5 on [1, 2]) share one
+    rhs array.  The runs of one (function, mu) share its lhs array, and
+    the groups of one function its x list.  Each memo lives in one call,
+    so a `bounds` factor patched between two sweeps is seen by the second.
 
     Errors come in this order.  `SweepConfig` has rejected every bad
     configured value before the sweep starts.  Then, per function in corpus
     order, a point factor's DomainError is raised while that function's
-    points are listed, before any of its quadrature.  Then, per mu in
+    points are listed, before any of its quadrature, naming the function,
+    theorem and point.  Then, per mu in
     order of first appearance, the DomainError of the first fractional
     integral whose scale is below the smallest normal float
     (`fracint.rl_lines`), before that mu's quadrature, or the first
@@ -338,7 +366,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
     groups: list[Group] = []
     factors: dict = {}  # `_points`' point factors
     geometry: dict = {}  # (a, b, mu) -> geometry factor column over xs
-    tables: dict = {}  # (a, b, mus, counts, point factor bytes) -> rhs table
+    tables: dict = {}  # (a, b, mus, point factor bytes) -> rhs table
     for f in resolve_corpus(cfg):
         a, b = f.domain
         xs = [a + frac_x * (b - a) for frac_x in cfg.x_fracs]
@@ -347,7 +375,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
         distinct = list(row)
         listed = [(theorem, _points(theorem, f, cfg, factors)) for theorem in cfg.theorems]
         at = {}  # mu -> lhs, an array over xs
-        for mu in dict.fromkeys(mu for _, runs in listed for mu, _ in runs):
+        for mu in dict.fromkeys(mu for _, (mus, _, table) in listed if table.size for mu in mus):
             try:
                 lhs = np.abs(ostrowski_signed_many(f, a, b, distinct, mu, cfg.quad))
             except DomainError as exc:
@@ -355,21 +383,19 @@ def run_sweep(cfg: SweepConfig) -> dict:
             at[mu] = lhs[rows]
             if (a, b, mu) not in geometry:
                 geometry[a, b, mu] = geometry_factors(a, b, distinct, mu)[rows]
-        for theorem, runs in listed:
-            if not runs:
+        for theorem, (mus, points, table) in listed:
+            if not table.size:
                 continue
-            counts = [len(points) for _, points in runs]
-            lhs = np.repeat(np.stack([at[mu] for mu, _ in runs], axis=1), counts, axis=1)
-            factors_row = np.array([factor for _, points in runs for _, factor in points])
-            key = a, b, tuple(mu for mu, _ in runs), tuple(counts), factors_row.tobytes()
+            # mus and the byte count fix the table's shape.
+            key = a, b, mus, table.tobytes()
             rhs = tables.get(key)
             if rhs is None:
-                g = np.repeat(np.stack([geometry[a, b, mu] for mu, _ in runs], axis=1),
-                              counts, axis=1)
-                rhs = tables[key] = g * factors_row
-            margin, holds, _ = _judge(lhs, rhs, cfg.quad)
-            columns = [Run(mu, [bp for bp, _ in points], at[mu]) for mu, points in runs]
-            groups.append(Group(theorem, f.id, a, b, xs, columns, rhs, margin, holds))
+                g = np.stack([geometry[a, b, mu] for mu in mus], axis=1)
+                rhs = tables[key] = g[:, :, None] * table
+            lhs = np.stack([at[mu] for mu in mus], axis=1)
+            margin, holds, _ = _judge(lhs[:, :, None], rhs, cfg.quad)
+            runs = [Run(mu, at[mu]) for mu in mus]
+            groups.append(Group(theorem, f.id, a, b, xs, runs, points, rhs, margin, holds))
 
     return {
         "config_fingerprint": cfg.fingerprint(),
@@ -387,11 +413,12 @@ _ROW_KEYS = ("theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function
 
 def _rows_by_x(tol_margin, g: Group):
     """One group's verdicts as flat records (`_ROW_KEYS`) of Python values,
-    one list per x, in sweep order (the rows of the group's table)."""
+    one list per x, in sweep order: row i of each table, read as (x, run
+    and point), at the i-th x."""
     lhs = [run.lhs.tolist() for run in g.runs]
-    points = [(j, run.mu, bp) for j, run in enumerate(g.runs) for bp in run.points]
-    for i, (x, rhs_i, margin_i, holds_i) in enumerate(
-            zip(g.xs, g.rhs.tolist(), g.margin.tolist(), g.holds.tolist())):
+    points = [(j, run.mu, bp) for j, run in enumerate(g.runs) for bp in g.points]
+    tables = (t.reshape(len(g.xs), len(points)) for t in (g.rhs, g.margin, g.holds))
+    for i, (x, rhs_i, margin_i, holds_i) in enumerate(zip(g.xs, *(t.tolist() for t in tables))):
         yield [dict(zip(_ROW_KEYS, (
                    g.theorem, lhs[j][i], r, d, h, tol_margin, g.function, g.a, g.b,
                    x, mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
@@ -440,12 +467,11 @@ def _texts(values: list, finite: bool) -> list[str]:
 def _json_chunks(report: dict):
     """`report_chunks` for JSON: the head through json, then the verdicts,
     its last key, one string per (group, x) with a verdict, then the close.
-    Each group renders as its table, one row per x.  Each shared value
-    is formatted once, where it is stored: tol_margin per report; theorem,
-    function, a and b per group; x per row; mu per run; alpha to v once
-    per point and group, prefixed by each run's mu text.  A group's runs
-    share their `BoundParams`, so a point's text is kept by the object's
-    identity (by value, `True` would take the text of `1.0`).
+    Each group renders from its tables, read as (x, run and point), one
+    row per x.  Each shared value is formatted once, where it is stored:
+    tol_margin per report; theorem, function, a and b per group; x per
+    row; mu per run; alpha to v once per point of the group, by position,
+    prefixed by each run's mu text.
     `run_sweep` shares an x list and an lhs column among a function's
     groups, and an rhs table among alike groups, so each is formatted
     (`_texts`) once per object, and its text is kept, by the object's
@@ -454,7 +480,7 @@ def _json_chunks(report: dict):
     0.0 and -0.0 stay apart: rows at mirrored x-fractions repeat bit for
     bit, and a shared table repeats whole.
     The text that leads a verdict up to its rhs is built once per (x, run)
-    and repeated over the run's points.  Each row is then one
+    and repeated over the group's points.  Each row is then one
     comprehension of one f-string per verdict: its lead, rhs text,
     margin, holds, x and point text.  margin is read from the table's
     `.tolist()`, by repr if the group's are all finite, else each
@@ -492,23 +518,20 @@ def _json_chunks(report: dict):
         leads = np.repeat(
             np.array([[f'{head}{t},\n      "rhs": ' for t in text_of(run.lhs)] for run in g.runs],
                      dtype=object),
-            [len(run.points) for run in g.runs], axis=0).T.tolist()
-        points, point_text = [], {}  # id of a point of the group -> its alpha-to-v text
-        for run in g.runs:
-            mu = f',\n      "mu": {_value_json(run.mu)},\n      "alpha": '
-            for bp in run.points:
-                text = point_text.get(id(bp))
-                if text is None:
-                    text = point_text[id(bp)] = (
-                        f'{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
-                        f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
-                        f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}')
-                points.append(mu + text)
+            len(g.points), axis=0).T.tolist()
+        point_texts = [
+            f'{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
+            f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
+            f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}'
+            for bp in g.points]
+        points = [mu + text for mu in [f',\n      "mu": {_value_json(run.mu)},\n      "alpha": '
+                                       for run in g.runs] for text in point_texts]
+        rhs, margin, holds = (t.reshape(len(g.xs), -1) for t in (g.rhs, g.margin, g.holds))
         row_text = texts.setdefault(id(g.rhs), (g.rhs, {}))[1]
         finite_rhs = bool(np.isfinite(g.rhs).all())
         finite = bool(np.isfinite(g.margin).all())
-        for x, lead, row, rhs_x, margin_x, holds_x in zip(text_of(g.xs), leads, g.rhs,
-                g.rhs.tolist(), g.margin.tolist(), g.holds.tolist()):
+        for x, lead, row, rhs_x, margin_x, holds_x in zip(
+                text_of(g.xs), leads, rhs, rhs.tolist(), margin.tolist(), holds.tolist()):
             key = row.tobytes()
             if key not in row_text:
                 row_text[key] = _texts(rhs_x, finite_rhs)

@@ -1,6 +1,7 @@
 import collections
 import csv
 import dataclasses
+import fractions
 import hashlib
 import itertools
 import json
@@ -21,7 +22,7 @@ from ostrowski_frac import report as report_mod
 from ostrowski_frac import verify as verify_mod
 from ostrowski_frac.bounds import BoundParams, geometry_factor
 from ostrowski_frac.cli import main
-from ostrowski_frac.fracint import ConvergenceError, DomainError, FracParams
+from ostrowski_frac.fracint import ConvergenceError, DomainError, FracParams, QuadConfig
 from ostrowski_frac.report import (
     ConfigError,
     SweepConfig,
@@ -971,20 +972,6 @@ class TestRenderReport:
         report = run_sweep(parse_config(text))
         assert render_report(report, "json") == self._oracle(report)
 
-    def test_point_less_run_between_runs_with_points(self):
-        # It adds no column to its group's table, so the text is that of
-        # the group without it, and the row's holds stay bools.
-        report = run_sweep(parse_config(SMALL_SWEEP))
-        tol_margin, groups = report["verdicts"]
-        g = next(g for g in groups if len(g.runs) >= 2 and all(r.points for r in g.runs))
-        none = report_mod.Run(0.75, [], g.runs[0].lhs)
-        group = g._replace(runs=[g.runs[0], none, *g.runs[1:]])
-        without = render_report({**report, "verdicts": Verdicts(tol_margin, [g])}, "json")
-        report = {**report, "verdicts": Verdicts(tol_margin, [group])}
-        text = render_report(report, "json")
-        assert text == self._oracle(report) == without
-        assert '"holds": true' in text and '"holds": 0.0' not in text
-
     def test_non_finite_run_beside_finite_ones(self):
         # Each value of a group whose one run holds inf and nan is written as
         # json writes it, the finite runs' values too.
@@ -993,11 +980,10 @@ class TestRenderReport:
         g = next(g for g in groups if len(g.runs) >= 2)
         first, *others = g.runs
         rhs, margin = g.rhs.copy(), g.margin.copy()
-        n = len(first.points)  # the first run's columns
-        rhs[0, 0], margin[-1, n - 1] = float("inf"), float("nan")
-        assert np.isfinite(rhs[:, n:]).all() and np.isfinite(margin[:, n:]).all()
-        # The table's columns in the order of the group's runs.
-        order = [*range(n, rhs.shape[1]), *range(n), *range(n, rhs.shape[1])]
+        rhs[0, 0, 0], margin[-1, 0, -1] = float("inf"), float("nan")
+        assert np.isfinite(rhs[:, 1:]).all() and np.isfinite(margin[:, 1:]).all()
+        # The tables' run axis in the order of the group's runs.
+        order = [*range(1, len(g.runs)), 0, *range(1, len(g.runs))]
         group = g._replace(runs=[*others, first, *others], rhs=rhs[:, order],
                            margin=margin[:, order], holds=g.holds[:, order])
         report = {**report, "verdicts": Verdicts(tol_margin, [g, group, g])}
@@ -1010,14 +996,26 @@ class TestRenderReport:
                   "summary": {}, "verdicts": Verdicts(1e-8, [])}
         assert render_report(report, "json") == self._oracle(report)
         # Groups, x values and runs without a verdict list none either.
-        empty = np.empty((1, 0))
-        run = report_mod.Run(1.0, [], np.zeros(1))
-        group = report_mod.Group("t22", "f", 0.0, 1.0, [0.5], [run],
+        empty = np.empty((1, 1, 0))
+        run = report_mod.Run(1.0, np.zeros(1))
+        group = report_mod.Group("t22", "f", 0.0, 1.0, [0.5], [run, run], [],
                                  empty, empty, empty.astype(bool))
-        none = np.empty((0, 0))
+        none = np.empty((0, 0, 0))
         report["verdicts"] = Verdicts(1e-8, [group, group._replace(runs=[]), group._replace(
             xs=[], runs=[], rhs=none, margin=none, holds=none.astype(bool))])
         assert render_report(report, "json") == self._oracle(report)
+        # Beside a sweep's group, a point-less group with mu values adds no
+        # verdict, and the sweep's holds stay bools.
+        sweep = run_sweep(parse_config(SMALL_SWEEP))
+        tol_margin, (g, *_) = sweep["verdicts"]
+        alone = render_report({**sweep, "verdicts": Verdicts(tol_margin, [g])}, "json")
+        point_less = g._replace(points=[], rhs=np.empty((len(g.xs), len(g.runs), 0)),
+                                margin=np.empty((len(g.xs), len(g.runs), 0)),
+                                holds=np.empty((len(g.xs), len(g.runs), 0), dtype=bool))
+        sweep["verdicts"] = Verdicts(tol_margin, [point_less, g, point_less])
+        text = render_report(sweep, "json")
+        assert text == self._oracle(sweep) == alone
+        assert '"holds": true' in text and '"holds": 0.0' not in text
 
     def test_groups_of_one_function_with_their_own_columns(self):
         # Groups of one function at the same mu whose lhs columns, or x
@@ -1120,33 +1118,33 @@ class TestRenderReport:
                 rows.add("shared")
                 continue
             xs = [value() for _ in range(rng.randint(0, 6))]
-            runs = []
-            for _ in range(rng.randint(0, 4)):
-                points = [
-                    BoundParams(**{k: rng.choice(vs) for k, vs in self.POINT_VALUES.items()})
-                    for _ in range(rng.randint(0, 5))
-                ]
-                runs.append(report_mod.Run(value(), points, floats(len(xs), self.FLOATS)))
-            shape = (len(xs), sum(len(r.points) for r in runs))
+            runs = [report_mod.Run(value(), floats(len(xs), self.FLOATS))
+                    for _ in range(rng.randint(0, 4))]
+            points = [
+                BoundParams(**{k: rng.choice(vs) for k, vs in self.POINT_VALUES.items()})
+                for _ in range(rng.randint(0, 5))
+            ]
+            shape = (len(xs), len(runs), len(points))
             # An all-finite table, or one that may mix finite and not.
             pool = rng.choice((self.FINITE, self.FLOATS))
             rhs, margin = floats(shape, pool), floats(shape, pool)
-            if shape[0] >= 2 and shape[1] and rng.random() < 0.5:
+            by_x = rhs.reshape(len(xs), -1) if xs else rhs  # a view, its rows the report's
+            if by_x.shape[0] >= 2 and by_x.shape[1] and rng.random() < 0.5:
                 # A row repeated bit for bit, or one equal to another as
                 # floats but not as bits: a text kept by value would take
                 # the other's.
-                i, j = rng.sample(range(shape[0]), 2)
-                rhs[j] = rhs[i]
+                i, j = rng.sample(range(by_x.shape[0]), 2)
+                by_x[j] = by_x[i]
                 if rng.random() < 0.5:
-                    k = rng.randrange(shape[1])
-                    rhs[i, k], rhs[j, k] = 0.0, -0.0
+                    k = rng.randrange(by_x.shape[1])
+                    by_x[i, k], by_x[j, k] = 0.0, -0.0
                     rows.add("signed zero")
                 else:
-                    rows.add("repeated" if np.isfinite(rhs[i]).all() else "repeated non-finite")
+                    rows.add("repeated" if np.isfinite(by_x[i]).all() else "repeated non-finite")
             kinds.add(bool(np.isfinite(rhs).all() and np.isfinite(margin).all()))
             holds = np.array([rng.random() < 0.5 for _ in range(rhs.size)],
                              dtype=bool).reshape(shape)
-            groups.append(report_mod.Group(value(), value(), value(), value(), xs, runs,
+            groups.append(report_mod.Group(value(), value(), value(), value(), xs, runs, points,
                                            rhs, margin, holds))
         assert kinds == {True, False}
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
@@ -1172,7 +1170,7 @@ class TestRenderReport:
         base = run_sweep(parse_config(SMALL_SWEEP))
         tol_margin, (group, *_) = base["verdicts"]
         run = group.runs[0]
-        bp, rhs, holds = run.points[0], group.rhs[0, 0], group.holds[0, 0]
+        bp, rhs, holds = group.points[0], group.rhs[0, 0, 0], group.holds[0, 0, 0]
         points = [dataclasses.replace(bp, u=None), bp]
         ids = ['q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫"]
         specials = [float("nan"), float("inf"), float("-inf"), -0.0]
@@ -1181,16 +1179,18 @@ class TestRenderReport:
         for k, fid in enumerate(ids):
             # A run whose columns mix finite and non-finite values at each
             # x, and a run whose columns hold extreme finite ones.
-            mixed = run._replace(points=points, lhs=np.array([specials[k % 4], rhs]))
-            finite = run._replace(points=points[::-1], lhs=np.array([tiny_huge[k % 4], -0.0]))
+            mixed = run._replace(lhs=np.array([specials[k % 4], rhs]))
+            finite = run._replace(lhs=np.array([tiny_huge[k % 4], -0.0]))
             groups.append(group._replace(
-                function=fid, xs=[group.xs[0], -0.0], runs=[mixed, finite],
+                function=fid, xs=[group.xs[0], -0.0], runs=[mixed, finite], points=points,
                 rhs=np.array([[rhs, specials[(k + 2) % 4], tiny_huge[(k + 1) % 4], rhs],
-                              [specials[(k + 2) % 4], rhs, rhs, tiny_huge[(k + 2) % 4]]]),
+                              [specials[(k + 2) % 4], rhs, rhs, tiny_huge[(k + 2) % 4]]]
+                             ).reshape(2, 2, 2),
                 margin=np.array([[specials[(k + 1) % 4], -0.0, -0.0, tiny_huge[(k + 3) % 4]],
-                                 [-0.0, specials[(k + 1) % 4], tiny_huge[k % 4], -0.0]]),
+                                 [-0.0, specials[(k + 1) % 4], tiny_huge[k % 4], -0.0]]
+                                ).reshape(2, 2, 2),
                 holds=np.array([[holds, not holds, holds, holds],
-                                [not holds, holds, not holds, holds]])))
+                                [not holds, holds, not holds, holds]]).reshape(2, 2, 2)))
         report = {**base, "verdicts": Verdicts(tol_margin, groups)}
         assert render_report(report, "json") == self._oracle(report)
 
@@ -1354,7 +1354,7 @@ class TestBatchedSweep:
             "function.tiny = affine slope=1e-300 intercept=1.0 lo=1.0 hi=2.0\n"
         )
         (tiny,) = resolve_corpus(cfg)
-        assert report_mod._points("t22", tiny, cfg)
+        assert report_mod._points("t22", tiny, cfg)[1]
 
         def boom(u):
             raise RuntimeError("integrand evaluated")
@@ -1363,7 +1363,18 @@ class TestBatchedSweep:
         monkeypatch.setattr(report_mod, "resolve_corpus", lambda cfg: [spec])
         with pytest.raises(DomainError) as got:
             run_sweep(cfg)
-        assert str(got.value) == "c in [float_info.min, 1] required"
+        assert str(got.value) == ("'tiny': t26 at mu=0.5, alpha=1.0, m=0.25, q=3.0, u=None: "
+                                  "c in [float_info.min, 1] required")
+
+    def test_point_factor_error_names_the_point(self, tmp_path, capsys):
+        # At q = 1e308, t26's c = M^(q alpha (1-m)) underflows to 0 at the
+        # first point of affine08, the first function with a t26 point.
+        path = tmp_path / "huge-q.cfg"
+        path.write_text("theorems = t26\nq = 1e308\n")
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'affine08': t26 at mu=0.5, alpha=0.25, m=0.25, q=1e+308, u=None: "
+            "c in [float_info.min, 1] required\n")
 
 
 class TestHypothesesCheckedOncePerPoint:
@@ -1426,12 +1437,11 @@ class TestHypothesesCheckedOncePerPoint:
         for f in resolve_corpus(cfg):
             a, b = f.domain
             for theorem in cfg.theorems:
-                runs = report_mod._points(theorem, f, cfg)
+                mus, points, _ = report_mod._points(theorem, f, cfg)
                 for frac_x in cfg.x_fracs:
                     x = a + frac_x * (b - a)
-                    for mu, points in runs:
-                        out += [(theorem, f.id, x, mu, bp.alpha, bp.m, bp.q, bp.u)
-                                for bp, _ in points]
+                    out += [(theorem, f.id, x, mu, bp.alpha, bp.m, bp.q, bp.u)
+                            for mu in mus for bp in points]
         return out
 
     @pytest.mark.parametrize("case", sorted(CONFIGS))
@@ -1576,20 +1586,21 @@ class TestHypothesesCheckedOncePerPoint:
             assert xs == want
 
     def test_group_states_each_point_once(self):
-        # A group holds each of its points once, in the run of its mu, with
-        # one column per point and one row per x: the renderer formats a
-        # point's values once per group.
+        # A group holds each of its points once, beside its runs (mu
+        # values), with one table axis each for x, run and point: the
+        # renderer formats a point's values once per group.
         cfg = parse_config(self.CONFIGS["two-u"])
         groups = run_sweep(cfg)["verdicts"].groups
         assert groups
         for g in groups:
             assert len(g.xs) == len(cfg.x_fracs)
-            keys = [(r.mu, bp.alpha, bp.m, bp.q, bp.u) for r in g.runs for bp in r.points]
+            keys = [(r.mu, bp.alpha, bp.m, bp.q, bp.u) for r in g.runs for bp in g.points]
             assert len(set(keys)) == len(keys) > 1
+            assert all(bp.v == 1.0 - bp.u for bp in g.points)
             for r in g.runs:
-                assert all(bp.v == 1.0 - bp.u for bp in r.points)
                 assert r.lhs.shape == (len(g.xs),)
-            assert g.rhs.shape == g.margin.shape == g.holds.shape == (len(g.xs), len(keys))
+            shape = (len(g.xs), len(g.runs), len(g.points))
+            assert g.rhs.shape == g.margin.shape == g.holds.shape == shape
             assert g.holds.dtype == bool
 
     @staticmethod
@@ -1610,8 +1621,9 @@ class TestHypothesesCheckedOncePerPoint:
     def test_one_bound_params_per_admitted_point(self, case, extra_mus, monkeypatch):
         """`_points` builds one `BoundParams` per distinct admitted (alpha,
         m, q, u) on f, in grid order, and none for a rejected one, whatever
-        the number of mu values; it makes no hypothesis check of its own,
-        and every run lists the same objects."""
+        the number of mu values; it makes no hypothesis check of its own.
+        It lists the points once, for every mu, a repeated one as the same
+        object, beside one row of point factors per mu."""
         cfg = parse_config(self.CONFIGS[case])
         cfg = dataclasses.replace(cfg, mus=cfg.mus + extra_mus)
         rejected = 0
@@ -1621,19 +1633,19 @@ class TestHypothesesCheckedOncePerPoint:
                 points = dict.fromkeys(p[1:] for p in sweep_oracle.grid(theorem, cfg))
                 with monkeypatch.context() as patch:
                     built, checked = self._counting(patch)
-                    runs = report_mod._points(theorem, f, cfg)
+                    mus, listed, table = report_mod._points(theorem, f, cfg)
                 assert built == admitted and not checked
                 rejected += len(points) - len(admitted)
-                first = [bp for bp, _ in runs[0][1]] if runs else []
-                for _, run in runs:
-                    assert all(bp is want for (bp, _), want in zip(run, first, strict=True))
+                assert len({id(bp) for bp in listed}) == len(admitted)
+                assert table.shape == (len(mus), len(listed))
         assert rejected
 
     @pytest.mark.parametrize("case", ["batch", "mixed-alpha-m", "repeats"])
     def test_point_text_once_per_group(self, case, monkeypatch):
         """The JSON renderer formats each point's alpha-to-v text once per
-        group, though the point recurs in every run (mu) of the group: its
-        v is read once, where one read per run was the design before."""
+        group, by position, though the point recurs in every run (mu) of
+        the group: its v is read once per listing, where one read per run
+        was the design before."""
         cfg = parse_config(self.CONFIGS[case])
         reads = []
 
@@ -1651,8 +1663,7 @@ class TestHypothesesCheckedOncePerPoint:
             reads.clear()
             text = "".join(report_mod._json_chunks({"n": 1, "verdicts": Verdicts(0.0, [g])}))
             assert json.loads(text)["verdicts"]
-            ids = [id(bp) for r in g.runs for bp in r.points]
-            assert sorted(reads) == sorted(set(ids))
+            assert reads == [id(bp) for bp in g.points]
 
 
 class TestSweepMatchesPerVerdictOracle:
@@ -1806,6 +1817,59 @@ class TestCanonicalText:
     def test_parses_back(self, case):
         cfg = parse_config(self.CONFIGS[case])
         assert parse_config(cfg.canonical_text()) == cfg
+
+    # Configs built in code with numbers of other types, and their file form.
+    BUILT = {
+        "numpy-and-int": (dict(functions=("powdecay",), mus=(np.float64(0.5), 1.0),
+                               alphas=(1, 0.5)),
+                          "functions = powdecay\nmu = 0.5,1.0\nalpha = 1.0,0.5\n"),
+        "numpy-quad": (dict(quad=QuadConfig(np.float64(1e-11), 1e-9, np.int64(8))),
+                       "abs_tol = 1e-11\nmax_subdivisions = 8\n"),
+        "int-family-parameter": (
+            dict(functions=("aff",), extra_functions=(
+                ("affine", "aff", (("slope", 1), ("intercept", np.float64(0.25)),
+                                   ("lo", 1), ("hi", 2.5))),)),
+            "functions = aff\nfunction.aff = affine slope=1.0 intercept=0.25 lo=1.0 hi=2.5\n"),
+        "float32-and-fraction": (
+            dict(x_fracs=(np.float32(0.1), fractions.Fraction(1, 2)), qs=(np.int64(2),)),
+            "x_fracs = 0.10000000149011612,0.5\nq = 2.0\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BUILT))
+    def test_built_config_parses_back_as_its_file_form(self, case):
+        kwargs, text = self.BUILT[case]
+        cfg = SweepConfig(**kwargs)
+        assert parse_config(cfg.canonical_text()) == cfg == parse_config(text)
+        assert cfg.fingerprint() == parse_config(text).fingerprint()
+        assert {type(v) for key in ("x_fracs", "mus", "alphas", "ms", "qs", "us")
+                for v in getattr(cfg, key)} == {float}
+        quad = cfg.quad
+        assert [type(quad.abs_tol), type(quad.rel_tol), type(quad.max_subdivisions)] == [
+            float, float, int]
+        if case in ("numpy-and-int", "int-family-parameter"):  # an int rendered as 1
+            report = run_sweep(cfg)
+            assert render_report(report, "json") == render_report(
+                run_sweep(parse_config(text)), "json")
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(us=(None,)), "u = None: a real number, not a bool, required"),
+        (dict(alphas=(0.5, True)), "alpha = True: a real number, not a bool, required"),
+        (dict(qs=(np.bool_(True),)),
+         f"q = {np.bool_(True)!r}: a real number, not a bool, required"),
+        (dict(mus=("0.5",)), "mu = '0.5': a real number, not a bool, required"),
+        (dict(ms=(2**1024,)), f"m = {2**1024}: int too large to convert to float"),
+        (dict(extra_functions=(("affine", "aff", (("slope", "1"),)),)),
+         "function.aff slope = '1': a real number, not a bool, required"),
+        (dict(quad=QuadConfig(max_subdivisions=8.0)),
+         "max_subdivisions = 8.0: an integer, not a bool, required"),
+        (dict(quad=QuadConfig(max_subdivisions=True)),
+         "max_subdivisions = True: an integer, not a bool, required"),
+    ])
+    def test_other_numbers_are_config_errors(self, kwargs, message):
+        # Only a real number that is not a bool is stored, as a float or int.
+        with pytest.raises(ConfigError) as got:
+            SweepConfig(**kwargs)
+        assert str(got.value) == message
 
 
 def test_module_entry_point_in_real_processes(tmp_path):

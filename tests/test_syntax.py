@@ -1,6 +1,7 @@
-"""Every module of the package and of its tests parses as the oldest Python
-that `pyproject.toml` supports, so that its CI leg cannot fail on syntax
-alone.  Only syntax is checked: `ast.parse` at that feature version."""
+"""Every Python file that CI runs (the package, its tests, the benchmark and
+its tests) parses as the oldest Python that `pyproject.toml` supports, so
+that its CI leg cannot fail on syntax alone.  Only syntax is checked:
+`ast.parse` at that feature version."""
 
 import ast
 import re
@@ -10,7 +11,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 OLDEST = (3, 10)
-FILES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py"))
+FILES = sorted(path for top in ("src", "tests", "perfbench")
+               for path in (ROOT / top).rglob("*.py"))
 
 
 def test_oldest_is_the_declared_floor():

@@ -566,8 +566,9 @@ class TestTheoremRegistry:
     @staticmethod
     def _assert_grid_equals_one_row_checks(cfg):
         """`_points` lists the points of the per-id grid that one
-        `_check_hypotheses` call each admits, in its order, in runs of equal
-        length, one per grid mu; returns how many it lists and rejects."""
+        `_check_hypotheses` call each admits, in its order, as the product
+        of its mu values and its points, with one point factor per pair;
+        returns how many it lists and rejects."""
         listed = rejected = 0
         for theorem in THEOREM_IDS:
             for f in resolve_corpus(cfg):
@@ -575,10 +576,10 @@ class TestTheoremRegistry:
                 grid = list(sweep_oracle.grid(theorem, cfg))
                 want = [p for p in grid if _outcome(
                     _check_hypotheses, theorem, f, b, p[0], BoundParams(f.M, *p[1:])) is None]
-                runs = _points(theorem, f, cfg)
-                got = [(mu, bp.alpha, bp.m, bp.q, bp.u) for mu, points in runs for bp, _ in points]
+                mus, points, table = _points(theorem, f, cfg)
+                got = [(mu, bp.alpha, bp.m, bp.q, bp.u) for mu in mus for bp in points]
                 assert got == want, (theorem, f.id)
-                assert len({len(points) for _, points in runs}) <= 1
+                assert table.shape == (len(mus), len(points))
                 listed += len(got)
                 rejected += len(grid) - len(got)
         return listed, rejected
