@@ -10,7 +10,8 @@ after t = c + (e - c) u,
 and the identity's moments int_0^1 t^mu f'(...) dt take phi(u) = u f'(...).
 `clenshaw_curtis_many`, the one quadrature routine, gives
 mu int_0^1 u^(mu-1) phi(u) du, the mean of phi under the density
-mu u^(mu-1), for a batch of them, with a nested pair of Clenshaw-Curtis
+mu u^(mu-1), for a batch of them at each of a sequence of mu, one row per
+mu, from one evaluation of phi, with a nested pair of Clenshaw-Curtis
 product rules for that density, which absorb the endpoint singularity
 (QUADPACK's QAWS, Piessens et al. 1983; Trefethen, SIAM Review 2008).  The
 49 nodes are fixed, u_j = (1 + cos(j pi / 48)) / 2, and the 25-point rule
@@ -20,10 +21,9 @@ both lie in the validated [a, b].  Each rule integrates the density times
 the Chebyshev interpolant of phi: its weights are mu 2^(-mu) C^T r, C the
 fixed DCT-I matrix and r the Chebyshev moments of (1+x)^(mu-1), from
 QUADPACK dqmomo's forward recurrence.  A new mu costs that 48-step
-recurrence and two matrix-vector products, about 16 us raw on a 2-vCPU
-VM, with no eigensolve; the weights are cached per mu.  The 49-point value
-is the result and its difference from the 25-point value the error
-estimate.
+recurrence and two matrix-vector products, with no eigensolve; the
+weights are cached per mu.  The 49-point value is the result and its
+difference from the 25-point value the error estimate.
 
 An integral whose two rules disagree beyond tolerance, or whose value is
 not finite, is refined with the same rule pair on dyadic panels of [0, 1]
@@ -48,7 +48,8 @@ class DomainError(ValueError):
 class ConvergenceError(RuntimeError):
     """An integral of `clenshaw_curtis_many` has a panel whose integrand is
     not finite, or whose two rules still disagree after max_subdivisions
-    bisections; `index` is the failing integral's position in its batch."""
+    bisections; `index` is the failing integral's position in its batch's
+    flattened (mu, integral) result."""
 
     def __init__(self, message: str, index: int = 0):
         super().__init__(message)
@@ -214,34 +215,47 @@ def _node_grid(count: int):
     return u, k
 
 
-def clenshaw_curtis_many(phi, count: int, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
-    """mu int_0^1 u^(mu-1) phi(u, k) du for k = 0, ..., count - 1: the mean
-    of phi(., k) under the density mu u^(mu-1).
+def clenshaw_curtis_many(phi, count: int, mus, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+    """mu int_0^1 u^(mu-1) phi(u, k) du for each mu of mus and k = 0, ...,
+    count - 1, the mean of phi(., k) under the density mu u^(mu-1), as one
+    row per mu.
 
     phi(u, k) takes a 1-d array of points u in [0, 1] and, for each point,
     the index k of its integral, which never decreases, and returns values
     elementwise.  One call of phi evaluates, on every integral, the
-    CC_DEGREE + 1 fixed nodes of `_cc_basis`, u = 0 and u = 1 among them;
-    the fine rule of `_cc_rules` sums all of them, the coarse rule every
-    other one, and the fine value is the result.  An integral is accepted
-    where its two values differ by less than its tolerance
+    CC_DEGREE + 1 fixed nodes of `_cc_basis`, u = 0 and u = 1 among them,
+    once for all of mus: only the rules depend on mu.  Then, mu by mu, the
+    fine rule of `_cc_rules` sums all of them, the coarse rule every other
+    one, and the fine value is the result.  An integral is accepted where
+    its two values differ by less than its tolerance
     max(abs_tol, rel_tol |value|), which a value that is not finite never
     does.  The others are refined by `_refine` (to abs_tol where the value
-    is not finite), which raises ConvergenceError, with the failing k as
-    index, where that fails.
+    is not finite), before the next mu's rules are applied.  Where that
+    fails it raises ConvergenceError, whose index is the failing
+    integral's position in the flattened result, row * count + k: the
+    first failure in (mu, k) order.  Each row is, bit for bit, what a call
+    with its mu alone gives.
     """
-    if not 0.0 < mu < math.inf:
-        raise DomainError("finite mu > 0 required")
+    for mu in mus:
+        if not 0.0 < mu < math.inf:
+            raise DomainError("finite mu > 0 required")
     u, k = _node_grid(count)
-    vals = np.asarray(phi(u, k), dtype=float)
-    fine, err = _rule_pair(vals.reshape(count, CC_DEGREE + 1), _cc_rules(mu))
-    tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(fine))
-    ok = err < tol
-    if not ok.all():
-        redo = np.flatnonzero(~ok)
-        tol = np.where(np.isfinite(fine[redo]), tol[redo], cfg.abs_tol)
-        fine[redo] = _refine(phi, redo, tol, mu, cfg)
-    return fine
+    vals = np.asarray(phi(u, k), dtype=float).reshape(count, CC_DEGREE + 1)
+    out = np.empty((len(mus), count))
+    for row, mu in enumerate(mus):
+        fine, err = _rule_pair(vals, _cc_rules(mu))
+        tol = np.fmax(cfg.abs_tol, cfg.rel_tol * np.abs(fine))
+        ok = err < tol
+        if not ok.all():
+            redo = np.flatnonzero(~ok)
+            tol = np.where(np.isfinite(fine[redo]), tol[redo], cfg.abs_tol)
+            try:
+                fine[redo] = _refine(phi, redo, tol, mu, cfg)
+            except ConvergenceError as exc:
+                exc.index += row * count
+                raise
+        out[row] = fine
+    return out
 
 
 def _refine(phi, ks, tol, mu: float, cfg: QuadConfig) -> np.ndarray:
@@ -324,72 +338,88 @@ def adaptive_gauss(g, lo: float, hi: float, cfg: QuadConfig = DEFAULT_QUAD) -> f
     if hi == lo:
         return 0.0
     width = hi - lo
-    return width * float(clenshaw_curtis_many(lambda u, k: g(lo + width * u), 1, 1.0, cfg)[0])
+    ((mean,),) = clenshaw_curtis_many(lambda u, k: g(lo + width * u), 1, (1.0,), cfg)
+    return width * float(mean)
 
 
 _TINY = sys.float_info.min  # the smallest normal float
 
 
-def rl_lines(anchors, ends, mu: float):
-    """(c, d, scales) of the fractional integrals of `rl_many`: the k-th is
-    scales[k] times the mean of f(c[k] + d[k] u) under the density
-    mu u^(mu-1), with d = ends - anchors and scales[k] =
-    |d[k]|^mu / Gamma(mu+1), each a scalar pow: numpy's vectorised pow may
-    round differently in the last bit.  A line of nonzero width whose
-    scale is below the smallest normal float (from about mu = 150 on a
-    width of 0.4) raises DomainError naming it: its integral would lose
-    its digits or vanish.  A line of width 0 has the exact scale 0."""
+def rl_lines(anchors, ends, mus):
+    """(c, d, powers, gammas) of the fractional integrals of `rl_many`: the
+    integral of row r and column k is powers[r, k] / gammas[r] times the
+    mean of f(c[k] + d[k] u) under the density mus[r] u^(mus[r]-1), with
+    d = ends - anchors, powers[r, k] = |d[k]|^mus[r], each a scalar pow
+    (numpy's vectorised pow may round differently in the last bit), and
+    gammas the column of Gamma(mus[r] + 1).  Mu by mu, in order, a Gamma
+    that overflows raises its DomainError, and so does the first line of
+    nonzero width whose scale |d|^mu / Gamma(mu+1) is below the smallest
+    normal float (from about mu = 150 on a width of 0.4), naming it: its
+    integral would lose its digits or vanish.  A line of width 0 has the
+    exact scale 0."""
     c = np.asarray(anchors, dtype=float)
     d = np.asarray(ends, dtype=float) - c
-    g = gamma(mu + 1.0)
     widths = d.tolist()
-    scales = [abs(h) ** mu / g for h in widths]
-    if scales and min(scales) < _TINY:
-        for k, (h, scale) in enumerate(zip(widths, scales)):
-            if h and scale < _TINY:
-                raise DomainError(
-                    f"fractional integral anchored at {float(c[k])} with end {float(ends[k])}, "
-                    f"mu = {mu}: scale |end - anchor|^mu / Gamma(mu + 1) = {scale!r} is below "
-                    "the smallest normal float")
-    return c, d, np.array(scales)
+    powers, gammas = [], []
+    for mu in mus:
+        g = gamma(mu + 1.0)
+        row = [abs(h) ** mu for h in widths]
+        # Division by g > 0 is monotone: the least scale is the least power / g.
+        if row and min(row) / g < _TINY:
+            for k, (h, power) in enumerate(zip(widths, row)):
+                if h and power / g < _TINY:
+                    raise DomainError(
+                        f"fractional integral anchored at {float(c[k])} with end "
+                        f"{float(ends[k])}, mu = {mu}: scale |end - anchor|^mu / "
+                        f"Gamma(mu + 1) = {power / g!r} is below the smallest normal float")
+        powers.append(row)
+        gammas.append(g)
+    return c, d, np.array(powers).reshape(len(mus), d.size), np.array(gammas)[:, None]
 
 
-def rl_many(f, anchors, ends, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+def rl_means(f, c, d, ends, mus, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+    """The means of f(c[k] + d[k] u) under each density mu u^(mu-1), one
+    row per mu of mus, for lines from `rl_lines`, as one
+    `clenshaw_curtis_many` batch.  A ConvergenceError names the failing
+    integral's anchor, its end (ends[k]) and mu."""
+    fn = getattr(f, "f", f)
+    try:
+        return clenshaw_curtis_many(lambda u, k: fn(c[k] + d[k] * u), c.size, mus, cfg)
+    except ConvergenceError as exc:
+        row, k = divmod(exc.index, c.size)
+        raise ConvergenceError(f"fractional integral anchored at {float(c[k])} with end "
+                               f"{float(ends[k])}, mu = {mus[row]}: {exc}", exc.index) from None
+
+
+def rl_many(f, anchors, ends, mus, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
     """Fractional integrals (1/Gamma(mu)) int |t-c|^(mu-1) f(t) dt between
-    each anchor c = anchors[k] and ends[k], as an array from one
-    `clenshaw_curtis_many` batch.
+    each anchor c = anchors[k] and ends[k], one row per mu of mus, from one
+    `clenshaw_curtis_many` batch, which evaluates f once for all of mus.
 
     The kernel is singular at the anchor: ends[k] < c gives the left-sided
     integral anchored at its upper limit, ends[k] > c the right-sided one
     anchored at its lower limit, and ends[k] == c gives 0.  The rule's
     nodes include u = 0 and u = 1, so f is evaluated at each anchor and
-    each end themselves.  A mu not seen before adds the rule weights'
-    fixed cost, about 16 us raw on a 2-vCPU VM.  A ConvergenceError names
-    the failing integral's anchor, end and mu.
+    each end themselves.  Every mu's scales are checked (`rl_lines`)
+    before any quadrature; a ConvergenceError names the failing
+    integral's anchor, end and mu (`rl_means`).
     """
-    fn = getattr(f, "f", f)
-    c, d, scales = rl_lines(anchors, ends, mu)
-    try:
-        vals = clenshaw_curtis_many(lambda u, k: fn(c[k] + d[k] * u), c.size, mu, cfg)
-    except ConvergenceError as exc:
-        k = exc.index
-        raise ConvergenceError(f"fractional integral anchored at {float(c[k])} with end "
-                               f"{float(ends[k])}, mu = {mu}: {exc}", k) from None
-    return scales * vals
+    c, d, powers, gammas = rl_lines(anchors, ends, mus)
+    return powers / gammas * rl_means(f, c, d, ends, mus, cfg)
 
 
 def rl_lower(f, a: float, x: float, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """Left-sided fractional integral (1/Gamma(mu)) int_a^x (x-t)^(mu-1) f(t) dt."""
     if mu > 0 and not x > a:
         raise DomainError("x > a required")
-    return float(rl_many(f, [x], [a], mu, cfg)[0])
+    return float(rl_many(f, [x], [a], (mu,), cfg)[0, 0])
 
 
 def rl_upper(f, x: float, b: float, mu: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """Right-sided fractional integral (1/Gamma(mu)) int_x^b (t-x)^(mu-1) f(t) dt."""
     if mu > 0 and not b > x:
         raise DomainError("b > x required")
-    return float(rl_many(f, [x], [b], mu, cfg)[0])
+    return float(rl_many(f, [x], [b], (mu,), cfg)[0, 0])
 
 
 @lru_cache(maxsize=16384)

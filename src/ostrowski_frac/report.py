@@ -95,6 +95,10 @@ class SweepConfig:
     extra_functions: tuple[tuple[str, str, tuple[tuple[str, float], ...]], ...] = ()
 
     def __post_init__(self) -> None:
+        # Every sequence is stored as a tuple, so that a config built in
+        # code equals its parsed canonical text and is hashable.
+        for name in ("functions", "theorems"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         lists = {key: getattr(self, name) for key, name in _LIST_KEYS.items()}
         for key, values in {"theorems": self.theorems, **lists}.items():
             if not values:
@@ -329,9 +333,10 @@ def run_sweep(cfg: SweepConfig) -> dict:
 
     Per function, in three steps: list every theorem's points (`_points`:
     the hypotheses decided over columns, with no check per point and a
-    `BoundParams` for admitted points only); per mu in use, compute the
-    LHS column over the distinct x values, with one
-    `ostrowski_signed_many` call (one quadrature batch); judge each group
+    `BoundParams` for admitted points only); compute the (mu, x) LHS
+    table over the mu values in use, in order of first appearance, and
+    the distinct x values, with one `ostrowski_signed_many` call (one
+    quadrature batch, which evaluates f once for all mu); judge each group
     as one (x, mu, point) table, with one `_judge` call.  Each RHS is
     `Theorem.rhs`: the point factor times the geometry factor of its (x,
     mu).  A group's RHS table is its (x, mu) geometry factors times its
@@ -346,7 +351,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
     reads f only through its domain; an RHS table once per (domain, mu
     values, bits of the point factors), which fix it bit for bit, so
     alike groups (`powdecay` and `expdecay`: M = 0.5 on [1, 2]) share one
-    rhs array.  The runs of one (function, mu) share its lhs array, and
+    rhs array.  The runs of one (function, mu) share its lhs column, and
     the groups of one function its x list.  Each memo lives in one call,
     so a `bounds` factor patched between two sweeps is seen by the second.
 
@@ -354,14 +359,15 @@ def run_sweep(cfg: SweepConfig) -> dict:
     configured value before the sweep starts.  Then, per function in corpus
     order, a point factor's DomainError is raised while that function's
     points are listed, before any of its quadrature, naming the function,
-    theorem and point.  Then, per mu in
-    order of first appearance, the DomainError of the first fractional
-    integral whose scale is below the smallest normal float
-    (`fracint.rl_lines`), before that mu's quadrature, or the first
-    ConvergenceError in batch order, x in `x_fracs` order
-    (`clenshaw_curtis_many` raises for its lowest-index failing integral).
-    A DomainError of this quadrature step names the function first
-    (`'linear': ...`).
+    theorem and point.  Then, before any of the function's quadrature,
+    the DomainError of the first fractional integral whose scale is below
+    the smallest normal float (`fracint.rl_lines`), in (mu, x) order: a
+    later mu's subnormal scale comes before an earlier mu's failed
+    integral.  Then the first ConvergenceError in (mu, x) order, mu in
+    order of first appearance and x in `x_fracs` order
+    (`clenshaw_curtis_many` raises for the first failing integral of its
+    first failing mu).  A DomainError of this quadrature step names the
+    function first (`'linear': ...`).
     """
     groups: list[Group] = []
     factors: dict = {}  # `_points`' point factors
@@ -374,15 +380,18 @@ def run_sweep(cfg: SweepConfig) -> dict:
         rows = [row.setdefault(x, len(row)) for x in xs]
         distinct = list(row)
         listed = [(theorem, _points(theorem, f, cfg, factors)) for theorem in cfg.theorems]
+        in_use = list(dict.fromkeys(mu for _, (mus, _, table) in listed if table.size
+                                    for mu in mus))
         at = {}  # mu -> lhs, an array over xs
-        for mu in dict.fromkeys(mu for _, (mus, _, table) in listed if table.size for mu in mus):
+        if in_use:
             try:
-                lhs = np.abs(ostrowski_signed_many(f, a, b, distinct, mu, cfg.quad))
+                lhs = np.abs(ostrowski_signed_many(f, a, b, distinct, in_use, cfg.quad))
             except DomainError as exc:
                 raise DomainError(f"{f.id!r}: {exc}") from None
-            at[mu] = lhs[rows]
-            if (a, b, mu) not in geometry:
-                geometry[a, b, mu] = geometry_factors(a, b, distinct, mu)[rows]
+            for mu, column in zip(in_use, lhs):
+                at[mu] = column[rows]
+                if (a, b, mu) not in geometry:
+                    geometry[a, b, mu] = geometry_factors(a, b, distinct, mu)[rows]
         for theorem, (mus, points, table) in listed:
             if not table.size:
                 continue

@@ -30,9 +30,8 @@ from .fracint import (
     QuadConfig,
     adaptive_gauss,
     clenshaw_curtis_many,
-    gamma,
     rl_lines,
-    rl_many,
+    rl_means,
 )
 
 
@@ -50,17 +49,12 @@ class Verdict:
     tol_margin: float
 
 
-def _end_weights(a: float, b: float, x: float, mu: float) -> float:
-    """(x - a)^mu + (b - x)^mu, by scalar pows: numpy's vectorised pow may
-    round differently in the last bit."""
-    return (x - a) ** mu + (b - x) ** mu
-
-
-def _signed(a, b, ends, mu: float, fx, left, right):
-    """The signed expression from the end weights (`_end_weights`), f(x)
-    and the two fractional integrals, on floats or elementwise on arrays."""
+def _signed(a, b, ends, g, fx, left, right):
+    """The signed expression from the end weights (x-a)^mu + (b-x)^mu,
+    Gamma(mu+1) as g, f(x) and the two fractional integrals, on floats or
+    elementwise on arrays."""
     width = b - a
-    return ends / width * fx - gamma(mu + 1.0) / width * (left + right)
+    return ends / width * fx - g / width * (left + right)
 
 
 def _values_at(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
@@ -69,13 +63,13 @@ def _values_at(f: FunctionSpec, xs: np.ndarray) -> np.ndarray:
     return np.asarray(f.f(xs), dtype=float)
 
 
-def _instances(f: FunctionSpec, a, b, x, mu: float):
-    """(a, b, x): the instances (a[i], b[i], x[i], mu), broadcast together
-    and flattened into float arrays.  Raises the DomainError that
+def _instances(f: FunctionSpec, a, b, x, mus):
+    """(a, b, x): the instances (a[i], b[i], x[i]), broadcast together and
+    flattened into float arrays.  Raises the DomainError that
     `FracParams(a, b, x, mu)` and then `f.require_within(a, b)` raise for
-    the first instance they reject, if any: one vectorised test of their
-    conditions, then, only if it fails, the scalar checks themselves, for
-    their text."""
+    the first (mu, instance) they reject, mu by mu, if any: one vectorised
+    test of their conditions, then, only if it fails, the scalar checks
+    themselves, for their text."""
     lo, hi = f.domain
     # Rows max(0, lo - 1e-12), a, x, b, hi + 1e-12: an instance passes both
     # checks where each row is at most the next and a < b.  Each comparison
@@ -84,39 +78,48 @@ def _instances(f: FunctionSpec, a, b, x, mu: float):
     chain[0], chain[1], chain[2], chain[3], chain[4] = max(0.0, lo - 1e-12), a, x, b, hi + 1e-12
     chain = chain.reshape(5, -1)
     a, x, b = chain[1:4]
-    if not (0.0 < mu < math.inf and (chain[:-1] <= chain[1:]).all() and (a < b).all()):
-        for ai, bi, xi in zip(a.tolist(), b.tolist(), x.tolist()):
-            FracParams(ai, bi, xi, mu)
-            f.require_within(ai, bi)
+    if not (all(0.0 < mu < math.inf for mu in mus)
+            and (chain[:-1] <= chain[1:]).all() and (a < b).all()):
+        for mu in mus:
+            for ai, bi, xi in zip(a.tolist(), b.tolist(), x.tolist()):
+                FracParams(ai, bi, xi, mu)
+                f.require_within(ai, bi)
     return a, b, x
 
 
 def ostrowski_signed_many(
-    f: FunctionSpec, a, b, x, mu: float, cfg: QuadConfig = DEFAULT_QUAD
+    f: FunctionSpec, a, b, x, mus, cfg: QuadConfig = DEFAULT_QUAD
 ) -> np.ndarray:
     """Signed deviation of the geometry-weighted point value from the pair of
-    fractional integrals anchored at x, for the instances (a[i], b[i], x[i],
-    mu) of one f: a, b and x are arrays or scalars, broadcast together.
+    fractional integrals anchored at x, for the instances (a[i], b[i], x[i])
+    of one f at each mu of mus, one row per mu: a, b and x are arrays or
+    scalars, broadcast together.
 
-    The instances are validated as columns; the first one that
+    The instances are validated as columns; the first (mu, instance) that
     `FracParams` or `f.require_within` rejects raises their DomainError.
-    All the instances' fractional integrals are refined as one batch; each
+    Then every mu's side scales are checked (`rl_lines`), and then all the
+    fractional integrals are one quadrature batch, which evaluates f once
+    for all of mus and raises the first ConvergenceError in (mu, instance)
+    order.  Each side power |x - c|^mu is computed once: over Gamma(mu+1)
+    it scales its side, and the two of an instance add up to its end
+    weight (x-a)^mu + (b-x)^mu, since |x - b| is b - x exactly.  Each
     value equals what `ostrowski_signed` gives for its instance alone.
-    Empty-interval fractional integrals (x = a or x = b) are 0 by continuous
-    extension, which keeps the identity exact at the endpoints.
+    Empty-interval fractional integrals (x = a or x = b) are 0 by
+    continuous extension, which keeps the identity exact at the endpoints.
     """
-    a, b, x = _instances(f, a, b, x, mu)
+    a, b, x = _instances(f, a, b, x, mus)
     # int_a^x (t-a)^(mu-1) f(t) dt and int_x^b (b-t)^(mu-1) f(t) dt, over
     # Gamma(mu), per instance: kernels anchored at a and at b.
-    sides = rl_many(f, np.array((a, b)).T.ravel(), x.repeat(2), mu, cfg)
-    ends = np.array([_end_weights(ai, bi, xi, mu)
-                     for ai, bi, xi in zip(a.tolist(), b.tolist(), x.tolist())])
-    return _signed(a, b, ends, mu, _values_at(f, x), sides[0::2], sides[1::2])
+    ends = x.repeat(2)
+    c, d, powers, gammas = rl_lines(np.array((a, b)).T.ravel(), ends, mus)
+    sides = powers / gammas * rl_means(f, c, d, ends, mus, cfg)
+    return _signed(a, b, powers[:, 0::2] + powers[:, 1::2], gammas, _values_at(f, x),
+                   sides[:, 0::2], sides[:, 1::2])
 
 
 def ostrowski_signed(f: FunctionSpec, frac: FracParams, cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """`ostrowski_signed_many` for one instance."""
-    return float(ostrowski_signed_many(f, frac.a, frac.b, frac.x, frac.mu, cfg)[0])
+    return float(ostrowski_signed_many(f, frac.a, frac.b, frac.x, (frac.mu,), cfg)[0, 0])
 
 
 def ostrowski_lhs(f: FunctionSpec, frac: FracParams, cfg: QuadConfig = DEFAULT_QUAD) -> float:
@@ -135,15 +138,15 @@ def lemma_identity_residual(
     moments means of t f', over mu.  k never decreases in a call of the
     integrand, so one `searchsorted` splits its points: f is evaluated on
     the sides' points alone, f' on the moments', 49 points each, with a, b
-    and x among them.  A mu not seen before adds the rule weights' fixed
-    cost, about 16 us raw on a 2-vCPU VM, to the about 38 us of the rest of
-    a call.  Each integral is bit for bit what it would be alone, the sides
-    what `ostrowski_signed_many` gives.  A ConvergenceError names the
-    failing integral and the instance.
+    and x among them.  The side powers (`rl_lines`) give both the side
+    scales and the end weights, as in `ostrowski_signed_many`.  Each
+    integral is bit for bit what it would be alone, the sides what
+    `ostrowski_signed_many` gives.  A ConvergenceError names the failing
+    integral and the instance.
     """
     a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
     f.require_within(a, b)
-    c, d, scales = rl_lines([a, b, a, b], [x, x, x, x], mu)
+    c, d, powers, gammas = rl_lines([a, b, a, b], [x, x, x, x], (mu,))
 
     def phi(t, k):
         u = c[k] + d[k] * t
@@ -151,15 +154,16 @@ def lemma_identity_residual(
         return np.concatenate((f.f(u[:i]), t[i:] * f.fprime(u[i:])))
 
     try:
-        vals = clenshaw_curtis_many(phi, 4, mu, cfg)
+        (vals,) = clenshaw_curtis_many(phi, 4, (mu,), cfg)
     except ConvergenceError as exc:
         which = ("side at a", "side at b", "moment at a", "moment at b")[exc.index]
         raise ConvergenceError(f"{which} of the identity for {f.id!r} at a = {a}, b = {b}, "
                                f"x = {x}, mu = {mu}: {exc}", exc.index) from None
-    left, right = (scales[:2] * vals[:2]).tolist()
-    i_a, i_b = (vals[2:] / mu).tolist()
+    ((x_a, b_x, _, _),), ((g,),) = powers.tolist(), gammas.tolist()
+    side_a, side_b, moment_a, moment_b = vals.tolist()
     fx = float(_values_at(f, np.array([x]))[0])
-    lhs = _signed(a, b, _end_weights(a, b, x, mu), mu, fx, left, right)
+    lhs = _signed(a, b, x_a + b_x, g, fx, x_a / g * side_a, b_x / g * side_b)
+    i_a, i_b = moment_a / mu, moment_b / mu
     rhs = ((x - a) ** (mu + 1.0) * i_a - (b - x) ** (mu + 1.0) * i_b) / (b - a)
     return abs(lhs - rhs)
 

@@ -149,8 +149,8 @@ def _lhs_by_key(f, fracs, quad):
     for mu, by_x in batches.items():
         group = list(by_x.values())
         try:
-            values = ostrowski_signed_many(f, *zip(*[(fr.a, fr.b, fr.x) for fr in group]), mu,
-                                           quad).tolist()
+            (values,) = ostrowski_signed_many(f, *zip(*[(fr.a, fr.b, fr.x) for fr in group]),
+                                              (mu,), quad).tolist()
         except ConvergenceError:
             values = []
             for frac in group:

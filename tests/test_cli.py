@@ -18,6 +18,7 @@ import sweep_oracle
 
 from ostrowski_frac import bounds as bnd
 from ostrowski_frac import cli as cli_mod
+from ostrowski_frac import fracint
 from ostrowski_frac import report as report_mod
 from ostrowski_frac import verify as verify_mod
 from ostrowski_frac.bounds import BoundParams, geometry_factor
@@ -425,8 +426,8 @@ class TestLargeMu:
         assert captured.err.endswith(" is below the smallest normal float\n")
 
     def test_sweep_names_the_function(self, tmp_path, capsys):
-        # linear on [0, 3]: its mu = 0.5 quadrature runs, then mu = 155
-        # underflows the scale of its side anchored at 0 with end 0.15.
+        # linear on [0, 3]: mu = 155 underflows the scale of its side
+        # anchored at 0 with end 0.15, before any of its quadrature.
         path = tmp_path / "large-mu.cfg"
         path.write_text("mu = 0.5,155\n")
         assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 2
@@ -1216,9 +1217,9 @@ class TestRenderReport:
         cfg = parse_config(text)
         signed_many = report_mod.ostrowski_signed_many
 
-        def nan_in_the_middle(f, a, b, x, mu, quad):
-            values = signed_many(f, a, b, x, mu, quad)
-            values[1] = float("nan")
+        def nan_in_the_middle(f, a, b, x, mus, quad):
+            values = signed_many(f, a, b, x, mus, quad)
+            values[:, 1] = float("nan")
             return values
 
         monkeypatch.setattr(report_mod, "ostrowski_signed_many", nan_in_the_middle)
@@ -1239,8 +1240,8 @@ class TestRenderReport:
 
 
 class TestBatchedSweep:
-    """The sweep integrates one batch per (function, mu); what it reports and
-    raises must be what one instance at a time gives."""
+    """The sweep integrates one batch per function, over its mu values; what
+    it reports and raises must be what one instance at a time gives."""
 
     def test_lhs_equals_one_instance_at_a_time(self, corpus):
         cfg = parse_config(BATCH_SWEEP)
@@ -1325,6 +1326,53 @@ class TestBatchedSweep:
         path.write_text(text)
         assert main(["sweep", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_later_subnormal_scale_before_earlier_failure(self, tmp_path, capsys):
+        # mu = 0.1 fails at depth 1 at x = 7.75 (as in "by-mu"), and mu =
+        # 150, later, underflows the scale of the side anchored at 1 with
+        # end 1.09.  Every mu's scales are checked before the function's
+        # quadrature, so the later mu's DomainError is raised.
+        text = self.T22_DEPTH_1 + (
+            "functions = wide\nx_fracs = 0.75,0.01\nmu = 0.1,150\n"
+            "function.wide = power_decay M=0.5 r=21 lo=1.0 hi=10.0\n")
+        cfg = parse_config(text)
+        (f,) = resolve_corpus(cfg)
+        with pytest.raises(ConvergenceError, match=r"^fractional integral anchored at 1\.0 "
+                           r"with end 7\.75, mu = 0\.1: quadrature on "):
+            ostrowski_lhs(f, FracParams(1.0, 10.0, 7.75, 0.1), cfg.quad)
+        path = tmp_path / "later-subnormal.cfg"
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: 'wide': fractional integral anchored at 1.0 with end 1.09, mu = 150.0: "
+            "scale |end - anchor|^mu / Gamma(mu + 1) = 0.0 is below the smallest normal float")
+
+    @pytest.mark.parametrize("text,xs", [("", 9), (DENSE_SWEEP, 99)], ids=["default", "dense"])
+    def test_one_level_0_evaluation_per_function(self, text, xs, monkeypatch):
+        """The integrand of a function's sides is evaluated on the level-0
+        nodes once for all its mu values (the default sweep has 4, the
+        dense one 6): one batch for each of the 4 functions with verdicts,
+        two sides per distinct x, 49 nodes per side."""
+        batch = fracint.clenshaw_curtis_many
+        level_0 = []  # the points of each batch's first integrand call
+
+        def spy(phi, count, mus, cfg):
+            sizes = []
+
+            def counted(u, k):
+                sizes.append(u.size)
+                return phi(u, k)
+
+            try:
+                return batch(counted, count, mus, cfg)
+            finally:
+                level_0.append(sizes[0])
+
+        monkeypatch.setattr(fracint, "clenshaw_curtis_many", spy)
+        run_sweep(parse_config(text))
+        assert level_0 == [xs * 2 * (fracint.CC_DEGREE + 1)] * 4
 
     def test_message_names_the_failing_integral(self):
         cfg = parse_config(self.T22_DEPTH_1 + self.FAILING["by-mu"])
@@ -1564,26 +1612,28 @@ class TestHypothesesCheckedOncePerPoint:
             assert np.array_equal(h.rhs, 2.0 * g.rhs)
 
     @pytest.mark.parametrize(
-        "text", [BATCH_SWEEP, "", CONFIGS["repeats"]], ids=["batch", "default", "repeats"])
-    def test_one_lhs_call_per_function_and_mu(self, text, monkeypatch):
-        """A sweep makes exactly one LHS call per (function, mu) that has a
-        verdict, over the function's distinct x values in `x_fracs` order."""
+        "text", [BATCH_SWEEP, "", CONFIGS["repeats"], CONFIGS["mu1"]],
+        ids=["batch", "default", "repeats", "mu1"])
+    def test_one_lhs_call_per_function(self, text, monkeypatch):
+        """A sweep makes exactly one LHS call per function that has a
+        verdict, over the mu values of its verdicts in order of first
+        appearance and its distinct x values in `x_fracs` order."""
         cfg = parse_config(text)
         verdicts = self._reference(cfg)[0]
-        pairs = {(f, mu) for _, f, _, mu, *_ in verdicts}
         calls = []
         signed_many = report_mod.ostrowski_signed_many
 
-        def counting(f, a, b, x, mu, quad):
-            calls.append((f.id, mu, list(x)))
-            return signed_many(f, a, b, x, mu, quad)
+        def counting(f, a, b, x, mus, quad):
+            calls.append((f.id, list(mus), list(x)))
+            return signed_many(f, a, b, x, mus, quad)
 
         monkeypatch.setattr(report_mod, "ostrowski_signed_many", counting)
         run_sweep(cfg)
-        assert len(calls) == len(pairs) and {(f, mu) for f, mu, _ in calls} == pairs
-        for fid, mu, xs in calls:
-            want = list(dict.fromkeys(x for _, f, x, m, *_ in verdicts if (f, m) == (fid, mu)))
-            assert xs == want
+        want = {}  # function -> (mus, xs), each in order of first appearance
+        for _, f, x, mu, *_ in verdicts:
+            mus, xs = want.setdefault(f, ({}, {}))
+            mus[mu] = xs[x] = None
+        assert calls == [(f, list(mus), list(xs)) for f, (mus, xs) in want.items()]
 
     def test_group_states_each_point_once(self):
         # A group holds each of its points once, beside its runs (mu
@@ -1833,6 +1883,8 @@ class TestCanonicalText:
         "float32-and-fraction": (
             dict(x_fracs=(np.float32(0.1), fractions.Fraction(1, 2)), qs=(np.int64(2),)),
             "x_fracs = 0.10000000149011612,0.5\nq = 2.0\n"),
+        "list-ids": (dict(functions=["linear"], theorems=["t22"]),
+                     "functions = linear\ntheorems = t22\n"),
     }
 
     @pytest.mark.parametrize("case", sorted(BUILT))
@@ -1840,6 +1892,7 @@ class TestCanonicalText:
         kwargs, text = self.BUILT[case]
         cfg = SweepConfig(**kwargs)
         assert parse_config(cfg.canonical_text()) == cfg == parse_config(text)
+        assert hash(cfg) == hash(parse_config(text))
         assert cfg.fingerprint() == parse_config(text).fingerprint()
         assert {type(v) for key in ("x_fracs", "mus", "alphas", "ms", "qs", "us")
                 for v in getattr(cfg, key)} == {float}

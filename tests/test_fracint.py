@@ -180,9 +180,10 @@ def assert_bitwise(gs, mu, cfg=QuadConfig()):
     ConvergenceError, the lowest-index one for the batch."""
     want = [outcome(lambda g=g: recursive_cc(g, mu, cfg)) for g in gs]
     for g, v in zip(gs, want):
-        assert outcome(lambda: float(clenshaw_curtis_many(lambda u, k: g(u), 1, mu, cfg)[0])) == v
+        alone = outcome(lambda: float(clenshaw_curtis_many(lambda u, k: g(u), 1, (mu,), cfg)[0, 0]))
+        assert alone == v
     failed = [v for v in want if isinstance(v, str)]
-    got = outcome(lambda: clenshaw_curtis_many(batch_of(gs), len(gs), mu, cfg).tolist())
+    got = outcome(lambda: clenshaw_curtis_many(batch_of(gs), len(gs), (mu,), cfg)[0].tolist())
     assert got == (failed[0] if failed else want)
 
 
@@ -272,7 +273,7 @@ class TestBatchedRefinerMatchesRecursion:
             xs = [a + frac * (b - a) for frac in (0.05, 0.5, 0.95)]
             anchors, ends = [a, b] * 3, [x for x in xs for _ in "ab"]
             assert_bitwise([rl_integrand(spec.f, c, e) for c, e in zip(anchors, ends)], mu)
-            assert_near_oracle(rl_many(spec, anchors, ends, mu), fid, anchors, ends, mu)
+            assert_near_oracle(rl_many(spec, anchors, ends, (mu,))[0], fid, anchors, ends, mu)
 
     @pytest.mark.parametrize("mu", [0.1, 0.5, 2.5])
     def test_rl_entry_points(self, corpus, mu):
@@ -281,7 +282,7 @@ class TestBatchedRefinerMatchesRecursion:
         x = 1.37
         lower, upper = rl_lower(spec, a, x, mu), rl_upper(spec, x, b, mu)
         assert_near_oracle([lower, upper], "powdecay", [x, x], [a, b], mu)
-        assert rl_many(spec, [x, x, a], [a, b, a], mu).tolist() == [lower, upper, 0.0]
+        assert rl_many(spec, [x, x, a], [a, b, a], (mu,)).tolist() == [[lower, upper, 0.0]]
 
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
     def test_arrays_given_to_g_are_never_written(self, cfg):
@@ -297,7 +298,7 @@ class TestBatchedRefinerMatchesRecursion:
             kept.extend((array, array.copy()) for array in (u, k, vals))
             return vals
 
-        got = clenshaw_curtis_many(g, len(gs), 2.5, cfg)
+        (got,) = clenshaw_curtis_many(g, len(gs), (2.5,), cfg)
         assert got.tolist() == [recursive_cc(gi, 2.5, cfg) for gi in STEEP] * 6
         assert len(kept) > 3 * 10
         for array, copy in kept:
@@ -315,7 +316,7 @@ class TestBatchedRefinerMatchesRecursion:
             calls.append(set(k.tolist()))
             return batch(u, k)
 
-        got = clenshaw_curtis_many(g, len(gs), 0.5)
+        (got,) = clenshaw_curtis_many(g, len(gs), (0.5,))
         assert got.tolist() == [recursive_cc(gi, 0.5) for gi in gs]
         assert got[0] == 1.0 and got[4] == 2.0
         assert calls[0] == {0, 1, 2, 3, 4}
@@ -335,7 +336,7 @@ class TestBatchedRefinerMatchesRecursion:
             calls.append(u.size)
             return np.abs(u - 0.3)
 
-        clenshaw_curtis_many(g, n, 0.5)
+        clenshaw_curtis_many(g, n, (0.5,))
         # One call for level 0, then one per bisection level, covering
         # exactly the panels the recursion evaluates one at a time.
         per_depth = panels_per_depth(lambda u: np.abs(u - 0.3), 0.5)
@@ -360,7 +361,7 @@ class TestBatchedRefinerMatchesRecursion:
         with pytest.raises(ConvergenceError) as single:
             adaptive_gauss(pool[first], 0.0, 1.0, cfg)
         with pytest.raises(ConvergenceError) as batch:
-            clenshaw_curtis_many(batch_of(gs), len(gs), 1.0, cfg)
+            clenshaw_curtis_many(batch_of(gs), len(gs), (1.0,), cfg)
         assert str(single.value) == str(batch.value) == str(want.value)
         assert batch.value.index == order.index(first)
 
@@ -394,7 +395,7 @@ class TestSmallLevels:
             kept.extend((array, array.copy()) for array in (u, k, vals))
             return vals
 
-        got = clenshaw_curtis_many(g, 1, 0.5)
+        (got,) = clenshaw_curtis_many(g, 1, (0.5,))
         assert got.tolist() == [recursive_cc(lambda u: np.abs(u - 0.3), 0.5)]
         per_depth = panels_per_depth(lambda u: np.abs(u - 0.3), 0.5)
         assert per_depth[0] == 1 and len(per_depth) > 10  # level 0, then depths 1, 2, ...
@@ -410,7 +411,7 @@ class TestSmallLevels:
         cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=cap)
         sizes = []
         got = outcome(lambda: clenshaw_curtis_many(
-            recorded(lambda s, k: s**2.5, sizes), 1, 1.0, cfg).tolist())
+            recorded(lambda s, k: s**2.5, sizes), 1, (1.0,), cfg)[0].tolist())
         want = outcome(lambda: [recursive_cc(lambda s: s**2.5, 1.0, cfg)])
         assert got == want
         assert isinstance(want, str) == (cap < 5)
@@ -428,7 +429,7 @@ class TestSmallLevels:
         assert_bitwise(gs, 2.5, cfg)
         # Depth 1 bisects [0, 1] for each of the n integrals, whatever n.
         sizes = []
-        clenshaw_curtis_many(recorded(batch_of(gs), sizes), n, 2.5, cfg)
+        clenshaw_curtis_many(recorded(batch_of(gs), sizes), n, (2.5,), cfg)
         assert sizes[:2] == [n * (CC_DEGREE + 1), 2 * n * (CC_DEGREE + 1)]
 
     @pytest.mark.parametrize("cfg", CORNER_CFGS)
@@ -439,7 +440,7 @@ class TestSmallLevels:
         n = len(gs)
         assert_bitwise(gs, 2.5, cfg)
         sizes = []
-        clenshaw_curtis_many(recorded(batch_of(gs), sizes), n, 2.5, cfg)
+        clenshaw_curtis_many(recorded(batch_of(gs), sizes), n, (2.5,), cfg)
         assert sizes[:2] == [n * (CC_DEGREE + 1), 2 * 3 * (CC_DEGREE + 1)]
         assert max(sizes[2:]) <= sizes[1]
 
@@ -449,7 +450,7 @@ class TestSmallLevels:
         gs = [lambda s, i=i: np.sin(200.0 * s + i) for i in range(5)]
         assert_bitwise(gs, 1.0)
         sizes = []
-        clenshaw_curtis_many(recorded(batch_of(gs), sizes), 5, 1.0)
+        clenshaw_curtis_many(recorded(batch_of(gs), sizes), 5, (1.0,))
         assert sizes == [count * (CC_DEGREE + 1) for count in (5, 10, 20, 40, 12)]
 
     @pytest.mark.parametrize("cap", [3, 4, 5, 6])
@@ -478,7 +479,7 @@ class TestSmallLevels:
         assert "not converged at depth 3" in str(want.value)
         nonfinite = "ConvergenceError: integrand not finite on [0.25, 0.5]"
         assert outcome(lambda: recursive_cc(spiked, 1.0, cfg)) == nonfinite
-        errors = [outcome(lambda gs=gs: clenshaw_curtis_many(batch_of(gs), 2, 1.0, cfg))
+        errors = [outcome(lambda gs=gs: clenshaw_curtis_many(batch_of(gs), 2, (1.0,), cfg))
                   for gs in ([capped, spiked], [spiked, capped])]
         assert errors == [f"ConvergenceError: {want.value}", nonfinite]
 
@@ -572,7 +573,7 @@ class TestJacobiRules:
         fracint._cc_rules.cache_clear()
         fracint._cc_basis.cache_clear()
         for mu in (0.37, 0.37, 1.9, 0.37, 1.9):
-            clenshaw_curtis_many(lambda u, k: np.exp(u), 3, mu)
+            clenshaw_curtis_many(lambda u, k: np.exp(u), 3, (mu,))
         assert fracint._cc_rules.cache_info().misses == 2
 
     def test_cache_holds_128_mu(self):
@@ -602,9 +603,9 @@ class TestGaussJacobi:
         calls = spy_refinement(monkeypatch)
         for mu in (0.1, 0.7, 2.5):
             calls.clear()
-            batch = clenshaw_curtis_many(batch_of(gs), len(gs), mu)
+            (batch,) = clenshaw_curtis_many(batch_of(gs), len(gs), (mu,))
             assert calls == [2]
-            alone = [clenshaw_curtis_many(lambda u, k, g=g: g(u), 1, mu)[0] for g in gs]
+            alone = [clenshaw_curtis_many(lambda u, k, g=g: g(u), 1, (mu,))[0, 0] for g in gs]
             assert calls == [2, 1, 1]
             assert batch.tolist() == alone
             assert batch[1] == pytest.approx(mu / (mu + 3.0), rel=1e-14)
@@ -615,13 +616,13 @@ class TestGaussJacobi:
         # inside tolerance, the fine one by rounding.  The mean is
         # 1F1(mu; mu+1; 28).
         forbid_refinement(monkeypatch)
-        (got,) = clenshaw_curtis_many(lambda u, k: np.exp(28.0 * u), 1, mu)
+        ((got,),) = clenshaw_curtis_many(lambda u, k: np.exp(28.0 * u), 1, (mu,))
         assert mp_oracle.rel_err(got, mp_oracle.mp.hyp1f1(mu, mu + 1, 28)) <= 1e-14
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_integrand_raises(self, bad):
         with pytest.raises(ConvergenceError, match=r"^integrand not finite on "):
-            clenshaw_curtis_many(lambda u, k: np.where(u > 0.5, bad, u), 1, 0.5)
+            clenshaw_curtis_many(lambda u, k: np.where(u > 0.5, bad, u), 1, (0.5,))
 
     def test_failure_index_is_the_batch_index(self):
         # Integral 0 resolves; 1, 2 and 3 are refined, where 1 converges and
@@ -630,8 +631,39 @@ class TestGaussJacobi:
         bad = lambda u: np.where(u > 0.5, np.nan, u)  # noqa: E731
         gs = [np.exp, lambda u: np.abs(u - 0.3), bad, bad]
         with pytest.raises(ConvergenceError, match=r"^integrand not finite on ") as got:
-            clenshaw_curtis_many(batch_of(gs), len(gs), 0.5)
+            clenshaw_curtis_many(batch_of(gs), len(gs), (0.5,))
         assert got.value.index == 2
+
+    def test_rows_equal_one_mu_at_a_time(self, monkeypatch):
+        # One level-0 evaluation serves every mu, repeated ones too; each
+        # row, refined or not, is bit for bit the call with its mu alone.
+        gs = [np.exp, lambda u: u**3, STEEP[1], STEEP[0]]
+        mus = (0.1, 2.5, 0.7, 0.1)
+        sizes = []
+        calls = spy_refinement(monkeypatch)
+        got = clenshaw_curtis_many(recorded(batch_of(gs), sizes), len(gs), mus)
+        assert got.shape == (len(mus), len(gs)) and calls == [2] * len(mus)
+        want = [len(gs) * (CC_DEGREE + 1)]  # level 0, then each mu's levels
+        for mu, row in zip(mus, got.tolist()):
+            alone = []
+            assert row == clenshaw_curtis_many(
+                recorded(batch_of(gs), alone), len(gs), (mu,))[0].tolist()
+            assert alone[0] == want[0]
+            want += alone[1:]
+        assert sizes == want
+
+    def test_failure_index_counts_rows(self):
+        # t^0.1 converges at mu = 2.5, where the weight damps its corner,
+        # and fails at the depth cap at mu = 0.5: the error is the mu = 0.5
+        # row's, and its index is its position in the flattened result.
+        gs = [np.exp, CORNERS[0]]
+        with pytest.raises(ConvergenceError) as alone:
+            clenshaw_curtis_many(batch_of(gs), 2, (0.5,))
+        assert alone.value.index == 1
+        clenshaw_curtis_many(batch_of(gs), 2, (2.5,))
+        with pytest.raises(ConvergenceError) as got:
+            clenshaw_curtis_many(batch_of(gs), 2, (2.5, 2.5, 0.5, 0.5))
+        assert str(got.value) == str(alone.value) and got.value.index == 2 * 2 + 1
 
     @pytest.mark.parametrize("mu", [0.5, 1.0])
     def test_unresolved_side_falls_back(self, monkeypatch, mu):
@@ -640,7 +672,7 @@ class TestGaussJacobi:
         # the closed form's rounding.
         spec = exp_decay_spec("steep", M=0.5, lam=50.0, lo=1.0, hi=10.0)
         calls = spy_refinement(monkeypatch)
-        (got,) = rl_many(spec, [1.0], [10.0], mu)
+        ((got,),) = rl_many(spec, [1.0], [10.0], (mu,))
         assert calls == [1]
         want = mp_oracle.rl("exp_decay", {"M": 0.5, "lam": 50.0, "lo": 1.0, "offset": 1.0},
                             1.0, 10.0, mu)
@@ -655,7 +687,7 @@ class TestGaussJacobi:
         spec = exp_decay_spec("steep", M=0.5, lam=lam, lo=1.0, hi=hi)
         xs = [1.0 + frac * (hi - 1.0) for frac in (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)]
         anchors, ends = [1.0] * 6 + [hi] * 6, xs + [1.0 + hi - x for x in xs]
-        got = rl_many(spec, anchors, ends, mu)
+        (got,) = rl_many(spec, anchors, ends, (mu,))
         params = {"M": 0.5, "lam": lam, "lo": 1.0, "offset": 1.0}
         for value, c, e in zip(got, anchors, ends):
             want = mp_oracle.rl("exp_decay", params, c, e, mu)
@@ -666,7 +698,7 @@ class TestGaussJacobi:
         for fid, spec in corpus.items():
             a, b = spec.domain
             for mu in (0.1, 0.25, 0.5, 1.0, 1.5, 2.5):
-                rl_many(spec, [a, b, a, b], [b, a, (a + b) / 2, (a + b) / 2], mu)
+                rl_many(spec, [a, b, a, b], [b, a, (a + b) / 2, (a + b) / 2], (mu,))
 
     # User members over [1, 10] steep enough to be refined, each with the
     # closed form's parameters; the refiner this rule replaced was off by
@@ -688,11 +720,11 @@ class TestGaussJacobi:
         spec = build("steep", M=0.5, lo=1.0, hi=10.0, **kw)
         family = build.__name__.removesuffix("_spec")
         anchors, ends = [1.0, 10.0, 1.0, 10.0], [10.0, 1.0, 9.0, 9.0]
-        got = rl_many(spec, anchors, ends, mu)
+        (got,) = rl_many(spec, anchors, ends, (mu,))
         for value, c, e in zip(got, anchors, ends):
             want = mp_oracle.rl(family, {"M": 0.5, **params}, c, e, mu)
             assert abs(value - float(want)) <= RL_ORACLE_BOUND, (c, e, value, want)
-            assert rl_many(spec, [c], [e], mu).tolist() == [value]
+            assert rl_many(spec, [c], [e], (mu,)).tolist() == [[value]]
 
 
 class TestNonFiniteIntegrand:
@@ -709,7 +741,7 @@ class TestNonFiniteIntegrand:
 
         cfg = QuadConfig(max_subdivisions=12)
         with pytest.raises(ConvergenceError, match=r"^integrand not finite on \[0\.0, 0\.5\]$"):
-            clenshaw_curtis_many(g, 1, 1.0, cfg)
+            clenshaw_curtis_many(g, 1, (1.0,), cfg)
         # Level 0 and depth 1 only: splitting the panels that are not finite
         # down to depth 12 would evaluate 49 * 2^13 points.
         assert points == [CC_DEGREE + 1, 2 * (CC_DEGREE + 1)]
@@ -728,7 +760,8 @@ class TestNonFiniteIntegrand:
             return refine(phi, ks, tol, mu, cfg)
 
         monkeypatch.setattr(fracint, "_refine", spy)
-        (got,) = clenshaw_curtis_many(lambda u, k: np.where(u == nodes[1], np.inf, u), 1, 0.5)
+        spiked = lambda u, k: np.where(u == nodes[1], np.inf, u)  # noqa: E731
+        ((got,),) = clenshaw_curtis_many(spiked, 1, (0.5,))
         assert tols == [QuadConfig().abs_tol]
         assert abs(got - 1.0 / 3.0) <= 1e-15
 
@@ -740,8 +773,8 @@ class TestNonFiniteIntegrand:
         # that stops at depth 1, off by more than abs_tol.
         nodes = fracint._cc_basis()[0]
         spiked = lambda u, k: np.where(u == nodes[1], np.inf, np.exp(-450.0 * u))  # noqa: E731
-        (got,) = clenshaw_curtis_many(spiked, 1, mu)
-        (want,) = clenshaw_curtis_many(lambda u, k: np.exp(-450.0 * u), 1, mu)
+        ((got,),) = clenshaw_curtis_many(spiked, 1, (mu,))
+        ((want,),) = clenshaw_curtis_many(lambda u, k: np.exp(-450.0 * u), 1, (mu,))
         assert got.hex() == want.hex()
         if mu == 1.0:
             (loose,) = fracint._refine(spiked, np.array([0]), np.array([np.inf]), mu, QuadConfig())
@@ -754,7 +787,7 @@ class TestNonFiniteIntegrand:
         with pytest.raises(ConvergenceError, match=(
                 r"^fractional integral anchored at 1\.0 with end 2\.0, mu = 0\.5: "
                 r"integrand not finite on ")) as got:
-            rl_many(f, [1.0, 1.0, 1.0], [1.0, 1.2, 2.0], 0.5)
+            rl_many(f, [1.0, 1.0, 1.0], [1.0, 1.2, 2.0], (0.5,))
         assert got.value.index == 2
 
     def test_lower_index_cap_failure_wins(self):
@@ -765,10 +798,10 @@ class TestNonFiniteIntegrand:
             adaptive_gauss(capped, 0.0, 1.0, cfg)
         assert "not converged at depth 3" in str(alone.value)
         with pytest.raises(ConvergenceError) as batch:
-            clenshaw_curtis_many(batch_of(gs), 2, 1.0, cfg)
+            clenshaw_curtis_many(batch_of(gs), 2, (1.0,), cfg)
         assert str(batch.value) == str(alone.value)
         with pytest.raises(ConvergenceError, match=r"^integrand not finite on \[0\.5, 1\.0\]$"):
-            clenshaw_curtis_many(batch_of(gs[::-1]), 2, 1.0, cfg)
+            clenshaw_curtis_many(batch_of(gs[::-1]), 2, (1.0,), cfg)
 
 
 class TestRlLower:

@@ -36,7 +36,7 @@ from ostrowski_frac.verify import (
 import sweep_oracle
 import test_cli
 from conftest import simpson
-from test_fracint import forbid_refinement
+from test_fracint import forbid_refinement, spy_refinement
 
 
 def plain_spec(id, f, fprime, domain):
@@ -90,7 +90,7 @@ class TestOstrowskiSigned:
         spec = corpus[fid]
         a, b = spec.domain
         xs = [a + (0.005 + 0.01 * i) * (b - a) for i in range(99)]
-        batch = ostrowski_signed_many(spec, a, b, xs, mu)
+        (batch,) = ostrowski_signed_many(spec, a, b, xs, (mu,))
         for x, got in zip(xs, batch.tolist()):
             assert got == ostrowski_signed(spec, FracParams(a, b, x, mu)), x
 
@@ -103,7 +103,7 @@ def signed_one_at_a_time(f, a, b, x, mu):
     """The signed LHS of one instance as it was computed before the columns:
     its two sides as one `rl_many` batch, f(x) from a one-point array, and
     the expression in Python floats."""
-    left, right = fracint.rl_many(f, [a, b], [x, x], mu).tolist()
+    ((left, right),) = fracint.rl_many(f, [a, b], [x, x], (mu,)).tolist()
     fx = float(np.asarray(f.f(np.array([x])), dtype=float)[0])
     return (
         ((x - a) ** mu + (b - x) ** mu) / (b - a) * fx
@@ -120,7 +120,7 @@ class TestColumnarSigned:
 
     @staticmethod
     def assert_bitwise(spec, a, b, xs, mu):
-        got = [v.hex() for v in ostrowski_signed_many(spec, a, b, xs, mu).tolist()]
+        got = [v.hex() for v in ostrowski_signed_many(spec, a, b, xs, (mu,))[0].tolist()]
         assert got == [ostrowski_signed(spec, FracParams(a, b, x, mu)).hex() for x in xs]
         assert got == [signed_one_at_a_time(spec, a, b, x, mu).hex() for x in xs]
 
@@ -133,6 +133,36 @@ class TestColumnarSigned:
             for mu in mus:
                 self.assert_bitwise(spec, a, b, [a + t * (b - a) for t in fracs], mu)
 
+    # Configs whose every (mu, x) table is checked: the default, a dense
+    # one shaped like quad-dense's (t22 and set, 99 x-fractions, mu from
+    # 0.1 to 2.5), and steep members on [1, 10] whose sides are refined.
+    MU_TABLES = {
+        "default": "",
+        "dense": ("theorems = t22,set\nx_fracs = "
+                  + ",".join(repr(t) for t in DENSE_FRACS)
+                  + "\nmu = " + ",".join(repr(mu) for mu in DENSE_MUS) + "\n"),
+        "refined": (
+            "functions = e50,p20\nx_fracs = 0.0,0.1,0.5,0.9,1.0\nmu = 0.1,0.5,1.0,2.5\n"
+            "function.e50 = exp_decay M=0.5 lam=50 lo=1 hi=10\n"
+            "function.p20 = power_decay M=0.5 r=20 lo=1 hi=10\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MU_TABLES))
+    def test_mu_table_equals_one_instance_at_a_time(self, monkeypatch, case):
+        # Each function's (mu, x) table from one call, as the sweep makes
+        # it, against each instance alone, by `.hex()`.
+        cfg = parse_config(self.MU_TABLES[case])
+        refined = spy_refinement(monkeypatch)
+        for spec in resolve_corpus(cfg):
+            a, b = spec.domain
+            xs = [a + t * (b - a) for t in cfg.x_fracs]
+            table = ostrowski_signed_many(spec, a, b, xs, cfg.mus, cfg.quad)
+            assert table.shape == (len(cfg.mus), len(xs))
+            want = [[ostrowski_signed(spec, FracParams(a, b, x, mu), cfg.quad).hex() for x in xs]
+                    for mu in cfg.mus]
+            assert [[v.hex() for v in row] for row in table.tolist()] == want, spec.id
+        assert bool(refined) == (case == "refined")
+
     @pytest.mark.parametrize("mu", [0.25, 1.0, 2.5])
     def test_endpoints_and_repeats(self, corpus, mu):
         for spec in corpus.values():
@@ -141,8 +171,8 @@ class TestColumnarSigned:
             xs = [a, b, mid, a, mid, b, mid]
             self.assert_bitwise(spec, a, b, xs, mu)
             # The empty side of each endpoint is 0.
-            assert fracint.rl_many(spec, [a, b], [a, b], mu).tolist() == [0.0, 0.0]
-            got = ostrowski_signed_many(spec, a, b, xs, mu).tolist()
+            assert fracint.rl_many(spec, [a, b], [a, b], (mu,)).tolist() == [[0.0, 0.0]]
+            (got,) = ostrowski_signed_many(spec, a, b, xs, (mu,)).tolist()
             assert got[3] == got[0] and got[5] == got[1] and got[2] == got[4] == got[6]
 
     def test_columns_broadcast(self, corpus):
@@ -150,10 +180,10 @@ class TestColumnarSigned:
         spec = corpus["powdecay"]
         a, b = spec.domain
         xs = [1.2, 1.5, 1.9]
-        want = ostrowski_signed_many(spec, a, b, xs, 0.7).tolist()
-        assert ostrowski_signed_many(spec, [a] * 3, [b] * 3, np.array(xs), 0.7).tolist() == want
-        assert ostrowski_signed_many(spec, a, b, 1.5, 0.7).tolist() == want[1:2]
-        assert ostrowski_signed_many(spec, a, b, [], 0.7).tolist() == []
+        want = ostrowski_signed_many(spec, a, b, xs, (0.7,)).tolist()
+        assert ostrowski_signed_many(spec, [a] * 3, [b] * 3, np.array(xs), (0.7,)).tolist() == want
+        assert ostrowski_signed_many(spec, a, b, 1.5, (0.7,)).tolist() == [want[0][1:2]]
+        assert ostrowski_signed_many(spec, a, b, [], (0.7,)).tolist() == [[]]
 
     def test_x_rounded_past_b(self):
         # a + 1.0 * (b - a) rounds past b on [0.7, 2.9]: the text FracParams
@@ -166,7 +196,7 @@ class TestColumnarSigned:
             FracParams(a, b, x, 1.0)
         assert str(want.value) == "x in [a, b] required"
         with pytest.raises(DomainError, match=r"^x in \[a, b\] required$"):
-            ostrowski_signed_many(spec, a, b, [a + 0.5 * (b - a), x], 1.0)
+            ostrowski_signed_many(spec, a, b, [a + 0.5 * (b - a), x], (1.0,))
         cfg = parse_config("functions = p\nx_fracs = 0.5,1.0\n"
                            "function.p = affine slope=0.5 intercept=0.25 lo=0.7 hi=2.9\n")
         with pytest.raises(DomainError, match=r"^'p': x in \[a, b\] required$"):
@@ -187,7 +217,7 @@ class TestColumnarSigned:
         # The first rejected instance raises what FracParams and then
         # require_within raise for it alone.
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            ostrowski_signed_many(corpus["powdecay"], a, b, x, mu)
+            ostrowski_signed_many(corpus["powdecay"], a, b, x, (mu,))
 
 
 class TestIdentityResidual:
@@ -238,7 +268,7 @@ class TestIdentityResidual:
         c = np.array([a, b])
         d = np.array([x - a, x - b])
         i_a, i_b = (clenshaw_curtis_many(
-            lambda t, k: t * f.fprime(c[k] + d[k] * t), 2, mu) / mu).tolist()
+            lambda t, k: t * f.fprime(c[k] + d[k] * t), 2, (mu,))[0] / mu).tolist()
         rhs = ((x - a) ** (mu + 1.0) * i_a - (b - x) ** (mu + 1.0) * i_b) / (b - a)
         return abs(lhs - rhs)
 
