@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fracint import DomainError, FracParams, mexp_integral
+from .fracint import DomainError, FracParams, mexp_integral, pow_overflows
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,30 @@ def _geometry(a: float, b: float, x: float, mu: float) -> float:
     return ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
 
 
+def _overflow(a: float, b: float, xs, mu: float) -> DomainError:
+    """The DomainError of the first x of xs whose geometry factor overflows."""
+    x = next(x for x in xs if pow_overflows(x - a, mu + 1.0) or pow_overflows(b - x, mu + 1.0))
+    return DomainError(f"geometry factor at a = {a}, b = {b}, x = {x}, mu = {mu}: "
+                       "(x - a)^(mu + 1) or (b - x)^(mu + 1) overflows a float")
+
+
 def geometry_factor(frac: FracParams) -> float:
-    """((x-a)^(mu+1) + (b-x)^(mu+1)) / (b-a)."""
-    return _geometry(frac.a, frac.b, frac.x, frac.mu)
+    """((x-a)^(mu+1) + (b-x)^(mu+1)) / (b-a); DomainError if a power
+    overflows a float."""
+    try:
+        return _geometry(frac.a, frac.b, frac.x, frac.mu)
+    except OverflowError:
+        raise _overflow(frac.a, frac.b, [frac.x], frac.mu) from None
 
 
 def geometry_factors(a: float, b: float, xs, mu: float) -> np.ndarray:
-    """`geometry_factor` at each x of xs, as an array.  Each pow is a scalar
-    pow: numpy's vectorised pow may round differently in the last bit."""
-    return np.array([_geometry(a, b, x, mu) for x in xs])
+    """`geometry_factor` at each x of xs, as an array; the first x whose
+    power overflows raises its DomainError.  Each pow is a scalar pow:
+    numpy's vectorised pow may round differently in the last bit."""
+    try:
+        return np.array([_geometry(a, b, x, mu) for x in xs])
+    except OverflowError:
+        raise _overflow(a, b, xs, mu) from None
 
 
 def k_alpha(M: float, m: float, alpha: float, mu: float) -> float:

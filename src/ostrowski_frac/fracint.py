@@ -345,6 +345,15 @@ def adaptive_gauss(g, lo: float, hi: float, cfg: QuadConfig = DEFAULT_QUAD) -> f
 _TINY = sys.float_info.min  # the smallest normal float
 
 
+def pow_overflows(base: float, exponent: float) -> bool:
+    """Whether the float pow base ** exponent overflows (raises OverflowError)."""
+    try:
+        base ** exponent
+    except OverflowError:
+        return True
+    return False
+
+
 def rl_lines(anchors, ends, mus):
     """(c, d, powers, gammas) of the fractional integrals of `rl_many`: the
     integral of row r and column k is powers[r, k] / gammas[r] times the
@@ -352,18 +361,25 @@ def rl_lines(anchors, ends, mus):
     d = ends - anchors, powers[r, k] = |d[k]|^mus[r], each a scalar pow
     (numpy's vectorised pow may round differently in the last bit), and
     gammas the column of Gamma(mus[r] + 1).  Mu by mu, in order, a Gamma
-    that overflows raises its DomainError, and so does the first line of
-    nonzero width whose scale |d|^mu / Gamma(mu+1) is below the smallest
-    normal float (from about mu = 150 on a width of 0.4), naming it: its
-    integral would lose its digits or vanish.  A line of width 0 has the
-    exact scale 0."""
+    that overflows raises its DomainError, and so does the first line
+    whose power |d|^mu overflows a float (from about mu = 115 on a width
+    of 500), or of nonzero width whose scale |d|^mu / Gamma(mu+1) is below
+    the smallest normal float (from about mu = 150 on a width of 0.4),
+    naming it: its integral would lose its digits or vanish.  A line of
+    width 0 has the exact scale 0."""
     c = np.asarray(anchors, dtype=float)
     d = np.asarray(ends, dtype=float) - c
     widths = d.tolist()
     powers, gammas = [], []
     for mu in mus:
         g = gamma(mu + 1.0)
-        row = [abs(h) ** mu for h in widths]
+        try:
+            row = [abs(h) ** mu for h in widths]
+        except OverflowError:
+            k = next(k for k, h in enumerate(widths) if pow_overflows(abs(h), mu))
+            raise DomainError(f"fractional integral anchored at {float(c[k])} with end "
+                              f"{float(ends[k])}, mu = {mu}: |end - anchor|^mu overflows "
+                              "a float") from None
         # Division by g > 0 is monotone: the least scale is the least power / g.
         if row and min(row) / g < _TINY:
             for k, (h, power) in enumerate(zip(widths, row)):

@@ -281,24 +281,20 @@ def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig,
     return mus, [made[key] for key in keys], table
 
 
-class Run(NamedTuple):
-    """One mu of a group, and the LHS it shares with the function's other
-    groups: element i of `lhs` is at the group's i-th x."""
-    mu: float
-    lhs: np.ndarray  # |signed LHS| per x, float64
-
-
 class Group(NamedTuple):
-    """The verdicts of one theorem on one function: its x values, its runs
-    (mu values) and its points in sweep order, and its verdicts as tables
-    (float64 rhs and margin, bool holds) indexed by (x, run, point)."""
+    """The verdicts of one theorem on one function: its x values, mu values
+    and points in sweep order, its |signed LHS| as a float64 table indexed
+    by (x, mu), which the function's groups of equal mus share, and its
+    verdicts as tables (float64 rhs and margin, bool holds) indexed by (x,
+    mu, point)."""
     theorem: str
     function: str
     a: float
     b: float
     xs: list[float]
-    runs: list[Run]
-    points: list[BoundParams]  # each recurs at every (x, run)
+    mus: tuple[float, ...]
+    lhs: np.ndarray
+    points: list[BoundParams]  # each recurs at every (x, mu)
     rhs: np.ndarray
     margin: np.ndarray
     holds: np.ndarray
@@ -336,12 +332,13 @@ def run_sweep(cfg: SweepConfig) -> dict:
     `BoundParams` for admitted points only); compute the (mu, x) LHS
     table over the mu values in use, in order of first appearance, and
     the distinct x values, with one `ostrowski_signed_many` call (one
-    quadrature batch, which evaluates f once for all mu); judge each group
-    as one (x, mu, point) table, with one `_judge` call.  Each RHS is
-    `Theorem.rhs`: the point factor times the geometry factor of its (x,
-    mu).  A group's RHS table is its (x, mu) geometry factors times its
-    (mu, point) factors, and its margin that minus its (x, mu) LHS, each
-    broadcast over the axis it lacks.  IEEE products and differences
+    quadrature batch, which evaluates f once for all mu), transposed once
+    to the (x, mu) table of the groups whose mus are the mu values in
+    use; judge each group as one (x, mu, point) table, with one `_judge`
+    call.  Each RHS is `Theorem.rhs`: the point factor times the geometry
+    factor of its (x, mu).  A group's RHS table is its (x, mu) geometry
+    factors times its (mu, point) factors, and its margin that minus its
+    (x, mu) LHS, each broadcast over the axis it lacks.  IEEE products and differences
     round the same in numpy as in Python, so each rhs, margin and holds
     is what `_judge` gives for the scalars.
     Each value that recurs is computed once per sweep: a point factor
@@ -351,23 +348,30 @@ def run_sweep(cfg: SweepConfig) -> dict:
     reads f only through its domain; an RHS table once per (domain, mu
     values, bits of the point factors), which fix it bit for bit, so
     alike groups (`powdecay` and `expdecay`: M = 0.5 on [1, 2]) share one
-    rhs array.  The runs of one (function, mu) share its lhs column, and
-    the groups of one function its x list.  Each memo lives in one call,
-    so a `bounds` factor patched between two sweeps is seen by the second.
+    rhs array.  The groups of one function with equal mus share one lhs
+    table (a group with other mus, such as `mu1`'s, gets its own columns
+    of the function's table), and all its groups share its x list.  Each
+    memo lives in one call, so a `bounds` factor patched between two
+    sweeps is seen by the second.
 
     Errors come in this order.  `SweepConfig` has rejected every bad
     configured value before the sweep starts.  Then, per function in corpus
     order, a point factor's DomainError is raised while that function's
     points are listed, before any of its quadrature, naming the function,
     theorem and point.  Then, before any of the function's quadrature,
-    the DomainError of the first fractional integral whose scale is below
-    the smallest normal float (`fracint.rl_lines`), in (mu, x) order: a
+    the DomainError of the first fractional integral whose power
+    |end - anchor|^mu overflows a float or whose scale is below the
+    smallest normal float (`fracint.rl_lines`), in (mu, x) order: a
     later mu's subnormal scale comes before an earlier mu's failed
     integral.  Then the first ConvergenceError in (mu, x) order, mu in
     order of first appearance and x in `x_fracs` order
     (`clenshaw_curtis_many` raises for the first failing integral of its
-    first failing mu).  A DomainError of this quadrature step names the
-    function first (`'linear': ...`).
+    first failing mu).  Then, after all of the function's quadrature, the
+    DomainError of the first geometry factor that overflows a float
+    (`bounds.geometry_factors`), in (mu, x) order, over the mu values
+    whose factors no earlier function of the same domain computed.  A
+    DomainError of the quadrature or the geometry step names the function
+    first (`'linear': ...`).
     """
     groups: list[Group] = []
     factors: dict = {}  # `_points`' point factors
@@ -376,35 +380,36 @@ def run_sweep(cfg: SweepConfig) -> dict:
     for f in resolve_corpus(cfg):
         a, b = f.domain
         xs = [a + frac_x * (b - a) for frac_x in cfg.x_fracs]
-        row = {}  # each distinct x -> its row in the columns below
+        row = {}  # each distinct x -> its column in the LHS table
         rows = [row.setdefault(x, len(row)) for x in xs]
         distinct = list(row)
         listed = [(theorem, _points(theorem, f, cfg, factors)) for theorem in cfg.theorems]
-        in_use = list(dict.fromkeys(mu for _, (mus, _, table) in listed if table.size
-                                    for mu in mus))
-        at = {}  # mu -> lhs, an array over xs
+        in_use = tuple(dict.fromkeys(mu for _, (mus, _, table) in listed if table.size
+                                     for mu in mus))
+        lhs_of = {}  # mus -> the (x, mu) lhs table of the groups with those mus
         if in_use:
             try:
                 lhs = np.abs(ostrowski_signed_many(f, a, b, distinct, in_use, cfg.quad))
+                for mu in in_use:
+                    if (a, b, mu) not in geometry:
+                        geometry[a, b, mu] = geometry_factors(a, b, distinct, mu)[rows]
             except DomainError as exc:
                 raise DomainError(f"{f.id!r}: {exc}") from None
-            for mu, column in zip(in_use, lhs):
-                at[mu] = column[rows]
-                if (a, b, mu) not in geometry:
-                    geometry[a, b, mu] = geometry_factors(a, b, distinct, mu)[rows]
+            lhs_of[in_use] = lhs[:, rows].T
         for theorem, (mus, points, table) in listed:
             if not table.size:
                 continue
+            if mus not in lhs_of:
+                lhs_of[mus] = lhs_of[in_use][:, [in_use.index(mu) for mu in mus]]
             # mus and the byte count fix the table's shape.
             key = a, b, mus, table.tobytes()
             rhs = tables.get(key)
             if rhs is None:
                 g = np.stack([geometry[a, b, mu] for mu in mus], axis=1)
                 rhs = tables[key] = g[:, :, None] * table
-            lhs = np.stack([at[mu] for mu in mus], axis=1)
-            margin, holds, _ = _judge(lhs[:, :, None], rhs, cfg.quad)
-            runs = [Run(mu, at[mu]) for mu in mus]
-            groups.append(Group(theorem, f.id, a, b, xs, runs, points, rhs, margin, holds))
+            margin, holds, _ = _judge(lhs_of[mus][:, :, None], rhs, cfg.quad)
+            groups.append(Group(theorem, f.id, a, b, xs, mus, lhs_of[mus], points, rhs,
+                                margin, holds))
 
     return {
         "config_fingerprint": cfg.fingerprint(),
@@ -422,16 +427,16 @@ _ROW_KEYS = ("theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function
 
 def _rows_by_x(tol_margin, g: Group):
     """One group's verdicts as flat records (`_ROW_KEYS`) of Python values,
-    one list per x, in sweep order: row i of each table, read as (x, run
+    one list per x, in sweep order: row i of each table, read as (x, mu
     and point), at the i-th x."""
-    lhs = [run.lhs.tolist() for run in g.runs]
-    points = [(j, run.mu, bp) for j, run in enumerate(g.runs) for bp in g.points]
+    points = [(j, mu, bp) for j, mu in enumerate(g.mus) for bp in g.points]
     tables = (t.reshape(len(g.xs), len(points)) for t in (g.rhs, g.margin, g.holds))
-    for i, (x, rhs_i, margin_i, holds_i) in enumerate(zip(g.xs, *(t.tolist() for t in tables))):
+    for x, lhs_x, rhs_x, margin_x, holds_x in zip(g.xs, g.lhs.tolist(),
+                                                  *(t.tolist() for t in tables)):
         yield [dict(zip(_ROW_KEYS, (
-                   g.theorem, lhs[j][i], r, d, h, tol_margin, g.function, g.a, g.b,
+                   g.theorem, lhs_x[j], r, d, h, tol_margin, g.function, g.a, g.b,
                    x, mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
-               for (j, mu, bp), r, d, h in zip(points, rhs_i, margin_i, holds_i)]
+               for (j, mu, bp), r, d, h in zip(points, rhs_x, margin_x, holds_x)]
 
 
 def verdict_rows(report: dict):
@@ -476,21 +481,21 @@ def _texts(values: list, finite: bool) -> list[str]:
 def _json_chunks(report: dict):
     """`report_chunks` for JSON: the head through json, then the verdicts,
     its last key, one string per (group, x) with a verdict, then the close.
-    Each group renders from its tables, read as (x, run and point), one
+    Each group renders from its tables, read as (x, mu and point), one
     row per x.  Each shared value is formatted once, where it is stored:
     tol_margin per report; theorem, function, a and b per group; x per
-    row; mu per run; alpha to v once per point of the group, by position,
-    prefixed by each run's mu text.
-    `run_sweep` shares an x list and an lhs column among a function's
+    row; each of the group's mus once; alpha to v once per point of the
+    group, by position, prefixed by each mu's text.
+    `run_sweep` shares an x list and an lhs table among a function's
     groups, and an rhs table among alike groups, so each is formatted
     (`_texts`) once per object, and its text is kept, by the object's
     identity, until the last group that reads it has rendered.  An rhs
     table keeps a text per distinct row, keyed by the row's bytes, so
     0.0 and -0.0 stay apart: rows at mirrored x-fractions repeat bit for
     bit, and a shared table repeats whole.
-    The text that leads a verdict up to its rhs is built once per (x, run)
-    and repeated over the group's points.  Each row is then one
-    comprehension of one f-string per verdict: its lead, rhs text,
+    The text that leads a verdict up to its rhs is built once per (x, mu)
+    of the lhs table and repeated over the group's points.  Each row is
+    then one comprehension of one f-string per verdict: its lead, rhs text,
     margin, holds, x and point text.  margin is read from the table's
     `.tolist()`, by repr if the group's are all finite, else each
     through `_value_json`."""
@@ -498,19 +503,18 @@ def _json_chunks(report: dict):
     yield top[:-2] + ',\n  "verdicts": '
     tol_margin, groups = report["verdicts"]
     tol_margin = _value_json(tol_margin)
-    # id of an x list, lhs column or rhs table -> the last group that reads it
-    last = {id(v): k for k, g in enumerate(groups)
-            for v in (g.xs, g.rhs, *(run.lhs for run in g.runs))}
-    # id of an x list or lhs column -> (it, its text), of an rhs table ->
-    # (it, {row bytes: row text}); each entry holds its object, so no
-    # other object takes its id.
+    # id of an x list, lhs table or rhs table -> the last group that reads it
+    last = {id(v): k for k, g in enumerate(groups) for v in (g.xs, g.lhs, g.rhs)}
+    # id of an x list or lhs table -> (it, its texts in flat order), of an
+    # rhs table -> (it, {row bytes: row text}); each entry holds its
+    # object, so no other object takes its id.
     texts: dict[int, tuple] = {}
     opened = False
 
     def text_of(values):
         entry = texts.get(id(values))
         if entry is None:
-            listed = values.tolist() if isinstance(values, np.ndarray) else values
+            listed = values.ravel().tolist() if isinstance(values, np.ndarray) else values
             finite = set(map(type, listed)) <= {float} and all(map(math.isfinite, listed))
             entry = texts[id(values)] = (values, _texts(listed, finite))
         return entry[1]
@@ -525,16 +529,16 @@ def _json_chunks(report: dict):
                   f'{_value_json(g.function)},\n      "a": {_value_json(g.a)},\n      "b": '
                   f'{_value_json(g.b)},\n      "x": ')
         leads = np.repeat(
-            np.array([[f'{head}{t},\n      "rhs": ' for t in text_of(run.lhs)] for run in g.runs],
-                     dtype=object),
-            len(g.points), axis=0).T.tolist()
+            np.array([f'{head}{t},\n      "rhs": ' for t in text_of(g.lhs)],
+                     dtype=object).reshape(g.lhs.shape),
+            len(g.points), axis=1).tolist()
         point_texts = [
             f'{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
             f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
             f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}'
             for bp in g.points]
-        points = [mu + text for mu in [f',\n      "mu": {_value_json(run.mu)},\n      "alpha": '
-                                       for run in g.runs] for text in point_texts]
+        points = [mu + text for mu in [f',\n      "mu": {_value_json(mu)},\n      "alpha": '
+                                       for mu in g.mus] for text in point_texts]
         rhs, margin, holds = (t.reshape(len(g.xs), -1) for t in (g.rhs, g.margin, g.holds))
         row_text = texts.setdefault(id(g.rhs), (g.rhs, {}))[1]
         finite_rhs = bool(np.isfinite(g.rhs).all())

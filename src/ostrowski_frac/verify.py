@@ -26,6 +26,7 @@ from .corpus import FunctionSpec
 from .fracint import (
     DEFAULT_QUAD,
     ConvergenceError,
+    DomainError,
     FracParams,
     QuadConfig,
     adaptive_gauss,
@@ -142,7 +143,9 @@ def lemma_identity_residual(
     scales and the end weights, as in `ostrowski_signed_many`.  Each
     integral is bit for bit what it would be alone, the sides what
     `ostrowski_signed_many` gives.  A ConvergenceError names the failing
-    integral and the instance.
+    integral and the instance; a DomainError names a side power
+    (`rl_lines`) or an end weight (x - a)^(mu + 1) or (b - x)^(mu + 1)
+    that overflows a float.
     """
     a, b, x, mu = frac.a, frac.b, frac.x, frac.mu
     f.require_within(a, b)
@@ -164,7 +167,12 @@ def lemma_identity_residual(
     fx = float(_values_at(f, np.array([x]))[0])
     lhs = _signed(a, b, x_a + b_x, g, fx, x_a / g * side_a, b_x / g * side_b)
     i_a, i_b = moment_a / mu, moment_b / mu
-    rhs = ((x - a) ** (mu + 1.0) * i_a - (b - x) ** (mu + 1.0) * i_b) / (b - a)
+    try:
+        rhs = ((x - a) ** (mu + 1.0) * i_a - (b - x) ** (mu + 1.0) * i_b) / (b - a)
+    except OverflowError:
+        raise DomainError(f"weight (x - a)^(mu + 1) or (b - x)^(mu + 1) of the identity for "
+                          f"{f.id!r} at a = {a}, b = {b}, x = {x}, mu = {mu} overflows a "
+                          "float") from None
     return abs(lhs - rhs)
 
 

@@ -452,6 +452,51 @@ class TestLargeMu:
         assert "error" not in capsys.readouterr().err
 
 
+class TestWideDomainOverflow:
+    """On [1, 1000] at x = 500.5, |x - c|^mu of a fractional integral
+    overflows a float from mu of about 114.2 on, and the geometry factor's
+    (x - a)^(mu + 1) a little earlier.  Each such power is a DomainError
+    that names it, with exit 2, never an OverflowError with the exit code 1
+    of a failed verdict; below those mu the sweep runs.  A subnormal scale
+    keeps its own text (`TestLargeMu`)."""
+
+    WIDE = ("functions = wide\ntheorems = t22\nx_fracs = 0.5\nmu = {mu}\nalpha = 1\n"
+            "m = 0.5\nq = 1\nfunction.wide = power_decay M=0.5 r=2 lo=1 hi=1000\n")
+    INSTANCE = FracParams(1.0, 1000.0, 500.5, 114.0)
+
+    @pytest.mark.parametrize("mu, message", [
+        ("120", "'wide': fractional integral anchored at 1.0 with end 500.5, mu = 120.0: "
+                "|end - anchor|^mu overflows a float"),
+        ("114", "'wide': geometry factor at a = 1.0, b = 1000.0, x = 500.5, mu = 114.0: "
+                "(x - a)^(mu + 1) or (b - x)^(mu + 1) overflows a float"),
+    ], ids=["side-power", "geometry"])
+    def test_sweep_exits_2(self, tmp_path, capsys, mu, message):
+        path = tmp_path / "wide.cfg"
+        path.write_text(self.WIDE.format(mu=mu))
+        out = tmp_path / "r.json"
+        assert main(["sweep", "--config", str(path), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: {message}\n"
+        assert "Traceback" not in captured.err
+
+    def test_sweep_below_overflow_runs(self, tmp_path, capsys):
+        path = tmp_path / "wide.cfg"
+        path.write_text(self.WIDE.format(mu="100"))
+        assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    def test_verify_theorem_and_identity_raise(self):
+        (f,) = resolve_corpus(parse_config(self.WIDE.format(mu="114")))
+        bp = BoundParams(f.M, 1.0, 0.5, 1.0)
+        with pytest.raises(DomainError, match=r"^geometry factor at a = 1\.0, b = 1000\.0, "
+                           r"x = 500\.5, mu = 114\.0: .* overflows a float$"):
+            verify_mod.verify_theorem("t22", f, self.INSTANCE, bp)
+        with pytest.raises(DomainError, match=r"^weight .* of the identity for 'wide' at "
+                           r"a = 1\.0, b = 1000\.0, x = 500\.5, mu = 114\.0 overflows a float$"):
+            verify_mod.lemma_identity_residual(f, self.INSTANCE)
+
+
 class TestDefaultSweepListing:
     """The shipped default sweep: which verdicts it lists, in which order,
     and that each holds.  The digest is over the (theorem, function, x, mu,
@@ -974,19 +1019,19 @@ class TestRenderReport:
         assert render_report(report, "json") == self._oracle(report)
 
     def test_non_finite_run_beside_finite_ones(self):
-        # Each value of a group whose one run holds inf and nan is written as
-        # json writes it, the finite runs' values too.
+        # Each value of a group that holds inf and nan at one mu is written
+        # as json writes it, and so are the finite values at its other mus.
         report = run_sweep(parse_config(SMALL_SWEEP))
         tol_margin, groups = report["verdicts"]
-        g = next(g for g in groups if len(g.runs) >= 2)
-        first, *others = g.runs
+        g = next(g for g in groups if len(g.mus) >= 2)
+        first, *others = g.mus
         rhs, margin = g.rhs.copy(), g.margin.copy()
         rhs[0, 0, 0], margin[-1, 0, -1] = float("inf"), float("nan")
         assert np.isfinite(rhs[:, 1:]).all() and np.isfinite(margin[:, 1:]).all()
-        # The tables' run axis in the order of the group's runs.
-        order = [*range(1, len(g.runs)), 0, *range(1, len(g.runs))]
-        group = g._replace(runs=[*others, first, *others], rhs=rhs[:, order],
-                           margin=margin[:, order], holds=g.holds[:, order])
+        # The tables' mu axis in the order of the group's mus.
+        order = [*range(1, len(g.mus)), 0, *range(1, len(g.mus))]
+        group = g._replace(mus=(*others, first, *others), lhs=g.lhs[:, order],
+                           rhs=rhs[:, order], margin=margin[:, order], holds=g.holds[:, order])
         report = {**report, "verdicts": Verdicts(tol_margin, [g, group, g])}
         text = render_report(report, "json")
         assert text == self._oracle(report)
@@ -996,39 +1041,39 @@ class TestRenderReport:
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
                   "summary": {}, "verdicts": Verdicts(1e-8, [])}
         assert render_report(report, "json") == self._oracle(report)
-        # Groups, x values and runs without a verdict list none either.
+        # Groups, x values and mu values without a verdict list none either.
         empty = np.empty((1, 1, 0))
-        run = report_mod.Run(1.0, np.zeros(1))
-        group = report_mod.Group("t22", "f", 0.0, 1.0, [0.5], [run, run], [],
-                                 empty, empty, empty.astype(bool))
+        group = report_mod.Group("t22", "f", 0.0, 1.0, [0.5], (1.0, 1.0), np.zeros((1, 2)),
+                                 [], empty, empty, empty.astype(bool))
         none = np.empty((0, 0, 0))
-        report["verdicts"] = Verdicts(1e-8, [group, group._replace(runs=[]), group._replace(
-            xs=[], runs=[], rhs=none, margin=none, holds=none.astype(bool))])
+        report["verdicts"] = Verdicts(1e-8, [
+            group, group._replace(mus=(), lhs=np.zeros((1, 0))),
+            group._replace(xs=[], mus=(), lhs=np.zeros((0, 0)), rhs=none, margin=none,
+                           holds=none.astype(bool))])
         assert render_report(report, "json") == self._oracle(report)
         # Beside a sweep's group, a point-less group with mu values adds no
         # verdict, and the sweep's holds stay bools.
         sweep = run_sweep(parse_config(SMALL_SWEEP))
         tol_margin, (g, *_) = sweep["verdicts"]
         alone = render_report({**sweep, "verdicts": Verdicts(tol_margin, [g])}, "json")
-        point_less = g._replace(points=[], rhs=np.empty((len(g.xs), len(g.runs), 0)),
-                                margin=np.empty((len(g.xs), len(g.runs), 0)),
-                                holds=np.empty((len(g.xs), len(g.runs), 0), dtype=bool))
+        point_less = g._replace(points=[], rhs=np.empty((len(g.xs), len(g.mus), 0)),
+                                margin=np.empty((len(g.xs), len(g.mus), 0)),
+                                holds=np.empty((len(g.xs), len(g.mus), 0), dtype=bool))
         sweep["verdicts"] = Verdicts(tol_margin, [point_less, g, point_less])
         text = render_report(sweep, "json")
         assert text == self._oracle(sweep) == alone
         assert '"holds": true' in text and '"holds": 0.0' not in text
 
     def test_groups_of_one_function_with_their_own_columns(self):
-        # Groups of one function at the same mu whose lhs columns, or x
-        # lists, are other objects with other values: the renderer keeps a
-        # column's text by the column's identity, never by (function, mu).
+        # Groups of one function at the same mu values whose lhs tables, or
+        # x lists, are other objects with other values: the renderer keeps a
+        # table's text by the table's identity, never by (function, mus).
         report = run_sweep(parse_config(SMALL_SWEEP))
         tol_margin, groups = report["verdicts"]
         g = groups[0]
-        own_lhs = g._replace(theorem="own lhs",
-                             runs=[r._replace(lhs=r.lhs + 1.0) for r in g.runs])
+        own_lhs = g._replace(theorem="own lhs", lhs=g.lhs + 1.0)
         own_xs = g._replace(theorem="own xs", xs=[x + 1.0 for x in g.xs])
-        assert [r.mu for r in own_lhs.runs] == [r.mu for r in g.runs]
+        assert own_lhs.mus == g.mus
         report = {**report, "verdicts": Verdicts(tol_margin, [g, own_lhs, own_xs, g, *groups])}
         assert render_report(report, "json") == self._oracle(report)
 
@@ -1104,28 +1149,68 @@ class TestRenderReport:
             return np.array([rng.choice(pool) for _ in range(int(np.prod(shape)))],
                             dtype=float).reshape(shape)
 
-        groups, kinds, rows = [], set(), set()
-        # Until each kind of shared table or repeated row below has come up.
-        while sum(g.rhs.size for g in groups) < 300 or rows != {
-                "shared", "repeated", "repeated non-finite", "signed zero"}:
-            if groups and rng.random() < 0.2:
-                # A group that shares an earlier group's rhs table, as alike
-                # groups of a sweep do, with its own lhs, margin and holds.
-                g = rng.choice(groups)
-                groups.append(g._replace(
-                    theorem=value(), function=value(),
-                    runs=[r._replace(lhs=floats(len(g.xs), self.FLOATS)) for r in g.runs],
-                    margin=floats(g.rhs.shape, self.FLOATS), holds=~g.holds))
-                rows.add("shared")
-                continue
-            xs = [value() for _ in range(rng.randint(0, 6))]
-            runs = [report_mod.Run(value(), floats(len(xs), self.FLOATS))
-                    for _ in range(rng.randint(0, 4))]
-            points = [
+        def points():
+            return [
                 BoundParams(**{k: rng.choice(vs) for k, vs in self.POINT_VALUES.items()})
                 for _ in range(rng.randint(0, 5))
             ]
-            shape = (len(xs), len(runs), len(points))
+
+        def holds_of(shape):
+            return np.array([rng.random() < 0.5 for _ in range(int(np.prod(shape)))],
+                            dtype=bool).reshape(shape)
+
+        groups, kinds, rows = [], set(), set()
+        # Until each kind of shared table or repeated row below has come up.
+        while sum(g.rhs.size for g in groups) < 300 or rows != {
+                "shared", "shared lhs", "other mus", "repeated", "repeated non-finite",
+                "signed zero"}:
+            draw = rng.random() if groups else 1.0
+            if draw < 0.45:
+                g = rng.choice(groups)
+            if draw < 0.15:
+                # A group that shares an earlier group's rhs table, as alike
+                # groups of a sweep do, with its own lhs, margin and holds.
+                groups.append(g._replace(
+                    theorem=value(), function=value(), lhs=floats(g.lhs.shape, self.FLOATS),
+                    margin=floats(g.rhs.shape, self.FLOATS), holds=~g.holds))
+                rows.add("shared")
+                continue
+            if draw < 0.3:
+                # A group that shares an earlier group's x list, mu values and
+                # lhs table, as a function's groups of equal mus do, with its
+                # own points and verdict tables.
+                listed = points()
+                shape = (len(g.xs), len(g.mus), len(listed))
+                groups.append(g._replace(
+                    theorem=value(), points=listed, rhs=floats(shape, self.FLOATS),
+                    margin=floats(shape, self.FLOATS), holds=holds_of(shape)))
+                rows.add("shared lhs")
+                continue
+            if draw < 0.45:
+                # A group that shares an earlier group's x list, with other mu
+                # values, as a `mu1` group beside the other groups of its
+                # function: some of the earlier group's, with their lhs
+                # columns copied into a table of its own, and one more, so
+                # that it has another number of them.
+                count = rng.choice([n for n in range(len(g.mus) + 1) if n != len(g.mus) - 1])
+                cols = rng.sample(range(len(g.mus)), count)
+                mus = (*[g.mus[j] for j in cols], value())
+                assert len(mus) != len(g.mus)
+                lhs = np.concatenate([g.lhs[:, cols], floats((len(g.xs), 1), self.FLOATS)],
+                                     axis=1)
+                listed = points()
+                shape = (len(g.xs), len(mus), len(listed))
+                groups.append(g._replace(
+                    theorem=value(), mus=mus, lhs=lhs, points=listed,
+                    rhs=floats(shape, self.FLOATS), margin=floats(shape, self.FLOATS),
+                    holds=holds_of(shape)))
+                rows.add("other mus")
+                continue
+            xs = [value() for _ in range(rng.randint(0, 6))]
+            mus = tuple(value() for _ in range(rng.randint(0, 4)))
+            lhs = floats((len(xs), len(mus)), self.FLOATS)
+            listed = points()
+            shape = (len(xs), len(mus), len(listed))
             # An all-finite table, or one that may mix finite and not.
             pool = rng.choice((self.FINITE, self.FLOATS))
             rhs, margin = floats(shape, pool), floats(shape, pool)
@@ -1143,10 +1228,8 @@ class TestRenderReport:
                 else:
                     rows.add("repeated" if np.isfinite(by_x[i]).all() else "repeated non-finite")
             kinds.add(bool(np.isfinite(rhs).all() and np.isfinite(margin).all()))
-            holds = np.array([rng.random() < 0.5 for _ in range(rhs.size)],
-                             dtype=bool).reshape(shape)
-            groups.append(report_mod.Group(value(), value(), value(), value(), xs, runs, points,
-                                           rhs, margin, holds))
+            groups.append(report_mod.Group(value(), value(), value(), value(), xs, mus, lhs,
+                                           listed, rhs, margin, holds_of(shape)))
         assert kinds == {True, False}
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
                   "summary": {"t22": {"pass": 1, "fail": 0, "worst_margin": -0.0}},
@@ -1170,7 +1253,7 @@ class TestRenderReport:
     def test_json_awkward_strings_and_floats(self):
         base = run_sweep(parse_config(SMALL_SWEEP))
         tol_margin, (group, *_) = base["verdicts"]
-        run = group.runs[0]
+        mu = group.mus[0]
         bp, rhs, holds = group.points[0], group.rhs[0, 0, 0], group.holds[0, 0, 0]
         points = [dataclasses.replace(bp, u=None), bp]
         ids = ['q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫"]
@@ -1178,12 +1261,11 @@ class TestRenderReport:
         tiny_huge = [5e-324, 1e300, -1e300, -0.0]
         groups = []
         for k, fid in enumerate(ids):
-            # A run whose columns mix finite and non-finite values at each
-            # x, and a run whose columns hold extreme finite ones.
-            mixed = run._replace(lhs=np.array([specials[k % 4], rhs]))
-            finite = run._replace(lhs=np.array([tiny_huge[k % 4], -0.0]))
+            # Two columns of one mu: an lhs column that mixes finite and
+            # non-finite values over x, and one that holds extreme finite ones.
+            lhs = np.array([[specials[k % 4], tiny_huge[k % 4]], [rhs, -0.0]])
             groups.append(group._replace(
-                function=fid, xs=[group.xs[0], -0.0], runs=[mixed, finite], points=points,
+                function=fid, xs=[group.xs[0], -0.0], mus=(mu, mu), lhs=lhs, points=points,
                 rhs=np.array([[rhs, specials[(k + 2) % 4], tiny_huge[(k + 1) % 4], rhs],
                               [specials[(k + 2) % 4], rhs, rhs, tiny_huge[(k + 2) % 4]]]
                              ).reshape(2, 2, 2),
@@ -1549,7 +1631,7 @@ class TestHypothesesCheckedOncePerPoint:
         """The sweep's report, with its point-factor evaluations (through
         the `bounds.factor_*` names) and `geometry_factors` calls counted,
         then the values the JSON renderer formats (`report._texts`) beyond
-        one text per x list and lhs column object."""
+        one text per value of each x list and lhs table object."""
         counts = collections.Counter()
 
         def counting(name, fn):
@@ -1570,7 +1652,7 @@ class TestHypothesesCheckedOncePerPoint:
                             or texts(values, finite))
         render_report(report, "json")
         groups = [g for g in report["verdicts"].groups if g.holds.size]
-        columns = {id(v): len(v) for g in groups for v in (g.xs, *(r.lhs for r in g.runs))}
+        columns = {id(v): np.size(v) for g in groups for v in (g.xs, g.lhs)}
         counts["rhs text"] = counts.pop("text") - sum(columns.values())
         return report, counts
 
@@ -1588,6 +1670,29 @@ class TestHypothesesCheckedOncePerPoint:
         assert sum(g.rhs.size for g in groups) == 17892
         by_function = {(g.theorem, g.function): g.rhs for g in groups}
         assert by_function["t22", "powdecay"] is by_function["t22", "expdecay"]
+
+    def test_default_sweep_shares_one_lhs_table_per_function_and_mus(self):
+        """The groups of a function with equal mus share one (x, mu) lhs
+        array, and each `mu1` group has its own: 7 tables for 21 groups.
+        Each column is bit for bit a one-mu `ostrowski_signed_many` call."""
+        cfg = SweepConfig()
+        groups = run_sweep(cfg)["verdicts"].groups
+        tables = {id(g.lhs): g for g in groups}
+        assert (len(groups), len(tables)) == (21, 7)
+        shared = {}
+        for g in groups:
+            assert shared.setdefault((g.function, g.mus), g.lhs) is g.lhs
+        assert len(shared) == len(tables)
+        mu1 = [g for g in groups if g.theorem == "mu1"]
+        assert mu1 and all(g.mus == (1.0,) for g in mu1)
+        assert all(sum(h.lhs is g.lhs for h in groups) == 1 for g in mu1)
+        specs = {f.id: f for f in resolve_corpus(cfg)}
+        for g in tables.values():
+            assert g.lhs.shape == (len(g.xs), len(g.mus)) and g.lhs.dtype == np.float64
+            for j, mu in enumerate(g.mus):
+                (want,) = np.abs(verify_mod.ostrowski_signed_many(
+                    specs[g.function], g.a, g.b, g.xs, (mu,), cfg.quad))
+                assert [v.hex() for v in g.lhs[:, j].tolist()] == [v.hex() for v in want.tolist()]
 
     def test_quad_dense_shares_tables_but_repeats_no_row(self, monkeypatch):
         # Seeded x-fractions are not mirrored: no rhs row recurs within a
@@ -1636,20 +1741,19 @@ class TestHypothesesCheckedOncePerPoint:
         assert calls == [(f, list(mus), list(xs)) for f, (mus, xs) in want.items()]
 
     def test_group_states_each_point_once(self):
-        # A group holds each of its points once, beside its runs (mu
-        # values), with one table axis each for x, run and point: the
-        # renderer formats a point's values once per group.
+        # A group holds each of its points once, beside its mu values and
+        # its (x, mu) lhs table, with one table axis each for x, mu and
+        # point: the renderer formats a point's values once per group.
         cfg = parse_config(self.CONFIGS["two-u"])
         groups = run_sweep(cfg)["verdicts"].groups
         assert groups
         for g in groups:
             assert len(g.xs) == len(cfg.x_fracs)
-            keys = [(r.mu, bp.alpha, bp.m, bp.q, bp.u) for r in g.runs for bp in g.points]
+            keys = [(mu, bp.alpha, bp.m, bp.q, bp.u) for mu in g.mus for bp in g.points]
             assert len(set(keys)) == len(keys) > 1
             assert all(bp.v == 1.0 - bp.u for bp in g.points)
-            for r in g.runs:
-                assert r.lhs.shape == (len(g.xs),)
-            shape = (len(g.xs), len(g.runs), len(g.points))
+            assert g.lhs.shape == (len(g.xs), len(g.mus))
+            shape = (len(g.xs), len(g.mus), len(g.points))
             assert g.rhs.shape == g.margin.shape == g.holds.shape == shape
             assert g.holds.dtype == bool
 
@@ -1693,9 +1797,9 @@ class TestHypothesesCheckedOncePerPoint:
     @pytest.mark.parametrize("case", ["batch", "mixed-alpha-m", "repeats"])
     def test_point_text_once_per_group(self, case, monkeypatch):
         """The JSON renderer formats each point's alpha-to-v text once per
-        group, by position, though the point recurs in every run (mu) of
-        the group: its v is read once per listing, where one read per run
-        was the design before."""
+        group, by position, though the point recurs at every mu of the
+        group: its v is read once per listing, where one read per mu was
+        the design before."""
         cfg = parse_config(self.CONFIGS[case])
         reads = []
 
@@ -1708,7 +1812,7 @@ class TestHypothesesCheckedOncePerPoint:
         monkeypatch.setattr(report_mod, "BoundParams", Counting)
         report = run_sweep(cfg)
         groups = report["verdicts"].groups
-        assert any(len(g.runs) > 1 for g in groups)
+        assert any(len(g.mus) > 1 for g in groups)
         for g in groups:
             reads.clear()
             text = "".join(report_mod._json_chunks({"n": 1, "verdicts": Verdicts(0.0, [g])}))
