@@ -70,29 +70,38 @@ def _geometry(a: float, b: float, x: float, mu: float) -> float:
 
 
 def _overflow(a: float, b: float, xs, mu: float) -> DomainError:
-    """The DomainError of the first x of xs whose geometry factor overflows."""
-    x = next(x for x in xs if pow_overflows(x - a, mu + 1.0) or pow_overflows(b - x, mu + 1.0))
+    """The DomainError of the first x of xs whose geometry factor is not
+    finite: a power overflows a float, or else their sum.  The quotient
+    by b - a is finite when the sum is: at most the sum if b - a >= 1,
+    else at most 2 (b - a)^mu."""
+    def powers_overflow(x):
+        return pow_overflows(x - a, mu + 1.0) or pow_overflows(b - x, mu + 1.0)
+
+    x = next(x for x in xs if powers_overflow(x) or not math.isfinite(_geometry(a, b, x, mu)))
+    what = ("(x - a)^(mu + 1) or (b - x)^(mu + 1)" if powers_overflow(x)
+            else "(x - a)^(mu + 1) + (b - x)^(mu + 1)")
     return DomainError(f"geometry factor at a = {a}, b = {b}, x = {x}, mu = {mu}: "
-                       "(x - a)^(mu + 1) or (b - x)^(mu + 1) overflows a float")
+                       f"{what} overflows a float")
 
 
 def geometry_factor(frac: FracParams) -> float:
-    """((x-a)^(mu+1) + (b-x)^(mu+1)) / (b-a); DomainError if a power
-    overflows a float."""
-    try:
-        return _geometry(frac.a, frac.b, frac.x, frac.mu)
-    except OverflowError:
-        raise _overflow(frac.a, frac.b, [frac.x], frac.mu) from None
+    """((x-a)^(mu+1) + (b-x)^(mu+1)) / (b-a); DomainError if it is not
+    finite (`geometry_factors`)."""
+    return float(geometry_factors(frac.a, frac.b, [frac.x], frac.mu)[0])
 
 
 def geometry_factors(a: float, b: float, xs, mu: float) -> np.ndarray:
     """`geometry_factor` at each x of xs, as an array; the first x whose
-    power overflows raises its DomainError.  Each pow is a scalar pow:
-    numpy's vectorised pow may round differently in the last bit."""
+    factor is not finite, because a power or their sum overflows a float,
+    raises its DomainError.  Each pow is a scalar pow: numpy's vectorised
+    pow may round differently in the last bit."""
     try:
-        return np.array([_geometry(a, b, x, mu) for x in xs])
+        g = np.array([_geometry(a, b, x, mu) for x in xs])
     except OverflowError:
-        raise _overflow(a, b, xs, mu) from None
+        g = None
+    if g is None or not np.isfinite(g).all():
+        raise _overflow(a, b, xs, mu)
+    return g
 
 
 def k_alpha(M: float, m: float, alpha: float, mu: float) -> float:

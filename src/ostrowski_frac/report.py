@@ -106,8 +106,8 @@ class SweepConfig:
         for t in self.theorems:
             if t not in THEOREM_IDS:
                 raise ConfigError(f"unknown theorem id {t!r}; known: {THEOREM_IDS}")
-        if self.out_format not in ("json", "csv"):
-            raise ConfigError("format must be json or csv")
+        if self.out_format not in _FORMATS:
+            raise ConfigError(f"format must be {' or '.join(_FORMATS)}")
         # A CSV field or a `functions` list must be able to hold the id.
         for _, fid, _ in self.extra_functions:
             if not fid or "," in fid or '"' in fid:
@@ -367,9 +367,11 @@ def run_sweep(cfg: SweepConfig) -> dict:
     order of first appearance and x in `x_fracs` order
     (`clenshaw_curtis_many` raises for the first failing integral of its
     first failing mu).  Then, after all of the function's quadrature, the
-    DomainError of the first geometry factor that overflows a float
+    DomainError of the first geometry factor that is not finite, because
+    (x - a)^(mu + 1), (b - x)^(mu + 1) or their sum overflows a float
     (`bounds.geometry_factors`), in (mu, x) order, over the mu values
-    whose factors no earlier function of the same domain computed.  A
+    whose factors no earlier function of the same domain computed, so no
+    verdict passes on an inf rhs.  A
     DomainError of the quadrature or the geometry step names the function
     first (`'linear': ...`).
     """
@@ -420,45 +422,25 @@ def run_sweep(cfg: SweepConfig) -> dict:
     }
 
 
-# A verdict's flat record: its keys, in the JSON report's order.
+# A verdict's flat record: its keys, in the order both formats write them.
 _ROW_KEYS = ("theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function",
              "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v")
 
 
-def _rows_by_x(tol_margin, g: Group):
-    """One group's verdicts as flat records (`_ROW_KEYS`) of Python values,
-    one list per x, in sweep order: row i of each table, read as (x, mu
-    and point), at the i-th x."""
-    points = [(j, mu, bp) for j, mu in enumerate(g.mus) for bp in g.points]
-    tables = (t.reshape(len(g.xs), len(points)) for t in (g.rhs, g.margin, g.holds))
-    for x, lhs_x, rhs_x, margin_x, holds_x in zip(g.xs, g.lhs.tolist(),
-                                                  *(t.tolist() for t in tables)):
-        yield [dict(zip(_ROW_KEYS, (
-                   g.theorem, lhs_x[j], r, d, h, tol_margin, g.function, g.a, g.b,
-                   x, mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
-               for (j, mu, bp), r, d, h in zip(points, rhs_x, margin_x, holds_x)]
-
-
 def verdict_rows(report: dict):
-    """The report's verdicts as flat records (`_ROW_KEYS`), in sweep order."""
+    """The report's verdicts as flat records (`_ROW_KEYS`) of Python values,
+    in sweep order: row i of each group's tables, read as (x, mu and
+    point), at the group's i-th x."""
     tol_margin, groups = report["verdicts"]
     for g in groups:
-        for rows in _rows_by_x(tol_margin, g):
-            yield from rows
-
-
-_CSV_FIELDS = ("theorem", "function", "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v",
-               "lhs", "rhs", "margin", "holds", "tol_margin")
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+        points = [(j, mu, bp) for j, mu in enumerate(g.mus) for bp in g.points]
+        tables = (t.reshape(len(g.xs), len(points)) for t in (g.rhs, g.margin, g.holds))
+        for x, lhs_x, rhs_x, margin_x, holds_x in zip(g.xs, g.lhs.tolist(),
+                                                      *(t.tolist() for t in tables)):
+            for (j, mu, bp), r, d, h in zip(points, rhs_x, margin_x, holds_x):
+                yield dict(zip(_ROW_KEYS, (
+                    g.theorem, lhs_x[j], r, d, h, tol_margin, g.function, g.a, g.b,
+                    x, mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
 
 
 def _value_json(v) -> str:
@@ -472,20 +454,54 @@ def _value_json(v) -> str:
     return json.dumps(v)
 
 
-def _texts(values: list, finite: bool) -> list[str]:
-    """Each of values as json writes it: by `float.__repr__`, json's text
-    for a finite float, if `finite` says that all are finite floats."""
-    return list(map(float.__repr__, values)) if finite else [_value_json(v) for v in values]
+def _value_csv(v) -> str:
+    """v as a CSV field: empty for None, true or false for a bool, a float
+    by `float.__repr__` (nan, inf and -inf included), else its str."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return "" if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
 
 
-def _json_chunks(report: dict):
-    """`report_chunks` for JSON: the head through json, then the verdicts,
-    its last key, one string per (group, x) with a verdict, then the close.
-    Each group renders from its tables, read as (x, mu and point), one
-    row per x.  Each shared value is formatted once, where it is stored:
-    tol_margin per report; theorem, function, a and b per group; x per
-    row; each of the group's mus once; alpha to v once per point of the
-    group, by position, prefixed by each mu's text.
+def _json_head(report: dict) -> str:
+    """The JSON report up to its verdicts' "[": every other key through
+    json.  ValueError unless `verdicts` is the last key, after another."""
+    keys = list(report)
+    if len(keys) < 2 or keys[-1] != "verdicts":
+        raise ValueError(f"report keys {keys}: want 'verdicts' last, after another key")
+    top = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
+    return top[:-2] + ',\n  "verdicts": ['
+
+
+# Each report format, by name: its head up to the verdicts, from the
+# report; how it writes a value that is not a finite float (each writes a
+# finite one by `float.__repr__`); the text before a verdict's first key
+# and before each later key, with the key at `{}`, and the text after its
+# last key; its close after the last verdict, and without a verdict.  The
+# first verdict's text drops its first character, the separator.
+_FORMATS = {
+    "json": (_json_head, _value_json, ',\n    {{\n      "{}": ', ',\n      "{}": ', "\n    }",
+             "\n  ]\n}\n", "]\n}\n"),
+    "csv": (lambda report: ",".join(_ROW_KEYS) + "\n", _value_csv, "\n", ",", "", "\n", ""),
+}
+
+
+def _texts(values: list, finite: bool, value) -> list[str]:
+    """Each of values as a format writes it: by `float.__repr__` if
+    `finite` says that all are finite floats, else by `value`."""
+    return list(map(float.__repr__, values)) if finite else [value(v) for v in values]
+
+
+def _chunks(report: dict, head: str, value, first: str, later: str, end: str,
+            close: str, empty: str):
+    """`report_chunks` in one of `_FORMATS`: its head, then one string per
+    (group, x) with a verdict, then the close.  Each verdict writes its
+    keys in `_ROW_KEYS` order, each key's text (`first`, `later`) before
+    its value's, and `end` after the last.  Each group renders from its
+    tables, read as (x, mu and point), one row per x.  Each shared value
+    is formatted once, where it is stored: tol_margin per report;
+    theorem, function, a and b per group; x per row; each of the group's
+    mus once; alpha to v once per point of the group, by position,
+    prefixed by each mu's text.
     `run_sweep` shares an x list and an lhs table among a function's
     groups, and an rhs table among alike groups, so each is formatted
     (`_texts`) once per object, and its text is kept, by the object's
@@ -498,11 +514,12 @@ def _json_chunks(report: dict):
     then one comprehension of one f-string per verdict: its lead, rhs text,
     margin, holds, x and point text.  margin is read from the table's
     `.tolist()`, by repr if the group's are all finite, else each
-    through `_value_json`."""
-    top = json.dumps({k: v for k, v in report.items() if k != "verdicts"}, indent=2)
-    yield top[:-2] + ',\n  "verdicts": '
+    through `value`."""
+    yield head
+    before = dict(zip(_ROW_KEYS, [first.format(_ROW_KEYS[0]),
+                                  *(later.format(k) for k in _ROW_KEYS[1:])]))
     tol_margin, groups = report["verdicts"]
-    tol_margin = _value_json(tol_margin)
+    tol_margin = value(tol_margin)
     # id of an x list, lhs table or rhs table -> the last group that reads it
     last = {id(v): k for k, g in enumerate(groups) for v in (g.xs, g.lhs, g.rhs)}
     # id of an x list or lhs table -> (it, its texts in flat order), of an
@@ -516,28 +533,27 @@ def _json_chunks(report: dict):
         if entry is None:
             listed = values.ravel().tolist() if isinstance(values, np.ndarray) else values
             finite = set(map(type, listed)) <= {float} and all(map(math.isfinite, listed))
-            entry = texts[id(values)] = (values, _texts(listed, finite))
+            entry = texts[id(values)] = (values, _texts(listed, finite, value))
         return entry[1]
 
+    before_margin, before_holds = before["margin"], before["holds"]
     for k, g in enumerate(groups):
         for key in [key for key in texts if last[key] < k]:
             del texts[key]
         if not g.holds.size:
             continue
-        head = f',\n    {{\n      "theorem": {_value_json(g.theorem)},\n      "lhs": '
-        shared = (f',\n      "tol_margin": {tol_margin},\n      "function": '
-                  f'{_value_json(g.function)},\n      "a": {_value_json(g.a)},\n      "b": '
-                  f'{_value_json(g.b)},\n      "x": ')
+        start = f'{before["theorem"]}{value(g.theorem)}{before["lhs"]}'
+        shared = (f'{before["tol_margin"]}{tol_margin}{before["function"]}{value(g.function)}'
+                  f'{before["a"]}{value(g.a)}{before["b"]}{value(g.b)}{before["x"]}')
         leads = np.repeat(
-            np.array([f'{head}{t},\n      "rhs": ' for t in text_of(g.lhs)],
+            np.array([f'{start}{t}{before["rhs"]}' for t in text_of(g.lhs)],
                      dtype=object).reshape(g.lhs.shape),
             len(g.points), axis=1).tolist()
         point_texts = [
-            f'{_value_json(bp.alpha)},\n      "m": {_value_json(bp.m)},\n      '
-            f'"M": {_value_json(bp.M)},\n      "q": {_value_json(bp.q)},\n      '
-            f'"u": {_value_json(bp.u)},\n      "v": {_value_json(bp.v)}\n    }}'
+            f'{value(bp.alpha)}{before["m"]}{value(bp.m)}{before["M"]}{value(bp.M)}'
+            f'{before["q"]}{value(bp.q)}{before["u"]}{value(bp.u)}{before["v"]}{value(bp.v)}{end}'
             for bp in g.points]
-        points = [mu + text for mu in [f',\n      "mu": {_value_json(mu)},\n      "alpha": '
+        points = [mu + text for mu in [f'{before["mu"]}{value(mu)}{before["alpha"]}'
                                        for mu in g.mus] for text in point_texts]
         rhs, margin, holds = (t.reshape(len(g.xs), -1) for t in (g.rhs, g.margin, g.holds))
         row_text = texts.setdefault(id(g.rhs), (g.rhs, {}))[1]
@@ -547,51 +563,40 @@ def _json_chunks(report: dict):
                 text_of(g.xs), leads, rhs, rhs.tolist(), margin.tolist(), holds.tolist()):
             key = row.tobytes()
             if key not in row_text:
-                row_text[key] = _texts(rhs_x, finite_rhs)
+                row_text[key] = _texts(rhs_x, finite_rhs, value)
             rhs_x = row_text[key]
             at_x = shared + x
             if finite:
-                row = "".join([f'{ld}{r},\n      "margin": {d!r},\n      "holds": '
+                row = "".join([f'{ld}{r}{before_margin}{d!r}{before_holds}'
                                f'{"true" if h else "false"}{at_x}{p}'
                                for ld, r, d, h, p in zip(lead, rhs_x, margin_x, holds_x, points)])
             else:
-                row = "".join([f'{ld}{r},\n      "margin": {_value_json(d)},\n'
-                               f'      "holds": {_value_json(h)}{at_x}{p}'
+                row = "".join([f'{ld}{r}{before_margin}{value(d)}{before_holds}{value(h)}{at_x}{p}'
                                for ld, r, d, h, p in zip(lead, rhs_x, margin_x, holds_x, points)])
-            if not opened:  # the first verdict opens the list, the others follow a ","
-                row = "[" + row[1:]
+            if not opened:  # the first verdict drops its separator
+                row = row[1:]
                 opened = True
             yield row
-    yield "\n  ]\n}\n" if opened else "[]\n}\n"
-
-
-def _csv_chunks(report: dict):
-    """`report_chunks` for CSV: the header, then one string per (group, x)."""
-    yield ",".join(_CSV_FIELDS) + "\n"
-    tol_margin, groups = report["verdicts"]
-    for g in groups:
-        for rows in _rows_by_x(tol_margin, g):
-            yield "".join(",".join([_fmt(r[k]) for k in _CSV_FIELDS]) + "\n" for r in rows)
+    yield close if opened else empty
 
 
 def report_chunks(report: dict, out_format: str):
-    """The report as text, in pieces: `out_format` "json" or "csv", its
-    verdicts as their flat records (`verdict_rows`), at most one (group, x)
-    row of verdicts per piece, so a caller can write the report without
-    holding it whole.  A row's piece of the default sweep is at most about
-    75 kB, below glibc's 128 KiB mmap threshold, so writing one piece after
-    another reuses the same heap pages instead of faulting in fresh ones.
-    JSON is `json.dumps(report, indent=2) + "\\n"` byte for byte.
+    """The report as text, in pieces: `out_format` one of `_FORMATS`, its
+    verdicts as their flat records (`verdict_rows`), each with its keys
+    in `_ROW_KEYS` order, at most one (group, x) row of verdicts per
+    piece, so a caller can write the report without holding it whole.  A
+    row's piece of the default sweep is at most about 75 kB, below glibc's
+    128 KiB mmap threshold, so writing one piece after another reuses the
+    same heap pages instead of faulting in fresh ones.
+    JSON is `json.dumps(report, indent=2) + "\\n"` byte for byte; CSV is
+    a header of the keys, then one line per verdict, each value as
+    `_value_csv` writes it.
     An unknown format, or a JSON report whose last key is not `verdicts`
     or whose only key is, raises ValueError here, before any piece."""
-    if out_format == "json":
-        keys = list(report)
-        if len(keys) < 2 or keys[-1] != "verdicts":
-            raise ValueError(f"report keys {keys}: want 'verdicts' last, after another key")
-        return _json_chunks(report)
-    if out_format == "csv":
-        return _csv_chunks(report)
-    raise ValueError(f"unknown report format {out_format!r}: want json or csv")
+    if out_format not in _FORMATS:
+        raise ValueError(f"unknown report format {out_format!r}: want {' or '.join(_FORMATS)}")
+    head, *form = _FORMATS[out_format]
+    return _chunks(report, head(report), *form)
 
 
 def render_report(report: dict, out_format: str) -> str:

@@ -9,10 +9,12 @@ record for record; a `set` RHS, which the library groups as
 (M / (mu + 1)) * geometry factor, only to within 1e-15 relative.  Only
 `report.resolve_corpus` and `verify._check_hypotheses` are shared with the
 library, and the tests pin those separately.  `render` writes such a flat
-report as text, the way `report.render_report` wrote it before the report
-kept its verdicts grouped.
+report as text: JSON through json's indented dump, CSV through
+`csv.writer`.
 """
 
+import csv
+import io
 import json
 import math
 
@@ -222,9 +224,10 @@ def run_sweep(cfg):
     }
 
 
+# A verdict's keys in the order the CSV report's columns list them.
 CSV_FIELDS = (
-    "theorem", "function", "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v",
-    "lhs", "rhs", "margin", "holds", "tol_margin",
+    "theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function",
+    "a", "b", "x", "mu", "alpha", "m", "M", "q", "u", "v",
 )
 
 
@@ -232,16 +235,18 @@ def _csv_value(v):
     if v is None:
         return ""
     if isinstance(v, bool):
-        return str(v).lower()
+        return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+        return repr(v)
+    return v
 
 
 def render(report, out_format):
     """A flat report (verdicts as a list of records) as JSON or CSV text."""
     if out_format == "json":
         return json.dumps(report, indent=2) + "\n"
-    lines = [",".join(CSV_FIELDS)]
-    lines += [",".join(_csv_value(v[k]) for k in CSV_FIELDS) for v in report["verdicts"]]
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    writer.writerows([_csv_value(v[k]) for k in CSV_FIELDS] for v in report["verdicts"])
+    return out.getvalue()

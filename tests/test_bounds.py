@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ostrowski_frac.bounds import (
     bound_mu1_audit,
     factor_mm,
     geometry_factor,
+    geometry_factors,
     k_alpha,
 )
 from ostrowski_frac.fracint import DomainError, FracParams, mexp_integral
@@ -79,6 +81,23 @@ class TestGeometryFactor:
             g1 = geometry_factor(FracParams(a, b, x, mu))
             g2 = geometry_factor(FracParams(a, b, a + b - x, mu))
             assert g1 == pytest.approx(g2, rel=1e-12)
+
+    # On [1, 1000] at mu = 113.2 each power at x = 500.5 is finite but their
+    # sum is not; at x = 600 a power overflows.
+    SUM = "(x - a)^(mu + 1) + (b - x)^(mu + 1)"
+    POWER = "(x - a)^(mu + 1) or (b - x)^(mu + 1)"
+
+    @pytest.mark.parametrize("xs, x, what", [
+        ([500.5, 600.0], 500.5, SUM),
+        ([600.0, 500.5], 600.0, POWER),
+    ], ids=["sum-first", "power-first"])
+    def test_first_non_finite_factor_raises(self, xs, x, what):
+        message = re.escape(f"geometry factor at a = 1.0, b = 1000.0, x = {x}, mu = 113.2: "
+                            f"{what} overflows a float")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            geometry_factors(1.0, 1000.0, xs, 113.2)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            geometry_factor(FracParams(1.0, 1000.0, x, 113.2))
 
 
 class TestKAlpha:

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import fractions
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -454,10 +455,12 @@ class TestLargeMu:
 
 class TestWideDomainOverflow:
     """On [1, 1000] at x = 500.5, |x - c|^mu of a fractional integral
-    overflows a float from mu of about 114.2 on, and the geometry factor's
-    (x - a)^(mu + 1) a little earlier.  Each such power is a DomainError
-    that names it, with exit 2, never an OverflowError with the exit code 1
-    of a failed verdict; below those mu the sweep runs.  A subnormal scale
+    overflows a float from mu of about 114.2 on, the geometry factor's
+    (x - a)^(mu + 1) a little earlier, and the sum of its two powers
+    earlier still (mu of about 113.12).  Each is a DomainError that names
+    it, with exit 2: never an OverflowError with the exit code 1 of a failed
+    verdict, nor an inf rhs by which a verdict passes vacuously; below
+    those mu the sweep runs.  A subnormal scale
     keeps its own text (`TestLargeMu`)."""
 
     WIDE = ("functions = wide\ntheorems = t22\nx_fracs = 0.5\nmu = {mu}\nalpha = 1\n"
@@ -469,7 +472,9 @@ class TestWideDomainOverflow:
                 "|end - anchor|^mu overflows a float"),
         ("114", "'wide': geometry factor at a = 1.0, b = 1000.0, x = 500.5, mu = 114.0: "
                 "(x - a)^(mu + 1) or (b - x)^(mu + 1) overflows a float"),
-    ], ids=["side-power", "geometry"])
+        ("113.2", "'wide': geometry factor at a = 1.0, b = 1000.0, x = 500.5, mu = 113.2: "
+                  "(x - a)^(mu + 1) + (b - x)^(mu + 1) overflows a float"),
+    ], ids=["side-power", "geometry", "geometry-sum"])
     def test_sweep_exits_2(self, tmp_path, capsys, mu, message):
         path = tmp_path / "wide.cfg"
         path.write_text(self.WIDE.format(mu=mu))
@@ -495,6 +500,17 @@ class TestWideDomainOverflow:
         with pytest.raises(DomainError, match=r"^weight .* of the identity for 'wide' at "
                            r"a = 1\.0, b = 1000\.0, x = 500\.5, mu = 114\.0 overflows a float$"):
             verify_mod.lemma_identity_residual(f, self.INSTANCE)
+
+    def test_verify_theorem_raises_on_the_geometry_sum(self):
+        # Each power is finite at mu = 113.2, but their sum is not: the rhs
+        # would be inf and the verdict would pass vacuously.
+        (f,) = resolve_corpus(parse_config(self.WIDE.format(mu="113.2")))
+        instance = FracParams(1.0, 1000.0, 500.5, 113.2)
+        assert not fracint.pow_overflows(499.5, 114.2)  # x - a = b - x = 499.5
+        with pytest.raises(DomainError, match=r"^geometry factor at a = 1\.0, b = 1000\.0, "
+                           r"x = 500\.5, mu = 113\.2: \(x - a\)\^\(mu \+ 1\) \+ .* "
+                           r"overflows a float$"):
+            verify_mod.verify_theorem("t22", f, instance, BoundParams(f.M, 1.0, 0.5, 1.0))
 
 
 class TestDefaultSweepListing:
@@ -982,7 +998,8 @@ class TestRenderReport:
         report = run_sweep(cfg)
         text = render_report(report, "csv")
         lines = text.strip().splitlines()
-        assert lines[0].startswith("theorem,function,a,b,x,mu")
+        assert lines[0] == ("theorem,lhs,rhs,margin,holds,tol_margin,function,a,b,x,mu,"
+                            "alpha,m,M,q,u,v")
         assert len(lines) == len(list(verdict_rows(report))) + 1
         assert [len(fields) for fields in csv.reader(lines)] == [17] * len(lines)
         assert all(s["fail"] == 0 for s in report["summary"].values())
@@ -1018,9 +1035,11 @@ class TestRenderReport:
         report = run_sweep(parse_config(text))
         assert render_report(report, "json") == self._oracle(report)
 
-    def test_non_finite_run_beside_finite_ones(self):
-        # Each value of a group that holds inf and nan at one mu is written
-        # as json writes it, and so are the finite values at its other mus.
+    @staticmethod
+    def _with_non_finite_run():
+        """The small sweep's report, its first group of several mus between
+        two copies of itself with inf in one rhs and nan in one margin, both
+        at one mu, and only finite values at its other mus."""
         report = run_sweep(parse_config(SMALL_SWEEP))
         tol_margin, groups = report["verdicts"]
         g = next(g for g in groups if len(g.mus) >= 2)
@@ -1032,10 +1051,47 @@ class TestRenderReport:
         order = [*range(1, len(g.mus)), 0, *range(1, len(g.mus))]
         group = g._replace(mus=(*others, first, *others), lhs=g.lhs[:, order],
                            rhs=rhs[:, order], margin=margin[:, order], holds=g.holds[:, order])
-        report = {**report, "verdicts": Verdicts(tol_margin, [g, group, g])}
+        return {**report, "verdicts": Verdicts(tol_margin, [g, group, g])}
+
+    def test_non_finite_run_beside_finite_ones(self):
+        # Each value of a group that holds inf and nan at one mu is written
+        # as json writes it, and so are the finite values at its other mus.
+        report = self._with_non_finite_run()
         text = render_report(report, "json")
         assert text == self._oracle(report)
         assert '"rhs": Infinity' in text and '"margin": NaN' in text
+
+    def _assert_csv_reads_back(self, report):
+        """Every field of the CSV report, read back through `csv.DictReader`,
+        is its `verdict_rows` value: a float with the same bits (`.hex()`,
+        nan and the infinities included), an empty field as None, true and
+        false as bools, and each id as itself."""
+        def value(key, text):
+            if key in ("theorem", "function"):
+                return text
+            if key == "holds":
+                return {"true": True, "false": False}[text]
+            return None if text == "" else float(text).hex()
+
+        reader = csv.DictReader(io.StringIO(render_report(report, "csv")))
+        assert reader.fieldnames == list(self.RECORD_KEYS)
+        got = [{k: value(k, text) for k, text in r.items()} for r in reader]
+        want = [{k: v.hex() if isinstance(v, float) else v for k, v in r.items()}
+                for r in verdict_rows(report)]
+        assert len(got) == len(want)
+        # The first record that differs, not a diff of all of them.
+        bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        assert bad is None, (bad, got[bad], want[bad])
+        return got
+
+    def test_default_csv_reads_back_as_verdict_rows(self, default_sweep):
+        got = self._assert_csv_reads_back(default_sweep)
+        assert len(got) == 17892
+        assert {r["u"] is None for r in got} == {True, False}
+
+    def test_non_finite_csv_reads_back_as_verdict_rows(self):
+        got = self._assert_csv_reads_back(self._with_non_finite_run())
+        assert "inf" in {r["rhs"] for r in got} and "nan" in {r["margin"] for r in got}
 
     def test_json_without_verdicts(self):
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
@@ -1278,8 +1334,8 @@ class TestRenderReport:
         assert render_report(report, "json") == self._oracle(report)
 
     def test_records_hold_python_values(self, default_sweep):
-        # `_fmt` and the JSON renderer tell a bool by `isinstance(v, bool)`,
-        # which a numpy bool fails: every record value is a Python one.
+        # json and the oracle's CSV writer tell a bool by its type, which a
+        # numpy bool fails: every record value is a Python one.
         rows = list(verdict_rows(default_sweep))
         assert len(rows) == 17892
         kinds = {k: {type(r[k]) for r in rows} for k in self.RECORD_KEYS}
@@ -1627,11 +1683,12 @@ class TestHypothesesCheckedOncePerPoint:
         assert len(built) == want == 605
 
     @staticmethod
-    def _reuse(cfg, monkeypatch):
+    def _reuse(cfg, monkeypatch, out_format="json"):
         """The sweep's report, with its point-factor evaluations (through
         the `bounds.factor_*` names) and `geometry_factors` calls counted,
-        then the values the JSON renderer formats (`report._texts`) beyond
-        one text per value of each x list and lhs table object."""
+        then the values the renderer formats (`report._texts`) in
+        `out_format` beyond one text per value of each x list and lhs table
+        object."""
         counts = collections.Counter()
 
         def counting(name, fn):
@@ -1648,9 +1705,9 @@ class TestHypothesesCheckedOncePerPoint:
         report = run_sweep(cfg)
         texts = report_mod._texts
         monkeypatch.setattr(report_mod, "_texts",
-                            lambda values, finite: counts.update(text=len(values))
-                            or texts(values, finite))
-        render_report(report, "json")
+                            lambda values, finite, value: counts.update(text=len(values))
+                            or texts(values, finite, value))
+        render_report(report, out_format)
         groups = [g for g in report["verdicts"].groups if g.holds.size]
         columns = {id(v): np.size(v) for g in groups for v in (g.xs, g.lhs)}
         counts["rhs text"] = counts.pop("text") - sum(columns.values())
@@ -1670,6 +1727,12 @@ class TestHypothesesCheckedOncePerPoint:
         assert sum(g.rhs.size for g in groups) == 17892
         by_function = {(g.theorem, g.function): g.rhs for g in groups}
         assert by_function["t22", "powdecay"] is by_function["t22", "expdecay"]
+
+    def test_csv_formats_each_rhs_row_once(self, monkeypatch):
+        """CSV renders through the same text memo as JSON: one rhs text per
+        distinct row of each table, 6,856 on the default sweep."""
+        _, counts = self._reuse(SweepConfig(), monkeypatch, "csv")
+        assert counts == {"factor": 1256, "geometry": 8, "rhs text": 6856}
 
     def test_default_sweep_shares_one_lhs_table_per_function_and_mus(self):
         """The groups of a function with equal mus share one (x, mu) lhs
@@ -1796,10 +1859,10 @@ class TestHypothesesCheckedOncePerPoint:
 
     @pytest.mark.parametrize("case", ["batch", "mixed-alpha-m", "repeats"])
     def test_point_text_once_per_group(self, case, monkeypatch):
-        """The JSON renderer formats each point's alpha-to-v text once per
-        group, by position, though the point recurs at every mu of the
-        group: its v is read once per listing, where one read per mu was
-        the design before."""
+        """The renderer formats each point's alpha-to-v text once per group,
+        in either format, by position, though the point recurs at every mu
+        of the group: its v is read once per listing, where one read per
+        mu was the design before."""
         cfg = parse_config(self.CONFIGS[case])
         reads = []
 
@@ -1813,10 +1876,11 @@ class TestHypothesesCheckedOncePerPoint:
         report = run_sweep(cfg)
         groups = report["verdicts"].groups
         assert any(len(g.mus) > 1 for g in groups)
-        for g in groups:
+        for g, out_format in itertools.product(groups, ("json", "csv")):
             reads.clear()
-            text = "".join(report_mod._json_chunks({"n": 1, "verdicts": Verdicts(0.0, [g])}))
-            assert json.loads(text)["verdicts"]
+            text = render_report({"n": 1, "verdicts": Verdicts(0.0, [g])}, out_format)
+            if out_format == "json":
+                assert json.loads(text)["verdicts"]
             assert reads == [id(bp) for bp in g.points]
 
 
