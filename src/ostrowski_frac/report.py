@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .bounds import BoundParams, geometry_factors
@@ -108,10 +109,14 @@ class SweepConfig:
                 raise ConfigError(f"unknown theorem id {t!r}; known: {THEOREM_IDS}")
         if self.out_format not in _FORMATS:
             raise ConfigError(f"format must be {' or '.join(_FORMATS)}")
-        # A CSV field or a `functions` list must be able to hold the id.
+        # A CSV field, a `functions` list and a `function.<id>` line must be
+        # able to hold the id, and the canonical text parse back to it.
         for _, fid, _ in self.extra_functions:
-            if not fid or "," in fid or '"' in fid:
-                raise ConfigError(f"function id {fid!r} must be non-empty, without ',' or '\"'")
+            if (not fid or fid != fid.strip() or fid.splitlines() != [fid]
+                    or any(c in fid for c in ',"=#')):
+                raise ConfigError(
+                    f"function id {fid!r} must be non-empty, without ',', '\"', '=', '#', "
+                    "a line break or leading or trailing whitespace")
         # Each number is stored as the type its config key parses to, so
         # that the canonical text parses back to the same config.  One probe
         # per value, so that no value is dropped from the sweep unreported
@@ -485,10 +490,29 @@ _FORMATS = {
 }
 
 
-def _texts(values: list, finite: bool, value) -> list[str]:
-    """Each of values as a format writes it: by `float.__repr__` if
-    `finite` says that all are finite floats, else by `value`."""
-    return list(map(float.__repr__, values)) if finite else [value(v) for v in values]
+def _texts(values, value) -> list[str]:
+    """Each of values, a list or a float64 ndarray read flat, as a format
+    writes it.  If all are finite floats, `float.__repr__`'s text, from one
+    `orjson.dumps` call on the whole list: orjson writes the same shortest
+    round-trip digits (Ryu) and notation, except for a nonzero value below
+    1e-4 or at least 1e16 in magnitude (`0.00001` and `1e16` for repr's
+    `1e-05` and `1e+16`), which is written by `float.__repr__` itself.
+    Else each value by `value`."""
+    if isinstance(values, np.ndarray):
+        listed = values.ravel().tolist()
+        finite = bool(np.isfinite(values).all())
+    else:
+        listed = values
+        finite = set(map(type, listed)) <= {float} and all(map(math.isfinite, listed))
+    if not finite:
+        return [value(v) for v in listed]
+    if not listed:
+        return []
+    texts = orjson.dumps(listed)[1:-1].decode().split(",")
+    size = np.abs(values).ravel()
+    for i in np.flatnonzero(((size < 1e-4) & (size > 0)) | (size >= 1e16)).tolist():
+        texts[i] = float.__repr__(listed[i])
+    return texts
 
 
 def _chunks(report: dict, head: str, value, first: str, later: str, end: str,
@@ -502,38 +526,33 @@ def _chunks(report: dict, head: str, value, first: str, later: str, end: str,
     theorem, function, a and b per group; x per row; each of the group's
     mus once; alpha to v once per point of the group, by position,
     prefixed by each mu's text.
-    `run_sweep` shares an x list and an lhs table among a function's
-    groups, and an rhs table among alike groups, so each is formatted
-    (`_texts`) once per object, and its text is kept, by the object's
-    identity, until the last group that reads it has rendered.  An rhs
-    table keeps a text per distinct row, keyed by the row's bytes, so
-    0.0 and -0.0 stay apart: rows at mirrored x-fractions repeat bit for
-    bit, and a shared table repeats whole.
+    Each float table is formatted whole, by one `_texts` call: each
+    group's margin table, and each x list, lhs table and rhs table once
+    per object.  `run_sweep` shares an x list and an lhs table among a
+    function's groups, and an rhs table among alike groups, so the text
+    of each is kept, by the object's identity, until the last group that
+    reads it has rendered.
     The text that leads a verdict up to its rhs is built once per (x, mu)
     of the lhs table and repeated over the group's points.  Each row is
-    then one comprehension of one f-string per verdict: its lead, rhs text,
-    margin, holds, x and point text.  margin is read from the table's
-    `.tolist()`, by repr if the group's are all finite, else each
-    through `value`."""
+    then one comprehension of one f-string per verdict: its lead, rhs
+    text, margin text, holds, x and point text."""
     yield head
     before = dict(zip(_ROW_KEYS, [first.format(_ROW_KEYS[0]),
                                   *(later.format(k) for k in _ROW_KEYS[1:])]))
     tol_margin, groups = report["verdicts"]
     tol_margin = value(tol_margin)
+    holds_text = value(False), value(True)
     # id of an x list, lhs table or rhs table -> the last group that reads it
     last = {id(v): k for k, g in enumerate(groups) for v in (g.xs, g.lhs, g.rhs)}
-    # id of an x list or lhs table -> (it, its texts in flat order), of an
-    # rhs table -> (it, {row bytes: row text}); each entry holds its
-    # object, so no other object takes its id.
+    # id of an x list, lhs table or rhs table -> (it, its texts in flat
+    # order); each entry holds its object, so no other object takes its id.
     texts: dict[int, tuple] = {}
     opened = False
 
     def text_of(values):
         entry = texts.get(id(values))
         if entry is None:
-            listed = values.ravel().tolist() if isinstance(values, np.ndarray) else values
-            finite = set(map(type, listed)) <= {float} and all(map(math.isfinite, listed))
-            entry = texts[id(values)] = (values, _texts(listed, finite, value))
+            entry = texts[id(values)] = (values, _texts(values, value))
         return entry[1]
 
     before_margin, before_holds = before["margin"], before["holds"]
@@ -555,24 +574,15 @@ def _chunks(report: dict, head: str, value, first: str, later: str, end: str,
             for bp in g.points]
         points = [mu + text for mu in [f'{before["mu"]}{value(mu)}{before["alpha"]}'
                                        for mu in g.mus] for text in point_texts]
-        rhs, margin, holds = (t.reshape(len(g.xs), -1) for t in (g.rhs, g.margin, g.holds))
-        row_text = texts.setdefault(id(g.rhs), (g.rhs, {}))[1]
-        finite_rhs = bool(np.isfinite(g.rhs).all())
-        finite = bool(np.isfinite(g.margin).all())
-        for x, lead, row, rhs_x, margin_x, holds_x in zip(
-                text_of(g.xs), leads, rhs, rhs.tolist(), margin.tolist(), holds.tolist()):
-            key = row.tobytes()
-            if key not in row_text:
-                row_text[key] = _texts(rhs_x, finite_rhs, value)
-            rhs_x = row_text[key]
+        width = len(points)  # verdicts per x
+        rhs, margin = text_of(g.rhs), _texts(g.margin, value)
+        for i, (x, lead, holds_x) in enumerate(zip(
+                text_of(g.xs), leads, g.holds.reshape(len(g.xs), width).tolist())):
             at_x = shared + x
-            if finite:
-                row = "".join([f'{ld}{r}{before_margin}{d!r}{before_holds}'
-                               f'{"true" if h else "false"}{at_x}{p}'
-                               for ld, r, d, h, p in zip(lead, rhs_x, margin_x, holds_x, points)])
-            else:
-                row = "".join([f'{ld}{r}{before_margin}{value(d)}{before_holds}{value(h)}{at_x}{p}'
-                               for ld, r, d, h, p in zip(lead, rhs_x, margin_x, holds_x, points)])
+            cut = slice(i * width, (i + 1) * width)
+            row = "".join([f'{ld}{r}{before_margin}{d}{before_holds}{holds_text[h]}{at_x}{p}'
+                           for ld, r, d, h, p in zip(lead, rhs[cut], margin[cut], holds_x,
+                                                     points)])
             if not opened:  # the first verdict drops its separator
                 row = row[1:]
                 opened = True

@@ -824,11 +824,14 @@ class TestSweepCommand:
          # A CSV row of either id once had a field too many or an empty
          # function, and no `functions` list could name the first.
          ("function.com,ma = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5",
-          "error: function id 'com,ma' must be non-empty, without ',' or '\"'\n"),
+          "error: function id 'com,ma' must be non-empty, without ',', '\"', '=', "
+          "'#', a line break or leading or trailing whitespace\n"),
          ("function. = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5",
-          "error: function id '' must be non-empty, without ',' or '\"'\n"),
+          "error: function id '' must be non-empty, without ',', '\"', '=', "
+          "'#', a line break or leading or trailing whitespace\n"),
          ('function.q"t = affine slope=0.5 intercept=0.25 lo=1.0 hi=2.5',
-          "error: function id 'q\"t' must be non-empty, without ',' or '\"'\n"),
+          "error: function id 'q\"t' must be non-empty, without ',', '\"', '=', "
+          "'#', a line break or leading or trailing whitespace\n"),
          ("function.x = affine slope=abc intercept=0 lo=0 hi=1",
           "error: non-numeric parameter 'slope=abc'\n"),
          ("functions = nosuch", "error: unknown function ids: ['nosuch']\n")],
@@ -1181,7 +1184,10 @@ class TestRenderReport:
             [], {}, [1.5, None, "x"], {"k": [0.5, {"z": True}]}]
     # The floats a run's lhs and a group's rhs and margin may hold: finite
     # ones, and with them those json spells its own way.
-    FINITE = [0.0, -0.0, 0.1, 1.0, 1e300, -1e300, 5e-324, -5e-324, 1 - 2**-53]
+    FINITE = [0.0, -0.0, 0.1, 1.0, 1e300, -1e300, 5e-324, -5e-324, 1 - 2**-53,
+              # Beside where repr switches to exponent notation.
+              1e-4, 9.999999999999999e-05, 1.2777531299829059e-05, 1e16,
+              9999999999999998.0, -1e-05]
     FLOATS = FINITE + [float("nan"), float("inf"), float("-inf")]
     # Values a point accepts, again equal ones with different text.
     POINT_VALUES = {
@@ -1291,6 +1297,49 @@ class TestRenderReport:
                   "summary": {"t22": {"pass": 1, "fail": 0, "worst_margin": -0.0}},
                   "verdicts": Verdicts(value(), groups)}
         assert render_report(report, "json") == self._oracle(report)
+        # The same tables in CSV, equal to csv.writer's text of the records,
+        # with each value a CSV field may not hold (strings, lists, dicts)
+        # replaced by one float per object, so that shared x lists and mus
+        # stay shared.
+        safe = {}
+
+        def field(v):
+            if isinstance(v, (str, list, dict)):
+                return safe.setdefault(id(v), (v, float(len(safe))))[1]
+            return v
+
+        def fields(vs):
+            return safe.setdefault(id(vs), (vs, type(vs)(map(field, vs))))[1]
+
+        report["verdicts"] = Verdicts(field(report["verdicts"].tol_margin), [
+            g._replace(theorem="t", function="f", a=field(g.a), b=field(g.b), xs=fields(g.xs),
+                       mus=fields(g.mus)) for g in groups])
+        rows = list(verdict_rows(report))
+        assert render_report(report, "csv") == sweep_oracle.render(
+            {**report, "verdicts": rows}, "csv")
+
+    def test_table_texts_are_repr(self):
+        """`_texts` writes a finite float table as `float.__repr__` does, as a
+        list and as an array: on seeded random bit patterns, each binade
+        as often as the next; on log-uniform draws from the range where
+        repr's notation is plain, where the text is orjson's; and on the
+        floats at and beside the bounds of that range."""
+        rng = np.random.default_rng(2018)
+        n = 200_000
+        sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+        bits = (sign | (np.arange(n, dtype=np.uint64) % np.uint64(2047) << np.uint64(52))
+                | rng.integers(0, 2**52, n, dtype=np.uint64))
+        plain = np.copysign(10.0 ** rng.uniform(-4, 16, n), sign.view(np.float64))
+        edges = [np.nextafter(v, to) for v in (1e-4, 1e16) for to in (0.0, v, np.inf)]
+        special = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3,
+                   *edges]
+        values = np.concatenate([[*special, *(-v for v in special)], bits.view(np.float64),
+                                 plain])
+        assert np.isfinite(values).all()
+        want = list(map(float.__repr__, values.tolist()))
+        assert report_mod._texts(values, None) == want
+        assert report_mod._texts(values.reshape(2, -1), None) == want
+        assert report_mod._texts(values.tolist(), None) == want
 
     # A verdict's flat record, key by key, as the JSON report lists it.
     RECORD_KEYS = ("theorem", "lhs", "rhs", "margin", "holds", "tol_margin", "function",
@@ -1687,8 +1736,8 @@ class TestHypothesesCheckedOncePerPoint:
         """The sweep's report, with its point-factor evaluations (through
         the `bounds.factor_*` names) and `geometry_factors` calls counted,
         then the values the renderer formats (`report._texts`) in
-        `out_format` beyond one text per value of each x list and lhs table
-        object."""
+        `out_format`: those of margin tables, and the others beyond one
+        text per value of each x list and lhs table object."""
         counts = collections.Counter()
 
         def counting(name, fn):
@@ -1703,12 +1752,16 @@ class TestHypothesesCheckedOncePerPoint:
         monkeypatch.setattr(report_mod, "geometry_factors",
                             counting("geometry", report_mod.geometry_factors))
         report = run_sweep(cfg)
-        texts = report_mod._texts
-        monkeypatch.setattr(report_mod, "_texts",
-                            lambda values, finite, value: counts.update(text=len(values))
-                            or texts(values, finite, value))
-        render_report(report, out_format)
         groups = [g for g in report["verdicts"].groups if g.holds.size]
+        margins = {id(g.margin) for g in groups}
+        texts = report_mod._texts
+
+        def counted_texts(values, value):
+            counts["margin text" if id(values) in margins else "text"] += np.size(values)
+            return texts(values, value)
+
+        monkeypatch.setattr(report_mod, "_texts", counted_texts)
+        render_report(report, out_format)
         columns = {id(v): np.size(v) for g in groups for v in (g.xs, g.lhs)}
         counts["rhs text"] = counts.pop("text") - sum(columns.values())
         return report, counts
@@ -1717,22 +1770,27 @@ class TestHypothesesCheckedOncePerPoint:
         """A point factor once per (bounds factor, point values, mu), one
         callable for `mm` and `remark_q1`; a geometry column once per
         (domain, mu); an rhs table once per alike groups, powdecay's and
-        expdecay's among them; and its text once per distinct row."""
+        expdecay's among them; and its text once per table.  Each margin
+        is formatted once."""
         assert THEOREMS["mm"].factor is THEOREMS["remark_q1"].factor
         report, counts = self._reuse(SweepConfig(), monkeypatch)
         groups = report["verdicts"].groups
         tables = {id(g.rhs): g.rhs for g in groups}
-        assert counts == {"factor": 1256, "geometry": 8, "rhs text": 6856}
+        assert counts == {"factor": 1256, "geometry": 8, "rhs text": 12168,
+                          "margin text": 17892}
         assert (len(groups), len(tables)) == (21, 15)
+        assert sum(t.size for t in tables.values()) == 12168
         assert sum(g.rhs.size for g in groups) == 17892
         by_function = {(g.theorem, g.function): g.rhs for g in groups}
         assert by_function["t22", "powdecay"] is by_function["t22", "expdecay"]
 
-    def test_csv_formats_each_rhs_row_once(self, monkeypatch):
-        """CSV renders through the same text memo as JSON: one rhs text per
-        distinct row of each table, 6,856 on the default sweep."""
+    def test_csv_formats_each_rhs_table_once(self, monkeypatch):
+        """CSV renders through the same table texts as JSON: one rhs text
+        per value of each distinct table, 12,168 on the default sweep, and
+        one per margin."""
         _, counts = self._reuse(SweepConfig(), monkeypatch, "csv")
-        assert counts == {"factor": 1256, "geometry": 8, "rhs text": 6856}
+        assert counts == {"factor": 1256, "geometry": 8, "rhs text": 12168,
+                          "margin text": 17892}
 
     def test_default_sweep_shares_one_lhs_table_per_function_and_mus(self):
         """The groups of a function with equal mus share one (x, mu) lhs
@@ -1759,7 +1817,7 @@ class TestHypothesesCheckedOncePerPoint:
 
     def test_quad_dense_shares_tables_but_repeats_no_row(self, monkeypatch):
         # Seeded x-fractions are not mirrored: no rhs row recurs within a
-        # table, so each distinct table's values are formatted once each.
+        # table.  Each distinct table's values are formatted once each.
         report, counts = self._reuse(parse_config(QUAD_DENSE_SWEEP), monkeypatch)
         groups = report["verdicts"].groups
         tables = {id(g.rhs): g.rhs for g in groups}
@@ -2071,6 +2129,25 @@ class TestCanonicalText:
             report = run_sweep(cfg)
             assert render_report(report, "json") == render_report(
                 run_sweep(parse_config(text)), "json")
+
+    AFFINE = (("slope", 0.5), ("intercept", 0.25), ("lo", 1.0), ("hi", 2.5))
+
+    # Each id a config line cannot carry: the canonical text would not parse,
+    # or parse back to another config.
+    @pytest.mark.parametrize("fid", ["a\nb", "a\rb", "a\u2028b", "a#b", "a=b", " a", "a ",
+                                     "a\t"])
+    def test_function_id_that_no_line_holds_is_an_error(self, fid):
+        with pytest.raises(ConfigError) as got:
+            SweepConfig(functions=(fid,), extra_functions=(("affine", fid, self.AFFINE),))
+        assert str(got.value) == (
+            f"function id {fid!r} must be non-empty, without ',', '\"', '=', '#', "
+            "a line break or leading or trailing whitespace")
+
+    def test_function_id_with_an_inner_space_parses_back(self):
+        cfg = SweepConfig(functions=("a b",), extra_functions=(("affine", "a b", self.AFFINE),))
+        assert parse_config(cfg.canonical_text()) == cfg
+        rows = csv.DictReader(io.StringIO(render_report(run_sweep(cfg), "csv")))
+        assert {r["function"] for r in rows} == {"a b"}
 
     @pytest.mark.parametrize("kwargs,message", [
         (dict(us=(None,)), "u = None: a real number, not a bool, required"),
