@@ -10,7 +10,10 @@ taken to be exactly the kernel integral k(alpha); see README for why.
 
 Every printed right-hand side is a point factor `factor_*(bp, mu)`, which
 never reads x, times `geometry_factor`; `verify.Theorem.rhs` forms that
-product, so a sweep may evaluate each factor once per (point, mu).
+product, so a sweep may evaluate each factor once per (point, mu).  A
+right-hand side that another one gives at a pinned parameter has no
+function of its own: `t22`'s is `factor_t26` and `remark_q1`'s is
+`factor_mm`, each at q = 1.
 
 A point factor is the printed formula and nothing more: it assumes the
 hypotheses and parameter box that its `verify.THEOREMS` record states.
@@ -115,11 +118,6 @@ def k_alpha(M: float, m: float, alpha: float, mu: float) -> float:
     return M**m * mexp_integral(M ** (alpha * (1.0 - m)), mu)
 
 
-def factor_t22(bp: BoundParams, mu: float) -> float:
-    """Main fractional bound over the geometry factor: the kernel factor."""
-    return k_alpha(bp.M, bp.m, bp.alpha, mu)
-
-
 def _exprel(t: float) -> float:
     """(e^t - 1) / t, exactly 1 at t = 0."""
     return math.expm1(t) / t if t else 1.0
@@ -133,8 +131,10 @@ def factor_t24(bp: BoundParams, mu: float) -> float:
 
 
 def factor_t26(bp: BoundParams, mu: float) -> float:
-    """Power-mean-route bound over the geometry factor; equals factor_t22 at
-    q = 1."""
+    """Power-mean-route bound over the geometry factor.  At q = 1 it is the
+    main fractional bound's kernel factor `k_alpha`, bit for bit (1.0 *
+    alpha, y ** 0.0 and y ** 1.0 are exact), so the t22 record, which pins
+    q = 1, reads it."""
     c = bp.M ** (bp.q * bp.alpha * (1.0 - bp.m))
     return (
         bp.M**bp.m

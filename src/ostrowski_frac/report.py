@@ -94,6 +94,9 @@ class SweepConfig:
     output: Optional[str] = None
     # (family, id, params) triples for additional corpus members.
     extra_functions: tuple[tuple[str, str, tuple[tuple[str, float], ...]], ...] = ()
+    # Every corpus member by id: the builtin ones, then the extra ones,
+    # which `__post_init__` builds once, and so checks.
+    corpus: dict[str, FunctionSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Every sequence is stored as a tuple, so that a config built in
@@ -134,6 +137,27 @@ class SweepConfig:
         object.__setattr__(self, "extra_functions", tuple(
             (family, fid, tuple((k, _number(f"function.{fid} {k}", v, float)) for k, v in params))
             for family, fid, params in self.extra_functions))
+        # Building a member checks its family and parameters, in the
+        # family's own words; every id must then name a member.
+        builtin = corpus_by_id()
+        corpus = dict(builtin)
+        for family, fid, params in self.extra_functions:
+            if fid in corpus:
+                raise ConfigError(f"extra function id {fid!r} is already in the corpus"
+                                  if fid in builtin else f"repeated extra function id {fid!r}")
+            named: dict[str, float] = {}
+            for k, v in params:
+                if k in named:
+                    raise ConfigError(f"repeated parameter {k!r} in function {fid!r}")
+                named[k] = v
+            try:
+                corpus[fid] = spec_from_family(family, fid, **named)
+            except DomainError as exc:
+                raise ConfigError(str(exc)) from None
+        missing = [f for f in self.functions if f not in corpus]
+        if missing:
+            raise ConfigError(f"unknown function ids: {missing}")
+        object.__setattr__(self, "corpus", corpus)
 
     def canonical_text(self) -> str:
         lines = [
@@ -187,8 +211,6 @@ def parse_config(text: str) -> SweepConfig:
                 if "=" not in p:
                     raise ConfigError(f"bad parameter {p!r} in {key!r}")
                 pk, pv = p.split("=", 1)
-                if pk in dict(params):
-                    raise ConfigError(f"repeated parameter {pk!r} in function {fid!r}")
                 try:
                     params.append((pk, float(pv)))
                 except ValueError:
@@ -214,7 +236,7 @@ def parse_config(text: str) -> SweepConfig:
         key: number(key, kind) for key, kind in _QUAD_KEYS.items() if key in kv
     })
     lists = {name: _parse_floats(kv.pop(key)) for key, name in _LIST_KEYS.items() if key in kv}
-    cfg = SweepConfig(
+    fields = dict(
         functions=tuple(
             s.strip() for s in kv.pop("functions", "").split(",") if s.strip()
         ),
@@ -228,24 +250,17 @@ def parse_config(text: str) -> SweepConfig:
         output=kv.pop("output", None),
         extra_functions=tuple(extra),
     )
+    # Before the config is built, so that a misspelt key is named rather
+    # than a member it leaves unchecked.
     if kv:
         raise ConfigError(f"unknown config keys: {sorted(kv)}")
-    return cfg
+    return SweepConfig(**fields)
 
 
 def resolve_corpus(cfg: SweepConfig) -> list[FunctionSpec]:
-    by_id = corpus_by_id()
-    for family, fid, params in cfg.extra_functions:
-        if fid in by_id:
-            raise ConfigError(f"extra function id {fid!r} is already in the corpus")
-        spec = spec_from_family(family, fid, **dict(params))
-        by_id[spec.id] = spec
-    if not cfg.functions:
-        return list(by_id.values())
-    missing = [f for f in cfg.functions if f not in by_id]
-    if missing:
-        raise ConfigError(f"unknown function ids: {missing}")
-    return [by_id[f] for f in cfg.functions]
+    """The specs of the configured functions, in `functions` order, or the
+    whole corpus, in corpus order, if it is empty."""
+    return [cfg.corpus[f] for f in cfg.functions or cfg.corpus]
 
 
 def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig,
@@ -287,11 +302,12 @@ def _points(theorem: str, f: FunctionSpec, cfg: SweepConfig,
 
 
 class Group(NamedTuple):
-    """The verdicts of one theorem on one function: its x values, mu values
-    and points in sweep order, its |signed LHS| as a float64 table indexed
-    by (x, mu), which the function's groups of equal mus share, and its
-    verdicts as tables (float64 rhs and margin, bool holds) indexed by (x,
-    mu, point)."""
+    """The verdicts of one theorem on one function, the report's one
+    record: its x values (Python floats, a list its function's groups
+    share), mu values and points in sweep order, its |signed LHS| as a
+    float64 table indexed by (x, mu), which the function's groups of equal
+    mus share, its verdicts as tables (float64 rhs and margin, bool holds)
+    indexed by (x, mu, point), and the verdict rule's tolerance."""
     theorem: str
     function: str
     a: float
@@ -303,12 +319,7 @@ class Group(NamedTuple):
     rhs: np.ndarray
     margin: np.ndarray
     holds: np.ndarray
-
-
-class Verdicts(NamedTuple):
-    """A report's verdicts: the tolerance they share, their groups in sweep order."""
     tol_margin: float
-    groups: list[Group]
 
 
 def _summary(groups: list[Group]) -> dict[str, dict]:
@@ -330,17 +341,19 @@ def _summary(groups: list[Group]) -> dict[str, dict]:
 
 def run_sweep(cfg: SweepConfig) -> dict:
     """Execute the sweep; returns the report as a plain dict whose
-    `verdicts` are grouped (`Verdicts`; `verdict_rows` lists them flat).
+    `verdicts` are its groups in sweep order (`Group`; `verdict_rows` lists
+    them flat).
 
     Per function, in three steps: list every theorem's points (`_points`:
     the hypotheses decided over columns, with no check per point and a
     `BoundParams` for admitted points only); compute the (mu, x) LHS
     table over the mu values in use, in order of first appearance, and
-    the distinct x values, with one `ostrowski_signed_many` call (one
-    quadrature batch, which evaluates f once for all mu), transposed once
-    to the (x, mu) table of the groups whose mus are the mu values in
-    use; judge each group as one (x, mu, point) table, with one `_judge`
-    call.  Each RHS is `Theorem.rhs`: the point factor times the geometry
+    the configured x values, with one `ostrowski_signed_many` call (one
+    quadrature batch, which evaluates f once for all mu, and changes no
+    bit of any integral, so a repeated x gets the same bits), read
+    transposed as the (x, mu) table of the groups whose mus are the mu
+    values in use; judge each group as one (x, mu, point) table, with one
+    `_judge` call, whose tolerance the group keeps.  Each RHS is `Theorem.rhs`: the point factor times the geometry
     factor of its (x, mu).  A group's RHS table is its (x, mu) geometry
     factors times its (mu, point) factors, and its margin that minus its
     (x, mu) LHS, each broadcast over the axis it lacks.  IEEE products and differences
@@ -349,9 +362,9 @@ def run_sweep(cfg: SweepConfig) -> dict:
     Each value that recurs is computed once per sweep: a point factor
     once per (bounds factor, point values, mu), over functions and
     theorems (`_points`); a geometry factor column once per (domain, mu),
-    with one `geometry_factors` call over the distinct x values, since it
-    reads f only through its domain; an RHS table once per (domain, mu
-    values, bits of the point factors), which fix it bit for bit, so
+    with one `geometry_factors` call over the x values, since it reads f
+    only through its domain; an RHS table once per (domain, mu values,
+    bits of the point factors), which fix it bit for bit, so
     alike groups (`powdecay` and `expdecay`: M = 0.5 on [1, 2]) share one
     rhs array.  The groups of one function with equal mus share one lhs
     table (a group with other mus, such as `mu1`'s, gets its own columns
@@ -360,7 +373,8 @@ def run_sweep(cfg: SweepConfig) -> dict:
     sweeps is seen by the second.
 
     Errors come in this order.  `SweepConfig` has rejected every bad
-    configured value before the sweep starts.  Then, per function in corpus
+    configured value, extra member and function id before the sweep
+    starts.  Then, per function in corpus
     order, a point factor's DomainError is raised while that function's
     points are listed, before any of its quadrature, naming the function,
     theorem and point.  Then, before any of the function's quadrature,
@@ -387,22 +401,19 @@ def run_sweep(cfg: SweepConfig) -> dict:
     for f in resolve_corpus(cfg):
         a, b = f.domain
         xs = [a + frac_x * (b - a) for frac_x in cfg.x_fracs]
-        row = {}  # each distinct x -> its column in the LHS table
-        rows = [row.setdefault(x, len(row)) for x in xs]
-        distinct = list(row)
         listed = [(theorem, _points(theorem, f, cfg, factors)) for theorem in cfg.theorems]
         in_use = tuple(dict.fromkeys(mu for _, (mus, _, table) in listed if table.size
                                      for mu in mus))
         lhs_of = {}  # mus -> the (x, mu) lhs table of the groups with those mus
         if in_use:
             try:
-                lhs = np.abs(ostrowski_signed_many(f, a, b, distinct, in_use, cfg.quad))
+                lhs = np.abs(ostrowski_signed_many(f, a, b, xs, in_use, cfg.quad))
                 for mu in in_use:
                     if (a, b, mu) not in geometry:
-                        geometry[a, b, mu] = geometry_factors(a, b, distinct, mu)[rows]
+                        geometry[a, b, mu] = geometry_factors(a, b, xs, mu)
             except DomainError as exc:
                 raise DomainError(f"{f.id!r}: {exc}") from None
-            lhs_of[in_use] = lhs[:, rows].T
+            lhs_of[in_use] = lhs.T
         for theorem, (mus, points, table) in listed:
             if not table.size:
                 continue
@@ -414,16 +425,15 @@ def run_sweep(cfg: SweepConfig) -> dict:
             if rhs is None:
                 g = np.stack([geometry[a, b, mu] for mu in mus], axis=1)
                 rhs = tables[key] = g[:, :, None] * table
-            margin, holds, _ = _judge(lhs_of[mus][:, :, None], rhs, cfg.quad)
+            margin, holds, tol_margin = _judge(lhs_of[mus][:, :, None], rhs, cfg.quad)
             groups.append(Group(theorem, f.id, a, b, xs, mus, lhs_of[mus], points, rhs,
-                                margin, holds))
+                                margin, holds, tol_margin))
 
     return {
         "config_fingerprint": cfg.fingerprint(),
         "version": __version__,
         "summary": _summary(groups),
-        # The verdict rule's tolerance does not depend on the instance.
-        "verdicts": Verdicts(_judge(0.0, 0.0, cfg.quad)[2], groups),
+        "verdicts": groups,
     }
 
 
@@ -436,26 +446,24 @@ def verdict_rows(report: dict):
     """The report's verdicts as flat records (`_ROW_KEYS`) of Python values,
     in sweep order: row i of each group's tables, read as (x, mu and
     point), at the group's i-th x."""
-    tol_margin, groups = report["verdicts"]
-    for g in groups:
+    for g in report["verdicts"]:
         points = [(j, mu, bp) for j, mu in enumerate(g.mus) for bp in g.points]
         tables = (t.reshape(len(g.xs), len(points)) for t in (g.rhs, g.margin, g.holds))
         for x, lhs_x, rhs_x, margin_x, holds_x in zip(g.xs, g.lhs.tolist(),
                                                       *(t.tolist() for t in tables)):
             for (j, mu, bp), r, d, h in zip(points, rhs_x, margin_x, holds_x):
                 yield dict(zip(_ROW_KEYS, (
-                    g.theorem, lhs_x[j], r, d, h, tol_margin, g.function, g.a, g.b,
+                    g.theorem, lhs_x[j], r, d, h, g.tol_margin, g.function, g.a, g.b,
                     x, mu, bp.alpha, bp.m, bp.M, bp.q, bp.u, bp.v)))
 
 
 def _value_json(v) -> str:
-    """v as `json.dumps(report, indent=2)` renders it as a verdict's value."""
+    """v as `json.dumps(report, indent=2)` renders it as a verdict's value:
+    a scalar, as every `Group` field and point value is."""
     if v is None:  # the u and v of every point without the Young split
         return "null"
     if type(v) is float and math.isfinite(v):
         return float.__repr__(v)
-    if isinstance(v, (dict, list, tuple)):
-        return json.dumps(v, indent=2).replace("\n", "\n      ")
     return json.dumps(v)
 
 
@@ -491,20 +499,16 @@ _FORMATS = {
 
 
 def _texts(values, value) -> list[str]:
-    """Each of values, a list or a float64 ndarray read flat, as a format
-    writes it.  If all are finite floats, `float.__repr__`'s text, from one
-    `orjson.dumps` call on the whole list: orjson writes the same shortest
-    round-trip digits (Ryu) and notation, except for a nonzero value below
-    1e-4 or at least 1e16 in magnitude (`0.00001` and `1e16` for repr's
-    `1e-05` and `1e+16`), which is written by `float.__repr__` itself.
-    Else each value by `value`."""
-    if isinstance(values, np.ndarray):
-        listed = values.ravel().tolist()
-        finite = bool(np.isfinite(values).all())
-    else:
-        listed = values
-        finite = set(map(type, listed)) <= {float} and all(map(math.isfinite, listed))
-    if not finite:
+    """Each of values, a float table (a list of floats, or a float64
+    ndarray) read flat, as a format writes it.  If all are finite,
+    `float.__repr__`'s text, from one `orjson.dumps` call on the whole
+    list: orjson writes the same shortest round-trip digits (Ryu) and
+    notation, except for a nonzero value below 1e-4 or at least 1e16 in
+    magnitude (`0.00001` and `1e16` for repr's `1e-05` and `1e+16`), which
+    is written by `float.__repr__` itself.  Else each value by `value`."""
+    values = np.asarray(values, dtype=float)
+    listed = values.ravel().tolist()
+    if not np.isfinite(values).all():
         return [value(v) for v in listed]
     if not listed:
         return []
@@ -522,10 +526,10 @@ def _chunks(report: dict, head: str, value, first: str, later: str, end: str,
     keys in `_ROW_KEYS` order, each key's text (`first`, `later`) before
     its value's, and `end` after the last.  Each group renders from its
     tables, read as (x, mu and point), one row per x.  Each shared value
-    is formatted once, where it is stored: tol_margin per report;
-    theorem, function, a and b per group; x per row; each of the group's
-    mus once; alpha to v once per point of the group, by position,
-    prefixed by each mu's text.
+    is formatted once, where it is stored: theorem, tol_margin, function,
+    a and b per group; x per row; each of the group's mus once; alpha to
+    v once per point of the group, by position, prefixed by each mu's
+    text.
     Each float table is formatted whole, by one `_texts` call: each
     group's margin table, and each x list, lhs table and rhs table once
     per object.  `run_sweep` shares an x list and an lhs table among a
@@ -539,8 +543,7 @@ def _chunks(report: dict, head: str, value, first: str, later: str, end: str,
     yield head
     before = dict(zip(_ROW_KEYS, [first.format(_ROW_KEYS[0]),
                                   *(later.format(k) for k in _ROW_KEYS[1:])]))
-    tol_margin, groups = report["verdicts"]
-    tol_margin = value(tol_margin)
+    groups = report["verdicts"]
     holds_text = value(False), value(True)
     # id of an x list, lhs table or rhs table -> the last group that reads it
     last = {id(v): k for k, g in enumerate(groups) for v in (g.xs, g.lhs, g.rhs)}
@@ -562,7 +565,8 @@ def _chunks(report: dict, head: str, value, first: str, later: str, end: str,
         if not g.holds.size:
             continue
         start = f'{before["theorem"]}{value(g.theorem)}{before["lhs"]}'
-        shared = (f'{before["tol_margin"]}{tol_margin}{before["function"]}{value(g.function)}'
+        shared = (f'{before["tol_margin"]}{value(g.tol_margin)}'
+                  f'{before["function"]}{value(g.function)}'
                   f'{before["a"]}{value(g.a)}{before["b"]}{value(g.b)}{before["x"]}')
         leads = np.repeat(
             np.array([f'{start}{t}{before["rhs"]}' for t in text_of(g.lhs)],
@@ -592,12 +596,12 @@ def _chunks(report: dict, head: str, value, first: str, later: str, end: str,
 
 def report_chunks(report: dict, out_format: str):
     """The report as text, in pieces: `out_format` one of `_FORMATS`, its
-    verdicts as their flat records (`verdict_rows`), each with its keys
-    in `_ROW_KEYS` order, at most one (group, x) row of verdicts per
-    piece, so a caller can write the report without holding it whole.  A
-    row's piece of the default sweep is at most about 75 kB, below glibc's
-    128 KiB mmap threshold, so writing one piece after another reuses the
-    same heap pages instead of faulting in fresh ones.
+    verdicts, a list of `Group`s, as their flat records (`verdict_rows`),
+    each with its keys in `_ROW_KEYS` order, at most one (group, x) row of
+    verdicts per piece, so a caller can write the report without holding
+    it whole.  A row's piece of the default sweep is at most about 75 kB,
+    below glibc's 128 KiB mmap threshold, so writing one piece after
+    another reuses the same heap pages instead of faulting in fresh ones.
     JSON is `json.dumps(report, indent=2) + "\\n"` byte for byte; CSV is
     a header of the keys, then one line per verdict, each value as
     `_value_csv` writes it.

@@ -217,7 +217,7 @@ def _factor(name: str) -> Callable[[BoundParams, float], float]:
 
 
 THEOREMS = {
-    "t22": Theorem(_factor("factor_t22"), M_below_1=False, box=(("q", "=", 1.0),)),
+    "t22": Theorem(_factor("factor_t26"), M_below_1=False, box=(("q", "=", 1.0),)),
     "t24": Theorem(_factor("factor_t24"), box=(("q", ">", 1.0), ("alpha", "<", 1.0))),
     "t26": Theorem(_factor("factor_t26")),
     "set": Theorem(_factor("factor_set"), geom_convex=True,

@@ -4,6 +4,7 @@ Verdict lines are printed with output capture suspended so they stay visible
 in the live pytest output.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -162,16 +163,20 @@ def test_criterion_06_specialization_equalities(report_line):
         q = rng.uniform(1.0, 4.0)
         frac = FracParams(a, b, x, mu)
 
-        # power-mean route at q = 1 collapses onto the main bound
+        # power-mean route at q = 1 collapses onto the main bound, whose
+        # kernel factor is `k_alpha` (t22's record reads t26's factor)
         alpha = rng.uniform(0.05, 1.0)
         p1 = BoundParams(M=M, alpha=alpha, m=m, q=1.0)
-        worst = max(worst, _rel(THEOREMS["t26"].rhs(p1, frac), THEOREMS["t22"].rhs(p1, frac)))
+        main_bound = bnd.k_alpha(M, m, alpha, mu) * bnd.geometry_factor(frac)
+        worst = max(worst, _rel(THEOREMS["t26"].rhs(p1, frac), main_bound))
 
         # each alpha = 1 corollary, written out, against its parent at alpha = 1
         p2 = BoundParams(M=M, alpha=1.0, m=m, q=q)
         geometry = ((x - a) ** (mu + 1.0) + (b - x) ** (mu + 1.0)) / (b - a)
         t22_alpha1 = geometry * M**m * mexp_integral(M ** (1.0 - m), mu)
-        worst = max(worst, _rel(t22_alpha1, THEOREMS["t22"].rhs(p2, frac)))
+        # t22 is stated at q = 1 only: its record at that pin
+        worst = max(worst, _rel(t22_alpha1,
+                                THEOREMS["t22"].rhs(dataclasses.replace(p2, q=1.0), frac)))
         t26_alpha1 = (
             M**m
             * (1.0 / (mu + 1.0)) ** (1.0 - 1.0 / q)
@@ -293,10 +298,12 @@ def test_criterion_10_cli_contract(tmp_path, capfd, monkeypatch, report_line):
 
     # The same sweep against a printed t22 bound understated by half (every
     # t22 verdict here has lhs/rhs > 0.57): a false bound, not a false
-    # hypothesis.  The theorem record looks its factor up at call time.
-    factor_t22 = bnd.factor_t22
+    # hypothesis.  The sweep looks the record up at call time; t26, whose
+    # factor t22 shares, keeps its own.
+    t22 = THEOREMS["t22"]
     with monkeypatch.context() as patch:
-        patch.setattr(bnd, "factor_t22", lambda bp, mu: 0.5 * factor_t22(bp, mu))
+        patch.setitem(THEOREMS, "t22",
+                      dataclasses.replace(t22, factor=lambda bp, mu: 0.5 * t22.factor(bp, mu)))
         rc_violation = main(["sweep", "--config", str(cfg)])
 
     malformed = tmp_path / "malformed.cfg"

@@ -28,7 +28,6 @@ from ostrowski_frac.fracint import ConvergenceError, DomainError, FracParams, Qu
 from ostrowski_frac.report import (
     ConfigError,
     SweepConfig,
-    Verdicts,
     parse_config,
     render_report,
     report_chunks,
@@ -616,9 +615,11 @@ class TestSweepCommand:
 
     @pytest.fixture
     def understated_t22(self, monkeypatch):
-        # The theorem record looks its factor up at call time.
-        factor_t22 = bnd.factor_t22
-        monkeypatch.setattr(bnd, "factor_t22", lambda bp, mu: 0.5 * factor_t22(bp, mu))
+        # The sweep looks the record up at call time; t26, whose factor t22
+        # shares, keeps its own.
+        t22 = THEOREMS["t22"]
+        monkeypatch.setitem(THEOREMS, "t22", dataclasses.replace(
+            t22, factor=lambda bp, mu: 0.5 * t22.factor(bp, mu)))
 
     def test_crafted_violation_exits_1(self, tmp_path, capsys, understated_t22):
         cfg = tmp_path / "bad.cfg"
@@ -997,7 +998,7 @@ class TestConfigParsing:
 
 class TestRenderReport:
     def test_csv_header_and_rows(self):
-        cfg = parse_config(SMALL_SWEEP + "format = csv\n")
+        cfg = parse_config(SMALL_SWEEP + "format = csv\nabs_tol = 1e-11\n")
         report = run_sweep(cfg)
         text = render_report(report, "csv")
         lines = text.strip().splitlines()
@@ -1006,6 +1007,15 @@ class TestRenderReport:
         assert len(lines) == len(list(verdict_rows(report))) + 1
         assert [len(fields) for fields in csv.reader(lines)] == [17] * len(lines)
         assert all(s["fail"] == 0 for s in report["summary"].values())
+        # Each group carries the verdict rule's tolerance, 100 * abs_tol
+        # (9.999999999999999e-10 here), and so does each record of both
+        # formats.
+        tol_margin = 100.0 * 1e-11
+        assert report["verdicts"] and {g.tol_margin for g in report["verdicts"]} == {tol_margin}
+        assert {r[5] for r in csv.reader(lines[1:])} == {repr(tol_margin)}
+        records = json.loads(render_report(report, "json"))["verdicts"]
+        assert len(records) == len(lines) - 1
+        assert {r["tol_margin"] for r in records} == {tol_margin}
 
     @pytest.mark.parametrize("text", [
         SMALL_SWEEP + "u = 0.25,0.5\nformat = csv\n",
@@ -1044,7 +1054,7 @@ class TestRenderReport:
         two copies of itself with inf in one rhs and nan in one margin, both
         at one mu, and only finite values at its other mus."""
         report = run_sweep(parse_config(SMALL_SWEEP))
-        tol_margin, groups = report["verdicts"]
+        groups = report["verdicts"]
         g = next(g for g in groups if len(g.mus) >= 2)
         first, *others = g.mus
         rhs, margin = g.rhs.copy(), g.margin.copy()
@@ -1054,7 +1064,7 @@ class TestRenderReport:
         order = [*range(1, len(g.mus)), 0, *range(1, len(g.mus))]
         group = g._replace(mus=(*others, first, *others), lhs=g.lhs[:, order],
                            rhs=rhs[:, order], margin=margin[:, order], holds=g.holds[:, order])
-        return {**report, "verdicts": Verdicts(tol_margin, [g, group, g])}
+        return {**report, "verdicts": [g, group, g]}
 
     def test_non_finite_run_beside_finite_ones(self):
         # Each value of a group that holds inf and nan at one mu is written
@@ -1098,27 +1108,27 @@ class TestRenderReport:
 
     def test_json_without_verdicts(self):
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
-                  "summary": {}, "verdicts": Verdicts(1e-8, [])}
+                  "summary": {}, "verdicts": []}
         assert render_report(report, "json") == self._oracle(report)
         # Groups, x values and mu values without a verdict list none either.
         empty = np.empty((1, 1, 0))
         group = report_mod.Group("t22", "f", 0.0, 1.0, [0.5], (1.0, 1.0), np.zeros((1, 2)),
-                                 [], empty, empty, empty.astype(bool))
+                                 [], empty, empty, empty.astype(bool), 1e-8)
         none = np.empty((0, 0, 0))
-        report["verdicts"] = Verdicts(1e-8, [
+        report["verdicts"] = [
             group, group._replace(mus=(), lhs=np.zeros((1, 0))),
             group._replace(xs=[], mus=(), lhs=np.zeros((0, 0)), rhs=none, margin=none,
-                           holds=none.astype(bool))])
+                           holds=none.astype(bool))]
         assert render_report(report, "json") == self._oracle(report)
         # Beside a sweep's group, a point-less group with mu values adds no
         # verdict, and the sweep's holds stay bools.
         sweep = run_sweep(parse_config(SMALL_SWEEP))
-        tol_margin, (g, *_) = sweep["verdicts"]
-        alone = render_report({**sweep, "verdicts": Verdicts(tol_margin, [g])}, "json")
+        g, *_ = sweep["verdicts"]
+        alone = render_report({**sweep, "verdicts": [g]}, "json")
         point_less = g._replace(points=[], rhs=np.empty((len(g.xs), len(g.mus), 0)),
                                 margin=np.empty((len(g.xs), len(g.mus), 0)),
                                 holds=np.empty((len(g.xs), len(g.mus), 0), dtype=bool))
-        sweep["verdicts"] = Verdicts(tol_margin, [point_less, g, point_less])
+        sweep["verdicts"] = [point_less, g, point_less]
         text = render_report(sweep, "json")
         assert text == self._oracle(sweep) == alone
         assert '"holds": true' in text and '"holds": 0.0' not in text
@@ -1128,12 +1138,12 @@ class TestRenderReport:
         # x lists, are other objects with other values: the renderer keeps a
         # table's text by the table's identity, never by (function, mus).
         report = run_sweep(parse_config(SMALL_SWEEP))
-        tol_margin, groups = report["verdicts"]
+        groups = report["verdicts"]
         g = groups[0]
         own_lhs = g._replace(theorem="own lhs", lhs=g.lhs + 1.0)
         own_xs = g._replace(theorem="own xs", xs=[x + 1.0 for x in g.xs])
         assert own_lhs.mus == g.mus
-        report = {**report, "verdicts": Verdicts(tol_margin, [g, own_lhs, own_xs, g, *groups])}
+        report = {**report, "verdicts": [g, own_lhs, own_xs, g, *groups]}
         assert render_report(report, "json") == self._oracle(report)
 
     def test_default_sweep_equals_indented_dump(self, default_sweep):
@@ -1166,22 +1176,23 @@ class TestRenderReport:
     def test_unknown_format_raises(self, fmt):
         # Named at the call, before any piece: a caller that opens its
         # destination after the call never truncates it for nothing.
-        report = {"version": "1", "verdicts": Verdicts(1e-8, [])}
+        report = {"version": "1", "verdicts": []}
         with pytest.raises(ValueError, match=f"unknown report format {fmt!r}"):
             report_chunks(report, fmt)
         with pytest.raises(ValueError, match=f"unknown report format {fmt!r}"):
             render_report(report, fmt)
 
     def test_json_verdicts_last_equals_indented_dump(self):
-        report = {"version": "1", "verdicts": Verdicts(1e-8, [])}
+        report = {"version": "1", "verdicts": []}
         assert render_report(report, "json") == self._oracle(report)
 
     # Equal values with different text (0.0 and -0.0; 1, 1.0 and True) and
-    # values json spells its own way: what a group, x or mu may hold.
+    # values json spells its own way: what a group's scalars or mu may hold.
     POOL = [0.0, -0.0, 1, 1.0, True, False, None, float("nan"), float("inf"),
             float("-inf"), 0.1, 1e300, 5e-324, -7, 2**70, "t22",
-            'q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫",
-            [], {}, [1.5, None, "x"], {"k": [0.5, {"z": True}]}]
+            'q"uote', "com,ma", "new\nline", "},", "},\n      {", "ünïcødé ∫"]
+    # What an x may hold: the floats among them.
+    X_POOL = [v for v in POOL if type(v) is float]
     # The floats a run's lhs and a group's rhs and margin may hold: finite
     # ones, and with them those json spells its own way.
     FINITE = [0.0, -0.0, 0.1, 1.0, 1e300, -1e300, 5e-324, -5e-324, 1 - 2**-53,
@@ -1202,9 +1213,9 @@ class TestRenderReport:
 
         rng = random.Random(seed)
 
-        def value():
+        def value(pool=self.POOL):
             # An equal value in a distinct object, where one can be made.
-            v = rng.choice(self.POOL)
+            v = rng.choice(pool)
             return float(repr(v)) if type(v) is float and rng.random() < 0.5 else v
 
         def floats(shape, pool):
@@ -1268,7 +1279,7 @@ class TestRenderReport:
                     holds=holds_of(shape)))
                 rows.add("other mus")
                 continue
-            xs = [value() for _ in range(rng.randint(0, 6))]
+            xs = [value(self.X_POOL) for _ in range(rng.randint(0, 6))]
             mus = tuple(value() for _ in range(rng.randint(0, 4)))
             lhs = floats((len(xs), len(mus)), self.FLOATS)
             listed = points()
@@ -1291,29 +1302,28 @@ class TestRenderReport:
                     rows.add("repeated" if np.isfinite(by_x[i]).all() else "repeated non-finite")
             kinds.add(bool(np.isfinite(rhs).all() and np.isfinite(margin).all()))
             groups.append(report_mod.Group(value(), value(), value(), value(), xs, mus, lhs,
-                                           listed, rhs, margin, holds_of(shape)))
+                                           listed, rhs, margin, holds_of(shape), value()))
         assert kinds == {True, False}
         report = {"config_fingerprint": "0" * 64, "version": "0.1.0",
                   "summary": {"t22": {"pass": 1, "fail": 0, "worst_margin": -0.0}},
-                  "verdicts": Verdicts(value(), groups)}
+                  "verdicts": groups}
         assert render_report(report, "json") == self._oracle(report)
         # The same tables in CSV, equal to csv.writer's text of the records,
-        # with each value a CSV field may not hold (strings, lists, dicts)
-        # replaced by one float per object, so that shared x lists and mus
-        # stay shared.
+        # with each value a CSV field may not hold (strings) replaced by one
+        # float per object, so that shared mus stay shared.
         safe = {}
 
         def field(v):
-            if isinstance(v, (str, list, dict)):
+            if isinstance(v, str):
                 return safe.setdefault(id(v), (v, float(len(safe))))[1]
             return v
 
         def fields(vs):
             return safe.setdefault(id(vs), (vs, type(vs)(map(field, vs))))[1]
 
-        report["verdicts"] = Verdicts(field(report["verdicts"].tol_margin), [
-            g._replace(theorem="t", function="f", a=field(g.a), b=field(g.b), xs=fields(g.xs),
-                       mus=fields(g.mus)) for g in groups])
+        report["verdicts"] = [
+            g._replace(theorem="t", function="f", a=field(g.a), b=field(g.b),
+                       mus=fields(g.mus), tol_margin=field(g.tol_margin)) for g in groups]
         rows = list(verdict_rows(report))
         assert render_report(report, "csv") == sweep_oracle.render(
             {**report, "verdicts": rows}, "csv")
@@ -1357,7 +1367,7 @@ class TestRenderReport:
 
     def test_json_awkward_strings_and_floats(self):
         base = run_sweep(parse_config(SMALL_SWEEP))
-        tol_margin, (group, *_) = base["verdicts"]
+        group, *_ = base["verdicts"]
         mu = group.mus[0]
         bp, rhs, holds = group.points[0], group.rhs[0, 0, 0], group.holds[0, 0, 0]
         points = [dataclasses.replace(bp, u=None), bp]
@@ -1379,7 +1389,7 @@ class TestRenderReport:
                                 ).reshape(2, 2, 2),
                 holds=np.array([[holds, not holds, holds, holds],
                                 [not holds, holds, not holds, holds]]).reshape(2, 2, 2)))
-        report = {**base, "verdicts": Verdicts(tol_margin, groups)}
+        report = {**base, "verdicts": groups}
         assert render_report(report, "json") == self._oracle(report)
 
     def test_records_hold_python_values(self, default_sweep):
@@ -1752,7 +1762,7 @@ class TestHypothesesCheckedOncePerPoint:
         monkeypatch.setattr(report_mod, "geometry_factors",
                             counting("geometry", report_mod.geometry_factors))
         report = run_sweep(cfg)
-        groups = [g for g in report["verdicts"].groups if g.holds.size]
+        groups = [g for g in report["verdicts"] if g.holds.size]
         margins = {id(g.margin) for g in groups}
         texts = report_mod._texts
 
@@ -1768,15 +1778,16 @@ class TestHypothesesCheckedOncePerPoint:
 
     def test_default_sweep_computes_each_recurring_value_once(self, monkeypatch):
         """A point factor once per (bounds factor, point values, mu), one
-        callable for `mm` and `remark_q1`; a geometry column once per
+        callable for `mm` and `remark_q1` and one for `t22` and `t26`; a geometry column once per
         (domain, mu); an rhs table once per alike groups, powdecay's and
         expdecay's among them; and its text once per table.  Each margin
         is formatted once."""
         assert THEOREMS["mm"].factor is THEOREMS["remark_q1"].factor
+        assert THEOREMS["t22"].factor is THEOREMS["t26"].factor
         report, counts = self._reuse(SweepConfig(), monkeypatch)
-        groups = report["verdicts"].groups
+        groups = report["verdicts"]
         tables = {id(g.rhs): g.rhs for g in groups}
-        assert counts == {"factor": 1256, "geometry": 8, "rhs text": 12168,
+        assert counts == {"factor": 1160, "geometry": 8, "rhs text": 12168,
                           "margin text": 17892}
         assert (len(groups), len(tables)) == (21, 15)
         assert sum(t.size for t in tables.values()) == 12168
@@ -1789,15 +1800,16 @@ class TestHypothesesCheckedOncePerPoint:
         per value of each distinct table, 12,168 on the default sweep, and
         one per margin."""
         _, counts = self._reuse(SweepConfig(), monkeypatch, "csv")
-        assert counts == {"factor": 1256, "geometry": 8, "rhs text": 12168,
+        assert counts == {"factor": 1160, "geometry": 8, "rhs text": 12168,
                           "margin text": 17892}
 
     def test_default_sweep_shares_one_lhs_table_per_function_and_mus(self):
         """The groups of a function with equal mus share one (x, mu) lhs
         array, and each `mu1` group has its own: 7 tables for 21 groups.
-        Each column is bit for bit a one-mu `ostrowski_signed_many` call."""
+        Each column is bit for bit a one-mu `ostrowski_signed_many` call.
+        A function's groups share one x list of Python floats."""
         cfg = SweepConfig()
-        groups = run_sweep(cfg)["verdicts"].groups
+        groups = run_sweep(cfg)["verdicts"]
         tables = {id(g.lhs): g for g in groups}
         assert (len(groups), len(tables)) == (21, 7)
         shared = {}
@@ -1807,6 +1819,11 @@ class TestHypothesesCheckedOncePerPoint:
         mu1 = [g for g in groups if g.theorem == "mu1"]
         assert mu1 and all(g.mus == (1.0,) for g in mu1)
         assert all(sum(h.lhs is g.lhs for h in groups) == 1 for g in mu1)
+        xs = {}
+        for g in groups:
+            assert xs.setdefault(g.function, g.xs) is g.xs
+        assert len(xs) == 4  # const1 and const2 have no group
+        assert all(type(v) is float for x_list in xs.values() for v in x_list)
         specs = {f.id: f for f in resolve_corpus(cfg)}
         for g in tables.values():
             assert g.lhs.shape == (len(g.xs), len(g.mus)) and g.lhs.dtype == np.float64
@@ -1819,7 +1836,7 @@ class TestHypothesesCheckedOncePerPoint:
         # Seeded x-fractions are not mirrored: no rhs row recurs within a
         # table.  Each distinct table's values are formatted once each.
         report, counts = self._reuse(parse_config(QUAD_DENSE_SWEEP), monkeypatch)
-        groups = report["verdicts"].groups
+        groups = report["verdicts"]
         tables = {id(g.rhs): g.rhs for g in groups}
         assert counts["geometry"] == 12 and (len(groups), len(tables)) == (6, 5)
         assert all(len({row.tobytes() for row in t}) == len(t) for t in tables.values())
@@ -1829,10 +1846,10 @@ class TestHypothesesCheckedOncePerPoint:
         # Every memo lives in one sweep: the second sweep in the process
         # reads the patched factor, for both records that print it.
         cfg = parse_config(self.CONFIGS["two-u"])
-        before = run_sweep(cfg)["verdicts"].groups
+        before = run_sweep(cfg)["verdicts"]
         factor_mm = bnd.factor_mm
         monkeypatch.setattr(bnd, "factor_mm", lambda bp, mu: 2.0 * factor_mm(bp, mu))
-        after = run_sweep(cfg)["verdicts"].groups
+        after = run_sweep(cfg)["verdicts"]
         assert {g.theorem for g in after} == {"mm", "remark_q1"}
         for g, h in zip(before, after, strict=True):
             assert np.array_equal(h.rhs, 2.0 * g.rhs)
@@ -1843,7 +1860,8 @@ class TestHypothesesCheckedOncePerPoint:
     def test_one_lhs_call_per_function(self, text, monkeypatch):
         """A sweep makes exactly one LHS call per function that has a
         verdict, over the mu values of its verdicts in order of first
-        appearance and its distinct x values in `x_fracs` order."""
+        appearance and every configured x, repeats included, in `x_fracs`
+        order."""
         cfg = parse_config(text)
         verdicts = self._reference(cfg)[0]
         calls = []
@@ -1855,18 +1873,19 @@ class TestHypothesesCheckedOncePerPoint:
 
         monkeypatch.setattr(report_mod, "ostrowski_signed_many", counting)
         run_sweep(cfg)
-        want = {}  # function -> (mus, xs), each in order of first appearance
-        for _, f, x, mu, *_ in verdicts:
-            mus, xs = want.setdefault(f, ({}, {}))
-            mus[mu] = xs[x] = None
-        assert calls == [(f, list(mus), list(xs)) for f, (mus, xs) in want.items()]
+        want = {}  # function -> its mus, in order of first appearance
+        for _, f, _, mu, *_ in verdicts:
+            want.setdefault(f, {})[mu] = None
+        domains = {f.id: f.domain for f in resolve_corpus(cfg)}
+        assert calls == [(f, list(mus), [a + frac_x * (b - a) for frac_x in cfg.x_fracs])
+                         for f, mus in want.items() for a, b in [domains[f]]]
 
     def test_group_states_each_point_once(self):
         # A group holds each of its points once, beside its mu values and
         # its (x, mu) lhs table, with one table axis each for x, mu and
         # point: the renderer formats a point's values once per group.
         cfg = parse_config(self.CONFIGS["two-u"])
-        groups = run_sweep(cfg)["verdicts"].groups
+        groups = run_sweep(cfg)["verdicts"]
         assert groups
         for g in groups:
             assert len(g.xs) == len(cfg.x_fracs)
@@ -1932,11 +1951,11 @@ class TestHypothesesCheckedOncePerPoint:
 
         monkeypatch.setattr(report_mod, "BoundParams", Counting)
         report = run_sweep(cfg)
-        groups = report["verdicts"].groups
+        groups = report["verdicts"]
         assert any(len(g.mus) > 1 for g in groups)
         for g, out_format in itertools.product(groups, ("json", "csv")):
             reads.clear()
-            text = render_report({"n": 1, "verdicts": Verdicts(0.0, [g])}, out_format)
+            text = render_report({"n": 1, "verdicts": [g]}, out_format)
             if out_format == "json":
                 assert json.loads(text)["verdicts"]
             assert reads == [id(bp) for bp in g.points]
@@ -1994,7 +2013,7 @@ class TestSweepMatchesPerVerdictOracle:
     def test_other_configs(self, text):
         cfg = parse_config(text)
         got = run_sweep(cfg)
-        assert got["verdicts"].groups
+        assert got["verdicts"]
         self._assert_same(got, sweep_oracle.run_sweep(cfg))
 
     def test_point_factor_times_geometry_is_the_rhs(self, corpus):
@@ -2149,6 +2168,45 @@ class TestCanonicalText:
         rows = csv.DictReader(io.StringIO(render_report(run_sweep(cfg), "csv")))
         assert {r["function"] for r in rows} == {"a b"}
 
+    # Extra members and `functions` lists built in code: each fault is a
+    # ConfigError when the config is built, in the words of the family or
+    # of `parse_config`, not a DomainError or an unknown id in the sweep;
+    # each accepted config parses back.  A message ending in ": " is a
+    # prefix, followed by Python's own TypeError text.
+    @pytest.mark.parametrize("functions, extra, message", [
+        (("aff",), [("affine", "aff", (("slope x", 0.5), *AFFINE[1:]))],
+         "bad parameters for family 'affine': "),
+        (("aff",), [("affine", "aff", (("slope#", 0.5), *AFFINE[1:]))],
+         "bad parameters for family 'affine': "),
+        (("aff",), [("aff ine", "aff", AFFINE)],
+         "unknown family 'aff ine'; known: ['affine', 'constant', 'exp_decay', 'power_decay']"),
+        (("aff",), [("affine", "aff", (("slope", 0.5), ("slope", 0.6), *AFFINE[1:]))],
+         "repeated parameter 'slope' in function 'aff'"),
+        (("aff",), [("affine", "aff", AFFINE), ("affine", "aff", AFFINE)],
+         "repeated extra function id 'aff'"),
+        (("aff",), [("affine", "linear", AFFINE)],
+         "extra function id 'linear' is already in the corpus"),
+        (("linear,affine08",), [], "unknown function ids: ['linear,affine08']"),
+        ((" linear",), [], "unknown function ids: [' linear']"),
+        (("",), [], "unknown function ids: ['']"),
+        (("linear", "affine08"), [], None),
+        (("aff",), [("affine", "aff", AFFINE)], None),
+        ((), [("affine", "aff", AFFINE), ("affine", "aff2", AFFINE)], None),
+    ], ids=["key-with-space", "key-with-hash", "family-with-space", "repeated-parameter",
+            "repeated-id", "builtin-id", "comma-in-id", "leading-space", "empty-id",
+            "builtin-ids", "extra-id", "two-extras"])
+    def test_functions_are_checked_when_built(self, functions, extra, message):
+        one = dict(theorems=("t22",), x_fracs=(0.5,), mus=(1.0,))
+        if message is None:
+            cfg = SweepConfig(functions=functions, extra_functions=extra, **one)
+            assert parse_config(cfg.canonical_text()) == cfg
+            assert run_sweep(cfg)["verdicts"]
+            return
+        with pytest.raises(ConfigError) as got:
+            SweepConfig(functions=functions, extra_functions=extra, **one)
+        assert (str(got.value).startswith(message) if message.endswith(": ")
+                else str(got.value) == message)
+
     @pytest.mark.parametrize("kwargs,message", [
         (dict(us=(None,)), "u = None: a real number, not a bool, required"),
         (dict(alphas=(0.5, True)), "alpha = True: a real number, not a bool, required"),
@@ -2170,14 +2228,20 @@ class TestCanonicalText:
         assert str(got.value) == message
 
 
+def _env_with_src(**extra) -> dict:
+    """The environment of a child `python -m ostrowski_frac.cli`: this one,
+    with the package's source first on PYTHONPATH, and `extra`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_entry_point_in_real_processes(tmp_path):
     """`python -m ostrowski_frac.cli`, each command in its own process, run
     from a directory outside the repo: the exit codes 0, 1 and 2 and what
     each writes to stdout and stderr.  An exception that escaped `main` would
-    exit 1 with a traceback.  The only test here that spawns a process."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    exit 1 with a traceback."""
+    env = _env_with_src()
     cases = [
         ("check-convexity --f powdecay --alpha 0.5 --m 0.5 --q 2", 0, "pass\n", ""),
         ("check-convexity --f expdecay", 1, "counterexample x=1 y=2 t=0.5 "
@@ -2192,3 +2256,30 @@ def test_module_entry_point_in_real_processes(tmp_path):
     for proc, (argv, rc, out, err) in zip(procs, cases):
         got_out, got_err = proc.communicate(timeout=60)
         assert (proc.returncode, got_out, got_err) == (rc, out, err), argv
+
+
+def _tuple_digest(records) -> str:
+    """SHA-256 over the ordered (theorem, function, x, mu, alpha, m, q, u,
+    holds) tuples of verdict records, each as its JSON text."""
+    keys = ("theorem", "function", "x", "mu", "alpha", "m", "q", "u", "holds")
+    h = hashlib.sha256()
+    for r in records:
+        h.update(json.dumps([r[k] for k in keys]).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_default_sweep_verdicts_do_not_depend_on_avx512_dispatch(tmp_path, default_sweep):
+    """The default sweep in a process whose numpy may not dispatch to
+    AVX-512 kernels exits 0 with the verdicts of this process.  Its last
+    bits may differ (numpy's vectorised kernels round differently), so
+    only the (theorem, function, x, mu, point, holds) tuples are compared.
+    On a CPU without those features both runs take the same kernels.
+    stderr is not read: numpy may warn about a feature it cannot disable."""
+    out = tmp_path / "report.json"
+    env = _env_with_src(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    proc = subprocess.run([sys.executable, "-m", "ostrowski_frac.cli", "sweep", "--output",
+                           str(out)], cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0
+    records = json.loads(out.read_text())["verdicts"]
+    assert len(records) == 17892
+    assert _tuple_digest(records) == _tuple_digest(verdict_rows(default_sweep))
